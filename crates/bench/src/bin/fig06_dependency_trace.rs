@@ -7,7 +7,7 @@
 
 use mf_gpu::{DepArrays, SpmvSchedule, VectorSchedule};
 use mf_precision::ClassifyOptions;
-use mf_solver::threaded::run_cg_threaded;
+use mf_solver::threaded::{run_cg_threaded, ThreadedOpts};
 use mf_sparse::{Coo, TiledMatrix};
 
 fn main() {
@@ -74,7 +74,7 @@ fn main() {
     // Now actually run it, concurrently, with real threads and atomics.
     let mut b = vec![0.0; 6];
     csr.matvec(&[1.0; 6], &mut b);
-    let rep = run_cg_threaded(&m, &b, 1e-12, 100, warps);
+    let rep = run_cg_threaded(&m, &b, 1e-12, 100, &ThreadedOpts::new(warps));
     println!(
         "\nthreaded engine: {} warps, converged = {} in {} iterations (relres {:.2e})",
         rep.warps, rep.converged, rep.iterations, rep.final_relres

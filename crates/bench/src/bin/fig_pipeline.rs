@@ -42,11 +42,10 @@ use std::time::Instant;
 
 use mf_bench::{barriers_per_iter, metric_cell, write_csv, Table};
 use mf_collection::{cg_suite, poisson2d, SuiteOptions};
-use mf_gpu::FaultPlan;
 use mf_kernels::{ilu0, Ilu0};
 use mf_solver::{
-    run_cg_pipelined_threaded_traced, run_cg_threaded_traced, run_pcg_pipelined_threaded_traced,
-    run_pcg_threaded_traced, EventKind, ThreadedReport, TraceConfig, WatchdogPolicy,
+    run_cg_pipelined_threaded, run_cg_threaded, run_pcg_pipelined_threaded, run_pcg_threaded,
+    EventKind, ThreadedOpts, ThreadedReport, TraceConfig,
 };
 use mf_sparse::{Csr, TiledMatrix};
 
@@ -80,17 +79,15 @@ fn solve_once(
     warps: usize,
     cfg: &TraceConfig,
 ) -> ThreadedReport {
-    let wd = WatchdogPolicy::default();
-    let plan = FaultPlan::default();
+    let opts = ThreadedOpts {
+        trace: *cfg,
+        ..ThreadedOpts::new(warps)
+    };
     match (ilu, pipelined) {
-        (None, false) => run_cg_threaded_traced(m, b, tol, max_iter, warps, wd, &plan, cfg),
-        (None, true) => {
-            run_cg_pipelined_threaded_traced(m, b, tol, max_iter, warps, wd, &plan, cfg)
-        }
-        (Some(p), false) => run_pcg_threaded_traced(m, p, b, tol, max_iter, warps, wd, &plan, cfg),
-        (Some(p), true) => {
-            run_pcg_pipelined_threaded_traced(m, p, b, tol, max_iter, warps, wd, &plan, cfg)
-        }
+        (None, false) => run_cg_threaded(m, b, tol, max_iter, &opts),
+        (None, true) => run_cg_pipelined_threaded(m, b, tol, max_iter, &opts),
+        (Some(p), false) => run_pcg_threaded(m, p, b, tol, max_iter, &opts),
+        (Some(p), true) => run_pcg_pipelined_threaded(m, p, b, tol, max_iter, &opts),
     }
 }
 

@@ -32,7 +32,7 @@ use std::io::Write as _;
 use mf_bench::{write_csv, Table};
 use mf_collection::{banded_spd, poisson2d, random_spd, ValueClass};
 use mf_gpu::Phase;
-use mf_solver::threaded::run_cg_threaded;
+use mf_solver::threaded::{run_cg_threaded, ThreadedOpts};
 use mf_solver::{run_cg_sharded, ShardedReport};
 use mf_sparse::{Csr, TiledMatrix};
 
@@ -109,7 +109,7 @@ fn main() {
     for (name, a) in &systems {
         let m = TiledMatrix::from_csr(a);
         let b = rhs(a);
-        let single = run_cg_threaded(&m, &b, tol, max_iter, warps);
+        let single = run_cg_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(warps));
         let total_bytes = m.vals_raw().len();
         for &sc in &shard_counts {
             let rep = run_cg_sharded(&m, &b, tol, max_iter, sc, warps);

@@ -26,11 +26,10 @@ use std::time::Instant;
 
 use mf_bench::{write_csv, Table};
 use mf_collection::poisson2d;
-use mf_gpu::{DeviceSpec, FaultPlan};
+use mf_gpu::DeviceSpec;
 use mf_kernels::ilu0;
 use mf_solver::{
-    run_pcg_threaded_traced, EventKind, MilleFeuille, SolverConfig, Trace, TraceConfig,
-    WatchdogPolicy,
+    run_pcg_threaded, EventKind, MilleFeuille, SolverConfig, ThreadedOpts, Trace, TraceConfig,
 };
 use mf_sparse::{Csr, TiledMatrix};
 
@@ -65,16 +64,16 @@ fn time_pcg(
     // mitigator — any single rep can be preempted, no rep can be too fast.
     for rep in 0..=reps {
         let t0 = Instant::now();
-        let out = run_pcg_threaded_traced(
+        let out = run_pcg_threaded(
             m,
             ilu,
             b,
             0.0, // unattainable tolerance: both runs execute exactly max_iter iterations
             max_iter,
-            warps,
-            WatchdogPolicy::default(),
-            &FaultPlan::default(),
-            cfg,
+            &ThreadedOpts {
+                trace: *cfg,
+                ..ThreadedOpts::new(warps)
+            },
         );
         let us = t0.elapsed().as_secs_f64() * 1e6;
         if rep > 0 {

@@ -4,18 +4,10 @@ use mf_precision::ClassifyOptions;
 use mf_trace::TraceConfig;
 use std::time::Duration;
 
-/// Default watchdog deadline for the threaded single-kernel engines — far
-/// above any healthy solve in this repo's size class, but finite, so a
-/// wedged barrier turns into a structured failure instead of an infinite
-/// spin. This is the *wall-clock* policy's default; the progress
-/// heartbeat's is [`DEFAULT_HEARTBEAT`].
-pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
-
 /// Default interval of the progress-heartbeat watchdog: the solve only
 /// fails as `Wedged` when **no** warp has produced a progress event for
-/// this long. Unlike [`DEFAULT_WATCHDOG`] it does not bound total solve
-/// time, so slow-but-healthy solves on huge systems never trip it; 10 s of
-/// *zero* progress, by contrast, only happens to a genuinely wedged
+/// this long. It does not bound total solve time, so slow-but-healthy
+/// solves on huge systems never trip it; 10 s of *zero* progress, by contrast, only happens to a genuinely wedged
 /// dependency chain.
 pub const DEFAULT_HEARTBEAT: Duration = Duration::from_secs(10);
 
@@ -25,9 +17,6 @@ pub enum WatchdogPolicy {
     /// No watchdog at all (the paper's idealized deadlock-free
     /// assumption). A truly wedged dependency chain will spin forever.
     Disabled,
-    /// Absolute deadline measured from solve start (the PR 2 behavior):
-    /// simple, but trips spuriously on slow-but-healthy solves.
-    WallClock(Duration),
     /// Progress heartbeat: fires only when *no* warp has advanced for the
     /// given interval ([`mf_gpu::Heartbeat`]). The default.
     Heartbeat(Duration),
@@ -36,17 +25,6 @@ pub enum WatchdogPolicy {
 impl Default for WatchdogPolicy {
     fn default() -> Self {
         WatchdogPolicy::Heartbeat(DEFAULT_HEARTBEAT)
-    }
-}
-
-impl WatchdogPolicy {
-    /// Adapter for the legacy `Option<Duration>` wall-clock API
-    /// (`run_*_threaded_watchdog`): `None` disables the watchdog.
-    pub fn from_wallclock(deadline: Option<Duration>) -> WatchdogPolicy {
-        match deadline {
-            Some(d) => WatchdogPolicy::WallClock(d),
-            None => WatchdogPolicy::Disabled,
-        }
     }
 }
 
@@ -188,8 +166,9 @@ pub struct SolverConfig {
     /// and returns a [`crate::report::SolveFailure::Wedged`] failure
     /// instead of hanging. The default is the progress heartbeat
     /// ([`DEFAULT_HEARTBEAT`]): it fires only when *no* warp advances for
-    /// the interval, so slow-but-healthy solves never trip it. The PR 2
-    /// absolute deadline survives as [`WatchdogPolicy::WallClock`].
+    /// the interval, so slow-but-healthy solves never trip it.
+    /// [`WatchdogPolicy::Disabled`] turns detection off. The facade's
+    /// threaded methods pass this through as [`crate::ThreadedOpts::watchdog`].
     pub watchdog: WatchdogPolicy,
     /// When [`crate::MilleFeuille::solve_auto`]'s structure heuristic picks
     /// CG but the solve aborts on curvature breakdowns (the matrix looked
@@ -296,18 +275,6 @@ mod tests {
         assert!(c.auto_switch_on_breakdown, "auto re-dispatch defaults on");
         assert!(!c.trace.enabled, "event tracing defaults off");
         assert!(c.adaptive.is_none(), "adaptive re-tiering defaults off");
-    }
-
-    #[test]
-    fn watchdog_policy_wallclock_adapter() {
-        assert_eq!(
-            WatchdogPolicy::from_wallclock(Some(Duration::from_secs(3))),
-            WatchdogPolicy::WallClock(Duration::from_secs(3))
-        );
-        assert_eq!(
-            WatchdogPolicy::from_wallclock(None),
-            WatchdogPolicy::Disabled
-        );
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! The [`threaded`] module contains *real* multi-threaded single-kernel
 //! engines — warps as OS threads synchronized only through atomic
 //! dependency counters — used to validate that the paper's in-kernel
-//! synchronization scheme is correct and deadlock-free. Beyond plain CG
+//! synchronization scheme is correct and deadlock-free. Each engine has one
+//! entry point taking a [`ThreadedOpts`] (warps, watchdog, faults, trace,
+//! adaptive). Beyond plain CG
 //! and BiCGSTAB, the preconditioned engines (`solve_pcg_threaded`,
 //! `solve_pbicgstab_threaded`) run the ILU(0) forward/backward triangular
 //! solves *inside* the kernel via per-row dependency counters
@@ -44,9 +46,9 @@
 //! Every core fails *finite, fast, and observably*: scalar breakdowns
 //! (curvature, ρ, ω, non-finite) trigger the classical restart, repeated
 //! futile restarts abort as [`SolveFailure::Stalled`], and the threaded
-//! engines add a poison flag plus a watchdog deadline
-//! ([`SolverConfig::watchdog`]) so a panicking or NaN-poisoned warp can
-//! never wedge the process. Reports carry the full [`BreakdownEvent`]
+//! engines add a poison flag plus a progress-heartbeat watchdog
+//! ([`SolverConfig::watchdog`], [`ThreadedOpts::watchdog`]) so a panicking
+//! or NaN-poisoned warp can never wedge the process. Reports carry the full [`BreakdownEvent`]
 //! trail; see DESIGN.md "Failure modes and recovery".
 
 pub mod adaptive;
@@ -70,7 +72,6 @@ pub use block::{
 };
 pub use config::{
     HostParallelism, KernelMode, PipelineMode, SolverConfig, WatchdogPolicy, DEFAULT_HEARTBEAT,
-    DEFAULT_WATCHDOG,
 };
 pub use pipelined::{
     run_cg_pipelined, run_cg_pipelined_ws, run_pcg_pipelined, run_pcg_pipelined_ws,
@@ -84,17 +85,10 @@ pub use sharded::{
 };
 pub use solver::MilleFeuille;
 pub use threaded::{
-    run_bicgstab_threaded_full, run_bicgstab_threaded_traced, run_cg_pipelined_threaded,
-    run_cg_pipelined_threaded_adaptive, run_cg_pipelined_threaded_full,
-    run_cg_pipelined_threaded_traced, run_cg_pipelined_threaded_watchdog, run_cg_threaded_adaptive,
-    run_cg_threaded_full, run_cg_threaded_traced, run_ilu_sptrsv_threaded,
-    run_ilu_sptrsv_threaded_full, run_ilu_sptrsv_threaded_traced, run_ilu_sptrsv_threaded_watchdog,
-    run_pbicgstab_threaded, run_pbicgstab_threaded_full, run_pbicgstab_threaded_traced,
-    run_pbicgstab_threaded_watchdog, run_pcg_pipelined_threaded, run_pcg_pipelined_threaded_full,
-    run_pcg_pipelined_threaded_traced, run_pcg_pipelined_threaded_watchdog, run_pcg_threaded,
-    run_pcg_threaded_full, run_pcg_threaded_traced, run_pcg_threaded_watchdog, ThreadedReport,
-    BICGSTAB_STEPS, CG_PIPELINED_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_PIPELINED_STEPS, PCG_STEPS,
-    SPTRSV_STEPS,
+    run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_ilu_sptrsv_threaded,
+    run_pbicgstab_threaded, run_pcg_pipelined_threaded, run_pcg_threaded, ThreadedOpts,
+    ThreadedReport, BICGSTAB_STEPS, CG_PIPELINED_STEPS, CG_STEPS, PBICGSTAB_STEPS,
+    PCG_PIPELINED_STEPS, PCG_STEPS, SPTRSV_STEPS,
 };
 pub use ticketed::{
     build_tiled_ticketed, fused_unit_specs, ic0_boosted_ticketed, ilu0_boosted_ticketed,

@@ -21,7 +21,7 @@ pub enum BreakdownKind {
     Omega,
     /// A recurrence scalar (α, β, ρ or ‖r‖²) became NaN or infinite.
     NonFinite,
-    /// The watchdog deadline expired while a warp was stuck at a barrier.
+    /// The heartbeat watchdog fired: no warp progressed for its interval.
     Watchdog,
     /// A warp panicked; the poison flag released its siblings.
     Panic,
@@ -136,7 +136,7 @@ pub struct BreakdownEvent {
 /// iterations" and "broke down" without inspecting residuals.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolveFailure {
-    /// A threaded barrier failed to clear before the watchdog deadline
+    /// No warp progressed for the heartbeat watchdog's interval
     /// ([`crate::SolverConfig::watchdog`]); the solve was poisoned and all
     /// warps released. `iteration` is the last fully completed iteration.
     Wedged {

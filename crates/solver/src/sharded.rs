@@ -425,8 +425,8 @@ pub fn run_cg_sharded(
 }
 
 /// Sharded CG across `shards` simulated devices — bitwise identical in
-/// every numeric output to `run_cg_threaded(m, b, tol, max_iter, w)` for
-/// any `(shards, warps)` (pinned by `tests/sharded_parity.rs`).
+/// every numeric output to `run_cg_threaded` at `ThreadedOpts::new(warps)`
+/// for any `(shards, warps)` (pinned by `tests/sharded_parity.rs`).
 #[allow(clippy::too_many_arguments)]
 pub fn run_cg_sharded_full(
     m: &TiledMatrix,
@@ -955,7 +955,8 @@ mod tests {
         let m = TiledMatrix::from_csr(&a);
         let mut b = vec![0.0; 96];
         a.matvec(&vec![1.0; 96], &mut b);
-        let single = crate::threaded::run_cg_threaded(&m, &b, 1e-10, 300, 4);
+        let opts = crate::threaded::ThreadedOpts::new(4);
+        let single = crate::threaded::run_cg_threaded(&m, &b, 1e-10, 300, &opts);
         for shards in [1, 2, 3, 4] {
             let rep = run_cg_sharded(&m, &b, 1e-10, 300, shards, 4);
             assert_eq!(rep.iterations, single.iterations, "{shards} shards");

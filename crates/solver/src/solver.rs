@@ -472,16 +472,12 @@ impl MilleFeuille {
         max_warps: usize,
     ) -> crate::threaded::ThreadedReport {
         let pre = self.preprocess(a);
-        crate::threaded::run_cg_threaded_adaptive(
+        crate::threaded::run_cg_threaded(
             &pre.tiled,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            max_warps,
-            self.config.watchdog,
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
-            self.config.adaptive,
+            &self.threaded_opts(max_warps),
         )
     }
 
@@ -493,15 +489,12 @@ impl MilleFeuille {
         max_warps: usize,
     ) -> crate::threaded::ThreadedReport {
         let pre = self.preprocess(a);
-        crate::threaded::run_bicgstab_threaded_traced(
+        crate::threaded::run_bicgstab_threaded(
             &pre.tiled,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            max_warps,
-            self.config.watchdog,
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
+            &self.threaded_opts(max_warps),
         )
     }
 
@@ -747,16 +740,13 @@ impl MilleFeuille {
         max_warps: usize,
     ) -> crate::threaded::ThreadedReport {
         let pre = self.preprocess(a);
-        crate::threaded::run_pcg_threaded_traced(
+        crate::threaded::run_pcg_threaded(
             &pre.tiled,
             ilu,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            max_warps,
-            self.config.watchdog,
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
+            &self.threaded_opts(max_warps),
         )
     }
 
@@ -857,16 +847,13 @@ impl MilleFeuille {
         max_warps: usize,
     ) -> crate::threaded::ThreadedReport {
         let pre = self.preprocess(a);
-        crate::threaded::run_pbicgstab_threaded_traced(
+        crate::threaded::run_pbicgstab_threaded(
             &pre.tiled,
             ilu,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            max_warps,
-            self.config.watchdog,
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
+            &self.threaded_opts(max_warps),
         )
     }
 
@@ -880,16 +867,12 @@ impl MilleFeuille {
         max_warps: usize,
     ) -> crate::threaded::ThreadedReport {
         let pre = self.preprocess(a);
-        crate::threaded::run_cg_pipelined_threaded_adaptive(
+        crate::threaded::run_cg_pipelined_threaded(
             &pre.tiled,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            max_warps,
-            self.config.watchdog,
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
-            self.config.adaptive,
+            &self.threaded_opts(max_warps),
         )
     }
 
@@ -918,17 +901,26 @@ impl MilleFeuille {
         max_warps: usize,
     ) -> crate::threaded::ThreadedReport {
         let pre = self.preprocess(a);
-        crate::threaded::run_pcg_pipelined_threaded_traced(
+        crate::threaded::run_pcg_pipelined_threaded(
             &pre.tiled,
             ilu,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            max_warps,
-            self.config.watchdog,
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
+            &self.threaded_opts(max_warps),
         )
+    }
+
+    /// The threaded engines' options from this facade's config: `max_warps`
+    /// warps plus the configured watchdog, trace and adaptive controller,
+    /// with no fault injection.
+    fn threaded_opts(&self, max_warps: usize) -> crate::threaded::ThreadedOpts {
+        crate::threaded::ThreadedOpts {
+            watchdog: self.config.watchdog,
+            trace: self.config.trace,
+            adaptive: self.config.adaptive,
+            ..crate::threaded::ThreadedOpts::new(max_warps)
+        }
     }
 
     fn build_coster(&self, tiled: &TiledMatrix, mode: ExecutedMode) -> Coster {

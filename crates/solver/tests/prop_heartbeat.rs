@@ -24,8 +24,8 @@
 
 use mf_gpu::FaultPlan;
 use mf_solver::threaded::{
-    run_bicgstab_threaded_full, run_cg_threaded_full, run_pbicgstab_threaded_full,
-    run_pcg_threaded_full, ThreadedReport, BICGSTAB_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_STEPS,
+    run_bicgstab_threaded, run_cg_threaded, run_pbicgstab_threaded, run_pcg_threaded, ThreadedOpts,
+    ThreadedReport, BICGSTAB_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_STEPS,
 };
 use mf_solver::{SolveFailure, WatchdogPolicy};
 use mf_sparse::{Coo, TiledMatrix};
@@ -75,11 +75,16 @@ fn run(
     wd: WatchdogPolicy,
     plan: &FaultPlan,
 ) -> ThreadedReport {
+    let opts = ThreadedOpts {
+        watchdog: wd,
+        faults: plan.clone(),
+        ..ThreadedOpts::new(warps)
+    };
     match engine {
-        "cg" => run_cg_threaded_full(tiled, b, tol, max_iter, warps, wd, plan),
-        "bicgstab" => run_bicgstab_threaded_full(tiled, b, tol, max_iter, warps, wd, plan),
-        "pcg" => run_pcg_threaded_full(tiled, ilu, b, tol, max_iter, warps, wd, plan),
-        "pbicgstab" => run_pbicgstab_threaded_full(tiled, ilu, b, tol, max_iter, warps, wd, plan),
+        "cg" => run_cg_threaded(tiled, b, tol, max_iter, &opts),
+        "bicgstab" => run_bicgstab_threaded(tiled, b, tol, max_iter, &opts),
+        "pcg" => run_pcg_threaded(tiled, ilu, b, tol, max_iter, &opts),
+        "pbicgstab" => run_pbicgstab_threaded(tiled, ilu, b, tol, max_iter, &opts),
         _ => unreachable!(),
     }
 }

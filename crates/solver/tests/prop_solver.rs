@@ -151,7 +151,7 @@ proptest! {
         let a = random_spd(n, n, seed);
         let b = rhs(&a);
         let t = mf_sparse::TiledMatrix::from_csr(&a);
-        let rep = mf_solver::threaded::run_cg_threaded(&t, &b, 1e-10, 1000, 4);
+        let rep = mf_solver::threaded::run_cg_threaded(&t, &b, 1e-10, 1000, &mf_solver::ThreadedOpts::new(4));
         prop_assert!(rep.converged);
         for v in &rep.x {
             prop_assert!((v - 1.0).abs() < 1e-5);

@@ -6,7 +6,7 @@
 //! floating-point combination order.
 
 use mf_kernels::{ilu0, sptrsv_lower_into, sptrsv_upper_into};
-use mf_solver::run_ilu_sptrsv_threaded;
+use mf_solver::{run_ilu_sptrsv_threaded, ThreadedOpts};
 use mf_sparse::{Coo, Csr};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -120,7 +120,7 @@ proptest! {
         let b: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0f64..2.0)).collect();
 
         let x = sequential(&l, &u, &b, unit_lower, false);
-        let rep = run_ilu_sptrsv_threaded(&l, &u, &b, unit_lower, false, seg, warps);
+        let rep = run_ilu_sptrsv_threaded(&l, &u, &b, unit_lower, false, seg, &ThreadedOpts::new(warps));
         assert_bitwise(&rep, &x)?;
     }
 
@@ -140,7 +140,7 @@ proptest! {
         let b: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0f64..2.0)).collect();
 
         let x = sequential(&f.l, &f.u, &b, true, false);
-        let rep = run_ilu_sptrsv_threaded(&f.l, &f.u, &b, true, false, seg, warps);
+        let rep = run_ilu_sptrsv_threaded(&f.l, &f.u, &b, true, false, seg, &ThreadedOpts::new(warps));
         assert_bitwise(&rep, &x)?;
     }
 }

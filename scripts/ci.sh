@@ -10,8 +10,9 @@
 #
 # Modes:
 #   (no args)        full tier-1 gate: fmt, debug build+test, release
-#                    build, every release tier, clippy
-#   --lint           fmt --check + clippy -D warnings only
+#                    build, every release tier, benchmark tests, clippy
+#   --lint           fmt --check + clippy -D warnings only (workspace and
+#                    the benchmark package)
 #   --debug          debug build + debug test suite (600 s hard kill)
 #   --release-tiers  every release tier from the table, in order
 #   --tier NAME      one release tier (self-sufficient: builds its own
@@ -28,6 +29,13 @@ MF_PACKAGES=(
     mille-feuille mf-baselines mf-bench mf-collection mf-gpu
     mf-kernels mf-precision mf-serve mf-solver mf-sparse mf-trace
 )
+
+# The measured benchmark (`mfbench`, run by BENCHMARK.json) is its own
+# package with its own lockfile, not a workspace member, so the
+# workspace-wide gates never see it: an mf-solver API change that breaks
+# it would pass. Every gate below that covers the workspace also covers
+# this manifest.
+MFBENCH_MANIFEST=crates/bench/src/bin/mfbench/Cargo.toml
 
 # ---- The release tier table -------------------------------------------
 # Field layout: name|package|test target|budget seconds|extra args|repro
@@ -149,12 +157,27 @@ run_tier() {
     fi
 }
 
-run_lint() {
+run_fmt() {
     local fmt_args=()
     local p
     for p in "${MF_PACKAGES[@]}"; do fmt_args+=(-p "$p"); done
     cargo fmt "${fmt_args[@]}" --check
+    cargo fmt --manifest-path "$MFBENCH_MANIFEST" --check
+}
+
+run_clippy() {
     cargo clippy --all-targets --workspace --locked --offline -- -D warnings
+    cargo clippy --all-targets --locked --offline --manifest-path "$MFBENCH_MANIFEST" \
+        -- -D warnings
+}
+
+run_lint() {
+    run_fmt
+    run_clippy
+}
+
+run_bench_tests() {
+    cargo test --release --locked --offline --manifest-path "$MFBENCH_MANIFEST"
 }
 
 run_debug() {
@@ -193,13 +216,12 @@ case "${1:-}" in
         ;;
     "")
         # Full tier-1 gate, in the historical order: fmt, debug tier,
-        # release tiers, clippy last.
-        fmt_args=()
-        for p in "${MF_PACKAGES[@]}"; do fmt_args+=(-p "$p"); done
-        cargo fmt "${fmt_args[@]}" --check
+        # release tiers, benchmark tests, clippy last.
+        run_fmt
         run_debug
         run_release_tiers
-        cargo clippy --all-targets --workspace --locked --offline -- -D warnings
+        run_bench_tests
+        run_clippy
         ;;
     *)
         echo "usage: $0 [--lint|--debug|--release-tiers|--tier NAME|--list-tiers]" >&2

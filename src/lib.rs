@@ -51,7 +51,7 @@ pub mod prelude {
     pub use mf_solver::{
         BreakdownEvent, BreakdownKind, ExecutedMode, FaultKind, FaultPlan, InjectedFaults,
         KernelMode, MilleFeuille, RecoveryAction, ShardedReport, SolveFailure, SolveReport,
-        SolverConfig, ThreadedReport, WatchdogPolicy,
+        SolverConfig, ThreadedOpts, ThreadedReport, WatchdogPolicy,
     };
     pub use mf_sparse::{Coo, Csr, TiledMatrix};
     pub use mf_trace::{EventKind, Trace, TraceConfig, TraceEvent};

@@ -29,8 +29,7 @@ use mille_feuille::solver::coster::{Coster, SingleCoster};
 use mille_feuille::solver::partial::PartialState;
 use mille_feuille::solver::pipelined::run_cg_pipelined_ws;
 use mille_feuille::solver::{
-    run_cg_pipelined_threaded_adaptive, run_cg_threaded_adaptive, AdaptiveConfig, RetierDecision,
-    SolverWorkspace,
+    run_cg_pipelined_threaded, run_cg_threaded, AdaptiveConfig, RetierDecision, SolverWorkspace,
 };
 use mille_feuille::sparse::{Coo, Dense};
 
@@ -136,16 +135,16 @@ fn thr_classic(
     warps: usize,
     plan: &FaultPlan,
 ) -> ThreadedReport {
-    run_cg_threaded_adaptive(
+    run_cg_threaded(
         m,
         b,
         cfg.tolerance,
         cfg.max_iter,
-        warps,
-        WatchdogPolicy::default(),
-        plan,
-        &TraceConfig::default(),
-        cfg.adaptive,
+        &ThreadedOpts {
+            faults: plan.clone(),
+            adaptive: cfg.adaptive,
+            ..ThreadedOpts::new(warps)
+        },
     )
 }
 
@@ -156,16 +155,16 @@ fn thr_pipelined(
     warps: usize,
     plan: &FaultPlan,
 ) -> ThreadedReport {
-    run_cg_pipelined_threaded_adaptive(
+    run_cg_pipelined_threaded(
         m,
         b,
         cfg.tolerance,
         cfg.max_iter,
-        warps,
-        WatchdogPolicy::default(),
-        plan,
-        &TraceConfig::default(),
-        cfg.adaptive,
+        &ThreadedOpts {
+            faults: plan.clone(),
+            adaptive: cfg.adaptive,
+            ..ThreadedOpts::new(warps)
+        },
     )
 }
 

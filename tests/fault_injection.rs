@@ -22,8 +22,7 @@ use mille_feuille::collection as gen;
 use mille_feuille::kernels::{ilu0, Ilu0};
 use mille_feuille::prelude::*;
 use mille_feuille::solver::{
-    run_bicgstab_threaded_full, run_cg_threaded_full, run_pbicgstab_threaded_full,
-    run_pcg_threaded_full,
+    run_bicgstab_threaded, run_cg_threaded, run_pbicgstab_threaded, run_pcg_threaded,
 };
 use mille_feuille::sparse::TiledMatrix;
 use std::time::{Duration, Instant};
@@ -59,13 +58,16 @@ fn run(
     plan: &FaultPlan,
 ) -> ThreadedReport {
     let (tol, it) = (1e-10, 500);
+    let opts = ThreadedOpts {
+        watchdog: wd,
+        faults: plan.clone(),
+        ..ThreadedOpts::new(warps)
+    };
     match engine {
-        "cg" => run_cg_threaded_full(&f.tiled, &f.b, tol, it, warps, wd, plan),
-        "bicgstab" => run_bicgstab_threaded_full(&f.tiled, &f.b, tol, it, warps, wd, plan),
-        "pcg" => run_pcg_threaded_full(&f.tiled, &f.ilu, &f.b, tol, it, warps, wd, plan),
-        "pbicgstab" => {
-            run_pbicgstab_threaded_full(&f.tiled, &f.ilu, &f.b, tol, it, warps, wd, plan)
-        }
+        "cg" => run_cg_threaded(&f.tiled, &f.b, tol, it, &opts),
+        "bicgstab" => run_bicgstab_threaded(&f.tiled, &f.b, tol, it, &opts),
+        "pcg" => run_pcg_threaded(&f.tiled, &f.ilu, &f.b, tol, it, &opts),
+        "pbicgstab" => run_pbicgstab_threaded(&f.tiled, &f.ilu, &f.b, tol, it, &opts),
         other => panic!("unknown engine {other}"),
     }
 }

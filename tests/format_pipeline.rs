@@ -3,7 +3,7 @@
 
 use mille_feuille::collection::named_matrix;
 use mille_feuille::prelude::*;
-use mille_feuille::solver::threaded::run_cg_threaded;
+use mille_feuille::solver::threaded::{run_cg_threaded, ThreadedOpts};
 use mille_feuille::sparse::mm;
 
 #[test]
@@ -65,7 +65,7 @@ fn threaded_engine_on_named_proxy() {
     let mut b = vec![0.0; a.nrows];
     a.matvec(&vec![1.0; a.ncols], &mut b);
     let t = TiledMatrix::from_csr(&a);
-    let rep = run_cg_threaded(&t, &b, 1e-10, 1000, 8);
+    let rep = run_cg_threaded(&t, &b, 1e-10, 1000, &ThreadedOpts::new(8));
     assert!(rep.converged, "relres {}", rep.final_relres);
     for v in &rep.x {
         assert!((v - 1.0).abs() < 1e-6);

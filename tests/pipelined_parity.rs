@@ -29,8 +29,7 @@ use mille_feuille::kernels::ilu0;
 use mille_feuille::precision::ClassifyOptions;
 use mille_feuille::prelude::*;
 use mille_feuille::solver::{
-    run_cg_pipelined_threaded, run_cg_pipelined_threaded_full, run_cg_threaded_full,
-    run_pcg_pipelined_threaded, run_pcg_pipelined_threaded_full, run_pcg_threaded,
+    run_cg_pipelined_threaded, run_cg_threaded, run_pcg_pipelined_threaded, run_pcg_threaded,
 };
 use mille_feuille::sparse::Coo;
 use std::time::{Duration, Instant};
@@ -121,7 +120,7 @@ fn cg_pipelined_grid_matches_sequential_reference_bitwise() {
         for (pname, m) in tilings(a, 8) {
             let reference = reference_cg_pipelined(&m, &b, tol, max_iter);
             for &wc in &warp_counts {
-                let rep = run_cg_pipelined_threaded(&m, &b, tol, max_iter, wc);
+                let rep = run_cg_pipelined_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 assert_parity(&format!("cg-pipe {mname}/{pname}/w{wc}"), &rep, &reference);
                 combos += 1;
             }
@@ -150,7 +149,8 @@ fn pcg_pipelined_grid_matches_sequential_reference_bitwise() {
         for (pname, m) in tilings(a, 8) {
             let reference = reference_pcg_pipelined(&m, &ilu, &b, tol, max_iter);
             for &wc in &warp_counts {
-                let rep = run_pcg_pipelined_threaded(&m, &ilu, &b, tol, max_iter, wc);
+                let rep =
+                    run_pcg_pipelined_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 assert_parity(&format!("pcg-pipe {mname}/{pname}/w{wc}"), &rep, &reference);
                 combos += 1;
             }
@@ -187,29 +187,31 @@ fn pipelined_grids_bitwise_under_seeded_perturbation() {
             let cg_ref = reference_cg_pipelined(&m, &b, tol, max_iter);
             let pcg_ref = reference_pcg_pipelined(&m, &ilu, &b, tol, max_iter);
             for &wc in &warp_counts {
-                let rep = run_cg_pipelined_threaded_full(
+                let rep = run_cg_pipelined_threaded(
                     &m,
                     &b,
                     tol,
                     max_iter,
-                    wc,
-                    WatchdogPolicy::default(),
-                    &plan,
+                    &ThreadedOpts {
+                        faults: plan.clone(),
+                        ..ThreadedOpts::new(wc)
+                    },
                 );
                 assert_parity(&format!("cg-pipe+{plan} {mname}/w{wc}"), &rep, &cg_ref);
                 assert!(
                     rep.injected_faults.is_some(),
                     "cg-pipe {mname}/w{wc}: telemetry missing"
                 );
-                let rep = run_pcg_pipelined_threaded_full(
+                let rep = run_pcg_pipelined_threaded(
                     &m,
                     &ilu,
                     &b,
                     tol,
                     max_iter,
-                    wc,
-                    WatchdogPolicy::default(),
-                    &plan,
+                    &ThreadedOpts {
+                        faults: plan.clone(),
+                        ..ThreadedOpts::new(wc)
+                    },
                 );
                 assert_parity(&format!("pcg-pipe+{plan} {mname}/w{wc}"), &rep, &pcg_ref);
                 assert!(
@@ -263,16 +265,8 @@ fn pipelined_vs_classic_drift_envelope() {
             // tilings that converge at 1e-10.
             continue;
         }
-        let classic = run_cg_threaded_full(
-            &m,
-            &b,
-            tol,
-            max_iter,
-            wc,
-            WatchdogPolicy::default(),
-            &FaultPlan::default(),
-        );
-        let piped = run_cg_pipelined_threaded(&m, &b, tol, max_iter, wc);
+        let classic = run_cg_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(wc));
+        let piped = run_cg_pipelined_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(wc));
         assert!(classic.converged, "cg classic {pname} should converge");
         assert!(piped.converged, "cg pipelined {pname} should converge");
         let envelope = 5usize.max(classic.iterations.div_ceil(10));
@@ -292,8 +286,8 @@ fn pipelined_vs_classic_drift_envelope() {
             "cg {pname}: vacuous comparison ({compared})"
         );
 
-        let classic = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, wc);
-        let piped = run_pcg_pipelined_threaded(&m, &ilu, &b, tol, max_iter, wc);
+        let classic = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
+        let piped = run_pcg_pipelined_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
         assert!(classic.converged, "pcg classic {pname} should converge");
         assert!(piped.converged, "pcg pipelined {pname} should converge");
         let envelope = 5usize.max(classic.iterations.div_ceil(10));
@@ -345,7 +339,7 @@ fn pipelined_breakdown_parity_with_reference() {
     }
 
     for wc in [1usize, 2, 3] {
-        let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 100, wc);
+        let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 100, &ThreadedOpts::new(wc));
         assert_parity(&format!("cg-pipe breakdown w{wc}"), &rep, &cg_ref);
         assert!(
             matches!(rep.failure, Some(SolveFailure::Stalled { .. })),
@@ -358,7 +352,7 @@ fn pipelined_breakdown_parity_with_reference() {
             .iter()
             .all(|e| e.kind == BreakdownKind::Curvature));
 
-        let rep = run_pcg_pipelined_threaded(&m, &ilu, &b, 1e-10, 100, wc);
+        let rep = run_pcg_pipelined_threaded(&m, &ilu, &b, 1e-10, 100, &ThreadedOpts::new(wc));
         assert_parity(&format!("pcg-pipe breakdown w{wc}"), &rep, &pcg_ref);
         assert!(
             matches!(rep.failure, Some(SolveFailure::Stalled { .. })),
@@ -377,13 +371,13 @@ fn pipelined_zero_rhs_parity() {
     let m = TiledMatrix::from_csr_uniform(&a, 8, Precision::Fp64);
 
     let reference = reference_cg_pipelined(&m, &b, 1e-10, 50);
-    let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 50, 4);
+    let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 50, &ThreadedOpts::new(4));
     assert_parity("cg-pipe zero rhs", &rep, &reference);
     assert!(rep.converged);
     assert_eq!(rep.iterations, 0);
 
     let reference = reference_pcg_pipelined(&m, &ilu, &b, 1e-10, 50);
-    let rep = run_pcg_pipelined_threaded(&m, &ilu, &b, 1e-10, 50, 4);
+    let rep = run_pcg_pipelined_threaded(&m, &ilu, &b, 1e-10, 50, &ThreadedOpts::new(4));
     assert_parity("pcg-pipe zero rhs", &rep, &reference);
     assert!(rep.converged);
     assert_eq!(rep.iterations, 0);
@@ -404,15 +398,16 @@ fn pcg_pipelined_corrupted_factors_fail_structured_never_hang() {
     let mut wedged = ilu0(&a).unwrap();
     wedged.l.colidx[wedged.l.rowptr[5]] = 60;
     let t0 = Instant::now();
-    let rep = run_pcg_pipelined_threaded_full(
+    let rep = run_pcg_pipelined_threaded(
         &TiledMatrix::from_csr_uniform(&a, 8, Precision::Fp64),
         &wedged,
         &b,
         1e-10,
         100,
-        4,
-        WatchdogPolicy::Heartbeat(Duration::from_millis(250)),
-        &FaultPlan::default(),
+        &ThreadedOpts {
+            watchdog: WatchdogPolicy::Heartbeat(Duration::from_millis(250)),
+            ..ThreadedOpts::new(4)
+        },
     );
     assert!(
         matches!(rep.failure, Some(SolveFailure::Wedged { .. })),
@@ -429,15 +424,16 @@ fn pcg_pipelined_corrupted_factors_fail_structured_never_hang() {
     let mut panicky = ilu0(&a).unwrap();
     panicky.l.colidx[panicky.l.rowptr[5]] = 10_000;
     let t0 = Instant::now();
-    let rep = run_pcg_pipelined_threaded_full(
+    let rep = run_pcg_pipelined_threaded(
         &TiledMatrix::from_csr_uniform(&a, 8, Precision::Fp64),
         &panicky,
         &b,
         1e-10,
         100,
-        4,
-        WatchdogPolicy::Heartbeat(Duration::from_millis(500)),
-        &FaultPlan::default(),
+        &ThreadedOpts {
+            watchdog: WatchdogPolicy::Heartbeat(Duration::from_millis(500)),
+            ..ThreadedOpts::new(4)
+        },
     );
     assert!(
         matches!(rep.failure, Some(SolveFailure::WarpPanic { .. })),
@@ -465,9 +461,10 @@ fn pipelined_parity_large_release() {
         let cg_ref = reference_cg_pipelined(&m, &b, tol, max_iter);
         let pcg_ref = reference_pcg_pipelined(&m, &ilu, &b, tol, max_iter);
         for wc in [1usize, 6, 13] {
-            let rep = run_cg_pipelined_threaded(&m, &b, tol, max_iter, wc);
+            let rep = run_cg_pipelined_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(wc));
             assert_parity(&format!("large cg-pipe {pname}/w{wc}"), &rep, &cg_ref);
-            let rep = run_pcg_pipelined_threaded(&m, &ilu, &b, tol, max_iter, wc);
+            let rep =
+                run_pcg_pipelined_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
             assert_parity(&format!("large pcg-pipe {pname}/w{wc}"), &rep, &pcg_ref);
         }
     }

@@ -111,7 +111,7 @@ fn cg_grid_matches_single_device_bitwise() {
         let b = paper_rhs(a);
         for (pname, m) in tilings(a, 8) {
             for &wc in &WARP_COUNTS {
-                let single = run_cg_threaded(&m, &b, tol, max_iter, wc);
+                let single = run_cg_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 for &sc in &SHARD_COUNTS {
                     let rep = run_cg_sharded(&m, &b, tol, max_iter, sc, wc);
                     assert_parity(&format!("cg {mname}/{pname}/s{sc}/w{wc}"), &rep, &single);
@@ -141,7 +141,7 @@ fn pcg_grid_matches_single_device_bitwise() {
         let b = paper_rhs(a);
         for (pname, m) in tilings(a, 8) {
             for &wc in &WARP_COUNTS {
-                let single = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, wc);
+                let single = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 for &sc in &SHARD_COUNTS {
                     let rep = run_pcg_sharded(&m, &ilu, &b, tol, max_iter, sc, wc);
                     assert_parity(&format!("pcg {mname}/{pname}/s{sc}/w{wc}"), &rep, &single);
@@ -165,7 +165,7 @@ fn cg_grid_bitwise_under_seeded_faults() {
     for (mname, a) in &grid_fixtures() {
         let b = paper_rhs(a);
         for (pname, m) in tilings(a, 8) {
-            let single = run_cg_threaded(&m, &b, tol, max_iter, 4);
+            let single = run_cg_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(4));
             for &sc in &SHARD_COUNTS {
                 let rep = run_cg_sharded_full(
                     &m,
@@ -201,7 +201,7 @@ fn pcg_bitwise_under_seeded_faults() {
         let ilu = ilu0(a).expect("ILU(0) on an SPD grid fixture");
         let b = paper_rhs(a);
         for (pname, m) in tilings(a, 8) {
-            let single = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, 4);
+            let single = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(4));
             let rep = run_pcg_sharded_full(
                 &m,
                 &ilu,
@@ -246,7 +246,7 @@ fn breakdown_taxonomy_matches_across_shards() {
     let mut b = vec![0.0; n];
     b[n - 1] = 1.0;
 
-    let single = run_cg_threaded(&m, &b, 1e-12, 100, 2);
+    let single = run_cg_threaded(&m, &b, 1e-12, 100, &ThreadedOpts::new(2));
     assert!(
         matches!(single.failure, Some(SolveFailure::Stalled { .. })),
         "baseline must stall, got {:?}",

@@ -135,7 +135,13 @@ fn all_solvers_agree_with_each_other() {
     .solve_cg(&a, &b);
     let baseline = Baseline::cusparse().solve_cg(&a, &b, &SolverConfig::default());
     let tiled = TiledMatrix::from_csr(&a);
-    let threaded = mille_feuille::solver::threaded::run_cg_threaded(&tiled, &b, 1e-10, 1000, 6);
+    let threaded = mille_feuille::solver::threaded::run_cg_threaded(
+        &tiled,
+        &b,
+        1e-10,
+        1000,
+        &ThreadedOpts::new(6),
+    );
 
     for (label, x) in [
         ("multi", &multi.x),

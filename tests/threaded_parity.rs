@@ -20,10 +20,7 @@ use mille_feuille::collection::ValueClass;
 use mille_feuille::kernels::ilu0;
 use mille_feuille::precision::ClassifyOptions;
 use mille_feuille::prelude::*;
-use mille_feuille::solver::{
-    run_ilu_sptrsv_threaded_watchdog, run_pbicgstab_threaded, run_pbicgstab_threaded_full,
-    run_pcg_threaded, run_pcg_threaded_full,
-};
+use mille_feuille::solver::{run_ilu_sptrsv_threaded, run_pbicgstab_threaded, run_pcg_threaded};
 use mille_feuille::sparse::Coo;
 use std::time::{Duration, Instant};
 
@@ -119,7 +116,7 @@ fn pcg_grid_matches_sequential_reference_bitwise() {
             let reference = reference_pcg(&m, &ilu, &b, tol, max_iter);
             assert!(!reference.failed, "{mname}/{pname}: reference aborted");
             for &wc in &warp_counts {
-                let rep = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, wc);
+                let rep = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 assert_parity(&format!("pcg {mname}/{pname}/w{wc}"), &rep, &reference);
                 combos += 1;
             }
@@ -162,15 +159,16 @@ fn pcg_grid_bitwise_under_seeded_perturbation() {
         for (pname, m) in tilings(a, 8) {
             let reference = reference_pcg(&m, &ilu, &b, tol, max_iter);
             for &wc in &warp_counts {
-                let rep = run_pcg_threaded_full(
+                let rep = run_pcg_threaded(
                     &m,
                     &ilu,
                     &b,
                     tol,
                     max_iter,
-                    wc,
-                    WatchdogPolicy::default(),
-                    &plan,
+                    &ThreadedOpts {
+                        faults: plan.clone(),
+                        ..ThreadedOpts::new(wc)
+                    },
                 );
                 assert_parity(
                     &format!("pcg+{plan} {mname}/{pname}/w{wc}"),
@@ -214,15 +212,16 @@ fn pbicgstab_grid_bitwise_under_seeded_perturbation() {
             }
             let reference = reference_pbicgstab(&m, &ilu, &b, tol, max_iter);
             for &wc in &warp_counts {
-                let rep = run_pbicgstab_threaded_full(
+                let rep = run_pbicgstab_threaded(
                     &m,
                     &ilu,
                     &b,
                     tol,
                     max_iter,
-                    wc,
-                    WatchdogPolicy::default(),
-                    &plan,
+                    &ThreadedOpts {
+                        faults: plan.clone(),
+                        ..ThreadedOpts::new(wc)
+                    },
                 );
                 assert_parity(
                     &format!("pbicgstab+{plan} {mname}/{pname}/w{wc}"),
@@ -258,7 +257,8 @@ fn pbicgstab_grid_matches_sequential_reference_bitwise() {
         for (pname, m) in tilings(a, 8) {
             let reference = reference_pbicgstab(&m, &ilu, &b, tol, max_iter);
             for &wc in &warp_counts {
-                let rep = run_pbicgstab_threaded(&m, &ilu, &b, tol, max_iter, wc);
+                let rep =
+                    run_pbicgstab_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 assert_parity(
                     &format!("pbicgstab {mname}/{pname}/w{wc}"),
                     &rep,
@@ -302,7 +302,7 @@ fn pcg_breakdown_parity_with_reference() {
     assert!(!reference.converged);
 
     for wc in [1usize, 2, 3] {
-        let rep = run_pcg_threaded(&m, &ilu, &b, 1e-10, 100, wc);
+        let rep = run_pcg_threaded(&m, &ilu, &b, 1e-10, 100, &ThreadedOpts::new(wc));
         assert_parity(&format!("pcg breakdown w{wc}"), &rep, &reference);
         assert!(
             matches!(rep.failure, Some(SolveFailure::Stalled { .. })),
@@ -325,7 +325,7 @@ fn zero_rhs_parity() {
     let b = vec![0.0; a.nrows];
     let m = TiledMatrix::from_csr_uniform(&a, 8, Precision::Fp64);
     let reference = reference_pcg(&m, &ilu, &b, 1e-10, 50);
-    let rep = run_pcg_threaded(&m, &ilu, &b, 1e-10, 50, 4);
+    let rep = run_pcg_threaded(&m, &ilu, &b, 1e-10, 50, &ThreadedOpts::new(4));
     assert_parity("pcg zero rhs", &rep, &reference);
     assert!(rep.converged);
     assert_eq!(rep.iterations, 0);
@@ -388,16 +388,11 @@ fn corrupted_factors_fail_structured_never_hang() {
     // Same cycle through the standalone SpTRSV runner.
     let good = ilu0(&a).unwrap();
     let t0 = Instant::now();
-    let rep = run_ilu_sptrsv_threaded_watchdog(
-        &wedged.l,
-        &good.u,
-        &b,
-        true,
-        false,
-        8,
-        4,
-        Some(Duration::from_millis(250)),
-    );
+    let opts = ThreadedOpts {
+        watchdog: WatchdogPolicy::Heartbeat(Duration::from_millis(250)),
+        ..ThreadedOpts::new(4)
+    };
+    let rep = run_ilu_sptrsv_threaded(&wedged.l, &good.u, &b, true, false, 8, &opts);
     assert!(
         matches!(rep.failure, Some(SolveFailure::Wedged { .. })),
         "runner: expected Wedged, got {:?}",
@@ -438,7 +433,7 @@ fn pcg_parity_large_release() {
     for (pname, m) in tilings(&a, 16) {
         let reference = reference_pcg(&m, &ilu, &b, tol, max_iter);
         for wc in [1usize, 6, 13] {
-            let rep = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, wc);
+            let rep = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
             assert_parity(&format!("large pcg {pname}/w{wc}"), &rep, &reference);
         }
     }
@@ -449,7 +444,7 @@ fn pcg_parity_large_release() {
     for (pname, m) in tilings(&c, 16) {
         let reference = reference_pbicgstab(&m, &ilu, &b, tol, max_iter);
         for wc in [1usize, 5, 11] {
-            let rep = run_pbicgstab_threaded(&m, &ilu, &b, tol, max_iter, wc);
+            let rep = run_pbicgstab_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
             assert_parity(&format!("large pbicgstab {pname}/w{wc}"), &rep, &reference);
         }
     }

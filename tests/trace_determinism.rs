@@ -8,9 +8,9 @@
 //!    payloads (`canonical_jsonl`, `to_chrome_trace`). Spin-poll counts are
 //!    genuinely nondeterministic and are confined to the raw JSONL payloads
 //!    by construction.
-//! 2. **No-op sink.** With tracing disabled (the default), every `_traced`
-//!    entry point produces output bitwise identical to its `_full`
-//!    counterpart — iteration counts, residual trajectories, solutions —
+//! 2. **No-op sink.** With tracing disabled (the default), every threaded
+//!    entry point produces output bitwise identical to a run that never
+//!    set `ThreadedOpts::trace` — iteration counts, residual trajectories, solutions —
 //!    and recording *enabled* must not perturb the numerics either (the
 //!    recorder only observes; it never reorders a reduction).
 
@@ -26,10 +26,8 @@ use mille_feuille::gpu::Interconnect;
 use mille_feuille::kernels::ilu0;
 use mille_feuille::prelude::*;
 use mille_feuille::solver::{
-    run_bicgstab_threaded_full, run_bicgstab_threaded_traced, run_cg_sharded_full,
-    run_cg_threaded_full, run_cg_threaded_traced, run_pbicgstab_threaded_full,
-    run_pbicgstab_threaded_traced, run_pcg_sharded_full, run_pcg_threaded_full,
-    run_pcg_threaded_traced, ShardedReport, SolverWorkspace,
+    run_bicgstab_threaded, run_cg_sharded_full, run_cg_threaded, run_pbicgstab_threaded,
+    run_pcg_sharded_full, run_pcg_threaded, ShardedReport, SolverWorkspace,
 };
 use mille_feuille::trace::{EventKind, Trace, TraceConfig};
 
@@ -50,6 +48,15 @@ type EngineFn = Box<dyn Fn(&FaultPlan, usize, &TraceConfig) -> ThreadedReport>;
 
 /// Every threaded engine, closed over one fixture set, dispatchable by
 /// name — so each property is asserted uniformly across all four.
+/// Default watchdog, the given plan, warp cap and trace switch.
+fn opts(plan: &FaultPlan, warps: usize, tc: &TraceConfig) -> ThreadedOpts {
+    ThreadedOpts {
+        faults: plan.clone(),
+        trace: *tc,
+        ..ThreadedOpts::new(warps)
+    }
+}
+
 fn engines() -> Vec<(&'static str, EngineFn)> {
     let (tol, max_iter) = (1e-10, 150);
     let spd = spd_fixture();
@@ -60,30 +67,29 @@ fn engines() -> Vec<(&'static str, EngineFn)> {
     let gen_b = paper_rhs(&gen_a);
     let gen_m = tiled(&gen_a);
     let gen_ilu = ilu0(&gen_a).expect("ILU(0) on the banded fixture");
-    let wd = WatchdogPolicy::default();
     vec![
         ("cg", {
             let (m, b) = (spd_m.clone(), spd_b.clone());
             Box::new(move |plan: &FaultPlan, warps, tc: &TraceConfig| {
-                run_cg_threaded_traced(&m, &b, tol, max_iter, warps, wd, plan, tc)
+                run_cg_threaded(&m, &b, tol, max_iter, &opts(plan, warps, tc))
             }) as _
         }),
         ("bicgstab", {
             let (m, b) = (gen_m.clone(), gen_b.clone());
             Box::new(move |plan: &FaultPlan, warps, tc: &TraceConfig| {
-                run_bicgstab_threaded_traced(&m, &b, tol, max_iter, warps, wd, plan, tc)
+                run_bicgstab_threaded(&m, &b, tol, max_iter, &opts(plan, warps, tc))
             }) as _
         }),
         ("pcg", {
             let (m, b, ilu) = (spd_m.clone(), spd_b.clone(), spd_ilu.clone());
             Box::new(move |plan: &FaultPlan, warps, tc: &TraceConfig| {
-                run_pcg_threaded_traced(&m, &ilu, &b, tol, max_iter, warps, wd, plan, tc)
+                run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &opts(plan, warps, tc))
             }) as _
         }),
         ("pbicgstab", {
             let (m, b, ilu) = (gen_m.clone(), gen_b.clone(), gen_ilu.clone());
             Box::new(move |plan: &FaultPlan, warps, tc: &TraceConfig| {
-                run_pbicgstab_threaded_traced(&m, &ilu, &b, tol, max_iter, warps, wd, plan, tc)
+                run_pbicgstab_threaded(&m, &ilu, &b, tol, max_iter, &opts(plan, warps, tc))
             }) as _
         }),
     ]
@@ -155,13 +161,12 @@ fn canonical_streams_are_bitwise_deterministic() {
     }
 }
 
-/// Disabled tracing is a no-op sink: `_traced` with the default (off)
-/// config must be bitwise identical to the plain `_full` entry point, and
+/// Disabled tracing is a no-op sink: an explicit off config must be
+/// bitwise identical to the default options, and
 /// *enabled* tracing must not perturb the numerics either.
 #[test]
 fn disabled_and_enabled_tracing_leave_numerics_bitwise_unchanged() {
     let (tol, max_iter) = (1e-10, 150);
-    let wd = WatchdogPolicy::default();
     let plan = FaultPlan::seeded(7).with_delay(50, 9);
     let off = TraceConfig::default();
     let on = TraceConfig::on();
@@ -174,42 +179,43 @@ fn disabled_and_enabled_tracing_leave_numerics_bitwise_unchanged() {
     let gen_ilu = ilu0(&gen_a).unwrap();
 
     for warps in [1usize, 3] {
-        let full = run_cg_threaded_full(&spd_m, &spd_b, tol, max_iter, warps, wd, &plan);
-        let silent = run_cg_threaded_traced(&spd_m, &spd_b, tol, max_iter, warps, wd, &plan, &off);
-        let traced = run_cg_threaded_traced(&spd_m, &spd_b, tol, max_iter, warps, wd, &plan, &on);
+        let opts = ThreadedOpts {
+            faults: plan.clone(),
+            ..ThreadedOpts::new(warps)
+        };
+        let silent_opts = ThreadedOpts {
+            trace: off,
+            ..opts.clone()
+        };
+        let traced_opts = ThreadedOpts {
+            trace: on,
+            ..opts.clone()
+        };
+        let full = run_cg_threaded(&spd_m, &spd_b, tol, max_iter, &opts);
+        let silent = run_cg_threaded(&spd_m, &spd_b, tol, max_iter, &silent_opts);
+        let traced = run_cg_threaded(&spd_m, &spd_b, tol, max_iter, &traced_opts);
         assert!(silent.trace.is_none(), "cg: off config must record nothing");
         assert!(traced.trace.is_some(), "cg: on config must record");
         assert_bitwise_equal_reports("cg full-vs-off", &full, &silent);
         assert_bitwise_equal_reports("cg off-vs-on", &silent, &traced);
 
-        let full = run_bicgstab_threaded_full(&gen_m, &gen_b, tol, max_iter, warps, wd, &plan);
-        let silent =
-            run_bicgstab_threaded_traced(&gen_m, &gen_b, tol, max_iter, warps, wd, &plan, &off);
-        let traced =
-            run_bicgstab_threaded_traced(&gen_m, &gen_b, tol, max_iter, warps, wd, &plan, &on);
+        let full = run_bicgstab_threaded(&gen_m, &gen_b, tol, max_iter, &opts);
+        let silent = run_bicgstab_threaded(&gen_m, &gen_b, tol, max_iter, &silent_opts);
+        let traced = run_bicgstab_threaded(&gen_m, &gen_b, tol, max_iter, &traced_opts);
         assert!(silent.trace.is_none());
         assert_bitwise_equal_reports("bicgstab full-vs-off", &full, &silent);
         assert_bitwise_equal_reports("bicgstab off-vs-on", &silent, &traced);
 
-        let full = run_pcg_threaded_full(&spd_m, &spd_ilu, &spd_b, tol, max_iter, warps, wd, &plan);
-        let silent = run_pcg_threaded_traced(
-            &spd_m, &spd_ilu, &spd_b, tol, max_iter, warps, wd, &plan, &off,
-        );
-        let traced = run_pcg_threaded_traced(
-            &spd_m, &spd_ilu, &spd_b, tol, max_iter, warps, wd, &plan, &on,
-        );
+        let full = run_pcg_threaded(&spd_m, &spd_ilu, &spd_b, tol, max_iter, &opts);
+        let silent = run_pcg_threaded(&spd_m, &spd_ilu, &spd_b, tol, max_iter, &silent_opts);
+        let traced = run_pcg_threaded(&spd_m, &spd_ilu, &spd_b, tol, max_iter, &traced_opts);
         assert!(silent.trace.is_none());
         assert_bitwise_equal_reports("pcg full-vs-off", &full, &silent);
         assert_bitwise_equal_reports("pcg off-vs-on", &silent, &traced);
 
-        let full =
-            run_pbicgstab_threaded_full(&gen_m, &gen_ilu, &gen_b, tol, max_iter, warps, wd, &plan);
-        let silent = run_pbicgstab_threaded_traced(
-            &gen_m, &gen_ilu, &gen_b, tol, max_iter, warps, wd, &plan, &off,
-        );
-        let traced = run_pbicgstab_threaded_traced(
-            &gen_m, &gen_ilu, &gen_b, tol, max_iter, warps, wd, &plan, &on,
-        );
+        let full = run_pbicgstab_threaded(&gen_m, &gen_ilu, &gen_b, tol, max_iter, &opts);
+        let silent = run_pbicgstab_threaded(&gen_m, &gen_ilu, &gen_b, tol, max_iter, &silent_opts);
+        let traced = run_pbicgstab_threaded(&gen_m, &gen_ilu, &gen_b, tol, max_iter, &traced_opts);
         assert!(silent.trace.is_none());
         assert_bitwise_equal_reports("pbicgstab full-vs-off", &full, &silent);
         assert_bitwise_equal_reports("pbicgstab off-vs-on", &silent, &traced);
@@ -225,16 +231,16 @@ fn chrome_trace_shape_is_perfetto_ingestible() {
     let spd = spd_fixture();
     let (b, m) = (paper_rhs(&spd), tiled(&spd));
     let ilu = ilu0(&spd).unwrap();
-    let rep = run_pcg_threaded_traced(
+    let rep = run_pcg_threaded(
         &m,
         &ilu,
         &b,
         1e-10,
         150,
-        2,
-        WatchdogPolicy::default(),
-        &FaultPlan::default(),
-        &TraceConfig::on(),
+        &ThreadedOpts {
+            trace: TraceConfig::on(),
+            ..ThreadedOpts::new(2)
+        },
     );
     let trace = rep.trace.expect("trace on");
     assert!(!trace.events.is_empty(), "a real solve must record events");
@@ -415,15 +421,16 @@ fn seeded_faults_appear_as_deterministic_events() {
     let spd = spd_fixture();
     let (b, m) = (paper_rhs(&spd), tiled(&spd));
     let plan = FaultPlan::seeded(42).with_delay(60, 12).with_stall(64, 20);
-    let rep = run_cg_threaded_traced(
+    let rep = run_cg_threaded(
         &m,
         &b,
         1e-10,
         150,
-        3,
-        WatchdogPolicy::default(),
-        &plan,
-        &TraceConfig::on(),
+        &ThreadedOpts {
+            faults: plan.clone(),
+            trace: TraceConfig::on(),
+            ..ThreadedOpts::new(3)
+        },
     );
     let trace = rep.trace.expect("trace on");
     let telemetry = rep.injected_faults.expect("fault telemetry");
@@ -434,15 +441,16 @@ fn seeded_faults_appear_as_deterministic_events() {
     );
     // Determinism of the fault pattern itself: an independent run fires the
     // identical (warp, iteration, step, code) sequence.
-    let again = run_cg_threaded_traced(
+    let again = run_cg_threaded(
         &m,
         &b,
         1e-10,
         150,
-        3,
-        WatchdogPolicy::default(),
-        &plan,
-        &TraceConfig::on(),
+        &ThreadedOpts {
+            faults: plan.clone(),
+            trace: TraceConfig::on(),
+            ..ThreadedOpts::new(3)
+        },
     );
     let pick = |t: &Trace| {
         t.events
