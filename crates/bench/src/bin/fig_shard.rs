@@ -3,7 +3,7 @@
 //!
 //! Every matrix of a small SPD population is solved through the sharded
 //! engine at shard counts {1, 2, 4} (simulated devices connected by an
-//! explicit NVLink-3 [`Interconnect`]) and through the single-device
+//! explicit NVLink-3 [`mf_gpu::Interconnect`]) and through the single-device
 //! threaded engine at the same warp cap. The sharded engine is
 //! deterministic and shard-count invariant by construction, so the
 //! figure of merit is the **scaling shape**: how the packed matrix
@@ -33,7 +33,7 @@ use mf_bench::{write_csv, Table};
 use mf_collection::{banded_spd, poisson2d, random_spd, ValueClass};
 use mf_gpu::Phase;
 use mf_solver::threaded::{run_cg_threaded, ThreadedOpts};
-use mf_solver::{run_cg_sharded, ShardedReport};
+use mf_solver::{run_cg_sharded, ShardedOpts, ShardedReport, SolverWorkspace};
 use mf_sparse::{Csr, TiledMatrix};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -112,7 +112,14 @@ fn main() {
         let single = run_cg_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(warps));
         let total_bytes = m.vals_raw().len();
         for &sc in &shard_counts {
-            let rep = run_cg_sharded(&m, &b, tol, max_iter, sc, warps);
+            let rep = run_cg_sharded(
+                &m,
+                &b,
+                tol,
+                max_iter,
+                &ShardedOpts::new(sc, warps),
+                &mut SolverWorkspace::new(),
+            );
             let bitwise = rep.iterations == single.iterations
                 && rep.converged == single.converged
                 && rep.final_relres.to_bits() == single.final_relres.to_bits()

@@ -37,6 +37,15 @@ pub fn controller_for(m: &TiledMatrix, cfg: AdaptiveConfig) -> PrecisionControll
     PrecisionController::new(cfg, tile_infos(m))
 }
 
+/// Nonzeros a re-tier plan requantizes: the sum over its actions' tiles
+/// (the input of the coster's re-tier charge).
+pub(crate) fn touched_nnz(m: &TiledMatrix, d: &RetierDecision) -> usize {
+    d.actions
+        .iter()
+        .map(|a| (m.tile_nnz[a.tile as usize + 1] - m.tile_nnz[a.tile as usize]) as usize)
+        .sum()
+}
+
 /// Packs a decision into the two payload words of an
 /// [`mf_trace::EventKind::Retier`] event: `a = cap_code << 32 | actions`,
 /// `b = iteration`.

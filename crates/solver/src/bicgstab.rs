@@ -6,39 +6,21 @@
 //! input vector (`p_j` and `s_j`), matching the §III-D rule that the SpMV
 //! *input* drives tile precision.
 
-use crate::cg::{finish_host_trace, host_tracer, mixed_spmv, record_spmv_trace, CoreResult};
-use crate::config::{SolverConfig, MAX_CONSECUTIVE_RESTARTS};
+use crate::cg::{
+    finish_host_trace, host_tracer, mixed_spmv, record_spmv_trace, rel_error, CoreResult,
+};
+use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
-use crate::report::{BreakdownKind, RecoveryAction, SolveFailure};
+use crate::report::{BreakdownKind, RecoveryAction, RestartPolicy};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
 use mf_kernels::{blas1, SharedTiles};
 use mf_sparse::TiledMatrix;
 
-/// Runs BiCGSTAB on the tiled matrix.
+/// Runs BiCGSTAB on the tiled matrix, with its loop vectors in `ws` (see
+/// [`crate::cg::run_cg`] for the workspace contract).
 pub fn run_bicgstab(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    b: &[f64],
-    cfg: &SolverConfig,
-    coster: &Coster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_bicgstab_ws(
-        m,
-        shared,
-        b,
-        cfg,
-        coster,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing variant of [`run_bicgstab`] (see
-/// [`crate::cg::run_cg_ws`] for the contract).
-pub fn run_bicgstab_ws(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
     b: &[f64],
@@ -54,18 +36,15 @@ pub fn run_bicgstab_ws(
     let mut tl = Timeline::new();
     coster.solve_start(&mut tl);
 
-    let mut result = CoreResult::empty();
     let tracer = host_tracer(cfg);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
+        let mut result = CoreResult::zero_rhs(n, tl);
         finish_host_trace(tracer, &mut result);
         return result;
     }
+    let mut result = CoreResult::empty();
 
     // x0 = 0 ⇒ r0 = b, r0* = r0, p0 = r0 (Algorithm 2 lines 1–3). The
     // workspace maps µ onto `u` and θ onto `t`.
@@ -88,7 +67,7 @@ pub fn run_bicgstab_ws(
 
     let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
     let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
+    let mut restarts = RestartPolicy::new(!check_convergence);
 
     for j in 0..iters {
         // µ = A·p (first SpMV, flags from p).
@@ -131,9 +110,6 @@ pub fn run_bicgstab_ws(
             coster.dot(&mut tl, true);
             coster.axpy(&mut tl, 1);
             coster.iteration_end(&mut tl);
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
             record_traces(
                 &mut result,
                 cfg,
@@ -146,27 +122,9 @@ pub fn run_bicgstab_ws(
                 &st1,
                 &st1,
             );
-            // An α-restart leaves x and r untouched; see the CG core for
-            // why repeating it is a fixed point worth aborting.
-            let abort_nonfinite = !rho.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
+            // An α-restart leaves x and r untouched, so repeating it is a
+            // fixed point worth aborting.
+            if result.restart(&mut restarts, kind, rho.is_finite()) {
                 break;
             }
             continue;
@@ -213,18 +171,13 @@ pub fn run_bicgstab_ws(
         coster.dot(&mut tl, false);
         let rr = blas1::dot(r, r);
         coster.dot(&mut tl, true); // scalar pair -> one readback
-        consecutive_restarts = 0; // x and r advanced: real progress
+        restarts.progressed(); // x and r advanced: real progress
 
         if !rr.is_finite() {
             // Poisoned residual: restarting would rebuild from the same
-            // non-finite r. Abort observably (final_relres keeps its last
-            // finite value).
-            let iter_idx = result.iterations;
+            // non-finite r.
             result.iterations += 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
+            result.abort_nonfinite(result.iterations - 1);
             coster.iteration_end(&mut tl);
             break;
         }
@@ -236,15 +189,7 @@ pub fn run_bicgstab_ws(
             result.residual_history.push(relres);
         }
         if let Some(reference) = &cfg.reference_solution {
-            let mut diff = 0.0;
-            let mut norm = 0.0;
-            for (a, bb) in x.iter().zip(reference) {
-                diff += (a - bb) * (a - bb);
-                norm += bb * bb;
-            }
-            result
-                .error_history
-                .push((diff / norm.max(f64::MIN_POSITIVE)).sqrt());
+            result.error_history.push(rel_error(x, reference));
         }
         if cfg.trace_partial {
             result.p_range_history.push(partial.p_range_histogram(p));
@@ -310,15 +255,7 @@ fn record_traces(
         result.residual_history.push(relres);
     }
     if let Some(reference) = &cfg.reference_solution {
-        let mut diff = 0.0;
-        let mut norm = 0.0;
-        for (a, bb) in x.iter().zip(reference) {
-            diff += (a - bb) * (a - bb);
-            norm += bb * bb;
-        }
-        result
-            .error_history
-            .push((diff / norm.max(f64::MIN_POSITIVE)).sqrt());
+        result.error_history.push(rel_error(x, reference));
     }
     if cfg.trace_partial {
         result.p_range_history.push(partial.p_range_histogram(p));
@@ -348,7 +285,9 @@ fn restart(r: &mut [f64], p: &mut Vec<f64>, r0s: &[f64], rho: &mut f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_CONSECUTIVE_RESTARTS;
     use crate::coster::{Coster, MultiCoster, SingleCoster};
+    use crate::report::SolveFailure;
     use mf_gpu::{CostModel, DeviceSpec};
     use mf_precision::ClassifyOptions;
     use mf_sparse::{Coo, Csr, TiledMatrix};
@@ -388,7 +327,15 @@ mod tests {
         let a = convdiff1d(200);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_bicgstab(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_bicgstab(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
         for v in &res.x {
             assert!((v - 1.0).abs() < 1e-6, "{v}");
@@ -400,7 +347,15 @@ mod tests {
         let a = convdiff1d(100);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_bicgstab(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_bicgstab(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.final_relres < 1e-10);
     }
 
@@ -409,7 +364,15 @@ mod tests {
         let a = convdiff1d(64);
         let cfg = SolverConfig::benchmark_100_iters();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_bicgstab(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_bicgstab(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.iterations, 100);
         // Two SpMVs per iteration.
         assert!(res.spmv_stats.nnz_total() >= 2 * 100 * m.nnz() / 2);
@@ -420,7 +383,15 @@ mod tests {
         let a = convdiff1d(16);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, _) = setup(&a, &cfg);
-        let res = run_bicgstab(&m, &mut shared, &[0.0; 16], &cfg, &coster, &mut partial);
+        let res = run_bicgstab(
+            &m,
+            &mut shared,
+            &[0.0; 16],
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }
@@ -433,14 +404,30 @@ mod tests {
             ..SolverConfig::default()
         };
         let (m, mut sh1, coster_s, mut p1, b) = setup(&a, &cfg);
-        let res_s = run_bicgstab(&m, &mut sh1, &b, &cfg, &coster_s, &mut p1);
+        let res_s = run_bicgstab(
+            &m,
+            &mut sh1,
+            &b,
+            &cfg,
+            &coster_s,
+            &mut p1,
+            &mut SolverWorkspace::new(),
+        );
         let mut sh2 = SharedTiles::load(&m);
         let coster_m = Coster::Multi(MultiCoster::new(
             CostModel::new(DeviceSpec::a100()),
             m.nrows,
         ));
         let mut p2 = PartialState::new(false, m.tile_cols, 16, 1e-10);
-        let res_m = run_bicgstab(&m, &mut sh2, &b, &cfg, &coster_m, &mut p2);
+        let res_m = run_bicgstab(
+            &m,
+            &mut sh2,
+            &b,
+            &cfg,
+            &coster_m,
+            &mut p2,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res_s.iterations, res_m.iterations);
         assert_eq!(res_s.x, res_m.x);
     }
@@ -474,7 +461,15 @@ mod tests {
             cfg.tile_size,
             cfg.tolerance * blas1::norm2(&b),
         );
-        let res = run_bicgstab(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_bicgstab(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(!res.converged);
         assert!(
             res.final_relres.is_finite(),
@@ -509,7 +504,15 @@ mod tests {
         let a = convdiff1d(120);
         let base = SolverConfig::default();
         let (m, mut sh1, coster, mut p1, b) = setup(&a, &base);
-        let off = run_bicgstab(&m, &mut sh1, &b, &base, &coster, &mut p1);
+        let off = run_bicgstab(
+            &m,
+            &mut sh1,
+            &b,
+            &base,
+            &coster,
+            &mut p1,
+            &mut SolverWorkspace::new(),
+        );
         assert!(off.trace.is_none());
 
         let cfg = SolverConfig {
@@ -517,7 +520,15 @@ mod tests {
             ..SolverConfig::default()
         };
         let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
-        let on = run_bicgstab(&m2, &mut sh2, &b2, &cfg, &coster2, &mut p2);
+        let on = run_bicgstab(
+            &m2,
+            &mut sh2,
+            &b2,
+            &cfg,
+            &coster2,
+            &mut p2,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(off.x, on.x, "tracing must not perturb the numerics");
         assert_eq!(off.iterations, on.iterations);
 
@@ -553,7 +564,15 @@ mod tests {
         let csr = a.to_csr();
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, b) = setup(&csr, &cfg);
-        let res = run_bicgstab(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_bicgstab(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
     }
 }

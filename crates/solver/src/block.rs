@@ -7,7 +7,7 @@
 //! [`mf_kernels::spmm_mixed`] call per iteration instead of `k` SpMVs.
 //! Every scalar (α, β, ρ) and every vector update is per-column, so each
 //! column executes *exactly* the floating-point sequence of
-//! [`crate::cg::run_cg_ws`] with the partial-convergence strategy disabled
+//! [`crate::cg::run_cg`] with the partial-convergence strategy disabled
 //! — a batched solve is bitwise identical to the `k` independent solves it
 //! replaces (pinned by `tests/block_parity.rs`).
 //!
@@ -19,7 +19,7 @@
 //!   non-finite scalar) or its residual diverged from the batch by more
 //!   than [`BlockOptions::spread_detach_ratio`]: the blocked core does not
 //!   replicate the single-RHS restart machinery, it hands the column back
-//!   for an individual [`crate::cg::run_cg_ws`] solve (which the serving
+//!   for an individual [`crate::cg::run_cg`] solve (which the serving
 //!   layer performs automatically — and which is itself bitwise what a
 //!   never-batched request would have run).
 

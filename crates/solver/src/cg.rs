@@ -5,10 +5,10 @@
 //! multiplies the (possibly dynamically lowered) quantized tile values, so
 //! mixed precision genuinely perturbs convergence.
 
-use crate::config::{SolverConfig, MAX_CONSECUTIVE_RESTARTS};
+use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
-use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction, SolveFailure};
+use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction, RestartPolicy, SolveFailure};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
 use mf_kernels::{blas1, spmv_mixed, spmv_mixed_par, MixedSpmvStats, SharedTiles, VisFlag};
@@ -94,6 +94,18 @@ impl CoreResult {
         }
     }
 
+    /// The `b = 0` result: `x = 0` solves the system exactly, at iteration
+    /// 0, with the set-up already charged to `timeline`.
+    pub(crate) fn zero_rhs(n: usize, timeline: Timeline) -> CoreResult {
+        CoreResult {
+            x: vec![0.0; n],
+            converged: true,
+            final_relres: 0.0,
+            timeline,
+            ..CoreResult::empty()
+        }
+    }
+
     /// Records a breakdown observed at the *current* (0-based) iteration —
     /// call before `iterations` is advanced past it.
     pub(crate) fn record_breakdown(
@@ -107,6 +119,31 @@ impl CoreResult {
             kind,
             action,
         });
+    }
+
+    /// Records a breakdown restart of `kind` at the current iteration,
+    /// counts the iteration as executed and applies `policy` to the
+    /// rebuilt state; true when the loop must stop.
+    pub(crate) fn restart(
+        &mut self,
+        policy: &mut RestartPolicy,
+        kind: BreakdownKind,
+        finite: bool,
+    ) -> bool {
+        let iteration = self.iterations;
+        self.iterations += 1;
+        let (action, failure) = policy.restart(iteration, finite);
+        self.record_breakdown(iteration, kind, action);
+        self.failure = failure;
+        self.failure.is_some()
+    }
+
+    /// Aborts at `iteration` on a poisoned (non-finite) state: no restart
+    /// can rebuild finite state from it (`final_relres` keeps its last
+    /// value).
+    pub(crate) fn abort_nonfinite(&mut self, iteration: usize) {
+        self.record_breakdown(iteration, BreakdownKind::NonFinite, RecoveryAction::Aborted);
+        self.failure = Some(SolveFailure::NonFinite { iteration });
     }
 }
 
@@ -166,30 +203,11 @@ pub(crate) fn rel_error(x: &[f64], reference: &[f64]) -> f64 {
 
 /// Runs CG on the tiled matrix. `shared` is the on-chip tile copy (loaded
 /// once, mutated by dynamic lowering); `partial` controls the Finding-3
-/// strategy (pass a disabled state for plain mixed/FP64 runs).
+/// strategy (pass a disabled state for plain mixed/FP64 runs). Every loop
+/// vector comes from `ws`, so a warm workspace makes the iteration loop
+/// allocation-free (the returned result still clones the solution out
+/// once per solve).
 pub fn run_cg(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    b: &[f64],
-    cfg: &SolverConfig,
-    coster: &Coster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_cg_ws(
-        m,
-        shared,
-        b,
-        cfg,
-        coster,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing variant of [`run_cg`]: every loop vector comes from
-/// `ws`, so a warm workspace makes the iteration loop allocation-free (the
-/// returned result still clones the solution out once per solve).
-pub fn run_cg_ws(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
     b: &[f64],
@@ -205,19 +223,15 @@ pub fn run_cg_ws(
     let mut tl = Timeline::new();
     coster.solve_start(&mut tl);
 
-    let mut result = CoreResult::empty();
     let tracer = host_tracer(cfg);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        // x = 0 solves the system exactly.
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
+        let mut result = CoreResult::zero_rhs(n, tl);
         finish_host_trace(tracer, &mut result);
         return result;
     }
+    let mut result = CoreResult::empty();
 
     // x0 = 0 ⇒ r0 = b, p0 = r0 (paper Algorithm 1 lines 1–3). The vectors
     // live in the workspace; `ensure` zero-fills them without reallocating
@@ -241,7 +255,7 @@ pub fn run_cg_ws(
 
     let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
     let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
+    let mut restarts = RestartPolicy::new(!check_convergence);
 
     for j in 0..iters {
         // ---- Step A: vis_flag retrieval + mixed-precision SpMV µ = A·p.
@@ -281,9 +295,6 @@ pub fn run_cg_ws(
             coster.dot(&mut tl, true);
             coster.axpy(&mut tl, 1);
             coster.iteration_end(&mut tl);
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
             let relres = rr.sqrt() / norm_b;
             if relres.is_finite() {
                 result.final_relres = relres;
@@ -302,33 +313,13 @@ pub fn run_cg_ws(
                     .push(current_precision_histogram(shared));
             }
             // Abort when recovery is impossible: the residual itself went
-            // non-finite, or restarting keeps reproducing the same state (a
-            // restart leaves x and r untouched, so repeated restarts are a
-            // fixed point — exempting fixed-iteration benchmark runs).
-            let abort_nonfinite = !rr.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
+            // non-finite, or restarting keeps reproducing the same state.
+            if result.restart(&mut restarts, kind, rr.is_finite()) {
                 break;
             }
             continue;
         }
-        consecutive_restarts = 0;
+        restarts.progressed();
 
         // ---- Step C: x += αp; r −= αµ; z = (r,r).
         blas1::axpy(alpha, p, x);
@@ -339,14 +330,9 @@ pub fn run_cg_ws(
         if !rr_new.is_finite() {
             // Overflowed residual recurrence: the iterate is poisoned and a
             // restart would rebuild from the same non-finite r. Fail
-            // observably instead of NaN-spinning to max_iter (final_relres
-            // keeps its last finite value).
-            let iter_idx = result.iterations;
+            // observably instead of NaN-spinning to max_iter.
             result.iterations += 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
+            result.abort_nonfinite(result.iterations - 1);
             coster.iteration_end(&mut tl);
             break;
         }
@@ -389,15 +375,8 @@ pub fn run_cg_ws(
         // above and are never observed.
         if let Some(c) = ctrl.as_mut() {
             if let Some(d) = c.observe(result.iterations, relres, cfg.tolerance) {
-                let touched: usize = d
-                    .actions
-                    .iter()
-                    .map(|a| {
-                        (m.tile_nnz[a.tile as usize + 1] - m.tile_nnz[a.tile as usize]) as usize
-                    })
-                    .sum();
                 shared.apply_retier(m, &d.actions);
-                coster.retier(&mut tl, touched);
+                coster.retier(&mut tl, crate::adaptive::touched_nnz(m, &d));
                 let keepf = retier_keep.as_ref().expect("armed with controller");
                 let rstats = mixed_spmv(m, shared, keepf, x, u, threads);
                 result.spmv_stats.merge(&rstats);
@@ -492,7 +471,15 @@ mod tests {
         let a = poisson1d(200);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
         assert!(res.iterations < 200);
         // b = A·1 so x ≈ 1.
@@ -506,7 +493,15 @@ mod tests {
         let a = poisson1d(150);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         let mut ax = vec![0.0; 150];
         m.matvec(&res.x, &mut ax);
         let true_res: f64 = b
@@ -525,7 +520,15 @@ mod tests {
         let a = poisson1d(64);
         let cfg = SolverConfig::benchmark_100_iters();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.iterations, 100);
         assert!(!res.converged);
     }
@@ -535,7 +538,15 @@ mod tests {
         let a = poisson1d(32);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, _) = setup(&a, &cfg);
-        let res = run_cg(&m, &mut shared, &vec![0.0; 32], &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &vec![0.0; 32],
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
         assert!(res.x.iter().all(|&v| v == 0.0));
@@ -547,7 +558,15 @@ mod tests {
         let mut cfg = SolverConfig::convergence_study();
         cfg.reference_solution = Some(vec![1.0; 64]);
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.residual_history.len(), res.iterations);
         assert_eq!(res.error_history.len(), res.iterations);
         assert_eq!(res.p_range_history.len(), res.iterations);
@@ -570,7 +589,15 @@ mod tests {
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, _) = setup(&csr, &cfg);
         let b = vec![1.0; 64];
-        let res = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(!res.converged);
         assert!(res.final_relres.is_finite());
         assert!(res.x.iter().all(|v| v.is_finite()));
@@ -605,7 +632,15 @@ mod tests {
         };
         let (m, mut shared, coster, mut partial, _) = setup(&csr, &cfg);
         let b = vec![1.0; 32];
-        let res = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.iterations, 20);
         assert!(res.failure.is_none());
         assert_eq!(res.breakdowns.len(), 20);
@@ -622,7 +657,7 @@ mod tests {
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
         let mut ws = crate::workspace::SolverWorkspace::with_size(300);
         let ptrs = [ws.x.as_ptr(), ws.r.as_ptr(), ws.p.as_ptr(), ws.u.as_ptr()];
-        let res1 = run_cg_ws(&m, &mut shared, &b, &cfg, &coster, &mut partial, &mut ws);
+        let res1 = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial, &mut ws);
         assert!(res1.converged);
 
         // Second solve of the same system from fresh dynamic state, reusing
@@ -631,7 +666,7 @@ mod tests {
         let eps_abs = cfg.tolerance * blas1::norm2(&b);
         let mut partial2 =
             PartialState::new(cfg.partial_convergence, m.tile_cols, cfg.tile_size, eps_abs);
-        let res2 = run_cg_ws(&m, &mut shared2, &b, &cfg, &coster, &mut partial2, &mut ws);
+        let res2 = run_cg(&m, &mut shared2, &b, &cfg, &coster, &mut partial2, &mut ws);
 
         assert_eq!(res1.iterations, res2.iterations);
         assert_eq!(res1.x, res2.x);
@@ -652,14 +687,30 @@ mod tests {
             ..SolverConfig::default()
         };
         let (m, mut shared, coster, mut partial, b) = setup(&a, &base);
-        let serial = run_cg(&m, &mut shared, &b, &base, &coster, &mut partial);
+        let serial = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &base,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         for t in [2usize, 5] {
             let cfg = SolverConfig {
                 host_parallelism: HostParallelism::Threads(t),
                 ..SolverConfig::default()
             };
             let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
-            let par = run_cg(&m2, &mut sh2, &b2, &cfg, &coster2, &mut p2);
+            let par = run_cg(
+                &m2,
+                &mut sh2,
+                &b2,
+                &cfg,
+                &coster2,
+                &mut p2,
+                &mut SolverWorkspace::new(),
+            );
             assert_eq!(serial.iterations, par.iterations, "threads={t}");
             assert_eq!(serial.x, par.x, "threads={t}");
         }
@@ -673,7 +724,15 @@ mod tests {
             ..SolverConfig::default()
         };
         let (m, mut sh1, coster_s, mut p1, b) = setup(&a, &cfg);
-        let res_s = run_cg(&m, &mut sh1, &b, &cfg, &coster_s, &mut p1);
+        let res_s = run_cg(
+            &m,
+            &mut sh1,
+            &b,
+            &cfg,
+            &coster_s,
+            &mut p1,
+            &mut SolverWorkspace::new(),
+        );
 
         let mut sh2 = SharedTiles::load(&m);
         let coster_m = Coster::Multi(MultiCoster::new(
@@ -681,7 +740,15 @@ mod tests {
             m.nrows,
         ));
         let mut p2 = PartialState::new(false, m.tile_cols, 16, 1e-10);
-        let res_m = run_cg(&m, &mut sh2, &b, &cfg, &coster_m, &mut p2);
+        let res_m = run_cg(
+            &m,
+            &mut sh2,
+            &b,
+            &cfg,
+            &coster_m,
+            &mut p2,
+            &mut SolverWorkspace::new(),
+        );
 
         // Same numerics, different time accounting.
         assert_eq!(res_s.iterations, res_m.iterations);
@@ -694,7 +761,15 @@ mod tests {
         let a = poisson1d(96);
         let base = SolverConfig::default();
         let (m, mut sh1, coster, mut p1, b) = setup(&a, &base);
-        let off = run_cg(&m, &mut sh1, &b, &base, &coster, &mut p1);
+        let off = run_cg(
+            &m,
+            &mut sh1,
+            &b,
+            &base,
+            &coster,
+            &mut p1,
+            &mut SolverWorkspace::new(),
+        );
         assert!(off.trace.is_none(), "tracing defaults off");
 
         let cfg = SolverConfig {
@@ -702,7 +777,15 @@ mod tests {
             ..SolverConfig::default()
         };
         let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
-        let on = run_cg(&m2, &mut sh2, &b2, &cfg, &coster2, &mut p2);
+        let on = run_cg(
+            &m2,
+            &mut sh2,
+            &b2,
+            &cfg,
+            &coster2,
+            &mut p2,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(off.x, on.x, "tracing must not perturb the numerics");
         assert_eq!(off.iterations, on.iterations);
         assert_eq!(off.final_relres, on.final_relres);
@@ -750,7 +833,15 @@ mod tests {
             ..SolverConfig::default()
         };
         let (m, mut shared, coster, mut partial, b) = setup(&csr, &cfg);
-        let res = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged);
         assert!(
             res.spmv_stats.tiles_bypassed > 0,

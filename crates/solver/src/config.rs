@@ -191,7 +191,10 @@ pub struct SolverConfig {
     /// classification of Finding 1. Mutually exclusive with
     /// `partial_convergence` — the facade forces partial convergence off
     /// when adaptive is armed, because the one-way on-chip lowering would
-    /// fight the controller's plans.
+    /// fight the controller's plans. Armed on CG, pipelined CG, PCG with
+    /// any preconditioner (ILU(0), IC(0), block-Jacobi) and the threaded
+    /// CG engines; BiCGSTAB, PBiCGSTAB, pipelined PCG and the sharded
+    /// engines ignore it.
     pub adaptive: Option<mf_precision::AdaptiveConfig>,
 }
 

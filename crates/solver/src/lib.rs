@@ -73,16 +73,13 @@ pub use block::{
 pub use config::{
     HostParallelism, KernelMode, PipelineMode, SolverConfig, WatchdogPolicy, DEFAULT_HEARTBEAT,
 };
-pub use pipelined::{
-    run_cg_pipelined, run_cg_pipelined_ws, run_pcg_pipelined, run_pcg_pipelined_ws,
-};
+pub use pipelined::{run_cg_pipelined, run_pcg_pipelined};
+pub use precond::Precond;
 pub use report::{
     BreakdownEvent, BreakdownKind, ExecutedMode, RecoveryAction, SolveFailure, SolveReport,
     WarpProgress,
 };
-pub use sharded::{
-    run_cg_sharded, run_cg_sharded_full, run_pcg_sharded, run_pcg_sharded_full, ShardedReport,
-};
+pub use sharded::{run_cg_sharded, run_pcg_sharded, ShardedOpts, ShardedReport};
 pub use solver::MilleFeuille;
 pub use threaded::{
     run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_ilu_sptrsv_threaded,

@@ -35,19 +35,21 @@
 //! iteration — no extra dots, no extra synchronization), `x` and `r` stay
 //! untouched, and [`MAX_CONSECUTIVE_RESTARTS`] restarts in convergence mode
 //! abort as `Stalled`.
+//!
+//! [`MAX_CONSECUTIVE_RESTARTS`]: crate::config::MAX_CONSECUTIVE_RESTARTS
 
 use crate::cg::{
     current_precision_histogram, finish_host_trace, host_tracer, mixed_spmv, record_spmv_trace,
     rel_error, CoreResult,
 };
-use crate::config::{SolverConfig, MAX_CONSECUTIVE_RESTARTS};
+use crate::config::SolverConfig;
 use crate::coster::{Coster, MultiCoster};
 use crate::partial::PartialState;
-use crate::precond::charge_factorization;
-use crate::report::{BreakdownKind, RecoveryAction, SolveFailure};
+use crate::precond::{Bound, Precond};
+use crate::report::{BreakdownKind, RestartPolicy};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
-use mf_kernels::{blas1, Ilu0, SharedTiles};
+use mf_kernels::{blas1, SharedTiles};
 use mf_sparse::TiledMatrix;
 
 /// Pipelined scalar update: returns `(beta, alpha, denom)` for the current
@@ -86,30 +88,10 @@ pub(crate) fn breakdown_kind(alpha: f64, denom: f64) -> Option<BreakdownKind> {
     }
 }
 
-/// Pipelined CG on the tiled matrix (fresh workspace).
-pub fn run_cg_pipelined(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    b: &[f64],
-    cfg: &SolverConfig,
-    coster: &Coster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_cg_pipelined_ws(
-        m,
-        shared,
-        b,
-        cfg,
-        coster,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing pipelined CG (see [`crate::cg::run_cg_ws`] for the
+/// Pipelined CG on the tiled matrix (see [`crate::cg::run_cg`] for the
 /// workspace contract). Vector map: `q = A·w` lives in `ws.u`, `s = A·p`
 /// in `ws.s`, `z = A·s` in `ws.t`, plus the new `ws.w`.
-pub fn run_cg_pipelined_ws(
+pub fn run_cg_pipelined(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
     b: &[f64],
@@ -125,18 +107,15 @@ pub fn run_cg_pipelined_ws(
     let mut tl = Timeline::new();
     coster.solve_start(&mut tl);
 
-    let mut result = CoreResult::empty();
     let tracer = host_tracer(cfg);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
+        let mut result = CoreResult::zero_rhs(n, tl);
         finish_host_trace(tracer, &mut result);
         return result;
     }
+    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -180,7 +159,7 @@ pub fn run_cg_pipelined_ws(
 
     let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
     let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
+    let mut restarts = RestartPolicy::new(!check_convergence);
     let mut gamma_old = 1.0f64;
     let mut alpha_old = 1.0f64;
     let mut fresh = true;
@@ -210,9 +189,6 @@ pub fn run_cg_pipelined_ws(
             // r — the same fixed-point-compatible semantics as classic CG.
             fresh = true;
             coster.barrier(&mut tl); // epochs stay aligned with the normal path
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
             let relres = gamma.sqrt() / norm_b;
             if relres.is_finite() {
                 result.final_relres = relres;
@@ -230,30 +206,12 @@ pub fn run_cg_pipelined_ws(
                     .precision_history
                     .push(current_precision_histogram(shared));
             }
-            let abort_nonfinite = !gamma.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
+            if result.restart(&mut restarts, kind, gamma.is_finite()) {
                 break;
             }
             continue;
         }
-        consecutive_restarts = 0;
+        restarts.progressed();
 
         // ---- Fused six-vector update (one pass; see blas1).
         blas1::cg_pipelined_update(alpha, beta, q, p, s, z, x, r, w);
@@ -275,11 +233,7 @@ pub fn run_cg_pipelined_ws(
         if !gamma.is_finite() {
             // Poisoned residual recurrence — abort observably, exactly like
             // the classic core's (r,r) check.
-            let iter_idx = result.iterations - 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
+            result.abort_nonfinite(result.iterations - 1);
             break;
         }
         let relres = gamma.sqrt() / norm_b;
@@ -310,15 +264,8 @@ pub fn run_cg_pipelined_ws(
         // (γ, δ) = ((r,r), (w,r)), fresh start.
         if let Some(c) = ctrl.as_mut() {
             if let Some(d) = c.observe(result.iterations, relres, cfg.tolerance) {
-                let touched: usize = d
-                    .actions
-                    .iter()
-                    .map(|a| {
-                        (m.tile_nnz[a.tile as usize + 1] - m.tile_nnz[a.tile as usize]) as usize
-                    })
-                    .sum();
                 shared.apply_retier(m, &d.actions);
-                coster.retier(&mut tl, touched);
+                coster.retier(&mut tl, crate::adaptive::touched_nnz(m, &d));
                 let keepf = retier_keep.as_ref().expect("armed with controller");
                 let xstats = mixed_spmv(m, shared, keepf, x, q, threads);
                 result.spmv_stats.merge(&xstats);
@@ -351,63 +298,32 @@ pub fn run_cg_pipelined_ws(
     result
 }
 
-/// Pipelined ILU(0)-preconditioned CG (fresh workspace).
+/// Pipelined preconditioned CG with `M⁻¹ = pc`. Vector map: `u = M⁻¹r`
+/// lives in `ws.z`, `z = A·q` in `ws.t`, the SpTRSV intermediate in
+/// `ws.y`, plus the new `ws.w` (`A·u`), `ws.m` (`M⁻¹w`), `ws.n` (`A·m`)
+/// and `ws.q` (`M⁻¹s`). Like [`crate::precond::run_pcg`] it charges
+/// through a [`MultiCoster`] and runs its SpMVs with all-`Keep` flags;
+/// the threaded single-kernel engine is the in-kernel variant.
 pub fn run_pcg_pipelined(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
-    ilu: &Ilu0,
+    pc: Precond<'_>,
     b: &[f64],
     cfg: &SolverConfig,
     mc: &MultiCoster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_pcg_pipelined_ws(
-        m,
-        shared,
-        ilu,
-        b,
-        cfg,
-        mc,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing pipelined PCG. Vector map: `u = M⁻¹r` lives in
-/// `ws.z`, `z = A·q` in `ws.t`, the SpTRSV intermediate in `ws.y`, plus
-/// the new `ws.w` (`A·u`), `ws.m` (`M⁻¹w`), `ws.n` (`A·m`) and `ws.q`
-/// (`M⁻¹s`). Like [`crate::precond::run_pcg_ws`] it charges through a
-/// [`MultiCoster`]; the threaded single-kernel engine is the in-kernel
-/// variant.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pcg_pipelined_ws(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    ilu: &Ilu0,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    partial: &mut PartialState,
     ws: &mut SolverWorkspace,
 ) -> CoreResult {
     let n = m.nrows;
     assert_eq!(b.len(), n);
 
     let mut tl = Timeline::new();
-    charge_factorization(mc, &mut tl, ilu.nnz(), n);
-    let lu_levels = mf_kernels::level_schedule(&ilu.l, true).num_levels
-        + mf_kernels::level_schedule(&ilu.u, false).num_levels;
-
-    let mut result = CoreResult::empty();
+    let pc = Bound::new(pc, mc, cfg, &mut tl, n);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
-        return result;
+        return CoreResult::zero_rhs(n, tl);
     }
+    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -426,13 +342,12 @@ pub fn run_pcg_pipelined_ws(
     } = ws;
     r.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
+    let keep = crate::cg::keep_flags(m.tile_cols);
 
     // Init (x0 = 0): r = b, u = M⁻¹r, w = A·u, γ = (r,u), δ = (w,u),
     // ρ = (r,r) = ‖b‖².
-    let fstats = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, u);
-    mc.sptrsv_adaptive(&mut tl, &fstats, ilu.nnz(), lu_levels);
-    partial.update(u);
-    let stats = mixed_spmv(m, shared, &partial.vis_flags, u, w, threads);
+    pc.apply(&mut tl, r, y, u);
+    let stats = mixed_spmv(m, shared, &keep, u, w, threads);
     result.spmv_stats.merge(&stats);
     mc.spmv(&mut tl, m, &stats);
     let (mut gamma, mut delta) = blas1::dot2(r, w, u);
@@ -441,7 +356,7 @@ pub fn run_pcg_pipelined_ws(
 
     let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
     let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
+    let mut restarts = RestartPolicy::new(!check_convergence);
     let mut gamma_old = 1.0f64;
     let mut alpha_old = 1.0f64;
     let mut fresh = true;
@@ -449,10 +364,8 @@ pub fn run_pcg_pipelined_ws(
     for _j in 0..iters {
         // ---- Preconditioner chain m = M⁻¹w, then SpMV n = A·m. On the
         // device these overlap the reduction that produced (γ, δ, ρ).
-        let mstats = ilu.apply_recursive_into(w, cfg.trsv_leaf, y, mvec);
-        mc.sptrsv_adaptive(&mut tl, &mstats, ilu.nnz(), lu_levels);
-        partial.update(mvec);
-        let stats = mixed_spmv(m, shared, &partial.vis_flags, mvec, nvec, threads);
+        pc.apply(&mut tl, w, y, mvec);
+        let stats = mixed_spmv(m, shared, &keep, mvec, nvec, threads);
         result.spmv_stats.merge(&stats);
         mc.spmv(&mut tl, m, &stats);
 
@@ -462,9 +375,6 @@ pub fn run_pcg_pipelined_ws(
             // Breakdown restart: same flag-only recovery as pipelined CG
             // (β = 0 rebuilds p, s, q, z from u, w, m, n next iteration).
             fresh = true;
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
             let relres = rho.sqrt() / norm_b;
             if relres.is_finite() {
                 result.final_relres = relres;
@@ -472,30 +382,12 @@ pub fn run_pcg_pipelined_ws(
             if cfg.trace_residuals {
                 result.residual_history.push(relres);
             }
-            let abort_nonfinite = !gamma.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
+            if result.restart(&mut restarts, kind, gamma.is_finite()) {
                 break;
             }
             continue;
         }
-        consecutive_restarts = 0;
+        restarts.progressed();
 
         // ---- Fused eight-vector update (one pass; see blas1).
         blas1::pcg_pipelined_update(alpha, beta, mvec, nvec, p, s, q, z, x, r, u, w);
@@ -519,11 +411,7 @@ pub fn run_pcg_pipelined_ws(
 
         result.iterations += 1;
         if !rho.is_finite() {
-            let iter_idx = result.iterations - 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
+            result.abort_nonfinite(result.iterations - 1);
             break;
         }
         let relres = rho.sqrt() / norm_b;
@@ -545,8 +433,10 @@ pub fn run_pcg_pipelined_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::{run_cg, run_cg_ws};
+    use crate::cg::run_cg;
+    use crate::config::MAX_CONSECUTIVE_RESTARTS;
     use crate::coster::SingleCoster;
+    use crate::report::SolveFailure;
     use mf_gpu::{CostModel, DeviceSpec};
     use mf_kernels::ilu0;
     use mf_precision::ClassifyOptions;
@@ -587,7 +477,15 @@ mod tests {
         let a = poisson1d(200);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_cg_pipelined(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg_pipelined(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
         assert!(res.iterations < 220);
         for v in &res.x {
@@ -602,9 +500,25 @@ mod tests {
         let a = poisson1d(300);
         let cfg = SolverConfig::default();
         let (m, mut sh1, coster, mut p1, b) = setup(&a, &cfg);
-        let classic = run_cg(&m, &mut sh1, &b, &cfg, &coster, &mut p1);
+        let classic = run_cg(
+            &m,
+            &mut sh1,
+            &b,
+            &cfg,
+            &coster,
+            &mut p1,
+            &mut SolverWorkspace::new(),
+        );
         let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
-        let pipe = run_cg_pipelined(&m2, &mut sh2, &b2, &cfg, &coster2, &mut p2);
+        let pipe = run_cg_pipelined(
+            &m2,
+            &mut sh2,
+            &b2,
+            &cfg,
+            &coster2,
+            &mut p2,
+            &mut SolverWorkspace::new(),
+        );
         assert!(classic.converged && pipe.converged);
         let (c, p) = (classic.iterations as f64, pipe.iterations as f64);
         assert!(
@@ -618,7 +532,15 @@ mod tests {
         let a = poisson1d(64);
         let cfg = SolverConfig::benchmark_100_iters();
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
-        let res = run_cg_pipelined(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg_pipelined(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.iterations, 100);
         assert!(!res.converged);
     }
@@ -628,7 +550,15 @@ mod tests {
         let a = poisson1d(32);
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, _) = setup(&a, &cfg);
-        let res = run_cg_pipelined(&m, &mut shared, &vec![0.0; 32], &cfg, &coster, &mut partial);
+        let res = run_cg_pipelined(
+            &m,
+            &mut shared,
+            &vec![0.0; 32],
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }
@@ -646,7 +576,15 @@ mod tests {
         let cfg = SolverConfig::default();
         let (m, mut shared, coster, mut partial, _) = setup(&csr, &cfg);
         let b = vec![1.0; 64];
-        let res = run_cg_pipelined(&m, &mut shared, &b, &cfg, &coster, &mut partial);
+        let res = run_cg_pipelined(
+            &m,
+            &mut shared,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut SolverWorkspace::new(),
+        );
         assert!(!res.converged);
         assert!(res.final_relres.is_finite());
         assert!(res.x.iter().all(|v| v.is_finite()));
@@ -665,14 +603,14 @@ mod tests {
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
         let mut ws = SolverWorkspace::with_size(300);
         let ptrs = [ws.x.as_ptr(), ws.w.as_ptr(), ws.t.as_ptr()];
-        let res1 = run_cg_pipelined_ws(&m, &mut shared, &b, &cfg, &coster, &mut partial, &mut ws);
+        let res1 = run_cg_pipelined(&m, &mut shared, &b, &cfg, &coster, &mut partial, &mut ws);
         assert!(res1.converged);
 
         let mut shared2 = SharedTiles::load(&m);
         let eps_abs = cfg.tolerance * blas1::norm2(&b);
         let mut partial2 =
             PartialState::new(cfg.partial_convergence, m.tile_cols, cfg.tile_size, eps_abs);
-        let res2 = run_cg_pipelined_ws(&m, &mut shared2, &b, &cfg, &coster, &mut partial2, &mut ws);
+        let res2 = run_cg_pipelined(&m, &mut shared2, &b, &cfg, &coster, &mut partial2, &mut ws);
         assert_eq!(res1.iterations, res2.iterations);
         assert_eq!(res1.x, res2.x);
         assert_eq!(
@@ -687,7 +625,15 @@ mod tests {
         let a = poisson1d(96);
         let base = SolverConfig::default();
         let (m, mut sh1, coster, mut p1, b) = setup(&a, &base);
-        let off = run_cg_pipelined(&m, &mut sh1, &b, &base, &coster, &mut p1);
+        let off = run_cg_pipelined(
+            &m,
+            &mut sh1,
+            &b,
+            &base,
+            &coster,
+            &mut p1,
+            &mut SolverWorkspace::new(),
+        );
         assert!(off.trace.is_none());
 
         let cfg = SolverConfig {
@@ -695,7 +641,15 @@ mod tests {
             ..SolverConfig::default()
         };
         let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
-        let on = run_cg_pipelined(&m2, &mut sh2, &b2, &cfg, &coster2, &mut p2);
+        let on = run_cg_pipelined(
+            &m2,
+            &mut sh2,
+            &b2,
+            &cfg,
+            &coster2,
+            &mut p2,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(off.x, on.x, "tracing must not perturb the numerics");
         assert_eq!(off.iterations, on.iterations);
         let trace = on.trace.expect("tracing enabled");
@@ -716,8 +670,15 @@ mod tests {
         let mc = MultiCoster::new(CostModel::new(DeviceSpec::a100()), a.nrows);
         let mut b = vec![0.0; a.nrows];
         a.matvec(&vec![1.0; a.ncols], &mut b);
-        let mut partial = PartialState::new(false, m.tile_cols, 16, 1e-10);
-        let res = run_pcg_pipelined(&m, &mut shared, &ilu, &b, &cfg, &mc, &mut partial);
+        let res = run_pcg_pipelined(
+            &m,
+            &mut shared,
+            Precond::Ilu0(&ilu),
+            &b,
+            &cfg,
+            &mc,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
         assert!(res.iterations <= 4, "{} iterations", res.iterations);
         for v in &res.x {
@@ -740,20 +701,26 @@ mod tests {
         let mut shared = SharedTiles::load(&m);
         let mut b = vec![0.0; a.nrows];
         a.matvec(&vec![1.0; a.ncols], &mut b);
-        let mut partial = PartialState::new(false, m.tile_cols, 16, 1e-10);
-        let res = run_pcg_pipelined(&m, &mut shared, &ilu, &b, &cfg, &mc, &mut partial);
+        let res = run_pcg_pipelined(
+            &m,
+            &mut shared,
+            Precond::Ilu0(&ilu),
+            &b,
+            &cfg,
+            &mc,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.iterations, 12);
 
         let mut shared2 = SharedTiles::load(&m);
-        let mut partial2 = PartialState::new(false, m.tile_cols, 16, 1e-10);
         let res0 = run_pcg_pipelined(
             &m,
             &mut shared2,
-            &ilu,
+            Precond::Ilu0(&ilu),
             &vec![0.0; 64],
             &SolverConfig::default(),
             &mc,
-            &mut partial2,
+            &mut SolverWorkspace::new(),
         );
         assert!(res0.converged);
         assert_eq!(res0.iterations, 0);
@@ -776,9 +743,17 @@ mod tests {
         };
         let (m, mut sh1, coster, mut p1, b) = setup(&a, &cfg);
         let mut ws = SolverWorkspace::new();
-        let classic = run_cg_ws(&m, &mut sh1, &b, &cfg, &coster, &mut p1, &mut ws);
+        let classic = run_cg(&m, &mut sh1, &b, &cfg, &coster, &mut p1, &mut ws);
         let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
-        let pipe = run_cg_pipelined(&m2, &mut sh2, &b2, &cfg, &coster2, &mut p2);
+        let pipe = run_cg_pipelined(
+            &m2,
+            &mut sh2,
+            &b2,
+            &cfg,
+            &coster2,
+            &mut p2,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(classic.residual_history.len(), 40);
         assert_eq!(pipe.residual_history.len(), 40);
         let floor = 100.0 * f64::EPSILON;

@@ -1,4 +1,4 @@
-//! ILU(0)-preconditioned CG and BiCGSTAB (paper §III-C last paragraph,
+//! Preconditioned CG and BiCGSTAB (paper §III-C last paragraph,
 //! evaluated in §IV-C / Fig. 10).
 //!
 //! The paper applies preconditioning in its *multi-kernel* method ("We
@@ -7,80 +7,165 @@
 //! Mille-feuille advantage comes from (a) the tiled mixed-precision SpMV
 //! and (b) the recursive-block SpTRSV, whose square sub-blocks run as
 //! parallel SpMVs instead of serialized dependency levels.
+//!
+//! The preconditioner is one pluggable `M⁻¹`, a [`Precond`], inside a
+//! single recurrence: [`run_pcg`] serves ILU(0), IC(0) and block-Jacobi
+//! alike, and [`run_pbicgstab`] and
+//! [`crate::pipelined::run_pcg_pipelined`] apply theirs the same way.
+//! The SpMVs run with all-`Keep` flags: the partial-convergence strategy
+//! needs the single kernel's persistent on-chip tile copy (§III-D).
 
-use crate::cg::{mixed_spmv, CoreResult};
-use crate::config::{SolverConfig, MAX_CONSECUTIVE_RESTARTS};
+use crate::cg::{keep_flags, mixed_spmv, CoreResult};
+use crate::config::SolverConfig;
 use crate::coster::MultiCoster;
-use crate::partial::PartialState;
-use crate::report::{BreakdownKind, RecoveryAction, SolveFailure};
+use crate::report::{BreakdownKind, RecoveryAction, RestartPolicy};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{Phase, Timeline};
-use mf_kernels::{blas1, BlockJacobi, Ic0, Ilu0, SharedTiles};
+use mf_kernels::{blas1, level_schedule, BlockJacobi, Ic0, Ilu0, RecursiveTrsvStats, SharedTiles};
 use mf_sparse::TiledMatrix;
 
-/// Charges the ILU(0) factorization itself (done once, on device — modeled
-/// as two triangular sweeps over the pattern).
-pub fn charge_factorization(mc: &MultiCoster, tl: &mut Timeline, nnz: usize, n: usize) {
+/// The preconditioner `M⁻¹` a preconditioned core applies. The variants
+/// differ in three things only — the factorization charge, the SpTRSV
+/// level count and apply-plus-charge — and the core loops are shared.
+#[derive(Clone, Copy, Debug)]
+pub enum Precond<'a> {
+    /// `M = L·U` from ILU(0), applied through the recursive-block SpTRSV
+    /// (the paper's preconditioner).
+    Ilu0(&'a Ilu0),
+    /// `M = L·Lᵀ` from IC(0) — an extension beyond the paper's ILU(0)
+    /// evaluation that suits the SPD class: symmetric preconditioning
+    /// keeps the preconditioned operator SPD and the factorization costs
+    /// half the ILU work.
+    Ic0(&'a Ic0),
+    /// The adaptive-precision block-Jacobi `M⁻¹` — an extension following
+    /// the mixed-precision preconditioning line the paper's related work
+    /// cites (Anzt et al. / Ginkgo). Fully parallel application (no
+    /// dependency levels), with each block's inverse stored in the
+    /// narrowest precision its conditioning tolerates.
+    BlockJacobi(&'a BlockJacobi),
+}
+
+/// Charges a triangular factorization itself (done once, on device —
+/// modeled as two triangular sweeps over the pattern).
+fn charge_factorization(mc: &MultiCoster, tl: &mut Timeline, nnz: usize, n: usize) {
     let body = mc.cost.sptrsv_us(nnz, n, (n / 32).max(1));
     tl.add(Phase::Factorize, 2.0 * body);
     tl.add(Phase::Sync, 2.0 * mc.cost.launch_us());
 }
 
-/// Preconditioned CG with `M = L·U` from ILU(0), applied through the
-/// recursive-block SpTRSV.
+/// A [`Precond`] bound to one solve: the coster it charges, the SpTRSV
+/// leaf size and the factors' combined dependency-level count.
+pub(crate) struct Bound<'a> {
+    pc: Precond<'a>,
+    mc: &'a MultiCoster,
+    leaf: usize,
+    levels: usize,
+}
+
+impl<'a> Bound<'a> {
+    /// Charges the factorization to `tl` and derives the level count:
+    /// preprocessing decides the SpTRSV algorithm for the factor pair,
+    /// recursive-block vs level-scheduled (see
+    /// [`MultiCoster::sptrsv_adaptive`]).
+    pub(crate) fn new(
+        pc: Precond<'a>,
+        mc: &'a MultiCoster,
+        cfg: &SolverConfig,
+        tl: &mut Timeline,
+        n: usize,
+    ) -> Bound<'a> {
+        let levels = match pc {
+            Precond::Ilu0(ilu) => {
+                charge_factorization(mc, tl, ilu.nnz(), n);
+                level_schedule(&ilu.l, true).num_levels + level_schedule(&ilu.u, false).num_levels
+            }
+            Precond::Ic0(ic) => {
+                charge_factorization(mc, tl, ic.l.nnz(), n);
+                level_schedule(&ic.l, true).num_levels + level_schedule(&ic.lt, false).num_levels
+            }
+            Precond::BlockJacobi(bj) => {
+                // One dense inversion per block, parallel over blocks.
+                tl.add(
+                    Phase::Factorize,
+                    mc.cost.kernel_body_us(
+                        2.0 * bj
+                            .inv_blocks
+                            .iter()
+                            .map(|blk| (blk.len() as f64).powf(1.5))
+                            .sum::<f64>(),
+                        bj.storage_bytes() as f64 * 2.0,
+                        mc.cost.blas1_warps(n.max(1)),
+                    ),
+                );
+                tl.add(Phase::Sync, mc.cost.launch_us());
+                0
+            }
+        };
+        Bound {
+            pc,
+            mc,
+            leaf: cfg.trsv_leaf,
+            levels,
+        }
+    }
+
+    /// `dst = M⁻¹·src`, charged to `tl`; `scratch` holds the triangular
+    /// pair's intermediate. Returns the SpTRSV work (zero for
+    /// block-Jacobi) so a breakdown path can charge the same application
+    /// again.
+    pub(crate) fn apply(
+        &self,
+        tl: &mut Timeline,
+        src: &[f64],
+        scratch: &mut [f64],
+        dst: &mut [f64],
+    ) -> RecursiveTrsvStats {
+        let stats = match self.pc {
+            Precond::Ilu0(ilu) => ilu.apply_recursive_into(src, self.leaf, scratch, dst),
+            Precond::Ic0(ic) => ic.apply_recursive_into(src, self.leaf, scratch, dst),
+            Precond::BlockJacobi(bj) => {
+                bj.apply_into(src, dst);
+                RecursiveTrsvStats::default()
+            }
+        };
+        self.charge(tl, &stats);
+        stats
+    }
+
+    /// Charges one application that did `stats` work.
+    pub(crate) fn charge(&self, tl: &mut Timeline, stats: &RecursiveTrsvStats) {
+        match self.pc {
+            Precond::Ilu0(ilu) => self.mc.sptrsv_adaptive(tl, stats, ilu.nnz(), self.levels),
+            Precond::Ic0(ic) => self.mc.sptrsv_adaptive(tl, stats, ic.nnz(), self.levels),
+            Precond::BlockJacobi(bj) => self.mc.block_jacobi(tl, bj),
+        }
+    }
+}
+
+/// Preconditioned CG with `M⁻¹ = pc`, loop vectors in `ws` (see
+/// [`crate::cg::run_cg`] for the workspace contract).
+/// [`SolverConfig::adaptive`] arms the same re-tier controller as the CG
+/// core.
 pub fn run_pcg(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
-    ilu: &Ilu0,
+    pc: Precond<'_>,
     b: &[f64],
     cfg: &SolverConfig,
     mc: &MultiCoster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_pcg_ws(
-        m,
-        shared,
-        ilu,
-        b,
-        cfg,
-        mc,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing variant of [`run_pcg`] (see [`crate::cg::run_cg_ws`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_pcg_ws(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    ilu: &Ilu0,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    partial: &mut PartialState,
     ws: &mut SolverWorkspace,
 ) -> CoreResult {
     let n = m.nrows;
     assert_eq!(b.len(), n);
 
     let mut tl = Timeline::new();
-    charge_factorization(mc, &mut tl, ilu.nnz(), n);
-    // Preprocessing decides the SpTRSV algorithm for this factor pair:
-    // recursive-block vs level-scheduled (see MultiCoster::sptrsv_adaptive).
-    let lu_levels = mf_kernels::level_schedule(&ilu.l, true).num_levels
-        + mf_kernels::level_schedule(&ilu.u, false).num_levels;
-
-    let mut result = CoreResult::empty();
+    let pc = Bound::new(pc, mc, cfg, &mut tl, n);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
-        return result;
+        return CoreResult::zero_rhs(n, tl);
     }
+    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -88,8 +173,8 @@ pub fn run_pcg_ws(
     } = ws;
     r.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
-    let fstats = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-    mc.sptrsv_adaptive(&mut tl, &fstats, ilu.nnz(), lu_levels);
+    let keep = keep_flags(m.tile_cols);
+    pc.apply(&mut tl, r, y, z);
     p.copy_from_slice(z);
     let mut rz = blas1::dot(r, z);
     mc.dot(&mut tl, true);
@@ -100,15 +185,13 @@ pub fn run_pcg_ws(
     let mut ctrl = cfg
         .adaptive
         .map(|ac| crate::adaptive::controller_for(m, ac));
-    let retier_keep = ctrl.as_ref().map(|_| crate::cg::keep_flags(m.tile_cols));
 
     let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
     let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
+    let mut restarts = RestartPolicy::new(!check_convergence);
 
     for _j in 0..iters {
-        partial.update(p);
-        let stats = mixed_spmv(m, shared, &partial.vis_flags, p, u, threads);
+        let stats = mixed_spmv(m, shared, &keep, p, u, threads);
         result.spmv_stats.merge(&stats);
         mc.spmv(&mut tl, m, &stats);
 
@@ -129,35 +212,14 @@ pub fn run_pcg_ws(
             mc.dot(&mut tl, true);
             mc.dot(&mut tl, true);
             mc.axpy(&mut tl);
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
             // A restart leaves x and r untouched, so repeating it is a
             // fixed point (see crate::cg) — abort instead of spinning.
-            let abort_nonfinite = !rz.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
+            if result.restart(&mut restarts, kind, rz.is_finite()) {
                 break;
             }
             continue;
         }
-        consecutive_restarts = 0;
+        restarts.progressed();
 
         blas1::axpy(alpha, p, x);
         blas1::axpy(-alpha, u, r);
@@ -168,18 +230,13 @@ pub fn run_pcg_ws(
         mc.dot(&mut tl, true);
         if !rr.is_finite() {
             // Poisoned residual: no restart can rebuild finite state from
-            // it. Abort observably (final_relres keeps its last value).
-            let iter_idx = result.iterations;
+            // it.
             result.iterations += 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
+            result.abort_nonfinite(result.iterations - 1);
             break;
         }
 
-        let zstats = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-        mc.sptrsv_adaptive(&mut tl, &zstats, ilu.nnz(), lu_levels);
+        pc.apply(&mut tl, r, y, z);
 
         let rz_new = blas1::dot(r, z);
         mc.dot(&mut tl, true);
@@ -200,12 +257,8 @@ pub fn run_pcg_ws(
         }
         if !beta.is_finite() {
             // β = (r,z)_new/(r,z) went non-finite — the preconditioned
-            // correlation collapsed. Record and abort.
-            let iter_idx = result.iterations - 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
+            // correlation collapsed.
+            result.abort_nonfinite(result.iterations - 1);
             break;
         }
 
@@ -214,25 +267,16 @@ pub fn run_pcg_ws(
         // rz = (r,z) from the re-tiered operator.
         if let Some(c) = ctrl.as_mut() {
             if let Some(d) = c.observe(result.iterations, relres, cfg.tolerance) {
-                let touched: usize = d
-                    .actions
-                    .iter()
-                    .map(|a| {
-                        (m.tile_nnz[a.tile as usize + 1] - m.tile_nnz[a.tile as usize]) as usize
-                    })
-                    .sum();
                 shared.apply_retier(m, &d.actions);
-                mc.retier(&mut tl, touched);
-                let keepf = retier_keep.as_ref().expect("armed with controller");
-                let rstats = mixed_spmv(m, shared, keepf, x, u, threads);
+                mc.retier(&mut tl, crate::adaptive::touched_nnz(m, &d));
+                let rstats = mixed_spmv(m, shared, &keep, x, u, threads);
                 result.spmv_stats.merge(&rstats);
                 mc.spmv(&mut tl, m, &rstats);
                 for i in 0..n {
                     r[i] = b[i] - u[i];
                 }
                 mc.axpy(&mut tl);
-                let zst = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-                mc.sptrsv_adaptive(&mut tl, &zst, ilu.nnz(), lu_levels);
+                pc.apply(&mut tl, r, y, z);
                 p.copy_from_slice(z);
                 rz = blas1::dot(r, z);
                 mc.dot(&mut tl, true);
@@ -246,432 +290,28 @@ pub fn run_pcg_ws(
     result
 }
 
-/// IC(0)-preconditioned CG (`M = L·Lᵀ`) — an extension beyond the paper's
-/// ILU(0) evaluation that suits the SPD class: symmetric preconditioning
-/// keeps the preconditioned operator SPD and the factorization costs half
-/// the ILU work.
-pub fn run_pcg_ic(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    ic: &Ic0,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_pcg_ic_ws(
-        m,
-        shared,
-        ic,
-        b,
-        cfg,
-        mc,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing variant of [`run_pcg_ic`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pcg_ic_ws(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    ic: &Ic0,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    partial: &mut PartialState,
-    ws: &mut SolverWorkspace,
-) -> CoreResult {
-    let n = m.nrows;
-    assert_eq!(b.len(), n);
-
-    let mut tl = Timeline::new();
-    charge_factorization(mc, &mut tl, ic.l.nnz(), n);
-    let lu_levels = mf_kernels::level_schedule(&ic.l, true).num_levels
-        + mf_kernels::level_schedule(&ic.lt, false).num_levels;
-
-    let mut result = CoreResult::empty();
-
-    let norm_b = blas1::norm2(b);
-    if norm_b == 0.0 {
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
-        return result;
-    }
-
-    ws.ensure(n);
-    let SolverWorkspace {
-        x, r, z, p, u, y, ..
-    } = ws;
-    r.copy_from_slice(b);
-    let threads = cfg.host_parallelism.threads_for(m.nnz());
-    let fstats = ic.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-    mc.sptrsv_adaptive(&mut tl, &fstats, ic.nnz(), lu_levels);
-    p.copy_from_slice(z);
-    let mut rz = blas1::dot(r, z);
-    mc.dot(&mut tl, true);
-
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
-
-    for _j in 0..iters {
-        partial.update(p);
-        let stats = mixed_spmv(m, shared, &partial.vis_flags, p, u, threads);
-        result.spmv_stats.merge(&stats);
-        mc.spmv(&mut tl, m, &stats);
-
-        let pu = blas1::dot(p, u);
-        mc.dot(&mut tl, true);
-        let alpha = rz / pu;
-        if !alpha.is_finite() || pu <= 0.0 {
-            // Breakdown restart — the kernel sequence still runs, charge it.
-            let kind = if pu.is_finite() && pu <= 0.0 {
-                BreakdownKind::Curvature
-            } else {
-                BreakdownKind::NonFinite
-            };
-            p.copy_from_slice(z);
-            rz = blas1::dot(r, z);
-            mc.axpy(&mut tl);
-            mc.axpy(&mut tl);
-            mc.dot(&mut tl, true);
-            mc.dot(&mut tl, true);
-            mc.axpy(&mut tl);
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
-            // A restart leaves x and r untouched, so repeating it is a
-            // fixed point (see crate::cg) — abort instead of spinning.
-            let abort_nonfinite = !rz.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            continue;
-        }
-        consecutive_restarts = 0;
-
-        blas1::axpy(alpha, p, x);
-        blas1::axpy(-alpha, u, r);
-        mc.axpy(&mut tl);
-        mc.axpy(&mut tl);
-        let rr = blas1::dot(r, r);
-        mc.dot(&mut tl, true);
-        if !rr.is_finite() {
-            // Poisoned residual: no restart can rebuild finite state from
-            // it. Abort observably (final_relres keeps its last value).
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
-            break;
-        }
-
-        let zstats = ic.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-        mc.sptrsv_adaptive(&mut tl, &zstats, ic.nnz(), lu_levels);
-
-        let rz_new = blas1::dot(r, z);
-        mc.dot(&mut tl, true);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        blas1::xpay(z, beta, p);
-        mc.axpy(&mut tl);
-
-        result.iterations += 1;
-        let relres = rr.sqrt() / norm_b;
-        result.final_relres = relres;
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-        if !beta.is_finite() {
-            // β = (r,z)_new/(r,z) went non-finite — the preconditioned
-            // correlation collapsed. Record and abort.
-            let iter_idx = result.iterations - 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
-            break;
-        }
-    }
-
-    result.x = x.clone();
-    result.timeline = tl;
-    result
-}
-
-/// CG preconditioned with the adaptive-precision block-Jacobi `M⁻¹` — an
-/// extension following the mixed-precision preconditioning line the paper's
-/// related work cites (Anzt et al. / Ginkgo). Fully parallel preconditioner
-/// application (no dependency levels), with each block's inverse stored in
-/// the narrowest precision its conditioning tolerates.
-pub fn run_pcg_bj(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    bj: &BlockJacobi,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_pcg_bj_ws(
-        m,
-        shared,
-        bj,
-        b,
-        cfg,
-        mc,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing variant of [`run_pcg_bj`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pcg_bj_ws(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    bj: &BlockJacobi,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    partial: &mut PartialState,
-    ws: &mut SolverWorkspace,
-) -> CoreResult {
-    let n = m.nrows;
-    assert_eq!(b.len(), n);
-
-    let mut tl = Timeline::new();
-    // Factorization: one dense inversion per block, parallel over blocks.
-    tl.add(
-        Phase::Factorize,
-        mc.cost.kernel_body_us(
-            2.0 * bj
-                .inv_blocks
-                .iter()
-                .map(|blk| (blk.len() as f64).powf(1.5))
-                .sum::<f64>(),
-            bj.storage_bytes() as f64 * 2.0,
-            mc.cost.blas1_warps(n.max(1)),
-        ),
-    );
-    tl.add(Phase::Sync, mc.cost.launch_us());
-
-    let mut result = CoreResult::empty();
-
-    let norm_b = blas1::norm2(b);
-    if norm_b == 0.0 {
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
-        return result;
-    }
-
-    ws.ensure(n);
-    let SolverWorkspace { x, r, z, p, u, .. } = ws;
-    r.copy_from_slice(b);
-    let threads = cfg.host_parallelism.threads_for(m.nnz());
-    bj.apply_into(r, z);
-    mc.block_jacobi(&mut tl, bj);
-    p.copy_from_slice(z);
-    let mut rz = blas1::dot(r, z);
-    mc.dot(&mut tl, true);
-
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
-
-    for _j in 0..iters {
-        partial.update(p);
-        let stats = mixed_spmv(m, shared, &partial.vis_flags, p, u, threads);
-        result.spmv_stats.merge(&stats);
-        mc.spmv(&mut tl, m, &stats);
-
-        let pu = blas1::dot(p, u);
-        mc.dot(&mut tl, true);
-        let alpha = rz / pu;
-        if !alpha.is_finite() || pu <= 0.0 {
-            // Breakdown restart — the kernel sequence still runs, charge it.
-            let kind = if pu.is_finite() && pu <= 0.0 {
-                BreakdownKind::Curvature
-            } else {
-                BreakdownKind::NonFinite
-            };
-            p.copy_from_slice(z);
-            rz = blas1::dot(r, z);
-            mc.axpy(&mut tl);
-            mc.axpy(&mut tl);
-            mc.dot(&mut tl, true);
-            mc.dot(&mut tl, true);
-            mc.axpy(&mut tl);
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
-            // A restart leaves x and r untouched, so repeating it is a
-            // fixed point (see crate::cg) — abort instead of spinning.
-            let abort_nonfinite = !rz.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            continue;
-        }
-        consecutive_restarts = 0;
-
-        blas1::axpy(alpha, p, x);
-        blas1::axpy(-alpha, u, r);
-        mc.axpy(&mut tl);
-        mc.axpy(&mut tl);
-        let rr = blas1::dot(r, r);
-        mc.dot(&mut tl, true);
-        if !rr.is_finite() {
-            // Poisoned residual: no restart can rebuild finite state from
-            // it. Abort observably (final_relres keeps its last value).
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
-            break;
-        }
-
-        bj.apply_into(r, z);
-        mc.block_jacobi(&mut tl, bj);
-
-        let rz_new = blas1::dot(r, z);
-        mc.dot(&mut tl, true);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        blas1::xpay(z, beta, p);
-        mc.axpy(&mut tl);
-
-        result.iterations += 1;
-        let relres = rr.sqrt() / norm_b;
-        result.final_relres = relres;
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-        if !beta.is_finite() {
-            // β = (r,z)_new/(r,z) went non-finite — the preconditioned
-            // correlation collapsed. Record and abort.
-            let iter_idx = result.iterations - 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
-            break;
-        }
-    }
-
-    result.x = x.clone();
-    result.timeline = tl;
-    result
-}
-
 /// Preconditioned BiCGSTAB (right preconditioning: `p̂ = M⁻¹p`,
-/// `ŝ = M⁻¹s`).
-#[allow(clippy::too_many_arguments)]
+/// `ŝ = M⁻¹s`), loop vectors in `ws`.
 pub fn run_pbicgstab(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
-    ilu: &Ilu0,
+    pc: Precond<'_>,
     b: &[f64],
     cfg: &SolverConfig,
     mc: &MultiCoster,
-    partial: &mut PartialState,
-) -> CoreResult {
-    run_pbicgstab_ws(
-        m,
-        shared,
-        ilu,
-        b,
-        cfg,
-        mc,
-        partial,
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Workspace-reusing variant of [`run_pbicgstab`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pbicgstab_ws(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    ilu: &Ilu0,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    partial: &mut PartialState,
     ws: &mut SolverWorkspace,
 ) -> CoreResult {
     let n = m.nrows;
     assert_eq!(b.len(), n);
 
     let mut tl = Timeline::new();
-    charge_factorization(mc, &mut tl, ilu.nnz(), n);
-    // Preprocessing decides the SpTRSV algorithm for this factor pair:
-    // recursive-block vs level-scheduled (see MultiCoster::sptrsv_adaptive).
-    let lu_levels = mf_kernels::level_schedule(&ilu.l, true).num_levels
-        + mf_kernels::level_schedule(&ilu.u, false).num_levels;
-
-    let mut result = CoreResult::empty();
+    let pc = Bound::new(pc, mc, cfg, &mut tl, n);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        result.x = vec![0.0; n];
-        result.converged = true;
-        result.final_relres = 0.0;
-        result.timeline = tl;
-        return result;
+        return CoreResult::zero_rhs(n, tl);
     }
+    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -691,18 +331,17 @@ pub fn run_pbicgstab_ws(
     r0s.copy_from_slice(b);
     p.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
+    let keep = keep_flags(m.tile_cols);
     let mut rho = blas1::dot(r, r0s);
 
     let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
     let check_convergence = cfg.fixed_iterations.is_none();
-    let mut consecutive_restarts = 0usize;
+    let mut restarts = RestartPolicy::new(!check_convergence);
 
     for _j in 0..iters {
         // p̂ = M⁻¹ p ; v = A p̂.
-        let st_p = ilu.apply_recursive_into(p, cfg.trsv_leaf, y, phat);
-        mc.sptrsv_adaptive(&mut tl, &st_p, ilu.nnz(), lu_levels);
-        partial.update(phat);
-        let st1 = mixed_spmv(m, shared, &partial.vis_flags, phat, v, threads);
+        let st_p = pc.apply(&mut tl, p, y, phat);
+        let st1 = mixed_spmv(m, shared, &keep, phat, v, threads);
         result.spmv_stats.merge(&st1);
         mc.spmv(&mut tl, m, &st1);
 
@@ -722,7 +361,7 @@ pub fn run_pbicgstab_ws(
                 rho = blas1::dot(r, r);
             }
             mc.axpy(&mut tl);
-            mc.sptrsv_adaptive(&mut tl, &st_p, ilu.nnz(), lu_levels);
+            pc.charge(&mut tl, &st_p);
             mc.spmv(&mut tl, m, &st1);
             mc.dot(&mut tl, true);
             mc.dot(&mut tl, true);
@@ -732,29 +371,8 @@ pub fn run_pbicgstab_ws(
             mc.dot(&mut tl, true);
             mc.dot(&mut tl, true);
             mc.axpy(&mut tl);
-            let iter_idx = result.iterations;
-            result.iterations += 1;
-            consecutive_restarts += 1;
             // Same fixed-point argument as the sequential BiCGSTAB core.
-            let abort_nonfinite = !rho.is_finite();
-            let abort_stalled =
-                check_convergence && consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            result.record_breakdown(iter_idx, kind, action);
-            if abort_nonfinite {
-                result.failure = Some(SolveFailure::NonFinite {
-                    iteration: iter_idx,
-                });
-                break;
-            }
-            if abort_stalled {
-                result.failure = Some(SolveFailure::Stalled {
-                    iteration: iter_idx,
-                });
+            if result.restart(&mut restarts, kind, rho.is_finite()) {
                 break;
             }
             continue;
@@ -764,10 +382,8 @@ pub fn run_pbicgstab_ws(
         mc.axpy(&mut tl);
 
         // ŝ = M⁻¹ s ; t = A ŝ.
-        let st_s = ilu.apply_recursive_into(s, cfg.trsv_leaf, y, shat);
-        mc.sptrsv_adaptive(&mut tl, &st_s, ilu.nnz(), lu_levels);
-        partial.update(shat);
-        let st2 = mixed_spmv(m, shared, &partial.vis_flags, shat, t, threads);
+        pc.apply(&mut tl, s, y, shat);
+        let st2 = mixed_spmv(m, shared, &keep, shat, t, threads);
         result.spmv_stats.merge(&st2);
         mc.spmv(&mut tl, m, &st2);
 
@@ -789,15 +405,11 @@ pub fn run_pbicgstab_ws(
         mc.dot(&mut tl, false);
         let rr = blas1::dot(r, r);
         mc.dot(&mut tl, true); // scalar pair -> one readback
-        consecutive_restarts = 0; // x and r advanced: real progress
+        restarts.progressed(); // x and r advanced: real progress
 
         if !rr.is_finite() {
-            let iter_idx = result.iterations;
             result.iterations += 1;
-            result.record_breakdown(iter_idx, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-            result.failure = Some(SolveFailure::NonFinite {
-                iteration: iter_idx,
-            });
+            result.abort_nonfinite(result.iterations - 1);
             break;
         }
 
@@ -876,22 +488,13 @@ mod tests {
         a.to_csr()
     }
 
-    fn setup(
-        a: &Csr,
-    ) -> (
-        TiledMatrix,
-        SharedTiles,
-        MultiCoster,
-        PartialState,
-        Vec<f64>,
-    ) {
+    fn setup(a: &Csr) -> (TiledMatrix, SharedTiles, MultiCoster, Vec<f64>) {
         let m = TiledMatrix::from_csr_with(a, 16, &ClassifyOptions::default());
         let shared = SharedTiles::load(&m);
         let mc = MultiCoster::new(CostModel::new(DeviceSpec::a100()), a.nrows);
         let mut b = vec![0.0; a.nrows];
         a.matvec(&vec![1.0; a.ncols], &mut b);
-        let partial = PartialState::new(false, m.tile_cols, 16, 1e-10);
-        (m, shared, mc, partial, b)
+        (m, shared, mc, b)
     }
 
     #[test]
@@ -899,8 +502,16 @@ mod tests {
         let a = poisson1d(400);
         let ilu = ilu0(&a).unwrap();
         let cfg = SolverConfig::default();
-        let (m, mut shared, mc, mut partial, b) = setup(&a);
-        let res = run_pcg(&m, &mut shared, &ilu, &b, &cfg, &mc, &mut partial);
+        let (m, mut shared, mc, b) = setup(&a);
+        let res = run_pcg(
+            &m,
+            &mut shared,
+            Precond::Ilu0(&ilu),
+            &b,
+            &cfg,
+            &mc,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
         // ILU(0) of a tridiagonal is exact -> 1-2 iterations.
         assert!(res.iterations <= 3, "{} iterations", res.iterations);
@@ -914,8 +525,16 @@ mod tests {
         let a = poisson1d(200);
         let ilu = ilu0(&a).unwrap();
         let cfg = SolverConfig::default();
-        let (m, mut shared, mc, mut partial, b) = setup(&a);
-        let res = run_pcg(&m, &mut shared, &ilu, &b, &cfg, &mc, &mut partial);
+        let (m, mut shared, mc, b) = setup(&a);
+        let res = run_pcg(
+            &m,
+            &mut shared,
+            Precond::Ilu0(&ilu),
+            &b,
+            &cfg,
+            &mc,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.timeline.get(Phase::Factorize) > 0.0);
         assert!(res.timeline.get(Phase::SpTrsv) > 0.0);
         assert!(res.timeline.get(Phase::Sync) > 0.0);
@@ -926,8 +545,16 @@ mod tests {
         let a = nonsym1d(300);
         let ilu = ilu0(&a).unwrap();
         let cfg = SolverConfig::default();
-        let (m, mut shared, mc, mut partial, b) = setup(&a);
-        let res = run_pbicgstab(&m, &mut shared, &ilu, &b, &cfg, &mc, &mut partial);
+        let (m, mut shared, mc, b) = setup(&a);
+        let res = run_pbicgstab(
+            &m,
+            &mut shared,
+            Precond::Ilu0(&ilu),
+            &b,
+            &cfg,
+            &mc,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
         assert!(res.iterations <= 3, "{} iterations", res.iterations);
         for v in &res.x {
@@ -943,8 +570,16 @@ mod tests {
             fixed_iterations: Some(10),
             ..SolverConfig::default()
         };
-        let (m, mut shared, mc, mut partial, b) = setup(&a);
-        let res = run_pbicgstab(&m, &mut shared, &ilu, &b, &cfg, &mc, &mut partial);
+        let (m, mut shared, mc, b) = setup(&a);
+        let res = run_pbicgstab(
+            &m,
+            &mut shared,
+            Precond::Ilu0(&ilu),
+            &b,
+            &cfg,
+            &mc,
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.iterations, 10);
     }
 
@@ -953,8 +588,16 @@ mod tests {
         let a = poisson1d(300);
         let ic = mf_kernels::Ic0::new(&a).unwrap();
         let cfg = SolverConfig::default();
-        let (m, mut shared, mc, mut partial, b) = setup(&a);
-        let res = run_pcg_ic(&m, &mut shared, &ic, &b, &cfg, &mc, &mut partial);
+        let (m, mut shared, mc, b) = setup(&a);
+        let res = run_pcg(
+            &m,
+            &mut shared,
+            Precond::Ic0(&ic),
+            &b,
+            &cfg,
+            &mc,
+            &mut SolverWorkspace::new(),
+        );
         assert!(res.converged, "relres {}", res.final_relres);
         // IC(0) of a tridiagonal is exact Cholesky -> 1-2 iterations.
         assert!(res.iterations <= 3, "{}", res.iterations);
@@ -968,15 +611,15 @@ mod tests {
         let a = poisson1d(32);
         let ilu = ilu0(&a).unwrap();
         let cfg = SolverConfig::default();
-        let (m, mut shared, mc, mut partial, _) = setup(&a);
+        let (m, mut shared, mc, _) = setup(&a);
         let res = run_pcg(
             &m,
             &mut shared,
-            &ilu,
+            Precond::Ilu0(&ilu),
             &vec![0.0; 32],
             &cfg,
             &mc,
-            &mut partial,
+            &mut SolverWorkspace::new(),
         );
         assert!(res.converged);
         assert_eq!(res.iterations, 0);

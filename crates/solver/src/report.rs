@@ -1,6 +1,7 @@
 //! Solve reports: solution, convergence data, modeled time and the
 //! statistics every figure of the evaluation reads back.
 
+use crate::config::MAX_CONSECUTIVE_RESTARTS;
 use mf_gpu::Timeline;
 use mf_kernels::MixedSpmvStats;
 use mf_sparse::TiledMemory;
@@ -176,6 +177,59 @@ impl SolveFailure {
     }
 }
 
+/// The one restart-or-abort policy every engine applies to a breakdown
+/// restart. A restart replaces the search direction without touching `x`
+/// or `r`, so repeated restarts reproduce the same state: after
+/// [`MAX_CONSECUTIVE_RESTARTS`] in a row a convergence-mode solve aborts
+/// as [`SolveFailure::Stalled`]. Fixed-iteration runs are exempt — they
+/// iterate past exact convergence on purpose, where restarts are routine.
+/// A non-finite restart state always aborts, as
+/// [`SolveFailure::NonFinite`], which takes precedence over `Stalled`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RestartPolicy {
+    consecutive: usize,
+    exempt: bool,
+}
+
+impl RestartPolicy {
+    /// A fresh count; `fixed_iterations` exempts the solve from the stall
+    /// abort.
+    pub(crate) fn new(fixed_iterations: bool) -> RestartPolicy {
+        RestartPolicy {
+            consecutive: 0,
+            exempt: fixed_iterations,
+        }
+    }
+
+    /// `x` and `r` advanced: the consecutive count starts over.
+    pub(crate) fn progressed(&mut self) {
+        self.consecutive = 0;
+    }
+
+    /// Counts one restart at `iteration` whose rebuilt state is `finite`
+    /// or not, and decides: the action to record, plus the failure when
+    /// the solve must stop.
+    pub(crate) fn restart(
+        &mut self,
+        iteration: usize,
+        finite: bool,
+    ) -> (RecoveryAction, Option<SolveFailure>) {
+        self.consecutive += 1;
+        let failure = if !finite {
+            Some(SolveFailure::NonFinite { iteration })
+        } else if !self.exempt && self.consecutive >= MAX_CONSECUTIVE_RESTARTS {
+            Some(SolveFailure::Stalled { iteration })
+        } else {
+            None
+        };
+        let action = match failure {
+            Some(_) => RecoveryAction::Aborted,
+            None => RecoveryAction::Restarted,
+        };
+        (action, failure)
+    }
+}
+
 /// Shared Table-II-style status string: `converged`, `max_iter`, or
 /// `aborted(<breakdown>)` where the breakdown label comes from the last
 /// aborting [`BreakdownEvent`] (falling back to the failure's own name when
@@ -326,7 +380,9 @@ impl SolveReport {
     }
 
     /// One-word status for harness tables: `converged`, `max_iter`, or
-    /// `aborted(<breakdown>)` — see [`status_label_parts`].
+    /// `aborted(<breakdown>)`, labeled by the last aborting breakdown (or
+    /// the failure's own [`SolveFailure::short_name`] when the abort did not
+    /// go through the breakdown taxonomy).
     pub fn status_label(&self) -> String {
         status_label_parts(self.converged, &self.breakdowns, self.failure.as_ref())
     }

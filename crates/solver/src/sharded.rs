@@ -37,8 +37,7 @@
 //! harness exploits exactly this: a faulted sharded solve must stay
 //! bitwise identical to the clean one.
 
-use crate::config::MAX_CONSECUTIVE_RESTARTS;
-use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction, SolveFailure};
+use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction, RestartPolicy, SolveFailure};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{
     BarrierFault, BufferId, Device, DeviceSpec, FaultCounts, FaultPlan, InjectedFaults,
@@ -49,6 +48,45 @@ use mf_kernels::Ilu0;
 use mf_sparse::{Csr, TiledMatrix};
 use mf_trace::{EventKind, Trace, TraceConfig, WarpTrace, WarpTracer};
 use std::ops::Range;
+
+/// Options of the sharded engines, one struct instead of telescoping
+/// entry points (the [`crate::threaded::ThreadedOpts`] pattern).
+#[derive(Clone, Debug)]
+pub struct ShardedOpts {
+    /// Requested shard (device) count; the effective count, clamped to the
+    /// segment count, is reported as [`ShardedReport::shards`].
+    pub shards: usize,
+    /// Warp cap of the equivalent single-device schedule (the threaded
+    /// engines' clamp; a cost-model input only). Must be ≥ 1.
+    pub warps: usize,
+    /// Device model every shard is priced on.
+    pub device: DeviceSpec,
+    /// Interconnect charged for halo messages and the level-2 reduction.
+    pub link: Interconnect,
+    /// Deterministic schedule perturbation, polled at every halo step (see
+    /// the module docs). The empty default injects nothing and reports
+    /// `injected_faults: None`.
+    pub faults: FaultPlan,
+    /// Event tracing: halo events carry `warp = shard`. A disabled config
+    /// is bitwise inert.
+    pub trace: TraceConfig,
+}
+
+impl ShardedOpts {
+    /// `shards` devices and at most `warps` warps, with every other option
+    /// at its default: A100 devices, an NVLink-3 interconnect, no faults,
+    /// tracing off.
+    pub fn new(shards: usize, warps: usize) -> ShardedOpts {
+        ShardedOpts {
+            shards,
+            warps,
+            device: DeviceSpec::a100(),
+            link: Interconnect::nvlink3(),
+            faults: FaultPlan::default(),
+            trace: TraceConfig::default(),
+        }
+    }
+}
 
 /// Result of a sharded solve. The numeric fields (`x`, `iterations`,
 /// `converged`, `final_relres`, `residual_history`, `breakdowns`,
@@ -147,6 +185,70 @@ fn group_by_owner(plan: &ShardPlan, cols: &[usize]) -> Vec<(usize, Vec<usize>)> 
     out
 }
 
+/// The numeric outcome of a sharded solve loop, before the telemetry is
+/// folded in.
+struct Outcome {
+    iterations: usize,
+    converged: bool,
+    final_relres: f64,
+    breakdowns: Vec<BreakdownEvent>,
+    failure: Option<SolveFailure>,
+    residual_history: Vec<f64>,
+}
+
+impl Outcome {
+    fn new() -> Outcome {
+        Outcome {
+            iterations: 0,
+            converged: false,
+            final_relres: f64::INFINITY,
+            breakdowns: Vec::new(),
+            failure: None,
+            residual_history: Vec::new(),
+        }
+    }
+
+    /// Records a breakdown restart of `kind` at iteration `it` under
+    /// `policy`; true when the solve must stop.
+    fn restart(
+        &mut self,
+        policy: &mut RestartPolicy,
+        it: usize,
+        kind: BreakdownKind,
+        finite: bool,
+    ) -> bool {
+        let (action, failure) = policy.restart(it, finite);
+        self.breakdowns.push(BreakdownEvent {
+            iteration: it,
+            kind,
+            action,
+        });
+        self.iterations = it + 1;
+        self.failure = failure;
+        self.failure.is_some()
+    }
+
+    /// Aborts at iteration `it` on a poisoned (non-finite) state.
+    fn abort_nonfinite(&mut self, it: usize) {
+        self.breakdowns.push(BreakdownEvent {
+            iteration: it,
+            kind: BreakdownKind::NonFinite,
+            action: RecoveryAction::Aborted,
+        });
+        self.failure = Some(SolveFailure::NonFinite { iteration: it });
+    }
+
+    /// Records completed iteration `it` with residual `relres`; true once
+    /// converged.
+    fn complete(&mut self, it: usize, relres: f64, tol: f64) -> bool {
+        self.iterations = it + 1;
+        self.final_relres = relres;
+        self.residual_history.push(relres);
+        self.converged = relres < tol;
+        self.converged
+    }
+}
+
 /// Everything the orchestrator threads through both solvers: the devices,
 /// the partition, the halo routing tables, tracers and fault streams.
 struct ShardedRun<'m> {
@@ -167,16 +269,9 @@ struct ShardedRun<'m> {
 }
 
 impl<'m> ShardedRun<'m> {
-    fn new(
-        m: &'m TiledMatrix,
-        shards: usize,
-        max_warps: usize,
-        spec: &DeviceSpec,
-        link: Interconnect,
-        fault_plan: &FaultPlan,
-        trace: &TraceConfig,
-    ) -> ShardedRun<'m> {
-        let plan = ShardPlan::for_matrix(m, shards);
+    fn new(m: &'m TiledMatrix, opts: &ShardedOpts) -> ShardedRun<'m> {
+        let (spec, trace, fault_plan) = (&opts.device, &opts.trace, &opts.faults);
+        let plan = ShardPlan::for_matrix(m, opts.shards);
         let views = ShardView::build_all(m, &plan);
         let s = plan.shards;
         let mut devs: Vec<Box<dyn Device>> = Vec::with_capacity(s);
@@ -195,7 +290,7 @@ impl<'m> ShardedRun<'m> {
             .map(|v| group_by_owner(&plan, &v.halo_cols))
             .collect();
         let warps_k = (0..s)
-            .map(|k| plan.segs(k).len().min(max_warps).max(1))
+            .map(|k| plan.segs(k).len().min(opts.warps).max(1))
             .collect();
         let tracers = (0..s)
             .map(|k| {
@@ -214,7 +309,7 @@ impl<'m> ShardedRun<'m> {
             devs,
             p_id,
             x_id,
-            link,
+            link: opts.link,
             p_peers,
             warps_k,
             tracers,
@@ -334,10 +429,17 @@ impl<'m> ShardedRun<'m> {
         }
     }
 
-    /// Writes the solve's row blocks of `x` into each device's result
-    /// buffer and downloads them back (charging the host link), assembling
-    /// into `ws.x`.
-    fn download_x(&mut self, x: &mut [f64]) {
+    /// Writes the solve's row blocks of `x` (staged in `ws.x`) into each
+    /// device's result buffer and downloads them back (charging the host
+    /// link), then folds the run's telemetry and `out` into the report.
+    fn finish(
+        mut self,
+        faults: &FaultPlan,
+        ws: &mut SolverWorkspace,
+        warps: usize,
+        out: Outcome,
+    ) -> ShardedReport {
+        let x = &mut ws.x;
         for k in 0..self.shards() {
             let own = self.plan.rows(k);
             if own.is_empty() {
@@ -349,23 +451,8 @@ impl<'m> ShardedRun<'m> {
             self.devs[k].download(self.x_id[k], own.start, &mut block);
             x[own].copy_from_slice(&block);
         }
-    }
-
-    /// Folds the run's telemetry into a report skeleton.
-    fn finish(
-        self,
-        fault_plan: &FaultPlan,
-        breakdowns: &[BreakdownEvent],
-    ) -> (
-        Option<InjectedFaults>,
-        Option<Trace>,
-        u64,
-        u64,
-        Vec<usize>,
-        Timeline,
-    ) {
-        let injected = (!fault_plan.is_empty()).then(|| InjectedFaults {
-            plan: fault_plan.to_string(),
+        let injected_faults = (!faults.is_empty()).then(|| InjectedFaults {
+            plan: faults.to_string(),
             counts: self
                 .faults
                 .iter()
@@ -380,77 +467,55 @@ impl<'m> ShardedRun<'m> {
             .collect();
         let trace = (!warp_traces.is_empty()).then(|| {
             let mut tr = Trace::merge(warp_traces);
-            crate::report::append_breakdown_epilogue(&mut tr, breakdowns);
+            crate::report::append_breakdown_epilogue(&mut tr, &out.breakdowns);
             tr
         });
         let mut timeline = Timeline::new();
         for d in &self.devs {
             timeline.merge(d.timeline());
         }
-        let value_bytes = self.views.iter().map(|v| v.value_bytes).collect();
-        (
-            injected,
+        ShardedReport {
+            x: x.clone(),
+            iterations: out.iterations,
+            converged: out.converged,
+            final_relres: out.final_relres,
+            shards: self.plan.shards,
+            warps,
+            breakdowns: out.breakdowns,
+            failure: out.failure,
+            residual_history: out.residual_history,
+            injected_faults,
             trace,
-            self.halo_bytes,
-            self.halo_messages,
-            value_bytes,
+            halo_bytes: self.halo_bytes,
+            halo_messages: self.halo_messages,
+            per_shard_value_bytes: self.views.iter().map(|v| v.value_bytes).collect(),
             timeline,
-        )
+        }
     }
 }
 
-/// Sharded CG with defaults: A100 devices, NVLink-3 interconnect, no
-/// faults, no tracing, a throwaway workspace.
+/// Sharded CG across `opts.shards` simulated devices — bitwise identical
+/// in every numeric output to `run_cg_threaded` at
+/// `ThreadedOpts::new(opts.warps)` for any `(shards, warps)` (pinned by
+/// `tests/sharded_parity.rs`). The host-staged vectors live in `ws`.
 pub fn run_cg_sharded(
     m: &TiledMatrix,
     b: &[f64],
     tol: f64,
     max_iter: usize,
-    shards: usize,
-    max_warps: usize,
-) -> ShardedReport {
-    run_cg_sharded_full(
-        m,
-        b,
-        tol,
-        max_iter,
-        shards,
-        max_warps,
-        &DeviceSpec::a100(),
-        Interconnect::nvlink3(),
-        &FaultPlan::default(),
-        &TraceConfig::default(),
-        &mut SolverWorkspace::new(),
-    )
-}
-
-/// Sharded CG across `shards` simulated devices — bitwise identical in
-/// every numeric output to `run_cg_threaded` at `ThreadedOpts::new(warps)`
-/// for any `(shards, warps)` (pinned by `tests/sharded_parity.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cg_sharded_full(
-    m: &TiledMatrix,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    shards: usize,
-    max_warps: usize,
-    spec: &DeviceSpec,
-    link: Interconnect,
-    fault_plan: &FaultPlan,
-    trace: &TraceConfig,
+    opts: &ShardedOpts,
     ws: &mut SolverWorkspace,
 ) -> ShardedReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols);
-    assert!(max_warps >= 1);
+    assert!(opts.warps >= 1);
 
     let ts = m.tile_size;
     let segments = n.div_ceil(ts).max(1);
-    let warps = segments.min(max_warps).max(1);
+    let warps = segments.min(opts.warps).max(1);
 
-    let mut run = ShardedRun::new(m, shards, max_warps, spec, link, fault_plan, trace);
+    let mut run = ShardedRun::new(m, opts);
     let s_count = run.shards();
 
     let norm_b: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -470,13 +535,8 @@ pub fn run_cg_sharded_full(
     }
 
     let mut rr = rr0;
-    let mut consecutive_restarts = 0usize;
-    let mut events: Vec<BreakdownEvent> = Vec::new();
-    let mut trail: Vec<f64> = Vec::new();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut final_relres = f64::INFINITY;
-    let mut failure: Option<SolveFailure> = None;
+    let mut restarts = RestartPolicy::new(false);
+    let mut out = Outcome::new();
 
     for j in 0..max_iter as i64 {
         let it = j as usize;
@@ -527,29 +587,11 @@ pub fn run_cg_sharded_full(
                 run.charge_vector_pass(k, Phase::Axpy, 0.0, 16.0);
             }
             rr = rr_restart;
-            consecutive_restarts += 1;
-            let abort_nonfinite = !rr_restart.is_finite();
-            let abort_stalled = consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            events.push(BreakdownEvent {
-                iteration: it,
-                kind,
-                action,
-            });
-            iterations = it + 1;
             let relres = rr_restart.max(0.0).sqrt() / norm_b;
             if relres.is_finite() {
-                final_relres = relres;
+                out.final_relres = relres;
             }
-            if abort_nonfinite {
-                failure = Some(SolveFailure::NonFinite { iteration: it });
-                break;
-            } else if abort_stalled {
-                failure = Some(SolveFailure::Stalled { iteration: it });
+            if out.restart(&mut restarts, it, kind, rr_restart.is_finite()) {
                 break;
             }
             continue;
@@ -580,16 +622,11 @@ pub fn run_cg_sharded_full(
         let rr_new = seg_fold(&seg_z);
 
         if !rr_new.is_finite() {
-            events.push(BreakdownEvent {
-                iteration: it,
-                kind: BreakdownKind::NonFinite,
-                action: RecoveryAction::Aborted,
-            });
-            iterations = it + 1;
-            failure = Some(SolveFailure::NonFinite { iteration: it });
+            out.iterations = it + 1;
+            out.abort_nonfinite(it);
             break;
         }
-        consecutive_restarts = 0;
+        restarts.progressed();
         let beta = rr_new / rr;
         rr = rr_new;
 
@@ -603,62 +640,12 @@ pub fn run_cg_sharded_full(
             run.charge_vector_pass(k, Phase::Axpy, 2.0, 24.0);
         }
 
-        let relres = rr_new.max(0.0).sqrt() / norm_b;
-        iterations = it + 1;
-        final_relres = relres;
-        trail.push(relres);
-        if relres < tol {
-            converged = true;
+        if out.complete(it, rr_new.max(0.0).sqrt() / norm_b, tol) {
             break;
         }
     }
 
-    run.download_x(&mut ws.x);
-    let (injected_faults, trace, halo_bytes, halo_messages, per_shard_value_bytes, timeline) =
-        run.finish(fault_plan, &events);
-    ShardedReport {
-        x: ws.x.clone(),
-        iterations,
-        converged,
-        final_relres,
-        shards: s_count,
-        warps,
-        breakdowns: events,
-        failure,
-        residual_history: trail,
-        injected_faults,
-        trace,
-        halo_bytes,
-        halo_messages,
-        per_shard_value_bytes,
-        timeline,
-    }
-}
-
-/// Sharded ILU(0)-PCG with defaults; see [`run_pcg_sharded_full`].
-pub fn run_pcg_sharded(
-    m: &TiledMatrix,
-    ilu: &Ilu0,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    shards: usize,
-    max_warps: usize,
-) -> ShardedReport {
-    run_pcg_sharded_full(
-        m,
-        ilu,
-        b,
-        tol,
-        max_iter,
-        shards,
-        max_warps,
-        &DeviceSpec::a100(),
-        Interconnect::nvlink3(),
-        &FaultPlan::default(),
-        &TraceConfig::default(),
-        &mut SolverWorkspace::new(),
-    )
+    run.finish(&opts.faults, ws, warps, out)
 }
 
 /// Sharded ILU(0)-PCG — bitwise identical in every numeric output to
@@ -666,19 +653,13 @@ pub fn run_pcg_sharded(
 /// run shard spans sequentially (0→N−1 for `L`, N−1→0 for `U`), each
 /// shard importing the cross-shard entries its rows reference over the
 /// interconnect before its span; see [`mf_kernels::shard`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pcg_sharded_full(
+pub fn run_pcg_sharded(
     m: &TiledMatrix,
     ilu: &Ilu0,
     b: &[f64],
     tol: f64,
     max_iter: usize,
-    shards: usize,
-    max_warps: usize,
-    spec: &DeviceSpec,
-    link: Interconnect,
-    fault_plan: &FaultPlan,
-    trace: &TraceConfig,
+    opts: &ShardedOpts,
     ws: &mut SolverWorkspace,
 ) -> ShardedReport {
     let n = m.nrows;
@@ -686,13 +667,13 @@ pub fn run_pcg_sharded_full(
     assert_eq!(m.nrows, m.ncols);
     assert_eq!(ilu.l.nrows, n);
     assert_eq!(ilu.u.nrows, n);
-    assert!(max_warps >= 1);
+    assert!(opts.warps >= 1);
 
     let ts = m.tile_size;
     let segments = n.div_ceil(ts).max(1);
-    let warps = segments.min(max_warps).max(1);
+    let warps = segments.min(opts.warps).max(1);
 
-    let mut run = ShardedRun::new(m, shards, max_warps, spec, link, fault_plan, trace);
+    let mut run = ShardedRun::new(m, opts);
     let s_count = run.shards();
 
     let norm_b: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -713,13 +694,7 @@ pub fn run_pcg_sharded_full(
 
     ws.ensure(n);
     ws.r.copy_from_slice(b);
-
-    let mut events: Vec<BreakdownEvent> = Vec::new();
-    let mut trail: Vec<f64> = Vec::new();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut final_relres = f64::INFINITY;
-    let mut failure: Option<SolveFailure> = None;
+    let mut out = Outcome::new();
 
     // z = M⁻¹ r: sequential shard spans with charged halo imports. The
     // imported values already sit in the host-staged global vectors — the
@@ -759,7 +734,7 @@ pub fn run_pcg_sharded_full(
         run.charge_reduce(k);
     }
     let mut rz = seg_fold(&seg_rz);
-    let mut consecutive_restarts = 0usize;
+    let mut restarts = RestartPolicy::new(false);
 
     for j in 0..max_iter as i64 {
         let it = j as usize;
@@ -809,25 +784,7 @@ pub fn run_pcg_sharded_full(
             }
             let rz_restart = seg_fold(&seg_bd);
             rz = rz_restart;
-            consecutive_restarts += 1;
-            let abort_nonfinite = !rz_restart.is_finite();
-            let abort_stalled = consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            let action = if abort_nonfinite || abort_stalled {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            };
-            events.push(BreakdownEvent {
-                iteration: it,
-                kind,
-                action,
-            });
-            iterations = it + 1;
-            if abort_nonfinite {
-                failure = Some(SolveFailure::NonFinite { iteration: it });
-                break;
-            } else if abort_stalled {
-                failure = Some(SolveFailure::Stalled { iteration: it });
+            if out.restart(&mut restarts, it, kind, rz_restart.is_finite()) {
                 break;
             }
             continue;
@@ -857,16 +814,11 @@ pub fn run_pcg_sharded_full(
         }
         let rr = seg_fold(&seg_rr);
         if !rr.is_finite() {
-            events.push(BreakdownEvent {
-                iteration: it,
-                kind: BreakdownKind::NonFinite,
-                action: RecoveryAction::Aborted,
-            });
-            iterations = it + 1;
-            failure = Some(SolveFailure::NonFinite { iteration: it });
+            out.iterations = it + 1;
+            out.abort_nonfinite(it);
             break;
         }
-        consecutive_restarts = 0;
+        restarts.progressed();
 
         // ---- z = M⁻¹ r and ρ' = (r, z).
         apply_precond!(j, 3);
@@ -889,45 +841,16 @@ pub fn run_pcg_sharded_full(
             }
             run.charge_vector_pass(k, Phase::Axpy, 2.0, 24.0);
         }
-        let relres = rr.max(0.0).sqrt() / norm_b;
-        iterations = it + 1;
-        final_relres = relres;
-        trail.push(relres);
-        if relres < tol {
-            converged = true;
+        if out.complete(it, rr.max(0.0).sqrt() / norm_b, tol) {
             break;
         }
         if !beta.is_finite() {
-            events.push(BreakdownEvent {
-                iteration: it,
-                kind: BreakdownKind::NonFinite,
-                action: RecoveryAction::Aborted,
-            });
-            failure = Some(SolveFailure::NonFinite { iteration: it });
+            out.abort_nonfinite(it);
             break;
         }
     }
 
-    run.download_x(&mut ws.x);
-    let (injected_faults, trace, halo_bytes, halo_messages, per_shard_value_bytes, timeline) =
-        run.finish(fault_plan, &events);
-    ShardedReport {
-        x: ws.x.clone(),
-        iterations,
-        converged,
-        final_relres,
-        shards: s_count,
-        warps,
-        breakdowns: events,
-        failure,
-        residual_history: trail,
-        injected_faults,
-        trace,
-        halo_bytes,
-        halo_messages,
-        per_shard_value_bytes,
-        timeline,
-    }
+    run.finish(&opts.faults, ws, warps, out)
 }
 
 #[cfg(test)]
@@ -958,7 +881,14 @@ mod tests {
         let opts = crate::threaded::ThreadedOpts::new(4);
         let single = crate::threaded::run_cg_threaded(&m, &b, 1e-10, 300, &opts);
         for shards in [1, 2, 3, 4] {
-            let rep = run_cg_sharded(&m, &b, 1e-10, 300, shards, 4);
+            let rep = run_cg_sharded(
+                &m,
+                &b,
+                1e-10,
+                300,
+                &ShardedOpts::new(shards, 4),
+                &mut SolverWorkspace::new(),
+            );
             assert_eq!(rep.iterations, single.iterations, "{shards} shards");
             assert_eq!(rep.converged, single.converged);
             assert_eq!(rep.final_relres.to_bits(), single.final_relres.to_bits());
@@ -989,7 +919,14 @@ mod tests {
     fn zero_rhs_is_trivially_converged() {
         let a = poisson1d(40);
         let m = TiledMatrix::from_csr(&a);
-        let rep = run_cg_sharded(&m, &vec![0.0; 40], 1e-10, 50, 3, 2);
+        let rep = run_cg_sharded(
+            &m,
+            &vec![0.0; 40],
+            1e-10,
+            50,
+            &ShardedOpts::new(3, 2),
+            &mut SolverWorkspace::new(),
+        );
         assert!(rep.converged);
         assert_eq!(rep.iterations, 0);
         assert_eq!(rep.final_relres, 0.0);
@@ -1000,7 +937,14 @@ mod tests {
     fn value_bytes_split_sums_to_total() {
         let a = poisson1d(128);
         let m = TiledMatrix::from_csr(&a);
-        let rep = run_cg_sharded(&m, &vec![1.0; 128], 1e-10, 5, 4, 2);
+        let rep = run_cg_sharded(
+            &m,
+            &vec![1.0; 128],
+            1e-10,
+            5,
+            &ShardedOpts::new(4, 2),
+            &mut SolverWorkspace::new(),
+        );
         let total: usize = rep.per_shard_value_bytes.iter().sum();
         assert_eq!(total, m.vals_raw().len());
         assert_eq!(rep.per_shard_value_bytes.len(), 4);

@@ -1,12 +1,12 @@
 //! The `MilleFeuille` facade: preprocessing, mode selection, dispatch.
 
-use crate::bicgstab::run_bicgstab_ws;
-use crate::cg::{run_cg_ws, CoreResult};
+use crate::bicgstab::run_bicgstab;
+use crate::cg::{run_cg, CoreResult};
 use crate::config::{KernelMode, PipelineMode, SolverConfig};
 use crate::coster::{Coster, MultiCoster, SingleCoster};
 use crate::partial::PartialState;
-use crate::pipelined::{run_cg_pipelined_ws, run_pcg_pipelined_ws};
-use crate::precond::{run_pbicgstab, run_pcg, run_pcg_bj, run_pcg_ic};
+use crate::pipelined::{run_cg_pipelined, run_pcg_pipelined};
+use crate::precond::{run_pbicgstab, run_pcg, Precond};
 use crate::report::{ExecutedMode, SolveReport};
 use crate::ticketed::{preprocess_tiled_ilu0_ticketed, TicketedOptions};
 use crate::workspace::SolverWorkspace;
@@ -15,28 +15,6 @@ use mf_kernels::{blas1, ilu0_boosted, FactorError, Ic0, Ilu0, SharedTiles};
 use mf_sparse::{Csr, TiledMatrix};
 use mf_trace::Trace;
 
-/// The Mille-feuille solver: tile-grained mixed precision + single-kernel
-/// execution + partial-convergence-aware dynamic lowering.
-///
-/// ```
-/// use mf_gpu::DeviceSpec;
-/// use mf_solver::{MilleFeuille, SolverConfig};
-/// use mf_sparse::Coo;
-///
-/// // A tiny SPD system.
-/// let mut a = Coo::new(4, 4);
-/// for i in 0..4 {
-///     a.push(i, i, 4.0);
-///     if i > 0 { a.push(i, i - 1, -1.0); }
-///     if i + 1 < 4 { a.push(i, i + 1, -1.0); }
-/// }
-/// let a = a.to_csr();
-/// let b = vec![1.0; 4];
-///
-/// let solver = MilleFeuille::new(DeviceSpec::a100(), SolverConfig::default());
-/// let report = solver.solve_cg(&a, &b);
-/// assert!(report.converged);
-/// ```
 /// Prepends one [`BreakdownKind::FactorShift`] event per diagonal-boosting
 /// attempt to a solve's breakdown trail, so reports show the factorization
 /// recovery before any iteration-time events. The shifts come from
@@ -61,6 +39,28 @@ fn prepend_factor_shifts(breakdowns: &mut Vec<crate::report::BreakdownEvent>, sh
     *breakdowns = trail;
 }
 
+/// The Mille-feuille solver: tile-grained mixed precision + single-kernel
+/// execution + partial-convergence-aware dynamic lowering.
+///
+/// ```
+/// use mf_gpu::DeviceSpec;
+/// use mf_solver::{MilleFeuille, SolverConfig};
+/// use mf_sparse::Coo;
+///
+/// // A tiny SPD system.
+/// let mut a = Coo::new(4, 4);
+/// for i in 0..4 {
+///     a.push(i, i, 4.0);
+///     if i > 0 { a.push(i, i - 1, -1.0); }
+///     if i + 1 < 4 { a.push(i, i + 1, -1.0); }
+/// }
+/// let a = a.to_csr();
+/// let b = vec![1.0; 4];
+///
+/// let solver = MilleFeuille::new(DeviceSpec::a100(), SolverConfig::default());
+/// let report = solver.solve_cg(&a, &b);
+/// assert!(report.converged);
+/// ```
 #[derive(Clone, Debug)]
 pub struct MilleFeuille {
     /// Device model the solve is priced on.
@@ -68,6 +68,18 @@ pub struct MilleFeuille {
     /// Solver configuration.
     pub config: SolverConfig,
 }
+
+/// The signature every preconditioned sequential core shares, so the
+/// facade runs them through one body.
+type PrecondCore = fn(
+    &TiledMatrix,
+    &mut SharedTiles,
+    Precond<'_>,
+    &[f64],
+    &SolverConfig,
+    &MultiCoster,
+    &mut SolverWorkspace,
+) -> CoreResult;
 
 /// Everything produced by preprocessing (paper Fig. 14 measures its cost).
 pub struct Preprocessed {
@@ -353,7 +365,7 @@ impl MilleFeuille {
             kind: BreakdownKind::Curvature,
             action: RecoveryAction::SwitchedSolver,
         });
-        let mut rep = self.run_bicgstab_dispatch(a, &pre, b, &mut SolverWorkspace::new());
+        let mut rep = self.run_bicgstab_dispatch(a, &pre, b);
         handoff.extend(rep.breakdowns.iter().copied());
         rep.breakdowns = handoff;
         // The handoff report carries the full trajectory: CG's pre-switch
@@ -370,23 +382,16 @@ impl MilleFeuille {
 
     /// Solves `A x = b` with CG (A must be SPD).
     pub fn solve_cg(&self, a: &Csr, b: &[f64]) -> SolveReport {
-        self.solve_cg_ws(a, b, &mut SolverWorkspace::new())
+        self.solve_cg_preprocessed(a, &self.preprocess(a), b, &mut SolverWorkspace::new())
     }
 
-    /// [`Self::solve_cg`] with a caller-provided [`SolverWorkspace`]:
-    /// repeated solves reuse the iterate buffers instead of reallocating
-    /// them (the report, tiled matrix and on-chip copy still allocate).
-    pub fn solve_cg_ws(&self, a: &Csr, b: &[f64], ws: &mut SolverWorkspace) -> SolveReport {
-        let pre = self.preprocess(a);
-        let mode = self.decide_mode(&pre.tiled);
-        self.run_cg_dispatch(a, &pre, mode, b, ws, false)
-    }
-
-    /// [`Self::solve_cg_ws`] on an already-preprocessed matrix: the serving
-    /// layer's cache-hit path. `pre` must come from [`Self::preprocess`]
-    /// with this same config on this same `a` — then the solve is bitwise
-    /// identical to a cold [`Self::solve_cg_ws`] (the report differs only
-    /// in `preprocess_passes`/`preprocess_wall_us`, which the caller
+    /// [`Self::solve_cg`] on an already-preprocessed matrix with a
+    /// caller-provided [`SolverWorkspace`]: the serving layer's cache-hit
+    /// path, where repeated solves reuse the iterate buffers instead of
+    /// reallocating them. `pre` must come from [`Self::preprocess`] with
+    /// this same config on this same `a` — then the solve is bitwise
+    /// identical to a cold [`Self::solve_cg`] (the report differs only in
+    /// `preprocess_passes`/`preprocess_wall_us`, which the caller
     /// adjusts).
     pub fn solve_cg_preprocessed(
         &self,
@@ -406,19 +411,9 @@ impl MilleFeuille {
     /// restart semantics as [`Self::solve_cg`]; the residual trajectory
     /// drifts from classic CG only by rounding (see DESIGN.md §12).
     pub fn solve_cg_pipelined(&self, a: &Csr, b: &[f64]) -> SolveReport {
-        self.solve_cg_pipelined_ws(a, b, &mut SolverWorkspace::new())
-    }
-
-    /// [`Self::solve_cg_pipelined`] with a caller-provided workspace.
-    pub fn solve_cg_pipelined_ws(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        ws: &mut SolverWorkspace,
-    ) -> SolveReport {
         let pre = self.preprocess(a);
         let mode = self.decide_mode(&pre.tiled);
-        self.run_cg_dispatch(a, &pre, mode, b, ws, true)
+        self.run_cg_dispatch(a, &pre, mode, b, &mut SolverWorkspace::new(), true)
     }
 
     /// Shared tail of the CG entry points: build the mode-matched coster
@@ -435,27 +430,15 @@ impl MilleFeuille {
         let mut shared = SharedTiles::load(&pre.tiled);
         let mut partial = self.partial_state(&pre.tiled, b, mode);
         let coster = self.build_coster(&pre.tiled, mode);
-        let core = if pipelined {
-            run_cg_pipelined_ws(
-                &pre.tiled,
-                &mut shared,
-                b,
-                &self.config,
-                &coster,
-                &mut partial,
-                ws,
-            )
-        } else {
-            run_cg_ws(
-                &pre.tiled,
-                &mut shared,
-                b,
-                &self.config,
-                &coster,
-                &mut partial,
-                ws,
-            )
-        };
+        let core = if pipelined { run_cg_pipelined } else { run_cg }(
+            &pre.tiled,
+            &mut shared,
+            b,
+            &self.config,
+            &coster,
+            &mut partial,
+            ws,
+        );
         let warps = coster.warp_count();
         self.assemble(a, pre, mode, warps, core)
     }
@@ -500,37 +483,25 @@ impl MilleFeuille {
 
     /// Solves `A x = b` with BiCGSTAB (A nonsymmetric or indefinite).
     pub fn solve_bicgstab(&self, a: &Csr, b: &[f64]) -> SolveReport {
-        self.solve_bicgstab_ws(a, b, &mut SolverWorkspace::new())
-    }
-
-    /// [`Self::solve_bicgstab`] with a caller-provided [`SolverWorkspace`].
-    pub fn solve_bicgstab_ws(&self, a: &Csr, b: &[f64], ws: &mut SolverWorkspace) -> SolveReport {
-        let pre = self.preprocess(a);
-        self.run_bicgstab_dispatch(a, &pre, b, ws)
+        self.run_bicgstab_dispatch(a, &self.preprocess(a), b)
     }
 
     /// Shared tail of the BiCGSTAB entry points, also the re-dispatch
     /// target of [`Self::solve_auto`] (which hands over the preprocessed
     /// matrix CG already paid for).
-    fn run_bicgstab_dispatch(
-        &self,
-        a: &Csr,
-        pre: &Preprocessed,
-        b: &[f64],
-        ws: &mut SolverWorkspace,
-    ) -> SolveReport {
+    fn run_bicgstab_dispatch(&self, a: &Csr, pre: &Preprocessed, b: &[f64]) -> SolveReport {
         let mode = self.decide_mode(&pre.tiled);
         let mut shared = SharedTiles::load(&pre.tiled);
         let mut partial = self.partial_state(&pre.tiled, b, mode);
         let coster = self.build_coster(&pre.tiled, mode);
-        let core = run_bicgstab_ws(
+        let core = run_bicgstab(
             &pre.tiled,
             &mut shared,
             b,
             &self.config,
             &coster,
             &mut partial,
-            ws,
+            &mut SolverWorkspace::new(),
         );
         let warps = coster.warp_count();
         self.assemble(a, pre, mode, warps, core)
@@ -556,8 +527,7 @@ impl MilleFeuille {
 
     /// PCG with a caller-provided factorization (lets benchmarks reuse it).
     pub fn solve_pcg_with(&self, a: &Csr, b: &[f64], ilu: &Ilu0) -> SolveReport {
-        let pre = self.preprocess(a);
-        self.solve_pcg_preprocessed(a, &pre, b, ilu)
+        self.solve_pcg_preprocessed(a, &self.preprocess(a), b, ilu)
     }
 
     /// [`Self::solve_pcg_with`] on an already-preprocessed matrix: the
@@ -571,20 +541,33 @@ impl MilleFeuille {
         b: &[f64],
         ilu: &Ilu0,
     ) -> SolveReport {
-        let mode = ExecutedMode::MultiKernel; // paper: preconditioning extends the multi-kernel method
+        self.run_preconditioned(a, pre, b, Precond::Ilu0(ilu), run_pcg)
+    }
+
+    /// The body every preconditioned sequential entry shares: run `core`
+    /// with `M⁻¹ = pc` on a fresh on-chip copy and workspace, charged in
+    /// multi-kernel mode — the paper extends its multi-kernel method with
+    /// preconditioning (§III-C).
+    fn run_preconditioned(
+        &self,
+        a: &Csr,
+        pre: &Preprocessed,
+        b: &[f64],
+        pc: Precond<'_>,
+        core: PrecondCore,
+    ) -> SolveReport {
         let mut shared = SharedTiles::load(&pre.tiled);
-        let mut partial = self.partial_state(&pre.tiled, b, mode);
         let mc = MultiCoster::new(self.cost(), a.nrows);
-        let core = run_pcg(
+        let res = core(
             &pre.tiled,
             &mut shared,
-            ilu,
+            pc,
             b,
             &self.config,
             &mc,
-            &mut partial,
+            &mut SolverWorkspace::new(),
         );
-        self.assemble(a, pre, mode, 0, core)
+        self.assemble(a, pre, ExecutedMode::MultiKernel, 0, res)
     }
 
     /// Solves with *pipelined* ILU(0)-preconditioned CG: the Ghysels–
@@ -606,22 +589,13 @@ impl MilleFeuille {
 
     /// Pipelined PCG with a caller-provided factorization.
     pub fn solve_pcg_pipelined_with(&self, a: &Csr, b: &[f64], ilu: &Ilu0) -> SolveReport {
-        let pre = self.preprocess(a);
-        let mode = ExecutedMode::MultiKernel; // as solve_pcg: preconditioning extends the multi-kernel method
-        let mut shared = SharedTiles::load(&pre.tiled);
-        let mut partial = self.partial_state(&pre.tiled, b, mode);
-        let mc = MultiCoster::new(self.cost(), a.nrows);
-        let core = run_pcg_pipelined_ws(
-            &pre.tiled,
-            &mut shared,
-            ilu,
+        self.run_preconditioned(
+            a,
+            &self.preprocess(a),
             b,
-            &self.config,
-            &mc,
-            &mut partial,
-            &mut SolverWorkspace::new(),
-        );
-        self.assemble(a, &pre, mode, 0, core)
+            Precond::Ilu0(ilu),
+            run_pcg_pipelined,
+        )
     }
 
     /// Solves with IC(0)-preconditioned CG (`M = L·Lᵀ`) — an extension
@@ -633,21 +607,8 @@ impl MilleFeuille {
         b: &[f64],
     ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
         let (ic, shifts) = Ic0::new_boosted(a)?;
-        let pre = self.preprocess(a);
-        let mode = ExecutedMode::MultiKernel;
-        let mut shared = SharedTiles::load(&pre.tiled);
-        let mut partial = self.partial_state(&pre.tiled, b, mode);
-        let mc = MultiCoster::new(self.cost(), a.nrows);
-        let core = run_pcg_ic(
-            &pre.tiled,
-            &mut shared,
-            &ic,
-            b,
-            &self.config,
-            &mc,
-            &mut partial,
-        );
-        let mut rep = self.assemble(a, &pre, mode, 0, core);
+        let mut rep =
+            self.run_preconditioned(a, &self.preprocess(a), b, Precond::Ic0(&ic), run_pcg);
         prepend_factor_shifts(&mut rep.breakdowns, &shifts);
         Ok(rep)
     }
@@ -662,20 +623,7 @@ impl MilleFeuille {
     ) -> Result<SolveReport, mf_kernels::block_jacobi::SingularBlock> {
         let bj = mf_kernels::BlockJacobi::new(a, block)?;
         let pre = self.preprocess(a);
-        let mode = ExecutedMode::MultiKernel;
-        let mut shared = SharedTiles::load(&pre.tiled);
-        let mut partial = self.partial_state(&pre.tiled, b, mode);
-        let mc = MultiCoster::new(self.cost(), a.nrows);
-        let core = run_pcg_bj(
-            &pre.tiled,
-            &mut shared,
-            &bj,
-            b,
-            &self.config,
-            &mc,
-            &mut partial,
-        );
-        Ok(self.assemble(a, &pre, mode, 0, core))
+        Ok(self.run_preconditioned(a, &pre, b, Precond::BlockJacobi(&bj), run_pcg))
     }
 
     /// Solves with ILU(0)-preconditioned BiCGSTAB.
@@ -692,21 +640,7 @@ impl MilleFeuille {
 
     /// PBiCGSTAB with a caller-provided factorization.
     pub fn solve_pbicgstab_with(&self, a: &Csr, b: &[f64], ilu: &Ilu0) -> SolveReport {
-        let pre = self.preprocess(a);
-        let mode = ExecutedMode::MultiKernel;
-        let mut shared = SharedTiles::load(&pre.tiled);
-        let mut partial = self.partial_state(&pre.tiled, b, mode);
-        let mc = MultiCoster::new(self.cost(), a.nrows);
-        let core = run_pbicgstab(
-            &pre.tiled,
-            &mut shared,
-            ilu,
-            b,
-            &self.config,
-            &mc,
-            &mut partial,
-        );
-        self.assemble(a, &pre, mode, 0, core)
+        self.run_preconditioned(a, &self.preprocess(a), b, Precond::Ilu0(ilu), run_pbicgstab)
     }
 
     /// Solves `A x = b` with the threaded single-kernel ILU(0)-PCG engine:
@@ -764,32 +698,14 @@ impl MilleFeuille {
         shards: usize,
         max_warps: usize,
     ) -> crate::sharded::ShardedReport {
-        self.solve_cg_sharded_ws(a, b, shards, max_warps, &mut SolverWorkspace::new())
-    }
-
-    /// [`Self::solve_cg_sharded`] with a caller-provided
-    /// [`SolverWorkspace`] (serving-style reuse across solves).
-    pub fn solve_cg_sharded_ws(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        shards: usize,
-        max_warps: usize,
-        ws: &mut SolverWorkspace,
-    ) -> crate::sharded::ShardedReport {
         let pre = self.preprocess(a);
-        crate::sharded::run_cg_sharded_full(
+        crate::sharded::run_cg_sharded(
             &pre.tiled,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            shards,
-            max_warps,
-            &self.device,
-            mf_gpu::Interconnect::default(),
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
-            ws,
+            &self.sharded_opts(shards, max_warps),
+            &mut SolverWorkspace::new(),
         )
     }
 
@@ -805,18 +721,13 @@ impl MilleFeuille {
     ) -> Result<crate::sharded::ShardedReport, mf_kernels::ilu::FactorError> {
         let (ilu, shifts) = ilu0_boosted(a)?;
         let pre = self.preprocess(a);
-        let mut rep = crate::sharded::run_pcg_sharded_full(
+        let mut rep = crate::sharded::run_pcg_sharded(
             &pre.tiled,
             &ilu,
             b,
             self.config.tolerance,
             self.config.max_iter,
-            shards,
-            max_warps,
-            &self.device,
-            mf_gpu::Interconnect::default(),
-            &mf_gpu::FaultPlan::default(),
-            &self.config.trace,
+            &self.sharded_opts(shards, max_warps),
             &mut SolverWorkspace::new(),
         );
         prepend_factor_shifts(&mut rep.breakdowns, &shifts);
@@ -923,6 +834,17 @@ impl MilleFeuille {
         }
     }
 
+    /// The sharded engines' options from this facade's config: `shards`
+    /// devices of this facade's model, at most `max_warps` warps, the
+    /// configured trace, the default interconnect and no fault injection.
+    fn sharded_opts(&self, shards: usize, max_warps: usize) -> crate::sharded::ShardedOpts {
+        crate::sharded::ShardedOpts {
+            device: self.device.clone(),
+            trace: self.config.trace,
+            ..crate::sharded::ShardedOpts::new(shards, max_warps)
+        }
+    }
+
     fn build_coster(&self, tiled: &TiledMatrix, mode: ExecutedMode) -> Coster {
         match mode {
             ExecutedMode::SingleKernel => {
@@ -1011,9 +933,9 @@ mod tests {
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
         let mut ws = SolverWorkspace::new();
-        let rep1 = solver.solve_cg_ws(&a, &b, &mut ws);
+        let rep1 = solver.solve_cg_preprocessed(&a, &solver.preprocess(&a), &b, &mut ws);
         let ptr = ws.x.as_ptr();
-        let rep2 = solver.solve_cg_ws(&a, &b, &mut ws);
+        let rep2 = solver.solve_cg_preprocessed(&a, &solver.preprocess(&a), &b, &mut ws);
         assert!(rep1.converged && rep2.converged);
         assert_eq!(rep1.iterations, rep2.iterations);
         assert_eq!(rep1.x, rep2.x);
@@ -1115,6 +1037,61 @@ mod tests {
         bad.push(0, 0, -1.0);
         bad.push(1, 1, 1.0);
         assert!(solver.solve_pcg_ic0(&bad.to_csr(), &[1.0, 1.0]).is_err());
+    }
+
+    /// 5-point Laplacian on a `g × g` grid with noisy couplings and a
+    /// dominant diagonal: SPD, full-precision tiles the re-tier controller
+    /// can demote, and a non-exact ILU(0)/IC(0).
+    fn noisy_grid(g: usize) -> Csr {
+        let mut a = Coo::new(g * g, g * g);
+        let w = |k: usize| ((k * 2654435761) % 1000) as f64 / 1000.0;
+        for i in 0..g {
+            for j in 0..g {
+                let r = i * g + j;
+                let mut diag = 0.5 + w(3 * r + 1);
+                let nbrs = [
+                    (i > 0).then(|| r - g),
+                    (i + 1 < g).then(|| r + g),
+                    (j > 0).then(|| r - 1),
+                    (j + 1 < g).then_some(r + 1),
+                ];
+                for c in nbrs.into_iter().flatten() {
+                    let v = -(1.0 + 0.2 * w(r.min(c) + r.max(c)));
+                    diag += v.abs();
+                    a.push(r, c, v);
+                }
+                a.push(r, r, diag);
+            }
+        }
+        a.to_csr()
+    }
+
+    #[test]
+    fn adaptive_retiers_every_pcg_preconditioner() {
+        let a = noisy_grid(20);
+        let b = rhs(&a);
+        let cfg = SolverConfig {
+            partial_convergence: false,
+            adaptive: Some(mf_precision::AdaptiveConfig {
+                period: 4,
+                ..mf_precision::AdaptiveConfig::default()
+            }),
+            ..SolverConfig::default()
+        };
+        let solver = MilleFeuille::new(DeviceSpec::a100(), cfg.clone());
+        let ilu = solver.solve_pcg(&a, &b).unwrap();
+        assert!(!ilu.retier_trail.is_empty(), "ILU(0)-PCG must re-tier");
+        let ic = solver.solve_pcg_ic0(&a, &b).unwrap();
+        assert!(!ic.retier_trail.is_empty(), "IC(0)-PCG ignored adaptive");
+        let bj = solver.solve_pcg_block_jacobi(&a, &b, 16).unwrap();
+        for (name, rep) in [("ic0", &ic), ("block_jacobi", &bj)] {
+            assert!(rep.converged, "{name}");
+            let relres = rep.true_relres(&a, &b);
+            assert!(
+                relres <= 10.0 * cfg.tolerance,
+                "{name}: true relres {relres:e}"
+            );
+        }
     }
 
     #[test]

@@ -74,9 +74,11 @@
 //! structurally within the heartbeat bound; `tests/fault_injection.rs`
 //! locks both families down.
 
-use crate::config::{WatchdogPolicy, MAX_CONSECUTIVE_RESTARTS};
+use crate::config::WatchdogPolicy;
 use crate::pipelined::{breakdown_kind, pipeline_scalars};
-use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction, SolveFailure, WarpProgress};
+use crate::report::{
+    BreakdownEvent, BreakdownKind, RecoveryAction, RestartPolicy, SolveFailure, WarpProgress,
+};
 use mf_gpu::{
     BarrierFault, FaultCounts, FaultPlan, Heartbeat, InjectedFaults, RowDeps, SpinFault,
     SpmvSchedule, StepFault, WarpFaults,
@@ -550,30 +552,22 @@ impl Warp<'_> {
         }
     }
 
-    /// Records a breakdown restart at iteration `it` and returns whether
-    /// the warp must stop instead: when the restart state is `nonfinite`,
-    /// or after [`MAX_CONSECUTIVE_RESTARTS`] in a row (a restart leaves x
-    /// and r untouched, so a repeat from the same state is a fixed point).
-    /// `relres` is the post-restart residual, kept when finite.
+    /// Records a breakdown restart at iteration `it` under `restarts` (the
+    /// one [`RestartPolicy`]) and returns whether the warp must stop
+    /// instead. `relres` is the post-restart residual, kept when finite.
     fn restart(
         &mut self,
         it: i64,
         kind: BreakdownKind,
-        restarts: &mut usize,
+        restarts: &mut RestartPolicy,
         nonfinite: bool,
         relres: Option<f64>,
     ) -> bool {
-        *restarts += 1;
-        let stalled = *restarts >= MAX_CONSECUTIVE_RESTARTS;
-        let abort = nonfinite || stalled;
+        let (action, failure) = restarts.restart(it as usize, !nonfinite);
         self.events.push(BreakdownEvent {
             iteration: it as usize,
             kind,
-            action: if abort {
-                RecoveryAction::Aborted
-            } else {
-                RecoveryAction::Restarted
-            },
+            action,
         });
         if self.w == 0 {
             self.shared.iterations.store(it + 1, Ordering::Release);
@@ -582,13 +576,13 @@ impl Warp<'_> {
                     .relres_bits
                     .store(r.to_bits(), Ordering::Release);
             }
-            if nonfinite {
-                self.shared.fail(FAIL_NONFINITE, it);
-            } else if stalled {
-                self.shared.fail(FAIL_STALLED, it);
+            match failure {
+                Some(SolveFailure::NonFinite { .. }) => self.shared.fail(FAIL_NONFINITE, it),
+                Some(_) => self.shared.fail(FAIL_STALLED, it),
+                None => {}
             }
         }
-        abort
+        failure.is_some()
     }
 
     /// Warp 0 records an applied re-tier plan: one `Retier` trace event
@@ -1444,7 +1438,7 @@ pub fn run_cg_threaded(
             Barrier::new(&d_a, &lay, sync),
         );
         let mut rr = rr0;
-        let mut restarts = 0usize;
+        let mut restarts = RestartPolicy::new(false);
         let mut ctrl = opts
             .adaptive
             .map(|ac| crate::adaptive::controller_for(m, ac));
@@ -1552,7 +1546,7 @@ pub fn run_cg_threaded(
                 warp.abort_nonfinite(it);
                 return Ok(());
             }
-            restarts = 0;
+            restarts.progressed();
             let beta = rr_new / rr;
             rr = rr_new;
 
@@ -1624,7 +1618,7 @@ pub fn run_bicgstab_threaded(
         let mut db = Barrier::new(&d_b, &lay, sync);
         let mut da = Barrier::new(&d_a, &lay, sync);
         let mut rho = rho0;
-        let mut restarts = 0usize;
+        let mut restarts = RestartPolicy::new(false);
         for j in 0..max_iter as i64 {
             sync.iteration_gate()?;
 
@@ -1721,7 +1715,7 @@ pub fn run_bicgstab_threaded(
                 warp.abort_nonfinite(j);
                 return Ok(());
             }
-            restarts = 0; // x and r advanced
+            restarts.progressed(); // x and r advanced
 
             // ---- p = r + β(p − ωµ).
             sync.step(j, 4)?;
@@ -1869,7 +1863,7 @@ pub fn run_pcg_threaded(
         let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
         let mut bar = Barrier::new(&bar, &lay, sync);
         let mut precond = tri.warp(&lay, warp.w, sync);
-        let mut restarts = 0usize;
+        let mut restarts = RestartPolicy::new(false);
 
         // ---- Init: z = M⁻¹ r (r = b), p = z, ρ = (r, z).
         sync.iteration_gate()?;
@@ -1930,7 +1924,7 @@ pub fn run_pcg_threaded(
                 warp.abort_nonfinite(j);
                 return Ok(());
             }
-            restarts = 0;
+            restarts.progressed();
 
             // ---- z = M⁻¹ r (the barrier above published every segment of
             // r) and ρ' = (r, z).
@@ -1997,7 +1991,7 @@ pub fn run_pbicgstab_threaded(
         let mut bar = Barrier::new(&bar, &lay, sync);
         let mut precond = tri.warp(&lay, warp.w, sync);
         let mut rho = rho0;
-        let mut restarts = 0usize;
+        let mut restarts = RestartPolicy::new(false);
 
         for j in 0..max_iter as i64 {
             sync.iteration_gate()?;
@@ -2086,7 +2080,7 @@ pub fn run_pbicgstab_threaded(
                 warp.abort_nonfinite(j);
                 return Ok(());
             }
-            restarts = 0;
+            restarts.progressed();
 
             // ---- p = r + β(p − ωv) (or restart p = r).
             let beta = (rho_new / rho) * (alpha / omega);
@@ -2150,7 +2144,7 @@ pub fn run_pbicgstab_threaded(
 /// Runs Ghysels–Vanroose pipelined CG inside the single kernel with ONE
 /// global barrier per iteration (the classic engine passes four wait sites;
 /// see the module-section comment above for how the collapse works).
-/// Breakdown/restart semantics mirror [`crate::pipelined::run_cg_pipelined_ws`]:
+/// Breakdown/restart semantics mirror [`crate::pipelined::run_cg_pipelined`]:
 /// the restart is a flag flip (β = 0 rebuilds the direction state on the
 /// next iteration), futile restarts abort as `Stalled`, and a non-finite γ
 /// aborts as `NonFinite` — all decided from the shared reduction, so every
@@ -2212,7 +2206,7 @@ pub fn run_cg_pipelined_threaded(
         let mut gamma_old = 1.0f64;
         let mut alpha_old = 1.0f64;
         let mut fresh = true;
-        let mut restarts = 0usize;
+        let mut restarts = RestartPolicy::new(false);
         let mut ctrl = opts
             .adaptive
             .map(|ac| crate::adaptive::controller_for(m, ac));
@@ -2274,7 +2268,7 @@ pub fn run_cg_pipelined_threaded(
                 }
                 continue;
             }
-            restarts = 0;
+            restarts.progressed();
 
             // ---- Fused six-vector update + next dot partials (elementwise
             // order matches blas1::cg_pipelined_update exactly, so the
@@ -2334,7 +2328,7 @@ pub fn run_cg_pipelined_threaded(
 /// publishes `m = M⁻¹w` for the SpMV, one publishes the fused dot partials.
 /// The in-kernel SpTRSV, poison/watchdog and fault-injection machinery are
 /// identical to [`run_pcg_threaded`]; breakdown semantics mirror
-/// [`crate::pipelined::run_pcg_pipelined_ws`]. `opts.adaptive` is ignored.
+/// [`crate::pipelined::run_pcg_pipelined`]. `opts.adaptive` is ignored.
 pub fn run_pcg_pipelined_threaded(
     m: &TiledMatrix,
     ilu: &Ilu0,
@@ -2386,7 +2380,7 @@ pub fn run_pcg_pipelined_threaded(
         let mut gamma_old = 1.0f64;
         let mut alpha_old = 1.0f64;
         let mut fresh = true;
-        let mut restarts = 0usize;
+        let mut restarts = RestartPolicy::new(false);
 
         for j in 0..max_iter as i64 {
             sync.iteration_gate()?;
@@ -2419,7 +2413,7 @@ pub fn run_pcg_pipelined_threaded(
                 }
                 continue;
             }
-            restarts = 0;
+            restarts.progressed();
 
             // ---- Fused eight-vector update + next dot partials
             // (elementwise order matches blas1::pcg_pipelined_update).
@@ -2470,6 +2464,7 @@ pub fn run_pcg_pipelined_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_CONSECUTIVE_RESTARTS;
     use mf_precision::ClassifyOptions;
     use mf_sparse::{Coo, Csr};
     use std::time::Duration;

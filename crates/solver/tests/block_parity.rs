@@ -5,7 +5,7 @@
 use mf_gpu::{CostModel, DeviceSpec};
 use mf_kernels::{blas1, SharedTiles};
 use mf_solver::block::{run_cg_block_ws, BlockOptions, BlockWorkspace, ColumnStatus};
-use mf_solver::cg::run_cg_ws;
+use mf_solver::cg::run_cg;
 use mf_solver::coster::{Coster, SingleCoster};
 use mf_solver::partial::PartialState;
 use mf_solver::{SolverConfig, SolverWorkspace};
@@ -66,7 +66,7 @@ fn single_solve(a: &Csr, cfg: &SolverConfig, b: &[f64]) -> mf_solver::cg::CoreRe
     ));
     let eps_abs = cfg.tolerance * blas1::norm2(b);
     let mut partial = PartialState::new(false, m.tile_cols, cfg.tile_size, eps_abs);
-    run_cg_ws(
+    run_cg(
         &m,
         &mut shared,
         b,

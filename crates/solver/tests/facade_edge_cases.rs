@@ -2,9 +2,14 @@
 //! every engine, and one long-lived workspace fed matrices of different
 //! sizes back to back.
 
-use mf_gpu::DeviceSpec;
-use mf_solver::{MilleFeuille, SolveReport, SolverWorkspace};
-use mf_sparse::{Coo, Csr};
+use mf_gpu::{CostModel, DeviceSpec};
+use mf_kernels::{blas1, SharedTiles};
+use mf_solver::bicgstab::run_bicgstab;
+use mf_solver::cg::CoreResult;
+use mf_solver::coster::{Coster, SingleCoster};
+use mf_solver::partial::PartialState;
+use mf_solver::{run_cg_pipelined, MilleFeuille, SolveReport, SolverConfig, SolverWorkspace};
+use mf_sparse::{Coo, Csr, TiledMatrix};
 
 fn poisson1d(n: usize) -> Csr {
     let mut a = Coo::new(n, n);
@@ -112,6 +117,30 @@ fn zero_rhs_is_uniform_across_threaded_facades() {
     }
 }
 
+/// Runs a sequential core on `a` with the default configuration,
+/// single-kernel pricing and `ws` as its workspace.
+fn run_core(core: Core, a: &Csr, b: &[f64], ws: &mut SolverWorkspace) -> CoreResult {
+    let cfg = SolverConfig::default();
+    let m = TiledMatrix::from_csr_with(a, cfg.tile_size, &cfg.classify);
+    let cost = CostModel::new(DeviceSpec::a100());
+    let coster = Coster::Single(SingleCoster::new(cost, &m, cfg.tile_size));
+    let eps_abs = cfg.tolerance * blas1::norm2(b);
+    let mut partial =
+        PartialState::new(cfg.partial_convergence, m.tile_cols, cfg.tile_size, eps_abs);
+    let mut shared = SharedTiles::load(&m);
+    core(&m, &mut shared, b, &cfg, &coster, &mut partial, ws)
+}
+
+type Core = fn(
+    &TiledMatrix,
+    &mut SharedTiles,
+    &[f64],
+    &SolverConfig,
+    &Coster,
+    &mut PartialState,
+    &mut SolverWorkspace,
+) -> CoreResult;
+
 /// One long-lived workspace fed n=100 → n=37 → n=250 → n=37 across CG,
 /// BiCGSTAB and pipelined CG: every solve must be bitwise identical to a
 /// fresh-workspace solve. Guards `SolverWorkspace::ensure`'s zero-fill
@@ -127,19 +156,19 @@ fn workspace_interleaved_across_sizes_and_engines_is_clean() {
         let a = poisson1d(n);
         let b = seeded_vec(n, round as u64 + 1);
 
-        let warm_cg = solver.solve_cg_ws(&a, &b, &mut ws);
+        let warm_cg = solver.solve_cg_preprocessed(&a, &solver.preprocess(&a), &b, &mut ws);
         let cold_cg = solver.solve_cg(&a, &b);
         assert_eq!(warm_cg.x, cold_cg.x, "cg n={n} round={round}");
         assert_eq!(warm_cg.iterations, cold_cg.iterations);
         assert_eq!(warm_cg.final_relres, cold_cg.final_relres);
 
-        let warm_bi = solver.solve_bicgstab_ws(&a, &b, &mut ws);
-        let cold_bi = solver.solve_bicgstab(&a, &b);
+        let warm_bi = run_core(run_bicgstab, &a, &b, &mut ws);
+        let cold_bi = run_core(run_bicgstab, &a, &b, &mut SolverWorkspace::new());
         assert_eq!(warm_bi.x, cold_bi.x, "bicgstab n={n} round={round}");
         assert_eq!(warm_bi.iterations, cold_bi.iterations);
 
-        let warm_pipe = solver.solve_cg_pipelined_ws(&a, &b, &mut ws);
-        let cold_pipe = solver.solve_cg_pipelined(&a, &b);
+        let warm_pipe = run_core(run_cg_pipelined, &a, &b, &mut ws);
+        let cold_pipe = run_core(run_cg_pipelined, &a, &b, &mut SolverWorkspace::new());
         assert_eq!(warm_pipe.x, cold_pipe.x, "pipelined n={n} round={round}");
         assert_eq!(warm_pipe.iterations, cold_pipe.iterations);
     }

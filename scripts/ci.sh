@@ -10,9 +10,11 @@
 #
 # Modes:
 #   (no args)        full tier-1 gate: fmt, debug build+test, release
-#                    build, every release tier, benchmark tests, clippy
-#   --lint           fmt --check + clippy -D warnings only (workspace and
-#                    the benchmark package)
+#                    build, every release tier, benchmark tests, clippy,
+#                    rustdoc
+#   --lint           fmt --check + clippy -D warnings (workspace and the
+#                    benchmark package) + rustdoc -D warnings (first-party
+#                    packages: broken intra-doc links fail)
 #   --debug          debug build + debug test suite (600 s hard kill)
 #   --release-tiers  every release tier from the table, in order
 #   --tier NAME      one release tier (self-sufficient: builds its own
@@ -171,9 +173,20 @@ run_clippy() {
         -- -D warnings
 }
 
+# Broken or private intra-doc links are warnings to rustdoc; deny them so
+# renaming or deleting a linked item fails the gate instead of leaving a
+# dead link in the rendered docs.
+run_doc() {
+    local doc_args=()
+    local p
+    for p in "${MF_PACKAGES[@]}"; do doc_args+=(-p "$p"); done
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --locked "${doc_args[@]}"
+}
+
 run_lint() {
     run_fmt
     run_clippy
+    run_doc
 }
 
 run_bench_tests() {
@@ -216,12 +229,13 @@ case "${1:-}" in
         ;;
     "")
         # Full tier-1 gate, in the historical order: fmt, debug tier,
-        # release tiers, benchmark tests, clippy last.
+        # release tiers, benchmark tests, clippy and rustdoc last.
         run_fmt
         run_debug
         run_release_tiers
         run_bench_tests
         run_clippy
+        run_doc
         ;;
     *)
         echo "usage: $0 [--lint|--debug|--release-tiers|--tier NAME|--list-tiers]" >&2

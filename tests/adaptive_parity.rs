@@ -24,10 +24,10 @@ use mille_feuille::gpu::CostModel;
 use mille_feuille::kernels::{blas1, SharedTiles};
 use mille_feuille::precision::ClassifyOptions;
 use mille_feuille::prelude::*;
-use mille_feuille::solver::cg::{run_cg_ws, CoreResult};
+use mille_feuille::solver::cg::{run_cg, CoreResult};
 use mille_feuille::solver::coster::{Coster, SingleCoster};
 use mille_feuille::solver::partial::PartialState;
-use mille_feuille::solver::pipelined::run_cg_pipelined_ws;
+use mille_feuille::solver::pipelined::run_cg_pipelined;
 use mille_feuille::solver::{
     run_cg_pipelined_threaded, run_cg_threaded, AdaptiveConfig, RetierDecision, SolverWorkspace,
 };
@@ -101,7 +101,7 @@ fn seq_classic(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> CoreResult {
     let coster = coster_for(m);
     let eps_abs = cfg.tolerance * blas1::norm2(b);
     let mut partial = PartialState::new(false, m.tile_cols, m.tile_size, eps_abs);
-    run_cg_ws(
+    run_cg(
         m,
         &mut shared,
         b,
@@ -117,7 +117,7 @@ fn seq_pipelined(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> CoreResult {
     let coster = coster_for(m);
     let eps_abs = cfg.tolerance * blas1::norm2(b);
     let mut partial = PartialState::new(false, m.tile_cols, m.tile_size, eps_abs);
-    run_cg_pipelined_ws(
+    run_cg_pipelined(
         m,
         &mut shared,
         b,

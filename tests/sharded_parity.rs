@@ -26,9 +26,7 @@ use mille_feuille::kernels::ilu0;
 use mille_feuille::precision::ClassifyOptions;
 use mille_feuille::prelude::*;
 use mille_feuille::solver::threaded::{run_cg_threaded, run_pcg_threaded};
-use mille_feuille::solver::{
-    run_cg_sharded, run_cg_sharded_full, run_pcg_sharded, run_pcg_sharded_full, SolverWorkspace,
-};
+use mille_feuille::solver::{run_cg_sharded, run_pcg_sharded, ShardedOpts, SolverWorkspace};
 use mille_feuille::sparse::Coo;
 
 /// The three tile-precision configurations every grid matrix is solved in.
@@ -113,14 +111,28 @@ fn cg_grid_matches_single_device_bitwise() {
             for &wc in &WARP_COUNTS {
                 let single = run_cg_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 for &sc in &SHARD_COUNTS {
-                    let rep = run_cg_sharded(&m, &b, tol, max_iter, sc, wc);
+                    let rep = run_cg_sharded(
+                        &m,
+                        &b,
+                        tol,
+                        max_iter,
+                        &ShardedOpts::new(sc, wc),
+                        &mut SolverWorkspace::new(),
+                    );
                     assert_parity(&format!("cg {mname}/{pname}/s{sc}/w{wc}"), &rep, &single);
                     combos += 1;
                 }
             }
             // Uniform FP64 tiles represent A exactly: converged sharded
             // solutions must also agree with the dense-LU oracle of A.
-            let check = run_cg_sharded(&m, &b, tol, max_iter, 4, 4);
+            let check = run_cg_sharded(
+                &m,
+                &b,
+                tol,
+                max_iter,
+                &ShardedOpts::new(4, 4),
+                &mut SolverWorkspace::new(),
+            );
             if pname == "fp64" {
                 assert!(check.converged, "{mname}/fp64 should converge");
                 assert_matches_oracle(a, &b, &check.x, 1e-5, &format!("cg {mname}"));
@@ -143,7 +155,15 @@ fn pcg_grid_matches_single_device_bitwise() {
             for &wc in &WARP_COUNTS {
                 let single = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(wc));
                 for &sc in &SHARD_COUNTS {
-                    let rep = run_pcg_sharded(&m, &ilu, &b, tol, max_iter, sc, wc);
+                    let rep = run_pcg_sharded(
+                        &m,
+                        &ilu,
+                        &b,
+                        tol,
+                        max_iter,
+                        &ShardedOpts::new(sc, wc),
+                        &mut SolverWorkspace::new(),
+                    );
                     assert_parity(&format!("pcg {mname}/{pname}/s{sc}/w{wc}"), &rep, &single);
                     combos += 1;
                 }
@@ -167,19 +187,11 @@ fn cg_grid_bitwise_under_seeded_faults() {
         for (pname, m) in tilings(a, 8) {
             let single = run_cg_threaded(&m, &b, tol, max_iter, &ThreadedOpts::new(4));
             for &sc in &SHARD_COUNTS {
-                let rep = run_cg_sharded_full(
-                    &m,
-                    &b,
-                    tol,
-                    max_iter,
-                    sc,
-                    4,
-                    &DeviceSpec::a100(),
-                    mille_feuille::gpu::Interconnect::nvlink3(),
-                    &plan,
-                    &TraceConfig::default(),
-                    &mut SolverWorkspace::new(),
-                );
+                let opts = ShardedOpts {
+                    faults: plan.clone(),
+                    ..ShardedOpts::new(sc, 4)
+                };
+                let rep = run_cg_sharded(&m, &b, tol, max_iter, &opts, &mut SolverWorkspace::new());
                 assert_parity(
                     &format!("cg-faulted {mname}/{pname}/s{sc} plan=[{plan}]"),
                     &rep,
@@ -202,18 +214,17 @@ fn pcg_bitwise_under_seeded_faults() {
         let b = paper_rhs(a);
         for (pname, m) in tilings(a, 8) {
             let single = run_pcg_threaded(&m, &ilu, &b, tol, max_iter, &ThreadedOpts::new(4));
-            let rep = run_pcg_sharded_full(
+            let opts = ShardedOpts {
+                faults: plan.clone(),
+                ..ShardedOpts::new(4, 4)
+            };
+            let rep = run_pcg_sharded(
                 &m,
                 &ilu,
                 &b,
                 tol,
                 max_iter,
-                4,
-                4,
-                &DeviceSpec::a100(),
-                mille_feuille::gpu::Interconnect::nvlink3(),
-                &plan,
-                &TraceConfig::default(),
+                &opts,
                 &mut SolverWorkspace::new(),
             );
             assert_parity(
@@ -253,7 +264,14 @@ fn breakdown_taxonomy_matches_across_shards() {
         single.failure
     );
     for &sc in &SHARD_COUNTS {
-        let rep = run_cg_sharded(&m, &b, 1e-12, 100, sc, 2);
+        let rep = run_cg_sharded(
+            &m,
+            &b,
+            1e-12,
+            100,
+            &ShardedOpts::new(sc, 2),
+            &mut SolverWorkspace::new(),
+        );
         assert_parity(&format!("breakdown s{sc}"), &rep, &single);
         assert_eq!(rep.status_label(), "aborted(curvature)");
     }
@@ -266,7 +284,14 @@ fn zero_rhs_trivially_converges() {
     let a = gen::poisson2d(6, 6);
     let m = TiledMatrix::from_csr(&a);
     for &sc in &SHARD_COUNTS {
-        let rep = run_cg_sharded(&m, &vec![0.0; a.nrows], 1e-10, 50, sc, 3);
+        let rep = run_cg_sharded(
+            &m,
+            &vec![0.0; a.nrows],
+            1e-10,
+            50,
+            &ShardedOpts::new(sc, 3),
+            &mut SolverWorkspace::new(),
+        );
         assert!(rep.converged);
         assert_eq!(rep.iterations, 0);
         assert_eq!(rep.final_relres.to_bits(), 0.0f64.to_bits());
@@ -320,12 +345,26 @@ fn telemetry_reflects_sharding() {
     let m = TiledMatrix::from_csr(&a);
     let b = paper_rhs(&a);
 
-    let one = run_cg_sharded(&m, &b, 1e-10, 200, 1, 4);
+    let one = run_cg_sharded(
+        &m,
+        &b,
+        1e-10,
+        200,
+        &ShardedOpts::new(1, 4),
+        &mut SolverWorkspace::new(),
+    );
     assert_eq!(one.halo_bytes, 0, "single shard has no halo");
     assert_eq!(one.halo_messages, 0);
     assert_eq!(one.per_shard_value_bytes, vec![m.vals_raw().len()]);
 
-    let four = run_cg_sharded(&m, &b, 1e-10, 200, 4, 4);
+    let four = run_cg_sharded(
+        &m,
+        &b,
+        1e-10,
+        200,
+        &ShardedOpts::new(4, 4),
+        &mut SolverWorkspace::new(),
+    );
     assert!(four.halo_bytes > 0, "4 shards must exchange halos");
     assert!(four.halo_messages > 0);
     assert_eq!(four.per_shard_value_bytes.len(), 4);

@@ -22,12 +22,11 @@ mod common;
 use common::paper_rhs;
 use mille_feuille::collection as gen;
 use mille_feuille::collection::ValueClass;
-use mille_feuille::gpu::Interconnect;
 use mille_feuille::kernels::ilu0;
 use mille_feuille::prelude::*;
 use mille_feuille::solver::{
-    run_bicgstab_threaded, run_cg_sharded_full, run_cg_threaded, run_pbicgstab_threaded,
-    run_pcg_sharded_full, run_pcg_threaded, ShardedReport, SolverWorkspace,
+    run_bicgstab_threaded, run_cg_sharded, run_cg_threaded, run_pbicgstab_threaded,
+    run_pcg_sharded, run_pcg_threaded, ShardedOpts, ShardedReport, SolverWorkspace,
 };
 use mille_feuille::trace::{EventKind, Trace, TraceConfig};
 
@@ -287,31 +286,19 @@ fn sharded_runs(plan: &FaultPlan, tc: &TraceConfig, shards: usize) -> Vec<(Strin
     let spd = spd_fixture();
     let (b, m) = (paper_rhs(&spd), tiled(&spd));
     let ilu = ilu0(&spd).expect("ILU(0) on the SPD fixture");
-    let cg = run_cg_sharded_full(
-        &m,
-        &b,
-        tol,
-        max_iter,
-        shards,
-        4,
-        &DeviceSpec::a100(),
-        Interconnect::nvlink3(),
-        plan,
-        tc,
-        &mut SolverWorkspace::new(),
-    );
-    let pcg = run_pcg_sharded_full(
+    let opts = ShardedOpts {
+        faults: plan.clone(),
+        trace: *tc,
+        ..ShardedOpts::new(shards, 4)
+    };
+    let cg = run_cg_sharded(&m, &b, tol, max_iter, &opts, &mut SolverWorkspace::new());
+    let pcg = run_pcg_sharded(
         &m,
         &ilu,
         &b,
         tol,
         max_iter,
-        shards,
-        4,
-        &DeviceSpec::a100(),
-        Interconnect::nvlink3(),
-        plan,
-        tc,
+        &opts,
         &mut SolverWorkspace::new(),
     );
     vec![
