@@ -127,8 +127,8 @@ impl SolveService {
         let fp = a.fingerprint();
         self.cache.get_or_build(fp, || {
             let (pre, ilu) = if self.config.precondition {
-                // Fused cold path: tiling and ILU(0) share one ticket
-                // stream when host parallelism allows. A factorization
+                // Cold path: ILU(0) factors alongside the tile build
+                // when host parallelism allows. A factorization
                 // failure (non-square, irreparable pivot) downgrades this
                 // matrix to plain CG rather than failing the request.
                 let (pre, factors) = self.solver.preprocess_with_ilu0(a);

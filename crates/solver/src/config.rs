@@ -69,9 +69,14 @@ pub enum KernelMode {
 /// Host-side parallelism policy for the exact-numerics kernels.
 ///
 /// The solver cores run the mixed-precision SpMV either serially or striped
-/// over tile rows ([`mf_kernels::spmv_mixed_par`]); the two paths are
-/// bitwise-identical, so this knob trades wall-clock for thread occupancy
-/// without perturbing any result.
+/// over tile rows ([`mf_kernels::spmv_mixed_par`]). The same resolved count
+/// sets preprocessing: with more than one thread, tiles are classified in
+/// parallel ([`mf_sparse::TiledMatrix::from_csr_par`]), and a preconditioner
+/// factorization ([`crate::MilleFeuille::preprocess_with_ilu0`] and the
+/// one-shot preconditioned solves) runs on its own thread alongside the
+/// tile build, which gets the threads left over. Every path is
+/// bitwise-identical to the serial one, so this knob trades wall-clock for
+/// thread occupancy without perturbing any result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HostParallelism {
     /// Parallelize when the matrix is large enough to amortize the thread
@@ -158,8 +163,10 @@ pub struct SolverConfig {
     /// If set, record per-iteration relative error `‖x−x*‖₂/‖x*‖₂` against
     /// this reference solution (Fig. 12's y-axis).
     pub reference_solution: Option<Vec<f64>>,
-    /// Host-side kernel parallelism (serial vs tile-row-striped SpMV).
-    /// Both paths are bitwise-identical; see [`HostParallelism`].
+    /// Host-side kernel parallelism: serial vs tile-row-striped SpMV, and
+    /// whether preprocessing classifies tiles in parallel and overlaps the
+    /// preconditioner factorization with the tile build. Every path is
+    /// bitwise-identical; see [`HostParallelism`].
     pub host_parallelism: HostParallelism,
     /// Wedge detection for the threaded single-kernel engines
     /// ([`crate::threaded`]): when the policy fires, the solve is poisoned

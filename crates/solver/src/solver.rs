@@ -8,12 +8,10 @@ use crate::partial::PartialState;
 use crate::pipelined::{run_cg_pipelined, run_pcg_pipelined};
 use crate::precond::{run_pbicgstab, run_pcg, Precond};
 use crate::report::{ExecutedMode, SolveReport};
-use crate::ticketed::{preprocess_tiled_ilu0_ticketed, TicketedOptions};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{CostModel, DeviceSpec, Phase, ShmemPlan, Timeline};
 use mf_kernels::{blas1, ilu0_boosted, FactorError, Ic0, Ilu0, SharedTiles};
 use mf_sparse::{Csr, TiledMatrix};
-use mf_trace::Trace;
 
 /// Prepends one [`BreakdownKind::FactorShift`] event per diagonal-boosting
 /// attempt to a solve's breakdown trail, so reports show the factorization
@@ -87,12 +85,11 @@ pub struct Preprocessed {
     pub tiled: TiledMatrix,
     /// Modeled preprocessing time, µs.
     pub timeline: Timeline,
-    /// Host wall-clock of the conversion in this simulation, µs.
+    /// Host wall-clock of preprocessing in this simulation, µs: the tile
+    /// build, plus the preconditioner factorization on the entries that
+    /// set one up with it ([`MilleFeuille::preprocess_with_ilu0`] and the
+    /// one-shot preconditioned solves).
     pub wall_us: f64,
-    /// Merged `Ticket`-event trace of the ticketed preprocessing flow,
-    /// when `SolverConfig::trace` is enabled and the host-parallelism
-    /// policy routed through it (`None` on the serial paths).
-    pub trace: Option<Trace>,
 }
 
 impl MilleFeuille {
@@ -115,56 +112,65 @@ impl MilleFeuille {
     /// precision assignment — the three components §IV-H lists).
     pub fn preprocess(&self, a: &Csr) -> Preprocessed {
         let start = std::time::Instant::now();
-        let mut trace = None;
-        let tiled = if let Some(p) = self.config.uniform_precision {
-            TiledMatrix::from_csr_uniform(a, self.config.tile_size, p)
-        } else if self.config.mixed_precision {
-            // Classification dominates conversion time; the ticketed build
-            // is bit-identical to the serial one at every worker count, so
-            // route through it whenever the host-parallelism policy
-            // resolves to >1 thread.
-            let workers = self.config.host_parallelism.threads_for(a.nnz());
-            if workers > 1 {
-                let topts = self.ticketed_options(workers);
-                let (tiled, outcome) = crate::ticketed::build_tiled_ticketed(
-                    a,
-                    self.config.tile_size,
-                    &self.config.classify,
-                    &topts,
-                );
-                trace = outcome.trace;
-                tiled
-            } else {
-                TiledMatrix::from_csr_with(a, self.config.tile_size, &self.config.classify)
-            }
-        } else {
-            TiledMatrix::from_csr_uniform(a, self.config.tile_size, mf_precision::Precision::Fp64)
-        };
+        let tiled = self.build_tiles(a, self.config.host_parallelism.threads_for(a.nnz()));
         let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        self.charge_preprocess(a, tiled, wall_us, trace)
+        self.charge_preprocess(a, tiled, wall_us)
     }
 
-    /// Ticketed-runtime knobs derived from the solver configuration.
-    fn ticketed_options(&self, workers: usize) -> TicketedOptions<'static> {
-        TicketedOptions {
-            workers,
-            faults: None,
-            trace: self.config.trace,
+    /// The tiled matrix this config asks for, built on `threads` host
+    /// threads. Classification dominates conversion time and tiles are
+    /// independent, so a mixed-precision build with more than one thread
+    /// classifies in parallel ([`TiledMatrix::from_csr_par`]); the result
+    /// is bit-identical to the serial build.
+    fn build_tiles(&self, a: &Csr, threads: usize) -> TiledMatrix {
+        let ts = self.config.tile_size;
+        match self.config.uniform_precision {
+            Some(p) => TiledMatrix::from_csr_uniform(a, ts, p),
+            None if !self.config.mixed_precision => {
+                TiledMatrix::from_csr_uniform(a, ts, mf_precision::Precision::Fp64)
+            }
+            None if threads > 1 => TiledMatrix::from_csr_par(a, ts, &self.config.classify),
+            None => TiledMatrix::from_csr_with(a, ts, &self.config.classify),
         }
+    }
+
+    /// Preprocesses `a` and runs `factor` (a preconditioner setup on the
+    /// same `a`) with it. The two read the same CSR and share no data, so
+    /// when the host-parallelism policy resolves to more than one thread
+    /// `factor` runs on a scoped thread while this one builds the tiles
+    /// on the threads left over; otherwise they run one after the other.
+    /// Either way every per-tile and per-row kernel is the serial one, so
+    /// the outputs are bitwise identical. A panic in `factor` is re-raised
+    /// here. The returned `wall_us` covers both steps.
+    fn preprocess_alongside<T: Send>(
+        &self,
+        a: &Csr,
+        factor: impl FnOnce() -> T + Send,
+    ) -> (Preprocessed, T) {
+        let start = std::time::Instant::now();
+        let threads = self.config.host_parallelism.threads_for(a.nnz());
+        let (tiled, factors) = if threads > 1 {
+            std::thread::scope(|s| {
+                let factoring = s.spawn(factor);
+                let tiled = self.build_tiles(a, threads - 1);
+                let factors = factoring
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (tiled, factors)
+            })
+        } else {
+            (self.build_tiles(a, 1), factor())
+        };
+        let wall_us = start.elapsed().as_secs_f64() * 1e6;
+        (self.charge_preprocess(a, tiled, wall_us), factors)
     }
 
     /// Prices a finished conversion and packages the [`Preprocessed`]:
     /// the modeled cost covers format conversion + task distribution +
     /// initial precision assignment (the three §IV-H components) and is
-    /// identical for every host-side build strategy — the ticketed flow
-    /// changes host wall-clock, not modeled device work.
-    fn charge_preprocess(
-        &self,
-        a: &Csr,
-        tiled: TiledMatrix,
-        wall_us: f64,
-        trace: Option<Trace>,
-    ) -> Preprocessed {
+    /// identical for every host-side build strategy — host threads change
+    /// wall-clock, not modeled device work.
+    fn charge_preprocess(&self, a: &Csr, tiled: TiledMatrix, wall_us: f64) -> Preprocessed {
         let cost = self.cost();
         let mut tl = Timeline::new();
         let nnz = a.nnz() as f64;
@@ -183,38 +189,21 @@ impl MilleFeuille {
             tiled,
             timeline: tl,
             wall_us,
-            trace,
         }
     }
 
-    /// Preprocessing fused with the ILU(0) factorization the PCG cold
-    /// path needs: when the host-parallelism policy resolves to more than
-    /// one thread (and the build is mixed-precision), tile
-    /// classification and factorization rows share one ticket stream
-    /// ([`crate::ticketed::preprocess_fused_ticketed`]); otherwise the
-    /// serial `preprocess` + [`mf_kernels::ilu0_boosted`] pair runs.
-    /// Both produce bitwise-identical tiles, factors and shift
-    /// schedules.
+    /// Preprocessing together with the ILU(0) factorization the PCG cold
+    /// path needs ([`mf_kernels::ilu0_boosted`]): when the host-parallelism
+    /// policy resolves to more than one thread the factorization runs
+    /// alongside the tile build. Tiles, factors and shift schedule are
+    /// bitwise identical to the serial `preprocess` + `ilu0_boosted` pair
+    /// under every policy; `wall_us` covers both steps.
     #[allow(clippy::type_complexity)]
     pub fn preprocess_with_ilu0(
         &self,
         a: &Csr,
     ) -> (Preprocessed, Result<(Ilu0, Vec<f64>), FactorError>) {
-        let workers = self.config.host_parallelism.threads_for(a.nnz());
-        let fused_eligible =
-            workers > 1 && self.config.mixed_precision && self.config.uniform_precision.is_none();
-        if !fused_eligible {
-            return (self.preprocess(a), ilu0_boosted(a));
-        }
-        let start = std::time::Instant::now();
-        let topts = self.ticketed_options(workers);
-        let (tiled, factors, outcome) =
-            preprocess_tiled_ilu0_ticketed(a, self.config.tile_size, &self.config.classify, &topts);
-        let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        (
-            self.charge_preprocess(a, tiled, wall_us, outcome.trace),
-            factors,
-        )
+        self.preprocess_alongside(a, || ilu0_boosted(a))
     }
 
     /// The §III-C mode decision for a preprocessed matrix.
@@ -514,13 +503,17 @@ impl MilleFeuille {
     /// boosting ([`mf_kernels::ilu0_boosted`]); every shift attempt is
     /// recorded as a `FactorShift` breakdown event on the report. Returns
     /// `Err` only when boosting is exhausted (or the matrix is not square).
+    /// The factorization runs alongside the tile build
+    /// ([`Self::preprocess_with_ilu0`]), as it does for the other one-shot
+    /// preconditioned sequential entries.
     pub fn solve_pcg(
         &self,
         a: &Csr,
         b: &[f64],
     ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
-        let (ilu, shifts) = ilu0_boosted(a)?;
-        let mut rep = self.solve_pcg_with(a, b, &ilu);
+        let (pre, factors) = self.preprocess_with_ilu0(a);
+        let (ilu, shifts) = factors?;
+        let mut rep = self.solve_pcg_preprocessed(a, &pre, b, &ilu);
         prepend_factor_shifts(&mut rep.breakdowns, &shifts);
         Ok(rep)
     }
@@ -606,9 +599,9 @@ impl MilleFeuille {
         a: &Csr,
         b: &[f64],
     ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
-        let (ic, shifts) = Ic0::new_boosted(a)?;
-        let mut rep =
-            self.run_preconditioned(a, &self.preprocess(a), b, Precond::Ic0(&ic), run_pcg);
+        let (pre, factors) = self.preprocess_alongside(a, || Ic0::new_boosted(a));
+        let (ic, shifts) = factors?;
+        let mut rep = self.run_preconditioned(a, &pre, b, Precond::Ic0(&ic), run_pcg);
         prepend_factor_shifts(&mut rep.breakdowns, &shifts);
         Ok(rep)
     }
@@ -621,8 +614,8 @@ impl MilleFeuille {
         b: &[f64],
         block: usize,
     ) -> Result<SolveReport, mf_kernels::block_jacobi::SingularBlock> {
-        let bj = mf_kernels::BlockJacobi::new(a, block)?;
-        let pre = self.preprocess(a);
+        let (pre, bj) = self.preprocess_alongside(a, || mf_kernels::BlockJacobi::new(a, block));
+        let bj = bj?;
         Ok(self.run_preconditioned(a, &pre, b, Precond::BlockJacobi(&bj), run_pcg))
     }
 
@@ -632,8 +625,9 @@ impl MilleFeuille {
         a: &Csr,
         b: &[f64],
     ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
-        let (ilu, shifts) = ilu0_boosted(a)?;
-        let mut rep = self.solve_pbicgstab_with(a, b, &ilu);
+        let (pre, factors) = self.preprocess_with_ilu0(a);
+        let (ilu, shifts) = factors?;
+        let mut rep = self.run_preconditioned(a, &pre, b, Precond::Ilu0(&ilu), run_pbicgstab);
         prepend_factor_shifts(&mut rep.breakdowns, &shifts);
         Ok(rep)
     }
@@ -1458,5 +1452,47 @@ mod tests {
             rep.tiled_memory.total(),
             TiledMatrix::from_csr(&a).memory_bytes().total()
         );
+    }
+
+    fn with_threads(threads: usize) -> MilleFeuille {
+        MilleFeuille::new(
+            DeviceSpec::a100(),
+            SolverConfig {
+                host_parallelism: crate::config::HostParallelism::Threads(threads),
+                ..SolverConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn preprocess_alongside_times_tiles_and_factorization() {
+        let a = poisson1d(64);
+        let nap = std::time::Duration::from_millis(20);
+        for threads in [1, 2, 3] {
+            let (pre, out) = with_threads(threads).preprocess_alongside(&a, || {
+                std::thread::sleep(nap);
+                7
+            });
+            assert_eq!(out, 7);
+            assert!(
+                pre.wall_us >= nap.as_secs_f64() * 1e6,
+                "{threads} threads: wall {} µs misses the factorization",
+                pre.wall_us
+            );
+        }
+    }
+
+    #[test]
+    fn preprocess_alongside_reraises_factor_panics() {
+        let a = poisson1d(64);
+        for threads in [1, 2] {
+            let run = || {
+                with_threads(threads).preprocess_alongside(&a, || -> u8 { panic!("factor failed") })
+            };
+            let Err(caught) = std::panic::catch_unwind(run) else {
+                panic!("{threads} threads: the factor panic must reach the caller");
+            };
+            assert_eq!(caught.downcast_ref::<&str>(), Some(&"factor failed"));
+        }
     }
 }
