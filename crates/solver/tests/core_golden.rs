@@ -1,18 +1,24 @@
-//! Golden outputs of every sequential core, pinned bitwise through the
-//! facade: CG, pipelined CG, BiCGSTAB, PCG with ILU(0) / IC(0) /
-//! block-Jacobi, pipelined PCG and PBiCGSTAB.
+//! Golden outputs of every facade path, pinned bitwise: the sequential
+//! cores (CG, pipelined CG, BiCGSTAB, PCG with ILU(0) / IC(0) /
+//! block-Jacobi, pipelined PCG, PBiCGSTAB), the `Auto` method pick with
+//! its CG→BiCGSTAB handoff, the six threaded engines at 2 warps and the
+//! two sharded engines at 2 shards × 2 warps.
 //!
 //! Each row digests one solve: an FNV-1a hash of the solution bits, the
 //! iteration count, a hash of the residual-history bits, the breakdown
-//! trail and failure, and the modeled total time bits. A refactor of the
-//! core loops that keeps the arithmetic order keeps every row; any change
-//! to the numerics, the restart policy or the cost charging moves one.
+//! trail (factor shifts included) and failure, and — for the sequential
+//! paths — the modeled total time bits. A refactor that keeps the
+//! arithmetic order keeps every row; any change to the numerics, the
+//! restart policy or the sequential cost charging moves one.
 //!
 //! On a mismatch the assertion prints the whole observed table in this
 //! file's source form, so an intended change can be reviewed row by row.
 
 use mf_gpu::DeviceSpec;
-use mf_solver::{AdaptiveConfig, BreakdownEvent, MilleFeuille, SolveReport, SolverConfig};
+use mf_solver::{
+    AdaptiveConfig, BreakdownEvent, MilleFeuille, RetierDecision, ShardedReport, SolveFailure,
+    SolveReport, SolverConfig, ThreadedReport,
+};
 use mf_sparse::{Coo, Csr};
 
 /// FNV-1a over a stream of 64-bit words.
@@ -95,6 +101,60 @@ fn tridiag(n: usize) -> Csr {
     a.to_csr()
 }
 
+/// Nonsymmetric, diagonally dominant tridiagonal matrix: `likely_spd`
+/// fails, so `Auto` runs BiCGSTAB.
+fn nonsym(n: usize) -> Csr {
+    let w = noise(n, 3);
+    let mut a = Coo::new(n, n);
+    for (i, wi) in w.iter().enumerate() {
+        a.push(i, i, 4.0);
+        if i > 0 {
+            a.push(i, i - 1, -1.5 - 0.2 * wi);
+        }
+        if i + 1 < n {
+            a.push(i, i + 1, -0.5);
+        }
+    }
+    a.to_csr()
+}
+
+/// Symmetric, positive-diagonal and 95% diagonally dominant, so it passes
+/// `likely_spd`, but the trailing `[[1, 5], [5, 1]]` block is indefinite:
+/// CG aborts on curvature and `Auto` hands the system to BiCGSTAB.
+fn fooled_spd(n: usize) -> Csr {
+    let mut a = Coo::new(n, n);
+    for i in 0..n - 2 {
+        a.push(i, i, 4.0);
+        if i > 0 {
+            a.push(i, i - 1, -1.0);
+        }
+        if i + 1 < n - 2 {
+            a.push(i, i + 1, -1.0);
+        }
+    }
+    a.push(n - 2, n - 2, 1.0);
+    a.push(n - 2, n - 1, 5.0);
+    a.push(n - 1, n - 2, 5.0);
+    a.push(n - 1, n - 1, 1.0);
+    a.to_csr()
+}
+
+/// The noisy SPD grid with row 0's diagonal left out: ILU(0) and IC(0)
+/// hit a zero pivot and recover by diagonal boosting, so the trail
+/// starts with `FactorShift` events.
+fn zero_pivot_grid(g: usize) -> Csr {
+    let grid = noisy_grid(g, 1.0);
+    let mut a = Coo::new(grid.nrows, grid.ncols);
+    for r in 0..grid.nrows {
+        for k in grid.rowptr[r]..grid.rowptr[r + 1] {
+            if (r, grid.colidx[k]) != (0, 0) {
+                a.push(r, grid.colidx[k], grid.vals[k]);
+            }
+        }
+    }
+    a.to_csr()
+}
+
 fn rhs(n: usize) -> Vec<f64> {
     noise(n, 11).iter().map(|v| 2.0 * v - 1.0).collect()
 }
@@ -110,19 +170,108 @@ const CORES: [&str; 8] = [
     "pbicgstab",
 ];
 
-/// Runs one core through its facade entry. A preconditioner that fails
-/// to factor yields `Err` with the error's debug form.
-fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<SolveReport, String> {
+/// Every sequential core, `Auto`, then the threaded engines at 2 warps
+/// and the sharded engines at 2 shards × 2 warps.
+const ALL: [&str; 17] = [
+    "cg",
+    "cg_pipelined",
+    "bicgstab",
+    "pcg_ilu0",
+    "pcg_ic0",
+    "pcg_block_jacobi",
+    "pcg_pipelined",
+    "pbicgstab",
+    "auto",
+    "cg_threaded",
+    "bicgstab_threaded",
+    "pcg_threaded",
+    "pbicgstab_threaded",
+    "cg_pipelined_threaded",
+    "pcg_pipelined_threaded",
+    "cg_sharded",
+    "pcg_sharded",
+];
+
+/// What a row digests, whichever path produced it. `total_us` is the
+/// modeled total time of a sequential path and `None` for an engine.
+struct Outcome {
+    x: Vec<f64>,
+    converged: bool,
+    iterations: usize,
+    residual_history: Vec<f64>,
+    breakdowns: Vec<BreakdownEvent>,
+    failure: Option<SolveFailure>,
+    retier_trail: Vec<RetierDecision>,
+    total_us: Option<f64>,
+}
+
+/// Runs one path through its facade entry. A preconditioner that fails
+/// to set up yields `Err` with the error's debug form.
+fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<Outcome, String> {
     let e = |e: &dyn std::fmt::Debug| format!("{e:?}");
+    let seq = |r: SolveReport| Outcome {
+        total_us: Some(r.timeline.total_us()),
+        x: r.x,
+        converged: r.converged,
+        iterations: r.iterations,
+        residual_history: r.residual_history,
+        breakdowns: r.breakdowns,
+        failure: r.failure,
+        retier_trail: r.retier_trail,
+    };
+    let thr = |r: ThreadedReport| Outcome {
+        x: r.x,
+        converged: r.converged,
+        iterations: r.iterations,
+        residual_history: r.residual_history,
+        breakdowns: r.breakdowns,
+        failure: r.failure,
+        retier_trail: r.retier_trail,
+        total_us: None,
+    };
+    let shd = |r: ShardedReport| Outcome {
+        x: r.x,
+        converged: r.converged,
+        iterations: r.iterations,
+        residual_history: r.residual_history,
+        breakdowns: r.breakdowns,
+        failure: r.failure,
+        retier_trail: Vec::new(),
+        total_us: None,
+    };
     match core {
-        "cg" => Ok(solver.solve_cg(a, b)),
-        "cg_pipelined" => Ok(solver.solve_cg_pipelined(a, b)),
-        "bicgstab" => Ok(solver.solve_bicgstab(a, b)),
-        "pcg_ilu0" => solver.solve_pcg(a, b).map_err(|x| e(&x)),
-        "pcg_ic0" => solver.solve_pcg_ic0(a, b).map_err(|x| e(&x)),
-        "pcg_block_jacobi" => solver.solve_pcg_block_jacobi(a, b, 16).map_err(|x| e(&x)),
-        "pcg_pipelined" => solver.solve_pcg_pipelined(a, b).map_err(|x| e(&x)),
-        "pbicgstab" => solver.solve_pbicgstab(a, b).map_err(|x| e(&x)),
+        "cg" => Ok(seq(solver.solve_cg(a, b))),
+        "cg_pipelined" => Ok(seq(solver.solve_cg_pipelined(a, b))),
+        "bicgstab" => Ok(seq(solver.solve_bicgstab(a, b))),
+        "pcg_ilu0" => solver.solve_pcg(a, b).map(seq).map_err(|x| e(&x)),
+        "pcg_ic0" => solver.solve_pcg_ic0(a, b).map(seq).map_err(|x| e(&x)),
+        "pcg_block_jacobi" => solver
+            .solve_pcg_block_jacobi(a, b, 16)
+            .map(seq)
+            .map_err(|x| e(&x)),
+        "pcg_pipelined" => solver.solve_pcg_pipelined(a, b).map(seq).map_err(|x| e(&x)),
+        "pbicgstab" => solver.solve_pbicgstab(a, b).map(seq).map_err(|x| e(&x)),
+        "auto" => Ok(seq(solver.solve_auto(a, b))),
+        "cg_threaded" => Ok(thr(solver.solve_cg_threaded(a, b, 2))),
+        "bicgstab_threaded" => Ok(thr(solver.solve_bicgstab_threaded(a, b, 2))),
+        "pcg_threaded" => solver
+            .solve_pcg_threaded(a, b, 2)
+            .map(thr)
+            .map_err(|x| e(&x)),
+        "pbicgstab_threaded" => solver
+            .solve_pbicgstab_threaded(a, b, 2)
+            .map(thr)
+            .map_err(|x| e(&x)),
+        "cg_pipelined_threaded" => Ok(thr(solver.solve_cg_pipelined_threaded(a, b, 2))),
+        "pcg_pipelined_threaded" => solver
+            .solve_pcg_pipelined_threaded(a, b, 2)
+            .map(thr)
+            .map_err(|x| e(&x)),
+        "cg_sharded" => Ok(shd(solver.solve_cg_sharded(a, b, 2, 2))),
+        "pcg_sharded" => solver
+            .solve_pcg_sharded(a, b, 2, 2)
+            .map(shd)
+            .map_err(|x| e(&x)),
         other => panic!("unknown core {other}"),
     }
 }
@@ -137,12 +286,12 @@ enum Digest {
         residuals: u64,
         breakdowns: String,
         failure: String,
-        total_us: u64,
+        total_us: Option<u64>,
     },
     FactorError(String),
 }
 
-fn digest(rep: Result<SolveReport, String>) -> Digest {
+fn digest(rep: Result<Outcome, String>) -> Digest {
     match rep {
         Err(e) => Digest::FactorError(e),
         Ok(rep) => Digest::Solved {
@@ -151,7 +300,7 @@ fn digest(rep: Result<SolveReport, String>) -> Digest {
             residuals: bits(&rep.residual_history),
             breakdowns: trail(&rep.breakdowns),
             failure: format!("{:?}", rep.failure),
-            total_us: rep.timeline.total_us().to_bits(),
+            total_us: rep.total_us.map(f64::to_bits),
         },
     }
 }
@@ -184,9 +333,19 @@ fn row_source(case: &str, core: &str, d: &Digest) -> String {
             residuals,
             breakdowns,
             failure,
-            total_us,
+            total_us: Some(total_us),
         } => format!(
             "    (\"{case}\", \"{core}\", ok({x:#018x}, {iterations}, {residuals:#018x}, \"{breakdowns}\", \"{failure}\", {total_us:#018x})),"
+        ),
+        Digest::Solved {
+            x,
+            iterations,
+            residuals,
+            breakdowns,
+            failure,
+            total_us: None,
+        } => format!(
+            "    (\"{case}\", \"{core}\", engine({x:#018x}, {iterations}, {residuals:#018x}, \"{breakdowns}\", \"{failure}\")),"
         ),
         Digest::FactorError(e) => {
             format!("    (\"{case}\", \"{core}\", err(\"{}\")),", e.replace('"', "\\\""))
@@ -208,7 +367,19 @@ fn ok(
         residuals,
         breakdowns: breakdowns.to_string(),
         failure: failure.to_string(),
-        total_us,
+        total_us: Some(total_us),
+    }
+}
+
+/// An engine row: no modeled total time.
+fn engine(x: u64, iterations: usize, residuals: u64, breakdowns: &str, failure: &str) -> Digest {
+    Digest::Solved {
+        x,
+        iterations,
+        residuals,
+        breakdowns: breakdowns.to_string(),
+        failure: failure.to_string(),
+        total_us: None,
     }
 }
 
@@ -238,29 +409,75 @@ struct Case {
 /// - `spd`: a converging noisy SPD grid;
 /// - `negdef`: the same grid negated, so every CG-family core breaks down
 ///   on curvature until the restart budget aborts it as `Stalled`
-///   (BiCGSTAB converges; IC(0) fails to factor);
+///   (BiCGSTAB converges; IC(0) fails to factor). The negative diagonal
+///   fails `likely_spd`, so `Auto` runs BiCGSTAB directly;
+/// - `nonsym`: a nonsymmetric system for `Auto` and the BiCGSTAB family;
+/// - `fooled`: a system `likely_spd` admits that CG cannot solve, so
+///   `Auto` records the CG→BiCGSTAB handoff;
+/// - `zero_pivot`: the SPD grid missing one diagonal entry, so every
+///   factorization starts with diagonal boosting;
 /// - `fixed_iters`: an exactly factorizable tridiagonal run for a fixed
 ///   iteration count, past convergence, into restarts that are exempt
 ///   from the stall abort;
 /// - `adaptive`: the SPD grid with the re-tier controller armed, on the
-///   cores that honour it.
+///   paths that honour it.
 fn cases() -> Vec<Case> {
     let spd = noisy_grid(20, 1.0);
     let n = spd.nrows;
+    let fooled = fooled_spd(40);
+    let mut fooled_b = vec![0.0; fooled.nrows];
+    fooled_b[38] = 1.0;
+    fooled_b[39] = -1.0;
     vec![
         Case {
             name: "spd",
             a: spd.clone(),
             b: rhs(n),
             cfg: base_config(),
-            cores: &CORES,
+            cores: &ALL,
         },
         Case {
             name: "negdef",
             a: noisy_grid(20, -1.0),
             b: rhs(n),
             cfg: base_config(),
-            cores: &CORES,
+            cores: &ALL,
+        },
+        Case {
+            name: "nonsym",
+            a: nonsym(300),
+            b: rhs(300),
+            cfg: base_config(),
+            cores: &[
+                "bicgstab",
+                "pbicgstab",
+                "auto",
+                "bicgstab_threaded",
+                "pbicgstab_threaded",
+            ],
+        },
+        Case {
+            name: "fooled",
+            a: fooled,
+            b: fooled_b,
+            cfg: base_config(),
+            cores: &["cg", "auto"],
+        },
+        Case {
+            name: "zero_pivot",
+            a: zero_pivot_grid(20),
+            b: rhs(n),
+            cfg: base_config(),
+            cores: &[
+                "pcg_ilu0",
+                "pcg_ic0",
+                "pcg_pipelined",
+                "pbicgstab",
+                "pcg_threaded",
+                "pbicgstab_threaded",
+                "pcg_pipelined_threaded",
+                "pcg_sharded",
+            ],
         },
         Case {
             name: "fixed_iters",
@@ -284,7 +501,13 @@ fn cases() -> Vec<Case> {
                 }),
                 ..base_config()
             },
-            cores: &["cg", "cg_pipelined", "pcg_ilu0"],
+            cores: &[
+                "cg",
+                "cg_pipelined",
+                "pcg_ilu0",
+                "cg_threaded",
+                "cg_pipelined_threaded",
+            ],
         },
     ]
 }
@@ -300,6 +523,15 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("spd", "pcg_block_jacobi", ok(0x09d6057e119fc432, 26, 0xc2e767d7248eb8eb, "", "None", 0x40ab68fe3cbdcf17)),
     ("spd", "pcg_pipelined", ok(0xb89faee37789a571, 12, 0x1611981d950c8bdf, "", "None", 0x4092e43220f3ad08)),
     ("spd", "pbicgstab", ok(0xce1381bca41049d1, 7, 0xfc99b10b8f2ccb38, "", "None", 0x4098cd2368e391ee)),
+    ("spd", "auto", ok(0xbbe24da6b0186328, 35, 0x31eb0bdd9f865d2c, "", "None", 0x40700809fdfab269)),
+    ("spd", "cg_threaded", engine(0x7787da13d8decb48, 35, 0x047339353aff32f3, "", "None")),
+    ("spd", "bicgstab_threaded", engine(0x21a6a30ea86030ec, 25, 0xb23fd71d5d74d99d, "", "None")),
+    ("spd", "pcg_threaded", engine(0x425404af4e289840, 12, 0x4724f5418640c701, "", "None")),
+    ("spd", "pbicgstab_threaded", engine(0xb441a0e68b132c29, 7, 0x10a56644b5c66d0b, "", "None")),
+    ("spd", "cg_pipelined_threaded", engine(0xb33814d0b70becca, 35, 0x7422084785c7ea63, "", "None")),
+    ("spd", "pcg_pipelined_threaded", engine(0x6e661f74a22c4003, 12, 0x40f98b7969a124dc, "", "None")),
+    ("spd", "cg_sharded", engine(0x7787da13d8decb48, 35, 0x047339353aff32f3, "", "None")),
+    ("spd", "pcg_sharded", engine(0x425404af4e289840, 12, 0x4724f5418640c701, "", "None")),
     ("negdef", "cg", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4063d551bb1709c6)),
     ("negdef", "cg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x404cea1586ded352)),
     ("negdef", "bicgstab", ok(0xfe13d8f607f0e197, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
@@ -308,6 +540,30 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("negdef", "pcg_block_jacobi", ok(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40908dc828d747ce)),
     ("negdef", "pcg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4076e58d2a83adee)),
     ("negdef", "pbicgstab", ok(0xdb40eafdc6329bd1, 7, 0xfc99b10b8f2ccb38, "", "None", 0x4098cd2368e391ee)),
+    ("negdef", "auto", ok(0xfe13d8f607f0e197, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
+    ("negdef", "cg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("negdef", "bicgstab_threaded", engine(0xb36e17ac38696fec, 25, 0xb23fd71d5d74d99d, "", "None")),
+    ("negdef", "pcg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("negdef", "pbicgstab_threaded", engine(0x90bfab203ab21629, 7, 0x10a56644b5c66d0b, "", "None")),
+    ("negdef", "cg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("negdef", "pcg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("negdef", "cg_sharded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("negdef", "pcg_sharded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("nonsym", "bicgstab", ok(0xe6cb792bd897fbac, 15, 0x1588c8be51604b74, "", "None", 0x407f08f776cc4bcd)),
+    ("nonsym", "pbicgstab", ok(0x1199c123bddbb873, 1, 0x419a8553fc3978b9, "", "None", 0x406ed804f66dd6b2)),
+    ("nonsym", "auto", ok(0xe6cb792bd897fbac, 15, 0x1588c8be51604b74, "", "None", 0x407f08f776cc4bcd)),
+    ("nonsym", "bicgstab_threaded", engine(0xb190ee41222cf805, 15, 0xd9aac930fc4b476c, "", "None")),
+    ("nonsym", "pbicgstab_threaded", engine(0xcb23efb2bf9c3b25, 1, 0x546e75ec9eccea57, "", "None")),
+    ("fooled", "cg", ok(0xf05e74aa1eda9c25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40629f2380adfc39)),
+    ("fooled", "auto", ok(0x912ed36b74c2e285, 1, 0xc06ad2530110e245, "0-6:Curvature:Restarted 7:Curvature:Aborted 8:Curvature:SwitchedSolver", "None", 0x404990d8024a8c59)),
+    ("zero_pivot", "pcg_ilu0", ok(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40910aecef07cb20)),
+    ("zero_pivot", "pcg_ic0", err("NotSpd(1)")),
+    ("zero_pivot", "pcg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4076e556d9629786)),
+    ("zero_pivot", "pbicgstab", ok(0x522f59df76d2e56d, 12, 0xb4933e415d098429, "0:FactorShift:Restarted", "None", 0x40a4ffb669c69d8e)),
+    ("zero_pivot", "pcg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("zero_pivot", "pbicgstab_threaded", engine(0x65c28d0c9e9134a3, 12, 0x6fa650aa0d5d2725, "0:FactorShift:Restarted", "None")),
+    ("zero_pivot", "pcg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("zero_pivot", "pcg_sharded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("fixed_iters", "cg", ok(0xc050784f836c8490, 40, 0x9f7ccb463020c1e7, "24-39:Curvature:Restarted", "None", 0x40842b9b05f8eaf4)),
     ("fixed_iters", "cg_pipelined", ok(0xda31755edd3f3092, 40, 0xc9bf8933d7ea9ac9, "26:Curvature:Restarted 28-39:Curvature:Restarted", "None", 0x406a4a8794ab3ca7)),
     ("fixed_iters", "bicgstab", ok(0xec922d5ea1650470, 40, 0x0ce2a931f859fc5a, "15:Omega:Restarted 16-39:NonFinite:Restarted", "None", 0x40938d3c5da47658)),
@@ -319,11 +575,13 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("adaptive", "cg", ok(0x8eac0340b8a28d1a, 37, 0x0753d8ed0d067e59, "", "None", 0x4084e9329da3fcdb)),
     ("adaptive", "cg_pipelined", ok(0xe2cf373b0120fa58, 37, 0xc506e77d5a4ee660, "", "None", 0x4071edbd7ea69e30)),
     ("adaptive", "pcg_ilu0", ok(0xe26b36a9f7ffacc7, 12, 0xe9c96a45a45064da, "", "None", 0x409f39a4694d1a1a)),
+    ("adaptive", "cg_threaded", engine(0xbe1f45f8f2c7454a, 37, 0x683009a8d0069f48, "", "None")),
+    ("adaptive", "cg_pipelined_threaded", engine(0xc24498e17d4749f6, 37, 0x4d0896df7ccf6931, "", "None")),
     ]
 }
 
 #[test]
-fn every_sequential_core_matches_its_golden_digest() {
+fn every_facade_path_matches_its_golden_digest() {
     let mut observed = Vec::new();
     for c in cases() {
         let solver = MilleFeuille::new(DeviceSpec::a100(), c.cfg);
@@ -351,9 +609,9 @@ fn every_sequential_core_matches_its_golden_digest() {
     }
 }
 
-/// The golden table is not vacuous: it covers a converging solve, a
-/// `Stalled` abort and fixed-iteration restarts, and the armed controller
-/// fires on ILU(0)-PCG.
+/// The golden table is not vacuous: it covers a converging solve on every
+/// path, a `Stalled` abort, fixed-iteration restarts, the `Auto` handoff
+/// and factor shifts, and the armed controller fires on ILU(0)-PCG.
 #[test]
 fn golden_cases_exercise_convergence_restarts_and_retiering() {
     let by_core = |case: &str, core: &str| {
@@ -365,7 +623,7 @@ fn golden_cases_exercise_convergence_restarts_and_retiering() {
             &c.b,
         )
     };
-    for core in CORES {
+    for core in ALL {
         let spd = by_core("spd", core).unwrap();
         assert!(spd.converged, "spd/{core}");
     }
@@ -382,4 +640,18 @@ fn golden_cases_exercise_convergence_restarts_and_retiering() {
     assert!(!fixed.breakdowns.is_empty() && fixed.failure.is_none());
     let adaptive = by_core("adaptive", "pcg_ilu0").unwrap();
     assert!(!adaptive.retier_trail.is_empty());
+    let handoff = by_core("fooled", "auto").unwrap();
+    assert!(handoff.converged);
+    assert!(handoff
+        .breakdowns
+        .iter()
+        .any(|e| e.action == mf_solver::RecoveryAction::SwitchedSolver));
+    for core in ["pcg_ilu0", "pcg_threaded", "pcg_sharded"] {
+        let boosted = by_core("zero_pivot", core).unwrap();
+        assert_eq!(
+            boosted.breakdowns.first().map(|e| e.kind),
+            Some(mf_solver::BreakdownKind::FactorShift),
+            "zero_pivot/{core}"
+        );
+    }
 }
