@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mf_baselines::Baseline;
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 use std::hint::black_box;
 
@@ -25,7 +26,11 @@ fn bench_cg(c: &mut Criterion) {
         a.matvec(&vec![1.0; a.ncols], &mut b);
         g.bench_with_input(BenchmarkId::new("mille_feuille", name), &a, |bch, a| {
             let solver = MilleFeuille::new(DeviceSpec::a100(), cfg());
-            bch.iter(|| solver.solve_cg(black_box(a), black_box(&b)))
+            bch.iter(|| {
+                solver
+                    .solve(black_box(a), black_box(&b), &SolveSpec::new(Method::Cg))
+                    .unwrap()
+            })
         });
         g.bench_with_input(BenchmarkId::new("cusparse_like", name), &a, |bch, a| {
             let base = Baseline::cusparse();
@@ -43,7 +48,15 @@ fn bench_bicgstab(c: &mut Criterion) {
         a.matvec(&vec![1.0; a.ncols], &mut b);
         g.bench_with_input(BenchmarkId::new("mille_feuille", name), &a, |bch, a| {
             let solver = MilleFeuille::new(DeviceSpec::mi210(), cfg());
-            bch.iter(|| solver.solve_bicgstab(black_box(a), black_box(&b)))
+            bch.iter(|| {
+                solver
+                    .solve(
+                        black_box(a),
+                        black_box(&b),
+                        &SolveSpec::new(Method::BiCgStab),
+                    )
+                    .unwrap()
+            })
         });
         g.bench_with_input(BenchmarkId::new("hipsparse_like", name), &a, |bch, a| {
             let base = Baseline::hipsparse();

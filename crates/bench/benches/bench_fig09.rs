@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mf_baselines::Baseline;
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 use std::hint::black_box;
 
@@ -23,7 +24,11 @@ fn bench_libraries(c: &mut Criterion) {
         a.matvec(&vec![1.0; a.ncols], &mut b);
         g.bench_with_input(BenchmarkId::new("mille_feuille", name), &a, |bch, a| {
             let solver = MilleFeuille::new(DeviceSpec::a100(), cfg());
-            bch.iter(|| solver.solve_cg(black_box(a), black_box(&b)))
+            bch.iter(|| {
+                solver
+                    .solve(black_box(a), black_box(&b), &SolveSpec::new(Method::Cg))
+                    .unwrap()
+            })
         });
         for base in [Baseline::petsc(), Baseline::ginkgo()] {
             let label = base.profile.name.to_lowercase();

@@ -7,6 +7,7 @@ use mf_baselines::Baseline;
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
 use mf_kernels::ilu0;
+use mf_solver::{Method, Precond, PrecondKind, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 use std::hint::black_box;
 
@@ -26,7 +27,16 @@ fn bench_pcg(c: &mut Criterion) {
         a.matvec(&vec![1.0; a.ncols], &mut b);
         g.bench_with_input(BenchmarkId::new("mille_feuille", name), &a, |bch, a| {
             let solver = MilleFeuille::new(DeviceSpec::a100(), cfg());
-            bch.iter(|| solver.solve_pcg_with(black_box(a), black_box(&b), &ilu))
+            bch.iter(|| {
+                solver
+                    .solve(
+                        black_box(a),
+                        black_box(&b),
+                        &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))
+                            .with_factors(Precond::Ilu0(&ilu)),
+                    )
+                    .unwrap()
+            })
         });
         g.bench_with_input(BenchmarkId::new("cusparse_like", name), &a, |bch, a| {
             let base = Baseline::cusparse();

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 use std::hint::black_box;
 
@@ -24,8 +25,16 @@ fn bench_mixed_vs_fp64(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new(label, name), &a, |bch, a| {
                 let solver = MilleFeuille::new(DeviceSpec::a100(), cfg.clone());
                 bch.iter(|| match m.kind {
-                    SolverKind::Cg => solver.solve_cg(black_box(a), black_box(&b)),
-                    SolverKind::Bicgstab => solver.solve_bicgstab(black_box(a), black_box(&b)),
+                    SolverKind::Cg => solver
+                        .solve(black_box(a), black_box(&b), &SolveSpec::new(Method::Cg))
+                        .unwrap(),
+                    SolverKind::Bicgstab => solver
+                        .solve(
+                            black_box(a),
+                            black_box(&b),
+                            &SolveSpec::new(Method::BiCgStab),
+                        )
+                        .unwrap(),
                 })
             });
         }

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mf_baselines::Baseline;
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 use std::hint::black_box;
 
@@ -21,7 +22,11 @@ fn bench_converged_solves(c: &mut Criterion) {
         a.matvec(&vec![1.0; a.ncols], &mut b);
         g.bench_with_input(BenchmarkId::new("mf_cg", name), &a, |bch, a| {
             let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-            bch.iter(|| solver.solve_cg(black_box(a), black_box(&b)))
+            bch.iter(|| {
+                solver
+                    .solve(black_box(a), black_box(&b), &SolveSpec::new(Method::Cg))
+                    .unwrap()
+            })
         });
         g.bench_with_input(BenchmarkId::new("base_cg", name), &a, |bch, a| {
             let base = Baseline::cusparse();
@@ -34,7 +39,15 @@ fn bench_converged_solves(c: &mut Criterion) {
         a.matvec(&vec![1.0; a.ncols], &mut b);
         g.bench_with_input(BenchmarkId::new("mf_bicgstab", name), &a, |bch, a| {
             let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-            bch.iter(|| solver.solve_bicgstab(black_box(a), black_box(&b)))
+            bch.iter(|| {
+                solver
+                    .solve(
+                        black_box(a),
+                        black_box(&b),
+                        &SolveSpec::new(Method::BiCgStab),
+                    )
+                    .unwrap()
+            })
         });
         g.bench_with_input(BenchmarkId::new("base_bicgstab", name), &a, |bch, a| {
             let base = Baseline::cusparse();

@@ -6,7 +6,7 @@
 use mf_bench::{harness::paper_rhs, write_csv, Table};
 use mf_collection::{fig11_names, named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
-use mf_solver::{MilleFeuille, SolverConfig};
+use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 use rayon::prelude::*;
 
 fn main() {
@@ -29,8 +29,10 @@ fn main() {
                 };
                 let solver = MilleFeuille::new(DeviceSpec::a100(), cfg);
                 match m.kind {
-                    SolverKind::Cg => solver.solve_cg(&a, &b),
-                    SolverKind::Bicgstab => solver.solve_bicgstab(&a, &b),
+                    SolverKind::Cg => solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap(),
+                    SolverKind::Bicgstab => solver
+                        .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+                        .unwrap(),
                 }
             };
             let on = run(true);

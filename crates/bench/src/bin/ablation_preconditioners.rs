@@ -8,6 +8,7 @@ use mf_bench::{harness::paper_rhs, write_csv, Table};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
 use mf_solver::MilleFeuille;
+use mf_solver::{Method, PrecondKind, SolveSpec};
 
 fn main() {
     println!("Ablation — preconditioner comparison on SPD systems (A100, ε = 1e-10)\n");
@@ -39,11 +40,19 @@ fn main() {
         let b = paper_rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
 
-        let cg = solver.solve_cg(&a, &b);
-        let ilu = solver.solve_pcg(&a, &b).expect("ilu0");
-        let ic = solver.solve_pcg_ic0(&a, &b).expect("ic0");
+        let cg = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
+        let ilu = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+            .expect("ilu0");
+        let ic = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ic0)))
+            .expect("ic0");
         let bj = solver
-            .solve_pcg_block_jacobi(&a, &b, 16)
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))),
+            )
             .expect("block-jacobi");
         let bj_hist = mf_kernels::BlockJacobi::new(&a, 16)
             .unwrap()

@@ -7,6 +7,7 @@ use mf_bench::{harness::paper_rhs, iters_from_env, write_csv, Table};
 use mf_collection::poisson2d;
 use mf_gpu::DeviceSpec;
 use mf_solver::{KernelMode, MilleFeuille, SolverConfig};
+use mf_solver::{Method, SolveSpec};
 
 fn main() {
     let iters = iters_from_env();
@@ -33,7 +34,9 @@ fn main() {
                 kernel_mode: mode,
                 ..SolverConfig::default()
             };
-            MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b)
+            MilleFeuille::new(DeviceSpec::a100(), cfg)
+                .solve(&a, &b, &SolveSpec::new(Method::Cg))
+                .unwrap()
         };
         let single = run(KernelMode::SingleKernel);
         let multi = run(KernelMode::MultiKernel);

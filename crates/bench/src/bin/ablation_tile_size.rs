@@ -6,6 +6,7 @@
 use mf_bench::{harness::paper_rhs, iters_from_env, write_csv, Table};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 use mf_sparse::TiledMatrix;
 
@@ -43,8 +44,10 @@ fn main() {
             };
             let solver = MilleFeuille::new(DeviceSpec::a100(), cfg);
             let rep = match m.kind {
-                SolverKind::Cg => solver.solve_cg(&a, &b),
-                SolverKind::Bicgstab => solver.solve_bicgstab(&a, &b),
+                SolverKind::Cg => solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap(),
+                SolverKind::Bicgstab => solver
+                    .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+                    .unwrap(),
             };
             println!(
                 "  {:>5} {:>9} {:>10.3} {:>10} {:>10} {:>12.1}",

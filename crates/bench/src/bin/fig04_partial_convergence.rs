@@ -9,6 +9,7 @@
 use mf_bench::{write_csv, Table};
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
             ..SolverConfig::default()
         };
         let solver = MilleFeuille::new(DeviceSpec::a100(), cfg);
-        let rep = solver.solve_cg(&a, &b);
+        let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         println!(
             "{name}: n={}, {} iterations, converged={}",
             a.nrows, rep.iterations, rep.converged

@@ -77,7 +77,7 @@ fn main() {
     let rep = run_cg_threaded(&m, &b, 1e-12, 100, &ThreadedOpts::new(warps));
     println!(
         "\nthreaded engine: {} warps, converged = {} in {} iterations (relres {:.2e})",
-        rep.warps, rep.converged, rep.iterations, rep.final_relres
+        rep.warp_count, rep.converged, rep.iterations, rep.final_relres
     );
     let err = rep.x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max);
     println!("max |x - 1| = {err:.2e}");

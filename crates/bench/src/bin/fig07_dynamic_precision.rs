@@ -8,6 +8,7 @@
 use mf_bench::{write_csv, Table};
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 
 fn main() {
@@ -32,7 +33,9 @@ fn main() {
             max_iter: 400,
             ..SolverConfig::default()
         };
-        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b);
+        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg)
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .unwrap();
         println!(
             "{name}: {} iterations, converged={}, {} on-chip conversions total",
             rep.iterations, rep.converged, rep.spmv_stats.conversions

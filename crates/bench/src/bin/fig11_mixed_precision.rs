@@ -10,7 +10,7 @@
 use mf_bench::{harness::paper_rhs, iters_from_env, write_csv, Table};
 use mf_collection::{fig11_names, named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
-use mf_solver::{MilleFeuille, SolverConfig};
+use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 use rayon::prelude::*;
 
 struct Row {
@@ -48,8 +48,10 @@ fn main() {
             let run = |cfg: SolverConfig| {
                 let solver = MilleFeuille::new(device.clone(), cfg);
                 match m.kind {
-                    SolverKind::Cg => solver.solve_cg(&a, &b),
-                    SolverKind::Bicgstab => solver.solve_bicgstab(&a, &b),
+                    SolverKind::Cg => solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap(),
+                    SolverKind::Bicgstab => solver
+                        .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+                        .unwrap(),
                 }
             };
             let mixed = run(mixed_cfg);

@@ -9,6 +9,7 @@ use mf_baselines::Baseline;
 use mf_bench::{harness::paper_rhs, write_csv, Table};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 
 fn main() {
@@ -41,8 +42,10 @@ fn main() {
             };
             let solver = MilleFeuille::new(DeviceSpec::a100(), cfg);
             let rep = match m.kind {
-                SolverKind::Cg => solver.solve_cg(&a, &b),
-                SolverKind::Bicgstab => solver.solve_bicgstab(&a, &b),
+                SolverKind::Cg => solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap(),
+                SolverKind::Bicgstab => solver
+                    .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+                    .unwrap(),
             };
             rep.error_history
         };

@@ -10,7 +10,7 @@ use mf_bench::{
 };
 use mf_collection::{SolverKind, SuiteEntry};
 use mf_gpu::{DeviceSpec, Phase};
-use mf_solver::{MilleFeuille, SolverConfig};
+use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 use rayon::prelude::*;
 
 struct Row {
@@ -33,8 +33,10 @@ fn measure(entries: &[SuiteEntry], kind: SolverKind, iters: usize) -> Vec<Row> {
             };
             let solver = MilleFeuille::new(DeviceSpec::a100(), cfg);
             let rep = match kind {
-                SolverKind::Cg => solver.solve_cg(&a, &b),
-                SolverKind::Bicgstab => solver.solve_bicgstab(&a, &b),
+                SolverKind::Cg => solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap(),
+                SolverKind::Bicgstab => solver
+                    .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+                    .unwrap(),
             };
             let preprocess_us = rep.timeline.get(Phase::Preprocess);
             Row {

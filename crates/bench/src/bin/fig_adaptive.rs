@@ -39,6 +39,7 @@ use mf_bench::{metric_cell, write_csv, Table};
 use mf_collection::{banded_spd, poisson2d, poisson3d, random_spd, ValueClass};
 use mf_gpu::DeviceSpec;
 use mf_solver::{AdaptiveConfig, MilleFeuille, SolveReport, SolverConfig};
+use mf_solver::{Method, SolveSpec};
 use mf_sparse::{Coo, Csr};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -165,8 +166,12 @@ fn main() {
     let mut rows: Vec<AdaptRow> = Vec::new();
     for (name, a) in &systems {
         let b = rhs(a);
-        let statik = static_solver.solve_cg(a, &b);
-        let adaptive = adaptive_solver.solve_cg(a, &b);
+        let statik = static_solver
+            .solve(a, &b, &SolveSpec::new(Method::Cg))
+            .unwrap();
+        let adaptive = adaptive_solver
+            .solve(a, &b, &SolveSpec::new(Method::Cg))
+            .unwrap();
         let pass = statik.status_label() == adaptive.status_label()
             && adaptive.spmv_stats.value_bytes() <= statik.spmv_stats.value_bytes();
         rows.push(AdaptRow {

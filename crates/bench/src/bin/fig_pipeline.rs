@@ -45,7 +45,7 @@ use mf_collection::{cg_suite, poisson2d, SuiteOptions};
 use mf_kernels::{ilu0, Ilu0};
 use mf_solver::{
     run_cg_pipelined_threaded, run_cg_threaded, run_pcg_pipelined_threaded, run_pcg_threaded,
-    EventKind, ThreadedOpts, ThreadedReport, TraceConfig,
+    EventKind, SolveReport, ThreadedOpts, TraceConfig,
 };
 use mf_sparse::{Csr, TiledMatrix};
 
@@ -78,7 +78,7 @@ fn solve_once(
     max_iter: usize,
     warps: usize,
     cfg: &TraceConfig,
-) -> ThreadedReport {
+) -> SolveReport {
     let opts = ThreadedOpts {
         trace: *cfg,
         ..ThreadedOpts::new(warps)
@@ -92,7 +92,7 @@ fn solve_once(
 }
 
 /// Barrier epochs in a traced report's complete stream.
-fn barrier_count(rep: &ThreadedReport) -> usize {
+fn barrier_count(rep: &SolveReport) -> usize {
     let s = rep.trace.as_ref().expect("traced run").summary();
     assert_eq!(s.dropped, 0, "trace ring dropped events; raise TRACE_CAP");
     s.count(EventKind::BarrierEnter)
@@ -119,9 +119,10 @@ fn schedule_density(
             "breakdown inside the density window perturbs the schedule — lower MF_PIPE_BUDGET"
         );
     }
-    assert_eq!(lo.warps, hi.warps);
-    let marginal = (barrier_count(&hi) - barrier_count(&lo)) as f64 / (hi.warps * budget) as f64;
-    let raw = barrier_count(&hi) as f64 / (hi.warps * 2 * budget) as f64;
+    assert_eq!(lo.warp_count, hi.warp_count);
+    let marginal =
+        (barrier_count(&hi) - barrier_count(&lo)) as f64 / (hi.warp_count * budget) as f64;
+    let raw = barrier_count(&hi) as f64 / (hi.warp_count * 2 * budget) as f64;
     (marginal, raw)
 }
 
@@ -138,7 +139,7 @@ fn timed_solve(
     max_iter: usize,
     warps: usize,
     reps: usize,
-) -> (f64, ThreadedReport) {
+) -> (f64, SolveReport) {
     let mut min = f64::INFINITY;
     for rep in 0..=reps {
         let t0 = Instant::now();
@@ -184,9 +185,9 @@ struct SolveRow {
     n: usize,
     nnz: usize,
     classic_us: f64,
-    classic: ThreadedReport,
+    classic: SolveReport,
     piped_us: f64,
-    piped: ThreadedReport,
+    piped: SolveReport,
     envelope: usize,
     pass: bool,
 }
@@ -372,7 +373,7 @@ fn main() {
         sp = schedule_pass,
     );
     for (i, r) in rows.iter().enumerate() {
-        let engine_json = |us: f64, rep: &ThreadedReport| {
+        let engine_json = |us: f64, rep: &SolveReport| {
             format!(
                 "{{\"wall_us\": {us:.1}, \"iterations\": {}, \"relres\": {:e}, \"status\": \"{}\", \"barriers_per_iter\": {}}}",
                 rep.iterations,

@@ -33,7 +33,7 @@ use mf_bench::{write_csv, Table};
 use mf_collection::{banded_spd, poisson2d, random_spd, ValueClass};
 use mf_gpu::Phase;
 use mf_solver::threaded::{run_cg_threaded, ThreadedOpts};
-use mf_solver::{run_cg_sharded, ShardedOpts, ShardedReport, SolverWorkspace};
+use mf_solver::{run_cg_sharded, EngineSection, ShardedOpts, SolveReport, SolverWorkspace};
 use mf_sparse::{Csr, TiledMatrix};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -66,7 +66,9 @@ struct ShardRow {
     n: usize,
     nnz: usize,
     shards: usize,
-    rep: ShardedReport,
+    rep: SolveReport,
+    halo_bytes: u64,
+    halo_messages: u64,
     bitwise: bool,
     max_shard_bytes: usize,
     total_bytes: usize,
@@ -125,13 +127,24 @@ fn main() {
                 && rep.final_relres.to_bits() == single.final_relres.to_bits()
                 && bits(&rep.residual_history) == bits(&single.residual_history)
                 && bits(&rep.x) == bits(&single.x);
-            let max_shard_bytes = rep.per_shard_value_bytes.iter().copied().max().unwrap_or(0);
+            let Some(EngineSection::Sharded {
+                halo_bytes,
+                halo_messages,
+                per_shard_value_bytes,
+                ..
+            }) = rep.engine.clone()
+            else {
+                panic!("a sharded run reports its sharding");
+            };
+            let max_shard_bytes = per_shard_value_bytes.iter().copied().max().unwrap_or(0);
             rows.push(ShardRow {
                 matrix: name.clone(),
                 n: a.nrows,
                 nnz: a.nnz(),
                 shards: sc,
                 rep,
+                halo_bytes,
+                halo_messages,
                 bitwise,
                 max_shard_bytes,
                 total_bytes,
@@ -166,8 +179,8 @@ fn main() {
             r.bitwise.to_string(),
             r.max_shard_bytes.to_string(),
             format!("{:.3}", r.max_shard_bytes as f64 / r.total_bytes as f64),
-            r.rep.halo_bytes.to_string(),
-            r.rep.halo_messages.to_string(),
+            r.halo_bytes.to_string(),
+            r.halo_messages.to_string(),
             format!("{:.1}", r.rep.timeline.get(Phase::Transfer)),
         ]);
     }
@@ -235,8 +248,8 @@ fn main() {
             bitwise = r.bitwise,
             msb = r.max_shard_bytes,
             tvb = r.total_bytes,
-            hb = r.rep.halo_bytes,
-            hm = r.rep.halo_messages,
+            hb = r.halo_bytes,
+            hm = r.halo_messages,
             tus = r.rep.timeline.get(Phase::Transfer),
             comma = if i + 1 < rows.len() { "," } else { "" },
         );

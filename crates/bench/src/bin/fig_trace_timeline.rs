@@ -31,6 +31,7 @@ use mf_kernels::ilu0;
 use mf_solver::{
     run_pcg_threaded, EventKind, MilleFeuille, SolverConfig, ThreadedOpts, Trace, TraceConfig,
 };
+use mf_solver::{Method, SolveSpec};
 use mf_sparse::{Csr, TiledMatrix};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -150,7 +151,9 @@ fn main() {
         trace: TraceConfig::on(),
         ..SolverConfig::default()
     };
-    let seq_report = MilleFeuille::new(DeviceSpec::a100(), seq_cfg).solve_cg(&a, &b);
+    let seq_report = MilleFeuille::new(DeviceSpec::a100(), seq_cfg)
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
     let seq_trace = seq_report.trace.as_ref().expect("sequential tracing on");
     let bytes = seq_trace.bytes_by_precision();
     let bypassed = seq_trace.bypassed_tiles();

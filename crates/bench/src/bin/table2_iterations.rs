@@ -11,6 +11,7 @@ use mf_baselines::Baseline;
 use mf_bench::{barriers_per_iter, harness::paper_rhs, metric_cell, write_csv, Table};
 use mf_collection::{named_matrix, table2_names};
 use mf_gpu::DeviceSpec;
+use mf_solver::{Method, SolveSpec};
 use mf_solver::{MilleFeuille, SolverConfig};
 
 fn main() {
@@ -43,10 +44,15 @@ fn main() {
         let solver = MilleFeuille::new(DeviceSpec::a100(), cfg.clone());
         let base = Baseline::cusparse();
         let (mf, bl) = if method == "CG" {
-            (solver.solve_cg(&a, &b), base.solve_cg(&a, &b, &cfg))
+            (
+                solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap(),
+                base.solve_cg(&a, &b, &cfg),
+            )
         } else {
             (
-                solver.solve_bicgstab(&a, &b),
+                solver
+                    .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+                    .unwrap(),
                 base.solve_bicgstab(&a, &b, &cfg),
             )
         };

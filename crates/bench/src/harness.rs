@@ -4,7 +4,9 @@ use mf_baselines::Baseline;
 use mf_collection::{bicgstab_suite, cg_suite, SuiteEntry, SuiteOptions};
 use mf_gpu::DeviceSpec;
 use mf_kernels::ilu0;
-use mf_solver::{ExecutedMode, MilleFeuille, SolveReport, SolverConfig};
+use mf_solver::{
+    ExecutedMode, Method, MilleFeuille, Precond, PrecondKind, SolveReport, SolveSpec, SolverConfig,
+};
 use rayon::prelude::*;
 
 /// One comparison point (one matrix, Mille-feuille vs one baseline).
@@ -139,7 +141,7 @@ pub fn compare_cg(
             let a = e.generate();
             let b = paper_rhs(&a);
             let mf = MilleFeuille::new(device.clone(), mf_config(iters));
-            let rep = mf.solve_cg(&a, &b);
+            let rep = mf.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
             let base = baseline.solve_cg(&a, &b, &mf_config(iters));
             CompareRow::from_reports(
                 &e.name,
@@ -166,7 +168,7 @@ pub fn compare_bicgstab(
             let a = e.generate();
             let b = paper_rhs(&a);
             let mf = MilleFeuille::new(device.clone(), mf_config(iters));
-            let rep = mf.solve_bicgstab(&a, &b);
+            let rep = mf.solve(&a, &b, &SolveSpec::new(Method::BiCgStab)).unwrap();
             let base = baseline.solve_bicgstab(&a, &b, &mf_config(iters));
             CompareRow::from_reports(
                 &e.name,
@@ -195,7 +197,14 @@ pub fn compare_pcg(
             let ilu = ilu0(&a).ok()?;
             let b = paper_rhs(&a);
             let mf = MilleFeuille::new(device.clone(), mf_config(iters));
-            let rep = mf.solve_pcg_with(&a, &b, &ilu);
+            let rep = mf
+                .solve(
+                    &a,
+                    &b,
+                    &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))
+                        .with_factors(Precond::Ilu0(&ilu)),
+                )
+                .unwrap();
             let base = baseline.solve_pcg_with(&a, &b, &mf_config(iters), &ilu);
             Some(CompareRow::from_reports(
                 &e.name,
@@ -223,7 +232,13 @@ pub fn compare_pbicgstab(
             let ilu = ilu0(&a).ok()?;
             let b = paper_rhs(&a);
             let mf = MilleFeuille::new(device.clone(), mf_config(iters));
-            let rep = mf.solve_pbicgstab_with(&a, &b, &ilu);
+            let rep = mf
+                .solve(
+                    &a,
+                    &b,
+                    &SolveSpec::new(Method::PBiCgStab).with_factors(Precond::Ilu0(&ilu)),
+                )
+                .unwrap();
             let base = baseline.solve_pbicgstab_with(&a, &b, &mf_config(iters), &ilu);
             Some(CompareRow::from_reports(
                 &e.name,
@@ -338,6 +353,7 @@ mod tests {
                 failure,
                 trace: None,
                 retier_trail: vec![],
+                engine: None,
             }
         }
 

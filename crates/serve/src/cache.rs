@@ -69,8 +69,6 @@ pub struct PreparedMatrix {
     pub ilu: Option<Ilu0>,
     /// Cached coster decision: which execution mode the solve runs in.
     pub mode: ExecutedMode,
-    /// Cached coster decision: whether CG uses the pipelined schedule.
-    pub pipelined: bool,
     /// Resident size used for the byte budget (tiled structure + factors).
     pub bytes: usize,
 }
@@ -291,14 +289,12 @@ mod tests {
         let solver = MilleFeuille::new(DeviceSpec::a100(), SolverConfig::default());
         let pre = solver.preprocess(a);
         let mode = solver.decide_mode(&pre.tiled);
-        let pipelined = solver.decide_pipeline(&pre.tiled, mode);
         let bytes = pre.tiled.memory_bytes().total();
         PreparedMatrix {
             fingerprint: a.fingerprint(),
             pre,
             ilu: None,
             mode,
-            pipelined,
             bytes,
         }
     }

@@ -12,11 +12,9 @@
 
 use std::sync::Arc;
 
-use mf_gpu::{CostModel, DeviceSpec};
+use mf_gpu::DeviceSpec;
 use mf_kernels::SharedTiles;
 use mf_solver::block::{run_cg_block_ws, BlockOptions, BlockWorkspace, ColumnStatus};
-use mf_solver::coster::{Coster, MultiCoster, SingleCoster};
-use mf_solver::report::ExecutedMode;
 use mf_solver::{MilleFeuille, SolveReport, SolverConfig, SolverWorkspace};
 use mf_sparse::Csr;
 use mf_trace::Trace;
@@ -137,7 +135,6 @@ impl SolveService {
                 (self.solver.preprocess(a), None)
             };
             let mode = self.solver.decide_mode(&pre.tiled);
-            let pipelined = self.solver.decide_pipeline(&pre.tiled, mode);
             let mut bytes = pre.tiled.memory_bytes().total();
             if let Some(f) = &ilu {
                 bytes += f.l.memory_bytes() + f.u.memory_bytes();
@@ -147,7 +144,6 @@ impl SolveService {
                 pre,
                 ilu,
                 mode,
-                pipelined,
                 bytes,
             }
         })
@@ -168,7 +164,7 @@ impl SolveService {
             }
         };
         if hit {
-            // The modeled timeline still carges the full cold cost (it is
+            // The modeled timeline still charges the full cold cost (it is
             // a property of the solve, not of this request); the passes
             // counter records what this request actually paid.
             report.preprocess_passes = 0;
@@ -242,7 +238,7 @@ impl SolveService {
                 b[jj * n..(jj + 1) * n].copy_from_slice(rhs);
             }
             let mut shared = SharedTiles::load(&prepared.pre.tiled);
-            let coster = self.coster_for(&prepared);
+            let coster = self.solver.build_coster(&prepared.pre.tiled, prepared.mode);
             let res = run_cg_block_ws(
                 &prepared.pre.tiled,
                 &mut shared,
@@ -287,7 +283,7 @@ impl SolveService {
         hit: bool,
     ) -> BatchOutcome {
         let mut shared = SharedTiles::load(&prepared.pre.tiled);
-        let coster = self.coster_for(prepared);
+        let coster = self.solver.build_coster(&prepared.pre.tiled, prepared.mode);
         let mut ws = BlockWorkspace::new();
         let res = run_cg_block_ws(
             &prepared.pre.tiled,
@@ -321,20 +317,6 @@ impl SolveService {
             final_relres: rep.final_relres,
             batched: false,
             cache_hit: hit,
-        }
-    }
-
-    fn coster_for(&self, prepared: &PreparedMatrix) -> Coster {
-        let cost = CostModel::new(self.config.device.clone());
-        match prepared.mode {
-            ExecutedMode::SingleKernel => Coster::Single(SingleCoster::new(
-                cost,
-                &prepared.pre.tiled,
-                self.config.solver.tile_size,
-            )),
-            ExecutedMode::MultiKernel => {
-                Coster::Multi(MultiCoster::new(cost, prepared.pre.tiled.nrows))
-            }
         }
     }
 

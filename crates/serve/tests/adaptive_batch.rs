@@ -11,6 +11,7 @@
 
 use mf_serve::{ServeConfig, SolveService};
 use mf_solver::{AdaptiveConfig, MilleFeuille, SolverConfig};
+use mf_solver::{Method, SolveSpec};
 use mf_sparse::{Coo, Csr};
 
 /// Diagonally dominant SPD tridiagonal with noisy values, so tiles
@@ -69,7 +70,9 @@ fn adaptive_batches_match_independent_adaptive_solves() {
         },
     );
     for (i, (outcome, rhs)) in outcomes.iter().zip(&rhss).enumerate() {
-        let solo = reference.solve_cg(&a, rhs);
+        let solo = reference
+            .solve(&a, rhs, &SolveSpec::new(Method::Cg))
+            .unwrap();
         assert!(
             !outcome.batched,
             "request {i}: adaptive batches must take the independent path"

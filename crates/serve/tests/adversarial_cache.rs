@@ -22,6 +22,7 @@ use std::sync::{Arc, Barrier};
 use mf_gpu::{FaultKind, FaultPlan};
 use mf_serve::{CacheConfig, ServeConfig, SolveService};
 use mf_solver::{EventKind, MilleFeuille, SolverConfig};
+use mf_solver::{Method, Precond, PrecondKind, SolveSpec};
 use mf_sparse::{Coo, Csr};
 
 fn poisson1d(n: usize) -> Csr {
@@ -68,8 +69,9 @@ fn concurrent_same_key_builds_once_and_matches_cold() {
     let a = poisson1d(n);
     let b = seeded_vec(n, 9);
     // Cold one-shot facade reference (no serving layer at all).
-    let cold =
-        MilleFeuille::new(mf_gpu::DeviceSpec::a100(), SolverConfig::default()).solve_cg(&a, &b);
+    let cold = MilleFeuille::new(mf_gpu::DeviceSpec::a100(), SolverConfig::default())
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
 
     for seed in [1u64, 7, 42] {
         let svc = Arc::new(SolveService::new(ServeConfig::default()));
@@ -181,7 +183,7 @@ fn seeded_interleavings_across_eviction_boundaries() {
     let cold: Vec<Vec<f64>> = mats
         .iter()
         .zip(&rhss)
-        .map(|(a, b)| facade.solve_cg(a, b).x)
+        .map(|(a, b)| facade.solve(a, b, &SolveSpec::new(Method::Cg)).unwrap().x)
         .collect();
 
     for seed in [3u64, 17, 99] {
@@ -305,7 +307,13 @@ fn preconditioned_hit_matches_cold_pcg_facade() {
 
     let facade = MilleFeuille::new(mf_gpu::DeviceSpec::a100(), SolverConfig::default());
     let (ilu, _shifts) = mf_kernels::ilu0_boosted(&a).expect("SPD factors");
-    let cold = facade.solve_pcg_with(&a, &b, &ilu);
+    let cold = facade
+        .solve(
+            &a,
+            &b,
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).with_factors(Precond::Ilu0(&ilu)),
+        )
+        .unwrap();
 
     let svc = SolveService::new(ServeConfig {
         precondition: true,

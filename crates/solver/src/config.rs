@@ -72,8 +72,8 @@ pub enum KernelMode {
 /// over tile rows ([`mf_kernels::spmv_mixed_par`]). The same resolved count
 /// sets preprocessing: with more than one thread, tiles are classified in
 /// parallel ([`mf_sparse::TiledMatrix::from_csr_par`]), and a preconditioner
-/// factorization ([`crate::MilleFeuille::preprocess_with_ilu0`] and the
-/// one-shot preconditioned solves) runs on its own thread alongside the
+/// factorization ([`crate::MilleFeuille::preprocess_with_ilu0`] and every
+/// preconditioned [`crate::MilleFeuille::solve`]) runs on its own thread alongside the
 /// tile build, which gets the threads left over. Every path is
 /// bitwise-identical to the serial one, so this knob trades wall-clock for
 /// thread occupancy without perturbing any result.
@@ -146,11 +146,6 @@ pub struct SolverConfig {
     pub partial_safety: f64,
     /// Kernel mode policy.
     pub kernel_mode: KernelMode,
-    /// Pipelined-recurrence policy for CG dispatched through
-    /// [`crate::MilleFeuille::solve_auto`]. Explicit entry points
-    /// (`solve_cg`, `solve_cg_pipelined`, …) ignore this and run what
-    /// their name says.
-    pub pipeline: PipelineMode,
     /// Classification options for the initial tile precisions.
     pub classify: ClassifyOptions,
     /// Leaf size of the recursive-block SpTRSV (preconditioned solvers).
@@ -174,10 +169,10 @@ pub struct SolverConfig {
     /// instead of hanging. The default is the progress heartbeat
     /// ([`DEFAULT_HEARTBEAT`]): it fires only when *no* warp advances for
     /// the interval, so slow-but-healthy solves never trip it.
-    /// [`WatchdogPolicy::Disabled`] turns detection off. The facade's
-    /// threaded methods pass this through as [`crate::ThreadedOpts::watchdog`].
+    /// [`WatchdogPolicy::Disabled`] turns detection off. The facade passes
+    /// this to the threaded engines as [`crate::ThreadedOpts::watchdog`].
     pub watchdog: WatchdogPolicy,
-    /// When [`crate::MilleFeuille::solve_auto`]'s structure heuristic picks
+    /// When [`crate::Method::Auto`]'s structure heuristic picks
     /// CG but the solve aborts on curvature breakdowns (the matrix looked
     /// SPD and was not), re-dispatch the system to BiCGSTAB instead of
     /// surfacing the failed CG report. The handoff is recorded as a
@@ -187,7 +182,7 @@ pub struct SolverConfig {
     /// event site is one `Option` branch). When enabled, engines record
     /// iteration/barrier/row-wait/precision/bypass/breakdown/fault events
     /// into per-warp ring buffers, merged deterministically into
-    /// `SolveReport::trace` / `ThreadedReport::trace` at join time.
+    /// `SolveReport::trace` at join time.
     pub trace: TraceConfig,
     /// Adaptive precision controller v2 (residual-driven tile re-tiering,
     /// including scaled FP8): `Some(cfg)` arms a
@@ -217,7 +212,6 @@ impl Default for SolverConfig {
             partial_convergence: true,
             partial_safety: 0.1,
             kernel_mode: KernelMode::Auto,
-            pipeline: PipelineMode::Auto,
             classify: ClassifyOptions::default(),
             trsv_leaf: mf_kernels::sptrsv::DEFAULT_TRSV_LEAF,
             trace_residuals: false,
@@ -274,7 +268,6 @@ mod tests {
         assert!(c.mixed_precision);
         assert!(c.partial_convergence);
         assert_eq!(c.kernel_mode, KernelMode::Auto);
-        assert_eq!(c.pipeline, PipelineMode::Auto);
         assert!(c.fixed_iterations.is_none());
         assert_eq!(c.host_parallelism, HostParallelism::Auto);
         assert_eq!(

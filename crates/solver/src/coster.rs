@@ -266,7 +266,7 @@ impl SingleCoster {
     /// Modeled cost of one *pipelined* CG iteration (Ghysels–Vanroose
     /// schedule): the same SpMV, one fused six-vector update, one fused dot
     /// pair, and exactly ONE barrier epoch instead of the classic
-    /// schedule's ~4. `solve_auto` compares this against
+    /// schedule's ~4. `PipelineMode::Auto` compares this against
     /// [`SingleCoster::estimate_cg_iteration_us`] to decide whether the
     /// barrier savings justify the pipelined recurrence's rounding drift.
     pub fn estimate_cg_pipelined_iteration_us(

@@ -21,25 +21,32 @@
 //!
 //! ## Entry point
 //!
-//! [`MilleFeuille`] owns a device model and a [`SolverConfig`]; its
-//! `solve_cg` / `solve_bicgstab` / `solve_pcg` / `solve_pbicgstab` methods
-//! take any CSR matrix, preprocess it into the tiled format (§III-B), pick
-//! single- vs multi-kernel mode (§III-C, with the ≈10⁶-nnz fallback), run
-//! the solve, and return a [`SolveReport`] with the solution, convergence
-//! data and a full modeled-time breakdown.
+//! [`MilleFeuille`] owns a device model and a [`SolverConfig`]. Its one
+//! entry, [`MilleFeuille::solve`], takes any CSR matrix and a
+//! [`SolveSpec`]: the [`Method`] (`Auto`, CG, BiCGSTAB, PCG with ILU(0) /
+//! IC(0) / block-Jacobi, PBiCGSTAB), the [`Engine`] (sequential, threaded
+//! or sharded), the [`PipelineMode`] and optionally caller-supplied
+//! factors. It preprocesses the matrix into the tiled format (§III-B),
+//! picks single- vs multi-kernel mode (§III-C, with the ≈10⁶-nnz
+//! fallback), runs the solve, and returns a [`SolveReport`] with the
+//! solution, convergence data and a full modeled-time breakdown, whichever
+//! engine ran. Unsupported combinations are a typed [`SolveError`]. The
+//! serving layer's cache-hit paths, `solve_cg_preprocessed` and
+//! `solve_pcg_preprocessed`, reuse an existing [`solver::Preprocessed`].
 //!
 //! The [`threaded`] module contains *real* multi-threaded single-kernel
 //! engines — warps as OS threads synchronized only through atomic
 //! dependency counters — used to validate that the paper's in-kernel
 //! synchronization scheme is correct and deadlock-free. Each engine has one
 //! entry point taking a [`ThreadedOpts`] (warps, watchdog, faults, trace,
-//! adaptive). Beyond plain CG
-//! and BiCGSTAB, the preconditioned engines (`solve_pcg_threaded`,
-//! `solve_pbicgstab_threaded`) run the ILU(0) forward/backward triangular
-//! solves *inside* the kernel via per-row dependency counters
-//! ([`mf_gpu::deps::RowDeps`]), and are deterministic and warp-count
-//! invariant by construction so differential tests can compare them
-//! bitwise against sequential references.
+//! adaptive). Beyond plain CG and BiCGSTAB, the preconditioned engines
+//! ([`run_pcg_threaded`], [`run_pbicgstab_threaded`]) run the ILU(0)
+//! forward/backward triangular solves *inside* the kernel via per-row
+//! dependency counters ([`mf_gpu::deps::RowDeps`]), and are deterministic
+//! and warp-count invariant by construction so differential tests can
+//! compare them bitwise against sequential references. Engine-only
+//! telemetry (heartbeat positions, fault tallies, halo traffic) rides in
+//! [`SolveReport::engine`].
 //!
 //! ## Robustness
 //!
@@ -76,16 +83,16 @@ pub use config::{
 pub use pipelined::{run_cg_pipelined, run_pcg_pipelined};
 pub use precond::Precond;
 pub use report::{
-    BreakdownEvent, BreakdownKind, ExecutedMode, RecoveryAction, SolveFailure, SolveReport,
-    WarpProgress,
+    BreakdownEvent, BreakdownKind, EngineSection, ExecutedMode, RecoveryAction, SolveFailure,
+    SolveReport, WarpProgress,
 };
-pub use sharded::{run_cg_sharded, run_pcg_sharded, ShardedOpts, ShardedReport};
-pub use solver::MilleFeuille;
+pub use sharded::{run_cg_sharded, run_pcg_sharded, ShardedOpts};
+pub use solver::{Engine, Method, MilleFeuille, PrecondKind, SolveError, SolveSpec};
 pub use threaded::{
     run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_ilu_sptrsv_threaded,
     run_pbicgstab_threaded, run_pcg_pipelined_threaded, run_pcg_threaded, ThreadedOpts,
-    ThreadedReport, BICGSTAB_STEPS, CG_PIPELINED_STEPS, CG_STEPS, PBICGSTAB_STEPS,
-    PCG_PIPELINED_STEPS, PCG_STEPS, SPTRSV_STEPS,
+    BICGSTAB_STEPS, CG_PIPELINED_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_PIPELINED_STEPS, PCG_STEPS,
+    SPTRSV_STEPS,
 };
 pub use ticketed::{
     build_tiled_ticketed, fused_unit_specs, ic0_boosted_ticketed, ilu0_boosted_ticketed,

@@ -2,7 +2,7 @@
 //! statistics every figure of the evaluation reads back.
 
 use crate::config::MAX_CONSECUTIVE_RESTARTS;
-use mf_gpu::Timeline;
+use mf_gpu::{InjectedFaults, Timeline};
 use mf_kernels::MixedSpmvStats;
 use mf_sparse::TiledMemory;
 
@@ -230,44 +230,62 @@ impl RestartPolicy {
     }
 }
 
-/// Shared Table-II-style status string: `converged`, `max_iter`, or
-/// `aborted(<breakdown>)` where the breakdown label comes from the last
-/// aborting [`BreakdownEvent`] (falling back to the failure's own name when
-/// the abort did not go through the breakdown taxonomy, e.g. a wedge or a
-/// warp panic). Used by both [`SolveReport`] and the threaded reports.
-pub(crate) fn status_label_parts(
-    converged: bool,
-    breakdowns: &[BreakdownEvent],
-    failure: Option<&SolveFailure>,
-) -> String {
-    if converged {
-        return "converged".to_string();
-    }
-    match failure {
-        Some(f) => {
-            let label = breakdowns
-                .iter()
-                .rev()
-                .find(|e| e.action == RecoveryAction::Aborted)
-                .map(|e| e.kind.label())
-                .unwrap_or_else(|| f.short_name());
-            format!("aborted({label})")
-        }
-        None => "max_iter".to_string(),
-    }
-}
-
 /// Which execution path actually ran (after the Auto decision).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutedMode {
-    /// Whole solve inside one kernel (paper §III-C).
+    /// Whole solve inside one kernel (paper §III-C); the default.
+    #[default]
     SingleKernel,
     /// Classic one-kernel-per-operation path (fallback / baselines).
     MultiKernel,
 }
 
-/// Everything a solve produces.
+/// Telemetry only the threaded or the sharded engines produce: the one
+/// optional section of a [`SolveReport`].
 #[derive(Clone, Debug)]
+pub enum EngineSection {
+    /// A run of a [`crate::threaded`] engine.
+    Threaded {
+        /// Each warp's last published (iteration, step) position, decoded
+        /// from the progress heartbeat. Empty unless the solve ran under
+        /// [`crate::WatchdogPolicy::Heartbeat`]; on a `Wedged` failure it
+        /// names the step every warp was stuck at.
+        last_progress: Vec<WarpProgress>,
+        /// Fault-injection telemetry: the plan's repro line plus the
+        /// merged injection tally. `None` under an empty plan.
+        injected_faults: Option<InjectedFaults>,
+    },
+    /// A run of a [`crate::sharded`] engine.
+    Sharded {
+        /// Effective shard (device) count after clamping to the segment
+        /// count.
+        shards: usize,
+        /// Total bytes moved over the interconnect by halo traffic.
+        halo_bytes: u64,
+        /// Total halo messages (one per (receiver, peer) pair per
+        /// exchange).
+        halo_messages: u64,
+        /// Packed matrix value bytes resident on each device — the
+        /// `fig_shard` scaling-shape metric (≈ total / shards per device).
+        per_shard_value_bytes: Vec<usize>,
+        /// Fault-injection telemetry (`None` under an empty plan).
+        injected_faults: Option<InjectedFaults>,
+    },
+}
+
+/// Everything a solve produces, whichever engine ran it.
+///
+/// The sequential cores fill every field. The threaded and sharded engines
+/// run single-kernel schedules and fill the numeric fields, the trace, the
+/// re-tier trail and [`SolveReport::engine`]; they leave `spmv_stats` and
+/// the per-iteration `error_history`, `p_range_history`, `bypass_history`
+/// and `precision_history` empty. The preprocessing fields (`tiled_memory`,
+/// `csr_memory`, `preprocess_wall_us`, `preprocess_passes` and the
+/// preprocessing share of `timeline`) are charged by the facade: an engine
+/// entry called directly, without the CSR, leaves them zero.
+/// `SolveReport::default()` is the empty single-kernel report engines
+/// start from.
+#[derive(Clone, Debug, Default)]
 pub struct SolveReport {
     /// The computed solution.
     pub x: Vec<f64>,
@@ -276,12 +294,17 @@ pub struct SolveReport {
     pub converged: bool,
     /// Iterations executed.
     pub iterations: usize,
-    /// Final relative residual `‖r‖₂ / ‖b‖₂` (recomputed from the true
-    /// residual, not the recurrence).
+    /// Final relative residual `‖r‖₂ / ‖b‖₂` of the recurrence: the last
+    /// finite value the solver's residual recurrence produced, on every
+    /// engine. It can drift from the true residual on stiff systems; see
+    /// [`SolveReport::true_relres`].
     pub final_relres: f64,
-    /// Which execution path ran.
+    /// Which execution path ran (`SingleKernel` for the threaded and
+    /// sharded engines).
     pub mode: ExecutedMode,
-    /// Modeled time ledger (µs), including preprocessing phases.
+    /// Modeled time ledger (µs), including preprocessing phases. The
+    /// threaded engines charge no modeled time; the sharded engines merge
+    /// every device's ledger.
     pub timeline: Timeline,
     /// Aggregated mixed-precision SpMV statistics over all iterations.
     pub spmv_stats: MixedSpmvStats,
@@ -289,9 +312,13 @@ pub struct SolveReport {
     pub tiled_memory: TiledMemory,
     /// Memory footprint of the equivalent 3-array CSR (Fig. 13 baseline).
     pub csr_memory: usize,
-    /// Warps the single-kernel schedule used (0 in multi-kernel mode).
+    /// Warps the single-kernel schedule used (0 in multi-kernel mode): the
+    /// OS threads of a threaded run, and the equivalent single-device
+    /// schedule's warps (a cost-model input) of a sharded run.
     pub warp_count: usize,
-    /// Relative residual after each iteration (when `trace_residuals`).
+    /// Relative residual after each iteration (when `trace_residuals`; the
+    /// threaded and sharded engines always record the recurrence value of
+    /// each completed, non-breakdown iteration).
     pub residual_history: Vec<f64>,
     /// Relative error vs. the reference solution per iteration (when a
     /// reference is configured; Fig. 12).
@@ -309,7 +336,7 @@ pub struct SolveReport {
     /// (informational; the modeled preprocess time is in `timeline`).
     pub preprocess_wall_us: f64,
     /// CSR→tiled preprocessing passes charged to this report: 1 for a cold
-    /// facade solve — including `solve_auto`'s CG→BiCGSTAB re-dispatch,
+    /// facade solve — including `Method::Auto`'s CG→BiCGSTAB re-dispatch,
     /// which reuses the first pass — and 0 when a serving-layer cache
     /// supplied the tiled matrix.
     pub preprocess_passes: usize,
@@ -326,9 +353,34 @@ pub struct SolveReport {
     /// is armed). Engines apply identical plans at identical iterations,
     /// so the differential harness compares these trails verbatim.
     pub retier_trail: Vec<mf_precision::RetierDecision>,
+    /// Engine-only telemetry; `None` for the sequential cores.
+    pub engine: Option<EngineSection>,
 }
 
 impl SolveReport {
+    /// Fault-injection telemetry of a threaded or sharded run under a
+    /// non-empty plan.
+    pub fn injected_faults(&self) -> Option<&InjectedFaults> {
+        match &self.engine {
+            Some(EngineSection::Threaded {
+                injected_faults, ..
+            })
+            | Some(EngineSection::Sharded {
+                injected_faults, ..
+            }) => injected_faults.as_ref(),
+            None => None,
+        }
+    }
+
+    /// The heartbeat's last position of each warp of a threaded run;
+    /// empty otherwise.
+    pub fn last_progress(&self) -> &[WarpProgress] {
+        match &self.engine {
+            Some(EngineSection::Threaded { last_progress, .. }) => last_progress,
+            _ => &[],
+        }
+    }
+
     /// Modeled solve time in µs (excludes preprocessing/factorization).
     pub fn solve_us(&self) -> f64 {
         self.timeline.solve_us()
@@ -384,7 +436,22 @@ impl SolveReport {
     /// the failure's own [`SolveFailure::short_name`] when the abort did not
     /// go through the breakdown taxonomy).
     pub fn status_label(&self) -> String {
-        status_label_parts(self.converged, &self.breakdowns, self.failure.as_ref())
+        if self.converged {
+            return "converged".to_string();
+        }
+        match &self.failure {
+            Some(f) => {
+                let label = self
+                    .breakdowns
+                    .iter()
+                    .rev()
+                    .find(|e| e.action == RecoveryAction::Aborted)
+                    .map(|e| e.kind.label())
+                    .unwrap_or_else(|| f.short_name());
+                format!("aborted({label})")
+            }
+            None => "max_iter".to_string(),
+        }
     }
 
     /// Fraction of nonzero work bypassed entirely.
@@ -425,6 +492,7 @@ mod tests {
             failure: None,
             trace: None,
             retier_trail: vec![],
+            engine: None,
         }
     }
 

@@ -37,7 +37,10 @@
 //! harness exploits exactly this: a faulted sharded solve must stay
 //! bitwise identical to the clean one.
 
-use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction, RestartPolicy, SolveFailure};
+use crate::report::{
+    BreakdownEvent, BreakdownKind, EngineSection, RecoveryAction, RestartPolicy, SolveFailure,
+    SolveReport,
+};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{
     BarrierFault, BufferId, Device, DeviceSpec, FaultCounts, FaultPlan, InjectedFaults,
@@ -54,7 +57,8 @@ use std::ops::Range;
 #[derive(Clone, Debug)]
 pub struct ShardedOpts {
     /// Requested shard (device) count; the effective count, clamped to the
-    /// segment count, is reported as [`ShardedReport::shards`].
+    /// segment count, is reported in the report's
+    /// [`EngineSection::Sharded`] section.
     pub shards: usize,
     /// Warp cap of the equivalent single-device schedule (the threaded
     /// engines' clamp; a cost-model input only). Must be ≥ 1.
@@ -88,76 +92,20 @@ impl ShardedOpts {
     }
 }
 
-/// Result of a sharded solve. The numeric fields (`x`, `iterations`,
-/// `converged`, `final_relres`, `residual_history`, `breakdowns`,
-/// `failure`) mirror [`crate::threaded::ThreadedReport`] field-for-field
-/// and are bitwise identical to it for any shard count; the rest is
-/// sharding telemetry.
-#[derive(Clone, Debug)]
-pub struct ShardedReport {
-    /// Solution (assembled from the per-device row blocks).
-    pub x: Vec<f64>,
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Converged within tolerance.
-    pub converged: bool,
-    /// Final relative residual (recurrence; last *finite* value observed).
-    pub final_relres: f64,
-    /// Effective shard (device) count after clamping to the segment count.
-    pub shards: usize,
-    /// Warps the equivalent single-device schedule would use (the same
-    /// clamp as the threaded engines; cost-model input only).
-    pub warps: usize,
-    /// Every breakdown observed, in iteration order.
-    pub breakdowns: Vec<BreakdownEvent>,
-    /// Set when the solve terminated abnormally (same taxonomy and same
-    /// decisions as the threaded engines).
-    pub failure: Option<SolveFailure>,
-    /// Recurrence relative residual after each completed (non-breakdown)
-    /// iteration.
-    pub residual_history: Vec<f64>,
-    /// Fault-injection telemetry (`None` under an empty plan).
-    pub injected_faults: Option<InjectedFaults>,
-    /// Merged per-shard event trace (halo events carry `warp = shard`);
-    /// `None` unless tracing was enabled.
-    pub trace: Option<Trace>,
-    /// Total bytes moved over the interconnect by halo traffic.
-    pub halo_bytes: u64,
-    /// Total halo messages (one per (receiver, peer) pair per exchange).
-    pub halo_messages: u64,
-    /// Packed matrix value bytes resident on each device — the `fig_shard`
-    /// scaling-shape metric (≈ total / shards per device).
-    pub per_shard_value_bytes: Vec<usize>,
-    /// Modeled time, merged across every device's ledger.
-    pub timeline: Timeline,
-}
-
-impl ShardedReport {
-    /// Table-II style status: `converged`, `max_iter`, or
-    /// `aborted(<breakdown>)` — same labeling as the other reports.
-    pub fn status_label(&self) -> String {
-        crate::report::status_label_parts(self.converged, &self.breakdowns, self.failure.as_ref())
-    }
-}
-
-/// The `b = 0` fast path, mirroring the threaded `trivial_report`.
-fn trivial_report(n: usize, warps: usize, shards: usize, value_bytes: Vec<usize>) -> ShardedReport {
-    ShardedReport {
+/// The `b = 0` fast path, mirroring the threaded engines' prologue.
+fn trivial_report(n: usize, warps: usize, shards: usize, value_bytes: Vec<usize>) -> SolveReport {
+    SolveReport {
         x: vec![0.0; n],
-        iterations: 0,
         converged: true,
-        final_relres: 0.0,
-        shards,
-        warps,
-        breakdowns: Vec::new(),
-        failure: None,
-        residual_history: Vec::new(),
-        injected_faults: None,
-        trace: None,
-        halo_bytes: 0,
-        halo_messages: 0,
-        per_shard_value_bytes: value_bytes,
-        timeline: Timeline::new(),
+        warp_count: warps,
+        engine: Some(EngineSection::Sharded {
+            shards,
+            halo_bytes: 0,
+            halo_messages: 0,
+            per_shard_value_bytes: value_bytes,
+            injected_faults: None,
+        }),
+        ..SolveReport::default()
     }
 }
 
@@ -438,7 +386,7 @@ impl<'m> ShardedRun<'m> {
         ws: &mut SolverWorkspace,
         warps: usize,
         out: Outcome,
-    ) -> ShardedReport {
+    ) -> SolveReport {
         let x = &mut ws.x;
         for k in 0..self.shards() {
             let own = self.plan.rows(k);
@@ -474,22 +422,25 @@ impl<'m> ShardedRun<'m> {
         for d in &self.devs {
             timeline.merge(d.timeline());
         }
-        ShardedReport {
+        SolveReport {
             x: x.clone(),
+            warp_count: warps,
             iterations: out.iterations,
             converged: out.converged,
             final_relres: out.final_relres,
-            shards: self.plan.shards,
-            warps,
             breakdowns: out.breakdowns,
             failure: out.failure,
             residual_history: out.residual_history,
-            injected_faults,
             trace,
-            halo_bytes: self.halo_bytes,
-            halo_messages: self.halo_messages,
-            per_shard_value_bytes: self.views.iter().map(|v| v.value_bytes).collect(),
             timeline,
+            engine: Some(EngineSection::Sharded {
+                shards: self.plan.shards,
+                halo_bytes: self.halo_bytes,
+                halo_messages: self.halo_messages,
+                per_shard_value_bytes: self.views.iter().map(|v| v.value_bytes).collect(),
+                injected_faults,
+            }),
+            ..SolveReport::default()
         }
     }
 }
@@ -505,7 +456,7 @@ pub fn run_cg_sharded(
     max_iter: usize,
     opts: &ShardedOpts,
     ws: &mut SolverWorkspace,
-) -> ShardedReport {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols);
@@ -661,7 +612,7 @@ pub fn run_pcg_sharded(
     max_iter: usize,
     opts: &ShardedOpts,
     ws: &mut SolverWorkspace,
-) -> ShardedReport {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols);
@@ -907,9 +858,17 @@ mod tests {
                 rep.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 single.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
-            assert_eq!(rep.shards, shards.min(6));
+            let Some(EngineSection::Sharded {
+                shards: used,
+                halo_bytes,
+                ..
+            }) = rep.engine
+            else {
+                panic!("a sharded run reports its sharding");
+            };
+            assert_eq!(used, shards.min(6));
             if shards > 1 {
-                assert!(rep.halo_bytes > 0);
+                assert!(halo_bytes > 0);
                 assert!(rep.timeline.get(Phase::Transfer) > 0.0);
             }
         }
@@ -945,8 +904,17 @@ mod tests {
             &ShardedOpts::new(4, 2),
             &mut SolverWorkspace::new(),
         );
-        let total: usize = rep.per_shard_value_bytes.iter().sum();
-        assert_eq!(total, m.vals_raw().len());
-        assert_eq!(rep.per_shard_value_bytes.len(), 4);
+        let Some(EngineSection::Sharded {
+            per_shard_value_bytes,
+            ..
+        }) = rep.engine
+        else {
+            panic!("a sharded run reports its sharding");
+        };
+        assert_eq!(
+            per_shard_value_bytes.iter().sum::<usize>(),
+            m.vals_raw().len()
+        );
+        assert_eq!(per_shard_value_bytes.len(), 4);
     }
 }

@@ -7,21 +7,262 @@ use crate::coster::{Coster, MultiCoster, SingleCoster};
 use crate::partial::PartialState;
 use crate::pipelined::{run_cg_pipelined, run_pcg_pipelined};
 use crate::precond::{run_pbicgstab, run_pcg, Precond};
-use crate::report::{ExecutedMode, SolveReport};
+use crate::report::{BreakdownEvent, BreakdownKind, ExecutedMode, RecoveryAction, SolveReport};
+use crate::sharded::{run_cg_sharded, run_pcg_sharded, ShardedOpts};
+use crate::threaded::{
+    run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_pbicgstab_threaded,
+    run_pcg_pipelined_threaded, run_pcg_threaded, ThreadedOpts,
+};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{CostModel, DeviceSpec, Phase, ShmemPlan, Timeline};
-use mf_kernels::{blas1, ilu0_boosted, FactorError, Ic0, Ilu0, SharedTiles};
+use mf_kernels::block_jacobi::SingularBlock;
+use mf_kernels::{blas1, ilu0_boosted, BlockJacobi, FactorError, Ic0, Ilu0, SharedTiles};
 use mf_sparse::{Csr, TiledMatrix};
+
+/// The Krylov method a [`SolveSpec`] asks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Method {
+    /// Pick by matrix structure, the way the paper partitions SuiteSparse:
+    /// CG for (likely) symmetric positive definite matrices, BiCGSTAB
+    /// otherwise. The structure heuristic can be fooled by a symmetric,
+    /// diagonally dominated-looking matrix that is indefinite. When CG then
+    /// aborts on curvature breakdowns and
+    /// [`SolverConfig::auto_switch_on_breakdown`] is on (the default), the
+    /// system is re-dispatched to BiCGSTAB on the same preprocessed matrix:
+    /// the report is the BiCGSTAB one, with CG's breakdown trail and
+    /// residual/error history ahead of BiCGSTAB's and the handoff recorded
+    /// as a [`RecoveryAction::SwitchedSolver`] event. The spec's pipeline
+    /// applies to the CG branch.
+    Auto,
+    /// Conjugate gradients (A must be SPD).
+    Cg,
+    /// BiCGSTAB (A nonsymmetric or indefinite).
+    BiCgStab,
+    /// Preconditioned CG. The sequential cores charge it in multi-kernel
+    /// mode: the paper extends its multi-kernel method with
+    /// preconditioning (§III-C).
+    Pcg(PrecondKind),
+    /// ILU(0)-preconditioned BiCGSTAB.
+    PBiCgStab,
+}
+
+/// The preconditioner of [`Method::Pcg`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PrecondKind {
+    /// ILU(0), applied by the recursive-block SpTRSV (§IV-C): the paper's
+    /// preconditioner.
+    Ilu0,
+    /// IC(0), `M = L·Lᵀ`: an extension beyond the paper's ILU(0)
+    /// evaluation. The symmetric factorization halves the factor work and
+    /// keeps the preconditioned operator SPD.
+    Ic0,
+    /// Adaptive-precision block-Jacobi with blocks of this many rows
+    /// ([`mf_kernels::block_jacobi`]).
+    BlockJacobi(usize),
+}
+
+/// The engine that runs the iterations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// The sequential cores, charged in the §III-C mode
+    /// [`MilleFeuille::decide_mode`] picks.
+    Sequential,
+    /// The real multi-threaded single-kernel engines
+    /// ([`crate::threaded`]): warps as OS threads synchronized through
+    /// atomic counters, with the ILU(0) triangular solves inside the
+    /// kernel.
+    Threaded {
+        /// Warp (OS thread) cap.
+        warps: usize,
+    },
+    /// The multi-device sharded engines ([`crate::sharded`]): the tiled
+    /// matrix row-block partitioned across simulated devices of this
+    /// facade's model, with per-iteration halo exchange. Numeric outputs
+    /// are bitwise identical to the threaded engines without adaptive
+    /// re-tiering, at any shard count.
+    Sharded {
+        /// Requested shard (device) count.
+        shards: usize,
+        /// Warp cap of the equivalent single-device schedule.
+        warps: usize,
+    },
+}
+
+/// What [`MilleFeuille::solve`] runs: a method on an engine with a
+/// schedule, optionally with a caller-supplied factorization.
+///
+/// | method | `Sequential` | `Threaded` | `Sharded` |
+/// |---|---|---|---|
+/// | `Auto` | classic, pipelined | — | — |
+/// | `Cg`, `Pcg(Ilu0)` | classic, pipelined | classic, pipelined | classic |
+/// | `Pcg(Ic0)`, `Pcg(BlockJacobi)` | classic, pipelined | — | — |
+/// | `BiCgStab`, `PBiCgStab` | classic | classic | — |
+///
+/// [`PipelineMode::Auto`] resolves per matrix
+/// ([`MilleFeuille::decide_pipeline`]) where a pipelined schedule exists
+/// and is classic elsewhere. Every other combination, and factors that do
+/// not match the method's preconditioner, is
+/// [`SolveError::Unsupported`].
+#[derive(Clone, Copy, Debug)]
+pub struct SolveSpec<'f> {
+    /// The Krylov method.
+    pub method: Method,
+    /// The engine that runs it.
+    pub engine: Engine,
+    /// Classic or pipelined (Ghysels–Vanroose) recurrence. The pipelined
+    /// schedule needs one barrier epoch per CG iteration (two for PCG)
+    /// instead of about four; its residual trajectory drifts from the
+    /// classic one only by rounding (DESIGN.md §12).
+    pub pipeline: PipelineMode,
+    /// A factorization to precondition with instead of one the facade
+    /// builds: benchmark reuse, or corrupted factors in stress tests.
+    pub factors: Option<Precond<'f>>,
+}
+
+impl SolveSpec<'static> {
+    /// `method` on the sequential engine with the classic schedule, the
+    /// facade building any factorization.
+    pub fn new(method: Method) -> SolveSpec<'static> {
+        SolveSpec {
+            method,
+            engine: Engine::Sequential,
+            pipeline: PipelineMode::Classic,
+            factors: None,
+        }
+    }
+
+    /// Everything decided per matrix: [`Method::Auto`] with
+    /// [`PipelineMode::Auto`] on the sequential engine.
+    pub fn auto() -> SolveSpec<'static> {
+        SolveSpec {
+            pipeline: PipelineMode::Auto,
+            ..SolveSpec::new(Method::Auto)
+        }
+    }
+}
+
+impl<'f> SolveSpec<'f> {
+    /// This spec on the threaded engines, with at most `warps` threads.
+    pub fn threaded(self, warps: usize) -> SolveSpec<'f> {
+        SolveSpec {
+            engine: Engine::Threaded { warps },
+            ..self
+        }
+    }
+
+    /// This spec on `shards` devices, with at most `warps` warps.
+    pub fn sharded(self, shards: usize, warps: usize) -> SolveSpec<'f> {
+        SolveSpec {
+            engine: Engine::Sharded { shards, warps },
+            ..self
+        }
+    }
+
+    /// This spec with the pipelined schedule.
+    pub fn pipelined(self) -> SolveSpec<'f> {
+        SolveSpec {
+            pipeline: PipelineMode::Pipelined,
+            ..self
+        }
+    }
+
+    /// This spec preconditioned with `factors` instead of a factorization
+    /// the facade builds.
+    pub fn with_factors<'g>(self, factors: Precond<'g>) -> SolveSpec<'g> {
+        SolveSpec {
+            method: self.method,
+            engine: self.engine,
+            pipeline: self.pipeline,
+            factors: Some(factors),
+        }
+    }
+
+    /// `Err` unless some engine implements this combination (see the
+    /// table on [`SolveSpec`]).
+    fn check(&self) -> Result<(), SolveError> {
+        let sequential = self.engine == Engine::Sequential;
+        let sharded = matches!(self.engine, Engine::Sharded { .. });
+        let pipelined = self.pipeline == PipelineMode::Pipelined;
+        let reason = match self.method {
+            Method::Auto if !sequential => {
+                Some("Auto picks a method on the sequential engine only")
+            }
+            Method::Pcg(PrecondKind::Ic0 | PrecondKind::BlockJacobi(_)) if !sequential => {
+                Some("IC(0) and block-Jacobi run on the sequential engine only")
+            }
+            Method::BiCgStab | Method::PBiCgStab if sharded => {
+                Some("the sharded engines run CG and ILU(0)-PCG only")
+            }
+            Method::BiCgStab | Method::PBiCgStab if pipelined => {
+                Some("BiCGSTAB has no pipelined schedule")
+            }
+            Method::Cg | Method::Pcg(_) if sharded && pipelined => {
+                Some("the sharded engines have no pipelined schedule")
+            }
+            _ => None,
+        };
+        let fits = matches!(
+            (self.method, self.factors),
+            (_, None)
+                | (
+                    Method::Pcg(PrecondKind::Ilu0) | Method::PBiCgStab,
+                    Some(Precond::Ilu0(_))
+                )
+                | (Method::Pcg(PrecondKind::Ic0), Some(Precond::Ic0(_)))
+                | (
+                    Method::Pcg(PrecondKind::BlockJacobi(_)),
+                    Some(Precond::BlockJacobi(_))
+                )
+        );
+        let reason =
+            reason.or((!fits).then_some("the factors do not match the method's preconditioner"));
+        reason.map_or(Ok(()), |r| Err(SolveError::Unsupported(r)))
+    }
+}
+
+/// Why [`MilleFeuille::solve`] produced no report.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SolveError {
+    /// No engine implements the spec's combination; the reason names the
+    /// part that does not fit.
+    Unsupported(&'static str),
+    /// The ILU(0)/IC(0) factorization failed even with diagonal boosting,
+    /// or the matrix is not square.
+    Factor(FactorError),
+    /// A block-Jacobi diagonal block is singular.
+    SingularBlock(SingularBlock),
+}
+
+impl std::fmt::Display for SolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolveError::Unsupported(reason) => write!(f, "unsupported solve: {reason}"),
+            SolveError::Factor(e) => write!(f, "factorization failed: {e}"),
+            SolveError::SingularBlock(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SolveError {}
+
+impl From<FactorError> for SolveError {
+    fn from(e: FactorError) -> SolveError {
+        SolveError::Factor(e)
+    }
+}
+
+impl From<SingularBlock> for SolveError {
+    fn from(e: SingularBlock) -> SolveError {
+        SolveError::SingularBlock(e)
+    }
+}
 
 /// Prepends one [`BreakdownKind::FactorShift`] event per diagonal-boosting
 /// attempt to a solve's breakdown trail, so reports show the factorization
 /// recovery before any iteration-time events. The shifts come from
 /// [`mf_kernels::ilu0_boosted`] / [`Ic0::new_boosted`]; `iteration` is 0
 /// because the shifts happen before the first iteration.
-///
-/// [`BreakdownKind::FactorShift`]: crate::report::BreakdownKind::FactorShift
-fn prepend_factor_shifts(breakdowns: &mut Vec<crate::report::BreakdownEvent>, shifts: &[f64]) {
-    use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction};
+fn prepend_factor_shifts(breakdowns: &mut Vec<BreakdownEvent>, shifts: &[f64]) {
     if shifts.is_empty() {
         return;
     }
@@ -37,12 +278,28 @@ fn prepend_factor_shifts(breakdowns: &mut Vec<crate::report::BreakdownEvent>, sh
     *breakdowns = trail;
 }
 
+/// Charges preprocessing to a solve's report: `pre`'s modeled time ahead
+/// of the solve's, the tiled and CSR footprints, and one preprocessing
+/// pass.
+fn with_preprocessing(a: &Csr, pre: &Preprocessed, rep: SolveReport) -> SolveReport {
+    let mut timeline = pre.timeline.clone();
+    timeline.merge(&rep.timeline);
+    SolveReport {
+        timeline,
+        tiled_memory: pre.tiled.memory_bytes(),
+        csr_memory: a.memory_bytes(),
+        preprocess_wall_us: pre.wall_us,
+        preprocess_passes: 1,
+        ..rep
+    }
+}
+
 /// The Mille-feuille solver: tile-grained mixed precision + single-kernel
 /// execution + partial-convergence-aware dynamic lowering.
 ///
 /// ```
 /// use mf_gpu::DeviceSpec;
-/// use mf_solver::{MilleFeuille, SolverConfig};
+/// use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 /// use mf_sparse::Coo;
 ///
 /// // A tiny SPD system.
@@ -56,7 +313,7 @@ fn prepend_factor_shifts(breakdowns: &mut Vec<crate::report::BreakdownEvent>, sh
 /// let b = vec![1.0; 4];
 ///
 /// let solver = MilleFeuille::new(DeviceSpec::a100(), SolverConfig::default());
-/// let report = solver.solve_cg(&a, &b);
+/// let report = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
 /// assert!(report.converged);
 /// ```
 #[derive(Clone, Debug)]
@@ -86,9 +343,9 @@ pub struct Preprocessed {
     /// Modeled preprocessing time, µs.
     pub timeline: Timeline,
     /// Host wall-clock of preprocessing in this simulation, µs: the tile
-    /// build, plus the preconditioner factorization on the entries that
-    /// set one up with it ([`MilleFeuille::preprocess_with_ilu0`] and the
-    /// one-shot preconditioned solves).
+    /// build, plus the preconditioner factorization on the paths that
+    /// set one up with it ([`MilleFeuille::preprocess_with_ilu0`] and
+    /// [`MilleFeuille::solve`] of a preconditioned method).
     pub wall_us: f64,
 }
 
@@ -235,6 +492,161 @@ impl MilleFeuille {
         }
     }
 
+    /// Resolves `pipeline` for a preprocessed matrix run in `mode`.
+    /// Explicit modes win; `Auto` picks the pipelined schedule when the
+    /// modeled barrier savings are a nontrivial share (>5%) of a
+    /// single-kernel iteration — i.e. on synchronization-dominated
+    /// (small/medium) systems, where the pipelined recurrence's rounding
+    /// drift buys real time. Multi-kernel mode stays classic under `Auto`:
+    /// every operation is its own kernel there, so the barrier epochs the
+    /// pipeline removes were never being paid.
+    pub fn decide_pipeline(
+        &self,
+        tiled: &TiledMatrix,
+        mode: ExecutedMode,
+        pipeline: PipelineMode,
+    ) -> bool {
+        match pipeline {
+            PipelineMode::Classic => false,
+            PipelineMode::Pipelined => true,
+            PipelineMode::Auto => {
+                if mode != ExecutedMode::SingleKernel {
+                    return false;
+                }
+                let sc = SingleCoster::new(self.cost(), tiled, self.config.tile_size);
+                let classic = sc.estimate_cg_iteration_us(&tiled.tile_prec);
+                let piped = sc.estimate_cg_pipelined_iteration_us(&tiled.tile_prec);
+                piped < classic * 0.95
+            }
+        }
+    }
+
+    /// Solves `A x = b` with the method, engine and schedule `spec` names.
+    ///
+    /// A preconditioned method without [`SolveSpec::factors`] factors `a`
+    /// alongside the tile build, as [`Self::preprocess_with_ilu0`] does. A
+    /// zero or tiny ILU(0)/IC(0) pivot is first retried with bounded
+    /// diagonal boosting ([`mf_kernels::ilu0_boosted`],
+    /// [`Ic0::new_boosted`]); each shift attempt leads the report's
+    /// breakdown trail as a `FactorShift` event. Every engine inherits
+    /// `tolerance` and `max_iter` from [`SolverConfig`]; the threaded
+    /// engines also inherit its watchdog, trace and adaptive controller,
+    /// the sharded engines its trace. Only the sequential cores honour
+    /// `fixed_iterations` and partial convergence.
+    ///
+    /// Errors: [`SolveError::Unsupported`] before any work for a
+    /// combination no engine implements; otherwise the preconditioner
+    /// setup's error.
+    pub fn solve(
+        &self,
+        a: &Csr,
+        b: &[f64],
+        spec: &SolveSpec<'_>,
+    ) -> Result<SolveReport, SolveError> {
+        spec.check()?;
+        let kind = match spec.method {
+            Method::Pcg(kind) if spec.factors.is_none() => kind,
+            Method::PBiCgStab if spec.factors.is_none() => PrecondKind::Ilu0,
+            _ => return Ok(self.run(a, &self.preprocess(a), b, spec, spec.factors)),
+        };
+        let (shifts, mut rep) = match kind {
+            PrecondKind::Ilu0 => {
+                let (pre, factors) = self.preprocess_with_ilu0(a);
+                let (ilu, shifts) = factors?;
+                (
+                    shifts,
+                    self.run(a, &pre, b, spec, Some(Precond::Ilu0(&ilu))),
+                )
+            }
+            PrecondKind::Ic0 => {
+                let (pre, factors) = self.preprocess_alongside(a, || Ic0::new_boosted(a));
+                let (ic, shifts) = factors?;
+                (shifts, self.run(a, &pre, b, spec, Some(Precond::Ic0(&ic))))
+            }
+            PrecondKind::BlockJacobi(block) => {
+                let (pre, bj) = self.preprocess_alongside(a, || BlockJacobi::new(a, block));
+                let bj = bj?;
+                (
+                    Vec::new(),
+                    self.run(a, &pre, b, spec, Some(Precond::BlockJacobi(&bj))),
+                )
+            }
+        };
+        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
+        Ok(rep)
+    }
+
+    /// Runs a checked `spec` on `pre`, preconditioned by `pc` exactly when
+    /// the method is, and charges the preprocessing.
+    fn run(
+        &self,
+        a: &Csr,
+        pre: &Preprocessed,
+        b: &[f64],
+        spec: &SolveSpec<'_>,
+        pc: Option<Precond<'_>>,
+    ) -> SolveReport {
+        let (m, tol, max_iter) = (&pre.tiled, self.config.tolerance, self.config.max_iter);
+        let pipelined = |mode| self.decide_pipeline(m, mode, spec.pipeline);
+        let single = ExecutedMode::SingleKernel;
+        let rep = match (spec.engine, spec.method, pc) {
+            (Engine::Sequential, Method::Auto, _) => {
+                return self.run_auto(a, pre, b, spec.pipeline)
+            }
+            (Engine::Sequential, Method::Cg, _) => {
+                let mode = self.decide_mode(m);
+                let ws = &mut SolverWorkspace::new();
+                return self.run_cg_dispatch(a, pre, mode, b, ws, pipelined(mode));
+            }
+            (Engine::Sequential, Method::BiCgStab, _) => {
+                return self.run_bicgstab_dispatch(a, pre, b)
+            }
+            (Engine::Sequential, Method::Pcg(_), Some(pc)) => {
+                let core = if pipelined(ExecutedMode::MultiKernel) {
+                    run_pcg_pipelined
+                } else {
+                    run_pcg
+                };
+                return self.run_preconditioned(a, pre, b, pc, core);
+            }
+            (Engine::Sequential, Method::PBiCgStab, Some(pc)) => {
+                return self.run_preconditioned(a, pre, b, pc, run_pbicgstab)
+            }
+            (Engine::Threaded { warps }, Method::Cg, _) => {
+                let opts = self.threaded_opts(warps);
+                if pipelined(single) {
+                    run_cg_pipelined_threaded(m, b, tol, max_iter, &opts)
+                } else {
+                    run_cg_threaded(m, b, tol, max_iter, &opts)
+                }
+            }
+            (Engine::Threaded { warps }, Method::BiCgStab, _) => {
+                run_bicgstab_threaded(m, b, tol, max_iter, &self.threaded_opts(warps))
+            }
+            (Engine::Threaded { warps }, Method::Pcg(_), Some(Precond::Ilu0(ilu))) => {
+                let opts = self.threaded_opts(warps);
+                if pipelined(single) {
+                    run_pcg_pipelined_threaded(m, ilu, b, tol, max_iter, &opts)
+                } else {
+                    run_pcg_threaded(m, ilu, b, tol, max_iter, &opts)
+                }
+            }
+            (Engine::Threaded { warps }, Method::PBiCgStab, Some(Precond::Ilu0(ilu))) => {
+                run_pbicgstab_threaded(m, ilu, b, tol, max_iter, &self.threaded_opts(warps))
+            }
+            (Engine::Sharded { shards, warps }, Method::Cg, _) => {
+                let opts = self.sharded_opts(shards, warps);
+                run_cg_sharded(m, b, tol, max_iter, &opts, &mut SolverWorkspace::new())
+            }
+            (Engine::Sharded { shards, warps }, Method::Pcg(_), Some(Precond::Ilu0(ilu))) => {
+                let opts = self.sharded_opts(shards, warps);
+                run_pcg_sharded(m, ilu, b, tol, max_iter, &opts, &mut SolverWorkspace::new())
+            }
+            _ => unreachable!("SolveSpec::check admits no other combination"),
+        };
+        with_preprocessing(a, pre, rep)
+    }
+
     fn partial_state(&self, tiled: &TiledMatrix, b: &[f64], mode: ExecutedMode) -> PartialState {
         // The dynamic strategy needs the persistent on-chip tile copy, so it
         // only runs in single-kernel mode (§III-D). Adaptive re-tiering
@@ -261,82 +673,46 @@ impl MilleFeuille {
         warp_count: usize,
         core: CoreResult,
     ) -> SolveReport {
-        let mut timeline = pre.timeline.clone();
-        timeline.merge(&core.timeline);
-        SolveReport {
+        let rep = SolveReport {
             x: core.x,
             converged: core.converged,
             iterations: core.iterations,
             final_relres: core.final_relres,
             mode,
-            timeline,
+            timeline: core.timeline,
             spmv_stats: core.spmv_stats,
-            tiled_memory: pre.tiled.memory_bytes(),
-            csr_memory: a.memory_bytes(),
             warp_count,
             residual_history: core.residual_history,
             error_history: core.error_history,
             p_range_history: core.p_range_history,
             bypass_history: core.bypass_history,
             precision_history: core.precision_history,
-            preprocess_wall_us: pre.wall_us,
-            preprocess_passes: 1,
             breakdowns: core.breakdowns,
             failure: core.failure,
             trace: core.trace,
             retier_trail: core.retier_trail,
-        }
+            ..SolveReport::default()
+        };
+        with_preprocessing(a, pre, rep)
     }
 
-    /// Resolves [`SolverConfig::pipeline`] for a preprocessed matrix.
-    /// Explicit modes win; `Auto` picks the pipelined schedule when the
-    /// modeled barrier savings are a nontrivial share (>5%) of a
-    /// single-kernel iteration — i.e. on synchronization-dominated
-    /// (small/medium) systems, where the pipelined recurrence's rounding
-    /// drift buys real time. Multi-kernel mode stays classic under `Auto`:
-    /// every operation is its own kernel there, so the barrier epochs the
-    /// pipeline removes were never being paid.
-    pub fn decide_pipeline(&self, tiled: &TiledMatrix, mode: ExecutedMode) -> bool {
-        match self.config.pipeline {
-            PipelineMode::Classic => false,
-            PipelineMode::Pipelined => true,
-            PipelineMode::Auto => {
-                if mode != ExecutedMode::SingleKernel {
-                    return false;
-                }
-                let sc = SingleCoster::new(self.cost(), tiled, self.config.tile_size);
-                let classic = sc.estimate_cg_iteration_us(&tiled.tile_prec);
-                let piped = sc.estimate_cg_pipelined_iteration_us(&tiled.tile_prec);
-                piped < classic * 0.95
-            }
-        }
-    }
-
-    /// Solves `A x = b`, picking the method by matrix structure the way the
-    /// paper partitions SuiteSparse: CG for (likely) symmetric positive
-    /// definite matrices, BiCGSTAB otherwise.
-    ///
-    /// The structure heuristic can be fooled (a symmetric, diagonally
-    /// dominated-looking matrix that is actually indefinite). When CG then
-    /// aborts on curvature breakdowns and
-    /// [`SolverConfig::auto_switch_on_breakdown`] is on (the default), the
-    /// system is re-dispatched to BiCGSTAB; the returned report is the
-    /// BiCGSTAB one with CG's breakdown trail prepended and the handoff
-    /// recorded as a [`crate::report::RecoveryAction::SwitchedSolver`]
-    /// event.
-    pub fn solve_auto(&self, a: &Csr, b: &[f64]) -> SolveReport {
-        use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction};
+    /// [`Method::Auto`] on a preprocessed matrix. The CG→BiCGSTAB handoff
+    /// reuses `pre`: the tiled format is method-agnostic, so a second
+    /// CSR→tiled pass would be pure waste (and would double-charge
+    /// Preprocess).
+    fn run_auto(
+        &self,
+        a: &Csr,
+        pre: &Preprocessed,
+        b: &[f64],
+        pipeline: PipelineMode,
+    ) -> SolveReport {
         if !mf_sparse::MatrixStats::compute(a).likely_spd() {
-            return self.solve_bicgstab(a, b);
+            return self.run_bicgstab_dispatch(a, pre, b);
         }
-        // CG admits the pipelined schedule; [`SolverConfig::pipeline`]
-        // (resolved per matrix by `decide_pipeline`) picks it here. The
-        // explicit `solve_cg` / `solve_cg_pipelined` entries ignore the
-        // knob — callers asking for a schedule by name get that schedule.
-        let pre = self.preprocess(a);
         let mode = self.decide_mode(&pre.tiled);
-        let pipelined = self.decide_pipeline(&pre.tiled, mode);
-        let cg = self.run_cg_dispatch(a, &pre, mode, b, &mut SolverWorkspace::new(), pipelined);
+        let pipelined = self.decide_pipeline(&pre.tiled, mode, pipeline);
+        let cg = self.run_cg_dispatch(a, pre, mode, b, &mut SolverWorkspace::new(), pipelined);
         let curvature_abort = cg.failure.is_some()
             && cg
                 .breakdowns
@@ -345,21 +721,17 @@ impl MilleFeuille {
         if !(curvature_abort && self.config.auto_switch_on_breakdown) {
             return cg;
         }
-        // Re-dispatch to BiCGSTAB on the SAME preprocessed matrix — the
-        // tiled format is method-agnostic, so a second CSR→tiled pass would
-        // be pure waste (and the report would double-charge Preprocess).
         let mut handoff = cg.breakdowns;
         handoff.push(BreakdownEvent {
             iteration: cg.iterations,
             kind: BreakdownKind::Curvature,
             action: RecoveryAction::SwitchedSolver,
         });
-        let mut rep = self.run_bicgstab_dispatch(a, &pre, b);
+        let mut rep = self.run_bicgstab_dispatch(a, pre, b);
         handoff.extend(rep.breakdowns.iter().copied());
         rep.breakdowns = handoff;
         // The handoff report carries the full trajectory: CG's pre-switch
-        // residual/error history followed by BiCGSTAB's (previously the CG
-        // history was silently discarded).
+        // residual/error history followed by BiCGSTAB's.
         let mut residuals = cg.residual_history;
         residuals.extend(rep.residual_history.iter().copied());
         rep.residual_history = residuals;
@@ -369,19 +741,14 @@ impl MilleFeuille {
         rep
     }
 
-    /// Solves `A x = b` with CG (A must be SPD).
-    pub fn solve_cg(&self, a: &Csr, b: &[f64]) -> SolveReport {
-        self.solve_cg_preprocessed(a, &self.preprocess(a), b, &mut SolverWorkspace::new())
-    }
-
-    /// [`Self::solve_cg`] on an already-preprocessed matrix with a
-    /// caller-provided [`SolverWorkspace`]: the serving layer's cache-hit
-    /// path, where repeated solves reuse the iterate buffers instead of
-    /// reallocating them. `pre` must come from [`Self::preprocess`] with
-    /// this same config on this same `a` — then the solve is bitwise
-    /// identical to a cold [`Self::solve_cg`] (the report differs only in
-    /// `preprocess_passes`/`preprocess_wall_us`, which the caller
-    /// adjusts).
+    /// CG on an already-preprocessed matrix with a caller-provided
+    /// [`SolverWorkspace`]: the serving layer's cache-hit path, where
+    /// repeated solves reuse the iterate buffers instead of reallocating
+    /// them. `pre` must come from [`Self::preprocess`] with this same
+    /// config on this same `a` — then the solve is bitwise identical to a
+    /// cold [`Self::solve`] of `SolveSpec::new(Method::Cg)` (the report
+    /// differs only in `preprocess_passes`/`preprocess_wall_us`, which
+    /// the caller adjusts).
     pub fn solve_cg_preprocessed(
         &self,
         a: &Csr,
@@ -393,20 +760,8 @@ impl MilleFeuille {
         self.run_cg_dispatch(a, pre, mode, b, ws, false)
     }
 
-    /// Solves `A x = b` with *pipelined* (Ghysels–Vanroose) CG: the SpMV
-    /// input is carried by the `w = A·r` recurrence, so one fused update +
-    /// one fused dot pair + ONE barrier epoch per iteration replace the
-    /// classic schedule's four synchronization points. Same breakdown /
-    /// restart semantics as [`Self::solve_cg`]; the residual trajectory
-    /// drifts from classic CG only by rounding (see DESIGN.md §12).
-    pub fn solve_cg_pipelined(&self, a: &Csr, b: &[f64]) -> SolveReport {
-        let pre = self.preprocess(a);
-        let mode = self.decide_mode(&pre.tiled);
-        self.run_cg_dispatch(a, &pre, mode, b, &mut SolverWorkspace::new(), true)
-    }
-
-    /// Shared tail of the CG entry points: build the mode-matched coster
-    /// and run whichever recurrence `pipelined` selects.
+    /// Shared tail of the CG paths: build the mode-matched coster and run
+    /// whichever recurrence `pipelined` selects.
     fn run_cg_dispatch(
         &self,
         a: &Csr,
@@ -432,52 +787,8 @@ impl MilleFeuille {
         self.assemble(a, pre, mode, warps, core)
     }
 
-    /// Solves `A x = b` with the *real* multi-threaded single-kernel CG
-    /// engine (warps as OS threads, atomic-counter synchronization). The
-    /// solve inherits `tolerance`, `max_iter`, [`SolverConfig::watchdog`]
-    /// and [`SolverConfig::adaptive`] from this facade's config;
-    /// `max_warps` caps the thread count.
-    pub fn solve_cg_threaded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        max_warps: usize,
-    ) -> crate::threaded::ThreadedReport {
-        let pre = self.preprocess(a);
-        crate::threaded::run_cg_threaded(
-            &pre.tiled,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.threaded_opts(max_warps),
-        )
-    }
-
-    /// Threaded single-kernel BiCGSTAB; see [`Self::solve_cg_threaded`].
-    pub fn solve_bicgstab_threaded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        max_warps: usize,
-    ) -> crate::threaded::ThreadedReport {
-        let pre = self.preprocess(a);
-        crate::threaded::run_bicgstab_threaded(
-            &pre.tiled,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.threaded_opts(max_warps),
-        )
-    }
-
-    /// Solves `A x = b` with BiCGSTAB (A nonsymmetric or indefinite).
-    pub fn solve_bicgstab(&self, a: &Csr, b: &[f64]) -> SolveReport {
-        self.run_bicgstab_dispatch(a, &self.preprocess(a), b)
-    }
-
-    /// Shared tail of the BiCGSTAB entry points, also the re-dispatch
-    /// target of [`Self::solve_auto`] (which hands over the preprocessed
-    /// matrix CG already paid for).
+    /// Shared tail of the BiCGSTAB paths, also the handoff target of
+    /// [`Method::Auto`].
     fn run_bicgstab_dispatch(&self, a: &Csr, pre: &Preprocessed, b: &[f64]) -> SolveReport {
         let mode = self.decide_mode(&pre.tiled);
         let mut shared = SharedTiles::load(&pre.tiled);
@@ -496,37 +807,11 @@ impl MilleFeuille {
         self.assemble(a, pre, mode, warps, core)
     }
 
-    /// Solves with ILU(0)-preconditioned CG (multi-kernel path, recursive-
-    /// block SpTRSV — §IV-C).
-    ///
-    /// A zero or tiny ILU(0) pivot is first retried with bounded diagonal
-    /// boosting ([`mf_kernels::ilu0_boosted`]); every shift attempt is
-    /// recorded as a `FactorShift` breakdown event on the report. Returns
-    /// `Err` only when boosting is exhausted (or the matrix is not square).
-    /// The factorization runs alongside the tile build
-    /// ([`Self::preprocess_with_ilu0`]), as it does for the other one-shot
-    /// preconditioned sequential entries.
-    pub fn solve_pcg(
-        &self,
-        a: &Csr,
-        b: &[f64],
-    ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
-        let (pre, factors) = self.preprocess_with_ilu0(a);
-        let (ilu, shifts) = factors?;
-        let mut rep = self.solve_pcg_preprocessed(a, &pre, b, &ilu);
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// PCG with a caller-provided factorization (lets benchmarks reuse it).
-    pub fn solve_pcg_with(&self, a: &Csr, b: &[f64], ilu: &Ilu0) -> SolveReport {
-        self.solve_pcg_preprocessed(a, &self.preprocess(a), b, ilu)
-    }
-
-    /// [`Self::solve_pcg_with`] on an already-preprocessed matrix: the
-    /// serving layer's cache-hit path (both the tiled format and the
-    /// factorization come from the cache). Bitwise identical to a cold
-    /// [`Self::solve_pcg_with`] given the same `a`/config.
+    /// ILU(0)-PCG with caller-provided factors on an already-preprocessed
+    /// matrix: the serving layer's cache-hit path (both the tiled format
+    /// and the factorization come from the cache). Bitwise identical to a
+    /// cold [`Self::solve`] of `SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))`
+    /// with the same factors, `a` and config.
     pub fn solve_pcg_preprocessed(
         &self,
         a: &Csr,
@@ -537,7 +822,7 @@ impl MilleFeuille {
         self.run_preconditioned(a, pre, b, Precond::Ilu0(ilu), run_pcg)
     }
 
-    /// The body every preconditioned sequential entry shares: run `core`
+    /// The body every preconditioned sequential path shares: run `core`
     /// with `M⁻¹ = pc` on a fresh on-chip copy and workspace, charged in
     /// multi-kernel mode — the paper extends its multi-kernel method with
     /// preconditioning (§III-C).
@@ -563,283 +848,32 @@ impl MilleFeuille {
         self.assemble(a, pre, ExecutedMode::MultiKernel, 0, res)
     }
 
-    /// Solves with *pipelined* ILU(0)-preconditioned CG: the Ghysels–
-    /// Vanroose PCG recurrence fuses the iteration into one preconditioner
-    /// application, one SpMV, one eight-vector update and one reduction
-    /// group — two synchronization points instead of four. Pivot
-    /// breakdowns are retried with bounded diagonal boosting exactly like
-    /// [`Self::solve_pcg`].
-    pub fn solve_pcg_pipelined(
-        &self,
-        a: &Csr,
-        b: &[f64],
-    ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
-        let (ilu, shifts) = ilu0_boosted(a)?;
-        let mut rep = self.solve_pcg_pipelined_with(a, b, &ilu);
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// Pipelined PCG with a caller-provided factorization.
-    pub fn solve_pcg_pipelined_with(&self, a: &Csr, b: &[f64], ilu: &Ilu0) -> SolveReport {
-        self.run_preconditioned(
-            a,
-            &self.preprocess(a),
-            b,
-            Precond::Ilu0(ilu),
-            run_pcg_pipelined,
-        )
-    }
-
-    /// Solves with IC(0)-preconditioned CG (`M = L·Lᵀ`) — an extension
-    /// beyond the paper's ILU(0) evaluation: the symmetric factorization
-    /// halves the factor work and keeps the preconditioned operator SPD.
-    pub fn solve_pcg_ic0(
-        &self,
-        a: &Csr,
-        b: &[f64],
-    ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
-        let (pre, factors) = self.preprocess_alongside(a, || Ic0::new_boosted(a));
-        let (ic, shifts) = factors?;
-        let mut rep = self.run_preconditioned(a, &pre, b, Precond::Ic0(&ic), run_pcg);
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// Solves with adaptive-precision block-Jacobi-preconditioned CG
-    /// (`tile_size`-sized blocks) — see `mf_kernels::block_jacobi`.
-    pub fn solve_pcg_block_jacobi(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        block: usize,
-    ) -> Result<SolveReport, mf_kernels::block_jacobi::SingularBlock> {
-        let (pre, bj) = self.preprocess_alongside(a, || mf_kernels::BlockJacobi::new(a, block));
-        let bj = bj?;
-        Ok(self.run_preconditioned(a, &pre, b, Precond::BlockJacobi(&bj), run_pcg))
-    }
-
-    /// Solves with ILU(0)-preconditioned BiCGSTAB.
-    pub fn solve_pbicgstab(
-        &self,
-        a: &Csr,
-        b: &[f64],
-    ) -> Result<SolveReport, mf_kernels::ilu::FactorError> {
-        let (pre, factors) = self.preprocess_with_ilu0(a);
-        let (ilu, shifts) = factors?;
-        let mut rep = self.run_preconditioned(a, &pre, b, Precond::Ilu0(&ilu), run_pbicgstab);
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// PBiCGSTAB with a caller-provided factorization.
-    pub fn solve_pbicgstab_with(&self, a: &Csr, b: &[f64], ilu: &Ilu0) -> SolveReport {
-        self.run_preconditioned(a, &self.preprocess(a), b, Precond::Ilu0(ilu), run_pbicgstab)
-    }
-
-    /// Solves `A x = b` with the threaded single-kernel ILU(0)-PCG engine:
-    /// the forward/backward triangular solves run *inside* the kernel via
-    /// per-row dependency counters (no kernel-boundary synchronization),
-    /// with `tolerance`, `max_iter` and [`SolverConfig::watchdog`] inherited
-    /// from this facade's config and `max_warps` capping the thread count.
-    ///
-    /// Pivot breakdowns are first retried with bounded diagonal boosting
-    /// (recorded as `FactorShift` breakdown events); returns `Err` only
-    /// when boosting is exhausted or the matrix is not square.
-    pub fn solve_pcg_threaded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        max_warps: usize,
-    ) -> Result<crate::threaded::ThreadedReport, mf_kernels::ilu::FactorError> {
-        let (ilu, shifts) = ilu0_boosted(a)?;
-        let mut rep = self.solve_pcg_threaded_with(a, b, &ilu, max_warps);
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// [`Self::solve_pcg_threaded`] with a caller-provided factorization
-    /// (benchmark reuse, or stress tests injecting corrupted factors).
-    pub fn solve_pcg_threaded_with(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        ilu: &Ilu0,
-        max_warps: usize,
-    ) -> crate::threaded::ThreadedReport {
-        let pre = self.preprocess(a);
-        crate::threaded::run_pcg_threaded(
-            &pre.tiled,
-            ilu,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.threaded_opts(max_warps),
-        )
-    }
-
-    /// Solves `A x = b` with the multi-device **sharded** CG engine: the
-    /// tiled matrix is row-block partitioned across `shards` simulated
-    /// devices behind the [`mf_gpu::Device`] backend trait, with per-
-    /// iteration halo exchange and a two-level deterministic reduction.
-    /// Numeric outputs are bitwise identical to
-    /// [`Self::solve_cg_threaded`] without adaptive re-tiering, at any
-    /// shard count. Inherits `tolerance` and `max_iter` from the config.
-    pub fn solve_cg_sharded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        shards: usize,
-        max_warps: usize,
-    ) -> crate::sharded::ShardedReport {
-        let pre = self.preprocess(a);
-        crate::sharded::run_cg_sharded(
-            &pre.tiled,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.sharded_opts(shards, max_warps),
-            &mut SolverWorkspace::new(),
-        )
-    }
-
-    /// Multi-device sharded ILU(0)-PCG; see [`Self::solve_cg_sharded`].
-    /// Pivot breakdowns are retried with bounded diagonal boosting exactly
-    /// like [`Self::solve_pcg_threaded`].
-    pub fn solve_pcg_sharded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        shards: usize,
-        max_warps: usize,
-    ) -> Result<crate::sharded::ShardedReport, mf_kernels::ilu::FactorError> {
-        let (ilu, shifts) = ilu0_boosted(a)?;
-        let pre = self.preprocess(a);
-        let mut rep = crate::sharded::run_pcg_sharded(
-            &pre.tiled,
-            &ilu,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.sharded_opts(shards, max_warps),
-            &mut SolverWorkspace::new(),
-        );
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// Threaded single-kernel ILU(0)-PBiCGSTAB; see
-    /// [`Self::solve_pcg_threaded`].
-    pub fn solve_pbicgstab_threaded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        max_warps: usize,
-    ) -> Result<crate::threaded::ThreadedReport, mf_kernels::ilu::FactorError> {
-        let (ilu, shifts) = ilu0_boosted(a)?;
-        let mut rep = self.solve_pbicgstab_threaded_with(a, b, &ilu, max_warps);
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// [`Self::solve_pbicgstab_threaded`] with a caller-provided
-    /// factorization.
-    pub fn solve_pbicgstab_threaded_with(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        ilu: &Ilu0,
-        max_warps: usize,
-    ) -> crate::threaded::ThreadedReport {
-        let pre = self.preprocess(a);
-        crate::threaded::run_pbicgstab_threaded(
-            &pre.tiled,
-            ilu,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.threaded_opts(max_warps),
-        )
-    }
-
-    /// Threaded single-kernel *pipelined* CG: one global barrier per
-    /// iteration (the classic engine passes four wait sites); see
-    /// [`Self::solve_cg_threaded`] for the config inheritance.
-    pub fn solve_cg_pipelined_threaded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        max_warps: usize,
-    ) -> crate::threaded::ThreadedReport {
-        let pre = self.preprocess(a);
-        crate::threaded::run_cg_pipelined_threaded(
-            &pre.tiled,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.threaded_opts(max_warps),
-        )
-    }
-
-    /// Threaded single-kernel *pipelined* ILU(0)-PCG: two global barriers
-    /// per iteration (the classic engine passes four), with the triangular
-    /// solves still in-kernel; see [`Self::solve_pcg_threaded`].
-    pub fn solve_pcg_pipelined_threaded(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        max_warps: usize,
-    ) -> Result<crate::threaded::ThreadedReport, mf_kernels::ilu::FactorError> {
-        let (ilu, shifts) = ilu0_boosted(a)?;
-        let mut rep = self.solve_pcg_pipelined_threaded_with(a, b, &ilu, max_warps);
-        prepend_factor_shifts(&mut rep.breakdowns, &shifts);
-        Ok(rep)
-    }
-
-    /// [`Self::solve_pcg_pipelined_threaded`] with a caller-provided
-    /// factorization.
-    pub fn solve_pcg_pipelined_threaded_with(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        ilu: &Ilu0,
-        max_warps: usize,
-    ) -> crate::threaded::ThreadedReport {
-        let pre = self.preprocess(a);
-        crate::threaded::run_pcg_pipelined_threaded(
-            &pre.tiled,
-            ilu,
-            b,
-            self.config.tolerance,
-            self.config.max_iter,
-            &self.threaded_opts(max_warps),
-        )
-    }
-
     /// The threaded engines' options from this facade's config: `max_warps`
     /// warps plus the configured watchdog, trace and adaptive controller,
     /// with no fault injection.
-    fn threaded_opts(&self, max_warps: usize) -> crate::threaded::ThreadedOpts {
-        crate::threaded::ThreadedOpts {
+    fn threaded_opts(&self, max_warps: usize) -> ThreadedOpts {
+        ThreadedOpts {
             watchdog: self.config.watchdog,
             trace: self.config.trace,
             adaptive: self.config.adaptive,
-            ..crate::threaded::ThreadedOpts::new(max_warps)
+            ..ThreadedOpts::new(max_warps)
         }
     }
 
     /// The sharded engines' options from this facade's config: `shards`
     /// devices of this facade's model, at most `max_warps` warps, the
     /// configured trace, the default interconnect and no fault injection.
-    fn sharded_opts(&self, shards: usize, max_warps: usize) -> crate::sharded::ShardedOpts {
-        crate::sharded::ShardedOpts {
+    fn sharded_opts(&self, shards: usize, max_warps: usize) -> ShardedOpts {
+        ShardedOpts {
             device: self.device.clone(),
             trace: self.config.trace,
-            ..crate::sharded::ShardedOpts::new(shards, max_warps)
+            ..ShardedOpts::new(shards, max_warps)
         }
     }
 
-    fn build_coster(&self, tiled: &TiledMatrix, mode: ExecutedMode) -> Coster {
+    /// The coster a sequential solve on `tiled` charges in `mode`: this
+    /// facade's device model and tile size.
+    pub fn build_coster(&self, tiled: &TiledMatrix, mode: ExecutedMode) -> Coster {
         match mode {
             ExecutedMode::SingleKernel => {
                 Coster::Single(SingleCoster::new(self.cost(), tiled, self.config.tile_size))
@@ -879,7 +913,7 @@ mod tests {
         let a = poisson1d(500);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_cg(&a, &b);
+        let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         assert!(rep.converged);
         assert_eq!(rep.mode, ExecutedMode::SingleKernel);
         assert!(rep.warp_count > 0);
@@ -896,13 +930,17 @@ mod tests {
         let a = poisson1d(300);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_cg_threaded(&a, &b, 4);
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Cg).threaded(4))
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.failure.is_none());
         for v in &rep.x {
             assert!((v - 1.0).abs() < 1e-7);
         }
-        let rep = solver.solve_bicgstab_threaded(&a, &b, 4);
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::BiCgStab).threaded(4))
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.failure.is_none());
 
@@ -914,7 +952,9 @@ mod tests {
         }
         let neg = neg.to_csr();
         let b = vec![1.0; 64];
-        let rep = solver.solve_cg_threaded(&neg, &b, 4);
+        let rep = solver
+            .solve(&neg, &b, &SolveSpec::new(Method::Cg).threaded(4))
+            .unwrap();
         assert!(!rep.converged);
         assert!(rep.failure.is_some());
         assert!(!rep.breakdowns.is_empty());
@@ -950,7 +990,7 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
-        let rep = solver.solve_cg(&a, &b);
+        let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         assert_eq!(rep.mode, ExecutedMode::MultiKernel);
         assert_eq!(rep.iterations, 3);
         // Multi-kernel: launches accumulate per kernel.
@@ -972,7 +1012,7 @@ mod tests {
                     ..SolverConfig::default()
                 },
             );
-            let rep = solver.solve_cg(&a, &b);
+            let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
             assert_eq!(rep.mode, expect);
             assert!(rep.converged);
         }
@@ -993,7 +1033,9 @@ mod tests {
         let a = a.to_csr();
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::mi210());
-        let rep = solver.solve_bicgstab(&a, &b);
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+            .unwrap();
         assert!(rep.converged);
         for v in &rep.x {
             assert!((v - 1.0).abs() < 1e-6);
@@ -1005,12 +1047,16 @@ mod tests {
         let a = poisson1d(256);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_pcg(&a, &b).unwrap();
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.iterations <= 3);
         assert!(rep.timeline.get(Phase::SpTrsv) > 0.0);
 
-        let rep2 = solver.solve_pbicgstab(&a, &b).unwrap();
+        let rep2 = solver
+            .solve(&a, &b, &SolveSpec::new(Method::PBiCgStab))
+            .unwrap();
         assert!(rep2.converged);
     }
 
@@ -1019,7 +1065,9 @@ mod tests {
         let a = poisson1d(256);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_pcg_ic0(&a, &b).unwrap();
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ic0)))
+            .unwrap();
         assert!(rep.converged);
         // IC(0) of a tridiagonal is exact Cholesky.
         assert!(rep.iterations <= 3, "{}", rep.iterations);
@@ -1030,7 +1078,13 @@ mod tests {
         let mut bad = mf_sparse::Coo::new(2, 2);
         bad.push(0, 0, -1.0);
         bad.push(1, 1, 1.0);
-        assert!(solver.solve_pcg_ic0(&bad.to_csr(), &[1.0, 1.0]).is_err());
+        assert!(solver
+            .solve(
+                &bad.to_csr(),
+                &[1.0, 1.0],
+                &SolveSpec::new(Method::Pcg(PrecondKind::Ic0))
+            )
+            .is_err());
     }
 
     /// 5-point Laplacian on a `g × g` grid with noisy couplings and a
@@ -1073,11 +1127,21 @@ mod tests {
             ..SolverConfig::default()
         };
         let solver = MilleFeuille::new(DeviceSpec::a100(), cfg.clone());
-        let ilu = solver.solve_pcg(&a, &b).unwrap();
+        let ilu = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+            .unwrap();
         assert!(!ilu.retier_trail.is_empty(), "ILU(0)-PCG must re-tier");
-        let ic = solver.solve_pcg_ic0(&a, &b).unwrap();
+        let ic = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ic0)))
+            .unwrap();
         assert!(!ic.retier_trail.is_empty(), "IC(0)-PCG ignored adaptive");
-        let bj = solver.solve_pcg_block_jacobi(&a, &b, 16).unwrap();
+        let bj = solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))),
+            )
+            .unwrap();
         for (name, rep) in [("ic0", &ic), ("block_jacobi", &bj)] {
             assert!(rep.converged, "{name}");
             let relres = rep.true_relres(&a, &b);
@@ -1093,8 +1157,14 @@ mod tests {
         let a = poisson1d(256);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let plain = solver.solve_cg(&a, &b);
-        let rep = solver.solve_pcg_block_jacobi(&a, &b, 16).unwrap();
+        let plain = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
+        let rep = solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))),
+            )
+            .unwrap();
         assert!(rep.converged, "relres {}", rep.final_relres);
         // Block-Jacobi must reduce the iteration count of plain CG.
         assert!(
@@ -1114,7 +1184,7 @@ mod tests {
         let a = poisson1d(128);
         let b = rhs(&a);
         let solver = MilleFeuille::new(DeviceSpec::a100(), SolverConfig::fp64_only());
-        let rep = solver.solve_cg(&a, &b);
+        let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         assert!(rep.converged);
         // All executed nonzeros were FP64.
         assert_eq!(rep.spmv_stats.nnz_by_prec[1], 0);
@@ -1138,8 +1208,14 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
-        let t_mixed = mixed.solve_cg(&a, &b).solve_us();
-        let t_fp64 = fp64.solve_cg(&a, &b).solve_us();
+        let t_mixed = mixed
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .unwrap()
+            .solve_us();
+        let t_fp64 = fp64
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .unwrap()
+            .solve_us();
         assert!(
             t_mixed < t_fp64,
             "mixed {t_mixed} should beat fp64 {t_fp64}"
@@ -1151,7 +1227,7 @@ mod tests {
         let spd = poisson1d(100);
         let b = rhs(&spd);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_auto(&spd, &b);
+        let rep = solver.solve(&spd, &b, &SolveSpec::auto()).unwrap();
         assert!(rep.converged);
         // True residual matches the recurrence on this benign system.
         assert!(rep.true_relres(&spd, &b) < 1e-9);
@@ -1168,9 +1244,90 @@ mod tests {
         }
         let nonsym = nonsym.to_csr();
         let bn = rhs(&nonsym);
-        let rep = solver.solve_auto(&nonsym, &bn);
+        let rep = solver.solve(&nonsym, &bn, &SolveSpec::auto()).unwrap();
         assert!(rep.converged);
         assert!(rep.true_relres(&nonsym, &bn) < 1e-9);
+    }
+
+    #[test]
+    fn unsupported_specs_fail_typed_before_any_work() {
+        let a = poisson1d(64);
+        let b = rhs(&a);
+        let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
+        let ilu = mf_kernels::ilu0(&a).unwrap();
+        let ic0 = SolveSpec::new(Method::Pcg(PrecondKind::Ic0));
+        let rejected = [
+            SolveSpec::auto().threaded(2),
+            ic0.threaded(2),
+            SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))).sharded(2, 2),
+            SolveSpec::new(Method::BiCgStab).sharded(2, 2),
+            SolveSpec::new(Method::PBiCgStab).pipelined(),
+            SolveSpec::new(Method::BiCgStab).threaded(2).pipelined(),
+            SolveSpec::new(Method::Cg).sharded(2, 2).pipelined(),
+            SolveSpec::new(Method::Cg).with_factors(Precond::Ilu0(&ilu)),
+            ic0.with_factors(Precond::Ilu0(&ilu)),
+        ];
+        for spec in rejected {
+            assert!(
+                matches!(solver.solve(&a, &b, &spec), Err(SolveError::Unsupported(_))),
+                "{spec:?}"
+            );
+        }
+        // Auto on the classic-only paths is a choice, not a fallback.
+        for spec in [
+            SolveSpec::new(Method::BiCgStab),
+            SolveSpec::new(Method::Cg).sharded(2, 2),
+            SolveSpec::new(Method::PBiCgStab).threaded(2),
+        ] {
+            let spec = SolveSpec {
+                pipeline: PipelineMode::Auto,
+                ..spec
+            };
+            assert!(solver.solve(&a, &b, &spec).unwrap().converged, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn supplied_factors_match_facade_built_ones_on_every_engine() {
+        let a = poisson1d(200);
+        let b = rhs(&a);
+        let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
+        let ilu = mf_kernels::ilu0(&a).unwrap();
+        let ilu0 = SolveSpec::new(Method::Pcg(PrecondKind::Ilu0));
+        for spec in [ilu0, ilu0.pipelined(), ilu0.threaded(2), ilu0.sharded(2, 2)] {
+            let built = solver.solve(&a, &b, &spec).unwrap();
+            let given = solver
+                .solve(&a, &b, &spec.with_factors(Precond::Ilu0(&ilu)))
+                .unwrap();
+            assert_eq!(built.x, given.x, "{spec:?}");
+            assert_eq!(built.iterations, given.iterations, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn engine_reports_carry_preprocessing_and_their_section() {
+        let a = poisson1d(200);
+        let b = rhs(&a);
+        let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
+        let cg = SolveSpec::new(Method::Cg);
+        for spec in [cg.threaded(2), cg.sharded(2, 2)] {
+            let rep = solver.solve(&a, &b, &spec).unwrap();
+            assert!(rep.converged, "{spec:?}");
+            assert_eq!(rep.mode, ExecutedMode::SingleKernel);
+            assert_eq!(rep.preprocess_passes, 1);
+            assert_eq!(rep.csr_memory, a.memory_bytes());
+            assert!(rep.timeline.get(Phase::Preprocess) > 0.0);
+            assert!(rep.warp_count >= 1);
+            match (spec.engine, &rep.engine) {
+                (Engine::Threaded { .. }, Some(crate::report::EngineSection::Threaded { .. })) => {
+                    assert_eq!(rep.last_progress().len(), rep.warp_count)
+                }
+                (Engine::Sharded { .. }, Some(crate::report::EngineSection::Sharded { .. })) => {}
+                (_, section) => panic!("{spec:?} reported {section:?}"),
+            }
+        }
+        let seq = solver.solve(&a, &b, &cg).unwrap();
+        assert!(seq.engine.is_none() && seq.injected_faults().is_none());
     }
 
     #[test]
@@ -1178,7 +1335,13 @@ mod tests {
         let a = poisson1d(300);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_pcg_threaded(&a, &b, 4).unwrap();
+        let rep = solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(4),
+            )
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.failure.is_none());
         // ILU(0) is exact on a tridiagonal system.
@@ -1186,7 +1349,9 @@ mod tests {
         for v in &rep.x {
             assert!((v - 1.0).abs() < 1e-7);
         }
-        let rep = solver.solve_pbicgstab_threaded(&a, &b, 4).unwrap();
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::PBiCgStab).threaded(4))
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.failure.is_none());
         for v in &rep.x {
@@ -1201,7 +1366,11 @@ mod tests {
         zero_diag.push(2, 2, 1.0);
         zero_diag.push(3, 3, 1.0);
         let rep = solver
-            .solve_pcg_threaded(&zero_diag.to_csr(), &[1.0; 4], 2)
+            .solve(
+                &zero_diag.to_csr(),
+                &[1.0; 4],
+                &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(2),
+            )
             .unwrap();
         let shift_events = rep
             .breakdowns
@@ -1213,7 +1382,13 @@ mod tests {
         // Unrepairable factorization failures still propagate as Err, not a
         // panic: no diagonal shift fixes a shape error.
         let rect = Coo::new(2, 3).to_csr();
-        assert!(solver.solve_pcg_threaded(&rect, &[1.0; 2], 2).is_err());
+        assert!(solver
+            .solve(
+                &rect,
+                &[1.0; 2],
+                &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(2)
+            )
+            .is_err());
     }
 
     /// A symmetric matrix with positive diagonal and 38/40 = 0.95 > 0.9
@@ -1254,14 +1429,14 @@ mod tests {
 
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
         // CG alone breaks down on this system (prerequisite of the test).
-        let cg = solver.solve_cg(&a, &b);
+        let cg = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         assert!(cg.failure.is_some(), "CG should abort: {:?}", cg.failure);
         assert!(cg
             .breakdowns
             .iter()
             .any(|e| e.kind == BreakdownKind::Curvature));
 
-        let rep = solver.solve_auto(&a, &b);
+        let rep = solver.solve(&a, &b, &SolveSpec::auto()).unwrap();
         assert!(rep.converged, "relres {}", rep.final_relres);
         assert!(rep.failure.is_none());
         assert!(rep.true_relres(&a, &b) < 1e-8);
@@ -1281,7 +1456,7 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
-        let rep = pinned.solve_auto(&a, &b);
+        let rep = pinned.solve(&a, &b, &SolveSpec::auto()).unwrap();
         assert!(rep.failure.is_some());
         assert!(!rep
             .breakdowns
@@ -1324,12 +1499,12 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
-        let cg = solver.solve_cg(&a, &b);
+        let cg = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         assert!(cg.failure.is_some(), "prerequisite: CG must abort");
         let cg_iters = cg.iterations;
         assert!(cg_iters > 0 && !cg.residual_history.is_empty());
 
-        let rep = solver.solve_auto(&a, &b);
+        let rep = solver.solve(&a, &b, &SolveSpec::auto()).unwrap();
         assert!(rep.converged);
         assert_eq!(
             rep.preprocess_passes, 1,
@@ -1346,7 +1521,9 @@ mod tests {
         assert_eq!(&rep.residual_history[..cg_iters], &cg.residual_history[..]);
         // The modeled timeline charges preprocessing once: the handoff
         // report's Preprocess share equals a plain BiCGSTAB solve's.
-        let plain = solver.solve_bicgstab(&a, &b);
+        let plain = solver
+            .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+            .unwrap();
         assert_eq!(
             rep.timeline.get(Phase::Preprocess),
             plain.timeline.get(Phase::Preprocess)
@@ -1358,58 +1535,71 @@ mod tests {
         let a = poisson1d(500);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_cg_pipelined(&a, &b);
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Cg).pipelined())
+            .unwrap();
         assert!(rep.converged);
         assert_eq!(rep.mode, ExecutedMode::SingleKernel);
         for v in &rep.x {
             assert!((v - 1.0).abs() < 1e-7);
         }
-        let rep = solver.solve_pcg_pipelined(&a, &b).unwrap();
+        let rep = solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).pipelined(),
+            )
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.iterations <= 4, "{}", rep.iterations);
         assert!(rep.timeline.get(Phase::SpTrsv) > 0.0);
 
-        let rep = solver.solve_cg_pipelined_threaded(&a, &b, 4);
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Cg).pipelined().threaded(4))
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.failure.is_none());
         for v in &rep.x {
             assert!((v - 1.0).abs() < 1e-7);
         }
-        let rep = solver.solve_pcg_pipelined_threaded(&a, &b, 4).unwrap();
+        let rep = solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))
+                    .pipelined()
+                    .threaded(4),
+            )
+            .unwrap();
         assert!(rep.converged);
         assert!(rep.iterations <= 4, "{}", rep.iterations);
     }
 
     #[test]
     fn pipeline_mode_knob_is_honored() {
-        use crate::config::PipelineMode;
         let a = poisson1d(256);
         let b = rhs(&a);
         let tiled = TiledMatrix::from_csr(&a);
+        let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
+        let single = ExecutedMode::SingleKernel;
 
-        let forced = |mode| {
-            MilleFeuille::new(
-                DeviceSpec::a100(),
-                SolverConfig {
-                    pipeline: mode,
-                    ..SolverConfig::default()
-                },
-            )
-        };
-        assert!(!forced(PipelineMode::Classic).decide_pipeline(&tiled, ExecutedMode::SingleKernel));
-        assert!(forced(PipelineMode::Pipelined).decide_pipeline(&tiled, ExecutedMode::SingleKernel));
+        assert!(!solver.decide_pipeline(&tiled, single, PipelineMode::Classic));
+        assert!(solver.decide_pipeline(&tiled, single, PipelineMode::Pipelined));
         // Auto: a small single-kernel system is synchronization-dominated,
         // so the barrier savings clear the margin; multi-kernel mode never
         // pipelines under Auto (nothing to save).
-        let auto = forced(PipelineMode::Auto);
-        assert!(auto.decide_pipeline(&tiled, ExecutedMode::SingleKernel));
-        assert!(!auto.decide_pipeline(&tiled, ExecutedMode::MultiKernel));
+        assert!(solver.decide_pipeline(&tiled, single, PipelineMode::Auto));
+        assert!(!solver.decide_pipeline(&tiled, ExecutedMode::MultiKernel, PipelineMode::Auto));
 
-        // solve_auto with the knob forced converges through either path.
-        for mode in [PipelineMode::Classic, PipelineMode::Pipelined] {
-            let rep = forced(mode).solve_auto(&a, &b);
-            assert!(rep.converged, "{mode:?}");
-            assert!(rep.true_relres(&a, &b) < 1e-9, "{mode:?}");
+        // Auto with the schedule forced converges through either path.
+        for pipeline in [PipelineMode::Classic, PipelineMode::Pipelined] {
+            let spec = SolveSpec {
+                pipeline,
+                ..SolveSpec::auto()
+            };
+            let rep = solver.solve(&a, &b, &spec).unwrap();
+            assert!(rep.converged, "{pipeline:?}");
+            assert!(rep.true_relres(&a, &b) < 1e-9, "{pipeline:?}");
         }
     }
 
@@ -1428,8 +1618,10 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
-        let classic = solver.solve_cg(&a, &b);
-        let piped = solver.solve_cg_pipelined(&a, &b);
+        let classic = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
+        let piped = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Cg).pipelined())
+            .unwrap();
         assert_eq!(classic.mode, ExecutedMode::SingleKernel);
         assert_eq!(classic.iterations, 50);
         assert_eq!(piped.iterations, 50);
@@ -1446,7 +1638,7 @@ mod tests {
         let a = poisson1d(1_000);
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-        let rep = solver.solve_cg(&a, &b);
+        let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         assert_eq!(rep.csr_memory, a.memory_bytes());
         assert_eq!(
             rep.tiled_memory.total(),

@@ -77,7 +77,8 @@
 use crate::config::WatchdogPolicy;
 use crate::pipelined::{breakdown_kind, pipeline_scalars};
 use crate::report::{
-    BreakdownEvent, BreakdownKind, RecoveryAction, RestartPolicy, SolveFailure, WarpProgress,
+    BreakdownEvent, BreakdownKind, EngineSection, RecoveryAction, RestartPolicy, SolveFailure,
+    SolveReport, WarpProgress,
 };
 use mf_gpu::{
     BarrierFault, FaultCounts, FaultPlan, Heartbeat, InjectedFaults, RowDeps, SpinFault,
@@ -111,11 +112,11 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct ThreadedOpts {
     /// Warp (OS thread) cap. Each engine runs `warps.min(segments)` warps
-    /// and reports the count as [`ThreadedReport::warps`]. Must be ≥ 1.
+    /// and reports the count as [`SolveReport::warp_count`]. Must be ≥ 1.
     pub warps: usize,
     /// Wedge detection. The default progress heartbeat fails a solve as
     /// [`SolveFailure::Wedged`] only when *no* warp has progressed for the
-    /// interval, and fills [`ThreadedReport::last_progress`] with each
+    /// interval, and fills [`SolveReport::last_progress`] with each
     /// warp's last (iteration, step) from the engine's `*_STEPS` table.
     /// `Disabled` is the paper's idealized deadlock-free assumption: no
     /// progress record, and a truly wedged dependency chain spins forever.
@@ -128,7 +129,7 @@ pub struct ThreadedOpts {
     pub faults: FaultPlan,
     /// Event tracing. With `enabled`, each warp records into its own ring
     /// buffer ([`mf_trace::WarpTracer`]) and the merged stream lands in
-    /// [`ThreadedReport::trace`]; the in-kernel SpTRSV passes contribute
+    /// [`SolveReport::trace`]; the in-kernel SpTRSV passes contribute
     /// one aggregate `RowWait` event each. A disabled config is bitwise
     /// inert.
     pub trace: TraceConfig,
@@ -162,62 +163,6 @@ impl ThreadedOpts {
     }
 }
 
-/// Result of a threaded solve.
-#[derive(Clone, Debug)]
-pub struct ThreadedReport {
-    /// Solution.
-    pub x: Vec<f64>,
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Converged within tolerance.
-    pub converged: bool,
-    /// Final relative residual (recurrence; last *finite* value observed).
-    pub final_relres: f64,
-    /// Warps (threads) used.
-    pub warps: usize,
-    /// Every breakdown observed, in iteration order (warp 0's trail — the
-    /// decisions are deterministic, so every warp records the same one).
-    pub breakdowns: Vec<BreakdownEvent>,
-    /// Set when the solve terminated abnormally; `None` for converged and
-    /// plain out-of-iterations runs.
-    pub failure: Option<SolveFailure>,
-    /// Recurrence relative residual after each completed (non-breakdown)
-    /// iteration, recorded by warp 0 — the threaded counterpart of
-    /// [`crate::SolveReport::residual_history`], used by the differential
-    /// harness to assert trajectory parity against the sequential oracle.
-    pub residual_history: Vec<f64>,
-    /// Each warp's last published (iteration, step) position, decoded from
-    /// the progress heartbeat. Empty unless the solve ran under
-    /// [`WatchdogPolicy::Heartbeat`]; on a `Wedged` failure this names the
-    /// step every warp was stuck at.
-    pub last_progress: Vec<WarpProgress>,
-    /// Fault-injection telemetry: the plan's repro line plus the merged
-    /// injection tally. `None` when the solve ran with an empty
-    /// [`FaultPlan`] (the normal case).
-    pub injected_faults: Option<InjectedFaults>,
-    /// Merged event trace ([`mf_trace`]): per-warp ring buffers joined in
-    /// deterministic `(iteration, step, warp, seq)` order, with the
-    /// breakdown trail appended as epilogue events. `None` unless
-    /// [`ThreadedOpts::trace`] is enabled.
-    pub trace: Option<Trace>,
-    /// Re-tier plans applied by the adaptive precision controller, in
-    /// epoch order (warp 0's copy — every warp replicates the identical
-    /// controller, so every warp computes the same plans). Empty unless
-    /// [`ThreadedOpts::adaptive`] armed a controller on a CG engine. The
-    /// differential harness compares these trails verbatim against the
-    /// sequential engines'.
-    pub retier_trail: Vec<RetierDecision>,
-}
-
-impl ThreadedReport {
-    /// Table-II style status: `converged`, `max_iter`, or
-    /// `aborted(<breakdown>)` naming why the solve stopped early (same
-    /// labeling as [`crate::SolveReport::status_label`]).
-    pub fn status_label(&self) -> String {
-        crate::report::status_label_parts(self.converged, &self.breakdowns, self.failure.as_ref())
-    }
-}
-
 // Poison codes: why the solve was released early. First writer wins (CAS
 // from NONE), every spin loop polls the flag.
 const POISON_NONE: i64 = 0;
@@ -235,7 +180,7 @@ const FAIL_STALLED: i64 = 2;
 // Each engine calls `WarpSync::step(j, idx)` at the top of every logical
 // step; `idx` indexes the engine's table below. The same (iteration, step)
 // coordinates address `FaultPlan::with_panic_at`/`with_poison_at` sites and
-// decode `ThreadedReport::last_progress`. Step 0 of iteration 0 exists on
+// decode `SolveReport::last_progress`. Step 0 of iteration 0 exists on
 // every engine, so a point fault at (w, 0, 0) is engine-portable.
 
 /// Step names of the unpreconditioned CG engine.
@@ -673,7 +618,7 @@ fn launch<F>(
     steps: &'static [&'static str],
     x: &[AtomicU64],
     body: F,
-) -> ThreadedReport
+) -> SolveReport
 where
     F: Fn(&mut Warp<'_>) -> Result<(), i64> + Sync,
 {
@@ -733,7 +678,7 @@ where
 /// panics beat the watchdog beat the deterministic aborts, and the host
 /// appends the terminal Panic/Watchdog event to warp 0's trail. The
 /// heartbeat snapshot is decoded through the engine's step-name table into
-/// [`ThreadedReport::last_progress`]; a non-empty plan is echoed as
+/// [`SolveReport::last_progress`]; a non-empty plan is echoed as
 /// [`InjectedFaults`] telemetry (repro line + merged tally).
 fn finish_report(
     x: &[AtomicU64],
@@ -743,7 +688,7 @@ fn finish_report(
     steps: &'static [&'static str],
     plan: &FaultPlan,
     mut outs: Vec<WarpOut>,
-) -> ThreadedReport {
+) -> SolveReport {
     let injected_faults = (!plan.is_empty()).then(|| InjectedFaults {
         plan: plan.to_string(),
         counts: outs
@@ -815,22 +760,25 @@ fn finish_report(
         crate::report::append_breakdown_epilogue(&mut tr, &breakdowns);
         tr
     });
-    ThreadedReport {
+    SolveReport {
         x: x.iter().map(ld).collect(),
+        warp_count: warps,
         iterations,
         converged: shared.converged.load(Ordering::Acquire) == 1,
         final_relres: f64::from_bits(shared.relres_bits.load(Ordering::Acquire)),
-        warps,
         breakdowns,
         failure,
         residual_history,
-        last_progress,
-        injected_faults,
         trace,
         retier_trail: shared
             .retier
             .into_inner()
             .unwrap_or_else(|e| e.into_inner()),
+        engine: Some(EngineSection::Threaded {
+            last_progress,
+            injected_faults,
+        }),
+        ..SolveReport::default()
     }
 }
 
@@ -843,7 +791,7 @@ fn prologue(
     ilu: Option<&Ilu0>,
     b: &[f64],
     opts: &ThreadedOpts,
-) -> Result<(Layout, f64), Box<ThreadedReport>> {
+) -> Result<(Layout, f64), Box<SolveReport>> {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols);
@@ -856,22 +804,19 @@ fn prologue(
     if norm_b != 0.0 {
         return Ok((lay, norm_b));
     }
-    Err(Box::new(ThreadedReport {
+    Err(Box::new(SolveReport {
         x: vec![0.0; n],
-        iterations: 0,
         converged: true,
-        final_relres: 0.0,
-        warps: lay.warps,
-        breakdowns: Vec::new(),
-        failure: None,
-        residual_history: Vec::new(),
-        last_progress: Vec::new(),
-        injected_faults: None,
+        warp_count: lay.warps,
         trace: opts.trace.enabled.then(|| Trace {
             warps: lay.warps,
             ..Trace::default()
         }),
-        retier_trail: Vec::new(),
+        engine: Some(EngineSection::Threaded {
+            last_progress: Vec::new(),
+            injected_faults: None,
+        }),
+        ..SolveReport::default()
     }))
 }
 
@@ -1414,7 +1359,7 @@ pub fn run_cg_threaded(
     tol: f64,
     max_iter: usize,
     opts: &ThreadedOpts,
-) -> ThreadedReport {
+) -> SolveReport {
     let (lay, norm_b) = match prologue(m, None, b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
@@ -1590,7 +1535,7 @@ pub fn run_bicgstab_threaded(
     tol: f64,
     max_iter: usize,
     opts: &ThreadedOpts,
-) -> ThreadedReport {
+) -> SolveReport {
     let (lay, norm_b) = match prologue(m, None, b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
@@ -1787,7 +1732,7 @@ pub fn run_ilu_sptrsv_threaded(
     unit_upper: bool,
     seg: usize,
     opts: &ThreadedOpts,
-) -> ThreadedReport {
+) -> SolveReport {
     let n = l.nrows;
     assert_eq!(l.nrows, l.ncols);
     assert_eq!(u.nrows, u.ncols);
@@ -1845,7 +1790,7 @@ pub fn run_pcg_threaded(
     tol: f64,
     max_iter: usize,
     opts: &ThreadedOpts,
-) -> ThreadedReport {
+) -> SolveReport {
     let (lay, norm_b) = match prologue(m, Some(ilu), b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
@@ -1968,7 +1913,7 @@ pub fn run_pbicgstab_threaded(
     tol: f64,
     max_iter: usize,
     opts: &ThreadedOpts,
-) -> ThreadedReport {
+) -> SolveReport {
     let (lay, norm_b) = match prologue(m, Some(ilu), b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
@@ -2162,7 +2107,7 @@ pub fn run_cg_pipelined_threaded(
     tol: f64,
     max_iter: usize,
     opts: &ThreadedOpts,
-) -> ThreadedReport {
+) -> SolveReport {
     let (lay, norm_b) = match prologue(m, None, b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
@@ -2336,7 +2281,7 @@ pub fn run_pcg_pipelined_threaded(
     tol: f64,
     max_iter: usize,
     opts: &ThreadedOpts,
-) -> ThreadedReport {
+) -> SolveReport {
     let (lay, norm_b) = match prologue(m, Some(ilu), b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
@@ -2471,7 +2416,7 @@ mod tests {
 
     /// The unpreconditioned entry points, as a single fn-pointer type so
     /// tests can table-drive over them.
-    type Engine = fn(&TiledMatrix, &[f64], f64, usize, &ThreadedOpts) -> ThreadedReport;
+    type Engine = fn(&TiledMatrix, &[f64], f64, usize, &ThreadedOpts) -> SolveReport;
 
     fn poisson1d(n: usize) -> Csr {
         let mut a = Coo::new(n, n);
@@ -2499,7 +2444,7 @@ mod tests {
     }
 
     /// All seven engines behind one signature, with their step tables.
-    type Entry = fn(&Fixture, &[f64], &ThreadedOpts) -> ThreadedReport;
+    type Entry = fn(&Fixture, &[f64], &ThreadedOpts) -> SolveReport;
 
     fn all_engines() -> [(&'static str, Entry, &'static [&'static str]); 7] {
         [
@@ -2558,15 +2503,18 @@ mod tests {
             let clean = run(&fx, &b, &ThreadedOpts::new(3));
             assert!(clean.converged, "{name}");
             assert!(
-                clean.injected_faults.is_none(),
+                clean.injected_faults().is_none(),
                 "{name}: empty plan → no telemetry"
             );
             assert!(clean.trace.is_none(), "{name}: tracing defaults off");
-            assert_eq!(clean.last_progress.len(), clean.warps, "{name}");
+            assert_eq!(clean.last_progress().len(), clean.warp_count, "{name}");
             assert!(
-                clean.last_progress.iter().all(|p| steps.contains(&p.step)),
+                clean
+                    .last_progress()
+                    .iter()
+                    .all(|p| steps.contains(&p.step)),
                 "{name}: {:?}",
-                clean.last_progress
+                clean.last_progress()
             );
 
             let faulted = ThreadedOpts {
@@ -2575,7 +2523,7 @@ mod tests {
             };
             let rep = run(&fx, &b, &faulted);
             assert!(rep.converged, "{name}");
-            let inj = rep.injected_faults.expect("non-empty plan → telemetry");
+            let inj = rep.injected_faults().expect("non-empty plan → telemetry");
             assert_eq!(inj.plan, plan.to_string(), "{name}: repro line round-trips");
             assert!(
                 inj.counts.total() > 0,
@@ -2605,7 +2553,7 @@ mod tests {
             let rep = run(&fx, &b, &unwatched);
             assert!(rep.converged, "{name}");
             assert!(
-                rep.last_progress.is_empty(),
+                rep.last_progress().is_empty(),
                 "{name}: no heartbeat → no progress"
             );
 
@@ -2615,7 +2563,7 @@ mod tests {
             assert!(rep.converged, "{name}");
             assert!(rep.x.iter().all(|&v| v == 0.0), "{name}");
             let tr = rep.trace.expect("b = 0 keeps the trace");
-            assert_eq!(tr.warps, rep.warps, "{name}");
+            assert_eq!(tr.warps, rep.warp_count, "{name}");
         }
     }
 
@@ -2627,7 +2575,7 @@ mod tests {
         a.matvec(&vec![1.0; 512], &mut b);
         let rep = run_cg_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(8));
         assert!(rep.converged, "relres {}", rep.final_relres);
-        assert_eq!(rep.warps, 8);
+        assert_eq!(rep.warp_count, 8);
         assert!(rep.failure.is_none());
         assert!(rep.breakdowns.is_empty());
         for v in &rep.x {
@@ -2654,7 +2602,9 @@ mod tests {
                 ..crate::SolverConfig::default()
             },
         );
-        let rep_s = solver.solve_cg(&a, &b);
+        let rep_s = solver
+            .solve(&a, &b, &crate::SolveSpec::new(crate::Method::Cg))
+            .unwrap();
         assert!(rep_t.converged && rep_s.converged);
         // Atomic accumulation reorders float adds; iteration counts may
         // differ by a hair, the solutions must agree.
@@ -2672,7 +2622,7 @@ mod tests {
         a.matvec(&vec![1.0; 64], &mut b);
         let rep = run_cg_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(1));
         assert!(rep.converged);
-        assert_eq!(rep.warps, 1);
+        assert_eq!(rep.warp_count, 1);
     }
 
     #[test]
@@ -2682,7 +2632,7 @@ mod tests {
         let mut b = vec![0.0; 64];
         a.matvec(&vec![1.0; 64], &mut b);
         let rep = run_cg_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(64));
-        assert_eq!(rep.warps, 4);
+        assert_eq!(rep.warp_count, 4);
         assert!(rep.converged);
     }
 
@@ -2745,7 +2695,7 @@ mod tests {
         a.matvec(&vec![1.0; 48], &mut b);
         let rep = run_bicgstab_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(1));
         assert!(rep.converged);
-        assert_eq!(rep.warps, 1);
+        assert_eq!(rep.warp_count, 1);
     }
 
     #[test]
@@ -3335,7 +3285,7 @@ mod tests {
             },
         );
         assert!(rep.converged);
-        let inj = rep.injected_faults.expect("non-empty plan → telemetry");
+        let inj = rep.injected_faults().expect("non-empty plan → telemetry");
         assert!(inj.counts.total() > 0, "benign faults actually fired");
         for (t, c) in rep.x.iter().zip(&clean.x) {
             assert_eq!(t.to_bits(), c.to_bits(), "benign plan is bitwise inert");

@@ -16,8 +16,8 @@
 
 use mf_gpu::DeviceSpec;
 use mf_solver::{
-    AdaptiveConfig, BreakdownEvent, MilleFeuille, RetierDecision, ShardedReport, SolveFailure,
-    SolveReport, SolverConfig, ThreadedReport,
+    AdaptiveConfig, BreakdownEvent, Engine, Method, MilleFeuille, PrecondKind, RetierDecision,
+    SolveError, SolveFailure, SolveSpec, SolverConfig,
 };
 use mf_sparse::{Coo, Csr};
 
@@ -208,71 +208,42 @@ struct Outcome {
 /// Runs one path through its facade entry. A preconditioner that fails
 /// to set up yields `Err` with the error's debug form.
 fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<Outcome, String> {
-    let e = |e: &dyn std::fmt::Debug| format!("{e:?}");
-    let seq = |r: SolveReport| Outcome {
-        total_us: Some(r.timeline.total_us()),
-        x: r.x,
-        converged: r.converged,
-        iterations: r.iterations,
-        residual_history: r.residual_history,
-        breakdowns: r.breakdowns,
-        failure: r.failure,
-        retier_trail: r.retier_trail,
-    };
-    let thr = |r: ThreadedReport| Outcome {
-        x: r.x,
-        converged: r.converged,
-        iterations: r.iterations,
-        residual_history: r.residual_history,
-        breakdowns: r.breakdowns,
-        failure: r.failure,
-        retier_trail: r.retier_trail,
-        total_us: None,
-    };
-    let shd = |r: ShardedReport| Outcome {
-        x: r.x,
-        converged: r.converged,
-        iterations: r.iterations,
-        residual_history: r.residual_history,
-        breakdowns: r.breakdowns,
-        failure: r.failure,
-        retier_trail: Vec::new(),
-        total_us: None,
-    };
-    match core {
-        "cg" => Ok(seq(solver.solve_cg(a, b))),
-        "cg_pipelined" => Ok(seq(solver.solve_cg_pipelined(a, b))),
-        "bicgstab" => Ok(seq(solver.solve_bicgstab(a, b))),
-        "pcg_ilu0" => solver.solve_pcg(a, b).map(seq).map_err(|x| e(&x)),
-        "pcg_ic0" => solver.solve_pcg_ic0(a, b).map(seq).map_err(|x| e(&x)),
-        "pcg_block_jacobi" => solver
-            .solve_pcg_block_jacobi(a, b, 16)
-            .map(seq)
-            .map_err(|x| e(&x)),
-        "pcg_pipelined" => solver.solve_pcg_pipelined(a, b).map(seq).map_err(|x| e(&x)),
-        "pbicgstab" => solver.solve_pbicgstab(a, b).map(seq).map_err(|x| e(&x)),
-        "auto" => Ok(seq(solver.solve_auto(a, b))),
-        "cg_threaded" => Ok(thr(solver.solve_cg_threaded(a, b, 2))),
-        "bicgstab_threaded" => Ok(thr(solver.solve_bicgstab_threaded(a, b, 2))),
-        "pcg_threaded" => solver
-            .solve_pcg_threaded(a, b, 2)
-            .map(thr)
-            .map_err(|x| e(&x)),
-        "pbicgstab_threaded" => solver
-            .solve_pbicgstab_threaded(a, b, 2)
-            .map(thr)
-            .map_err(|x| e(&x)),
-        "cg_pipelined_threaded" => Ok(thr(solver.solve_cg_pipelined_threaded(a, b, 2))),
-        "pcg_pipelined_threaded" => solver
-            .solve_pcg_pipelined_threaded(a, b, 2)
-            .map(thr)
-            .map_err(|x| e(&x)),
-        "cg_sharded" => Ok(shd(solver.solve_cg_sharded(a, b, 2, 2))),
-        "pcg_sharded" => solver
-            .solve_pcg_sharded(a, b, 2, 2)
-            .map(shd)
-            .map_err(|x| e(&x)),
+    let ilu = Method::Pcg(PrecondKind::Ilu0);
+    let spec = match core {
+        "cg" => SolveSpec::new(Method::Cg),
+        "cg_pipelined" => SolveSpec::new(Method::Cg).pipelined(),
+        "bicgstab" => SolveSpec::new(Method::BiCgStab),
+        "pcg_ilu0" => SolveSpec::new(ilu),
+        "pcg_ic0" => SolveSpec::new(Method::Pcg(PrecondKind::Ic0)),
+        "pcg_block_jacobi" => SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))),
+        "pcg_pipelined" => SolveSpec::new(ilu).pipelined(),
+        "pbicgstab" => SolveSpec::new(Method::PBiCgStab),
+        "auto" => SolveSpec::auto(),
+        "cg_threaded" => SolveSpec::new(Method::Cg).threaded(2),
+        "bicgstab_threaded" => SolveSpec::new(Method::BiCgStab).threaded(2),
+        "pcg_threaded" => SolveSpec::new(ilu).threaded(2),
+        "pbicgstab_threaded" => SolveSpec::new(Method::PBiCgStab).threaded(2),
+        "cg_pipelined_threaded" => SolveSpec::new(Method::Cg).pipelined().threaded(2),
+        "pcg_pipelined_threaded" => SolveSpec::new(ilu).pipelined().threaded(2),
+        "cg_sharded" => SolveSpec::new(Method::Cg).sharded(2, 2),
+        "pcg_sharded" => SolveSpec::new(ilu).sharded(2, 2),
         other => panic!("unknown core {other}"),
+    };
+    let sequential = spec.engine == Engine::Sequential;
+    match solver.solve(a, b, &spec) {
+        Ok(r) => Ok(Outcome {
+            total_us: sequential.then(|| r.timeline.total_us()),
+            x: r.x,
+            converged: r.converged,
+            iterations: r.iterations,
+            residual_history: r.residual_history,
+            breakdowns: r.breakdowns,
+            failure: r.failure,
+            retier_trail: r.retier_trail,
+        }),
+        Err(SolveError::Factor(e)) => Err(format!("{e:?}")),
+        Err(SolveError::SingularBlock(e)) => Err(format!("{e:?}")),
+        Err(e) => panic!("{core}: {e}"),
     }
 }
 

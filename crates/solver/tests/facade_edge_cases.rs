@@ -9,6 +9,7 @@ use mf_solver::cg::CoreResult;
 use mf_solver::coster::{Coster, SingleCoster};
 use mf_solver::partial::PartialState;
 use mf_solver::{run_cg_pipelined, MilleFeuille, SolveReport, SolverConfig, SolverWorkspace};
+use mf_solver::{Method, PrecondKind, SolveSpec};
 use mf_sparse::{Coo, Csr, TiledMatrix};
 
 fn poisson1d(n: usize) -> Csr {
@@ -59,21 +60,61 @@ fn zero_rhs_is_uniform_across_sequential_facades() {
     let b = vec![0.0; n];
     let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
 
-    assert_zero_rhs_report(&solver.solve_cg(&a, &b), "cg");
-    assert_zero_rhs_report(&solver.solve_cg_pipelined(&a, &b), "cg_pipelined");
-    assert_zero_rhs_report(&solver.solve_bicgstab(&a, &b), "bicgstab");
-    assert_zero_rhs_report(&solver.solve_auto(&a, &b), "auto");
-    assert_zero_rhs_report(&solver.solve_pcg(&a, &b).unwrap(), "pcg");
-    assert_zero_rhs_report(&solver.solve_pcg_ic0(&a, &b).unwrap(), "pcg_ic0");
     assert_zero_rhs_report(
-        &solver.solve_pcg_pipelined(&a, &b).unwrap(),
+        &solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap(),
+        "cg",
+    );
+    assert_zero_rhs_report(
+        &solver
+            .solve(&a, &b, &SolveSpec::new(Method::Cg).pipelined())
+            .unwrap(),
+        "cg_pipelined",
+    );
+    assert_zero_rhs_report(
+        &solver
+            .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+            .unwrap(),
+        "bicgstab",
+    );
+    assert_zero_rhs_report(&solver.solve(&a, &b, &SolveSpec::auto()).unwrap(), "auto");
+    assert_zero_rhs_report(
+        &solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+            .unwrap(),
+        "pcg",
+    );
+    assert_zero_rhs_report(
+        &solver
+            .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ic0)))
+            .unwrap(),
+        "pcg_ic0",
+    );
+    assert_zero_rhs_report(
+        &solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).pipelined(),
+            )
+            .unwrap(),
         "pcg_pipelined",
     );
     assert_zero_rhs_report(
-        &solver.solve_pcg_block_jacobi(&a, &b, 16).unwrap(),
+        &solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))),
+            )
+            .unwrap(),
         "pcg_bj",
     );
-    assert_zero_rhs_report(&solver.solve_pbicgstab(&a, &b).unwrap(), "pbicgstab");
+    assert_zero_rhs_report(
+        &solver
+            .solve(&a, &b, &SolveSpec::new(Method::PBiCgStab))
+            .unwrap(),
+        "pbicgstab",
+    );
 }
 
 /// The threaded single-kernel engines agree: zero RHS, zero iterations,
@@ -87,22 +128,43 @@ fn zero_rhs_is_uniform_across_threaded_facades() {
 
     for warps in [1usize, 4] {
         for (label, rep) in [
-            ("cg_threaded", solver.solve_cg_threaded(&a, &b, warps)),
+            (
+                "cg_threaded",
+                solver
+                    .solve(&a, &b, &SolveSpec::new(Method::Cg).threaded(warps))
+                    .unwrap(),
+            ),
             (
                 "bicgstab_threaded",
-                solver.solve_bicgstab_threaded(&a, &b, warps),
+                solver
+                    .solve(&a, &b, &SolveSpec::new(Method::BiCgStab).threaded(warps))
+                    .unwrap(),
             ),
             (
                 "cg_pipelined_threaded",
-                solver.solve_cg_pipelined_threaded(&a, &b, warps),
+                solver
+                    .solve(
+                        &a,
+                        &b,
+                        &SolveSpec::new(Method::Cg).pipelined().threaded(warps),
+                    )
+                    .unwrap(),
             ),
             (
                 "pcg_threaded",
-                solver.solve_pcg_threaded(&a, &b, warps).unwrap(),
+                solver
+                    .solve(
+                        &a,
+                        &b,
+                        &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(warps),
+                    )
+                    .unwrap(),
             ),
             (
                 "pbicgstab_threaded",
-                solver.solve_pbicgstab_threaded(&a, &b, warps).unwrap(),
+                solver
+                    .solve(&a, &b, &SolveSpec::new(Method::PBiCgStab).threaded(warps))
+                    .unwrap(),
             ),
         ] {
             assert!(rep.converged, "{label} warps={warps}");
@@ -157,7 +219,7 @@ fn workspace_interleaved_across_sizes_and_engines_is_clean() {
         let b = seeded_vec(n, round as u64 + 1);
 
         let warm_cg = solver.solve_cg_preprocessed(&a, &solver.preprocess(&a), &b, &mut ws);
-        let cold_cg = solver.solve_cg(&a, &b);
+        let cold_cg = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         assert_eq!(warm_cg.x, cold_cg.x, "cg n={n} round={round}");
         assert_eq!(warm_cg.iterations, cold_cg.iterations);
         assert_eq!(warm_cg.final_relres, cold_cg.final_relres);

@@ -6,7 +6,7 @@
 //! the result must equal the serial reference
 //! (`TiledMatrix::from_csr_with` + `ilu0_boosted`): tile arrays and value
 //! bytes, L/U patterns and value bits, the boost-shift trail, and the
-//! factorization error. The one-shot preconditioned entries inherit the
+//! factorization error. Preconditioned `MilleFeuille::solve` calls inherit the
 //! same guarantee: `x` and the iteration count do not depend on the
 //! policy.
 
@@ -14,7 +14,9 @@ use mf_collection::ValueClass;
 use mf_gpu::DeviceSpec;
 use mf_kernels::{ilu0_boosted, FactorError, Ilu0};
 use mf_solver::config::AUTO_PAR_NNZ;
-use mf_solver::{HostParallelism, MilleFeuille, SolverConfig};
+use mf_solver::{
+    HostParallelism, Method, MilleFeuille, PrecondKind, SolveError, SolveSpec, SolverConfig,
+};
 use mf_sparse::{Coo, Csr, TiledMatrix};
 
 const POLICIES: [HostParallelism; 4] = [
@@ -212,18 +214,26 @@ fn one_shot_preconditioned_solves_are_policy_invariant() {
     let serial = facade(HostParallelism::Serial);
     let threaded = facade(HostParallelism::Threads(2));
 
-    let want = serial.solve_pcg(&a, &b).expect("ILU(0) factors");
-    let got = threaded.solve_pcg(&a, &b).expect("ILU(0) factors");
+    let want = serial
+        .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+        .expect("ILU(0) factors");
+    let got = threaded
+        .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+        .expect("ILU(0) factors");
     assert!(want.converged, "reference PCG must converge");
-    assert_eq!(got.iterations, want.iterations, "solve_pcg iterations");
-    assert_eq!(bits(&got.x), bits(&want.x), "solve_pcg x");
-    assert_eq!(got.breakdowns, want.breakdowns, "solve_pcg breakdowns");
+    assert_eq!(got.iterations, want.iterations, "ILU(0)-PCG iterations");
+    assert_eq!(bits(&got.x), bits(&want.x), "ILU(0)-PCG x");
+    assert_eq!(got.breakdowns, want.breakdowns, "ILU(0)-PCG breakdowns");
 
-    let want = serial.solve_pcg_ic0(&a, &b).expect("IC(0) factors");
-    let got = threaded.solve_pcg_ic0(&a, &b).expect("IC(0) factors");
+    let want = serial
+        .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ic0)))
+        .expect("IC(0) factors");
+    let got = threaded
+        .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ic0)))
+        .expect("IC(0) factors");
     assert!(want.converged, "reference IC(0)-PCG must converge");
-    assert_eq!(got.iterations, want.iterations, "solve_pcg_ic0 iterations");
-    assert_eq!(bits(&got.x), bits(&want.x), "solve_pcg_ic0 x");
+    assert_eq!(got.iterations, want.iterations, "IC(0)-PCG iterations");
+    assert_eq!(bits(&got.x), bits(&want.x), "IC(0)-PCG x");
 }
 
 #[test]
@@ -234,18 +244,20 @@ fn one_shot_errors_are_policy_invariant() {
         let mf = facade(policy);
         let ctx = format!("non_square under {policy:?}");
         assert_eq!(
-            mf.solve_pcg(&a, &b).err(),
-            Some(FactorError::NotSquare),
+            mf.solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+                .err(),
+            Some(SolveError::Factor(FactorError::NotSquare)),
             "{ctx}"
         );
         assert_eq!(
-            mf.solve_pcg_ic0(&a, &b).err(),
-            Some(FactorError::NotSquare),
+            mf.solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ic0)))
+                .err(),
+            Some(SolveError::Factor(FactorError::NotSquare)),
             "{ctx}"
         );
         assert_eq!(
-            mf.solve_pbicgstab(&a, &b).err(),
-            Some(FactorError::NotSquare),
+            mf.solve(&a, &b, &SolveSpec::new(Method::PBiCgStab)).err(),
+            Some(SolveError::Factor(FactorError::NotSquare)),
             "{ctx}"
         );
     }

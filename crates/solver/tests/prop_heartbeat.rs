@@ -25,9 +25,9 @@
 use mf_gpu::FaultPlan;
 use mf_solver::threaded::{
     run_bicgstab_threaded, run_cg_threaded, run_pbicgstab_threaded, run_pcg_threaded, ThreadedOpts,
-    ThreadedReport, BICGSTAB_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_STEPS,
+    BICGSTAB_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_STEPS,
 };
-use mf_solver::{SolveFailure, WatchdogPolicy};
+use mf_solver::{SolveFailure, SolveReport, WatchdogPolicy};
 use mf_sparse::{Coo, TiledMatrix};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -74,7 +74,7 @@ fn run(
     warps: usize,
     wd: WatchdogPolicy,
     plan: &FaultPlan,
-) -> ThreadedReport {
+) -> SolveReport {
     let opts = ThreadedOpts {
         watchdog: wd,
         faults: plan.clone(),
@@ -160,9 +160,9 @@ proptest! {
             "{engine}/{warps} warps/{plan}: expected Wedged, got {:?}",
             rep.failure
         );
-        prop_assert_eq!(rep.last_progress.len(), rep.warps);
+        prop_assert_eq!(rep.last_progress().len(), rep.warp_count);
         let steps = steps_of(engine);
-        for p in &rep.last_progress {
+        for p in rep.last_progress() {
             prop_assert!(
                 p.step == "start" || steps.contains(&p.step),
                 "{engine}/{warps} warps/{plan}: warp {} stuck at unknown step {:?}",

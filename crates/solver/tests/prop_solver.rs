@@ -3,7 +3,7 @@
 //! invariants.
 
 use mf_gpu::DeviceSpec;
-use mf_solver::{KernelMode, MilleFeuille, SolverConfig};
+use mf_solver::{KernelMode, Method, MilleFeuille, SolveSpec, SolverConfig};
 use mf_sparse::{Coo, Csr};
 use proptest::prelude::*;
 
@@ -66,7 +66,7 @@ proptest! {
     fn cg_always_converges_on_spd(n in 8usize..160, extra in 0usize..400, seed in 0u64..1000) {
         let a = random_spd(n, extra, seed);
         let b = rhs(&a);
-        let rep = MilleFeuille::with_defaults(DeviceSpec::a100()).solve_cg(&a, &b);
+        let rep = MilleFeuille::with_defaults(DeviceSpec::a100()).solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         prop_assert!(rep.converged, "relres {}", rep.final_relres);
         for v in &rep.x {
             prop_assert!((v - 1.0).abs() < 1e-5, "{v}");
@@ -85,7 +85,7 @@ proptest! {
                 partial_convergence: false,
                 ..SolverConfig::default()
             };
-            MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b)
+            MilleFeuille::new(DeviceSpec::a100(), cfg).solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap()
         };
         let s = run(KernelMode::SingleKernel);
         let m = run(KernelMode::MultiKernel);
@@ -105,7 +105,7 @@ proptest! {
                 fixed_iterations: Some(50),
                 ..SolverConfig::default()
             };
-            MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b).solve_us()
+            MilleFeuille::new(DeviceSpec::a100(), cfg).solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap().solve_us()
         };
         let s = run(KernelMode::SingleKernel);
         let m = run(KernelMode::MultiKernel);
@@ -123,7 +123,7 @@ proptest! {
             trace_residuals: true,
             ..SolverConfig::default()
         };
-        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b);
+        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg).solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         prop_assert_eq!(rep.iterations, iters);
         prop_assert_eq!(rep.residual_history.len(), iters);
         prop_assert!(rep.total_us() >= rep.solve_us());
@@ -140,7 +140,7 @@ proptest! {
     fn partial_strategy_preserves_convergence(n in 16usize..120, seed in 0u64..300) {
         let a = random_spd(n, 2 * n, seed);
         let b = rhs(&a);
-        let on = MilleFeuille::with_defaults(DeviceSpec::a100()).solve_cg(&a, &b);
+        let on = MilleFeuille::with_defaults(DeviceSpec::a100()).solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
         prop_assert!(on.converged, "relres {}", on.final_relres);
         prop_assert!(on.final_relres < 1e-10);
     }

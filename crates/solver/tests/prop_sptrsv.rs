@@ -88,7 +88,7 @@ fn sequential(l: &Csr, u: &Csr, b: &[f64], unit_lower: bool, unit_upper: bool) -
 }
 
 fn assert_bitwise(
-    rep: &mf_solver::ThreadedReport,
+    rep: &mf_solver::SolveReport,
     x: &[f64],
 ) -> proptest::test_runner::TestCaseResult {
     prop_assert!(rep.converged);

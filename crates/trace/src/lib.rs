@@ -379,7 +379,7 @@ pub struct WarpTrace {
 }
 
 /// The merged, deterministic event stream of one solve, carried by
-/// `SolveReport::trace` / `ThreadedReport::trace`.
+/// `SolveReport::trace`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Events sorted by `(iteration, step, warp, seq)`.

@@ -49,11 +49,19 @@ fn main() {
             .map(|i| (1.0 + (2.0 * std::f64::consts::PI * t).sin()) * ((i % 7) as f64 - 3.0))
             .collect();
 
-        let rep = solver.solve_bicgstab(&a, &b);
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+            .expect("every method runs on the sequential engine");
         assert!(rep.converged, "step {step} must converge");
         total_mf += rep.solve_us();
 
-        let pre = solver.solve_pbicgstab_with(&a, &b, &ilu);
+        let pre = solver
+            .solve(
+                &a,
+                &b,
+                &SolveSpec::new(Method::PBiCgStab).with_factors(Precond::Ilu0(&ilu)),
+            )
+            .expect("every method runs on the sequential engine");
         assert!(pre.converged);
         total_pre += pre.solve_us();
 

@@ -37,7 +37,9 @@ fn main() {
         a.matvec(&vec![1.0; a.ncols], &mut b);
         for device in &devices {
             let solver = MilleFeuille::with_defaults(device.clone());
-            let rep = solver.solve_cg(&a, &b);
+            let rep = solver
+                .solve(&a, &b, &SolveSpec::new(Method::Cg))
+                .expect("every method runs on the sequential engine");
             // Price the FP64 multi-kernel baseline on the same device.
             let base = {
                 let cfg = SolverConfig {
@@ -46,7 +48,9 @@ fn main() {
                     partial_convergence: false,
                     ..SolverConfig::default()
                 };
-                MilleFeuille::new(device.clone(), cfg).solve_cg(&a, &b)
+                MilleFeuille::new(device.clone(), cfg)
+                    .solve(&a, &b, &SolveSpec::new(Method::Cg))
+                    .expect("every method runs on the sequential engine")
             };
             println!(
                 "{:<22} {:>9} {:>7} | {:>12.1} {:>14.1} {:>8.2}x",
@@ -66,7 +70,9 @@ fn main() {
     let mut b = vec![0.0; a.nrows];
     a.matvec(&vec![1.0; a.ncols], &mut b);
     for device in &devices {
-        let rep = MilleFeuille::with_defaults(device.clone()).solve_bicgstab(&a, &b);
+        let rep = MilleFeuille::with_defaults(device.clone())
+            .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+            .expect("every method runs on the sequential engine");
         println!(
             "  {:<22} {:>4} iterations, {:>10.1} µs [{:?}, {} warps]",
             device.name,

@@ -19,9 +19,11 @@ fn main() {
 
     // --- Plain CG vs ILU(0)-preconditioned CG.
     let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-    let cg = solver.solve_cg(&a, &b);
+    let cg = solver
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .expect("every method runs on the sequential engine");
     let pcg = solver
-        .solve_pcg(&a, &b)
+        .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
         .expect("stencil ILU(0) cannot break down");
     println!(
         "CG : {:>4} iterations, {:>10.1} µs, relres {:.2e} [{:?}]",
@@ -85,7 +87,9 @@ fn main() {
         ),
     ];
     for (label, device, cfg) in configs {
-        let rep = MilleFeuille::new(device, cfg).solve_cg(&a, &b);
+        let rep = MilleFeuille::new(device, cfg)
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .expect("every method runs on the sequential engine");
         println!(
             "{label:<42} {:>6} {:>12.1} {:>10.2e}",
             rep.iterations,

@@ -45,7 +45,9 @@ fn main() {
             classify,
             ..SolverConfig::default()
         };
-        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b);
+        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg)
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .expect("every method runs on the sequential engine");
         println!(
             "{:>10.0e} | {:>7} {:>7} {:>7} {:>7} | {:>9.3} | {:>6} | {:>10.1}{}",
             loss,
@@ -83,7 +85,9 @@ fn main() {
             partial_safety: safety.max(1e-300),
             ..SolverConfig::default()
         };
-        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b);
+        let rep = MilleFeuille::new(DeviceSpec::a100(), cfg)
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .expect("every method runs on the sequential engine");
         println!(
             "{:>8} | {:>6} | {:>8.2} | {:>10.1}{}",
             if safety == 0.0 {

@@ -19,7 +19,9 @@ fn main() {
     // tile-grained mixed precision, single-kernel execution, and the
     // partial-convergence strategy all enabled.
     let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-    let report = solver.solve_cg(&a, &b);
+    let report = solver
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .expect("every method runs on the sequential engine");
 
     println!("system:        n = {}, nnz = {}", a.nrows, a.nnz());
     println!(

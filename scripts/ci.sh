@@ -71,6 +71,7 @@ TIERS=(
     "prop_ticket|mf-gpu|prop_ticket|300||rerun"
     "prop_retier|mf-precision|prop_retier|300||rerun"
     "preprocess_parity|mf-solver|preprocess_parity|300||rerun"
+    "core_golden|mf-solver|core_golden|300||rerun"
 )
 
 list_tiers() {

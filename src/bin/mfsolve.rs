@@ -160,26 +160,21 @@ fn main() -> ExitCode {
     };
     let solver = MilleFeuille::new(device, cfg);
 
-    let report = match method.as_str() {
-        "cg" => solver.solve_cg(&a, &b),
-        "bicgstab" => solver.solve_bicgstab(&a, &b),
-        "pcg" => match solver.solve_pcg(&a, &b) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("ILU(0) failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        "pbicgstab" => match solver.solve_pbicgstab(&a, &b) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("ILU(0) failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let method_spec = match method.as_str() {
+        "cg" => Method::Cg,
+        "bicgstab" => Method::BiCgStab,
+        "pcg" => Method::Pcg(PrecondKind::Ilu0),
+        "pbicgstab" => Method::PBiCgStab,
         other => {
             eprintln!("unknown method {other}");
             return ExitCode::from(2);
+        }
+    };
+    let report = match solver.solve(&a, &b, &SolveSpec::new(method_spec)) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{method} failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
 

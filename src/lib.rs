@@ -28,7 +28,7 @@
 //!
 //! // Solve with Mille-feuille on the A100 device model.
 //! let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-//! let report = solver.solve_cg(&a, &b);
+//! let report = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
 //! assert!(report.converged);
 //! assert!(report.x.iter().all(|v| (v - 1.0).abs() < 1e-6));
 //! println!("{} iterations, modeled {:.1} µs", report.iterations, report.solve_us());
@@ -49,9 +49,10 @@ pub mod prelude {
     pub use mf_gpu::DeviceSpec;
     pub use mf_precision::Precision;
     pub use mf_solver::{
-        BreakdownEvent, BreakdownKind, ExecutedMode, FaultKind, FaultPlan, InjectedFaults,
-        KernelMode, MilleFeuille, RecoveryAction, ShardedReport, SolveFailure, SolveReport,
-        SolverConfig, ThreadedOpts, ThreadedReport, WatchdogPolicy,
+        BreakdownEvent, BreakdownKind, Engine, EngineSection, ExecutedMode, FaultKind, FaultPlan,
+        InjectedFaults, KernelMode, Method, MilleFeuille, PipelineMode, Precond, PrecondKind,
+        RecoveryAction, SolveError, SolveFailure, SolveReport, SolveSpec, SolverConfig,
+        ThreadedOpts, WatchdogPolicy,
     };
     pub use mf_sparse::{Coo, Csr, TiledMatrix};
     pub use mf_trace::{EventKind, Trace, TraceConfig, TraceEvent};

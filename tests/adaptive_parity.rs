@@ -134,7 +134,7 @@ fn thr_classic(
     cfg: &SolverConfig,
     warps: usize,
     plan: &FaultPlan,
-) -> ThreadedReport {
+) -> SolveReport {
     run_cg_threaded(
         m,
         b,
@@ -154,7 +154,7 @@ fn thr_pipelined(
     cfg: &SolverConfig,
     warps: usize,
     plan: &FaultPlan,
-) -> ThreadedReport {
+) -> SolveReport {
     run_cg_pipelined_threaded(
         m,
         b,
@@ -340,7 +340,7 @@ fn adaptive_grid_bitwise_under_seeded_perturbation() {
                 let base = thr_classic(&m, &b, &cfg, wc, &clean);
                 let hit = thr_classic(&m, &b, &cfg, wc, &plan);
                 assert!(
-                    hit.injected_faults.is_some(),
+                    hit.injected_faults().is_some(),
                     "{tag} classic: telemetry missing"
                 );
                 assert_eq!(base.iterations, hit.iterations, "{tag} classic: iterations");
@@ -359,7 +359,7 @@ fn adaptive_grid_bitwise_under_seeded_perturbation() {
                 let base = thr_pipelined(&m, &b, &cfg, wc, &clean);
                 let hit = thr_pipelined(&m, &b, &cfg, wc, &plan);
                 assert!(
-                    hit.injected_faults.is_some(),
+                    hit.injected_faults().is_some(),
                     "{tag} pipelined: telemetry missing"
                 );
                 assert_eq!(

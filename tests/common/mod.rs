@@ -33,7 +33,7 @@ pub fn segmented_dot(a: &[f64], b: &[f64], seg: usize) -> f64 {
     total
 }
 
-/// What a reference solve produces — the subset of `ThreadedReport` the
+/// What a reference solve produces — the subset of `SolveReport` the
 /// parity harness compares.
 #[derive(Clone, Debug)]
 pub struct RefReport {
@@ -42,7 +42,7 @@ pub struct RefReport {
     pub converged: bool,
     pub final_relres: f64,
     pub residual_history: Vec<f64>,
-    /// Mirrors `ThreadedReport::failure.is_some()` for the deterministic
+    /// Mirrors `SolveReport::failure.is_some()` for the deterministic
     /// abort paths (non-finite state, stalled restarts).
     pub failed: bool,
 }

@@ -56,7 +56,7 @@ fn run(
     warps: usize,
     wd: WatchdogPolicy,
     plan: &FaultPlan,
-) -> ThreadedReport {
+) -> SolveReport {
     let (tol, it) = (1e-10, 500);
     let opts = ThreadedOpts {
         watchdog: wd,
@@ -86,7 +86,7 @@ fn plan_for(kind: FaultKind) -> FaultPlan {
     }
 }
 
-fn assert_bitwise(clean: &ThreadedReport, faulted: &ThreadedReport, ctx: &str) {
+fn assert_bitwise(clean: &SolveReport, faulted: &SolveReport, ctx: &str) {
     assert_eq!(clean.converged, faulted.converged, "{ctx}: converged");
     assert_eq!(clean.iterations, faulted.iterations, "{ctx}: iterations");
     assert_eq!(
@@ -129,7 +129,7 @@ fn benign_plans_are_bitwise_inert() {
                 &FaultPlan::default(),
             );
             assert!(clean.converged, "{engine}/{warps}: clean run must converge");
-            assert!(clean.injected_faults.is_none());
+            assert!(clean.injected_faults().is_none());
             for kind in FaultKind::ALL.into_iter().filter(|k| k.is_benign()) {
                 let plan = plan_for(kind);
                 let ctx = format!("{engine}/{warps} warps/{plan}");
@@ -138,7 +138,7 @@ fn benign_plans_are_bitwise_inert() {
                 assert!(rep.failure.is_none(), "{ctx}: {:?}", rep.failure);
                 assert_bitwise(&clean, &rep, &ctx);
                 let inj = rep
-                    .injected_faults
+                    .injected_faults()
                     .unwrap_or_else(|| panic!("{ctx}: telemetry missing"));
                 assert_eq!(inj.plan, plan.to_string(), "{ctx}: repro line");
                 // Delay/Yield fire per spin poll; a 1-warp run satisfies
@@ -230,8 +230,8 @@ fn halted_warps_wedge_within_heartbeat_bound() {
                 elapsed < Duration::from_secs(2),
                 "{ctx}: wedge took {elapsed:?}, bound is 2 s"
             );
-            assert_eq!(rep.last_progress.len(), rep.warps, "{ctx}: snapshot");
-            let inj = rep.injected_faults.as_ref().expect("telemetry");
+            assert_eq!(rep.last_progress().len(), rep.warp_count, "{ctx}: snapshot");
+            let inj = rep.injected_faults().expect("telemetry");
             assert!(inj.counts.halts > 0, "{ctx}: halt never fired");
         }
     }

@@ -24,7 +24,9 @@ fn mtx_text_to_solution() {
 
     let mut b = vec![0.0; 4];
     a.matvec(&[1.0, 1.0, 1.0, 1.0], &mut b);
-    let rep = MilleFeuille::with_defaults(DeviceSpec::a100()).solve_cg(&a, &b);
+    let rep = MilleFeuille::with_defaults(DeviceSpec::a100())
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
     assert!(rep.converged);
     for v in &rep.x {
         assert!((v - 1.0).abs() < 1e-9);
@@ -71,7 +73,9 @@ fn threaded_engine_on_named_proxy() {
         assert!((v - 1.0).abs() < 1e-6);
     }
     // And it agrees with the modeled solver.
-    let facade = MilleFeuille::with_defaults(DeviceSpec::a100()).solve_cg(&a, &b);
+    let facade = MilleFeuille::with_defaults(DeviceSpec::a100())
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
     assert!(facade.converged);
     for (t, s) in rep.x.iter().zip(&facade.x) {
         assert!((t - s).abs() < 1e-6);
@@ -88,7 +92,9 @@ fn report_is_internally_consistent() {
         trace_partial: true,
         ..SolverConfig::default()
     };
-    let rep = MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b);
+    let rep = MilleFeuille::new(DeviceSpec::a100(), cfg)
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
     assert!(rep.converged);
     assert_eq!(rep.residual_history.len(), rep.iterations);
     assert_eq!(rep.p_range_history.len(), rep.iterations);

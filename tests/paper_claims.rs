@@ -33,7 +33,9 @@ fn headline_speedup_band() {
     for e in cg_suite(&opts) {
         let a = e.generate();
         let b = rhs(&a);
-        let mf = MilleFeuille::new(DeviceSpec::a100(), bench_cfg()).solve_cg(&a, &b);
+        let mf = MilleFeuille::new(DeviceSpec::a100(), bench_cfg())
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .unwrap();
         let base = Baseline::cusparse().solve_cg(&a, &b, &bench_cfg());
         let s = base.solve_us() / mf.solve_us();
         assert!(
@@ -73,7 +75,9 @@ fn single_kernel_launches_once() {
         fixed_iterations: Some(50),
         ..SolverConfig::default()
     };
-    let rep = MilleFeuille::new(DeviceSpec::a100(), cfg).solve_cg(&a, &b);
+    let rep = MilleFeuille::new(DeviceSpec::a100(), cfg)
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
     // Preprocess adds 2 modeled launches; the solve itself adds 1.
     let launch = DeviceSpec::a100().kernel_launch_us;
     assert!(
@@ -115,7 +119,9 @@ fn mixed_precision_iteration_overhead_bounded() {
     ];
     for a in cases {
         let b = rhs(&a);
-        let mf = MilleFeuille::with_defaults(DeviceSpec::a100()).solve_cg(&a, &b);
+        let mf = MilleFeuille::with_defaults(DeviceSpec::a100())
+            .solve(&a, &b, &SolveSpec::new(Method::Cg))
+            .unwrap();
         let base = Baseline::cusparse().solve_cg(&a, &b, &SolverConfig::default());
         assert!(mf.converged && base.converged);
         let ratio = mf.iterations as f64 / base.iterations as f64;
@@ -154,7 +160,9 @@ fn memory_ratio_band() {
 fn preprocessing_is_cheap() {
     let a = gen::poisson2d(80, 80);
     let b = rhs(&a);
-    let rep = MilleFeuille::new(DeviceSpec::a100(), bench_cfg()).solve_cg(&a, &b);
+    let rep = MilleFeuille::new(DeviceSpec::a100(), bench_cfg())
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
     let per_iter = rep.solve_us() / 100.0;
     let preprocess = rep.timeline.get(Phase::Preprocess);
     assert!(
@@ -169,7 +177,9 @@ fn preprocessing_is_cheap() {
 fn partial_convergence_bypasses_and_converges() {
     let a = gen::decoupled_blocks_with(30, 64, 0.3, 2.0, 21);
     let b = rhs(&a);
-    let rep = MilleFeuille::with_defaults(DeviceSpec::a100()).solve_cg(&a, &b);
+    let rep = MilleFeuille::with_defaults(DeviceSpec::a100())
+        .solve(&a, &b, &SolveSpec::new(Method::Cg))
+        .unwrap();
     assert!(rep.converged, "relres {}", rep.final_relres);
     assert!(
         rep.spmv_stats.nnz_bypassed > 0,

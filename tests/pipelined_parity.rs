@@ -54,7 +54,7 @@ fn tilings(a: &Csr, ts: usize) -> Vec<(&'static str, TiledMatrix)> {
 
 /// Bitwise parity between a threaded pipelined run and its sequential
 /// reference (same shape as `tests/threaded_parity.rs`).
-fn assert_parity(name: &str, rep: &ThreadedReport, reference: &RefReport) {
+fn assert_parity(name: &str, rep: &SolveReport, reference: &RefReport) {
     assert_eq!(rep.iterations, reference.iterations, "{name}: iterations");
     assert_eq!(rep.converged, reference.converged, "{name}: converged");
     assert_eq!(
@@ -199,7 +199,7 @@ fn pipelined_grids_bitwise_under_seeded_perturbation() {
                 );
                 assert_parity(&format!("cg-pipe+{plan} {mname}/w{wc}"), &rep, &cg_ref);
                 assert!(
-                    rep.injected_faults.is_some(),
+                    rep.injected_faults().is_some(),
                     "cg-pipe {mname}/w{wc}: telemetry missing"
                 );
                 let rep = run_pcg_pipelined_threaded(
@@ -215,7 +215,7 @@ fn pipelined_grids_bitwise_under_seeded_perturbation() {
                 );
                 assert_parity(&format!("pcg-pipe+{plan} {mname}/w{wc}"), &rep, &pcg_ref);
                 assert!(
-                    rep.injected_faults.is_some(),
+                    rep.injected_faults().is_some(),
                     "pcg-pipe {mname}/w{wc}: telemetry missing"
                 );
             }

@@ -71,7 +71,7 @@ fn modeled_cores_fail_finite_on_breakdown() {
 
     let a = negative_definite(64);
     let b = rhs(&a);
-    let rep = solver.solve_cg(&a, &b);
+    let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
     assert_failed_finite(&rep, "cg/negative-definite");
     assert!(matches!(rep.failure, Some(SolveFailure::Stalled { .. })));
     assert!(rep
@@ -85,7 +85,9 @@ fn modeled_cores_fail_finite_on_breakdown() {
 
     let a = skew(32);
     let b = vec![1.0; 32];
-    let rep = solver.solve_bicgstab(&a, &b);
+    let rep = solver
+        .solve(&a, &b, &SolveSpec::new(Method::BiCgStab))
+        .unwrap();
     assert_failed_finite(&rep, "bicgstab/skew");
 }
 
@@ -99,7 +101,9 @@ fn threaded_facade_fails_finite_within_watchdog() {
 
     let a = negative_definite(96);
     let b = rhs(&a);
-    let rep: ThreadedReport = solver.solve_cg_threaded(&a, &b, 4);
+    let rep: SolveReport = solver
+        .solve(&a, &b, &SolveSpec::new(Method::Cg).threaded(4))
+        .unwrap();
     assert!(!rep.converged);
     assert!(rep.failure.is_some(), "{:?}", rep.failure);
     assert!(!rep.breakdowns.is_empty());
@@ -107,7 +111,9 @@ fn threaded_facade_fails_finite_within_watchdog() {
 
     let a = skew(32);
     let b = vec![1.0; 32];
-    let rep = solver.solve_bicgstab_threaded(&a, &b, 2);
+    let rep = solver
+        .solve(&a, &b, &SolveSpec::new(Method::BiCgStab).threaded(2))
+        .unwrap();
     assert!(!rep.converged);
     assert!(rep.failure.is_some(), "{:?}", rep.failure);
     assert!(!rep.final_relres.is_nan());
@@ -119,12 +125,14 @@ fn healthy_solves_report_no_failure() {
     let a = poisson1d(256);
     let b = rhs(&a);
 
-    let rep = solver.solve_cg(&a, &b);
+    let rep = solver.solve(&a, &b, &SolveSpec::new(Method::Cg)).unwrap();
     assert!(rep.converged);
     assert!(rep.failure.is_none());
     assert!(rep.breakdowns.is_empty());
 
-    let rep = solver.solve_cg_threaded(&a, &b, 4);
+    let rep = solver
+        .solve(&a, &b, &SolveSpec::new(Method::Cg).threaded(4))
+        .unwrap();
     assert!(rep.converged);
     assert!(rep.failure.is_none());
     assert!(rep.breakdowns.is_empty());
@@ -156,7 +164,9 @@ fn factorization_fallback_boosts_diagonal() {
     let a = a.to_csr();
     let b = vec![1.0; 6];
 
-    let rep = solver.solve_pbicgstab(&a, &b).unwrap();
+    let rep = solver
+        .solve(&a, &b, &SolveSpec::new(Method::PBiCgStab))
+        .unwrap();
     let shifts = rep
         .breakdowns
         .iter()
@@ -171,12 +181,20 @@ fn factorization_fallback_boosts_diagonal() {
     assert!(rep.final_relres.is_finite());
 
     // Same recovery on the PCG and threaded-PCG paths.
-    let rep = solver.solve_pcg(&a, &b).unwrap();
+    let rep = solver
+        .solve(&a, &b, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+        .unwrap();
     assert!(rep
         .breakdowns
         .iter()
         .any(|e| e.kind == BreakdownKind::FactorShift));
-    let rep = solver.solve_pcg_threaded(&a, &b, 3).unwrap();
+    let rep = solver
+        .solve(
+            &a,
+            &b,
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(3),
+        )
+        .unwrap();
     assert!(rep
         .breakdowns
         .iter()
@@ -185,7 +203,9 @@ fn factorization_fallback_boosts_diagonal() {
     // Healthy input factors shift-free — boosting must stay invisible.
     let good = poisson1d(32);
     let bg = rhs(&good);
-    let rep = solver.solve_pcg(&good, &bg).unwrap();
+    let rep = solver
+        .solve(&good, &bg, &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)))
+        .unwrap();
     assert!(rep.converged);
     assert!(!rep
         .breakdowns
@@ -194,12 +214,22 @@ fn factorization_fallback_boosts_diagonal() {
 
     // Unrepairable: no diagonal shift fixes a rectangular matrix …
     assert!(solver
-        .solve_pcg(&Coo::new(2, 3).to_csr(), &[1.0; 2])
+        .solve(
+            &Coo::new(2, 3).to_csr(),
+            &[1.0; 2],
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))
+        )
         .is_err());
     // … and the bounded schedule never Cholesky-factors an indefinite
     // matrix (eigenvalue −1 would need a shift > 1 ≫ 8·10⁻³·max|a_ii|).
     let mut indef = Coo::new(2, 2);
     indef.push(0, 0, -1.0);
     indef.push(1, 1, 1.0);
-    assert!(solver.solve_pcg_ic0(&indef.to_csr(), &[1.0, 1.0]).is_err());
+    assert!(solver
+        .solve(
+            &indef.to_csr(),
+            &[1.0, 1.0],
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ic0))
+        )
+        .is_err());
 }

@@ -59,9 +59,29 @@ fn grid_fixtures() -> Vec<(&'static str, Csr)> {
     ]
 }
 
+/// The sharding section of a sharded report: shard count, halo bytes,
+/// halo messages and per-shard value bytes.
+fn sharding(rep: &SolveReport) -> (usize, u64, u64, Vec<usize>) {
+    match &rep.engine {
+        Some(EngineSection::Sharded {
+            shards,
+            halo_bytes,
+            halo_messages,
+            per_shard_value_bytes,
+            ..
+        }) => (
+            *shards,
+            *halo_bytes,
+            *halo_messages,
+            per_shard_value_bytes.clone(),
+        ),
+        other => panic!("not a sharded report: {other:?}"),
+    }
+}
+
 /// Bitwise parity between a sharded run and the single-device engine,
 /// including the failure taxonomy and the breakdown trail.
-fn assert_parity(name: &str, rep: &ShardedReport, single: &ThreadedReport) {
+fn assert_parity(name: &str, rep: &SolveReport, single: &SolveReport) {
     assert_eq!(rep.iterations, single.iterations, "{name}: iterations");
     assert_eq!(rep.converged, single.converged, "{name}: converged");
     assert_eq!(rep.failure, single.failure, "{name}: failure");
@@ -197,7 +217,7 @@ fn cg_grid_bitwise_under_seeded_faults() {
                     &rep,
                     &single,
                 );
-                let inj = rep.injected_faults.expect("plan is non-empty");
+                let inj = rep.injected_faults().expect("plan is non-empty");
                 assert_eq!(inj.plan, plan.to_string(), "repro line");
             }
         }
@@ -299,8 +319,8 @@ fn zero_rhs_trivially_converges() {
     }
 }
 
-/// Facade round-trip: `MilleFeuille::solve_cg_sharded` preprocesses with
-/// the same classifier as `solve_cg_threaded` (adaptive re-tiering off,
+/// Facade round-trip: sharded CG through `MilleFeuille::solve` preprocesses
+/// with the same classifier as threaded CG (adaptive re-tiering off,
 /// which the threaded facade path leaves disabled by default) and the two
 /// stay bitwise-identical; the PCG facade applies the same boosted-ILU
 /// recovery as its threaded counterpart.
@@ -310,9 +330,13 @@ fn facade_matches_threaded_facade() {
     let b = paper_rhs(&a);
     let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
 
-    let single = solver.solve_cg_threaded(&a, &b, 4);
+    let single = solver
+        .solve(&a, &b, &SolveSpec::new(Method::Cg).threaded(4))
+        .unwrap();
     for &sc in &SHARD_COUNTS {
-        let rep = solver.solve_cg_sharded(&a, &b, sc, 4);
+        let rep = solver
+            .solve(&a, &b, &SolveSpec::new(Method::Cg).sharded(sc, 4))
+            .unwrap();
         assert_eq!(rep.iterations, single.iterations, "facade s{sc}");
         assert_eq!(
             rep.final_relres.to_bits(),
@@ -322,13 +346,23 @@ fn facade_matches_threaded_facade() {
         for (e, r) in rep.x.iter().zip(&single.x) {
             assert_eq!(e.to_bits(), r.to_bits(), "facade s{sc}");
         }
-        assert_eq!(rep.shards, sc);
+        assert_eq!(sharding(&rep).0, sc);
     }
 
     let prep = solver
-        .solve_pcg_sharded(&a, &b, 2, 4)
+        .solve(
+            &a,
+            &b,
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).sharded(2, 4),
+        )
         .expect("ILU(0) succeeds on Poisson");
-    let pthreaded = solver.solve_pcg_threaded(&a, &b, 4).unwrap();
+    let pthreaded = solver
+        .solve(
+            &a,
+            &b,
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(4),
+        )
+        .unwrap();
     assert_eq!(prep.iterations, pthreaded.iterations);
     assert_eq!(
         prep.final_relres.to_bits(),
@@ -353,9 +387,10 @@ fn telemetry_reflects_sharding() {
         &ShardedOpts::new(1, 4),
         &mut SolverWorkspace::new(),
     );
-    assert_eq!(one.halo_bytes, 0, "single shard has no halo");
-    assert_eq!(one.halo_messages, 0);
-    assert_eq!(one.per_shard_value_bytes, vec![m.vals_raw().len()]);
+    let (_, halo_bytes, halo_messages, per_shard) = sharding(&one);
+    assert_eq!(halo_bytes, 0, "single shard has no halo");
+    assert_eq!(halo_messages, 0);
+    assert_eq!(per_shard, vec![m.vals_raw().len()]);
 
     let four = run_cg_sharded(
         &m,
@@ -365,15 +400,16 @@ fn telemetry_reflects_sharding() {
         &ShardedOpts::new(4, 4),
         &mut SolverWorkspace::new(),
     );
-    assert!(four.halo_bytes > 0, "4 shards must exchange halos");
-    assert!(four.halo_messages > 0);
-    assert_eq!(four.per_shard_value_bytes.len(), 4);
+    let (_, halo_bytes, halo_messages, per_shard) = sharding(&four);
+    assert!(halo_bytes > 0, "4 shards must exchange halos");
+    assert!(halo_messages > 0);
+    assert_eq!(per_shard.len(), 4);
     assert_eq!(
-        four.per_shard_value_bytes.iter().sum::<usize>(),
+        per_shard.iter().sum::<usize>(),
         m.vals_raw().len(),
         "shard payloads partition the packed values"
     );
-    let max_shard = *four.per_shard_value_bytes.iter().max().unwrap();
+    let max_shard = *per_shard.iter().max().unwrap();
     assert!(
         max_shard < m.vals_raw().len(),
         "no shard holds the whole matrix"

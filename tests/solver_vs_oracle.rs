@@ -44,7 +44,9 @@ fn cg_matches_oracle_on_spd_families() {
     ];
     let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
     for (label, a) in cases {
-        let rep = solver.solve_cg(&a, &rhs(&a));
+        let rep = solver
+            .solve(&a, &rhs(&a), &SolveSpec::new(Method::Cg))
+            .unwrap();
         assert!(
             rep.converged,
             "{label} did not converge: {}",
@@ -75,7 +77,9 @@ fn bicgstab_matches_oracle_on_nonsym_families() {
     ];
     let solver = MilleFeuille::with_defaults(DeviceSpec::mi210());
     for (label, a) in cases {
-        let rep = solver.solve_bicgstab(&a, &rhs(&a));
+        let rep = solver
+            .solve(&a, &rhs(&a), &SolveSpec::new(Method::BiCgStab))
+            .unwrap();
         assert!(
             rep.converged,
             "{label} did not converge: {}",
@@ -89,12 +93,20 @@ fn bicgstab_matches_oracle_on_nonsym_families() {
 fn preconditioned_solvers_match_oracle() {
     let a = gen::poisson2d(10, 10);
     let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
-    let rep = solver.solve_pcg(&a, &rhs(&a)).unwrap();
+    let rep = solver
+        .solve(
+            &a,
+            &rhs(&a),
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)),
+        )
+        .unwrap();
     assert!(rep.converged);
     check_against_oracle(&a, &rep.x, 1e-6, "pcg");
 
     let an = gen::convdiff2d(10, 10, 0.5, 0.5);
-    let rep = solver.solve_pbicgstab(&an, &rhs(&an)).unwrap();
+    let rep = solver
+        .solve(&an, &rhs(&an), &SolveSpec::new(Method::PBiCgStab))
+        .unwrap();
     assert!(rep.converged);
     check_against_oracle(&an, &rep.x, 1e-5, "pbicgstab");
 }
@@ -124,7 +136,8 @@ fn all_solvers_agree_with_each_other() {
             ..SolverConfig::default()
         },
     )
-    .solve_cg(&a, &b);
+    .solve(&a, &b, &SolveSpec::new(Method::Cg))
+    .unwrap();
     let multi = MilleFeuille::new(
         DeviceSpec::a100(),
         SolverConfig {
@@ -132,7 +145,8 @@ fn all_solvers_agree_with_each_other() {
             ..SolverConfig::default()
         },
     )
-    .solve_cg(&a, &b);
+    .solve(&a, &b, &SolveSpec::new(Method::Cg))
+    .unwrap();
     let baseline = Baseline::cusparse().solve_cg(&a, &b, &SolverConfig::default());
     let tiled = TiledMatrix::from_csr(&a);
     let threaded = mille_feuille::solver::threaded::run_cg_threaded(

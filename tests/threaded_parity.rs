@@ -47,7 +47,7 @@ fn tilings(a: &Csr, ts: usize) -> Vec<(&'static str, TiledMatrix)> {
 /// Far stronger than the 1e-12-relative acceptance bar (asserted too, for
 /// the record): any divergence in summation order or synchronization shows
 /// up as a bit mismatch at a specific iteration/row.
-fn assert_parity(name: &str, rep: &ThreadedReport, reference: &RefReport) {
+fn assert_parity(name: &str, rep: &SolveReport, reference: &RefReport) {
     assert_eq!(rep.iterations, reference.iterations, "{name}: iterations");
     assert_eq!(rep.converged, reference.converged, "{name}: converged");
     assert_eq!(
@@ -176,7 +176,7 @@ fn pcg_grid_bitwise_under_seeded_perturbation() {
                     &reference,
                 );
                 assert!(
-                    rep.injected_faults.is_some(),
+                    rep.injected_faults().is_some(),
                     "{mname}/{pname}/w{wc}: telemetry missing"
                 );
             }
@@ -331,7 +331,7 @@ fn zero_rhs_parity() {
     assert_eq!(rep.iterations, 0);
 }
 
-/// Facade-level integration: `solve_pcg_threaded`/`solve_pbicgstab_threaded`
+/// Facade-level integration: threaded ILU(0)-PCG / PBiCGSTAB through `solve`
 /// factor, preprocess with the session config and converge to the oracle.
 #[test]
 fn facade_threaded_solves_match_oracle() {
@@ -339,12 +339,18 @@ fn facade_threaded_solves_match_oracle() {
     let b = paper_rhs(&a);
     let solver = MilleFeuille::new(DeviceSpec::a100(), SolverConfig::default());
 
-    let pcg = solver.solve_pcg_threaded(&a, &b, 4).expect("factorable");
+    let pcg = solver
+        .solve(
+            &a,
+            &b,
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(4),
+        )
+        .expect("factorable");
     assert!(pcg.converged, "facade PCG: {}", pcg.status_label());
     assert_matches_oracle(&a, &b, &pcg.x, 1e-5, "facade pcg");
 
     let bi = solver
-        .solve_pbicgstab_threaded(&a, &b, 3)
+        .solve(&a, &b, &SolveSpec::new(Method::PBiCgStab).threaded(3))
         .expect("factorable");
     assert!(bi.converged, "facade PBiCGSTAB: {}", bi.status_label());
     assert_matches_oracle(&a, &b, &bi.x, 1e-5, "facade pbicgstab");
@@ -372,7 +378,15 @@ fn corrupted_factors_fail_structured_never_hang() {
     let mut wedged = ilu0(&a).unwrap();
     wedged.l.colidx[wedged.l.rowptr[5]] = 60;
     let t0 = Instant::now();
-    let rep = solver.solve_pcg_threaded_with(&a, &b, &wedged, 4);
+    let rep = solver
+        .solve(
+            &a,
+            &b,
+            &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))
+                .threaded(4)
+                .with_factors(Precond::Ilu0(&wedged)),
+        )
+        .unwrap();
     assert!(
         matches!(rep.failure, Some(SolveFailure::Wedged { .. })),
         "expected Wedged, got {:?}",
@@ -410,7 +424,15 @@ fn corrupted_factors_fail_structured_never_hang() {
     };
     let solver = MilleFeuille::new(DeviceSpec::a100(), cfg);
     let t0 = Instant::now();
-    let rep = solver.solve_pbicgstab_threaded_with(&a, &b, &panicky, 4);
+    let rep = solver
+        .solve(
+            &a,
+            &b,
+            &SolveSpec::new(Method::PBiCgStab)
+                .threaded(4)
+                .with_factors(Precond::Ilu0(&panicky)),
+        )
+        .unwrap();
     assert!(
         matches!(rep.failure, Some(SolveFailure::WarpPanic { .. })),
         "expected WarpPanic, got {:?}",

@@ -26,7 +26,7 @@ use mille_feuille::kernels::ilu0;
 use mille_feuille::prelude::*;
 use mille_feuille::solver::{
     run_bicgstab_threaded, run_cg_sharded, run_cg_threaded, run_pbicgstab_threaded,
-    run_pcg_sharded, run_pcg_threaded, ShardedOpts, ShardedReport, SolverWorkspace,
+    run_pcg_sharded, run_pcg_threaded, ShardedOpts, SolverWorkspace,
 };
 use mille_feuille::trace::{EventKind, Trace, TraceConfig};
 
@@ -43,7 +43,7 @@ fn tiled(a: &Csr) -> TiledMatrix {
 }
 
 /// A threaded engine closed over its fixture set, dispatchable uniformly.
-type EngineFn = Box<dyn Fn(&FaultPlan, usize, &TraceConfig) -> ThreadedReport>;
+type EngineFn = Box<dyn Fn(&FaultPlan, usize, &TraceConfig) -> SolveReport>;
 
 /// Every threaded engine, closed over one fixture set, dispatchable by
 /// name — so each property is asserted uniformly across all four.
@@ -94,7 +94,7 @@ fn engines() -> Vec<(&'static str, EngineFn)> {
     ]
 }
 
-fn assert_bitwise_equal_reports(name: &str, a: &ThreadedReport, b: &ThreadedReport) {
+fn assert_bitwise_equal_reports(name: &str, a: &SolveReport, b: &SolveReport) {
     assert_eq!(a.iterations, b.iterations, "{name}: iterations");
     assert_eq!(a.converged, b.converged, "{name}: converged");
     assert_eq!(
@@ -272,7 +272,7 @@ fn chrome_trace_shape_is_perfetto_ingestible() {
 
     // And the per-warp attribution survives the export: every warp that ran
     // appears as a distinct tid.
-    for w in 0..rep.warps {
+    for w in 0..rep.warp_count {
         assert!(
             chrome.contains(&format!("\"tid\":{w}")),
             "warp {w} missing from the timeline"
@@ -281,7 +281,7 @@ fn chrome_trace_shape_is_perfetto_ingestible() {
 }
 
 /// A sharded solve closed over its fixture, dispatchable uniformly.
-fn sharded_runs(plan: &FaultPlan, tc: &TraceConfig, shards: usize) -> Vec<(String, ShardedReport)> {
+fn sharded_runs(plan: &FaultPlan, tc: &TraceConfig, shards: usize) -> Vec<(String, SolveReport)> {
     let (tol, max_iter) = (1e-10, 150);
     let spd = spd_fixture();
     let (b, m) = (paper_rhs(&spd), tiled(&spd));
@@ -383,18 +383,26 @@ fn sharded_halo_events_carry_shard_coordinates() {
             assert!(e.step <= 3, "{label}: halo step outside the slot table");
             bytes += e.a;
         }
+        let Some(EngineSection::Sharded {
+            halo_bytes,
+            halo_messages,
+            ..
+        }) = &rep.engine
+        else {
+            panic!("{label}: a sharded run reports its sharding");
+        };
         assert_eq!(
-            bytes, rep.halo_bytes,
+            bytes, *halo_bytes,
             "{label}: trace bytes must tally with telemetry"
         );
         assert_eq!(
             halos.len() as u64,
-            rep.halo_messages,
+            *halo_messages,
             "{label}: trace messages must tally with telemetry"
         );
         // The injected plan is reported with its builder repro line.
         assert_eq!(
-            rep.injected_faults.as_ref().expect("plan fired").plan,
+            rep.injected_faults().expect("plan fired").plan,
             plan.to_string()
         );
     }
@@ -419,8 +427,8 @@ fn seeded_faults_appear_as_deterministic_events() {
             ..ThreadedOpts::new(3)
         },
     );
+    let telemetry = rep.injected_faults().expect("fault telemetry").clone();
     let trace = rep.trace.expect("trace on");
-    let telemetry = rep.injected_faults.expect("fault telemetry");
     let fault_events = trace.count(EventKind::Fault);
     assert!(
         fault_events > 0,
