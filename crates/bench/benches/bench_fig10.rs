@@ -7,8 +7,7 @@ use mf_baselines::Baseline;
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
 use mf_kernels::ilu0;
-use mf_solver::{Method, Precond, PrecondKind, SolveSpec};
-use mf_solver::{MilleFeuille, SolverConfig};
+use mf_solver::{Method, MilleFeuille, Precond, PrecondKind, SolveSpec, SolverConfig};
 use std::hint::black_box;
 
 fn cfg() -> SolverConfig {

@@ -7,8 +7,7 @@
 use mf_bench::{harness::paper_rhs, write_csv, Table};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
-use mf_solver::MilleFeuille;
-use mf_solver::{Method, PrecondKind, SolveSpec};
+use mf_solver::{Method, MilleFeuille, PrecondKind, SolveSpec};
 
 fn main() {
     println!("Ablation — preconditioner comparison on SPD systems (A100, ε = 1e-10)\n");

@@ -6,8 +6,7 @@
 use mf_bench::{harness::paper_rhs, iters_from_env, write_csv, Table};
 use mf_collection::poisson2d;
 use mf_gpu::DeviceSpec;
-use mf_solver::{KernelMode, MilleFeuille, SolverConfig};
-use mf_solver::{Method, SolveSpec};
+use mf_solver::{KernelMode, Method, MilleFeuille, SolveSpec, SolverConfig};
 
 fn main() {
     let iters = iters_from_env();

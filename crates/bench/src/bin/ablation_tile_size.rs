@@ -6,8 +6,7 @@
 use mf_bench::{harness::paper_rhs, iters_from_env, write_csv, Table};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
-use mf_solver::{Method, SolveSpec};
-use mf_solver::{MilleFeuille, SolverConfig};
+use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 use mf_sparse::TiledMatrix;
 
 fn main() {

@@ -9,8 +9,7 @@
 use mf_bench::{write_csv, Table};
 use mf_collection::named_matrix;
 use mf_gpu::DeviceSpec;
-use mf_solver::{Method, SolveSpec};
-use mf_solver::{MilleFeuille, SolverConfig};
+use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 
 fn main() {
     let mut table = Table::new(vec![

@@ -38,8 +38,7 @@ use std::io::Write as _;
 use mf_bench::{metric_cell, write_csv, Table};
 use mf_collection::{banded_spd, poisson2d, poisson3d, random_spd, ValueClass};
 use mf_gpu::DeviceSpec;
-use mf_solver::{AdaptiveConfig, MilleFeuille, SolveReport, SolverConfig};
-use mf_solver::{Method, SolveSpec};
+use mf_solver::{AdaptiveConfig, Method, MilleFeuille, SolveReport, SolveSpec, SolverConfig};
 use mf_sparse::{Coo, Csr};
 
 fn env_usize(name: &str, default: usize) -> usize {

@@ -29,9 +29,9 @@ use mf_collection::poisson2d;
 use mf_gpu::DeviceSpec;
 use mf_kernels::ilu0;
 use mf_solver::{
-    run_pcg_threaded, EventKind, MilleFeuille, SolverConfig, ThreadedOpts, Trace, TraceConfig,
+    run_pcg_threaded, EventKind, Method, MilleFeuille, SolveSpec, SolverConfig, ThreadedOpts,
+    Trace, TraceConfig,
 };
-use mf_solver::{Method, SolveSpec};
 use mf_sparse::{Csr, TiledMatrix};
 
 fn env_usize(name: &str, default: usize) -> usize {

@@ -11,8 +11,7 @@ use mf_baselines::Baseline;
 use mf_bench::{barriers_per_iter, harness::paper_rhs, metric_cell, write_csv, Table};
 use mf_collection::{named_matrix, table2_names};
 use mf_gpu::DeviceSpec;
-use mf_solver::{Method, SolveSpec};
-use mf_solver::{MilleFeuille, SolverConfig};
+use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 
 fn main() {
     println!("Table II — iterations and solve time, converged runs (ε = 1e-10)\n");

@@ -10,8 +10,7 @@
 //! fires, so the equivalence is not vacuous.
 
 use mf_serve::{ServeConfig, SolveService};
-use mf_solver::{AdaptiveConfig, MilleFeuille, SolverConfig};
-use mf_solver::{Method, SolveSpec};
+use mf_solver::{AdaptiveConfig, Method, MilleFeuille, SolveSpec, SolverConfig};
 use mf_sparse::{Coo, Csr};
 
 /// Diagonally dominant SPD tridiagonal with noisy values, so tiles

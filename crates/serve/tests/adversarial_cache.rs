@@ -21,8 +21,7 @@ use std::sync::{Arc, Barrier};
 
 use mf_gpu::{FaultKind, FaultPlan};
 use mf_serve::{CacheConfig, ServeConfig, SolveService};
-use mf_solver::{EventKind, MilleFeuille, SolverConfig};
-use mf_solver::{Method, Precond, PrecondKind, SolveSpec};
+use mf_solver::{EventKind, Method, MilleFeuille, Precond, PrecondKind, SolveSpec, SolverConfig};
 use mf_sparse::{Coo, Csr};
 
 fn poisson1d(n: usize) -> Csr {

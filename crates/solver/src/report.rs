@@ -276,10 +276,10 @@ pub enum EngineSection {
 /// Everything a solve produces, whichever engine ran it.
 ///
 /// The sequential cores fill every field. The threaded and sharded engines
-/// run single-kernel schedules and fill the numeric fields, the trace, the
-/// re-tier trail and [`SolveReport::engine`]; they leave `spmv_stats` and
-/// the per-iteration `error_history`, `p_range_history`, `bypass_history`
-/// and `precision_history` empty. The preprocessing fields (`tiled_memory`,
+/// run single-kernel schedules and fill the numeric fields, the trace and
+/// [`SolveReport::engine`] (and the threaded CG engines the re-tier
+/// trail); they leave `spmv_stats` and the per-iteration `error_history`,
+/// `p_range_history`, `bypass_history` and `precision_history` empty. The preprocessing fields (`tiled_memory`,
 /// `csr_memory`, `preprocess_wall_us`, `preprocess_passes` and the
 /// preprocessing share of `timeline`) are charged by the facade: an engine
 /// entry called directly, without the CSR, leaves them zero.
@@ -361,14 +361,13 @@ impl SolveReport {
     /// Fault-injection telemetry of a threaded or sharded run under a
     /// non-empty plan.
     pub fn injected_faults(&self) -> Option<&InjectedFaults> {
-        match &self.engine {
-            Some(EngineSection::Threaded {
+        match self.engine.as_ref()? {
+            EngineSection::Threaded {
                 injected_faults, ..
-            })
-            | Some(EngineSection::Sharded {
+            }
+            | EngineSection::Sharded {
                 injected_faults, ..
-            }) => injected_faults.as_ref(),
-            None => None,
+            } => injected_faults.as_ref(),
         }
     }
 

@@ -116,6 +116,7 @@ pub struct SolveSpec<'f> {
     pub pipeline: PipelineMode,
     /// A factorization to precondition with instead of one the facade
     /// builds: benchmark reuse, or corrupted factors in stress tests.
+    /// Supplied block-Jacobi factors keep their own block size.
     pub factors: Option<Precond<'f>>,
 }
 
@@ -245,18 +246,6 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-impl From<FactorError> for SolveError {
-    fn from(e: FactorError) -> SolveError {
-        SolveError::Factor(e)
-    }
-}
-
-impl From<SingularBlock> for SolveError {
-    fn from(e: SingularBlock) -> SolveError {
-        SolveError::SingularBlock(e)
-    }
-}
-
 /// Prepends one [`BreakdownKind::FactorShift`] event per diagonal-boosting
 /// attempt to a solve's breakdown trail, so reports show the factorization
 /// recovery before any iteration-time events. The shifts come from
@@ -323,6 +312,18 @@ pub struct MilleFeuille {
     /// Solver configuration.
     pub config: SolverConfig,
 }
+
+/// The signature every unpreconditioned sequential core shares (CG,
+/// pipelined CG, BiCGSTAB), so the facade runs them through one body.
+type Core = fn(
+    &TiledMatrix,
+    &mut SharedTiles,
+    &[f64],
+    &SolverConfig,
+    &Coster,
+    &mut PartialState,
+    &mut SolverWorkspace,
+) -> CoreResult;
 
 /// The signature every preconditioned sequential core shares, so the
 /// facade runs them through one body.
@@ -552,24 +553,20 @@ impl MilleFeuille {
         let (shifts, mut rep) = match kind {
             PrecondKind::Ilu0 => {
                 let (pre, factors) = self.preprocess_with_ilu0(a);
-                let (ilu, shifts) = factors?;
-                (
-                    shifts,
-                    self.run(a, &pre, b, spec, Some(Precond::Ilu0(&ilu))),
-                )
+                let (ilu, shifts) = factors.map_err(SolveError::Factor)?;
+                let pc = Precond::Ilu0(&ilu);
+                (shifts, self.run(a, &pre, b, spec, Some(pc)))
             }
             PrecondKind::Ic0 => {
                 let (pre, factors) = self.preprocess_alongside(a, || Ic0::new_boosted(a));
-                let (ic, shifts) = factors?;
+                let (ic, shifts) = factors.map_err(SolveError::Factor)?;
                 (shifts, self.run(a, &pre, b, spec, Some(Precond::Ic0(&ic))))
             }
             PrecondKind::BlockJacobi(block) => {
                 let (pre, bj) = self.preprocess_alongside(a, || BlockJacobi::new(a, block));
-                let bj = bj?;
-                (
-                    Vec::new(),
-                    self.run(a, &pre, b, spec, Some(Precond::BlockJacobi(&bj))),
-                )
+                let bj = bj.map_err(SolveError::SingularBlock)?;
+                let pc = Precond::BlockJacobi(&bj);
+                (Vec::new(), self.run(a, &pre, b, spec, Some(pc)))
             }
         };
         prepend_factor_shifts(&mut rep.breakdowns, &shifts);
@@ -593,13 +590,14 @@ impl MilleFeuille {
             (Engine::Sequential, Method::Auto, _) => {
                 return self.run_auto(a, pre, b, spec.pipeline)
             }
-            (Engine::Sequential, Method::Cg, _) => {
+            (Engine::Sequential, Method::Cg | Method::BiCgStab, _) => {
                 let mode = self.decide_mode(m);
-                let ws = &mut SolverWorkspace::new();
-                return self.run_cg_dispatch(a, pre, mode, b, ws, pipelined(mode));
-            }
-            (Engine::Sequential, Method::BiCgStab, _) => {
-                return self.run_bicgstab_dispatch(a, pre, b)
+                let core: Core = match spec.method {
+                    Method::BiCgStab => run_bicgstab,
+                    _ if pipelined(mode) => run_cg_pipelined,
+                    _ => run_cg,
+                };
+                return self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), core);
             }
             (Engine::Sequential, Method::Pcg(_), Some(pc)) => {
                 let core = if pipelined(ExecutedMode::MultiKernel) {
@@ -707,12 +705,16 @@ impl MilleFeuille {
         b: &[f64],
         pipeline: PipelineMode,
     ) -> SolveReport {
-        if !mf_sparse::MatrixStats::compute(a).likely_spd() {
-            return self.run_bicgstab_dispatch(a, pre, b);
-        }
         let mode = self.decide_mode(&pre.tiled);
-        let pipelined = self.decide_pipeline(&pre.tiled, mode, pipeline);
-        let cg = self.run_cg_dispatch(a, pre, mode, b, &mut SolverWorkspace::new(), pipelined);
+        if !mf_sparse::MatrixStats::compute(a).likely_spd() {
+            return self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), run_bicgstab);
+        }
+        let core: Core = if self.decide_pipeline(&pre.tiled, mode, pipeline) {
+            run_cg_pipelined
+        } else {
+            run_cg
+        };
+        let cg = self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), core);
         let curvature_abort = cg.failure.is_some()
             && cg
                 .breakdowns
@@ -727,7 +729,7 @@ impl MilleFeuille {
             kind: BreakdownKind::Curvature,
             action: RecoveryAction::SwitchedSolver,
         });
-        let mut rep = self.run_bicgstab_dispatch(a, pre, b);
+        let mut rep = self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), run_bicgstab);
         handoff.extend(rep.breakdowns.iter().copied());
         rep.breakdowns = handoff;
         // The handoff report carries the full trajectory: CG's pre-switch
@@ -756,25 +758,25 @@ impl MilleFeuille {
         b: &[f64],
         ws: &mut SolverWorkspace,
     ) -> SolveReport {
-        let mode = self.decide_mode(&pre.tiled);
-        self.run_cg_dispatch(a, pre, mode, b, ws, false)
+        self.run_core(a, pre, self.decide_mode(&pre.tiled), b, ws, run_cg)
     }
 
-    /// Shared tail of the CG paths: build the mode-matched coster and run
-    /// whichever recurrence `pipelined` selects.
-    fn run_cg_dispatch(
+    /// The body every unpreconditioned sequential path shares: run `core`
+    /// on a fresh on-chip copy with the mode-matched coster and
+    /// partial-convergence state.
+    fn run_core(
         &self,
         a: &Csr,
         pre: &Preprocessed,
         mode: ExecutedMode,
         b: &[f64],
         ws: &mut SolverWorkspace,
-        pipelined: bool,
+        core: Core,
     ) -> SolveReport {
         let mut shared = SharedTiles::load(&pre.tiled);
         let mut partial = self.partial_state(&pre.tiled, b, mode);
         let coster = self.build_coster(&pre.tiled, mode);
-        let core = if pipelined { run_cg_pipelined } else { run_cg }(
+        let res = core(
             &pre.tiled,
             &mut shared,
             b,
@@ -783,28 +785,7 @@ impl MilleFeuille {
             &mut partial,
             ws,
         );
-        let warps = coster.warp_count();
-        self.assemble(a, pre, mode, warps, core)
-    }
-
-    /// Shared tail of the BiCGSTAB paths, also the handoff target of
-    /// [`Method::Auto`].
-    fn run_bicgstab_dispatch(&self, a: &Csr, pre: &Preprocessed, b: &[f64]) -> SolveReport {
-        let mode = self.decide_mode(&pre.tiled);
-        let mut shared = SharedTiles::load(&pre.tiled);
-        let mut partial = self.partial_state(&pre.tiled, b, mode);
-        let coster = self.build_coster(&pre.tiled, mode);
-        let core = run_bicgstab(
-            &pre.tiled,
-            &mut shared,
-            b,
-            &self.config,
-            &coster,
-            &mut partial,
-            &mut SolverWorkspace::new(),
-        );
-        let warps = coster.warp_count();
-        self.assemble(a, pre, mode, warps, core)
+        self.assemble(a, pre, mode, coster.warp_count(), res)
     }
 
     /// ILU(0)-PCG with caller-provided factors on an already-preprocessed

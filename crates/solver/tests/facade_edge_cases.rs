@@ -8,8 +8,10 @@ use mf_solver::bicgstab::run_bicgstab;
 use mf_solver::cg::CoreResult;
 use mf_solver::coster::{Coster, SingleCoster};
 use mf_solver::partial::PartialState;
-use mf_solver::{run_cg_pipelined, MilleFeuille, SolveReport, SolverConfig, SolverWorkspace};
-use mf_solver::{Method, PrecondKind, SolveSpec};
+use mf_solver::{
+    run_cg_pipelined, Method, MilleFeuille, PrecondKind, SolveReport, SolveSpec, SolverConfig,
+    SolverWorkspace,
+};
 use mf_sparse::{Coo, Csr, TiledMatrix};
 
 fn poisson1d(n: usize) -> Csr {
