@@ -2,7 +2,9 @@
 //! cores (CG, pipelined CG, BiCGSTAB, PCG with ILU(0) / IC(0) /
 //! block-Jacobi, pipelined PCG, PBiCGSTAB), the `Auto` method pick with
 //! its CG→BiCGSTAB handoff, the six threaded engines at 2 warps and the
-//! two sharded engines at 2 shards × 2 warps.
+//! two sharded engines at 2 shards × 2 warps. Breakdown cases drive every
+//! family through its restart branches: curvature for CG, α, ρ and ω for
+//! BiCGSTAB.
 //!
 //! Each row digests one solve: an FNV-1a hash of the solution bits, the
 //! iteration count, a hash of the residual-history bits, the breakdown
@@ -16,8 +18,8 @@
 
 use mf_gpu::DeviceSpec;
 use mf_solver::{
-    AdaptiveConfig, BreakdownEvent, Engine, Method, MilleFeuille, PrecondKind, RetierDecision,
-    SolveError, SolveFailure, SolveSpec, SolverConfig,
+    AdaptiveConfig, BreakdownEvent, BreakdownKind, Engine, Method, MilleFeuille, PrecondKind,
+    RetierDecision, SolveError, SolveFailure, SolveSpec, SolverConfig,
 };
 use mf_sparse::{Coo, Csr};
 
@@ -155,6 +157,33 @@ fn zero_pivot_grid(g: usize) -> Csr {
     a.to_csr()
 }
 
+/// `n / 2` diagonal 2×2 rotation blocks `[[0, 1], [−1, 0]]`: skew, so
+/// `(A·p, r₀*)` cancels exactly on the first BiCGSTAB step and the α
+/// breakdown restarts until the restart budget aborts the solve.
+fn rotation(n: usize) -> Csr {
+    let mut a = Coo::new(n, n);
+    for k in 0..n / 2 {
+        a.push(2 * k, 2 * k + 1, 1.0);
+        a.push(2 * k + 1, 2 * k, -1.0);
+    }
+    a.to_csr()
+}
+
+/// Skew tridiagonal with varied couplings: `(A·b, b)` cancels only up to
+/// rounding, so BiCGSTAB makes progress, but its ρ and ω recurrences run
+/// into direction restarts.
+fn skew(n: usize) -> Csr {
+    let w = noise(n, 5);
+    let mut a = Coo::new(n, n);
+    for (i, wi) in w.iter().enumerate() {
+        if i + 1 < n {
+            a.push(i, i + 1, 1.0 + wi);
+            a.push(i + 1, i, -(1.0 + wi));
+        }
+    }
+    a.to_csr()
+}
+
 fn rhs(n: usize) -> Vec<f64> {
     noise(n, 11).iter().map(|v| 2.0 * v - 1.0).collect()
 }
@@ -190,6 +219,13 @@ const ALL: [&str; 17] = [
     "pcg_pipelined_threaded",
     "cg_sharded",
     "pcg_sharded",
+];
+
+const BICGSTAB_FAMILY: [&str; 4] = [
+    "bicgstab",
+    "bicgstab_threaded",
+    "pbicgstab",
+    "pbicgstab_threaded",
 ];
 
 /// What a row digests, whichever path produced it. `total_us` is the
@@ -390,6 +426,11 @@ struct Case {
 /// - `fixed_iters`: an exactly factorizable tridiagonal run for a fixed
 ///   iteration count, past convergence, into restarts that are exempt
 ///   from the stall abort;
+/// - `rotation`: 2×2 rotation blocks, where the BiCGSTAB family hits the
+///   α breakdown on every step until it stalls (the preconditioned paths
+///   recover through factor shifts instead);
+/// - `skew96`, `skew97`: skew tridiagonals that drive BiCGSTAB through ρ
+///   and ω direction restarts and non-finite aborts;
 /// - `adaptive`: the SPD grid with the re-tier controller armed, on the
 ///   paths that honour it.
 fn cases() -> Vec<Case> {
@@ -459,6 +500,27 @@ fn cases() -> Vec<Case> {
                 ..base_config()
             },
             cores: &CORES,
+        },
+        Case {
+            name: "rotation",
+            a: rotation(64),
+            b: rhs(64),
+            cfg: base_config(),
+            cores: &BICGSTAB_FAMILY,
+        },
+        Case {
+            name: "skew96",
+            a: skew(96),
+            b: rhs(96),
+            cfg: base_config(),
+            cores: &BICGSTAB_FAMILY,
+        },
+        Case {
+            name: "skew97",
+            a: skew(97),
+            b: rhs(97),
+            cfg: base_config(),
+            cores: &BICGSTAB_FAMILY,
         },
         Case {
             name: "adaptive",
@@ -543,6 +605,18 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("fixed_iters", "pcg_block_jacobi", ok(0x67f000b6b9308c2d, 40, 0xe8fe4aa77da982b7, "", "None", 0x40b2fde9ecfc0b80)),
     ("fixed_iters", "pcg_pipelined", ok(0xbbd93ebfffe6ca0c, 40, 0x47276fd29a528248, "2:Curvature:Restarted 7:Curvature:Restarted 12:Curvature:Restarted 17:Curvature:Restarted 27:Curvature:Restarted 32:Curvature:Restarted 37:Curvature:Restarted", "None", 0x40a3a7a5417d6a51)),
     ("fixed_iters", "pbicgstab", ok(0xdf5d5d6c5189651e, 40, 0x87a0b0c143295756, "5-14:Omega:Restarted 15-39:Rho:Restarted", "None", 0x40be74d2a0beb529)),
+    ("rotation", "bicgstab", ok(0x7da144b97d054b25, 8, 0x01254f26d3b0bba5, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x4070d719a7979dd0)),
+    ("rotation", "bicgstab_threaded", engine(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })")),
+    ("rotation", "pbicgstab", ok(0x04de09ed9e6ead4d, 2, 0x8a0c26e85c7971e4, "0:FactorShift:Restarted", "None", 0x4077dbc03a94ff37)),
+    ("rotation", "pbicgstab_threaded", engine(0x04de09ed9e6ead4d, 2, 0x103537e2a71ce1b9, "0:FactorShift:Restarted", "None")),
+    ("skew96", "bicgstab", ok(0x69f742eef3808cd0, 1000, 0x568719676ecbdbc5, "41-42:Omega:Restarted", "None", 0x40de6e5fe66282ea)),
+    ("skew96", "bicgstab_threaded", engine(0x44c0b77ba3c6a825, 71, 0xb621fae58797af7d, "1:NonFinite:Restarted 7:Rho:Restarted 26:Rho:Restarted 31:Rho:Restarted 48:Rho:Restarted 64:Rho:Restarted 69:Rho:Restarted 70:NonFinite:Aborted", "Some(NonFinite { iteration: 70 })")),
+    ("skew96", "pbicgstab", ok(0xdeb6e4c8ef220d6c, 3, 0x4dc27e32ddea77ca, "0:FactorShift:Restarted", "None", 0x4081864e13ade294)),
+    ("skew96", "pbicgstab_threaded", engine(0x32b130d227e23253, 3, 0xdf031ba86452f596, "0:FactorShift:Restarted", "None")),
+    ("skew97", "bicgstab", ok(0x89a30e1532607196, 1000, 0x9d261974c61445a3, "11:Rho:Restarted 127:Rho:Restarted 825:Omega:Restarted", "None", 0x40de768a9c4acc37)),
+    ("skew97", "bicgstab_threaded", engine(0x6d556a9cf74934c0, 227, 0xcd159e0342070f36, "2:Omega:Restarted 51:Rho:Restarted 60:Omega:Restarted 67:Omega:Restarted 69:Omega:Restarted 73:Rho:Restarted 90:Omega:Restarted 109:Omega:Restarted 113-114:Omega:Restarted 116:Rho:Restarted 117:Omega:Restarted 172:Omega:Restarted 187:Rho:Restarted 189:Omega:Restarted 225:Rho:Restarted 226:NonFinite:Aborted", "Some(NonFinite { iteration: 226 })")),
+    ("skew97", "pbicgstab", ok(0x621da237450c88da, 1000, 0x6c403cdedf85f492, "0:FactorShift:Restarted", "None", 0x41058585ae0d1020)),
+    ("skew97", "pbicgstab_threaded", engine(0xcbf0c5e38343b9ff, 1000, 0x86aadfcec71a3d3d, "0:FactorShift:Restarted", "None")),
     ("adaptive", "cg", ok(0x8eac0340b8a28d1a, 37, 0x0753d8ed0d067e59, "", "None", 0x4084e9329da3fcdb)),
     ("adaptive", "cg_pipelined", ok(0xe2cf373b0120fa58, 37, 0xc506e77d5a4ee660, "", "None", 0x4071edbd7ea69e30)),
     ("adaptive", "pcg_ilu0", ok(0xe26b36a9f7ffacc7, 12, 0xe9c96a45a45064da, "", "None", 0x409f39a4694d1a1a)),
@@ -611,6 +685,18 @@ fn golden_cases_exercise_convergence_restarts_and_retiering() {
     assert!(!fixed.breakdowns.is_empty() && fixed.failure.is_none());
     let adaptive = by_core("adaptive", "pcg_ilu0").unwrap();
     assert!(!adaptive.retier_trail.is_empty());
+    let alpha = by_core("rotation", "bicgstab_threaded").unwrap();
+    assert!(matches!(alpha.failure, Some(SolveFailure::Stalled { .. })));
+    for case in ["rotation", "skew96", "skew97"] {
+        for core in BICGSTAB_FAMILY {
+            let rep = by_core(case, core).unwrap();
+            assert!(!rep.breakdowns.is_empty(), "{case}/{core}: empty trail");
+        }
+    }
+    let skew = by_core("skew97", "bicgstab_threaded").unwrap();
+    for kind in [BreakdownKind::Rho, BreakdownKind::Omega] {
+        assert!(skew.breakdowns.iter().any(|e| e.kind == kind), "{kind:?}");
+    }
     let handoff = by_core("fooled", "auto").unwrap();
     assert!(handoff.converged);
     assert!(handoff

@@ -18,9 +18,13 @@ use common::{assert_matches_oracle, paper_rhs, reference_pbicgstab, reference_pc
 use mille_feuille::collection as gen;
 use mille_feuille::collection::ValueClass;
 use mille_feuille::kernels::ilu0;
+use mille_feuille::kernels::Ilu0;
 use mille_feuille::precision::ClassifyOptions;
 use mille_feuille::prelude::*;
-use mille_feuille::solver::{run_ilu_sptrsv_threaded, run_pbicgstab_threaded, run_pcg_threaded};
+use mille_feuille::solver::{
+    run_bicgstab_threaded, run_cg_pipelined_threaded, run_ilu_sptrsv_threaded,
+    run_pbicgstab_threaded, run_pcg_pipelined_threaded, run_pcg_threaded,
+};
 use mille_feuille::sparse::Coo;
 use std::time::{Duration, Instant};
 
@@ -440,6 +444,91 @@ fn corrupted_factors_fail_structured_never_hang() {
     );
     assert_eq!(rep.status_label(), "aborted(panic)");
     assert!(t0.elapsed() < budget);
+}
+
+/// Bitwise equality of two threaded reports: solution, iterations,
+/// residual history, breakdown trail, failure and final residual.
+fn assert_same_report(name: &str, got: &SolveReport, want: &SolveReport) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.x), bits(&want.x), "{name}: x");
+    assert_eq!(got.iterations, want.iterations, "{name}: iterations");
+    assert_eq!(
+        bits(&got.residual_history),
+        bits(&want.residual_history),
+        "{name}: residual history"
+    );
+    assert_eq!(got.breakdowns, want.breakdowns, "{name}: breakdown trail");
+    assert_eq!(got.failure, want.failure, "{name}: failure");
+    assert_eq!(
+        got.final_relres.to_bits(),
+        want.final_relres.to_bits(),
+        "{name}: final relres"
+    );
+}
+
+/// With the identity factor (empty `L`, `U = I`) the preconditioned
+/// engines run the unpreconditioned method: PBiCGSTAB(I) is BiCGSTAB and
+/// pipelined PCG(I) is pipelined CG, bit for bit, on converging systems
+/// and through the α, ρ, ω and curvature breakdown branches alike.
+#[test]
+fn identity_factor_engines_match_unpreconditioned_bitwise() {
+    let rotation = |n: usize| {
+        let mut coo = Coo::new(n, n);
+        for k in 0..n / 2 {
+            coo.push(2 * k, 2 * k + 1, 1.0);
+            coo.push(2 * k + 1, 2 * k, -1.0);
+        }
+        coo.to_csr()
+    };
+    let skew = |n: usize| {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n - 1 {
+            let c = 1.0 + (i % 7) as f64 / 7.0;
+            coo.push(i, i + 1, c);
+            coo.push(i + 1, i, -c);
+        }
+        coo.to_csr()
+    };
+    let mut negdef = gen::poisson2d(12, 12);
+    negdef.scale(-1.0);
+    let nonsym = [
+        ("convdiff", gen::convdiff2d(14, 14, 0.7, -0.3)),
+        ("rotation", rotation(64)),
+        ("skew", skew(97)),
+    ];
+    let spd = [("poisson", gen::poisson2d(14, 14)), ("negdef", negdef)];
+    let identity = |n: usize| Ilu0 {
+        l: Coo::new(n, n).to_csr(),
+        u: Csr::identity(n),
+    };
+    let mut kinds = Vec::new();
+    for wc in [1usize, 2, 3] {
+        let opts = ThreadedOpts::new(wc);
+        for (name, a) in &nonsym {
+            let m = TiledMatrix::from_csr(a);
+            let (b, ilu) = (paper_rhs(a), identity(a.nrows));
+            let plain = run_bicgstab_threaded(&m, &b, 1e-10, 300, &opts);
+            let pre = run_pbicgstab_threaded(&m, &ilu, &b, 1e-10, 300, &opts);
+            assert_same_report(&format!("bicgstab {name}/w{wc}"), &pre, &plain);
+            kinds.extend(plain.breakdowns.iter().map(|e| e.kind));
+        }
+        for (name, a) in &spd {
+            let m = TiledMatrix::from_csr(a);
+            let (b, ilu) = (paper_rhs(a), identity(a.nrows));
+            let plain = run_cg_pipelined_threaded(&m, &b, 1e-10, 300, &opts);
+            let pre = run_pcg_pipelined_threaded(&m, &ilu, &b, 1e-10, 300, &opts);
+            assert_same_report(&format!("pipelined {name}/w{wc}"), &pre, &plain);
+            kinds.extend(plain.breakdowns.iter().map(|e| e.kind));
+        }
+    }
+    for kind in [
+        BreakdownKind::NonFinite,
+        BreakdownKind::Rho,
+        BreakdownKind::Omega,
+        BreakdownKind::Curvature,
+    ] {
+        assert!(kinds.contains(&kind), "no {kind:?} breakdown exercised");
+    }
 }
 
 /// Release-only deep sweep: a 576-row Poisson problem at mixed precision,
