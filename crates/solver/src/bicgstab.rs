@@ -72,7 +72,7 @@ pub fn run_bicgstab(
     for j in 0..iters {
         // µ = A·p (first SpMV, flags from p).
         if let Some(t) = &tracer {
-            t.stamp(j as i64, 0);
+            t.stamp(j as i64, 1); // PBICGSTAB_STEPS[1] = "spmv_v"
         }
         partial.update(p);
         if partial.enabled() {
@@ -89,16 +89,11 @@ pub fn run_bicgstab(
         let denom = blas1::dot(mu, r0s);
         coster.dot(&mut tl, true);
         let alpha = rho / denom;
-        if !alpha.is_finite() || denom.abs() < f64::MIN_POSITIVE {
+        if let Some(kind) = alpha_breakdown(alpha, denom) {
             // Breakdown restart. Charge the rest of the iteration anyway —
             // the kernel pipeline runs every step regardless (the second
             // SpMV is charged at the first one's cost profile, which is
             // what it would execute with the same flags).
-            let kind = if !alpha.is_finite() {
-                BreakdownKind::NonFinite
-            } else {
-                BreakdownKind::Rho
-            };
             restart(r, p, r0s, &mut rho);
             coster.axpy(&mut tl, 1);
             coster.spmv(&mut tl, m, shared, &partial.vis_flags, &st1);
@@ -136,7 +131,7 @@ pub fn run_bicgstab(
 
         // θ = A·s (second SpMV, flags from s).
         if let Some(t) = &tracer {
-            t.stamp(j as i64, 2); // BICGSTAB_STEPS[2] = "spmv_s"
+            t.stamp(j as i64, 3); // PBICGSTAB_STEPS[3] = "spmv_t"
         }
         partial.update(s);
         if partial.enabled() {
@@ -207,14 +202,7 @@ pub fn run_bicgstab(
         }
 
         let beta = (rho_new / rho) * (alpha / omega);
-        if !beta.is_finite() || omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE {
-            let kind = if omega == 0.0 {
-                BreakdownKind::Omega
-            } else if rho_new.abs() < f64::MIN_POSITIVE {
-                BreakdownKind::Rho
-            } else {
-                BreakdownKind::NonFinite
-            };
+        if let Some(kind) = restart_kind(beta, omega, rho_new) {
             result.record_breakdown(result.iterations - 1, kind, RecoveryAction::Restarted);
             restart(r, p, r0s, &mut rho);
             coster.axpy(&mut tl, 1); // the p-update step still executes
@@ -273,12 +261,45 @@ fn record_traces(
 fn restart(r: &mut [f64], p: &mut Vec<f64>, r0s: &[f64], rho: &mut f64) {
     p.clear();
     p.extend_from_slice(r);
-    *rho = blas1::dot(r, r0s);
+    *rho = restart_rho(blas1::dot(r, r0s), || blas1::dot(r, r));
+}
+
+/// The one BiCGSTAB step rule (sequential, preconditioned and threaded
+/// alike): `α = ρ/denom` breaks down when `α` is not finite (`NonFinite`)
+/// or `denom = (A·p, r0*)` is a (sub)normal zero (`Rho`).
+pub(crate) fn alpha_breakdown(alpha: f64, denom: f64) -> Option<BreakdownKind> {
+    if !alpha.is_finite() {
+        Some(BreakdownKind::NonFinite)
+    } else if denom.abs() < f64::MIN_POSITIVE {
+        Some(BreakdownKind::Rho)
+    } else {
+        None
+    }
+}
+
+/// Why a BiCGSTAB direction update must restart from the residual, if it
+/// must: ω = 0, then a (sub)normal zero ρ, else a non-finite β.
+pub(crate) fn restart_kind(beta: f64, omega: f64, rho_new: f64) -> Option<BreakdownKind> {
+    if omega == 0.0 {
+        Some(BreakdownKind::Omega)
+    } else if rho_new.abs() < f64::MIN_POSITIVE {
+        Some(BreakdownKind::Rho)
+    } else if !beta.is_finite() {
+        Some(BreakdownKind::NonFinite)
+    } else {
+        None
+    }
+}
+
+/// The ρ a restart continues from: `rho = (r, r0*)`, or the lazily
+/// computed `(r, r)` when that shadow correlation is a (sub)normal zero —
+/// a ρ ≈ 0 would make the next α non-finite again, so the process
+/// restarts as if `r0* = r` (standard practice).
+pub(crate) fn restart_rho(rho: f64, rr: impl FnOnce() -> f64) -> f64 {
     if rho.abs() < f64::MIN_POSITIVE {
-        // (Sub)normal-zero shadow correlation: a ρ ≈ 0 would make the next
-        // α non-finite again, so fall back to a fresh rho on r itself
-        // (equivalent to restarting with r0* = r, standard practice).
-        *rho = blas1::dot(r, r);
+        rr()
+    } else {
+        rho
     }
 }
 

@@ -201,6 +201,21 @@ pub(crate) fn rel_error(x: &[f64], reference: &[f64]) -> f64 {
     (diff / norm.max(f64::MIN_POSITIVE)).sqrt()
 }
 
+/// The one CG-family breakdown rule (classic, pipelined, preconditioned,
+/// threaded and sharded alike): a step `α` over the curvature `(p, A·p)`
+/// (or the pipelined denominator) breaks down when `α` is not finite or
+/// the curvature is not positive — `Curvature` when the curvature is a
+/// finite non-positive number, `NonFinite` otherwise.
+pub(crate) fn curvature_breakdown(alpha: f64, curvature: f64) -> Option<BreakdownKind> {
+    if alpha.is_finite() && curvature > 0.0 {
+        None
+    } else if curvature.is_finite() && curvature <= 0.0 {
+        Some(BreakdownKind::Curvature)
+    } else {
+        Some(BreakdownKind::NonFinite)
+    }
+}
+
 /// Runs CG on the tiled matrix. `shared` is the on-chip tile copy (loaded
 /// once, mutated by dynamic lowering); `partial` controls the Finding-3
 /// strategy (pass a disabled state for plain mixed/FP64 runs). Every loop
@@ -260,7 +275,7 @@ pub fn run_cg(
     for j in 0..iters {
         // ---- Step A: vis_flag retrieval + mixed-precision SpMV µ = A·p.
         if let Some(t) = &tracer {
-            t.stamp(j as i64, 0);
+            t.stamp(j as i64, 1); // PCG_STEPS[1] = "spmv"
         }
         partial.update(p);
         if partial.enabled() {
@@ -277,18 +292,13 @@ pub fn run_cg(
         let py = blas1::dot(u, p);
         coster.dot(&mut tl, true);
         let alpha = rr / py;
-        if !alpha.is_finite() || py <= 0.0 {
+        if let Some(kind) = curvature_breakdown(alpha, py) {
             // Curvature breakdown (quantization can push a borderline SPD
             // system off the cone, and fixed-iteration benchmark runs keep
             // iterating past exact convergence). Restart the direction from
             // the current residual — but charge the *full* iteration: the
             // GPU kernel executes every step regardless of degenerate
             // scalars.
-            let kind = if py.is_finite() && py <= 0.0 {
-                BreakdownKind::Curvature
-            } else {
-                BreakdownKind::NonFinite
-            };
             p.copy_from_slice(r);
             rr = blas1::dot(r, r);
             coster.axpy(&mut tl, 2);

@@ -91,8 +91,7 @@ pub use solver::{Engine, Method, MilleFeuille, PrecondKind, SolveError, SolveSpe
 pub use threaded::{
     run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_ilu_sptrsv_threaded,
     run_pbicgstab_threaded, run_pcg_pipelined_threaded, run_pcg_threaded, ThreadedOpts,
-    BICGSTAB_STEPS, CG_PIPELINED_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_PIPELINED_STEPS, PCG_STEPS,
-    SPTRSV_STEPS,
+    PBICGSTAB_STEPS, PCG_PIPELINED_STEPS, PCG_STEPS, SPTRSV_STEPS,
 };
 pub use ticketed::{
     build_tiled_ticketed, fused_unit_specs, ic0_boosted_ticketed, ilu0_boosted_ticketed,

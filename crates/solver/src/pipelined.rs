@@ -39,14 +39,14 @@
 //! [`MAX_CONSECUTIVE_RESTARTS`]: crate::config::MAX_CONSECUTIVE_RESTARTS
 
 use crate::cg::{
-    current_precision_histogram, finish_host_trace, host_tracer, mixed_spmv, record_spmv_trace,
-    rel_error, CoreResult,
+    current_precision_histogram, curvature_breakdown, finish_host_trace, host_tracer, mixed_spmv,
+    record_spmv_trace, rel_error, CoreResult,
 };
 use crate::config::SolverConfig;
 use crate::coster::{Coster, MultiCoster};
 use crate::partial::PartialState;
 use crate::precond::{Bound, Precond};
-use crate::report::{BreakdownKind, RestartPolicy};
+use crate::report::RestartPolicy;
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
 use mf_kernels::{blas1, SharedTiles};
@@ -69,22 +69,6 @@ pub(crate) fn pipeline_scalars(
         let beta = gamma / gamma_old;
         let denom = delta - (beta / alpha_old) * gamma;
         (beta, gamma / denom, denom)
-    }
-}
-
-/// Classifies a pipelined scalar breakdown exactly like the classic cores
-/// classify `(p, Ap) ≤ 0` vs non-finite α.
-pub(crate) fn breakdown_kind(alpha: f64, denom: f64) -> Option<BreakdownKind> {
-    if !alpha.is_finite() {
-        if denom.is_finite() && denom <= 0.0 {
-            Some(BreakdownKind::Curvature)
-        } else {
-            Some(BreakdownKind::NonFinite)
-        }
-    } else if denom <= 0.0 {
-        Some(BreakdownKind::Curvature)
-    } else {
-        None
     }
 }
 
@@ -166,7 +150,7 @@ pub fn run_cg_pipelined(
 
     for j in 0..iters {
         if let Some(t) = &tracer {
-            t.stamp(j as i64, 0);
+            t.stamp(j as i64, 2); // PCG_PIPELINED_STEPS[2] = "spmv"
         }
         // ---- SpMV q = A·w. On the device this overlaps the reduction that
         // produced (γ, δ); sequentially it simply runs first.
@@ -183,7 +167,7 @@ pub fn run_cg_pipelined(
 
         // ---- Scalars from the previous reduction.
         let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-        if let Some(kind) = breakdown_kind(alpha, denom) {
+        if let Some(kind) = curvature_breakdown(alpha, denom) {
             // Breakdown restart: discard the direction history (β = 0 next
             // iteration rebuilds p, s, z from r, w, q) without touching x or
             // r — the same fixed-point-compatible semantics as classic CG.
@@ -371,7 +355,7 @@ pub fn run_pcg_pipelined(
 
         // ---- Scalars from the previous reduction.
         let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-        if let Some(kind) = breakdown_kind(alpha, denom) {
+        if let Some(kind) = curvature_breakdown(alpha, denom) {
             // Breakdown restart: same flag-only recovery as pipelined CG
             // (β = 0 rebuilds p, s, q, z from u, w, m, n next iteration).
             fresh = true;
@@ -436,11 +420,38 @@ mod tests {
     use crate::cg::run_cg;
     use crate::config::MAX_CONSECUTIVE_RESTARTS;
     use crate::coster::SingleCoster;
-    use crate::report::SolveFailure;
+    use crate::report::{BreakdownKind, SolveFailure};
     use mf_gpu::{CostModel, DeviceSpec};
     use mf_kernels::ilu0;
     use mf_precision::ClassifyOptions;
     use mf_sparse::{Coo, Csr};
+
+    /// An infinite negative curvature gives the pipelined step
+    /// `α = γ/−∞ = −0.0`, a finite number. It must still classify as
+    /// `NonFinite`, exactly as the classic cores classify `(p, A·p) = −∞`.
+    #[test]
+    fn infinite_negative_curvature_is_non_finite() {
+        for fresh in [true, false] {
+            let (_, alpha, denom) = pipeline_scalars(fresh, 1.0, 1.0, f64::NEG_INFINITY, 1.0);
+            assert_eq!(alpha.to_bits(), (-0.0f64).to_bits(), "fresh {fresh}");
+            assert_eq!(denom, f64::NEG_INFINITY, "fresh {fresh}");
+            assert_eq!(
+                curvature_breakdown(alpha, denom),
+                Some(BreakdownKind::NonFinite),
+                "fresh {fresh}"
+            );
+        }
+        // The classic rule on the same scalars, for the record.
+        assert_eq!(
+            curvature_breakdown(1.0 / f64::NEG_INFINITY, f64::NEG_INFINITY),
+            Some(BreakdownKind::NonFinite)
+        );
+        assert_eq!(
+            curvature_breakdown(-1.0, -1.0),
+            Some(BreakdownKind::Curvature)
+        );
+        assert_eq!(curvature_breakdown(1.0, 1.0), None);
+    }
 
     fn poisson1d(n: usize) -> Csr {
         let mut a = Coo::new(n, n);

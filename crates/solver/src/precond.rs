@@ -15,10 +15,11 @@
 //! The SpMVs run with all-`Keep` flags: the partial-convergence strategy
 //! needs the single kernel's persistent on-chip tile copy (§III-D).
 
-use crate::cg::{keep_flags, mixed_spmv, CoreResult};
+use crate::bicgstab::{alpha_breakdown, restart_kind, restart_rho};
+use crate::cg::{curvature_breakdown, keep_flags, mixed_spmv, CoreResult};
 use crate::config::SolverConfig;
 use crate::coster::MultiCoster;
-use crate::report::{BreakdownKind, RecoveryAction, RestartPolicy};
+use crate::report::{RecoveryAction, RestartPolicy};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{Phase, Timeline};
 use mf_kernels::{blas1, level_schedule, BlockJacobi, Ic0, Ilu0, RecursiveTrsvStats, SharedTiles};
@@ -198,13 +199,8 @@ pub fn run_pcg(
         let pu = blas1::dot(p, u);
         mc.dot(&mut tl, true);
         let alpha = rz / pu;
-        if !alpha.is_finite() || pu <= 0.0 {
+        if let Some(kind) = curvature_breakdown(alpha, pu) {
             // Breakdown restart — the kernel sequence still runs, charge it.
-            let kind = if pu.is_finite() && pu <= 0.0 {
-                BreakdownKind::Curvature
-            } else {
-                BreakdownKind::NonFinite
-            };
             p.copy_from_slice(z);
             rz = blas1::dot(r, z);
             mc.axpy(&mut tl);
@@ -348,18 +344,10 @@ pub fn run_pbicgstab(
         let denom = blas1::dot(v, r0s);
         mc.dot(&mut tl, true);
         let alpha = rho / denom;
-        if !alpha.is_finite() || denom.abs() < f64::MIN_POSITIVE {
+        if let Some(kind) = alpha_breakdown(alpha, denom) {
             // Breakdown restart — charge the remaining pipeline.
-            let kind = if !alpha.is_finite() {
-                BreakdownKind::NonFinite
-            } else {
-                BreakdownKind::Rho
-            };
             p.copy_from_slice(r);
-            rho = blas1::dot(r, r0s);
-            if rho.abs() < f64::MIN_POSITIVE {
-                rho = blas1::dot(r, r);
-            }
+            rho = restart_rho(blas1::dot(r, r0s), || blas1::dot(r, r));
             mc.axpy(&mut tl);
             pc.charge(&mut tl, &st_p);
             mc.spmv(&mut tl, m, &st1);
@@ -425,20 +413,10 @@ pub fn run_pbicgstab(
         }
 
         let beta = (rho_new / rho) * (alpha / omega);
-        if !beta.is_finite() || omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE {
-            let kind = if omega == 0.0 {
-                BreakdownKind::Omega
-            } else if rho_new.abs() < f64::MIN_POSITIVE {
-                BreakdownKind::Rho
-            } else {
-                BreakdownKind::NonFinite
-            };
+        if let Some(kind) = restart_kind(beta, omega, rho_new) {
             result.record_breakdown(result.iterations - 1, kind, RecoveryAction::Restarted);
             p.copy_from_slice(r);
-            rho = blas1::dot(r, r0s);
-            if rho.abs() < f64::MIN_POSITIVE {
-                rho = blas1::dot(r, r);
-            }
+            rho = restart_rho(blas1::dot(r, r0s), || blas1::dot(r, r));
             mc.axpy(&mut tl); // the p-update kernel still runs
             continue;
         }

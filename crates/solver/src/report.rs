@@ -230,6 +230,191 @@ impl RestartPolicy {
     }
 }
 
+/// The numeric outcome of one engine's slot loop, before the engine folds
+/// in its solution and telemetry: what every threaded warp and the sharded
+/// orchestrator record through [`drive`].
+pub(crate) struct Outcome {
+    pub(crate) iterations: usize,
+    pub(crate) converged: bool,
+    pub(crate) final_relres: f64,
+    pub(crate) breakdowns: Vec<BreakdownEvent>,
+    pub(crate) failure: Option<SolveFailure>,
+    pub(crate) residual_history: Vec<f64>,
+    pub(crate) retier_trail: Vec<mf_precision::RetierDecision>,
+}
+
+impl Outcome {
+    pub(crate) fn new() -> Outcome {
+        Outcome {
+            iterations: 0,
+            converged: false,
+            final_relres: f64::INFINITY,
+            breakdowns: Vec::new(),
+            failure: None,
+            residual_history: Vec::new(),
+            retier_trail: Vec::new(),
+        }
+    }
+
+    /// Records completed iteration `it` with recurrence residual `relres`;
+    /// true once converged.
+    fn complete(&mut self, it: usize, relres: f64, tol: f64) -> bool {
+        self.iterations = it + 1;
+        self.final_relres = relres;
+        self.residual_history.push(relres);
+        self.converged = relres < tol;
+        self.converged
+    }
+
+    /// Records a breakdown restart of `kind` at iteration `it` under
+    /// `policy`; `relres`, when given and finite, becomes the reported
+    /// residual. True when the solve must stop.
+    fn restart(
+        &mut self,
+        policy: &mut RestartPolicy,
+        it: usize,
+        kind: BreakdownKind,
+        finite: bool,
+        relres: Option<f64>,
+    ) -> bool {
+        let (action, failure) = policy.restart(it, finite);
+        self.breakdowns.push(BreakdownEvent {
+            iteration: it,
+            kind,
+            action,
+        });
+        self.iterations = it + 1;
+        if let Some(r) = relres.filter(|r| r.is_finite()) {
+            self.final_relres = r;
+        }
+        self.failure = failure;
+        self.failure.is_some()
+    }
+
+    /// Aborts at iteration `it` on a non-finite state; `final_relres`
+    /// keeps its last finite value.
+    fn abort_nonfinite(&mut self, it: usize) {
+        self.breakdowns.push(BreakdownEvent {
+            iteration: it,
+            kind: BreakdownKind::NonFinite,
+            action: RecoveryAction::Aborted,
+        });
+        self.iterations = it + 1;
+        self.failure = Some(SolveFailure::NonFinite { iteration: it });
+    }
+
+    /// The report fields this outcome fills; the engine adds the rest.
+    pub(crate) fn report(self) -> SolveReport {
+        SolveReport {
+            iterations: self.iterations,
+            converged: self.converged,
+            final_relres: self.final_relres,
+            breakdowns: self.breakdowns,
+            failure: self.failure,
+            residual_history: self.residual_history,
+            retier_trail: self.retier_trail,
+            ..SolveReport::default()
+        }
+    }
+}
+
+/// How one loop slot ended, as an engine body reports it to [`drive`].
+pub(crate) enum Slot {
+    /// The iteration completed with this recurrence residual. Unless it
+    /// converged, the direction update then did what [`Direction`] says.
+    Done(f64, Direction),
+    /// A breakdown restarted the direction; the slot still counts as an
+    /// iteration. `finite` says whether the rebuilt state is finite;
+    /// `relres`, when given, is the post-restart residual to report.
+    Restart {
+        kind: BreakdownKind,
+        finite: bool,
+        relres: Option<f64>,
+    },
+    /// The residual went non-finite: no restart can rebuild finite state.
+    NonFinite,
+    /// A re-tier refresh pass: it takes a loop slot but is no iteration.
+    Refreshed,
+}
+
+/// What a completed iteration's direction update ran into.
+pub(crate) enum Direction {
+    /// The recurrence goes on.
+    Kept,
+    /// BiCGSTAB restarted the direction from the residual, for this reason.
+    Restarted(BreakdownKind),
+    /// β went non-finite: the PCG direction is lost and the solve aborts.
+    Lost,
+}
+
+/// The one slot loop of every threaded and sharded engine. Slot `j` runs
+/// `slot(j, refresh)` after `gate()`; the loop stops at `max_iter`
+/// iterations, on convergence, or on an abort under the one
+/// [`RestartPolicy`]. An armed `ctrl` observes each completed iteration
+/// after the convergence check; a plan it returns is handed to the next
+/// slot as its refresh pass, which takes a slot without counting as an
+/// iteration, so slots and iterations diverge only in adaptive runs.
+pub(crate) fn drive<E>(
+    out: &mut Outcome,
+    max_iter: usize,
+    tol: f64,
+    mut ctrl: Option<mf_precision::PrecisionController>,
+    mut gate: impl FnMut() -> Result<(), E>,
+    mut slot: impl FnMut(i64, Option<&mf_precision::RetierDecision>) -> Result<Slot, E>,
+) -> Result<(), E> {
+    let mut restarts = RestartPolicy::new(false);
+    let mut pending = None;
+    let (mut it, mut j) = (0usize, 0i64);
+    while it < max_iter {
+        gate()?;
+        let refresh = pending.take();
+        let ended = slot(j, refresh.as_ref())?;
+        j += 1;
+        match ended {
+            Slot::Refreshed => {
+                out.retier_trail.extend(refresh);
+                continue;
+            }
+            Slot::Restart {
+                kind,
+                finite,
+                relres,
+            } => {
+                if out.restart(&mut restarts, it, kind, finite, relres) {
+                    break;
+                }
+            }
+            Slot::NonFinite => {
+                out.abort_nonfinite(it);
+                break;
+            }
+            Slot::Done(relres, direction) => {
+                restarts.progressed();
+                if out.complete(it, relres, tol) {
+                    break;
+                }
+                match direction {
+                    Direction::Kept => {}
+                    Direction::Restarted(kind) => out.breakdowns.push(BreakdownEvent {
+                        iteration: it,
+                        kind,
+                        action: RecoveryAction::Restarted,
+                    }),
+                    Direction::Lost => {
+                        out.abort_nonfinite(it);
+                        break;
+                    }
+                }
+                if let Some(c) = ctrl.as_mut() {
+                    pending = c.observe(it + 1, relres, tol);
+                }
+            }
+        }
+        it += 1;
+    }
+    Ok(())
+}
+
 /// Which execution path actually ran (after the Auto decision).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutedMode {

@@ -37,10 +37,8 @@
 //! harness exploits exactly this: a faulted sharded solve must stay
 //! bitwise identical to the clean one.
 
-use crate::report::{
-    BreakdownEvent, BreakdownKind, EngineSection, RecoveryAction, RestartPolicy, SolveFailure,
-    SolveReport,
-};
+use crate::cg::curvature_breakdown;
+use crate::report::{drive, Direction, EngineSection, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{
     BarrierFault, BufferId, Device, DeviceSpec, FaultCounts, FaultPlan, InjectedFaults,
@@ -50,6 +48,7 @@ use mf_kernels::shard::{sptrsv_lower_span, sptrsv_upper_span, ShardView};
 use mf_kernels::Ilu0;
 use mf_sparse::{Csr, TiledMatrix};
 use mf_trace::{EventKind, Trace, TraceConfig, WarpTrace, WarpTracer};
+use std::convert::Infallible;
 use std::ops::Range;
 
 /// Options of the sharded engines, one struct instead of telescoping
@@ -131,70 +130,6 @@ fn group_by_owner(plan: &ShardPlan, cols: &[usize]) -> Vec<(usize, Vec<usize>)> 
         }
     }
     out
-}
-
-/// The numeric outcome of a sharded solve loop, before the telemetry is
-/// folded in.
-struct Outcome {
-    iterations: usize,
-    converged: bool,
-    final_relres: f64,
-    breakdowns: Vec<BreakdownEvent>,
-    failure: Option<SolveFailure>,
-    residual_history: Vec<f64>,
-}
-
-impl Outcome {
-    fn new() -> Outcome {
-        Outcome {
-            iterations: 0,
-            converged: false,
-            final_relres: f64::INFINITY,
-            breakdowns: Vec::new(),
-            failure: None,
-            residual_history: Vec::new(),
-        }
-    }
-
-    /// Records a breakdown restart of `kind` at iteration `it` under
-    /// `policy`; true when the solve must stop.
-    fn restart(
-        &mut self,
-        policy: &mut RestartPolicy,
-        it: usize,
-        kind: BreakdownKind,
-        finite: bool,
-    ) -> bool {
-        let (action, failure) = policy.restart(it, finite);
-        self.breakdowns.push(BreakdownEvent {
-            iteration: it,
-            kind,
-            action,
-        });
-        self.iterations = it + 1;
-        self.failure = failure;
-        self.failure.is_some()
-    }
-
-    /// Aborts at iteration `it` on a poisoned (non-finite) state.
-    fn abort_nonfinite(&mut self, it: usize) {
-        self.breakdowns.push(BreakdownEvent {
-            iteration: it,
-            kind: BreakdownKind::NonFinite,
-            action: RecoveryAction::Aborted,
-        });
-        self.failure = Some(SolveFailure::NonFinite { iteration: it });
-    }
-
-    /// Records completed iteration `it` with residual `relres`; true once
-    /// converged.
-    fn complete(&mut self, it: usize, relres: f64, tol: f64) -> bool {
-        self.iterations = it + 1;
-        self.final_relres = relres;
-        self.residual_history.push(relres);
-        self.converged = relres < tol;
-        self.converged
-    }
 }
 
 /// Everything the orchestrator threads through both solvers: the devices,
@@ -425,12 +360,6 @@ impl<'m> ShardedRun<'m> {
         SolveReport {
             x: x.clone(),
             warp_count: warps,
-            iterations: out.iterations,
-            converged: out.converged,
-            final_relres: out.final_relres,
-            breakdowns: out.breakdowns,
-            failure: out.failure,
-            residual_history: out.residual_history,
             trace,
             timeline,
             engine: Some(EngineSection::Sharded {
@@ -440,7 +369,7 @@ impl<'m> ShardedRun<'m> {
                 per_shard_value_bytes: self.views.iter().map(|v| v.value_bytes).collect(),
                 injected_faults,
             }),
-            ..SolveReport::default()
+            ..out.report()
         }
     }
 }
@@ -457,146 +386,7 @@ pub fn run_cg_sharded(
     opts: &ShardedOpts,
     ws: &mut SolverWorkspace,
 ) -> SolveReport {
-    let n = m.nrows;
-    assert_eq!(b.len(), n);
-    assert_eq!(m.nrows, m.ncols);
-    assert!(opts.warps >= 1);
-
-    let ts = m.tile_size;
-    let segments = n.div_ceil(ts).max(1);
-    let warps = segments.min(opts.warps).max(1);
-
-    let mut run = ShardedRun::new(m, opts);
-    let s_count = run.shards();
-
-    let norm_b: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if norm_b == 0.0 {
-        let vb = run.views.iter().map(|v| v.value_bytes).collect();
-        return trivial_report(n, warps, s_count, vb);
-    }
-    let rr0: f64 = b.iter().map(|v| v * v).sum();
-
-    ws.ensure(n);
-    ws.r.copy_from_slice(b);
-    for k in 0..s_count {
-        let own = run.plan.rows(k);
-        if !own.is_empty() {
-            run.devs[k].upload(run.p_id[k], own.start, &b[own]);
-        }
-    }
-
-    let mut rr = rr0;
-    let mut restarts = RestartPolicy::new(false);
-    let mut out = Outcome::new();
-
-    for j in 0..max_iter as i64 {
-        let it = j as usize;
-        // ---- Step A/B: halo in, u = A·p, per-segment (u, p) partials.
-        run.exchange_p(j, 0);
-        let mut seg_y: Vec<f64> = Vec::with_capacity(segments);
-        for k in 0..s_count {
-            let own = run.plan.rows(k);
-            {
-                let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-                run.views[k].spmv(m, pbuf, &mut ws.u[own]);
-            }
-            run.charge_spmv(k);
-            let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-            for s in run.plan.segs(k) {
-                let mut part = 0.0;
-                #[allow(clippy::needless_range_loop)]
-                // e indexes the host vectors and the device p buffer together
-                for e in (s * ts)..(((s + 1) * ts).min(n)) {
-                    part += ws.u[e] * pbuf[e];
-                }
-                seg_y.push(part);
-            }
-            run.charge_vector_pass(k, Phase::Dot, 2.0, 16.0);
-            run.charge_reduce(k);
-        }
-        let py = seg_fold(&seg_y);
-        let alpha = rr / py;
-
-        if !alpha.is_finite() || py <= 0.0 {
-            // ---- Breakdown: restart the direction from the residual.
-            let kind = if py.is_finite() && py <= 0.0 {
-                BreakdownKind::Curvature
-            } else {
-                BreakdownKind::NonFinite
-            };
-            let mut seg_bd: Vec<f64> = Vec::with_capacity(segments);
-            for k in 0..s_count {
-                run.dot_partials(k, &ws.r, &ws.r, &mut seg_bd);
-                run.charge_vector_pass(k, Phase::Dot, 2.0, 8.0);
-                run.charge_reduce(k);
-            }
-            let rr_restart = seg_fold(&seg_bd);
-            for k in 0..s_count {
-                let own = run.plan.rows(k);
-                let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
-                pbuf[own.clone()].copy_from_slice(&ws.r[own]);
-                run.charge_vector_pass(k, Phase::Axpy, 0.0, 16.0);
-            }
-            rr = rr_restart;
-            let relres = rr_restart.max(0.0).sqrt() / norm_b;
-            if relres.is_finite() {
-                out.final_relres = relres;
-            }
-            if out.restart(&mut restarts, it, kind, rr_restart.is_finite()) {
-                break;
-            }
-            continue;
-        }
-
-        // ---- Step C: x += αp, r −= αu, per-segment ‖r‖² partials.
-        let mut seg_z: Vec<f64> = Vec::with_capacity(segments);
-        for k in 0..s_count {
-            let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-            for s in run.plan.segs(k) {
-                let mut part_z = 0.0;
-                #[allow(clippy::needless_range_loop)]
-                // e indexes the host vectors and the device p buffer together
-                for e in (s * ts)..(((s + 1) * ts).min(n)) {
-                    ws.x[e] += alpha * pbuf[e];
-                    let rv = ws.r[e] - alpha * ws.u[e];
-                    ws.r[e] = rv;
-                    part_z += rv * rv;
-                }
-                seg_z.push(part_z);
-            }
-        }
-        for k in 0..s_count {
-            run.charge_vector_pass(k, Phase::Axpy, 4.0, 48.0);
-            run.charge_vector_pass(k, Phase::Dot, 2.0, 8.0);
-            run.charge_reduce(k);
-        }
-        let rr_new = seg_fold(&seg_z);
-
-        if !rr_new.is_finite() {
-            out.iterations = it + 1;
-            out.abort_nonfinite(it);
-            break;
-        }
-        restarts.progressed();
-        let beta = rr_new / rr;
-        rr = rr_new;
-
-        // ---- Step D: p = r + βp on the device buffers.
-        for k in 0..s_count {
-            let own = run.plan.rows(k);
-            let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
-            for e in own {
-                pbuf[e] = ws.r[e] + beta * pbuf[e];
-            }
-            run.charge_vector_pass(k, Phase::Axpy, 2.0, 24.0);
-        }
-
-        if out.complete(it, rr_new.max(0.0).sqrt() / norm_b, tol) {
-            break;
-        }
-    }
-
-    run.finish(&opts.faults, ws, warps, out)
+    run_sharded(m, None, b, tol, max_iter, opts, ws)
 }
 
 /// Sharded ILU(0)-PCG — bitwise identical in every numeric output to
@@ -613,11 +403,29 @@ pub fn run_pcg_sharded(
     opts: &ShardedOpts,
     ws: &mut SolverWorkspace,
 ) -> SolveReport {
+    run_sharded(m, Some(ilu), b, tol, max_iter, opts, ws)
+}
+
+/// The one sharded CG-family body, mirroring the threaded one step for
+/// step on the same loop driver: PCG with `ilu`, plain CG without it —
+/// `z` is then `r` itself, no preconditioner step runs, and the initial ρ
+/// is the plain left-to-right `‖b‖²`.
+fn run_sharded(
+    m: &TiledMatrix,
+    ilu: Option<&Ilu0>,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+    opts: &ShardedOpts,
+    ws: &mut SolverWorkspace,
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols);
-    assert_eq!(ilu.l.nrows, n);
-    assert_eq!(ilu.u.nrows, n);
+    if let Some(f) = ilu {
+        assert_eq!(f.l.nrows, n);
+        assert_eq!(f.u.nrows, n);
+    }
     assert!(opts.warps >= 1);
 
     let ts = m.tile_size;
@@ -635,12 +443,12 @@ pub fn run_pcg_sharded(
 
     // Cross-shard columns of the triangular factors, grouped by owner —
     // the halo each sequential SpTRSV span imports before it runs.
-    let l_peers: Vec<Vec<(usize, Vec<usize>)>> = (0..s_count)
-        .map(|k| group_by_owner(&run.plan, &run.plan.csr_halo_columns(&ilu.l, k)))
-        .collect();
-    let u_peers: Vec<Vec<(usize, Vec<usize>)>> = (0..s_count)
-        .map(|k| group_by_owner(&run.plan, &run.plan.csr_halo_columns(&ilu.u, k)))
-        .collect();
+    let peers = |t: &Csr, run: &ShardedRun<'_>| -> Vec<Vec<(usize, Vec<usize>)>> {
+        (0..s_count)
+            .map(|k| group_by_owner(&run.plan, &run.plan.csr_halo_columns(t, k)))
+            .collect()
+    };
+    let halos = ilu.map(|f| (peers(&f.l, &run), peers(&f.u, &run)));
     let row_nnz = |t: &Csr, rows: Range<usize>| (t.rowptr[rows.end] - t.rowptr[rows.start]) as f64;
 
     ws.ensure(n);
@@ -650,156 +458,161 @@ pub fn run_pcg_sharded(
     // z = M⁻¹ r: sequential shard spans with charged halo imports. The
     // imported values already sit in the host-staged global vectors — the
     // charge models the movement a real device pair would pay.
-    macro_rules! apply_precond {
-        ($j:expr, $step:expr) => {{
-            for k in 0..s_count {
-                for (peer, cols) in l_peers[k].clone() {
-                    run.charge_halo(k, peer, 8 * cols.len() as u64, $j, $step);
+    let apply_precond =
+        |run: &mut ShardedRun<'_>, ws: &mut SolverWorkspace, j: i64, step: usize| {
+            let (Some(f), Some((l_peers, u_peers))) = (ilu, &halos) else {
+                return;
+            };
+            for (k, peers) in l_peers.iter().enumerate() {
+                for (peer, cols) in peers {
+                    run.charge_halo(k, *peer, 8 * cols.len() as u64, j, step);
                 }
-                sptrsv_lower_span(&ilu.l, &ws.r, &mut ws.y, true, run.plan.rows(k));
-                let fl = 2.0 * row_nnz(&ilu.l, run.plan.rows(k));
+                sptrsv_lower_span(&f.l, &ws.r, &mut ws.y, true, run.plan.rows(k));
+                let fl = 2.0 * row_nnz(&f.l, run.plan.rows(k));
                 run.devs[k].charge_kernel(Phase::SpTrsv, fl, 6.0 * fl, run.warps_k[k]);
             }
-            for k in (0..s_count).rev() {
-                for (peer, cols) in u_peers[k].clone() {
-                    run.charge_halo(k, peer, 8 * cols.len() as u64, $j, $step);
+            for (k, peers) in u_peers.iter().enumerate().rev() {
+                for (peer, cols) in peers {
+                    run.charge_halo(k, *peer, 8 * cols.len() as u64, j, step);
                 }
-                sptrsv_upper_span(&ilu.u, &ws.y, &mut ws.z, false, run.plan.rows(k));
-                let fl = 2.0 * row_nnz(&ilu.u, run.plan.rows(k));
+                sptrsv_upper_span(&f.u, &ws.y, &mut ws.z, false, run.plan.rows(k));
+                let fl = 2.0 * row_nnz(&f.u, run.plan.rows(k));
                 run.devs[k].charge_kernel(Phase::SpTrsv, fl, 6.0 * fl, run.warps_k[k]);
             }
-        }};
-    }
-
-    // ---- Init: z = M⁻¹ r (r = b), p = z, ρ = (r, z).
-    apply_precond!(0, 0);
-    let mut seg_rz: Vec<f64> = Vec::with_capacity(segments);
-    for k in 0..s_count {
-        let own = run.plan.rows(k);
-        {
-            let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
-            pbuf[own.clone()].copy_from_slice(&ws.z[own]);
-        }
-        run.dot_partials(k, &ws.r, &ws.z, &mut seg_rz);
-        run.charge_vector_pass(k, Phase::Dot, 2.0, 24.0);
-        run.charge_reduce(k);
-    }
-    let mut rz = seg_fold(&seg_rz);
-    let mut restarts = RestartPolicy::new(false);
-
-    for j in 0..max_iter as i64 {
-        let it = j as usize;
-        // ---- u = A p; curvature pᵀ A p.
-        run.exchange_p(j, 1);
-        let mut seg_pu: Vec<f64> = Vec::with_capacity(segments);
+        };
+    // Restarts the direction from the residual: p = z on the device
+    // buffers and ρ = (r, z); z is r without a preconditioner.
+    let redirect = |run: &mut ShardedRun<'_>, ws: &SolverWorkspace| {
+        let z = if ilu.is_some() { &ws.z } else { &ws.r };
+        let mut seg_rz: Vec<f64> = Vec::with_capacity(segments);
         for k in 0..s_count {
             let own = run.plan.rows(k);
-            {
-                let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-                run.views[k].spmv(m, pbuf, &mut ws.u[own]);
-            }
-            run.charge_spmv(k);
-            let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-            for s in run.plan.segs(k) {
-                let mut part = 0.0;
-                #[allow(clippy::needless_range_loop)]
-                // e indexes the host vectors and the device p buffer together
-                for e in (s * ts)..(((s + 1) * ts).min(n)) {
-                    part += ws.u[e] * pbuf[e];
-                }
-                seg_pu.push(part);
-            }
-            run.charge_vector_pass(k, Phase::Dot, 2.0, 16.0);
-            run.charge_reduce(k);
-        }
-        let pu = seg_fold(&seg_pu);
-        let alpha = rz / pu;
-
-        if !alpha.is_finite() || pu <= 0.0 {
-            // ---- Breakdown: p = z, ρ = (r, z), maybe abort.
-            let kind = if pu.is_finite() && pu <= 0.0 {
-                BreakdownKind::Curvature
+            let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
+            pbuf[own.clone()].copy_from_slice(&z[own]);
+            run.dot_partials(k, &ws.r, z, &mut seg_rz);
+            if ilu.is_some() {
+                run.charge_vector_pass(k, Phase::Dot, 2.0, 24.0);
+                run.charge_reduce(k);
             } else {
-                BreakdownKind::NonFinite
-            };
-            let mut seg_bd: Vec<f64> = Vec::with_capacity(segments);
+                run.charge_vector_pass(k, Phase::Dot, 2.0, 8.0);
+                run.charge_reduce(k);
+                run.charge_vector_pass(k, Phase::Axpy, 0.0, 16.0);
+            }
+        }
+        seg_fold(&seg_rz)
+    };
+
+    // ---- Init: z = M⁻¹ r (r = b), p = z, ρ = (r, z); CG uploads p = b
+    // and starts from ρ = ‖b‖².
+    let mut rz = if ilu.is_some() {
+        apply_precond(&mut run, ws, 0, 0);
+        redirect(&mut run, ws)
+    } else {
+        for k in 0..s_count {
+            let own = run.plan.rows(k);
+            if !own.is_empty() {
+                run.devs[k].upload(run.p_id[k], own.start, &b[own]);
+            }
+        }
+        b.iter().map(|v| v * v).sum()
+    };
+
+    let driven: Result<(), Infallible> = drive(
+        &mut out,
+        max_iter,
+        tol,
+        None,
+        || Ok(()),
+        |j, _| {
+            // ---- u = A p; curvature pᵀ A p.
+            run.exchange_p(j, 1);
+            let mut seg_pu: Vec<f64> = Vec::with_capacity(segments);
             for k in 0..s_count {
                 let own = run.plan.rows(k);
                 {
-                    let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
-                    pbuf[own.clone()].copy_from_slice(&ws.z[own]);
+                    let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
+                    run.views[k].spmv(m, pbuf, &mut ws.u[own.clone()]);
                 }
-                run.dot_partials(k, &ws.r, &ws.z, &mut seg_bd);
-                run.charge_vector_pass(k, Phase::Dot, 2.0, 24.0);
+                run.charge_spmv(k);
+                let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
+                run.dot_partials(k, &ws.u, pbuf, &mut seg_pu);
+                run.charge_vector_pass(k, Phase::Dot, 2.0, 16.0);
                 run.charge_reduce(k);
             }
-            let rz_restart = seg_fold(&seg_bd);
-            rz = rz_restart;
-            if out.restart(&mut restarts, it, kind, rz_restart.is_finite()) {
-                break;
+            let pu = seg_fold(&seg_pu);
+            let alpha = rz / pu;
+            if let Some(kind) = curvature_breakdown(alpha, pu) {
+                // ---- Breakdown: restart the direction from the residual.
+                rz = redirect(&mut run, ws);
+                return Ok(Slot::Restart {
+                    kind,
+                    finite: rz.is_finite(),
+                    relres: ilu.is_none().then(|| rz.max(0.0).sqrt() / norm_b),
+                });
             }
-            continue;
-        }
 
-        // ---- x += αp, r −= αu, ‖r‖² partials.
-        let mut seg_rr: Vec<f64> = Vec::with_capacity(segments);
-        for k in 0..s_count {
-            let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-            for s in run.plan.segs(k) {
-                let mut part = 0.0;
-                #[allow(clippy::needless_range_loop)]
-                // e indexes the host vectors and the device p buffer together
-                for e in (s * ts)..(((s + 1) * ts).min(n)) {
-                    ws.x[e] += alpha * pbuf[e];
-                    let rv = ws.r[e] - alpha * ws.u[e];
-                    ws.r[e] = rv;
-                    part += rv * rv;
+            // ---- x += αp, r −= αu, ‖r‖² partials.
+            let mut seg_rr: Vec<f64> = Vec::with_capacity(segments);
+            for k in 0..s_count {
+                let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
+                for s in run.plan.segs(k) {
+                    let mut part = 0.0;
+                    for e in run.elems(s) {
+                        ws.x[e] += alpha * pbuf[e];
+                        let rv = ws.r[e] - alpha * ws.u[e];
+                        ws.r[e] = rv;
+                        part += rv * rv;
+                    }
+                    seg_rr.push(part);
                 }
-                seg_rr.push(part);
             }
-        }
-        for k in 0..s_count {
-            run.charge_vector_pass(k, Phase::Axpy, 4.0, 48.0);
-            run.charge_vector_pass(k, Phase::Dot, 2.0, 8.0);
-            run.charge_reduce(k);
-        }
-        let rr = seg_fold(&seg_rr);
-        if !rr.is_finite() {
-            out.iterations = it + 1;
-            out.abort_nonfinite(it);
-            break;
-        }
-        restarts.progressed();
-
-        // ---- z = M⁻¹ r and ρ' = (r, z).
-        apply_precond!(j, 3);
-        let mut seg_rz_new: Vec<f64> = Vec::with_capacity(segments);
-        for k in 0..s_count {
-            run.dot_partials(k, &ws.r, &ws.z, &mut seg_rz_new);
-            run.charge_vector_pass(k, Phase::Dot, 2.0, 16.0);
-            run.charge_reduce(k);
-        }
-        let rz_new = seg_fold(&seg_rz_new);
-        let beta = rz_new / rz;
-        rz = rz_new;
-
-        // ---- p = z + βp.
-        for k in 0..s_count {
-            let own = run.plan.rows(k);
-            let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
-            for e in own {
-                pbuf[e] = ws.z[e] + beta * pbuf[e];
+            for k in 0..s_count {
+                run.charge_vector_pass(k, Phase::Axpy, 4.0, 48.0);
+                run.charge_vector_pass(k, Phase::Dot, 2.0, 8.0);
+                run.charge_reduce(k);
             }
-            run.charge_vector_pass(k, Phase::Axpy, 2.0, 24.0);
-        }
-        if out.complete(it, rr.max(0.0).sqrt() / norm_b, tol) {
-            break;
-        }
-        if !beta.is_finite() {
-            out.abort_nonfinite(it);
-            break;
-        }
-    }
+            let rr = seg_fold(&seg_rr);
+            if !rr.is_finite() {
+                return Ok(Slot::NonFinite);
+            }
+
+            // ---- z = M⁻¹ r and ρ' = (r, z); without a preconditioner ρ' is
+            // ‖r‖² itself.
+            let rz_new = if ilu.is_some() {
+                apply_precond(&mut run, ws, j, 3);
+                let mut seg_rz: Vec<f64> = Vec::with_capacity(segments);
+                for k in 0..s_count {
+                    run.dot_partials(k, &ws.r, &ws.z, &mut seg_rz);
+                    run.charge_vector_pass(k, Phase::Dot, 2.0, 16.0);
+                    run.charge_reduce(k);
+                }
+                seg_fold(&seg_rz)
+            } else {
+                rr
+            };
+            let beta = rz_new / rz;
+            rz = rz_new;
+
+            // ---- p = z + βp on the device buffers.
+            let z = if ilu.is_some() { &ws.z } else { &ws.r };
+            for k in 0..s_count {
+                let own = run.plan.rows(k);
+                let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
+                for e in own {
+                    pbuf[e] = z[e] + beta * pbuf[e];
+                }
+                run.charge_vector_pass(k, Phase::Axpy, 2.0, 24.0);
+            }
+            let lost = ilu.is_some() && !beta.is_finite();
+            let direction = if lost {
+                Direction::Lost
+            } else {
+                Direction::Kept
+            };
+            Ok(Slot::Done(rr.max(0.0).sqrt() / norm_b, direction))
+        },
+    );
+    let Ok(()) = driven;
 
     run.finish(&opts.faults, ws, warps, out)
 }

@@ -1,22 +1,48 @@
 //! A *real* multi-threaded single-kernel CG engine.
 //!
 //! Everything else in this crate models GPU time while computing
-//! deterministically. This module instead **executes** the paper's
-//! Algorithm 3 concurrently: each warp is an OS thread; the only
-//! synchronization is the atomic dependency counters (`d_s`, `d_d`, `d_a`
-//! of Fig. 6) polled in busy-wait loops — no mutexes, no channels, no
-//! barriers from the standard library. It exists to validate that the
-//! single-kernel scheme is correct and deadlock-free, which is the paper's
-//! central systems claim.
+//! deterministically. This module instead **executes** the single-kernel
+//! scheme concurrently: each warp is an OS thread, and the only
+//! synchronization is atomic counters polled in busy-wait loops — no
+//! mutexes, no channels, no barriers from the standard library. It exists
+//! to validate that the scheme is correct and deadlock-free, which is the
+//! paper's central systems claim.
+//!
+//! ## Host schedule vs. the modeled GPU schedule
+//!
+//! The paper's Algorithm 3 hands SpMV partials from load-balanced producer
+//! warps to segment owners through the `d_s` tile-row counters. That
+//! schedule is what [`mf_gpu::SpmvSchedule`] and the single-kernel coster
+//! model, and what the paper's GPU numbers come from. On the host it lost
+//! to the simpler alternative, so every engine here runs:
+//!
+//! * an **owner-computes SpMV**: warp `w` computes the rows of its own tile
+//!   rows, in global tile order, with one plain store per row;
+//! * **barrier epochs** on one monotone counter per solve;
+//! * per-row **SpTRSV counters** ([`RowDeps`]) for the in-kernel
+//!   triangular solves of the preconditioned engines.
+//!
+//! The owner-computes sum combines every row's tile partials in the same
+//! order as the hand-off did, so the results are bitwise those of the
+//! Algorithm-3 schedule at any warp count.
 //!
 //! One deliberate deviation from the paper's pseudocode: instead of
-//! *resetting* the dependency arrays between iterations (Algorithm 3
+//! *resetting* the dependency counters between iterations (Algorithm 3
 //! re-initializes them after the Step-D check, which needs a subtle
 //! leader/followers protocol to avoid racing the next iteration's
 //! decrements), the counters here **count up monotonically** and every
-//! barrier waits for an iteration-scaled target (`init·(j+1)`). This is
-//! behaviourally identical, race-free by construction, and uses the same
-//! number of atomic operations.
+//! wait targets an epoch-scaled value. This is behaviourally identical and
+//! race-free by construction.
+//!
+//! ## One body per method family, one loop driver
+//!
+//! CG and PCG share one body, as do BiCGSTAB and PBiCGSTAB: without a
+//! preconditioner the body skips the triangular sweeps and reads `r` (or
+//! `p`, `s`) where the preconditioned path reads `z` (`p̂`, `ŝ`). The
+//! pipelined CG and PCG bodies stay separate (they pass one and two
+//! barriers per iteration). Every body reports each loop slot to the one
+//! driver, `report::drive`, which owns the iteration cap, the
+//! restart policy, convergence and aborts, and the adaptive refresh slots.
 //!
 //! ## Robustness (deviation from the paper)
 //!
@@ -26,7 +52,7 @@
 //!
 //! * **Numerical breakdown** — an indefinite matrix makes `α = rr/pᵀAp`
 //!   meaningless (or NaN), the NaN propagates into every vector, and
-//!   `relres < tol` is never true again. Both engines now run the same
+//!   `relres < tol` is never true again. The engines run the same
 //!   breakdown-restart semantics as the sequential cores: the decision is
 //!   derived from the *shared* dot accumulators after a barrier, so every
 //!   warp takes the identical branch and the barrier epochs stay aligned.
@@ -41,28 +67,27 @@
 //!   has progressed for its interval, the solve is poisoned and all warps
 //!   return a [`SolveFailure::Wedged`] report.
 //!
-//! The poison flag and the `Mutex`-free failure cells are *failure-path*
-//! machinery only: on a healthy solve the per-iteration overhead is one
-//! relaxed load per spin poll and one heartbeat check per iteration, and
-//! the iterate arithmetic is bitwise-unchanged.
+//! The poison flag is *failure-path* machinery only: on a healthy solve
+//! the per-iteration overhead is one relaxed load per spin poll and one
+//! heartbeat check per iteration, and the iterate arithmetic is
+//! bitwise-unchanged.
 //!
 //! ## One entry point per engine
 //!
 //! Each of the seven engines has exactly one public entry — its own
-//! leading arguments plus a [`ThreadedOpts`] — and supplies only its state
-//! allocation and its per-warp step bodies. One private launcher owns the
-//! glue they share: the poison flag and failure cells, heartbeat arming,
-//! the scoped spawn loop with per-warp sync/tracer/fault set-up, the
-//! panic guard, the join, and report assembly.
+//! leading arguments plus a [`ThreadedOpts`]. One private launcher owns the
+//! glue they share: the poison flag, heartbeat arming, the scoped spawn
+//! loop with per-warp sync/tracer/fault set-up, the panic guard, the join,
+//! and report assembly.
 //!
 //! Wedge detection is a [`WatchdogPolicy`]: `Disabled`, or the progress
 //! heartbeat ([`mf_gpu::Heartbeat`], the default) — every warp publishes a
 //! monotone iteration × step position at step boundaries and pulses on
-//! every cleared wait/produced tile/solved row, and the solve only fails
-//! as [`SolveFailure::Wedged`] when **no** warp has produced a progress
-//! event for the interval. Slow-but-healthy schedules therefore never
-//! trip it, while a wedged dependency chain (which stops *all* beats)
-//! still converts into a structured failure.
+//! every cleared wait/finished segment/solved row, and the solve only
+//! fails as [`SolveFailure::Wedged`] when **no** warp has produced a
+//! progress event for the interval. Slow-but-healthy schedules therefore
+//! never trip it, while a wedged dependency chain (which stops *all*
+//! beats) still converts into a structured failure.
 //!
 //! [`ThreadedOpts::faults`] is a [`FaultPlan`]: a deterministic,
 //! seed-reproducible schedule perturbation threaded through the
@@ -74,15 +99,17 @@
 //! structurally within the heartbeat bound; `tests/fault_injection.rs`
 //! locks both families down.
 
+use crate::bicgstab::{alpha_breakdown, restart_kind, restart_rho};
+use crate::cg::curvature_breakdown;
 use crate::config::WatchdogPolicy;
-use crate::pipelined::{breakdown_kind, pipeline_scalars};
+use crate::pipelined::pipeline_scalars;
 use crate::report::{
-    BreakdownEvent, BreakdownKind, EngineSection, RecoveryAction, RestartPolicy, SolveFailure,
-    SolveReport, WarpProgress,
+    drive, BreakdownEvent, BreakdownKind, Direction, EngineSection, Outcome, RecoveryAction, Slot,
+    SolveFailure, SolveReport, WarpProgress,
 };
 use mf_gpu::{
-    BarrierFault, FaultCounts, FaultPlan, Heartbeat, InjectedFaults, RowDeps, SpinFault,
-    SpmvSchedule, StepFault, WarpFaults,
+    BarrierFault, FaultCounts, FaultPlan, Heartbeat, InjectedFaults, RowDeps, SpinFault, StepFault,
+    WarpFaults,
 };
 use mf_kernels::ilu::Ilu0;
 use mf_precision::{AdaptiveConfig, RetierDecision};
@@ -91,7 +118,6 @@ use mf_trace::{EventKind, Trace, TraceConfig, WarpTrace, WarpTracer};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Options every threaded entry point takes: the warp cap plus the
@@ -169,36 +195,29 @@ const POISON_NONE: i64 = 0;
 const POISON_WEDGED: i64 = 1;
 const POISON_PANIC: i64 = 2;
 
-// Deterministic-abort codes, set by warp 0 (all warps reach the identical
-// decision from shared accumulator reads).
-const FAIL_NONE: i64 = 0;
-const FAIL_NONFINITE: i64 = 1;
-const FAIL_STALLED: i64 = 2;
-
 // ---- Step-name tables ------------------------------------------------------
 //
 // Each engine calls `WarpSync::step(j, idx)` at the top of every logical
-// step; `idx` indexes the engine's table below. The same (iteration, step)
+// step; `idx` indexes its family's table below. The same (iteration, step)
 // coordinates address `FaultPlan::with_panic_at`/`with_poison_at` sites and
-// decode `SolveReport::last_progress`. Step 0 of iteration 0 exists on
-// every engine, so a point fault at (w, 0, 0) is engine-portable.
+// decode `SolveReport::last_progress`. Every engine stamps step 0 of
+// iteration 0, so a point fault at (w, 0, 0) is engine-portable.
 
-/// Step names of the unpreconditioned CG engine.
-pub const CG_STEPS: &[&str] = &["spmv", "dot", "update", "direction"];
-/// Step names of the unpreconditioned BiCGSTAB engine.
-pub const BICGSTAB_STEPS: &[&str] = &["spmv_p", "svec", "spmv_s", "update", "direction"];
-/// Step names of the PCG engine (`init` runs once, before iteration 0).
+/// Step names of the CG family ([`run_cg_threaded`], [`run_pcg_threaded`]):
+/// `init` runs once before iteration 0 and opens every adaptive refresh
+/// pass; CG has no `precond` step.
 pub const PCG_STEPS: &[&str] = &["init", "spmv", "update", "precond", "direction"];
-/// Step names of the PBiCGSTAB engine.
+/// Step names of the BiCGSTAB family ([`run_bicgstab_threaded`],
+/// [`run_pbicgstab_threaded`]); without a preconditioner the `precond_*`
+/// steps only publish `p` and `s` for the SpMVs.
 pub const PBICGSTAB_STEPS: &[&str] = &["precond_p", "spmv_v", "precond_s", "spmv_t", "update"];
 /// Step names of the standalone SpTRSV runner.
 pub const SPTRSV_STEPS: &[&str] = &["lower", "upper"];
-/// Step names of the pipelined CG engine (`init` runs once, before
-/// iteration 0; each iteration passes exactly one global barrier, inside
-/// `update`).
-pub const CG_PIPELINED_STEPS: &[&str] = &["init", "spmv", "scalars", "update"];
-/// Step names of the pipelined PCG engine (`init` runs once; each iteration
-/// passes two global barriers — after `precond` and inside `update`).
+/// Step names of the pipelined engines ([`run_cg_pipelined_threaded`],
+/// [`run_pcg_pipelined_threaded`]): `init` runs once before iteration 0 and
+/// opens every adaptive refresh pass; pipelined CG has no `precond` step
+/// and passes one global barrier per iteration, inside `update`; pipelined
+/// PCG passes two, after `precond` and inside `update`.
 pub const PCG_PIPELINED_STEPS: &[&str] = &["init", "precond", "spmv", "scalars", "update"];
 
 /// Per-warp view of the shared poison flag, the progress heartbeat and the
@@ -410,147 +429,31 @@ impl WarpSync<'_> {
     }
 }
 
-/// State every warp of one solve shares: the poison flag, the report cells
-/// warp 0 writes (iterations, convergence, final residual, deterministic
-/// abort with its iteration — first write wins) and the applied re-tier
-/// trail.
-struct Shared {
-    poison: AtomicI64,
-    iterations: AtomicI64,
-    converged: AtomicI64,
-    relres_bits: AtomicU64,
-    fail_code: AtomicI64,
-    fail_iter: AtomicI64,
-    /// Warp 0's applied-plan trail; uncontended (single writer) and read
-    /// only after the scope joins.
-    retier: Mutex<Vec<RetierDecision>>,
-}
-
-impl Shared {
-    fn new() -> Shared {
-        Shared {
-            poison: AtomicI64::new(POISON_NONE),
-            iterations: AtomicI64::new(0),
-            converged: AtomicI64::new(0),
-            relres_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            fail_code: AtomicI64::new(FAIL_NONE),
-            fail_iter: AtomicI64::new(0),
-            retier: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn fail(&self, code: i64, iter: i64) {
-        if self
-            .fail_code
-            .compare_exchange(FAIL_NONE, code, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.fail_iter.store(iter, Ordering::Release);
+impl WarpSync<'_> {
+    /// Warp 0 records an applied re-tier plan as one `Retier` trace event.
+    fn retiered(&self, d: &RetierDecision) {
+        if let Some(t) = self.tracer.filter(|_| self.warp == 0) {
+            let (pa, pb) = crate::adaptive::retier_trace_payload(d);
+            t.record(EventKind::Retier, pa, pb);
         }
     }
 }
 
 /// One warp's handle, passed by the launcher to an engine's body: its
-/// index, its sync view, the shared cells, and the warp-local trails.
+/// index, its sync view and its own [`Outcome`]. Every warp records the
+/// identical outcome (all decisions come from shared reductions); warp 0's
+/// is reported. It lives outside the panic guard, so a panicking warp
+/// still reports the iteration it reached.
 struct Warp<'a> {
     w: usize,
     sync: WarpSync<'a>,
-    shared: &'a Shared,
-    /// Breakdown trail (every warp records the identical one; warp 0's is
-    /// reported).
-    events: Vec<BreakdownEvent>,
-    /// Warp 0's per-iteration recurrence relres trail (empty elsewhere).
-    trail: Vec<f64>,
-}
-
-impl Warp<'_> {
-    /// Records completed iteration `it` with recurrence residual `relres`;
-    /// true once converged — the in-kernel convergence check of
-    /// Algorithm 3, identical on every warp.
-    fn complete(&mut self, it: i64, relres: f64, tol: f64) -> bool {
-        let done = relres < tol;
-        if self.w == 0 {
-            self.shared.iterations.store(it + 1, Ordering::Release);
-            self.shared
-                .relres_bits
-                .store(relres.to_bits(), Ordering::Release);
-            self.trail.push(relres);
-            if done {
-                self.shared.converged.store(1, Ordering::Release);
-            }
-        }
-        done
-    }
-
-    /// Aborts at iteration `it` on a poisoned (non-finite) residual: no
-    /// restart can rebuild finite state from it. `final_relres` keeps its
-    /// last finite value.
-    fn abort_nonfinite(&mut self, it: i64) {
-        self.events.push(BreakdownEvent {
-            iteration: it as usize,
-            kind: BreakdownKind::NonFinite,
-            action: RecoveryAction::Aborted,
-        });
-        if self.w == 0 {
-            self.shared.iterations.store(it + 1, Ordering::Release);
-            self.shared.fail(FAIL_NONFINITE, it);
-        }
-    }
-
-    /// Records a breakdown restart at iteration `it` under `restarts` (the
-    /// one [`RestartPolicy`]) and returns whether the warp must stop
-    /// instead. `relres` is the post-restart residual, kept when finite.
-    fn restart(
-        &mut self,
-        it: i64,
-        kind: BreakdownKind,
-        restarts: &mut RestartPolicy,
-        nonfinite: bool,
-        relres: Option<f64>,
-    ) -> bool {
-        let (action, failure) = restarts.restart(it as usize, !nonfinite);
-        self.events.push(BreakdownEvent {
-            iteration: it as usize,
-            kind,
-            action,
-        });
-        if self.w == 0 {
-            self.shared.iterations.store(it + 1, Ordering::Release);
-            if let Some(r) = relres.filter(|r| r.is_finite()) {
-                self.shared
-                    .relres_bits
-                    .store(r.to_bits(), Ordering::Release);
-            }
-            match failure {
-                Some(SolveFailure::NonFinite { .. }) => self.shared.fail(FAIL_NONFINITE, it),
-                Some(_) => self.shared.fail(FAIL_STALLED, it),
-                None => {}
-            }
-        }
-        failure.is_some()
-    }
-
-    /// Warp 0 records an applied re-tier plan: one `Retier` trace event
-    /// and the report trail entry.
-    fn retiered(&self, d: RetierDecision) {
-        if self.w == 0 {
-            if let Some(t) = self.sync.tracer {
-                let (pa, pb) = crate::adaptive::retier_trace_payload(&d);
-                t.record(EventKind::Retier, pa, pb);
-            }
-            if let Ok(mut g) = self.shared.retier.lock() {
-                g.push(d);
-            }
-        }
-    }
+    out: Outcome,
 }
 
 /// What one warp thread hands back through its join handle.
 struct WarpOut {
-    events: Vec<BreakdownEvent>,
+    out: Outcome,
     panic: Option<String>,
-    /// Warp 0's per-iteration recurrence relres trail (empty elsewhere).
-    trail: Vec<f64>,
     /// Faults this warp actually injected (zero under an empty plan).
     faults: FaultCounts,
     /// This warp's event recorder (created outside the panic guard, so
@@ -563,8 +466,7 @@ struct WarpOut {
 fn settle_warp(
     body: std::thread::Result<Result<(), i64>>,
     poison: &AtomicI64,
-    events: Vec<BreakdownEvent>,
-    trail: Vec<f64>,
+    out: Outcome,
     faults: FaultCounts,
     tracer: Option<WarpTracer>,
 ) -> WarpOut {
@@ -578,9 +480,8 @@ fn settle_warp(
         panic_message(payload)
     });
     WarpOut {
-        events,
+        out,
         panic,
-        trail,
         faults,
         tracer,
     }
@@ -589,9 +490,8 @@ fn settle_warp(
 /// Join-failure fallback: the warp died outside the panic guard.
 fn dead_warp() -> WarpOut {
     WarpOut {
-        events: Vec::new(),
+        out: Outcome::new(),
         panic: Some("warp thread died outside the panic guard".to_string()),
-        trail: Vec::new(),
         faults: FaultCounts::default(),
         tracer: None,
     }
@@ -622,7 +522,7 @@ fn launch<F>(
 where
     F: Fn(&mut Warp<'_>) -> Result<(), i64> + Sync,
 {
-    let shared = Shared::new();
+    let poison = AtomicI64::new(POISON_NONE);
     let heartbeat = match opts.watchdog {
         WatchdogPolicy::Disabled => None,
         WatchdogPolicy::Heartbeat(i) => Some(Heartbeat::new(i, lay.warps)),
@@ -630,7 +530,7 @@ where
     let outs: Vec<WarpOut> = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..lay.warps)
             .map(|w| {
-                let (shared, body, hb) = (&shared, &body, heartbeat.as_ref());
+                let (poison, body, hb) = (&poison, &body, heartbeat.as_ref());
                 scope.spawn(move |_| {
                     let wf = (!opts.faults.is_empty()).then(|| opts.faults.for_warp(w));
                     let tracer = opts
@@ -640,20 +540,17 @@ where
                     let mut warp = Warp {
                         w,
                         sync: WarpSync {
-                            poison: &shared.poison,
+                            poison,
                             heartbeat: hb,
                             faults: wf.as_ref(),
                             tracer: tracer.as_ref(),
                             warp: w,
                         },
-                        shared,
-                        events: Vec::new(),
-                        trail: Vec::new(),
+                        out: Outcome::new(),
                     };
                     let result = catch_unwind(AssertUnwindSafe(|| body(&mut warp)));
-                    let Warp { events, trail, .. } = warp;
                     let faults = wf.as_ref().map(|f| f.counts()).unwrap_or_default();
-                    settle_warp(result, &shared.poison, events, trail, faults, tracer)
+                    settle_warp(result, poison, warp.out, faults, tracer)
                 })
             })
             .collect();
@@ -663,10 +560,11 @@ where
             .collect()
     })
     .expect("threaded engine scope failed");
+    let wedged = poison.load(Ordering::Acquire) == POISON_WEDGED;
     finish_report(
         x,
         lay.warps,
-        shared,
+        wedged,
         heartbeat.as_ref(),
         steps,
         &opts.faults,
@@ -674,16 +572,16 @@ where
     )
 }
 
-/// Assembles the report from the shared cells and the per-warp outputs:
-/// panics beat the watchdog beat the deterministic aborts, and the host
-/// appends the terminal Panic/Watchdog event to warp 0's trail. The
+/// Assembles the report from warp 0's [`Outcome`] and the per-warp
+/// outputs: panics beat the watchdog beat the deterministic aborts, and
+/// the terminal Panic/Watchdog event is appended to warp 0's trail. The
 /// heartbeat snapshot is decoded through the engine's step-name table into
 /// [`SolveReport::last_progress`]; a non-empty plan is echoed as
 /// [`InjectedFaults`] telemetry (repro line + merged tally).
 fn finish_report(
     x: &[AtomicU64],
     warps: usize,
-    shared: Shared,
+    wedged: bool,
     heartbeat: Option<&Heartbeat>,
     steps: &'static [&'static str],
     plan: &FaultPlan,
@@ -715,39 +613,34 @@ fn finish_report(
                 .collect()
         })
         .unwrap_or_default();
-    let iterations = shared.iterations.load(Ordering::Acquire) as usize;
-    let (mut breakdowns, residual_history) = match outs.first_mut() {
-        Some(o) => (std::mem::take(&mut o.events), std::mem::take(&mut o.trail)),
-        None => (Vec::new(), Vec::new()),
-    };
+    let mut out = outs.first_mut().map_or_else(Outcome::new, |o| {
+        std::mem::replace(&mut o.out, Outcome::new())
+    });
     let panic_hit = outs
         .iter()
         .enumerate()
         .find_map(|(w, o)| o.panic.as_ref().map(|m| (w, m.clone())));
-    let failure = if let Some((warp, message)) = panic_hit {
-        breakdowns.push(BreakdownEvent {
-            iteration: iterations,
-            kind: BreakdownKind::Panic,
-            action: RecoveryAction::Aborted,
-        });
-        Some(SolveFailure::WarpPanic { warp, message })
-    } else if shared.poison.load(Ordering::Acquire) == POISON_WEDGED {
-        breakdowns.push(BreakdownEvent {
-            iteration: iterations,
-            kind: BreakdownKind::Watchdog,
-            action: RecoveryAction::Aborted,
-        });
-        Some(SolveFailure::Wedged {
-            iteration: iterations,
-        })
-    } else {
-        let iter = shared.fail_iter.load(Ordering::Acquire) as usize;
-        match shared.fail_code.load(Ordering::Acquire) {
-            FAIL_NONFINITE => Some(SolveFailure::NonFinite { iteration: iter }),
-            FAIL_STALLED => Some(SolveFailure::Stalled { iteration: iter }),
-            _ => None,
-        }
+    let terminal = match panic_hit {
+        Some((warp, message)) => Some((
+            BreakdownKind::Panic,
+            SolveFailure::WarpPanic { warp, message },
+        )),
+        None if wedged => Some((
+            BreakdownKind::Watchdog,
+            SolveFailure::Wedged {
+                iteration: out.iterations,
+            },
+        )),
+        None => None,
     };
+    if let Some((kind, failure)) = terminal {
+        out.breakdowns.push(BreakdownEvent {
+            iteration: out.iterations,
+            kind,
+            action: RecoveryAction::Aborted,
+        });
+        out.failure = Some(failure);
+    }
     // Merge the per-warp event streams after the breakdown trail is final,
     // so the epilogue includes the host-appended Panic/Watchdog events.
     let warp_traces: Vec<WarpTrace> = outs
@@ -757,28 +650,18 @@ fn finish_report(
         .collect();
     let trace = (!warp_traces.is_empty()).then(|| {
         let mut tr = Trace::merge(warp_traces);
-        crate::report::append_breakdown_epilogue(&mut tr, &breakdowns);
+        crate::report::append_breakdown_epilogue(&mut tr, &out.breakdowns);
         tr
     });
     SolveReport {
         x: x.iter().map(ld).collect(),
         warp_count: warps,
-        iterations,
-        converged: shared.converged.load(Ordering::Acquire) == 1,
-        final_relres: f64::from_bits(shared.relres_bits.load(Ordering::Acquire)),
-        breakdowns,
-        failure,
-        residual_history,
         trace,
-        retier_trail: shared
-            .retier
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner()),
         engine: Some(EngineSection::Threaded {
             last_progress,
             injected_faults,
         }),
-        ..SolveReport::default()
+        ..out.report()
     }
 }
 
@@ -788,16 +671,16 @@ fn finish_report(
 /// sequential cores. Returns the layout and `‖b‖₂` otherwise.
 fn prologue(
     m: &TiledMatrix,
-    ilu: Option<&Ilu0>,
+    tri: Option<&TriSolve<'_>>,
     b: &[f64],
     opts: &ThreadedOpts,
 ) -> Result<(Layout, f64), Box<SolveReport>> {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols);
-    if let Some(f) = ilu {
-        assert_eq!(f.l.nrows, n);
-        assert_eq!(f.u.nrows, n);
+    if let Some(t) = tri {
+        assert_eq!(t.l.nrows, n);
+        assert_eq!(t.u.nrows, n);
     }
     let lay = Layout::for_matrix(m, opts.warps);
     let norm_b: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -853,10 +736,10 @@ impl Layout {
         }
     }
 
-    /// Tile-size segments of `m`. Warp `w` of the owner-computes engines
-    /// owns exactly the tiles of its tile rows, so their SpMV needs no
-    /// atomics and reproduces `TiledMatrix::matvec`'s per-row summation
-    /// order bitwise at any warp count.
+    /// Tile-size segments of `m`. Warp `w` owns exactly the tiles of its
+    /// tile rows, so its SpMV needs no atomics and reproduces
+    /// `TiledMatrix::matvec`'s per-row summation order bitwise at any warp
+    /// count.
     fn for_matrix(m: &TiledMatrix, max_warps: usize) -> Layout {
         let mut lay = Layout::new(m.nrows, m.tile_size, max_warps);
         let segments = lay.segments();
@@ -965,8 +848,8 @@ fn seg_dot(
 }
 
 /// An all-warps barrier on one monotone counter: a warp's k-th wait
-/// targets `warps·k`, so every path through a loop slot must pass the
-/// same number of waits (breakdown paths add stand-in waits).
+/// targets `warps·k`, so every warp must pass the same sequence of waits —
+/// which it does, since every branch is decided from shared reductions.
 struct Barrier<'a> {
     counter: &'a AtomicI64,
     warps: i64,
@@ -991,50 +874,9 @@ impl<'a> Barrier<'a> {
     }
 }
 
-/// The producer/consumer SpMV hand-off of the classic CG and BiCGSTAB
-/// engines: one slot per tile-row entry, where the producing warp stores
-/// its tile's per-row partial (Release) before bumping the tile row's
-/// `d_s` epoch; the segment owner assembles rows from the slots in global
-/// tile order, so the sum is identical for every warp count and schedule
-/// perturbation.
-struct Handoff {
-    scratch: Vec<AtomicU64>,
-    d_s: Vec<AtomicI64>,
-    /// Producers per tile row: epoch `k` of row `s` is complete at
-    /// `ds_init[s]·k`.
-    ds_init: Vec<i64>,
-}
-
-impl Handoff {
-    fn new(m: &TiledMatrix) -> Handoff {
-        let mut ds_init = vec![0i64; m.tile_rows];
-        for &tr in &m.tile_rowidx {
-            ds_init[tr as usize] += 1;
-        }
-        Handoff {
-            scratch: zeros(m.row_index.len()),
-            d_s: (0..m.tile_rows).map(|_| AtomicI64::new(0)).collect(),
-            ds_init,
-        }
-    }
-}
-
-/// `Σ_k vals[k]·input[col_k]` over CSR row `ri` of tile `i` — the one SpMV
-/// inner loop every engine runs.
-#[inline]
-fn row_dot(m: &TiledMatrix, i: usize, vals: &[f64], ri: usize, input: &[AtomicU64]) -> f64 {
-    let base_col = m.tile_colidx[i] as usize * m.tile_size;
-    let nnz_base = m.tile_nnz[i] as usize;
-    let mut sum = 0.0;
-    for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
-        sum += vals[k - nnz_base] * ld(&input[base_col + m.csr_colidx[k] as usize]);
-    }
-    sum
-}
-
-/// One warp's resident tiles, decoded once ("loaded into shared memory")
-/// and requantized only by re-tier refresh passes, plus its segments and
-/// row accumulator.
+/// One warp's resident tiles — those of its own tile rows — decoded once
+/// ("loaded into shared memory") and requantized only by re-tier refresh
+/// passes, plus its segments and row accumulator.
 struct WarpTiles<'a> {
     m: &'a TiledMatrix,
     lay: &'a Layout,
@@ -1046,32 +888,8 @@ struct WarpTiles<'a> {
 }
 
 impl<'a> WarpTiles<'a> {
-    /// The tiles of warp `w`'s own tile rows (owner-computes engines).
     fn owned(m: &'a TiledMatrix, lay: &'a Layout, sync: WarpSync<'a>, w: usize) -> Self {
         let tiles = lay.tr_start[lay.seg_lo[w]]..lay.tr_start[lay.seg_lo[w + 1]];
-        Self::load(m, lay, sync, w, tiles)
-    }
-
-    /// Warp `w`'s load-balanced share of `spmv` (producer/consumer
-    /// engines).
-    fn balanced(
-        m: &'a TiledMatrix,
-        lay: &'a Layout,
-        sync: WarpSync<'a>,
-        w: usize,
-        spmv: &SpmvSchedule,
-    ) -> Self {
-        let tiles = spmv.warp_tiles.get(w).map_or(0..0, |&(lo, hi)| lo..hi);
-        Self::load(m, lay, sync, w, tiles)
-    }
-
-    fn load(
-        m: &'a TiledMatrix,
-        lay: &'a Layout,
-        sync: WarpSync<'a>,
-        w: usize,
-        tiles: Range<usize>,
-    ) -> Self {
         WarpTiles {
             m,
             lay,
@@ -1096,8 +914,9 @@ impl<'a> WarpTiles<'a> {
     }
 
     /// Owner-computes `output = A·input` over this warp's whole tile rows:
-    /// local accumulation per segment in global tile order, one plain
-    /// store per row — no atomics, no inter-iteration zeroing.
+    /// each tile's per-row partial `Σ vals·input` is added in global tile
+    /// order, one plain store per row — no atomics, no inter-iteration
+    /// zeroing.
     fn spmv_own(&mut self, input: &[AtomicU64], output: &[AtomicU64]) {
         let (m, lay) = (self.m, self.lay);
         for s in self.segs.clone() {
@@ -1105,8 +924,14 @@ impl<'a> WarpTiles<'a> {
             self.acc[..rows.len()].fill(0.0);
             for i in lay.tr_start[s]..lay.tr_start[s + 1] {
                 let vals = &self.vals[i - self.tiles.start];
+                let base_col = m.tile_colidx[i] as usize * m.tile_size;
+                let nnz_base = m.tile_nnz[i] as usize;
                 for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-                    self.acc[m.row_index[ri] as usize] += row_dot(m, i, vals, ri, input);
+                    let mut sum = 0.0;
+                    for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
+                        sum += vals[k - nnz_base] * ld(&input[base_col + m.csr_colidx[k] as usize]);
+                    }
+                    self.acc[m.row_index[ri] as usize] += sum;
                 }
             }
             for (e, v) in rows.zip(&self.acc) {
@@ -1114,50 +939,6 @@ impl<'a> WarpTiles<'a> {
             }
             self.sync.pulse();
         }
-    }
-
-    /// Producer half of one hand-off SpMV epoch: store each of this warp's
-    /// tiles' per-row partials of `A·input` (slots keyed by absolute CSR
-    /// row id), then bump the tile row's `d_s` epoch (`atomicSub(d_s[...])`
-    /// in the paper).
-    fn produce(&self, input: &[AtomicU64], h: &Handoff) {
-        let m = self.m;
-        for (ti, i) in self.tiles.clone().enumerate() {
-            for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-                st(&h.scratch[ri], row_dot(m, i, &self.vals[ti], ri, input));
-            }
-            h.d_s[m.tile_rowidx[i] as usize].fetch_add(1, Ordering::AcqRel);
-            self.sync.pulse();
-        }
-    }
-
-    /// Stand-in for a skipped producer epoch: bumps each tile's `d_s`
-    /// without producing, keeping the epochs aligned.
-    fn skip_produce(&self, h: &Handoff) {
-        for i in self.tiles.clone() {
-            h.d_s[self.m.tile_rowidx[i] as usize].fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Consumer half: once segment `s`'s row tiles have all produced epoch
-    /// `epoch`, assemble its rows from the slots in *global tile order*
-    /// into `out`.
-    fn gather(&mut self, s: usize, h: &Handoff, epoch: i64, out: &[AtomicU64]) -> Result<(), i64> {
-        let (m, lay) = (self.m, self.lay);
-        if s < h.ds_init.len() {
-            self.sync.spin_until(&h.d_s[s], h.ds_init[s] * epoch)?;
-        }
-        let rows = lay.elems(s);
-        self.acc[..rows.len()].fill(0.0);
-        for i in lay.tr_start[s]..lay.tr_start[s + 1] {
-            for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-                self.acc[m.row_index[ri] as usize] += ld(&h.scratch[ri]);
-            }
-        }
-        for (e, v) in rows.zip(&self.acc) {
-            st(&out[e], *v);
-        }
-        Ok(())
     }
 }
 
@@ -1254,6 +1035,17 @@ impl WarpTri<'_> {
     }
 }
 
+/// `out = M⁻¹ rhs` on this warp's rows when preconditioned. Without a
+/// preconditioner the engines read `rhs` where they would read `out`, so
+/// there is nothing to do.
+fn precondition(
+    pc: &mut Option<WarpTri<'_>>,
+    rhs: &[AtomicU64],
+    out: &[AtomicU64],
+) -> Result<(), i64> {
+    pc.as_mut().map_or(Ok(()), |pc| pc.apply(rhs, out))
+}
+
 /// One warp's rows of a dependency-ordered triangular substitution —
 /// ascending rows for the forward (`lower`) sweep, descending for the
 /// backward one — spinning on [`RowDeps`] for every entry outside the
@@ -1315,23 +1107,22 @@ fn warp_sweep(
 // ---- Classic engines ---------------------------------------------------------
 
 /// Runs CG on `opts.warps.min(segments)` threads synchronized purely
-/// through atomic dependency counters. Tiles execute at their stored
-/// (initial) precision; the dynamic strategy is not exercised here — this
-/// engine validates the *synchronization* scheme.
+/// through atomic counters. Tiles execute at their stored (initial)
+/// precision; the dynamic strategy is not exercised here — this engine
+/// validates the *synchronization* scheme.
 ///
-/// Deterministic and warp-count invariant by construction: producers store
-/// per-tile-row SpMV partials into a per-entry scratch array (the `d_s`
-/// protocol is unchanged), segment owners assemble `u = A p` in global
-/// tile order, and every dot product is a per-segment single-writer
-/// partial reduced in fixed segment order — no arrival-order atomic adds
-/// anywhere. A benign [`ThreadedOpts::faults`] plan therefore cannot
-/// change a single bit of the result.
+/// Deterministic and warp-count invariant by construction: the SpMV is
+/// owner-computes over whole tile rows (the per-row summation order of
+/// [`TiledMatrix::matvec`]), and every dot product is a per-segment
+/// single-writer partial reduced in fixed segment order — no arrival-order
+/// atomic adds anywhere. A benign [`ThreadedOpts::faults`] plan therefore
+/// cannot change a single bit of the result. Each iteration passes three
+/// barriers: after the curvature dot, after the update dot and after the
+/// direction update.
 ///
 /// Reads [`ThreadedOpts::adaptive`]: an applied re-tier plan's refresh
-/// pass has the normal pass's exact counter footprint (one `d_s` epoch per
-/// tile, two `d_d` epochs, one `d_a` epoch), recomputing `u = A·x` through
-/// the normal scratch protocol so segment owners rebuild `r = b − u`,
-/// `p = r`, `rr = (r, r)`.
+/// pass requantizes each warp's tiles, recomputes `u = A·x` and rebuilds
+/// `r = b − u`, `p = r` and `rr = (r, r)` behind one barrier.
 ///
 /// ```
 /// use mf_solver::threaded::{run_cg_threaded, ThreadedOpts};
@@ -1360,175 +1151,196 @@ pub fn run_cg_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, None, b, opts) {
+    cg_family(m, None, b, tol, max_iter, opts)
+}
+
+/// Runs ILU(0)-preconditioned CG entirely inside the "single kernel":
+/// warps cooperate on the forward/backward SpTRSV through per-row
+/// [`RowDeps`] epoch counters, busy-waiting on predecessor rows with the
+/// poison flag and watchdog polled in every spin (a wedged triangular
+/// dependency fails as [`SolveFailure::Wedged`], a panicking warp as
+/// [`SolveFailure::WarpPanic`]). Breakdown/restart semantics mirror the
+/// sequential `run_pcg` core: non-positive curvature restarts the
+/// direction from `p = z`, futile restarts abort as `Stalled`.
+///
+/// The same body as [`run_cg_threaded`], with the triangular solves
+/// combining each row's entries in CSR order exactly like the sequential
+/// kernel, so residual trajectories are bitwise-reproducible across 1..k
+/// warps — the property the differential harness in
+/// `tests/threaded_parity.rs` locks down. `opts.adaptive` is ignored.
+pub fn run_pcg_threaded(
+    m: &TiledMatrix,
+    ilu: &Ilu0,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+    opts: &ThreadedOpts,
+) -> SolveReport {
+    let tri = TriSolve::ilu(ilu);
+    cg_family(m, Some(&tri), b, tol, max_iter, &without_adaptive(opts))
+}
+
+/// `opts` with the adaptive controller stripped: only the unpreconditioned
+/// CG engines honour it.
+fn without_adaptive(opts: &ThreadedOpts) -> ThreadedOpts {
+    ThreadedOpts {
+        adaptive: None,
+        ..opts.clone()
+    }
+}
+
+/// The CG family's one body: PCG with the triangular solve pair `tri`,
+/// plain CG without it — `z` is then `r` itself, no `precond` step runs,
+/// and the initial ρ is the plain left-to-right `‖b‖²`.
+fn cg_family(
+    m: &TiledMatrix,
+    tri: Option<&TriSolve<'_>>,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+    opts: &ThreadedOpts,
+) -> SolveReport {
+    let (lay, norm_b) = match prologue(m, tri, b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
     };
     let n = lay.n;
-    let spmv = SpmvSchedule::for_warps(m, lay.warps);
-    // x, r, p are written by the segment owner; u by the segment owner
-    // during the gather.
-    let (x, r, p, u) = (zeros(n), cells(b), cells(b), zeros(n));
-    let h = Handoff::new(m);
-    let (d_d, d_a) = (AtomicI64::new(0), AtomicI64::new(0));
-    let [seg_y, seg_z, seg_z_bd] = std::array::from_fn(|_| lay.seg_cells());
+    // CG starts from p = r = b; PCG's init pass sets p = z = M⁻¹b.
+    let (x, r, u) = (zeros(n), cells(b), zeros(n)); // u = A p
+    let p = if tri.is_some() { zeros(n) } else { cells(b) };
+    let z_own = tri.map(|_| zeros(n));
+    let z = z_own.as_deref().unwrap_or(&r);
+    let bar = AtomicI64::new(0);
+    let [seg_pu, seg_rr, seg_rz] = std::array::from_fn(|_| lay.seg_cells());
     let rr0: f64 = b.iter().map(|v| v * v).sum();
 
-    launch(&lay, opts, CG_STEPS, &x, |warp| {
+    launch(&lay, opts, PCG_STEPS, &x, |warp| {
         let sync = warp.sync;
         let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::balanced(m, &lay, sync, warp.w, &spmv);
-        let (mut dd, mut da) = (
-            Barrier::new(&d_d, &lay, sync),
-            Barrier::new(&d_a, &lay, sync),
-        );
-        let mut rr = rr0;
-        let mut restarts = RestartPolicy::new(false);
-        let mut ctrl = opts
+        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
+        let mut bar = Barrier::new(&bar, &lay, sync);
+        let mut precond = tri.map(|t| t.warp(&lay, warp.w, sync));
+        // Restarts the direction from the residual: p = z and the (r, z)
+        // partials, published by one barrier; returns ρ = (r, z).
+        let redirect = |bar: &mut Barrier<'_>| {
+            seg_dot(&lay, segs.clone(), &seg_rz, |e| {
+                let zv = ld(&z[e]);
+                st(&p[e], zv);
+                ld(&r[e]) * zv
+            });
+            bar.wait().map(|()| seg_total(&seg_rz))
+        };
+
+        // ---- Init: z = M⁻¹ r (r = b), p = z, ρ = (r, z).
+        sync.iteration_gate()?;
+        sync.step(0, 0)?;
+        let mut rz = match precond.as_mut() {
+            Some(pc) => {
+                pc.apply(&r, z)?;
+                redirect(&mut bar)?
+            }
+            None => rr0,
+        };
+        let ctrl = opts
             .adaptive
             .map(|ac| crate::adaptive::controller_for(m, ac));
-        let mut pending: Option<RetierDecision> = None;
-        // Physical loop slots `j` (barrier epochs) vs completed CG
-        // iterations: refresh passes consume a slot without counting as an
-        // iteration, so the two diverge only in adaptive runs.
-        let mut iters: i64 = 0;
-        let mut j: i64 = -1;
-        loop {
-            j += 1;
-            if iters >= max_iter as i64 {
-                break;
-            }
-            sync.iteration_gate()?;
-            let it = iters;
-
-            if let Some(d) = pending.take() {
-                // ---- Re-tier refresh pass (slot `j`, not an iteration):
-                // requantize, u = A·x through the normal scratch protocol,
-                // r = b − u, p = r, rr = (r, r); epoch-matching waits leave
-                // every counter exactly where a normal pass would.
-                sync.step(j, 0)?;
-                tiles.retier(&d);
-                tiles.produce(&x, &h);
-                sync.step(j, 1)?;
-                for s in segs.clone() {
-                    tiles.gather(s, &h, j + 1, &u)?;
+        drive(
+            &mut warp.out,
+            max_iter,
+            tol,
+            ctrl,
+            || sync.iteration_gate(),
+            |j, refresh| {
+                if let Some(d) = refresh {
+                    // ---- Re-tier refresh pass (a slot, not an iteration):
+                    // requantize, rebuild the true residual r = b − A·x and
+                    // restart the direction from it.
+                    sync.step(j, 0)?;
+                    tiles.retier(d);
+                    tiles.spmv_own(&x, &u);
+                    for e in own.clone() {
+                        st(&r[e], b[e] - ld(&u[e]));
+                    }
+                    precondition(&mut precond, &r, z)?;
+                    rz = redirect(&mut bar)?;
+                    sync.retiered(d);
+                    return Ok(Slot::Refreshed);
                 }
-                seg_dot(&lay, segs.clone(), &seg_y, |e| {
-                    let rv = b[e] - ld(&u[e]);
+
+                // ---- u = A p; curvature pᵀ A p.
+                sync.step(j, 1)?;
+                tiles.spmv_own(&p, &u);
+                seg_dot(&lay, segs.clone(), &seg_pu, |e| ld(&u[e]) * ld(&p[e]));
+                bar.wait()?;
+                let pu = seg_total(&seg_pu);
+                let alpha = rz / pu;
+                if let Some(kind) = curvature_breakdown(alpha, pu) {
+                    // ---- Breakdown: every warp read the same `pu`, so every
+                    // warp restarts the direction from the current residual.
+                    rz = redirect(&mut bar)?;
+                    return Ok(Slot::Restart {
+                        kind,
+                        finite: rz.is_finite(),
+                        relres: tri.is_none().then(|| rz.max(0.0).sqrt() / norm_b),
+                    });
+                }
+
+                // ---- x += αp, r −= αu, ‖r‖² partials.
+                sync.step(j, 2)?;
+                seg_dot(&lay, segs.clone(), &seg_rr, |e| {
+                    st(&x[e], ld(&x[e]) + alpha * ld(&p[e]));
+                    let rv = ld(&r[e]) - alpha * ld(&u[e]);
                     st(&r[e], rv);
-                    st(&p[e], rv);
                     rv * rv
                 });
-                dd.wait()?;
-                rr = seg_total(&seg_y);
-                dd.wait()?;
-                da.wait()?;
-                warp.retiered(d);
-                continue;
-            }
+                bar.wait()?;
+                let rr = seg_total(&seg_rr);
+                if !rr.is_finite() {
+                    return Ok(Slot::NonFinite);
+                }
 
-            // ---- Step A: produce the per-tile-row partials of u = A·p
-            // for my (load-balanced) tiles.
-            sync.step(j, 0)?;
-            tiles.produce(&p, &h);
-
-            // ---- Step B: once a segment's row tiles are all produced,
-            // assemble its rows of u and take the (u, p) partial.
-            sync.step(j, 1)?;
-            for s in segs.clone() {
-                tiles.gather(s, &h, j + 1, &u)?;
-            }
-            seg_dot(&lay, segs.clone(), &seg_y, |e| ld(&u[e]) * ld(&p[e]));
-            dd.wait()?;
-            let py = seg_total(&seg_y);
-            let alpha = rr / py;
-
-            if !alpha.is_finite() || py <= 0.0 {
-                // ---- Breakdown: the curvature pᵀAp is not positive (or a
-                // scalar went non-finite). Every warp reads the same
-                // `py`/`rr`, so every warp is here; the waits below match
-                // the normal path exactly. Restart needs rr = (r, r): reuse
-                // the second dot barrier for it, then p = r (u needs no
-                // zeroing — the Step-B gather overwrites it wholesale).
-                let kind = if py.is_finite() && py <= 0.0 {
-                    BreakdownKind::Curvature
-                } else {
-                    BreakdownKind::NonFinite
+                // ---- z = M⁻¹ r and ρ' = (r, z); without a preconditioner
+                // ρ' is ‖r‖² itself.
+                let rz_new = match precond.as_mut() {
+                    Some(pc) => {
+                        sync.step(j, 3)?;
+                        pc.apply(&r, z)?;
+                        seg_dot(&lay, segs.clone(), &seg_rz, |e| ld(&r[e]) * ld(&z[e]));
+                        bar.wait()?;
+                        seg_total(&seg_rz)
+                    }
+                    None => rr,
                 };
-                seg_dot(&lay, segs.clone(), &seg_z_bd, |e| ld(&r[e]) * ld(&r[e]));
-                dd.wait()?;
-                let rr_restart = seg_total(&seg_z_bd);
+                let beta = rz_new / rz;
+                rz = rz_new;
+
+                // ---- p = z + βp, published for the next SpMV.
+                sync.step(j, 4)?;
                 for e in own.clone() {
-                    st(&p[e], ld(&r[e]));
+                    st(&p[e], ld(&z[e]) + beta * ld(&p[e]));
                 }
-                rr = rr_restart;
-                da.wait()?;
-                iters = it + 1;
-                let relres = rr_restart.max(0.0).sqrt() / norm_b;
-                if warp.restart(
-                    it,
-                    kind,
-                    &mut restarts,
-                    !rr_restart.is_finite(),
-                    Some(relres),
-                ) {
-                    return Ok(());
-                }
-                continue;
-            }
-
-            // ---- Step C: x += αp, r −= αu, then dot (r, r).
-            sync.step(j, 2)?;
-            seg_dot(&lay, segs.clone(), &seg_z, |e| {
-                st(&x[e], ld(&x[e]) + alpha * ld(&p[e]));
-                let rv = ld(&r[e]) - alpha * ld(&u[e]);
-                st(&r[e], rv);
-                rv * rv
-            });
-            dd.wait()?;
-            let rr_new = seg_total(&seg_z);
-            if !rr_new.is_finite() {
-                warp.abort_nonfinite(it);
-                return Ok(());
-            }
-            restarts.progressed();
-            let beta = rr_new / rr;
-            rr = rr_new;
-
-            // ---- Step D: p = r + βp.
-            sync.step(j, 3)?;
-            for e in own.clone() {
-                st(&p[e], ld(&r[e]) + beta * ld(&p[e]));
-            }
-            da.wait()?;
-
-            let relres = rr_new.max(0.0).sqrt() / norm_b;
-            iters = it + 1;
-            if warp.complete(it, relres, tol) {
-                break;
-            }
-            // Adaptive hook (after the convergence check, like the
-            // sequential cores): every warp arms the same plan; the next
-            // slot becomes the refresh pass.
-            if let Some(c) = ctrl.as_mut() {
-                pending = c.observe(iters as usize, relres, tol);
-            }
-        }
-        Ok(())
+                bar.wait()?;
+                let lost = tri.is_some() && !beta.is_finite();
+                let direction = if lost {
+                    Direction::Lost
+                } else {
+                    Direction::Kept
+                };
+                Ok(Slot::Done(rr.max(0.0).sqrt() / norm_b, direction))
+            },
+        )
     })
 }
 
-/// Runs BiCGSTAB on threads synchronized purely through atomic dependency
-/// counters — the two-SpMV variant of the single-kernel scheme ("the
-/// consolidation applies to BiCGSTAB as well", §III-C). Per iteration the
-/// warps pass two row-tile SpMV epochs, three dot barriers (α, ω, β/‖r‖)
-/// and two vector barriers (s ready before the second SpMV; p/u/θ ready
-/// before the next iteration). Breakdowns (α non-finite, subnormal ρ,
-/// ω = 0) run the sequential cores' restart semantics with all barrier
-/// epochs kept aligned. Like [`run_cg_threaded`] the SpMV partials go
-/// through a per-entry scratch array and every dot is a per-segment
-/// single-writer reduction, so the result is bitwise warp-count invariant
-/// and immune to benign schedule perturbations.
+/// Runs BiCGSTAB on threads synchronized purely through atomic counters —
+/// the two-SpMV variant of the single-kernel scheme ("the consolidation
+/// applies to BiCGSTAB as well", §III-C). Per iteration the warps pass
+/// five barriers: `p` published, the α dot, `s` published, the ω dots and
+/// the β/‖r‖ dots. Breakdowns (α non-finite, subnormal ρ, ω = 0) run the
+/// sequential cores' restart semantics. Like [`run_cg_threaded`] the SpMV
+/// is owner-computes and every dot is a per-segment single-writer
+/// reduction, so the result is bitwise warp-count invariant and immune to
+/// benign schedule perturbations.
 pub fn run_bicgstab_threaded(
     m: &TiledMatrix,
     b: &[f64],
@@ -1536,179 +1348,161 @@ pub fn run_bicgstab_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, None, b, opts) {
+    bicgstab_family(m, None, b, tol, max_iter, opts)
+}
+
+/// Right-preconditioned BiCGSTAB inside the single kernel: two in-kernel
+/// SpTRSV applications (`p̂ = M⁻¹p`, `ŝ = M⁻¹s`) and two owner-computes
+/// SpMVs per iteration, five barriers. The same body as
+/// [`run_bicgstab_threaded`], with the dependency-counter, poison and
+/// watchdog story of [`run_pcg_threaded`]; breakdown/restart semantics
+/// mirror the sequential `run_pbicgstab` core (ρ/ω restarts, `Stalled`
+/// abort after futile restarts). `opts.adaptive` is ignored.
+pub fn run_pbicgstab_threaded(
+    m: &TiledMatrix,
+    ilu: &Ilu0,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+    opts: &ThreadedOpts,
+) -> SolveReport {
+    let tri = TriSolve::ilu(ilu);
+    bicgstab_family(m, Some(&tri), b, tol, max_iter, opts)
+}
+
+/// The BiCGSTAB family's one body: PBiCGSTAB with the triangular solve
+/// pair `tri`, plain BiCGSTAB without it — `p̂` and `ŝ` are then `p` and
+/// `s` themselves. `opts.adaptive` is ignored.
+fn bicgstab_family(
+    m: &TiledMatrix,
+    tri: Option<&TriSolve<'_>>,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+    opts: &ThreadedOpts,
+) -> SolveReport {
+    let (lay, norm_b) = match prologue(m, tri, b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
     };
     let n = lay.n;
-    let spmv = SpmvSchedule::for_warps(m, lay.warps);
     let (x, r, p) = (zeros(n), cells(b), cells(b));
-    let (sv, u, th) = (zeros(n), zeros(n), zeros(n)); // s, µ = A p, θ = A s
+    let (v, sv, tv) = (zeros(n), zeros(n), zeros(n)); // v = A p̂, s, t = A ŝ
+    let hats = tri.map(|_| [zeros(n), zeros(n)]); // p̂ = M⁻¹ p, ŝ = M⁻¹ s
+    let (phat, shat) = match &hats {
+        Some([ph, sh]) => (&ph[..], &sh[..]),
+        None => (&p[..], &sv[..]),
+    };
     let r0s = b; // shadow residual, immutable
-                 // Shared by both SpMV epochs: the dot barrier after each gather
-                 // separates a slot's reads from its next writes.
-    let h = Handoff::new(m);
-    let d_d = AtomicI64::new(0); // three dot barriers per iteration
-    let d_b = AtomicI64::new(0); // s-ready barrier
-    let d_a = AtomicI64::new(0); // end-of-iteration barrier
-    let [seg_denom, seg_ts, seg_tt, seg_rho, seg_rr, seg_rho_bd, seg_rr_bd] =
-        std::array::from_fn(|_| lay.seg_cells());
+    let bar = AtomicI64::new(0);
+    let [seg_denom, seg_ts, seg_tt, seg_rho, seg_rr] = std::array::from_fn(|_| lay.seg_cells());
     let rho0: f64 = b.iter().map(|v| v * v).sum();
 
-    launch(&lay, opts, BICGSTAB_STEPS, &x, |warp| {
+    launch(&lay, opts, PBICGSTAB_STEPS, &x, |warp| {
         let sync = warp.sync;
         let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::balanced(m, &lay, sync, warp.w, &spmv);
-        let mut dd = Barrier::new(&d_d, &lay, sync);
-        let mut db = Barrier::new(&d_b, &lay, sync);
-        let mut da = Barrier::new(&d_a, &lay, sync);
+        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
+        let mut bar = Barrier::new(&bar, &lay, sync);
+        let mut precond = tri.map(|t| t.warp(&lay, warp.w, sync));
         let mut rho = rho0;
-        let mut restarts = RestartPolicy::new(false);
-        for j in 0..max_iter as i64 {
-            sync.iteration_gate()?;
+        drive(
+            &mut warp.out,
+            max_iter,
+            tol,
+            None,
+            || sync.iteration_gate(),
+            |j, _| {
+                // ---- p̂ = M⁻¹ p (own rows of p feed the forward solve;
+                // cross-warp flow is through the counters), published for
+                // the SpMV.
+                sync.step(j, 0)?;
+                precondition(&mut precond, &p, phat)?;
+                bar.wait()?;
 
-            // ---- µ = A p (first SpMV epoch: targets init·(2j+1)).
-            sync.step(j, 0)?;
-            tiles.produce(&p, &h);
-            for s in segs.clone() {
-                tiles.gather(s, &h, 2 * j + 1, &u)?;
-            }
-            seg_dot(&lay, segs.clone(), &seg_denom, |e| ld(&u[e]) * r0s[e]);
-            dd.wait()?;
-            let denom = seg_total(&seg_denom);
-            let alpha = rho / denom;
+                // ---- v = A p̂; denom = (v, r0*).
+                sync.step(j, 1)?;
+                tiles.spmv_own(phat, &v);
+                seg_dot(&lay, segs.clone(), &seg_denom, |e| ld(&v[e]) * r0s[e]);
+                bar.wait()?;
+                let denom = seg_total(&seg_denom);
+                let alpha = rho / denom;
+                if let Some(kind) = alpha_breakdown(alpha, denom) {
+                    // ---- α breakdown: restart with p = r and ρ = (r, r0*)
+                    // (‖r‖² fallback), as sequential.
+                    seg_dots(&lay, segs.clone(), [&seg_rho, &seg_rr], |e| {
+                        let rv = ld(&r[e]);
+                        st(&p[e], rv);
+                        [rv * r0s[e], rv * rv]
+                    });
+                    bar.wait()?;
+                    let rr = seg_total(&seg_rr);
+                    rho = restart_rho(seg_total(&seg_rho), || rr);
+                    return Ok(Slot::Restart {
+                        kind,
+                        finite: rho.is_finite() && rr.is_finite(),
+                        relres: Some(rr.max(0.0).sqrt() / norm_b),
+                    });
+                }
 
-            if !alpha.is_finite() || denom.abs() < f64::MIN_POSITIVE {
-                // ---- α breakdown. Every warp reads the same denom/ρ, so
-                // every warp is here; each skipped step gets a stand-in
-                // wait so all epochs stay aligned with the normal path.
-                let kind = if !alpha.is_finite() {
-                    BreakdownKind::NonFinite
+                // ---- s = r − αv; ŝ = M⁻¹ s, published for the SpMV.
+                sync.step(j, 2)?;
+                for e in own.clone() {
+                    st(&sv[e], ld(&r[e]) - alpha * ld(&v[e]));
+                }
+                precondition(&mut precond, &sv, shat)?;
+                bar.wait()?;
+
+                // ---- t = A ŝ; (t, s) and (t, t).
+                sync.step(j, 3)?;
+                tiles.spmv_own(shat, &tv);
+                seg_dots(&lay, segs.clone(), [&seg_ts, &seg_tt], |e| {
+                    let t = ld(&tv[e]);
+                    [t * ld(&sv[e]), t * t]
+                });
+                bar.wait()?;
+                let tt = seg_total(&seg_tt);
+                let omega = if tt > 0.0 {
+                    seg_total(&seg_ts) / tt
                 } else {
-                    BreakdownKind::Rho
+                    0.0
                 };
-                tiles.skip_produce(&h); // the skipped second SpMV epoch
-                db.wait()?;
-                // Restart scalars ρ = (r, r0*) and ‖r‖² at the second dot
-                // barrier.
-                seg_dots(&lay, segs.clone(), [&seg_rho_bd, &seg_rr_bd], |e| {
-                    let rv = ld(&r[e]);
+
+                // ---- x += αp̂ + ωŝ; r = s − ωt; ρ', ‖r‖² partials.
+                sync.step(j, 4)?;
+                seg_dots(&lay, segs.clone(), [&seg_rho, &seg_rr], |e| {
+                    st(
+                        &x[e],
+                        ld(&x[e]) + alpha * ld(&phat[e]) + omega * ld(&shat[e]),
+                    );
+                    let rv = ld(&sv[e]) - omega * ld(&tv[e]);
+                    st(&r[e], rv);
                     [rv * r0s[e], rv * rv]
                 });
-                dd.wait()?;
-                let mut rho_restart = seg_total(&seg_rho_bd);
-                let rr = seg_total(&seg_rr_bd);
-                if rho_restart.abs() < f64::MIN_POSITIVE {
-                    // Orthogonal shadow residual: restart with r0* = r
-                    // semantics (sequential restart()).
-                    rho_restart = rr;
+                bar.wait()?;
+                let rho_new = seg_total(&seg_rho);
+                let rr = seg_total(&seg_rr);
+                if !rr.is_finite() {
+                    return Ok(Slot::NonFinite);
                 }
-                // p = r (no zeroing: the gathers overwrite u and θ).
+
+                // ---- p = r + β(p − ωv), or restart p = r. The next slot's
+                // first barrier publishes it.
+                let beta = (rho_new / rho) * (alpha / omega);
+                let restart = restart_kind(beta, omega, rho_new);
                 for e in own.clone() {
-                    st(&p[e], ld(&r[e]));
+                    let pv = if restart.is_some() {
+                        ld(&r[e])
+                    } else {
+                        ld(&r[e]) + beta * (ld(&p[e]) - omega * ld(&v[e]))
+                    };
+                    st(&p[e], pv);
                 }
-                rho = rho_restart;
-                dd.wait()?; // third dot wait keeps the d_d epoch aligned
-                da.wait()?;
-                let nonfinite = !rho_restart.is_finite() || !rr.is_finite();
-                let relres = rr.max(0.0).sqrt() / norm_b;
-                if warp.restart(j, kind, &mut restarts, nonfinite, Some(relres)) {
-                    return Ok(());
-                }
-                continue;
-            }
-
-            // ---- s = r − αµ on my segments; barrier before SpMV2 (other
-            // warps read every segment of s).
-            sync.step(j, 1)?;
-            for e in own.clone() {
-                st(&sv[e], ld(&r[e]) - alpha * ld(&u[e]));
-            }
-            db.wait()?;
-
-            // ---- θ = A s (second SpMV epoch: targets init·(2j+2)).
-            sync.step(j, 2)?;
-            tiles.produce(&sv, &h);
-            for s in segs.clone() {
-                tiles.gather(s, &h, 2 * j + 2, &th)?;
-            }
-            seg_dots(&lay, segs.clone(), [&seg_ts, &seg_tt], |e| {
-                let t = ld(&th[e]);
-                [t * ld(&sv[e]), t * t]
-            });
-            dd.wait()?;
-            let tt = seg_total(&seg_tt);
-            let omega = if tt > 0.0 {
-                seg_total(&seg_ts) / tt
-            } else {
-                0.0
-            };
-
-            // ---- x += αp + ωs; r = s − ωθ; ρ' and ‖r‖² partials.
-            sync.step(j, 3)?;
-            seg_dots(&lay, segs.clone(), [&seg_rho, &seg_rr], |e| {
-                st(&x[e], ld(&x[e]) + alpha * ld(&p[e]) + omega * ld(&sv[e]));
-                let rv = ld(&sv[e]) - omega * ld(&th[e]);
-                st(&r[e], rv);
-                [rv * r0s[e], rv * rv]
-            });
-            dd.wait()?;
-            let rho_new = seg_total(&seg_rho);
-            let rr = seg_total(&seg_rr);
-            let relres = rr.max(0.0).sqrt() / norm_b;
-            if !rr.is_finite() {
-                warp.abort_nonfinite(j);
-                return Ok(());
-            }
-            restarts.progressed(); // x and r advanced
-
-            // ---- p = r + β(p − ωµ).
-            sync.step(j, 4)?;
-            let beta = (rho_new / rho) * (alpha / omega);
-            let restart = !beta.is_finite() || omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE;
-            for e in own.clone() {
-                let pv = if restart {
-                    ld(&r[e])
-                } else {
-                    ld(&r[e]) + beta * (ld(&p[e]) - omega * ld(&u[e]))
-                };
-                st(&p[e], pv);
-            }
-            // Sequential restart() semantics: ρ = (r, r0*) (= rho_new),
-            // falling back to ‖r‖² when the shadow correlation is
-            // (sub)normal zero.
-            rho = if restart && rho_new.abs() < f64::MIN_POSITIVE {
-                rr
-            } else {
-                rho_new
-            };
-            da.wait()?;
-
-            if warp.complete(j, relres, tol) {
-                break;
-            }
-            if restart {
-                warp.events.push(BreakdownEvent {
-                    iteration: j as usize,
-                    kind: restart_kind(omega, rho_new),
-                    action: RecoveryAction::Restarted,
-                });
-            }
-        }
-        Ok(())
+                rho = restart_rho(rho_new, || rr);
+                let direction = restart.map_or(Direction::Kept, Direction::Restarted);
+                Ok(Slot::Done(rr.max(0.0).sqrt() / norm_b, direction))
+            },
+        )
     })
-}
-
-/// Why a BiCGSTAB direction update restarted: ω = 0, then a (sub)normal
-/// zero ρ, else a non-finite β.
-fn restart_kind(omega: f64, rho_new: f64) -> BreakdownKind {
-    if omega == 0.0 {
-        BreakdownKind::Omega
-    } else if rho_new.abs() < f64::MIN_POSITIVE {
-        BreakdownKind::Rho
-    } else {
-        BreakdownKind::NonFinite
-    }
 }
 
 /// Executes one forward + backward triangular solve pair (`L y = b`, then
@@ -1755,319 +1549,22 @@ pub fn run_ilu_sptrsv_threaded(
         // Completion barrier so success is only reported once every warp
         // finished (a late panic must win).
         Barrier::new(&done, &lay, sync).wait()?;
-        if warp.w == 0 {
-            warp.shared.iterations.store(1, Ordering::Release);
-            warp.shared.converged.store(1, Ordering::Release);
-        }
+        warp.out.iterations = 1;
+        warp.out.converged = true;
         Ok(())
     });
     rep.final_relres = 0.0;
     rep
 }
 
-/// Runs ILU(0)-preconditioned CG entirely inside the "single kernel":
-/// warps cooperate on the forward/backward SpTRSV through per-row
-/// [`RowDeps`] epoch counters, busy-waiting on predecessor rows with the
-/// poison flag and watchdog polled in every spin (a wedged triangular
-/// dependency fails as [`SolveFailure::Wedged`], a panicking warp as
-/// [`SolveFailure::WarpPanic`]). Breakdown/restart semantics mirror the
-/// sequential `run_pcg` core: non-positive curvature restarts the
-/// direction from `p = z`, futile restarts abort as `Stalled`.
-///
-/// The engine is deterministic *and warp-count invariant by construction*:
-/// the SpMV is owner-computes over whole tile rows (no atomic adds, same
-/// per-row summation order as [`TiledMatrix::matvec`]), dot products are
-/// per-segment single-writer partials reduced in fixed segment order by
-/// every warp, and the triangular solves combine each row's entries in
-/// CSR order exactly like the sequential kernel. Residual trajectories
-/// are therefore bitwise-reproducible across 1..k warps — the property
-/// the differential harness in `tests/threaded_parity.rs` locks down.
-/// `opts.adaptive` is ignored.
-pub fn run_pcg_threaded(
-    m: &TiledMatrix,
-    ilu: &Ilu0,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    opts: &ThreadedOpts,
-) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, Some(ilu), b, opts) {
-        Ok(setup) => setup,
-        Err(done) => return *done,
-    };
-    let n = lay.n;
-    let (x, r, p) = (zeros(n), cells(b), zeros(n));
-    let (uv, z) = (zeros(n), zeros(n)); // u = A p; preconditioned residual
-    let tri = TriSolve::ilu(ilu);
-    let bar = AtomicI64::new(0);
-    let [seg_pu, seg_rr, seg_rz, seg_rz_bd] = std::array::from_fn(|_| lay.seg_cells());
-
-    launch(&lay, opts, PCG_STEPS, &x, |warp| {
-        let sync = warp.sync;
-        let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
-        let mut bar = Barrier::new(&bar, &lay, sync);
-        let mut precond = tri.warp(&lay, warp.w, sync);
-        let mut restarts = RestartPolicy::new(false);
-
-        // ---- Init: z = M⁻¹ r (r = b), p = z, ρ = (r, z).
-        sync.iteration_gate()?;
-        sync.step(0, 0)?;
-        precond.apply(&r, &z)?;
-        seg_dot(&lay, segs.clone(), &seg_rz, |e| {
-            let zv = ld(&z[e]);
-            st(&p[e], zv);
-            ld(&r[e]) * zv
-        });
-        bar.wait()?; // publishes p and the ρ partials
-        let mut rz = seg_total(&seg_rz);
-
-        for j in 0..max_iter as i64 {
-            sync.iteration_gate()?;
-
-            // ---- u = A p; curvature pᵀ A p.
-            sync.step(j, 1)?;
-            tiles.spmv_own(&p, &uv);
-            seg_dot(&lay, segs.clone(), &seg_pu, |e| ld(&uv[e]) * ld(&p[e]));
-            bar.wait()?;
-            let pu = seg_total(&seg_pu);
-            let alpha = rz / pu;
-
-            if !alpha.is_finite() || pu <= 0.0 {
-                // ---- Breakdown: restart the direction from the current
-                // residual (p = z, ρ = (r, z)); identical decision on
-                // every warp, barrier counts aligned.
-                let kind = if pu.is_finite() && pu <= 0.0 {
-                    BreakdownKind::Curvature
-                } else {
-                    BreakdownKind::NonFinite
-                };
-                seg_dot(&lay, segs.clone(), &seg_rz_bd, |e| {
-                    let zv = ld(&z[e]);
-                    st(&p[e], zv);
-                    ld(&r[e]) * zv
-                });
-                bar.wait()?;
-                rz = seg_total(&seg_rz_bd);
-                if warp.restart(j, kind, &mut restarts, !rz.is_finite(), None) {
-                    return Ok(());
-                }
-                continue;
-            }
-
-            // ---- x += αp, r −= αu, ‖r‖² partials.
-            sync.step(j, 2)?;
-            seg_dot(&lay, segs.clone(), &seg_rr, |e| {
-                st(&x[e], ld(&x[e]) + alpha * ld(&p[e]));
-                let rv = ld(&r[e]) - alpha * ld(&uv[e]);
-                st(&r[e], rv);
-                rv * rv
-            });
-            bar.wait()?;
-            let rr = seg_total(&seg_rr);
-            if !rr.is_finite() {
-                warp.abort_nonfinite(j);
-                return Ok(());
-            }
-            restarts.progressed();
-
-            // ---- z = M⁻¹ r (the barrier above published every segment of
-            // r) and ρ' = (r, z).
-            sync.step(j, 3)?;
-            precond.apply(&r, &z)?;
-            seg_dot(&lay, segs.clone(), &seg_rz, |e| ld(&r[e]) * ld(&z[e]));
-            bar.wait()?;
-            let rz_new = seg_total(&seg_rz);
-            let beta = rz_new / rz;
-            rz = rz_new;
-
-            // ---- p = z + βp.
-            sync.step(j, 4)?;
-            for e in own.clone() {
-                st(&p[e], ld(&z[e]) + beta * ld(&p[e]));
-            }
-            if warp.complete(j, rr.max(0.0).sqrt() / norm_b, tol) {
-                break;
-            }
-            if !beta.is_finite() {
-                warp.abort_nonfinite(j);
-                return Ok(());
-            }
-            bar.wait()?; // publishes p for the next SpMV
-        }
-        Ok(())
-    })
-}
-
-/// Right-preconditioned BiCGSTAB inside the single kernel: two in-kernel
-/// SpTRSV applications (`p̂ = M⁻¹p`, `ŝ = M⁻¹s`) and two owner-computes
-/// SpMVs per iteration, five barriers on the normal path. Same
-/// determinism, dependency-counter, poison and watchdog story as
-/// [`run_pcg_threaded`]; breakdown/restart semantics mirror the
-/// sequential `run_pbicgstab` core (ρ/ω restarts, `Stalled` abort after
-/// futile restarts). `opts.adaptive` is ignored.
-pub fn run_pbicgstab_threaded(
-    m: &TiledMatrix,
-    ilu: &Ilu0,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    opts: &ThreadedOpts,
-) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, Some(ilu), b, opts) {
-        Ok(setup) => setup,
-        Err(done) => return *done,
-    };
-    let n = lay.n;
-    let (x, r, p) = (zeros(n), cells(b), cells(b));
-    let (phat, v) = (zeros(n), zeros(n)); // p̂ = M⁻¹ p, v = A p̂
-    let (sv, shat, tv) = (zeros(n), zeros(n), zeros(n)); // s, ŝ = M⁻¹ s, t = A ŝ
-    let r0s = b; // shadow residual, immutable
-    let tri = TriSolve::ilu(ilu);
-    let bar = AtomicI64::new(0);
-    let [seg_denom, seg_ts, seg_tt, seg_rho, seg_rr, seg_rho_bd, seg_rr_bd] =
-        std::array::from_fn(|_| lay.seg_cells());
-    let rho0: f64 = b.iter().map(|v| v * v).sum();
-
-    launch(&lay, opts, PBICGSTAB_STEPS, &x, |warp| {
-        let sync = warp.sync;
-        let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
-        let mut bar = Barrier::new(&bar, &lay, sync);
-        let mut precond = tri.warp(&lay, warp.w, sync);
-        let mut rho = rho0;
-        let mut restarts = RestartPolicy::new(false);
-
-        for j in 0..max_iter as i64 {
-            sync.iteration_gate()?;
-
-            // ---- p̂ = M⁻¹ p (own rows of p feed the forward solve;
-            // cross-warp flow is through the counters).
-            sync.step(j, 0)?;
-            precond.apply(&p, &phat)?;
-            bar.wait()?; // p̂ published for the SpMV
-
-            // ---- v = A p̂; denom = (v, r0*).
-            sync.step(j, 1)?;
-            tiles.spmv_own(&phat, &v);
-            seg_dot(&lay, segs.clone(), &seg_denom, |e| ld(&v[e]) * r0s[e]);
-            bar.wait()?;
-            let denom = seg_total(&seg_denom);
-            let alpha = rho / denom;
-
-            if !alpha.is_finite() || denom.abs() < f64::MIN_POSITIVE {
-                // ---- α breakdown: restart with p = r and ρ = (r, r0*)
-                // (‖r‖² fallback), as sequential.
-                let kind = if !alpha.is_finite() {
-                    BreakdownKind::NonFinite
-                } else {
-                    BreakdownKind::Rho
-                };
-                seg_dots(&lay, segs.clone(), [&seg_rho_bd, &seg_rr_bd], |e| {
-                    let rv = ld(&r[e]);
-                    st(&p[e], rv);
-                    [rv * r0s[e], rv * rv]
-                });
-                bar.wait()?;
-                let mut rho_restart = seg_total(&seg_rho_bd);
-                let rrv = seg_total(&seg_rr_bd);
-                if rho_restart.abs() < f64::MIN_POSITIVE {
-                    rho_restart = rrv;
-                }
-                rho = rho_restart;
-                let nonfinite = !rho_restart.is_finite() || !rrv.is_finite();
-                let relres = rrv.max(0.0).sqrt() / norm_b;
-                if warp.restart(j, kind, &mut restarts, nonfinite, Some(relres)) {
-                    return Ok(());
-                }
-                continue;
-            }
-
-            // ---- s = r − αv; ŝ = M⁻¹ s.
-            sync.step(j, 2)?;
-            for e in own.clone() {
-                st(&sv[e], ld(&r[e]) - alpha * ld(&v[e]));
-            }
-            precond.apply(&sv, &shat)?;
-            bar.wait()?; // ŝ published for the SpMV
-
-            // ---- t = A ŝ; (t, s) and (t, t).
-            sync.step(j, 3)?;
-            tiles.spmv_own(&shat, &tv);
-            seg_dots(&lay, segs.clone(), [&seg_ts, &seg_tt], |e| {
-                let t = ld(&tv[e]);
-                [t * ld(&sv[e]), t * t]
-            });
-            bar.wait()?;
-            let tt = seg_total(&seg_tt);
-            let omega = if tt > 0.0 {
-                seg_total(&seg_ts) / tt
-            } else {
-                0.0
-            };
-
-            // ---- x += αp̂ + ωŝ; r = s − ωt; ρ', ‖r‖² partials.
-            sync.step(j, 4)?;
-            seg_dots(&lay, segs.clone(), [&seg_rho, &seg_rr], |e| {
-                st(
-                    &x[e],
-                    ld(&x[e]) + alpha * ld(&phat[e]) + omega * ld(&shat[e]),
-                );
-                let rv = ld(&sv[e]) - omega * ld(&tv[e]);
-                st(&r[e], rv);
-                [rv * r0s[e], rv * rv]
-            });
-            bar.wait()?;
-            let rho_new = seg_total(&seg_rho);
-            let rrv = seg_total(&seg_rr);
-            let relres = rrv.max(0.0).sqrt() / norm_b;
-            if !rrv.is_finite() {
-                warp.abort_nonfinite(j);
-                return Ok(());
-            }
-            restarts.progressed();
-
-            // ---- p = r + β(p − ωv) (or restart p = r).
-            let beta = (rho_new / rho) * (alpha / omega);
-            let restart = !beta.is_finite() || omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE;
-            for e in own.clone() {
-                let pv = if restart {
-                    ld(&r[e])
-                } else {
-                    ld(&r[e]) + beta * (ld(&p[e]) - omega * ld(&v[e]))
-                };
-                st(&p[e], pv);
-            }
-            rho = if restart && rho_new.abs() < f64::MIN_POSITIVE {
-                rrv
-            } else {
-                rho_new
-            };
-            if warp.complete(j, relres, tol) {
-                break;
-            }
-            if restart {
-                warp.events.push(BreakdownEvent {
-                    iteration: j as usize,
-                    kind: restart_kind(omega, rho_new),
-                    action: RecoveryAction::Restarted,
-                });
-            }
-        }
-        Ok(())
-    })
-}
-
 // ---- Pipelined engines -----------------------------------------------------
 //
-// The classic threaded CG passes four synchronization epochs per iteration
-// (the per-segment `d_s` waits, two `d_d` dot barriers, one `d_a` vector
-// barrier). The pipelined recurrence (see `crate::pipelined`) removes the
-// dependency of the SpMV on the current reduction, which lets the whole
-// iteration collapse onto ONE global barrier:
+// The classic threaded CG passes three barriers per iteration: the
+// curvature dot, the update dot and the direction publish. The pipelined
+// recurrence (see `crate::pipelined`) removes the dependency of the SpMV on
+// the current reduction, which lets the whole iteration collapse onto ONE
+// global barrier:
 //
-// * the SpMV is owner-computes over whole tile rows (as in the classic PCG
-//   engine), so there is no producer/consumer `d_s` hand-off at all;
 // * `w` — the only vector another warp ever reads — is double-buffered, and
 //   the fused six-vector update writes the *other* slot, so the SpMV of a
 //   slow warp can still be reading the published slot while a fast warp is
@@ -2080,15 +1577,16 @@ pub fn run_pbicgstab_threaded(
 // The pipelined PCG keeps two barriers: `m = M⁻¹w` must be published before
 // the SpMV `n = A·m` reads it cross-warp. Everything else (`w`, `u`, and
 // the six recurrence vectors) is only ever touched by its segment owner,
-// so the second classic publish barrier and both extra dot barriers
-// disappear. Determinism and warp-count invariance hold for the same
-// reasons as the classic engines: owner-computes SpMV in global tile
-// order, per-segment single-writer dot partials reduced in fixed segment
-// order, and SpTRSV rows combined in CSR order.
+// so the classic publish and extra dot barriers disappear. The two bodies
+// stay separate — merging them would add a barrier to pipelined CG — but
+// share the loop driver. Determinism and warp-count invariance hold for
+// the same reasons as the classic engines: owner-computes SpMV in global
+// tile order, per-segment single-writer dot partials reduced in fixed
+// segment order, and SpTRSV rows combined in CSR order.
 
 /// Runs Ghysels–Vanroose pipelined CG inside the single kernel with ONE
-/// global barrier per iteration (the classic engine passes four wait sites;
-/// see the module-section comment above for how the collapse works).
+/// global barrier per iteration (the classic engine passes three; see the
+/// module-section comment above for how the collapse works).
 /// Breakdown/restart semantics mirror [`crate::pipelined::run_cg_pipelined`]:
 /// the restart is a flag flip (β = 0 rebuilds the direction state on the
 /// next iteration), futile restarts abort as `Stalled`, and a non-finite γ
@@ -2135,7 +1633,7 @@ pub fn run_cg_pipelined_threaded(
         });
     };
 
-    launch(&lay, opts, CG_PIPELINED_STEPS, &x, |warp| {
+    launch(&lay, opts, PCG_PIPELINED_STEPS, &x, |warp| {
         let sync = warp.sync;
         let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
         let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
@@ -2151,120 +1649,106 @@ pub fn run_cg_pipelined_threaded(
         let mut gamma_old = 1.0f64;
         let mut alpha_old = 1.0f64;
         let mut fresh = true;
-        let mut restarts = RestartPolicy::new(false);
-        let mut ctrl = opts
+        let ctrl = opts
             .adaptive
             .map(|ac| crate::adaptive::controller_for(m, ac));
-        let mut pending: Option<RetierDecision> = None;
-        let mut iters: i64 = 0;
-        let mut j: i64 = -1;
-        loop {
-            j += 1;
-            if iters >= max_iter as i64 {
-                break;
-            }
-            sync.iteration_gate()?;
-            let it = iters;
-            let s_in = k % 2;
-            let s_out = (k + 1) % 2;
+        drive(
+            &mut warp.out,
+            max_iter,
+            tol,
+            ctrl,
+            || sync.iteration_gate(),
+            |j, refresh| {
+                let s_in = k % 2;
+                let s_out = (k + 1) % 2;
 
-            if let Some(d) = pending.take() {
-                // ---- Re-tier refresh pass (slot `j`, not an iteration):
-                // requantize, rebuild the true residual r = b − A·x
-                // (barrier publishes r), reseed the current parity slot
-                // (barrier publishes it), then restart the direction stack.
-                sync.step(j, 1)?;
-                tiles.retier(&d);
-                tiles.spmv_own(&x, &q);
-                for e in own.clone() {
-                    st(&r[e], b[e] - ld(&q[e]));
+                if let Some(d) = refresh {
+                    // ---- Re-tier refresh pass (a slot, not an iteration):
+                    // requantize, rebuild the true residual r = b − A·x
+                    // (barrier publishes r), reseed the current parity slot
+                    // (barrier publishes it), then restart the direction stack.
+                    sync.step(j, 0)?;
+                    tiles.retier(d);
+                    tiles.spmv_own(&x, &q);
+                    for e in own.clone() {
+                        st(&r[e], b[e] - ld(&q[e]));
+                    }
+                    bar.wait()?;
+                    reseed(&mut tiles, s_in);
+                    bar.wait()?;
+                    fresh = true;
+                    sync.retiered(d);
+                    return Ok(Slot::Refreshed);
                 }
-                bar.wait()?;
+
+                // ---- q = A·w: reads the slot the last barrier published;
+                // never races the updates, which write the other slot.
+                sync.step(j, 2)?;
+                tiles.spmv_own(&wbuf[s_in], &q);
+
+                // ---- Scalars from the published reduction — identical on
+                // every warp (fixed segment order).
                 sync.step(j, 3)?;
-                reseed(&mut tiles, s_in);
-                bar.wait()?;
-                fresh = true;
-                warp.retiered(d);
-                continue;
-            }
-
-            // ---- q = A·w: reads the slot the last barrier published;
-            // never races the updates, which write the other slot.
-            sync.step(j, 1)?;
-            tiles.spmv_own(&wbuf[s_in], &q);
-
-            // ---- Scalars from the published reduction — identical on
-            // every warp (fixed segment order).
-            sync.step(j, 2)?;
-            let gamma = seg_total(&seg_gamma[s_in]);
-            let delta = seg_total(&seg_delta[s_in]);
-            let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-            if let Some(kind) = breakdown_kind(alpha, denom) {
-                // Flag-only restart: β = 0 next iteration rebuilds p, s, z
-                // wholesale; the parities do not flip, so the same (γ, δ)
-                // and the same w slot are re-read. One barrier keeps the
-                // epoch count aligned with the normal path.
-                fresh = true;
-                bar.wait()?;
-                iters = it + 1;
-                let relres = gamma.max(0.0).sqrt() / norm_b;
-                if warp.restart(it, kind, &mut restarts, !gamma.is_finite(), Some(relres)) {
-                    return Ok(());
+                let gamma = seg_total(&seg_gamma[s_in]);
+                let delta = seg_total(&seg_delta[s_in]);
+                let (beta, alpha, denom) =
+                    pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
+                if let Some(kind) = curvature_breakdown(alpha, denom) {
+                    // Flag-only restart: β = 0 next iteration rebuilds p, s, z
+                    // wholesale; the parities do not flip, so the same (γ, δ)
+                    // and the same w slot are re-read. One barrier keeps the
+                    // epoch count aligned with the normal path.
+                    fresh = true;
+                    bar.wait()?;
+                    return Ok(Slot::Restart {
+                        kind,
+                        finite: gamma.is_finite(),
+                        relres: Some(gamma.max(0.0).sqrt() / norm_b),
+                    });
                 }
-                continue;
-            }
-            restarts.progressed();
 
-            // ---- Fused six-vector update + next dot partials (elementwise
-            // order matches blas1::cg_pipelined_update exactly, so the
-            // drift envelope is shared).
-            sync.step(j, 3)?;
-            seg_dots(
-                &lay,
-                segs.clone(),
-                [&seg_gamma[s_out], &seg_delta[s_out]],
-                |e| {
-                    let wv = ld(&wbuf[s_in][e]);
-                    let qv = ld(&q[e]);
-                    let pv = ld(&r[e]) + beta * ld(&p[e]);
-                    st(&p[e], pv);
-                    let sv = wv + beta * ld(&s[e]);
-                    st(&s[e], sv);
-                    let zv = qv + beta * ld(&z[e]);
-                    st(&z[e], zv);
-                    st(&x[e], ld(&x[e]) + alpha * pv);
-                    let rv = ld(&r[e]) - alpha * sv;
-                    st(&r[e], rv);
-                    let wn = wv - alpha * zv;
-                    st(&wbuf[s_out][e], wn);
-                    [rv * rv, wn * rv]
-                },
-            );
-            bar.wait()?; // THE barrier: publishes w' + (γ', δ')
+                // ---- Fused six-vector update + next dot partials (elementwise
+                // order matches blas1::cg_pipelined_update exactly, so the
+                // drift envelope is shared).
+                sync.step(j, 4)?;
+                seg_dots(
+                    &lay,
+                    segs.clone(),
+                    [&seg_gamma[s_out], &seg_delta[s_out]],
+                    |e| {
+                        let wv = ld(&wbuf[s_in][e]);
+                        let qv = ld(&q[e]);
+                        let pv = ld(&r[e]) + beta * ld(&p[e]);
+                        st(&p[e], pv);
+                        let sv = wv + beta * ld(&s[e]);
+                        st(&s[e], sv);
+                        let zv = qv + beta * ld(&z[e]);
+                        st(&z[e], zv);
+                        st(&x[e], ld(&x[e]) + alpha * pv);
+                        let rv = ld(&r[e]) - alpha * sv;
+                        st(&r[e], rv);
+                        let wn = wv - alpha * zv;
+                        st(&wbuf[s_out][e], wn);
+                        [rv * rv, wn * rv]
+                    },
+                );
+                bar.wait()?; // THE barrier: publishes w' + (γ', δ')
 
-            k += 1;
-            gamma_old = gamma;
-            alpha_old = alpha;
-            fresh = false;
+                k += 1;
+                gamma_old = gamma;
+                alpha_old = alpha;
+                fresh = false;
 
-            let gamma_new = seg_total(&seg_gamma[s_out]);
-            if !gamma_new.is_finite() {
-                warp.abort_nonfinite(it);
-                return Ok(());
-            }
-            let relres = gamma_new.max(0.0).sqrt() / norm_b;
-            iters = it + 1;
-            if warp.complete(it, relres, tol) {
-                break;
-            }
-            // Adaptive hook (after the convergence check, like the
-            // sequential cores): every warp arms the same plan; the next
-            // slot becomes the refresh pass.
-            if let Some(c) = ctrl.as_mut() {
-                pending = c.observe(iters as usize, relres, tol);
-            }
-        }
-        Ok(())
+                let gamma_new = seg_total(&seg_gamma[s_out]);
+                if !gamma_new.is_finite() {
+                    return Ok(Slot::NonFinite);
+                }
+                Ok(Slot::Done(
+                    gamma_new.max(0.0).sqrt() / norm_b,
+                    Direction::Kept,
+                ))
+            },
+        )
     })
 }
 
@@ -2282,7 +1766,8 @@ pub fn run_pcg_pipelined_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, Some(ilu), b, opts) {
+    let tri = TriSolve::ilu(ilu);
+    let (lay, norm_b) = match prologue(m, Some(&tri), b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
     };
@@ -2293,7 +1778,6 @@ pub fn run_pcg_pipelined_threaded(
     let wv = zeros(n); // w = A·u — warp-private (own rows only)
     let mv = zeros(n); // m = M⁻¹w — the one cross-warp vector
     let nv = zeros(n); // n = A·m
-    let tri = TriSolve::ilu(ilu);
     let bar = AtomicI64::new(0);
     let seg_gamma = [lay.seg_cells(), lay.seg_cells()];
     let seg_delta = [lay.seg_cells(), lay.seg_cells()];
@@ -2325,84 +1809,88 @@ pub fn run_pcg_pipelined_threaded(
         let mut gamma_old = 1.0f64;
         let mut alpha_old = 1.0f64;
         let mut fresh = true;
-        let mut restarts = RestartPolicy::new(false);
+        drive(
+            &mut warp.out,
+            max_iter,
+            tol,
+            None,
+            || sync.iteration_gate(),
+            |j, _| {
+                let s_in = k % 2;
+                let s_out = (k + 1) % 2;
 
-        for j in 0..max_iter as i64 {
-            sync.iteration_gate()?;
-            let s_in = k % 2;
-            let s_out = (k + 1) % 2;
+                // ---- m = M⁻¹w (w is warp-private: the SpTRSV rhs reads own
+                // rows only).
+                sync.step(j, 1)?;
+                precond.apply(&wv, &mv)?;
+                bar.wait()?; // barrier 1 of 2: publishes m
 
-            // ---- m = M⁻¹w (w is warp-private: the SpTRSV rhs reads own
-            // rows only).
-            sync.step(j, 1)?;
-            precond.apply(&wv, &mv)?;
-            bar.wait()?; // barrier 1 of 2: publishes m
+                // ---- n = A·m.
+                sync.step(j, 2)?;
+                tiles.spmv_own(&mv, &nv);
 
-            // ---- n = A·m.
-            sync.step(j, 2)?;
-            tiles.spmv_own(&mv, &nv);
-
-            // ---- Scalars from the published reduction.
-            sync.step(j, 3)?;
-            let gamma = seg_total(&seg_gamma[s_in]);
-            let delta = seg_total(&seg_delta[s_in]);
-            let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-            if let Some(kind) = breakdown_kind(alpha, denom) {
-                // Flag-only restart, as in pipelined CG; the second
-                // barrier keeps the epoch count aligned.
-                fresh = true;
-                bar.wait()?;
-                let relres = seg_total(&seg_rho[s_in]).max(0.0).sqrt() / norm_b;
-                if warp.restart(j, kind, &mut restarts, !gamma.is_finite(), Some(relres)) {
-                    return Ok(());
+                // ---- Scalars from the published reduction.
+                sync.step(j, 3)?;
+                let gamma = seg_total(&seg_gamma[s_in]);
+                let delta = seg_total(&seg_delta[s_in]);
+                let (beta, alpha, denom) =
+                    pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
+                if let Some(kind) = curvature_breakdown(alpha, denom) {
+                    // Flag-only restart, as in pipelined CG; the second
+                    // barrier keeps the epoch count aligned.
+                    fresh = true;
+                    bar.wait()?;
+                    return Ok(Slot::Restart {
+                        kind,
+                        finite: gamma.is_finite(),
+                        relres: Some(seg_total(&seg_rho[s_in]).max(0.0).sqrt() / norm_b),
+                    });
                 }
-                continue;
-            }
-            restarts.progressed();
 
-            // ---- Fused eight-vector update + next dot partials
-            // (elementwise order matches blas1::pcg_pipelined_update).
-            sync.step(j, 4)?;
-            let next: [&[AtomicU64]; 3] = [&seg_gamma[s_out], &seg_delta[s_out], &seg_rho[s_out]];
-            seg_dots(&lay, segs.clone(), next, |e| {
-                let mvv = ld(&mv[e]);
-                let nvv = ld(&nv[e]);
-                let uo = ld(&u[e]);
-                let wo = ld(&wv[e]);
-                let pv = uo + beta * ld(&p[e]);
-                st(&p[e], pv);
-                let sv = wo + beta * ld(&s[e]);
-                st(&s[e], sv);
-                let qv = mvv + beta * ld(&q[e]);
-                st(&q[e], qv);
-                let zv = nvv + beta * ld(&zz[e]);
-                st(&zz[e], zv);
-                st(&x[e], ld(&x[e]) + alpha * pv);
-                let rv = ld(&r[e]) - alpha * sv;
-                st(&r[e], rv);
-                let un = uo - alpha * qv;
-                st(&u[e], un);
-                let wn = wo - alpha * zv;
-                st(&wv[e], wn);
-                [rv * un, wn * un, rv * rv]
-            });
-            bar.wait()?; // barrier 2 of 2: publishes the partials
+                // ---- Fused eight-vector update + next dot partials
+                // (elementwise order matches blas1::pcg_pipelined_update).
+                sync.step(j, 4)?;
+                let next: [&[AtomicU64]; 3] =
+                    [&seg_gamma[s_out], &seg_delta[s_out], &seg_rho[s_out]];
+                seg_dots(&lay, segs.clone(), next, |e| {
+                    let mvv = ld(&mv[e]);
+                    let nvv = ld(&nv[e]);
+                    let uo = ld(&u[e]);
+                    let wo = ld(&wv[e]);
+                    let pv = uo + beta * ld(&p[e]);
+                    st(&p[e], pv);
+                    let sv = wo + beta * ld(&s[e]);
+                    st(&s[e], sv);
+                    let qv = mvv + beta * ld(&q[e]);
+                    st(&q[e], qv);
+                    let zv = nvv + beta * ld(&zz[e]);
+                    st(&zz[e], zv);
+                    st(&x[e], ld(&x[e]) + alpha * pv);
+                    let rv = ld(&r[e]) - alpha * sv;
+                    st(&r[e], rv);
+                    let un = uo - alpha * qv;
+                    st(&u[e], un);
+                    let wn = wo - alpha * zv;
+                    st(&wv[e], wn);
+                    [rv * un, wn * un, rv * rv]
+                });
+                bar.wait()?; // barrier 2 of 2: publishes the partials
 
-            k += 1;
-            gamma_old = gamma;
-            alpha_old = alpha;
-            fresh = false;
+                k += 1;
+                gamma_old = gamma;
+                alpha_old = alpha;
+                fresh = false;
 
-            let rho_new = seg_total(&seg_rho[s_out]);
-            if !rho_new.is_finite() {
-                warp.abort_nonfinite(j);
-                return Ok(());
-            }
-            if warp.complete(j, rho_new.max(0.0).sqrt() / norm_b, tol) {
-                break;
-            }
-        }
-        Ok(())
+                let rho_new = seg_total(&seg_rho[s_out]);
+                if !rho_new.is_finite() {
+                    return Ok(Slot::NonFinite);
+                }
+                Ok(Slot::Done(
+                    rho_new.max(0.0).sqrt() / norm_b,
+                    Direction::Kept,
+                ))
+            },
+        )
     })
 }
 
@@ -2451,12 +1939,12 @@ mod tests {
             (
                 "cg",
                 |x, b, o| run_cg_threaded(&x.m, b, 1e-10, 1000, o),
-                CG_STEPS,
+                PCG_STEPS,
             ),
             (
                 "bicgstab",
                 |x, b, o| run_bicgstab_threaded(&x.m, b, 1e-10, 1000, o),
-                BICGSTAB_STEPS,
+                PBICGSTAB_STEPS,
             ),
             (
                 "pcg",
@@ -2471,7 +1959,7 @@ mod tests {
             (
                 "cg_pipelined",
                 |x, b, o| run_cg_pipelined_threaded(&x.m, b, 1e-10, 1000, o),
-                CG_PIPELINED_STEPS,
+                PCG_PIPELINED_STEPS,
             ),
             (
                 "pcg_pipelined",

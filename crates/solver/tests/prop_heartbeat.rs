@@ -25,7 +25,7 @@
 use mf_gpu::FaultPlan;
 use mf_solver::threaded::{
     run_bicgstab_threaded, run_cg_threaded, run_pbicgstab_threaded, run_pcg_threaded, ThreadedOpts,
-    BICGSTAB_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_STEPS,
+    PBICGSTAB_STEPS, PCG_STEPS,
 };
 use mf_solver::{SolveFailure, SolveReport, WatchdogPolicy};
 use mf_sparse::{Coo, TiledMatrix};
@@ -36,10 +36,8 @@ const ENGINES: [&str; 4] = ["cg", "bicgstab", "pcg", "pbicgstab"];
 
 fn steps_of(engine: &str) -> &'static [&'static str] {
     match engine {
-        "cg" => CG_STEPS,
-        "bicgstab" => BICGSTAB_STEPS,
-        "pcg" => PCG_STEPS,
-        "pbicgstab" => PBICGSTAB_STEPS,
+        "cg" | "pcg" => PCG_STEPS,
+        "bicgstab" | "pbicgstab" => PBICGSTAB_STEPS,
         _ => unreachable!(),
     }
 }

@@ -23,7 +23,9 @@
 # bench (bench_out/fig_ticket.csv + BENCH_ticket.json; *fails* when any
 # worker count changes a bit of the tiles or ILU(0) factors versus the
 # phase-barrier reference, or when the fused ticketed schedule's modeled
-# makespan exceeds the phase-barrier pipeline's on any row).
+# makespan exceeds the phase-barrier pipeline's on any row), and the
+# Fig. 6 dependency trace (runs the threaded CG on the paper's example and
+# *fails* unless it converges).
 #
 # After the fresh run, the **gate-regression guard** diffs every committed
 # BENCH_*.json baseline against its freshly generated counterpart with
@@ -79,7 +81,8 @@ fi
 # works on a clean checkout.
 cargo build --release --locked --offline -p mf-bench \
     --bin spmv_scaling --bin fig_trace_timeline --bin fig_pipeline --bin fig_serve \
-    --bin fig_adaptive --bin fig_shard --bin fig_ticket --bin gate_diff
+    --bin fig_adaptive --bin fig_shard --bin fig_ticket --bin fig06_dependency_trace \
+    --bin gate_diff
 ./target/release/spmv_scaling
 ./target/release/fig_trace_timeline --trace-dir bench_out/traces
 ./target/release/fig_pipeline
@@ -87,6 +90,7 @@ cargo build --release --locked --offline -p mf-bench \
 ./target/release/fig_adaptive
 ./target/release/fig_shard
 ./target/release/fig_ticket
+./target/release/fig06_dependency_trace
 
 # Gate-regression guard: committed baseline vs fresh, boolean gate fields
 # only. gate_diff names the offending field (and writes it to the job

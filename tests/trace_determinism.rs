@@ -415,7 +415,7 @@ fn sharded_halo_events_carry_shard_coordinates() {
 fn seeded_faults_appear_as_deterministic_events() {
     let spd = spd_fixture();
     let (b, m) = (paper_rhs(&spd), tiled(&spd));
-    let plan = FaultPlan::seeded(42).with_delay(60, 12).with_stall(64, 20);
+    let plan = FaultPlan::seeded(42).with_delay(60, 12).with_stall(16, 20);
     let rep = run_cg_threaded(
         &m,
         &b,
