@@ -517,7 +517,7 @@ fn run_sharded(
         b.iter().map(|v| v * v).sum()
     };
 
-    let driven: Result<(), Infallible> = drive(
+    let Ok(()) = drive::<Infallible>(
         &mut out,
         max_iter,
         tol,
@@ -612,7 +612,6 @@ fn run_sharded(
             Ok(Slot::Done(rr.max(0.0).sqrt() / norm_b, direction))
         },
     );
-    let Ok(()) = driven;
 
     run.finish(&opts.faults, ws, warps, out)
 }

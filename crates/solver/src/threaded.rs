@@ -427,9 +427,7 @@ impl WarpSync<'_> {
         }
         Ok(())
     }
-}
 
-impl WarpSync<'_> {
     /// Warp 0 records an applied re-tier plan as one `Retier` trace event.
     fn retiered(&self, d: &RetierDecision) {
         if let Some(t) = self.tracer.filter(|_| self.warp == 0) {
@@ -1176,17 +1174,12 @@ pub fn run_pcg_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let tri = TriSolve::ilu(ilu);
-    cg_family(m, Some(&tri), b, tol, max_iter, &without_adaptive(opts))
-}
-
-/// `opts` with the adaptive controller stripped: only the unpreconditioned
-/// CG engines honour it.
-fn without_adaptive(opts: &ThreadedOpts) -> ThreadedOpts {
-    ThreadedOpts {
+    // Only the unpreconditioned CG engines honour `adaptive`.
+    let opts = ThreadedOpts {
         adaptive: None,
         ..opts.clone()
-    }
+    };
+    cg_family(m, Some(&TriSolve::ilu(ilu)), b, tol, max_iter, &opts)
 }
 
 /// The CG family's one body: PCG with the triangular solve pair `tri`,
@@ -1366,8 +1359,7 @@ pub fn run_pbicgstab_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let tri = TriSolve::ilu(ilu);
-    bicgstab_family(m, Some(&tri), b, tol, max_iter, opts)
+    bicgstab_family(m, Some(&TriSolve::ilu(ilu)), b, tol, max_iter, opts)
 }
 
 /// The BiCGSTAB family's one body: PBiCGSTAB with the triangular solve
@@ -2816,7 +2808,7 @@ mod tests {
         assert_eq!(rep.breakdowns.last().unwrap().kind, BreakdownKind::Watchdog);
     }
 
-    /// The tentpole claim, measured: the classic CG passes ~4 synchronization
+    /// The tentpole claim, measured: the classic CG passes three barrier
     /// epochs per iteration, the pipelined CG exactly one (plus one at init);
     /// classic PCG four barriers, pipelined PCG two (plus two at init). The
     /// trace counts every `BarrierEnter` per warp, so the densities are

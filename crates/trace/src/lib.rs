@@ -29,7 +29,7 @@
 //!   also bitwise-stable).
 //!
 //! Coordinates `(warp, iteration, step)` match the step tables in
-//! `mf_solver::threaded` (`CG_STEPS`, `PCG_STEPS`, …) and the
+//! `mf_solver::threaded` (`PCG_STEPS`, `PBICGSTAB_STEPS`, …) and the
 //! `FaultPlan` repro lines, so a trace lines up with a fault-injection
 //! replay one-to-one.
 
