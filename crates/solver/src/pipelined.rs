@@ -441,16 +441,6 @@ mod tests {
                 "fresh {fresh}"
             );
         }
-        // The classic rule on the same scalars, for the record.
-        assert_eq!(
-            curvature_breakdown(1.0 / f64::NEG_INFINITY, f64::NEG_INFINITY),
-            Some(BreakdownKind::NonFinite)
-        );
-        assert_eq!(
-            curvature_breakdown(-1.0, -1.0),
-            Some(BreakdownKind::Curvature)
-        );
-        assert_eq!(curvature_breakdown(1.0, 1.0), None);
     }
 
     fn poisson1d(n: usize) -> Csr {
