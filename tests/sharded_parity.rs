@@ -415,3 +415,72 @@ fn telemetry_reflects_sharding() {
         "no shard holds the whole matrix"
     );
 }
+
+/// FNV-1a over a stream of 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The sharded engines' modeled time, pinned bitwise: for CG and PCG at
+/// (2 shards, 2 warps) and (3 shards, 1 warp), clean and under the seeded
+/// benign fault plan, the per-phase ledger (`timeline.get(p)` for every
+/// [`Phase`]) digests to a fixed value. Halo messages, reduction combines,
+/// host transfers, kernel charges and fault waits all land in it, in the
+/// order the devices add them. On a mismatch the observed table is printed
+/// in source form.
+#[test]
+fn sharded_modeled_time_is_pinned() {
+    use mille_feuille::gpu::Phase;
+    let a = gen::poisson2d(9, 8);
+    let m = TiledMatrix::from_csr_with(&a, 8, &ClassifyOptions::default());
+    let ilu = ilu0(&a).expect("ILU(0) on Poisson");
+    let b = paper_rhs(&a);
+    let plan = FaultPlan::seeded(42).with_delay(60, 12).with_stall(64, 20);
+    let mut observed: Vec<(String, u64)> = Vec::new();
+    for (sc, wc) in [(2, 2), (3, 1)] {
+        for faulted in [false, true] {
+            let opts = ShardedOpts {
+                faults: if faulted {
+                    plan.clone()
+                } else {
+                    FaultPlan::default()
+                },
+                ..ShardedOpts::new(sc, wc)
+            };
+            let tag = if faulted { "faulted" } else { "clean" };
+            let cg = run_cg_sharded(&m, &b, 1e-10, 200, &opts, &mut SolverWorkspace::new());
+            let pcg = run_pcg_sharded(&m, &ilu, &b, 1e-10, 200, &opts, &mut SolverWorkspace::new());
+            for (engine, rep) in [("cg", cg), ("pcg", pcg)] {
+                assert!(rep.converged, "{engine}/s{sc}/w{wc}/{tag}");
+                let digest = fnv(Phase::ALL.iter().map(|&p| rep.timeline.get(p).to_bits()));
+                observed.push((format!("{engine}/s{sc}/w{wc}/{tag}"), digest));
+            }
+        }
+    }
+    let expected: [(&str, u64); 8] = [
+        ("cg/s2/w2/clean", 0x6ede55cdcac13651),
+        ("pcg/s2/w2/clean", 0xfd7155c0e8ce4c35),
+        ("cg/s2/w2/faulted", 0x589db6a6723808c3),
+        ("pcg/s2/w2/faulted", 0x08b48aa59f73986f),
+        ("cg/s3/w1/clean", 0xb8b8b4fe9be23f1b),
+        ("pcg/s3/w1/clean", 0x1441ab43880a8296),
+        ("cg/s3/w1/faulted", 0xeefe6a9b298b3db1),
+        ("pcg/s3/w1/faulted", 0x4f88a79d7088bbd1),
+    ];
+    let table: String = observed
+        .iter()
+        .map(|(name, d)| format!("        (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(observed.len(), expected.len(), "observed table:\n{table}");
+    for ((name, got), (ename, want)) in observed.iter().zip(&expected) {
+        assert_eq!(name, ename, "row order; observed table:\n{table}");
+        assert_eq!(got, want, "{name} moved; observed table:\n{table}");
+    }
+}
