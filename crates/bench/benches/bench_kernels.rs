@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mf_collection::{convdiff2d, poisson2d};
 use mf_kernels::{
-    blas1, ilu0, retrieve_vis_flags, spmv_csr, spmv_csr_par, spmv_mixed, spmv_tiled,
-    spmv_tiled_par, sptrsv_lower, sptrsv_lower_recursive, SharedTiles, VisFlag,
+    blas1, ilu0, retrieve_vis_flags, spmv_csr, spmv_mixed, spmv_tiled, sptrsv_lower,
+    sptrsv_lower_recursive, SharedTiles, VisFlag,
 };
 use mf_sparse::TiledMatrix;
 use std::hint::black_box;
@@ -23,14 +23,8 @@ fn bench_spmv(c: &mut Criterion) {
     g.bench_function("csr", |b| {
         b.iter(|| spmv_csr(black_box(&a), black_box(&x), &mut y))
     });
-    g.bench_function("csr_par", |b| {
-        b.iter(|| spmv_csr_par(black_box(&a), black_box(&x), &mut y))
-    });
     g.bench_function("tiled", |b| {
         b.iter(|| spmv_tiled(black_box(&t), black_box(&x), &mut y))
-    });
-    g.bench_function("tiled_par", |b| {
-        b.iter(|| spmv_tiled_par(black_box(&t), black_box(&x), &mut y))
     });
     g.bench_function("mixed_keep", |b| {
         b.iter(|| spmv_mixed(black_box(&t), &mut shared, &keep, black_box(&x), &mut y))
@@ -51,9 +45,6 @@ fn bench_blas1(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n as u64));
     g.bench_function("dot", |b| {
         b.iter(|| blas1::dot(black_box(&x), black_box(&y)))
-    });
-    g.bench_function("dot_par", |b| {
-        b.iter(|| blas1::dot_par(black_box(&x), black_box(&y)))
     });
     g.bench_function("axpy", |b| {
         b.iter(|| blas1::axpy(1.0001, black_box(&x), &mut y))

@@ -7,7 +7,7 @@
 //! threaded engine runs the host schedule: owner-computes SpMV behind
 //! barrier epochs, bitwise equal to the `d_s` hand-off.
 
-use mf_gpu::{DepArrays, SpmvSchedule, VectorSchedule};
+use mf_gpu::{SpmvSchedule, VectorSchedule};
 use mf_precision::ClassifyOptions;
 use mf_solver::threaded::{run_cg_threaded, ThreadedOpts};
 use mf_sparse::{Coo, TiledMatrix};
@@ -49,7 +49,10 @@ fn main() {
         );
     }
 
-    let ds = DepArrays::init_ds(&m);
+    let mut ds = vec![0i64; m.tile_rows];
+    for &tr in &m.tile_rowidx {
+        ds[tr as usize] += 1;
+    }
     println!("\nd_s initialization (tiles per tile row): {ds:?}");
 
     let warps = 3;

@@ -1,229 +1,59 @@
-//! Execution-backend seam: [`Device`] / [`DeviceBuffer`] traits, the
-//! simulated single-device implementor, and the inter-device
-//! [`Interconnect`] spec.
+//! The simulated device of the sharded engine and the inter-device
+//! [`Interconnect`] link model.
 //!
-//! Modeled on the wasi-parallel `Device`/`Buffer` pair (SNIPPETS.md
-//! snippet 2): a device names itself (`kind()`, `name()`), owns opaque
-//! buffers (`alloc` → [`BufferId`], contents reached only through
-//! [`DeviceBuffer`]), and accounts every modeled operation against its own
-//! [`Timeline`]. The solvers in `mf-solver` drive devices exclusively
-//! through `dyn Device`, so a future real backend (SIMD host, wgpu) plugs
-//! in underneath the solvers without touching them.
-//!
-//! The first implementor is [`SimDevice`]: host `Vec<f64>` buffers plus the
-//! existing [`DeviceSpec`]/[`CostModel`] roofline pricing — i.e. the
-//! single-device simulated engine the rest of the repository already uses,
-//! now sitting behind the trait. The sharded engine
-//! (`mf_solver::sharded`) instantiates N of these and charges the
-//! per-iteration halo exchange to an explicit [`Interconnect`].
-//!
-//! # Two-level reductions
-//!
-//! Dots/norms that span devices must stay bitwise invariant in both warp
-//! count *and* shard count. Two deterministic layouts exist:
-//!
-//! * the **solver engines'** layout — per-segment (`tile_size`-element)
-//!   single-writer partials, combined by a left-to-right fold in global
-//!   segment order. Shards own contiguous segment runs, so concatenating
-//!   the shards' partial lists in shard order reproduces the global
-//!   segment order exactly: level 1 (intra-device) computes the partials,
-//!   level 2 (inter-device) folds them in fixed order, and the result is
-//!   bit-identical to a single device at any warp count;
-//! * the **backend primitive** [`two_level_dot`] — the global
-//!   [`TWO_LEVEL_CHUNK`]-element chunk grid with a pairwise tree over the
-//!   chunk partials, matching `mf_kernels::blas1::dot_par` bit-for-bit.
-//!   Each chunk is computed wholly by the shard owning its first element
-//!   (reading up to a chunk of halo), so the partial list — and therefore
-//!   the tree — is a function of the input length alone, never of the
-//!   shard count.
+//! A [`SimDevice`] is one GPU of a multi-device solve as the cost model
+//! sees it: the [`CostModel`] roofline of its [`DeviceSpec`], a PCIe-4
+//! host link, and its own [`Timeline`]. It holds no data — the sharded
+//! engine (`mf_solver::sharded`) keeps each shard's vectors on the host
+//! and charges the device for every kernel, host transfer and wait, while
+//! halo messages and reduction combines are priced on an [`Interconnect`].
 
 use crate::cost::CostModel;
 use crate::device::DeviceSpec;
 use crate::timeline::{Phase, Timeline};
 
-/// Opaque handle to a buffer owned by one [`Device`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct BufferId(pub usize);
-
-/// What kind of executor a [`Device`] is backed by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Host-simulated device (the cost-model executor).
-    Sim,
-}
-
-impl BackendKind {
-    /// Stable label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendKind::Sim => "sim",
-        }
-    }
-}
-
-/// One device-resident vector of `f64` values.
-///
-/// The simulation executes arithmetic on the host against these slices;
-/// a real backend would keep the storage device-side and surface staging
-/// copies here.
-pub trait DeviceBuffer {
-    /// Element count.
-    fn len(&self) -> usize;
-    /// `len() == 0`.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Read access to the contents.
-    fn as_slice(&self) -> &[f64];
-    /// Write access to the contents.
-    fn as_mut_slice(&mut self) -> &mut [f64];
-}
-
-/// An execution backend: identity, buffer ownership, and cost accounting.
-///
-/// Everything the sharded engine does to a device goes through this trait;
-/// [`SimDevice`] is the reference implementor.
-pub trait Device: Send {
-    /// Backend family.
-    fn kind(&self) -> BackendKind;
-    /// Human-readable device name (stable; used in traces and reports).
-    fn name(&self) -> &str;
-    /// The hardware model being simulated/driven.
-    fn spec(&self) -> &DeviceSpec;
-
-    /// Allocates a zero-initialized buffer of `len` elements.
-    fn alloc(&mut self, len: usize) -> BufferId;
-    /// Borrows a buffer.
-    fn buffer(&self, id: BufferId) -> &dyn DeviceBuffer;
-    /// Mutably borrows a buffer.
-    fn buffer_mut(&mut self, id: BufferId) -> &mut dyn DeviceBuffer;
-
-    /// Host → device copy into `[offset, offset + data.len())`, charged to
-    /// [`Phase::Transfer`] over the device's host link.
-    fn upload(&mut self, id: BufferId, offset: usize, data: &[f64]);
-    /// Device → host copy of `[offset, offset + out.len())`, charged to
-    /// [`Phase::Transfer`] over the device's host link.
-    fn download(&mut self, id: BufferId, offset: usize, out: &mut [f64]);
-
-    /// Adds `us` modeled microseconds to `phase` on this device's ledger.
-    fn charge(&mut self, phase: Phase, us: f64);
-    /// Prices one kernel-shaped operation (`flops` FP64-equivalents,
-    /// `bytes` of traffic, `warps` in flight) on the device's roofline and
-    /// charges it to `phase`. Returns the modeled microseconds.
-    fn charge_kernel(&mut self, phase: Phase, flops: f64, bytes: f64, warps: usize) -> f64;
-    /// The accumulated per-phase ledger.
-    fn timeline(&self) -> &Timeline;
-}
-
-/// Buffer of the simulated backend: a host vector.
-#[derive(Clone, Debug, Default)]
-pub struct SimBuffer {
-    data: Vec<f64>,
-}
-
-impl DeviceBuffer for SimBuffer {
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-    fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-    fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-}
-
-/// The simulated single-device backend: host memory + roofline pricing.
-///
-/// This is the existing single-device simulated engine repackaged as the
-/// first [`Device`] implementor — same [`DeviceSpec`] presets, same
-/// [`CostModel`] arithmetic, same [`Timeline`] phases the figure harness
-/// already reads.
+/// One simulated device: roofline pricing, a host link, a phase ledger.
 #[derive(Clone, Debug)]
 pub struct SimDevice {
-    name: String,
-    spec: DeviceSpec,
     cost: CostModel,
     host_link: Interconnect,
     timeline: Timeline,
-    buffers: Vec<SimBuffer>,
 }
 
 impl SimDevice {
-    /// A simulated device named `name` modeling `spec`, with host
-    /// transfers charged over PCIe 4.0.
-    pub fn new(name: impl Into<String>, spec: DeviceSpec) -> SimDevice {
+    /// A simulated device modeling `spec`, with host transfers charged
+    /// over PCIe 4.0.
+    pub fn new(spec: DeviceSpec) -> SimDevice {
         SimDevice {
-            name: name.into(),
-            cost: CostModel::new(spec.clone()),
-            spec,
+            cost: CostModel::new(spec),
             host_link: Interconnect::pcie4(),
             timeline: Timeline::new(),
-            buffers: Vec::new(),
         }
     }
 
-    /// Replaces the host link used to price `upload`/`download`.
-    pub fn with_host_link(mut self, link: Interconnect) -> SimDevice {
-        self.host_link = link;
-        self
-    }
-
-    /// The roofline price list of this device.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-}
-
-impl Device for SimDevice {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    fn alloc(&mut self, len: usize) -> BufferId {
-        self.buffers.push(SimBuffer {
-            data: vec![0.0; len],
-        });
-        BufferId(self.buffers.len() - 1)
-    }
-
-    fn buffer(&self, id: BufferId) -> &dyn DeviceBuffer {
-        &self.buffers[id.0]
-    }
-
-    fn buffer_mut(&mut self, id: BufferId) -> &mut dyn DeviceBuffer {
-        &mut self.buffers[id.0]
-    }
-
-    fn upload(&mut self, id: BufferId, offset: usize, data: &[f64]) {
-        let us = self.host_link.transfer_us(8 * data.len() as u64);
-        self.buffers[id.0].data[offset..offset + data.len()].copy_from_slice(data);
-        self.timeline.add(Phase::Transfer, us);
-    }
-
-    fn download(&mut self, id: BufferId, offset: usize, out: &mut [f64]) {
-        let us = self.host_link.transfer_us(8 * out.len() as u64);
-        out.copy_from_slice(&self.buffers[id.0].data[offset..offset + out.len()]);
-        self.timeline.add(Phase::Transfer, us);
-    }
-
-    fn charge(&mut self, phase: Phase, us: f64) {
+    /// Adds `us` modeled microseconds to `phase` on this device's ledger.
+    pub fn charge(&mut self, phase: Phase, us: f64) {
         self.timeline.add(phase, us);
     }
 
-    fn charge_kernel(&mut self, phase: Phase, flops: f64, bytes: f64, warps: usize) -> f64 {
+    /// Prices one kernel-shaped operation (`flops` FP64-equivalents,
+    /// `bytes` of traffic, `warps` in flight) on the device's roofline and
+    /// charges it to `phase`. Returns the modeled microseconds.
+    pub fn charge_kernel(&mut self, phase: Phase, flops: f64, bytes: f64, warps: usize) -> f64 {
         let us = self.cost.roofline_us(flops, bytes, warps);
         self.timeline.add(phase, us);
         us
     }
 
-    fn timeline(&self) -> &Timeline {
+    /// Charges one host ↔ device copy of `elems` `f64` values to
+    /// [`Phase::Transfer`] over the device's host link.
+    pub fn charge_host_transfer(&mut self, elems: usize) {
+        let us = self.host_link.transfer_us(8 * elems as u64);
+        self.timeline.add(Phase::Transfer, us);
+    }
+
+    /// The accumulated per-phase ledger.
+    pub fn timeline(&self) -> &Timeline {
         &self.timeline
     }
 }
@@ -270,85 +100,23 @@ impl Default for Interconnect {
     }
 }
 
-/// Chunk width of the backend two-level reduction — the same fixed grid as
-/// `mf_kernels::blas1::DETERMINISTIC_CHUNK`, re-stated here because the
-/// dependency points the other way (`mf-kernels` → `mf-gpu`). The
-/// cross-crate equality is pinned by `crates/gpu/tests/prop_partition.rs`.
-pub const TWO_LEVEL_CHUNK: usize = 4_096;
-
-/// Pairwise midpoint-split sum in index order — the inter-device combine
-/// of [`two_level_dot`]. Grouping depends only on `p.len()`.
-fn tree_sum(p: &[f64]) -> f64 {
-    match p.len() {
-        0 => 0.0,
-        1 => p[0],
-        n => {
-            let mid = n / 2;
-            tree_sum(&p[..mid]) + tree_sum(&p[mid..])
-        }
-    }
-}
-
-/// Two-level dot product `(x, y)` across shard element ranges.
-///
-/// Level 1 (intra-device): each shard computes the left-to-right partial
-/// of every [`TWO_LEVEL_CHUNK`]-aligned chunk whose *first element* it
-/// owns (a chunk straddling a shard boundary is still summed whole by its
-/// owner, which reads up to one chunk of halo — splitting a left-to-right
-/// sum at the boundary would change the grouping and therefore the bits).
-/// Level 2 (inter-device): the chunk partials, concatenated in global
-/// chunk order, are combined by the fixed pairwise tree.
-///
-/// The partial list and the tree are functions of `x.len()` alone, so the
-/// result is bitwise identical for any `elem_lo` — including the
-/// single-shard `[0, n]`, where it reproduces
-/// `mf_kernels::blas1::dot_par`/`dot_det` exactly.
-pub fn two_level_dot(x: &[f64], y: &[f64], elem_lo: &[usize]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    assert!(elem_lo.len() >= 2, "need at least one shard range");
-    assert_eq!(*elem_lo.first().unwrap(), 0);
-    assert_eq!(*elem_lo.last().unwrap(), x.len());
-    let mut partials: Vec<f64> = Vec::with_capacity(x.len().div_ceil(TWO_LEVEL_CHUNK));
-    for w in elem_lo.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        assert!(lo <= hi, "shard bounds must be non-decreasing");
-        // Chunks whose first element falls in [lo, hi) belong to this shard.
-        let mut start = lo.next_multiple_of(TWO_LEVEL_CHUNK);
-        while start < hi {
-            let end = (start + TWO_LEVEL_CHUNK).min(x.len());
-            let part: f64 = x[start..end]
-                .iter()
-                .zip(&y[start..end])
-                .map(|(a, b)| a * b)
-                .sum();
-            partials.push(part);
-            start += TWO_LEVEL_CHUNK;
-        }
-    }
-    tree_sum(&partials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sim_device_buffers_round_trip() {
-        let mut d = SimDevice::new("sim:0", DeviceSpec::a100());
-        let id = d.alloc(8);
-        assert_eq!(d.buffer(id).len(), 8);
-        d.upload(id, 2, &[1.0, 2.0, 3.0]);
-        let mut out = [0.0; 3];
-        d.download(id, 2, &mut out);
-        assert_eq!(out, [1.0, 2.0, 3.0]);
-        assert!(d.timeline().get(Phase::Transfer) > 0.0);
-        assert_eq!(d.kind(), BackendKind::Sim);
-        assert_eq!(d.name(), "sim:0");
+    fn host_transfer_prices_the_pcie4_link() {
+        let mut d = SimDevice::new(DeviceSpec::a100());
+        d.charge_host_transfer(3);
+        assert_eq!(
+            d.timeline().get(Phase::Transfer),
+            Interconnect::pcie4().transfer_us(24)
+        );
     }
 
     #[test]
     fn charge_kernel_prices_roofline() {
-        let mut d = SimDevice::new("sim:0", DeviceSpec::a100());
+        let mut d = SimDevice::new(DeviceSpec::a100());
         let us = d.charge_kernel(Phase::Spmv, 1e6, 1e6, 32);
         assert!(us > 0.0);
         assert_eq!(d.timeline().get(Phase::Spmv), us);
@@ -365,24 +133,5 @@ mod tests {
         assert_eq!(link.transfer_us(0), 2.0);
         assert!(Interconnect::nvlink3().transfer_us(1 << 20) > 0.0);
         assert!(Interconnect::pcie4().transfer_us(1 << 20) > 0.0);
-    }
-
-    #[test]
-    fn two_level_dot_is_shard_count_invariant() {
-        let n = 10_001;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-        let whole = two_level_dot(&x, &y, &[0, n]);
-        for bounds in [
-            vec![0, 5_000, n],
-            vec![0, 16, 4_096, 9_000, n],
-            vec![0, 1, 2, 3, n],
-        ] {
-            assert_eq!(
-                two_level_dot(&x, &y, &bounds).to_bits(),
-                whole.to_bits(),
-                "bounds {bounds:?}"
-            );
-        }
     }
 }

@@ -1,160 +1,19 @@
-//! The global-memory dependency arrays of the single-kernel scheme
-//! (paper Fig. 6 and Algorithm 3).
+//! Host-side progress and dependency primitives of the threaded engines.
 //!
-//! Three arrays coordinate the four steps of a CG iteration without any
-//! kernel boundary:
+//! * [`RowDeps`] — per-row epoch counters for the in-kernel ILU(0)
+//!   SpTRSV: a warp combines `x[c]` into its row only once the warp
+//!   owning row `c` has published it (`atomicAdd` + busy-wait, at row
+//!   granularity).
+//! * [`Heartbeat`] — the progress heartbeat behind the adaptive watchdog.
 //!
-//! * `d_s[row_tile]` — remaining tiles whose SpMV must land before the dot
-//!   product on that row-tile's result segment can start (Step A → B).
-//! * `d_d` — warps still working on the current dot product
-//!   (Step B → C and C → D use it in down/up-counting phases).
-//! * `d_a` — warps still working on the AXPY tail of the iteration
-//!   (Step D → next iteration's Step A).
-//!
-//! This module provides the *real atomic* implementation used by the
-//! threaded single-kernel engine: warps decrement with `fetch_sub(1,
-//! AcqRel)` and busy-wait with `spin_loop` until the counter drains, exactly
-//! the `atomicSub` / `while (...) threadfence()` pattern of Algorithm 3.
-//! The deterministic sequential engine doesn't spin, but it uses the same
-//! initial-value computation ([`DepArrays::init_ds`]) and charges the atomic
-//! traffic to the timeline.
+//! The paper's Fig. 6 `d_s`/`d_d`/`d_a` arrays (Algorithm 3) coordinate
+//! the SpMV, dot and AXPY steps of one iteration. The host engines replace
+//! them with owner-computes steps and monotone barriers, so no atomic
+//! version of them runs here; the single-kernel coster still charges their
+//! atomic traffic to the modeled timeline.
 
-use mf_sparse::TiledMatrix;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Atomic dependency arrays shared by all warps of the single kernel.
-#[derive(Debug)]
-pub struct DepArrays {
-    /// Per row-tile: tiles remaining in Step A (`d_s` in the paper).
-    pub d_s: Vec<AtomicI64>,
-    /// Warps remaining in the current dot phase (`d_d`).
-    pub d_d: AtomicI64,
-    /// Warps remaining in the AXPY phase (`d_a`).
-    pub d_a: AtomicI64,
-    /// Snapshot of the initial `d_s` values for cheap per-iteration reset.
-    ds_init: Vec<i64>,
-    /// Warp count the scalar counters reset to.
-    warp_count: i64,
-}
-
-impl DepArrays {
-    /// Computes the initial `d_s` values for a matrix: the number of
-    /// non-empty tiles in each tile row (Fig. 6 initializes
-    /// `d_s = [1, 2, 2]` for a matrix with 1/2/2 tiles in its row tiles).
-    pub fn init_ds(m: &TiledMatrix) -> Vec<i64> {
-        let mut counts = vec![0i64; m.tile_rows];
-        for &tr in &m.tile_rowidx {
-            counts[tr as usize] += 1;
-        }
-        counts
-    }
-
-    /// Creates dependency arrays for `m` solved by `warp_count` warps.
-    pub fn new(m: &TiledMatrix, warp_count: usize) -> DepArrays {
-        let ds_init = Self::init_ds(m);
-        DepArrays {
-            d_s: ds_init.iter().map(|&v| AtomicI64::new(v)).collect(),
-            d_d: AtomicI64::new(warp_count as i64),
-            d_a: AtomicI64::new(warp_count as i64),
-            ds_init,
-            warp_count: warp_count as i64,
-        }
-    }
-
-    /// Number of warps the scalar counters track.
-    #[inline]
-    pub fn warp_count(&self) -> usize {
-        self.warp_count as usize
-    }
-
-    /// Resets all counters for the next iteration. Must only be called when
-    /// every warp has passed the Step-D barrier (single-threaded moment).
-    pub fn reset(&self) {
-        for (a, &v) in self.d_s.iter().zip(&self.ds_init) {
-            a.store(v, Ordering::Release);
-        }
-        self.d_d.store(self.warp_count, Ordering::Release);
-        self.d_a.store(self.warp_count, Ordering::Release);
-    }
-
-    /// Step A completion: one tile of `row_tile` finished its SpMV
-    /// (`atomicSub(d_s[TileRowidx[i]], 1)`).
-    #[inline]
-    pub fn complete_tile(&self, row_tile: usize) {
-        self.d_s[row_tile].fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Busy-waits until all tiles of `row_tile` have completed Step A
-    /// (`while d_s[warp_id] != 0 do threadfence()`). Returns the number of
-    /// polls performed (the modeled `Wait` cost is proportional).
-    pub fn wait_row_tile(&self, row_tile: usize) -> usize {
-        let mut polls = 0usize;
-        while self.d_s[row_tile].load(Ordering::Acquire) != 0 {
-            std::hint::spin_loop();
-            polls += 1;
-            if polls.is_multiple_of(1024) {
-                std::thread::yield_now(); // stay live even when oversubscribed
-            }
-        }
-        polls
-    }
-
-    /// Dot-phase completion (`atomicSub(d_d, 1)`).
-    #[inline]
-    pub fn complete_dot(&self) {
-        self.d_d.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Busy-waits for the dot phase to drain. Returns poll count.
-    pub fn wait_dot(&self) -> usize {
-        let mut polls = 0usize;
-        while self.d_d.load(Ordering::Acquire) != 0 {
-            std::hint::spin_loop();
-            polls += 1;
-            if polls.is_multiple_of(1024) {
-                std::thread::yield_now();
-            }
-        }
-        polls
-    }
-
-    /// Re-arms the dot counter for the second dot product of the iteration
-    /// (Step C counts back up in the paper; re-arming down-counting is
-    /// equivalent and keeps one code path). Must be called by exactly one
-    /// warp while all others are between the B and C barriers — the solver
-    /// uses a dedicated leader warp.
-    #[inline]
-    pub fn rearm_dot(&self) {
-        self.d_d.store(self.warp_count, Ordering::Release);
-    }
-
-    /// AXPY-phase completion (`atomicSub(d_a, 1)`).
-    #[inline]
-    pub fn complete_axpy(&self) {
-        self.d_a.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Busy-waits for the AXPY phase to drain. Returns poll count.
-    pub fn wait_axpy(&self) -> usize {
-        let mut polls = 0usize;
-        while self.d_a.load(Ordering::Acquire) != 0 {
-            std::hint::spin_loop();
-            polls += 1;
-            if polls.is_multiple_of(1024) {
-                std::thread::yield_now();
-            }
-        }
-        polls
-    }
-
-    /// Total atomic operations one full CG iteration performs: one per tile
-    /// (Step A) plus two dot completions and one AXPY completion per warp.
-    /// Used by the sequential engine to charge `Phase::Atomic`.
-    pub fn atomics_per_iteration(&self, tile_count: usize) -> usize {
-        tile_count + 3 * self.warp_count()
-    }
-}
 
 /// Shared progress heartbeat for the progress-based watchdog.
 ///
@@ -267,10 +126,10 @@ impl Heartbeat {
 ///
 /// The preconditioned solvers run the ILU(0) triangular solves *inside*
 /// the fused kernel: a warp may only combine `x[c]` into row `r` once the
-/// warp owning row `c` has finished it. On the GPU this is the same
-/// `atomicAdd` + busy-wait pattern as [`DepArrays`], but at **row**
-/// granularity and — like the threaded engine's barriers — counting *up
-/// monotonically* instead of resetting between preconditioner
+/// warp owning row `c` has finished it. On the GPU this is the
+/// `atomicAdd` + busy-wait pattern of the paper's `d_s` array, but at
+/// **row** granularity and — like the threaded engine's barriers — counting
+/// *up monotonically* instead of resetting between preconditioner
 /// applications: after the `e`-th application of the factor, `done[r] ==
 /// e` for every row, so a consumer in application `e` waits for
 /// `done[c] >= e`. No reset step exists to race with, and a stale read
@@ -310,12 +169,6 @@ impl RowDeps {
         self.done[row].fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// True once `row` has completed application `epoch` (1-based).
-    #[inline]
-    pub fn is_done(&self, row: usize, epoch: i64) -> bool {
-        self.done[row].load(Ordering::Acquire) >= epoch
-    }
-
     /// The raw counter for `row`, for spin loops that interleave the wait
     /// with poison/watchdog checks (the threaded engine polls through
     /// its `WarpSync` so a wedged dependency chain fails as `Wedged`
@@ -324,183 +177,25 @@ impl RowDeps {
     pub fn counter(&self, row: usize) -> &AtomicI64 {
         &self.done[row]
     }
-
-    /// Plain busy-wait until `row` reaches `epoch`; returns the poll
-    /// count. Test/model use only — production spin loops must poll a
-    /// poison flag as well.
-    pub fn wait_row(&self, row: usize, epoch: i64) -> usize {
-        let mut polls = 0usize;
-        while !self.is_done(row, epoch) {
-            std::hint::spin_loop();
-            polls += 1;
-            if polls.is_multiple_of(1024) {
-                std::thread::yield_now();
-            }
-        }
-        polls
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_precision::ClassifyOptions;
-    use mf_sparse::Coo;
-    use std::sync::atomic::AtomicUsize;
-
-    fn sample_matrix() -> TiledMatrix {
-        // The Fig. 6 example: 6x6, five tiles in three tile rows (1/2/2).
-        let mut a = Coo::new(6, 6);
-        for &(r, c) in &[
-            (0, 0),
-            (1, 1),
-            (2, 2),
-            (3, 3),
-            (2, 4),
-            (3, 5),
-            (4, 0),
-            (5, 1),
-            (4, 4),
-            (5, 5),
-        ] {
-            a.push(r, c, 1.0);
-        }
-        TiledMatrix::from_csr_with(&a.to_csr(), 2, &ClassifyOptions::default())
-    }
-
-    #[test]
-    fn init_ds_counts_tiles_per_row_tile() {
-        let m = sample_matrix();
-        let ds = DepArrays::init_ds(&m);
-        assert_eq!(ds, vec![1, 2, 2]);
-    }
-
-    #[test]
-    fn sequential_protocol_drains() {
-        let m = sample_matrix();
-        let deps = DepArrays::new(&m, 3);
-        // Step A: complete all five tiles.
-        for i in 0..m.tile_count() {
-            deps.complete_tile(m.tile_rowidx[i] as usize);
-        }
-        for rt in 0..3 {
-            assert_eq!(deps.wait_row_tile(rt), 0);
-        }
-        // Step B: all three warps finish their dots.
-        for _ in 0..3 {
-            deps.complete_dot();
-        }
-        assert_eq!(deps.wait_dot(), 0);
-        deps.rearm_dot();
-        for _ in 0..3 {
-            deps.complete_dot();
-        }
-        assert_eq!(deps.wait_dot(), 0);
-        // Step D.
-        for _ in 0..3 {
-            deps.complete_axpy();
-        }
-        assert_eq!(deps.wait_axpy(), 0);
-        // Reset re-arms everything.
-        deps.reset();
-        assert_eq!(deps.d_s[1].load(Ordering::Acquire), 2);
-        assert_eq!(deps.d_d.load(Ordering::Acquire), 3);
-        assert_eq!(deps.d_a.load(Ordering::Acquire), 3);
-    }
-
-    #[test]
-    fn atomics_accounting() {
-        let m = sample_matrix();
-        let deps = DepArrays::new(&m, 3);
-        assert_eq!(deps.atomics_per_iteration(m.tile_count()), 5 + 9);
-    }
-
-    #[test]
-    fn threaded_barrier_works() {
-        // N threads play "warps": each completes a dot, then waits; all must
-        // get through — deadlock would hang the test (run under the harness
-        // timeout).
-        let m = sample_matrix();
-        let warps = 8;
-        let deps = DepArrays::new(&m, warps);
-        let through = AtomicUsize::new(0);
-        crossbeam::scope(|s| {
-            for _ in 0..warps {
-                s.spawn(|_| {
-                    deps.complete_dot();
-                    deps.wait_dot();
-                    through.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(through.load(Ordering::SeqCst), warps);
-        assert_eq!(deps.d_d.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn threaded_step_a_ordering() {
-        // One producer thread completes SpMV tiles with delays; consumer
-        // threads must observe d_s reach zero before proceeding.
-        let m = sample_matrix();
-        let deps = DepArrays::new(&m, 3);
-        let observed = AtomicUsize::new(0);
-        crossbeam::scope(|s| {
-            for rt in 0..3usize {
-                let deps = &deps;
-                let observed = &observed;
-                s.spawn(move |_| {
-                    deps.wait_row_tile(rt);
-                    observed.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            s.spawn(|_| {
-                for i in 0..m.tile_count() {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    deps.complete_tile(m.tile_rowidx[i] as usize);
-                }
-            });
-        })
-        .unwrap();
-        assert_eq!(observed.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn repeated_iterations_with_reset() {
-        let m = sample_matrix();
-        let deps = DepArrays::new(&m, 2);
-        for _ in 0..5 {
-            for i in 0..m.tile_count() {
-                deps.complete_tile(m.tile_rowidx[i] as usize);
-            }
-            for rt in 0..m.tile_rows {
-                deps.wait_row_tile(rt);
-            }
-            deps.complete_dot();
-            deps.complete_dot();
-            deps.wait_dot();
-            deps.complete_axpy();
-            deps.complete_axpy();
-            deps.wait_axpy();
-            deps.reset();
-        }
-        assert_eq!(deps.d_a.load(Ordering::SeqCst), 2);
-    }
 
     #[test]
     fn row_deps_monotone_epochs() {
         let deps = RowDeps::new(4);
         assert_eq!(deps.len(), 4);
         assert!(!deps.is_empty());
-        assert!(!deps.is_done(2, 1));
+        let epoch = |r: usize| deps.counter(r).load(Ordering::Acquire);
+        assert_eq!(epoch(2), 0);
         assert_eq!(deps.complete(2), 1);
-        assert!(deps.is_done(2, 1));
-        assert!(!deps.is_done(2, 2));
+        assert_eq!(epoch(2), 1);
         // A second application pushes the epoch, never resets it.
         assert_eq!(deps.complete(2), 2);
-        assert!(deps.is_done(2, 1));
-        assert!(deps.is_done(2, 2));
-        assert_eq!(deps.wait_row(2, 2), 0);
+        assert_eq!(epoch(2), 2);
+        assert_eq!(epoch(1), 0, "other rows are untouched");
     }
 
     #[test]
@@ -561,7 +256,9 @@ mod tests {
                 let deps = &deps;
                 scope.spawn(move |_| {
                     if r > 0 {
-                        deps.wait_row(r - 1, 1);
+                        while deps.counter(r - 1).load(Ordering::Acquire) < 1 {
+                            std::thread::yield_now();
+                        }
                     }
                     deps.complete(r);
                 });
@@ -569,7 +266,7 @@ mod tests {
         })
         .unwrap();
         for r in 0..3 {
-            assert!(deps.is_done(r, 1));
+            assert_eq!(deps.counter(r).load(Ordering::Acquire), 1);
         }
     }
 }

@@ -2,7 +2,7 @@
 //! dependency protocol.
 //!
 //! The threaded engines in `mf-solver` coordinate warps exclusively through
-//! atomic dependency counters (`DepArrays`, `RowDeps`). Their determinism
+//! monotone atomic counters (barrier epochs and `RowDeps`). Their determinism
 //! and liveness claims quantify over *all* schedules, but the host OS only
 //! ever produces a few. A [`FaultPlan`] closes that gap: it perturbs the
 //! schedule at the protocol's own synchronization sites — spin polls,

@@ -21,10 +21,11 @@
 //! * [`schedule`] — the warp workload partitioner: load-balanced tile
 //!   assignment for SpMV (bounded nonzeros *and* tiles per warp) and
 //!   segment-based assignment for vector operations (§III-C).
-//! * [`deps`] — the `d_s`/`d_d`/`d_a` dependency arrays of Fig. 6, with a
-//!   real atomic implementation used by the threaded single-kernel engine
-//!   and helpers for the modeled sequential engine, plus the progress
-//!   [`Heartbeat`] backing the adaptive watchdog.
+//! * [`deps`] — the per-row [`RowDeps`] epoch counters the threaded
+//!   engines' in-kernel SpTRSV spins on, and the progress [`Heartbeat`]
+//!   backing the adaptive watchdog. No engine executes the Fig. 6
+//!   `d_s`/`d_d`/`d_a` arrays; the single-kernel coster in `mf-solver`
+//!   charges their atomics over the [`schedule`] partition.
 //! * [`faults`] — deterministic, seed-reproducible schedule perturbation
 //!   and fault injection ([`FaultPlan`]) for stress-testing the
 //!   dependency protocol's determinism and liveness claims.
@@ -34,10 +35,9 @@
 //!   [`TicketFaults`] perturbation, and the schedule model behind
 //!   `fig_ticket`. The concurrency substrate for host-side
 //!   preprocessing in `mf-solver`.
-//! * [`backend`] — the [`Device`]/[`DeviceBuffer`] execution-backend trait
-//!   pair (modeled on the wasi-parallel device abstraction), the simulated
-//!   single-device implementor, the [`Interconnect`] link model, and the
-//!   shard-invariant [`two_level_dot`] reduction.
+//! * [`backend`] — the [`SimDevice`] each shard of the sharded engine is
+//!   charged on (roofline pricing, a host link, its own [`Timeline`]) and
+//!   the [`Interconnect`] link model for halo messages and reductions.
 //! * [`shard`] — deterministic row-block domain decomposition
 //!   ([`ShardPlan`]) with halo-column extraction, the partitioning layer
 //!   under the multi-device sharded engine in `mf-solver`.
@@ -53,12 +53,9 @@ pub mod sharedmem;
 pub mod ticket;
 pub mod timeline;
 
-pub use backend::{
-    two_level_dot, BackendKind, BufferId, Device, DeviceBuffer, Interconnect, SimBuffer, SimDevice,
-    TWO_LEVEL_CHUNK,
-};
+pub use backend::{Interconnect, SimDevice};
 pub use cost::CostModel;
-pub use deps::{DepArrays, Heartbeat, RowDeps};
+pub use deps::{Heartbeat, RowDeps};
 pub use device::{DeviceSpec, Vendor};
 pub use faults::{
     BarrierFault, FaultCounts, FaultKind, FaultPlan, InjectedFaults, SpinFault, StepFault,

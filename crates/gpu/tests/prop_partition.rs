@@ -1,8 +1,7 @@
-//! Property-based tests for the shard partitioner and the two-level
-//! deterministic reduction behind the multi-device sharded engine.
+//! Property-based tests for the shard partitioner behind the multi-device
+//! sharded engine.
 
-use mf_gpu::{two_level_dot, ShardPlan};
-use mf_kernels::blas1::{dot_det, dot_par};
+use mf_gpu::ShardPlan;
 use mf_sparse::{Coo, TiledMatrix};
 use proptest::prelude::*;
 
@@ -30,18 +29,6 @@ fn random_spd_tiled(n: usize, extra: usize, seed: u64) -> TiledMatrix {
         }
     }
     TiledMatrix::from_csr(&a.to_csr())
-}
-
-fn seeded_vec(n: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(0x2545f4914f6cdd1d).wrapping_add(3);
-    (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ((state % 2048) as f64 - 1024.0) * 0.001
-        })
-        .collect()
 }
 
 proptest! {
@@ -109,28 +96,5 @@ proptest! {
             }
             prop_assert_eq!(halo, expect.into_iter().collect::<Vec<_>>());
         }
-    }
-
-    /// With one shard, the backend's two-level reduction is bitwise the
-    /// deterministic fixed-grid dot (`dot_par` ≡ `dot_det`), and adding
-    /// interior shard boundaries never changes a single bit.
-    #[test]
-    fn two_level_dot_is_shard_invariant_and_matches_dot_par(
-        n in 1usize..40_000,
-        seed in 0u64..500,
-        cuts in prop::collection::vec(1usize..40_000, 0..5),
-    ) {
-        let x = seeded_vec(n, seed);
-        let y = seeded_vec(n, seed ^ 0xdead_beef);
-        let single = two_level_dot(&x, &y, &[0, n]);
-        prop_assert_eq!(single.to_bits(), dot_par(&x, &y).to_bits());
-        prop_assert_eq!(single.to_bits(), dot_det(&x, &y).to_bits());
-
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
-        bounds.push(0);
-        bounds.push(n);
-        bounds.sort_unstable();
-        let sharded = two_level_dot(&x, &y, &bounds);
-        prop_assert_eq!(sharded.to_bits(), single.to_bits());
     }
 }

@@ -1,92 +1,16 @@
 //! Vector (BLAS-1) kernels.
 //!
 //! The CG/BiCGSTAB loops use exactly these: dot products, `y ± αx` updates,
-//! `p = r + βp` recurrences and 2-norms. Sequential versions are the
-//! reference; `*_par` versions use rayon and are exercised by the suite-level
-//! experiment fan-out (per the hpc-parallel guides, parallel iterators are
-//! the idiomatic CPU analogue of the GPU grid).
-//!
-//! # Determinism of the parallel reductions
-//!
-//! Floating-point addition is not associative, so a reduction whose grouping
-//! depends on the thread count would return different bits for different
-//! `RAYON_NUM_THREADS`. [`dot_par`] (and [`norm2_par`]/[`norm2_sq_par`] built
-//! on it) therefore use a **fixed reduction layout** that never looks at the
-//! thread count: the input is cut into fixed-size [`DET_CHUNK`]-element
-//! chunks, each chunk is summed left-to-right, and the per-chunk partials are
-//! combined by a pairwise tree walked in index order. Threads only decide
-//! *who computes which chunk*, never *how the sums are grouped*, so the
-//! result is bitwise identical for any thread count (including 1). This
-//! mirrors the GPU situation, where a fixed block/warp reduction tree gives
-//! run-to-run reproducible dot products regardless of SM scheduling.
-
-use rayon::prelude::*;
-
-/// Threshold below which the parallel versions fall back to sequential
-/// (rayon task overhead dwarfs tiny vectors).
-const PAR_THRESHOLD: usize = 8_192;
-
-/// Fixed chunk width shared by every deterministic parallel kernel in this
-/// crate: the blas1 reduction tree below *and* the SpMV row-count gates in
-/// `spmv.rs` (which previously duplicated the literal). The reduction tree /
-/// stripe layout is a function of the input length and this constant only —
-/// never of the thread count.
-pub const DETERMINISTIC_CHUNK: usize = 4_096;
-
-/// Historical name of [`DETERMINISTIC_CHUNK`], kept as an alias so existing
-/// callers and tests keep compiling.
-pub const DET_CHUNK: usize = DETERMINISTIC_CHUNK;
-
-/// Pairwise ("tree") sum of `p` in index order: split at the midpoint,
-/// recurse, add left + right. The grouping depends only on `p.len()`.
-fn tree_sum(p: &[f64]) -> f64 {
-    match p.len() {
-        0 => 0.0,
-        1 => p[0],
-        n => {
-            let mid = n / 2;
-            tree_sum(&p[..mid]) + tree_sum(&p[mid..])
-        }
-    }
-}
-
-/// Dot product over one fixed chunk, summed left-to-right.
-fn dot_chunk(x: &[f64], y: &[f64], start: usize) -> f64 {
-    let end = (start + DET_CHUNK).min(x.len());
-    x[start..end]
-        .iter()
-        .zip(&y[start..end])
-        .map(|(a, b)| a * b)
-        .sum()
-}
+//! `p = r + βp` recurrences, 2-norms, and the fused multi-vector updates of
+//! the pipelined variants. Every reduction sums left-to-right in index
+//! order, so its bits depend on the input alone. The threaded engines in
+//! `mf-solver` split vectors into per-warp segments themselves and fold the
+//! per-segment partials in a fixed order.
 
 /// Dot product `(x, y)`.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     x.iter().zip(y).map(|(a, b)| a * b).sum()
-}
-
-/// Parallel dot product with a thread-count-independent reduction tree
-/// (see the module docs): bitwise identical for any `RAYON_NUM_THREADS`.
-pub fn dot_par(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    if x.len() < PAR_THRESHOLD {
-        return dot_det(x, y);
-    }
-    let starts: Vec<usize> = (0..x.len()).step_by(DET_CHUNK).collect();
-    let partials: Vec<f64> = starts.par_iter().map(|&s| dot_chunk(x, y, s)).collect();
-    tree_sum(&partials)
-}
-
-/// Serial reference for the deterministic reduction: same fixed chunks, same
-/// pairwise tree, no threads. `dot_par` returns exactly these bits.
-pub fn dot_det(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let partials: Vec<f64> = (0..x.len())
-        .step_by(DET_CHUNK)
-        .map(|s| dot_chunk(x, y, s))
-        .collect();
-    tree_sum(&partials)
 }
 
 /// Squared 2-norm.
@@ -99,33 +23,12 @@ pub fn norm2(x: &[f64]) -> f64 {
     norm2_sq(x).sqrt()
 }
 
-/// Parallel squared 2-norm (deterministic, see [`dot_par`]).
-pub fn norm2_sq_par(x: &[f64]) -> f64 {
-    dot_par(x, x)
-}
-
-/// Parallel 2-norm (deterministic, see [`dot_par`]).
-pub fn norm2_par(x: &[f64]) -> f64 {
-    norm2_sq_par(x).sqrt()
-}
-
 /// `y += alpha * x` (classic AXPY).
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
-}
-
-/// Parallel AXPY.
-pub fn axpy_par(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    if x.len() < PAR_THRESHOLD {
-        return axpy(alpha, x, y);
-    }
-    y.par_iter_mut().zip(x).for_each(|(yi, xi)| {
-        *yi += alpha * xi;
-    });
 }
 
 /// `y = x + alpha * y` (XPAY — the `p = r + βp` recurrence of CG line 10).
@@ -282,62 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn dot_par_matches_serial() {
-        let n = 20_000;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let s = dot(&x, &y);
-        let p = dot_par(&x, &y);
-        assert!((s - p).abs() < 1e-9 * s.abs().max(1.0));
-    }
-
-    #[test]
-    fn dot_par_is_bitwise_deterministic() {
-        // dot_par must return exactly the bits of the serial fixed-chunk
-        // reference, whatever the thread count happens to be. Sweep lengths
-        // around the chunk/threshold boundaries, with values spread across
-        // magnitudes so reassociation would actually change the bits.
-        for n in [
-            0,
-            1,
-            DET_CHUNK - 1,
-            DET_CHUNK,
-            DET_CHUNK + 1,
-            3 * DET_CHUNK + 17,
-            8 * DET_CHUNK + 1,
-        ] {
-            let x: Vec<f64> = (0..n)
-                .map(|i| (i as f64).sin() * 10f64.powi((i % 13) as i32 - 6))
-                .collect();
-            let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-            let par = dot_par(&x, &y);
-            let det = dot_det(&x, &y);
-            assert_eq!(
-                par.to_bits(),
-                det.to_bits(),
-                "n={n}: par={par:e} det={det:e}"
-            );
-        }
-    }
-
-    #[test]
-    fn tree_sum_layout_depends_only_on_length() {
-        // Same data, asked twice → same bits; and the norm wrappers agree.
-        let n = 6 * DET_CHUNK + 5;
-        let x: Vec<f64> = (0..n)
-            .map(|i| ((i * 31 % 97) as f64 - 48.0) * 1e-3)
-            .collect();
-        assert_eq!(dot_par(&x, &x).to_bits(), dot_par(&x, &x).to_bits());
-        assert_eq!(norm2_sq_par(&x).to_bits(), dot_det(&x, &x).to_bits());
-        assert_eq!(norm2_par(&x).to_bits(), dot_det(&x, &x).sqrt().to_bits());
-    }
-
-    #[test]
     fn norms() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm2_sq(&[3.0, 4.0]), 25.0);
-        assert_eq!(norm2_par(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm2_sq_par(&[3.0, 4.0]), 25.0);
     }
 
     #[test]
@@ -345,17 +195,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, -1.0], &mut y);
         assert_eq!(y, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn axpy_par_matches_serial() {
-        let n = 20_000;
-        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut y1 = vec![1.0; n];
-        let mut y2 = vec![1.0; n];
-        axpy(0.5, &x, &mut y1);
-        axpy_par(0.5, &x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     #[test]
@@ -385,7 +224,7 @@ mod tests {
 
     #[test]
     fn dot2_matches_two_dots_bitwise() {
-        let n = 3 * DET_CHUNK + 7;
+        let n = 12_295;
         let x1: Vec<f64> = (0..n).map(|i| (i as f64).sin() * 1e3).collect();
         let x2: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos() * 1e-4).collect();
         let y: Vec<f64> = (0..n).map(|i| (i * 7 % 31) as f64 - 15.0).collect();
@@ -501,12 +340,6 @@ mod tests {
         );
         assert!(x.iter().all(|v| v.is_infinite()));
         assert!(r.iter().all(|v| v.is_infinite()));
-    }
-
-    #[test]
-    fn deterministic_chunk_is_the_shared_constant() {
-        assert_eq!(DET_CHUNK, DETERMINISTIC_CHUNK);
-        assert_eq!(DETERMINISTIC_CHUNK, 4_096);
     }
 
     #[test]

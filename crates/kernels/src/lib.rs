@@ -5,7 +5,7 @@
 //! operations the GPU kernels would perform, bit-faithful with respect to
 //! the storage precisions involved.
 //!
-//! * [`blas1`] — dot, AXPY and friends (sequential and rayon-parallel).
+//! * [`blas1`] — dot, AXPY and friends, plus the fused pipelined updates.
 //! * [`spmv`] — CSR SpMV, tiled SpMV, and the **mixed-precision SpMV with
 //!   tile bypass** of paper Algorithm 5 operating on the "shared memory"
 //!   copy of the tiles.
@@ -40,10 +40,7 @@ pub use ilu::{
 };
 pub use shard::{sptrsv_lower_span, sptrsv_upper_span, ShardView};
 pub use spmm::{axpy_block, col, col_mut, dot_block, spmm_mixed, xpay_block};
-pub use spmv::{
-    spmv_csr, spmv_csr_par, spmv_mixed, spmv_mixed_par, spmv_tiled, spmv_tiled_par, MixedSpmvStats,
-    SharedTiles,
-};
+pub use spmv::{spmv_csr, spmv_mixed, spmv_mixed_par, spmv_tiled, MixedSpmvStats, SharedTiles};
 pub use sptrsv::{
     level_schedule, sptrsv_lower, sptrsv_lower_into, sptrsv_lower_recursive,
     sptrsv_lower_recursive_into, sptrsv_upper, sptrsv_upper_into, sptrsv_upper_recursive,

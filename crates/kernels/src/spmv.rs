@@ -2,86 +2,26 @@
 //!
 //! Three kernels, mirroring the paper's implementations:
 //!
-//! * [`spmv_csr`] / [`spmv_csr_par`] — the FP64 CSR kernel the
-//!   cuSPARSE/hipSPARSE baselines call.
+//! * [`spmv_csr`] — the FP64 CSR kernel the cuSPARSE/hipSPARSE baselines
+//!   call.
 //! * [`spmv_tiled`] — the tiled kernel at each tile's *initial* precision.
 //! * [`spmv_mixed`] — paper **Algorithm 5**: the tiled kernel driven by the
 //!   per-column `vis_flag` demands, with on-chip (shared-memory copy)
-//!   precision lowering and tile bypass.
+//!   precision lowering and tile bypass. [`spmv_mixed_par`] runs it over
+//!   row stripes on scoped threads, bitwise identical to the serial kernel.
 
-use crate::blas1::DETERMINISTIC_CHUNK;
 use crate::visflag::VisFlag;
 use mf_precision::Precision;
 use mf_sparse::{Csr, TiledMatrix};
-use rayon::prelude::*;
 
 /// Reference FP64 CSR SpMV: `y = A x`.
 pub fn spmv_csr(a: &Csr, x: &[f64], y: &mut [f64]) {
     a.matvec(x, y);
 }
 
-/// Rayon-parallel FP64 CSR SpMV: `y = A x` (row-parallel, like one GPU
-/// thread per row).
-pub fn spmv_csr_par(a: &Csr, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), a.ncols);
-    assert_eq!(y.len(), a.nrows);
-    if a.nrows < DETERMINISTIC_CHUNK {
-        return spmv_csr(a, x, y);
-    }
-    y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-        let mut sum = 0.0;
-        for k in a.rowptr[r]..a.rowptr[r + 1] {
-            sum += a.vals[k] * x[a.colidx[k]];
-        }
-        *yr = sum;
-    });
-}
-
 /// Tiled SpMV at initial tile precisions: `y = A x`.
 pub fn spmv_tiled(m: &TiledMatrix, x: &[f64], y: &mut [f64]) {
     m.matvec(x, y);
-}
-
-/// Rayon-parallel tiled SpMV: tiles are grouped by tile *row*, whose output
-/// row ranges are disjoint — so tile rows parallelize without atomics (the
-/// CPU analogue of assigning row tiles to independent thread blocks).
-pub fn spmv_tiled_par(m: &TiledMatrix, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), m.ncols);
-    assert_eq!(y.len(), m.nrows);
-    if m.nrows < DETERMINISTIC_CHUNK {
-        return spmv_tiled(m, x, y);
-    }
-    // Tiles are stored sorted by (tile_row, tile_col): record each tile
-    // row's contiguous range, indexed directly by tile row.
-    let t = m.tile_count();
-    let mut row_range: Vec<(usize, usize)> = vec![(0, 0); m.tile_rows];
-    let mut i = 0;
-    while i < t {
-        let tr = m.tile_rowidx[i] as usize;
-        let lo = i;
-        while i < t && m.tile_rowidx[i] as usize == tr {
-            i += 1;
-        }
-        row_range[tr] = (lo, i);
-    }
-    let ts = m.tile_size;
-    // Chunk y by tile row so each task owns its slice exclusively.
-    let mut chunks: Vec<&mut [f64]> = Vec::with_capacity(m.tile_rows);
-    {
-        let mut rest = y;
-        for _ in 0..m.tile_rows {
-            let take = ts.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            chunks.push(head);
-            rest = tail;
-        }
-    }
-    let mut tasks: Vec<(usize, &mut [f64])> = chunks.into_iter().enumerate().collect();
-    tasks.par_iter_mut().for_each(|(tr, yslice)| {
-        yslice.fill(0.0);
-        let (lo, hi) = row_range[*tr];
-        m.tile_matvec_span(lo..hi, x, yslice, *tr * ts);
-    });
 }
 
 /// The "shared memory" copy of the matrix tiles held across iterations by
@@ -537,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_parallel_matches_serial() {
+    fn tiled_matches_csr_on_a_large_matrix() {
         let n = 8_000;
         let mut a = Coo::new(n, n);
         for i in 0..n {
@@ -547,42 +487,26 @@ mod tests {
                 a.push(i, i - 1, -1.0);
             }
         }
-        let t = TiledMatrix::from_csr_with(&a.to_csr(), 16, &ClassifyOptions::default());
+        let csr = a.to_csr();
+        let t = TiledMatrix::from_csr_with(&csr, 16, &ClassifyOptions::default());
         let x: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
-        spmv_tiled(&t, &x, &mut y1);
-        spmv_tiled_par(&t, &x, &mut y2);
+        spmv_csr(&csr, &x, &mut y1);
+        spmv_tiled(&t, &x, &mut y2);
         for i in 0..n {
             assert!((y1[i] - y2[i]).abs() < 1e-12, "row {i}");
         }
     }
 
     #[test]
-    fn csr_serial_and_parallel_agree() {
-        let (csr, _) = sample();
+    fn csr_and_tiled_agree() {
+        let (csr, t) = sample();
         let x: Vec<f64> = (0..8).map(|i| i as f64 - 4.0).collect();
         let mut y1 = vec![0.0; 8];
         let mut y2 = vec![0.0; 8];
         spmv_csr(&csr, &x, &mut y1);
-        spmv_csr_par(&csr, &x, &mut y2);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn parallel_large_matches() {
-        let n = 10_000;
-        let mut a = Coo::new(n, n);
-        for i in 0..n {
-            a.push(i, i, 2.0);
-            a.push(i, (i * 7 + 1) % n, 0.5);
-        }
-        let csr = a.to_csr();
-        let x: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) - 6.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        spmv_csr(&csr, &x, &mut y1);
-        spmv_csr_par(&csr, &x, &mut y2);
+        spmv_tiled(&t, &x, &mut y2);
         assert_eq!(y1, y2);
     }
 

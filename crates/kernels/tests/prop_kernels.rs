@@ -1,11 +1,10 @@
 //! Property-based tests for the computational kernels.
 
 use mf_kernels::{
-    blas1, ilu0, level_schedule, spmv_csr, spmv_csr_par, spmv_mixed, spmv_mixed_par, spmv_tiled,
-    spmv_tiled_par, sptrsv_lower, sptrsv_lower_recursive, sptrsv_upper, sptrsv_upper_recursive,
-    SharedTiles, VisFlag,
+    blas1, ilu0, level_schedule, spmv_csr, spmv_mixed, spmv_mixed_par, spmv_tiled, sptrsv_lower,
+    sptrsv_lower_recursive, sptrsv_upper, sptrsv_upper_recursive, SharedTiles, VisFlag,
 };
-use mf_precision::ClassifyOptions;
+use mf_precision::{ClassifyOptions, Precision};
 use mf_sparse::{Coo, Csr, TiledMatrix};
 use proptest::prelude::*;
 
@@ -392,27 +391,19 @@ proptest! {
         prop_assert_eq!(b.to_bits(), blas1::dot(&x2, &y).to_bits());
     }
 
-    /// Both consumers of the shared `DETERMINISTIC_CHUNK` constant — the
-    /// blas1 fixed-chunk reduction tree and the SpMV parallel/serial gate —
-    /// stay bitwise-identical to their serial references across the chunk
-    /// boundary (lengths straddling 4 096) and any rayon thread count.
+    /// The FP64 tiled SpMV computes the CSR product on a few-thousand-row
+    /// matrix with values spread over eight decades: the two differ only
+    /// by the per-tile regrouping of each row sum.
     #[test]
-    fn deterministic_chunk_paths_bitwise_equal_serial(
+    fn tiled_spmv_matches_csr(
         delta in 0usize..64,
         seed in 0u64..1_000_000,
         extra in prop::collection::vec((0usize..4_160, 0usize..4_160, 1i32..=100), 0..200),
     ) {
-        let n = blas1::DETERMINISTIC_CHUNK - 32 + delta; // straddles the gate
-        // blas1 reduction: par vs serial fixed-chunk reference, magnitudes
-        // spread so reassociation would change bits.
+        let n = 4_064 + delta;
         let x: Vec<f64> = (0..n)
             .map(|i| ((i as u64 * 31 + seed) % 97) as f64 * 10f64.powi((i % 13) as i32 - 6))
             .collect();
-        let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        prop_assert_eq!(blas1::dot_par(&x, &y).to_bits(), blas1::dot_det(&x, &y).to_bits());
-        prop_assert_eq!(blas1::norm2_par(&x).to_bits(), blas1::dot_det(&x, &x).sqrt().to_bits());
-
-        // SpMV gate: par vs serial, bitwise, on a matrix the same size.
         let mut coo = Coo::new(n, n);
         for i in 0..n {
             coo.push(i, i, 20.0 + (i % 5) as f64 * 0.017);
@@ -424,19 +415,15 @@ proptest! {
         }
         let a = coo.to_csr();
         let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
         spmv_csr(&a, &x, &mut y1);
-        spmv_csr_par(&a, &x, &mut y2);
-        for i in 0..n {
-            prop_assert_eq!(y1[i].to_bits(), y2[i].to_bits());
-        }
-        let t = TiledMatrix::from_csr(&a);
-        let mut y3 = vec![0.0; n];
-        let mut y4 = vec![0.0; n];
-        spmv_tiled(&t, &x, &mut y3);
-        spmv_tiled_par(&t, &x, &mut y4);
-        for i in 0..n {
-            prop_assert_eq!(y3[i].to_bits(), y4[i].to_bits());
+        let t = TiledMatrix::from_csr_uniform(&a, 16, Precision::Fp64);
+        let mut y2 = vec![0.0; n];
+        spmv_tiled(&t, &x, &mut y2);
+        for r in 0..n {
+            let mag: f64 = (a.rowptr[r]..a.rowptr[r + 1])
+                .map(|k| (a.vals[k] * x[a.colidx[k]]).abs())
+                .sum();
+            prop_assert!((y1[r] - y2[r]).abs() <= 1e-14 * mag, "row {}", r);
         }
     }
 }

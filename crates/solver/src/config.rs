@@ -80,8 +80,7 @@ pub enum KernelMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HostParallelism {
     /// Parallelize when the matrix is large enough to amortize the thread
-    /// spawns (`nnz ≥` [`AUTO_PAR_NNZ`], the SpMV analogue of
-    /// `blas1::PAR_THRESHOLD`), using all available cores.
+    /// spawns (`nnz ≥` [`AUTO_PAR_NNZ`]), using all available cores.
     Auto,
     /// Always run the serial kernels.
     Serial,

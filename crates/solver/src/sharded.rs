@@ -1,4 +1,4 @@
-//! Multi-device sharded CG/PCG on top of the [`Device`] backend trait.
+//! Multi-device sharded CG/PCG over simulated devices ([`SimDevice`]).
 //!
 //! The matrix is row-block partitioned across N simulated devices by a
 //! [`ShardPlan`] (shard boundaries on `tile_size`-row segment boundaries),
@@ -20,12 +20,12 @@
 //!    identical to `run_cg_threaded`'s `seg_total` at any (shards, warps).
 //!
 //! The orchestration is sequential over shards on the host, so the
-//! numerics are deterministic by construction; what the backend trait
-//! contributes is the *ownership and cost seam*: the distributed `p` and
-//! result `x` live in [`Device`] buffers (a stale or missing halo entry
-//! breaks the numerics and trips the parity harness), kernels and
-//! transfers are charged to each device's [`Timeline`], and the
-//! per-device private iterates (`r`, `u`, `y`, `z`) are staged in the
+//! numerics are deterministic by construction. Each shard keeps its own
+//! copy of the search direction `p`, written on its owned rows and — only
+//! by the halo exchange — on the halo entries its tiles read, so a stale
+//! or missing halo entry breaks the numerics and trips the parity harness.
+//! Kernels and transfers are charged to each device's [`Timeline`], and
+//! the remaining iterates (`x`, `r`, `u`, `y`, `z`) are staged in the
 //! reusable [`SolverWorkspace`], standing in for device-local memory.
 //!
 //! Under a [`FaultPlan`], the per-shard fault streams are polled at every
@@ -41,8 +41,8 @@ use crate::cg::curvature_breakdown;
 use crate::report::{drive, Direction, EngineSection, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{
-    BarrierFault, BufferId, Device, DeviceSpec, FaultCounts, FaultPlan, InjectedFaults,
-    Interconnect, Phase, ShardPlan, SimDevice, SpinFault, Timeline, WarpFaults,
+    BarrierFault, DeviceSpec, FaultCounts, FaultPlan, InjectedFaults, Interconnect, Phase,
+    ShardPlan, SimDevice, SpinFault, Timeline, WarpFaults,
 };
 use mf_kernels::shard::{sptrsv_lower_span, sptrsv_upper_span, ShardView};
 use mf_kernels::Ilu0;
@@ -138,9 +138,10 @@ struct ShardedRun<'m> {
     m: &'m TiledMatrix,
     plan: ShardPlan,
     views: Vec<ShardView>,
-    devs: Vec<Box<dyn Device>>,
-    p_id: Vec<BufferId>,
-    x_id: Vec<BufferId>,
+    devs: Vec<SimDevice>,
+    /// Per shard: the device's copy of `p`, global-indexed; only owned
+    /// rows and halo entries are ever read or written.
+    p: Vec<Vec<f64>>,
     link: Interconnect,
     /// Per shard: `(peer, columns owned by peer)` for the `p` halo.
     p_peers: Vec<Vec<(usize, Vec<usize>)>>,
@@ -157,17 +158,8 @@ impl<'m> ShardedRun<'m> {
         let plan = ShardPlan::for_matrix(m, opts.shards);
         let views = ShardView::build_all(m, &plan);
         let s = plan.shards;
-        let mut devs: Vec<Box<dyn Device>> = Vec::with_capacity(s);
-        let mut p_id = Vec::with_capacity(s);
-        let mut x_id = Vec::with_capacity(s);
-        for k in 0..s {
-            let mut d = SimDevice::new(format!("sim:{k}"), spec.clone());
-            // Global-indexed views: only owned rows (+ halo entries for p)
-            // are ever read or written on device k.
-            p_id.push(d.alloc(m.nrows));
-            x_id.push(d.alloc(m.nrows));
-            devs.push(Box::new(d));
-        }
+        let devs = (0..s).map(|_| SimDevice::new(spec.clone())).collect();
+        let p = vec![vec![0.0; m.nrows]; s];
         let p_peers = views
             .iter()
             .map(|v| group_by_owner(&plan, &v.halo_cols))
@@ -190,8 +182,7 @@ impl<'m> ShardedRun<'m> {
             plan,
             views,
             devs,
-            p_id,
-            x_id,
+            p,
             link: opts.link,
             p_peers,
             warps_k,
@@ -250,20 +241,20 @@ impl<'m> ShardedRun<'m> {
 
     /// The per-iteration `p` halo exchange: every shard receives the
     /// boundary entries its tiles reference, one message per peer, copied
-    /// device-to-device. The copied values are load-bearing — the SpMV
-    /// reads `p` from the device buffer, so a wrong halo set breaks parity.
+    /// from the peer's copy of `p`. The copied values are load-bearing —
+    /// the SpMV reads the shard's own copy, so a wrong halo set breaks
+    /// parity.
     fn exchange_p(&mut self, j: i64, step: usize) {
         for k in 0..self.shards() {
             self.poll_faults(k, j, step);
             for pi in 0..self.p_peers[k].len() {
-                let (peer, cols) = self.p_peers[k][pi].clone();
-                let src = self.devs[peer].buffer(self.p_id[peer]).as_slice();
-                let vals: Vec<f64> = cols.iter().map(|&c| src[c]).collect();
-                let dst = self.devs[k].buffer_mut(self.p_id[k]).as_mut_slice();
-                for (&c, &v) in cols.iter().zip(&vals) {
-                    dst[c] = v;
+                let (peer, cols) = &self.p_peers[k][pi];
+                let peer = *peer;
+                for &c in cols {
+                    self.p[k][c] = self.p[peer][c];
                 }
-                self.charge_halo(k, peer, 8 * cols.len() as u64, j, step);
+                let bytes = 8 * cols.len() as u64;
+                self.charge_halo(k, peer, bytes, j, step);
             }
         }
     }
@@ -312,27 +303,21 @@ impl<'m> ShardedRun<'m> {
         }
     }
 
-    /// Writes the solve's row blocks of `x` (staged in `ws.x`) into each
-    /// device's result buffer and downloads them back (charging the host
-    /// link), then folds the run's telemetry and `out` into the report.
+    /// Charges each device's download of its row block of `x` (staged in
+    /// `ws.x`) over the host link, then folds the run's telemetry and `out`
+    /// into the report.
     fn finish(
         mut self,
         faults: &FaultPlan,
-        ws: &mut SolverWorkspace,
+        ws: &SolverWorkspace,
         warps: usize,
         out: Outcome,
     ) -> SolveReport {
-        let x = &mut ws.x;
         for k in 0..self.shards() {
-            let own = self.plan.rows(k);
-            if own.is_empty() {
-                continue;
+            let own = self.plan.rows(k).len();
+            if own > 0 {
+                self.devs[k].charge_host_transfer(own);
             }
-            let xb = self.devs[k].buffer_mut(self.x_id[k]).as_mut_slice();
-            xb[own.clone()].copy_from_slice(&x[own.clone()]);
-            let mut block = vec![0.0; own.len()];
-            self.devs[k].download(self.x_id[k], own.start, &mut block);
-            x[own].copy_from_slice(&block);
         }
         let injected_faults = (!faults.is_empty()).then(|| InjectedFaults {
             plan: faults.to_string(),
@@ -358,7 +343,7 @@ impl<'m> ShardedRun<'m> {
             timeline.merge(d.timeline());
         }
         SolveReport {
-            x: x.clone(),
+            x: ws.x.clone(),
             warp_count: warps,
             trace,
             timeline,
@@ -480,15 +465,14 @@ fn run_sharded(
                 run.devs[k].charge_kernel(Phase::SpTrsv, fl, 6.0 * fl, run.warps_k[k]);
             }
         };
-    // Restarts the direction from the residual: p = z on the device
-    // buffers and ρ = (r, z); z is r without a preconditioner.
+    // Restarts the direction from the residual: p = z on every shard's
+    // copy and ρ = (r, z); z is r without a preconditioner.
     let redirect = |run: &mut ShardedRun<'_>, ws: &SolverWorkspace| {
         let z = if ilu.is_some() { &ws.z } else { &ws.r };
         let mut seg_rz: Vec<f64> = Vec::with_capacity(segments);
         for k in 0..s_count {
             let own = run.plan.rows(k);
-            let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
-            pbuf[own.clone()].copy_from_slice(&z[own]);
+            run.p[k][own.clone()].copy_from_slice(&z[own]);
             run.dot_partials(k, &ws.r, z, &mut seg_rz);
             if ilu.is_some() {
                 run.charge_vector_pass(k, Phase::Dot, 2.0, 24.0);
@@ -511,7 +495,8 @@ fn run_sharded(
         for k in 0..s_count {
             let own = run.plan.rows(k);
             if !own.is_empty() {
-                run.devs[k].upload(run.p_id[k], own.start, &b[own]);
+                run.p[k][own.clone()].copy_from_slice(&b[own.clone()]);
+                run.devs[k].charge_host_transfer(own.len());
             }
         }
         b.iter().map(|v| v * v).sum()
@@ -529,13 +514,9 @@ fn run_sharded(
             let mut seg_pu: Vec<f64> = Vec::with_capacity(segments);
             for k in 0..s_count {
                 let own = run.plan.rows(k);
-                {
-                    let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-                    run.views[k].spmv(m, pbuf, &mut ws.u[own.clone()]);
-                }
+                run.views[k].spmv(m, &run.p[k], &mut ws.u[own]);
                 run.charge_spmv(k);
-                let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
-                run.dot_partials(k, &ws.u, pbuf, &mut seg_pu);
+                run.dot_partials(k, &ws.u, &run.p[k], &mut seg_pu);
                 run.charge_vector_pass(k, Phase::Dot, 2.0, 16.0);
                 run.charge_reduce(k);
             }
@@ -554,7 +535,7 @@ fn run_sharded(
             // ---- x += αp, r −= αu, ‖r‖² partials.
             let mut seg_rr: Vec<f64> = Vec::with_capacity(segments);
             for k in 0..s_count {
-                let pbuf = run.devs[k].buffer(run.p_id[k]).as_slice();
+                let pbuf = &run.p[k];
                 for s in run.plan.segs(k) {
                     let mut part = 0.0;
                     for e in run.elems(s) {
@@ -593,11 +574,11 @@ fn run_sharded(
             let beta = rz_new / rz;
             rz = rz_new;
 
-            // ---- p = z + βp on the device buffers.
+            // ---- p = z + βp on every shard's copy.
             let z = if ilu.is_some() { &ws.z } else { &ws.r };
             for k in 0..s_count {
                 let own = run.plan.rows(k);
-                let pbuf = run.devs[k].buffer_mut(run.p_id[k]).as_mut_slice();
+                let pbuf = &mut run.p[k];
                 for e in own {
                     pbuf[e] = z[e] + beta * pbuf[e];
                 }

@@ -17,6 +17,7 @@
 #                    packages: broken intra-doc links fail)
 #   --debug          debug build + debug test suite (600 s hard kill)
 #   --release-tiers  every release tier from the table, in order
+#   --bench-tests    the measured benchmark package's own unit tests
 #   --tier NAME      one release tier (self-sufficient: builds its own
 #                    test binaries if missing, so a single invocation
 #                    works on a clean checkout)
@@ -229,6 +230,9 @@ case "${1:-}" in
     --release-tiers)
         run_release_tiers
         ;;
+    --bench-tests)
+        run_bench_tests
+        ;;
     "")
         # Full tier-1 gate, in the historical order: fmt, debug tier,
         # release tiers, benchmark tests, clippy and rustdoc last.
@@ -240,7 +244,7 @@ case "${1:-}" in
         run_doc
         ;;
     *)
-        echo "usage: $0 [--lint|--debug|--release-tiers|--tier NAME|--list-tiers]" >&2
+        echo "usage: $0 [--lint|--debug|--release-tiers|--bench-tests|--tier NAME|--list-tiers]" >&2
         exit 2
         ;;
 esac
