@@ -3,7 +3,7 @@
 
 use crate::profile::Baseline;
 use mf_gpu::{Phase, Timeline};
-use mf_kernels::{blas1, ilu0, level_schedule, spmv_csr, Ilu0};
+use mf_kernels::{blas1, level_schedule, spmv_csr, Ilu0};
 use mf_solver::SolverConfig;
 use mf_sparse::Csr;
 
@@ -305,19 +305,8 @@ impl Baseline {
         )
     }
 
-    /// FP64 PCG with ILU(0) + *level-scheduled* SpTRSV (how
-    /// `cusparseSpSV_solve` executes).
-    pub fn solve_pcg(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        cfg: &SolverConfig,
-    ) -> Result<BaselineReport, mf_kernels::ilu::FactorError> {
-        let ilu = ilu0(a)?;
-        Ok(self.solve_pcg_with(a, b, cfg, &ilu))
-    }
-
-    /// PCG with a caller-provided factorization.
+    /// FP64 PCG with ILU(0) factors `ilu` and *level-scheduled* SpTRSV
+    /// (how `cusparseSpSV_solve` executes).
     pub fn solve_pcg_with(
         &self,
         a: &Csr,
@@ -405,18 +394,8 @@ impl Baseline {
         )
     }
 
-    /// FP64 PBiCGSTAB with ILU(0) + level-scheduled SpTRSV.
-    pub fn solve_pbicgstab(
-        &self,
-        a: &Csr,
-        b: &[f64],
-        cfg: &SolverConfig,
-    ) -> Result<BaselineReport, mf_kernels::ilu::FactorError> {
-        let ilu = ilu0(a)?;
-        Ok(self.solve_pbicgstab_with(a, b, cfg, &ilu))
-    }
-
-    /// PBiCGSTAB with a caller-provided factorization.
+    /// FP64 PBiCGSTAB with ILU(0) factors `ilu` and level-scheduled
+    /// SpTRSV.
     pub fn solve_pbicgstab_with(
         &self,
         a: &Csr,
@@ -620,16 +599,16 @@ mod tests {
         let a = poisson1d(256);
         let b = rhs(&a);
         let cfg = SolverConfig::default();
-        let rep = Baseline::cusparse().solve_pcg(&a, &b, &cfg).unwrap();
+        let ilu = mf_kernels::ilu0(&a).unwrap();
+        let rep = Baseline::cusparse().solve_pcg_with(&a, &b, &cfg, &ilu);
         assert!(rep.converged);
         assert!(rep.iterations <= 3); // exact ILU for tridiagonal
         assert!(rep.timeline.get(Phase::SpTrsv) > 0.0);
 
         let an = nonsym1d(256);
         let bn = rhs(&an);
-        let rep2 = Baseline::cusparse()
-            .solve_pbicgstab(&an, &bn, &cfg)
-            .unwrap();
+        let ilun = mf_kernels::ilu0(&an).unwrap();
+        let rep2 = Baseline::cusparse().solve_pbicgstab_with(&an, &bn, &cfg, &ilun);
         assert!(rep2.converged);
     }
 

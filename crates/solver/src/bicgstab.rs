@@ -1,22 +1,21 @@
 //! The BiCGSTAB core (paper Algorithm 2).
 //!
 //! Same structure as [`crate::cg`]: exact numerics on the quantized tiles,
-//! time charged through a [`Coster`]. BiCGSTAB has two SpMVs per iteration;
-//! the partial-convergence flags are refreshed before each from its own
-//! input vector (`p_j` and `s_j`), matching the §III-D rule that the SpMV
+//! time charged through a [`Coster`], iterations run as slots of the one
+//! loop driver. BiCGSTAB has two SpMVs per iteration; the
+//! partial-convergence flags are refreshed before each from its own input
+//! vector (`p_j` and `s_j`), matching the §III-D rule that the SpMV
 //! *input* drives tile precision.
 
-use crate::cg::{
-    finish_host_trace, host_tracer, mixed_spmv, record_spmv_trace, rel_error, CoreResult,
-};
+use crate::cg::{mixed_spmv, Ledger};
 use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
-use crate::report::{BreakdownKind, RecoveryAction, RestartPolicy};
+use crate::report::{drive, BreakdownKind, Direction, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
-use mf_gpu::Timeline;
 use mf_kernels::{blas1, SharedTiles};
 use mf_sparse::TiledMatrix;
+use std::convert::Infallible;
 
 /// Runs BiCGSTAB on the tiled matrix, with its loop vectors in `ws` (see
 /// [`crate::cg::run_cg`] for the workspace contract).
@@ -28,23 +27,18 @@ pub fn run_bicgstab(
     coster: &Coster,
     partial: &mut PartialState,
     ws: &mut SolverWorkspace,
-) -> CoreResult {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols, "BiCGSTAB needs a square matrix");
 
-    let mut tl = Timeline::new();
-    coster.solve_start(&mut tl);
-
-    let tracer = host_tracer(cfg);
+    let mut led = Ledger::new(cfg, true, coster.mode(), coster.warp_count());
+    coster.solve_start(&mut led.tl);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        let mut result = CoreResult::zero_rhs(n, tl);
-        finish_host_trace(tracer, &mut result);
-        return result;
+        return led.zero_rhs(n);
     }
-    let mut result = CoreResult::empty();
 
     // x0 = 0 ⇒ r0 = b, r0* = r0, p0 = r0 (Algorithm 2 lines 1–3). The
     // workspace maps µ onto `u` and θ onto `t`.
@@ -65,195 +59,122 @@ pub fn run_bicgstab(
     let threads = cfg.host_parallelism.threads_for(m.nnz());
     let mut rho = blas1::dot(r, r0s);
 
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut restarts = RestartPolicy::new(!check_convergence);
-
-    for j in 0..iters {
-        // µ = A·p (first SpMV, flags from p).
-        if let Some(t) = &tracer {
-            t.stamp(j as i64, 1); // PBICGSTAB_STEPS[1] = "spmv_v"
-        }
-        partial.update(p);
-        if partial.enabled() {
-            coster.visflag_scan(&mut tl);
-        }
-        let st1 = mixed_spmv(m, shared, &partial.vis_flags, p, mu, threads);
-        result.spmv_stats.merge(&st1);
-        if let Some(t) = &tracer {
-            record_spmv_trace(t, &st1, shared);
-        }
-        coster.spmv(&mut tl, m, shared, &partial.vis_flags, &st1);
-
-        // α = (r, r0*) / (µ, r0*).
-        let denom = blas1::dot(mu, r0s);
-        coster.dot(&mut tl, true);
-        let alpha = rho / denom;
-        if let Some(kind) = alpha_breakdown(alpha, denom) {
-            // Breakdown restart. Charge the rest of the iteration anyway —
-            // the kernel pipeline runs every step regardless (the second
-            // SpMV is charged at the first one's cost profile, which is
-            // what it would execute with the same flags).
-            restart(r, p, r0s, &mut rho);
-            coster.axpy(&mut tl, 1);
-            coster.spmv(&mut tl, m, shared, &partial.vis_flags, &st1);
-            coster.dot(&mut tl, false);
-            coster.dot(&mut tl, true);
-            coster.axpy(&mut tl, 2);
-            coster.axpy(&mut tl, 1);
-            coster.dot(&mut tl, false);
-            coster.dot(&mut tl, true);
-            coster.axpy(&mut tl, 1);
-            coster.iteration_end(&mut tl);
-            record_traces(
-                &mut result,
-                cfg,
-                partial,
-                shared,
-                x,
-                r,
-                p,
-                norm_b,
-                &st1,
-                &st1,
-            );
-            // An α-restart leaves x and r untouched, so repeating it is a
-            // fixed point worth aborting.
-            if result.restart(&mut restarts, kind, rho.is_finite()) {
-                break;
+    let mut out = Outcome::sequential(cfg.trace_residuals);
+    let Ok(()) = drive::<Infallible>(
+        &mut out,
+        cfg.max_iter,
+        cfg.fixed_iterations,
+        cfg.tolerance,
+        None,
+        || Ok(()),
+        |j, _| {
+            // µ = A·p (first SpMV, flags from p).
+            led.stamp(j, 1); // PBICGSTAB_STEPS[1] = "spmv_v"
+            partial.update(p);
+            if partial.enabled() {
+                coster.visflag_scan(&mut led.tl);
             }
-            continue;
-        }
+            let st1 = mixed_spmv(m, shared, &partial.vis_flags, p, mu, threads);
+            led.spmv(&st1, shared);
+            coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &st1);
 
-        // s = r − αµ.
-        blas1::waxpy(r, -alpha, mu, s);
-        coster.axpy(&mut tl, 1);
+            // α = (r, r0*) / (µ, r0*).
+            let denom = blas1::dot(mu, r0s);
+            coster.dot(&mut led.tl, true);
+            let alpha = rho / denom;
+            if let Some(kind) = alpha_breakdown(alpha, denom) {
+                // Breakdown restart. Charge the rest of the iteration
+                // anyway — the kernel pipeline runs every step regardless
+                // (the second SpMV is charged, and its bypassed tiles
+                // counted, at the first one's profile, which is what it
+                // would execute with the same flags). An α-restart leaves
+                // x and r untouched, so repeating it is a fixed point the
+                // driver aborts.
+                restart(r, p, r0s, &mut rho);
+                let tl = &mut led.tl;
+                coster.axpy(tl, 1);
+                coster.spmv(tl, m, shared, &partial.vis_flags, &st1);
+                coster.dot(tl, false);
+                coster.dot(tl, true);
+                coster.axpy(tl, 2);
+                coster.axpy(tl, 1);
+                coster.dot(tl, false);
+                coster.dot(tl, true);
+                coster.axpy(tl, 1);
+                coster.iteration_end(tl);
+                led.trails(cfg, x, partial, p, 2 * st1.tiles_bypassed, shared);
+                return Ok(Slot::Restart {
+                    kind,
+                    finite: rho.is_finite(),
+                    relres: Some(blas1::dot(r, r).sqrt() / norm_b),
+                });
+            }
 
-        // θ = A·s (second SpMV, flags from s).
-        if let Some(t) = &tracer {
-            t.stamp(j as i64, 3); // PBICGSTAB_STEPS[3] = "spmv_t"
-        }
-        partial.update(s);
-        if partial.enabled() {
-            coster.visflag_scan(&mut tl);
-        }
-        let st2 = mixed_spmv(m, shared, &partial.vis_flags, s, theta, threads);
-        result.spmv_stats.merge(&st2);
-        if let Some(t) = &tracer {
-            record_spmv_trace(t, &st2, shared);
-        }
-        coster.spmv(&mut tl, m, shared, &partial.vis_flags, &st2);
+            // s = r − αµ.
+            blas1::waxpy(r, -alpha, mu, s);
+            coster.axpy(&mut led.tl, 1);
 
-        // ω = (θ,s) / (θ,θ).
-        let ts = blas1::dot(theta, s);
-        let tt = blas1::dot(theta, theta);
-        coster.dot(&mut tl, false);
-        coster.dot(&mut tl, true); // scalar pair -> one readback
-        let omega = if tt > 0.0 { ts / tt } else { 0.0 };
+            // θ = A·s (second SpMV, flags from s).
+            led.stamp(j, 3); // PBICGSTAB_STEPS[3] = "spmv_t"
+            partial.update(s);
+            if partial.enabled() {
+                coster.visflag_scan(&mut led.tl);
+            }
+            let st2 = mixed_spmv(m, shared, &partial.vis_flags, s, theta, threads);
+            led.spmv(&st2, shared);
+            coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &st2);
 
-        // x += αp + ωs (fused two-vector update, Algorithm 2 line 10).
-        for i in 0..n {
-            x[i] += alpha * p[i] + omega * s[i];
-        }
-        coster.axpy(&mut tl, 2);
+            // ω = (θ,s) / (θ,θ).
+            let ts = blas1::dot(theta, s);
+            let tt = blas1::dot(theta, theta);
+            coster.dot(&mut led.tl, false);
+            coster.dot(&mut led.tl, true); // scalar pair -> one readback
+            let omega = if tt > 0.0 { ts / tt } else { 0.0 };
 
-        // r = s − ωθ.
-        blas1::waxpy(s, -omega, theta, r);
-        coster.axpy(&mut tl, 1);
+            // x += αp + ωs (fused two-vector update, Algorithm 2 line 10).
+            for i in 0..n {
+                x[i] += alpha * p[i] + omega * s[i];
+            }
+            coster.axpy(&mut led.tl, 2);
 
-        // β = (r,r0*)/(r_old,r0*) · α/ω; p = r + β(p − ωµ).
-        let rho_new = blas1::dot(r, r0s);
-        coster.dot(&mut tl, false);
-        let rr = blas1::dot(r, r);
-        coster.dot(&mut tl, true); // scalar pair -> one readback
-        restarts.progressed(); // x and r advanced: real progress
+            // r = s − ωθ.
+            blas1::waxpy(s, -omega, theta, r);
+            coster.axpy(&mut led.tl, 1);
 
-        if !rr.is_finite() {
-            // Poisoned residual: restarting would rebuild from the same
-            // non-finite r.
-            result.iterations += 1;
-            result.abort_nonfinite(result.iterations - 1);
-            coster.iteration_end(&mut tl);
-            break;
-        }
+            // β = (r,r0*)/(r_old,r0*) · α/ω; p = r + β(p − ωµ).
+            let rho_new = blas1::dot(r, r0s);
+            coster.dot(&mut led.tl, false);
+            let rr = blas1::dot(r, r);
+            coster.dot(&mut led.tl, true); // scalar pair -> one readback
+            if !rr.is_finite() {
+                // Poisoned residual: restarting would rebuild from the same
+                // non-finite r.
+                coster.iteration_end(&mut led.tl);
+                return Ok(Slot::NonFinite);
+            }
 
-        result.iterations += 1;
-        let relres = rr.sqrt() / norm_b;
-        result.final_relres = relres;
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if let Some(reference) = &cfg.reference_solution {
-            result.error_history.push(rel_error(x, reference));
-        }
-        if cfg.trace_partial {
-            result.p_range_history.push(partial.p_range_histogram(p));
-            result
-                .bypass_history
-                .push(st1.tiles_bypassed + st2.tiles_bypassed);
-            result
-                .precision_history
-                .push(crate::cg::current_precision_histogram(shared));
-        }
-
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-
-        let beta = (rho_new / rho) * (alpha / omega);
-        if let Some(kind) = restart_kind(beta, omega, rho_new) {
-            result.record_breakdown(result.iterations - 1, kind, RecoveryAction::Restarted);
-            restart(r, p, r0s, &mut rho);
-            coster.axpy(&mut tl, 1); // the p-update step still executes
-            coster.iteration_end(&mut tl);
-            continue;
-        }
-        rho = rho_new;
-        blas1::bicgstab_p_update(r, beta, omega, mu, p);
-        coster.axpy(&mut tl, 1);
-        coster.iteration_end(&mut tl);
-    }
-
-    finish_host_trace(tracer, &mut result);
-    result.x = x.clone();
-    result.timeline = tl;
-    result
-}
-
-/// Records the per-iteration traces for a breakdown-restart iteration (the
-/// normal path records inline).
-#[allow(clippy::too_many_arguments)]
-fn record_traces(
-    result: &mut CoreResult,
-    cfg: &SolverConfig,
-    partial: &PartialState,
-    shared: &SharedTiles,
-    x: &[f64],
-    r: &[f64],
-    p: &[f64],
-    norm_b: f64,
-    st1: &mf_kernels::MixedSpmvStats,
-    st2: &mf_kernels::MixedSpmvStats,
-) {
-    let rr = blas1::dot(r, r);
-    let relres = rr.sqrt() / norm_b;
-    result.final_relres = relres;
-    if cfg.trace_residuals {
-        result.residual_history.push(relres);
-    }
-    if let Some(reference) = &cfg.reference_solution {
-        result.error_history.push(rel_error(x, reference));
-    }
-    if cfg.trace_partial {
-        result.p_range_history.push(partial.p_range_histogram(p));
-        result
-            .bypass_history
-            .push(st1.tiles_bypassed + st2.tiles_bypassed);
-        result
-            .precision_history
-            .push(crate::cg::current_precision_histogram(shared));
-    }
+            let relres = rr.sqrt() / norm_b;
+            let bypassed = st1.tiles_bypassed + st2.tiles_bypassed;
+            led.trails(cfg, x, partial, p, bypassed, shared);
+            if cfg.fixed_iterations.is_none() && relres < cfg.tolerance {
+                // Converged: the direction update neither runs nor charges.
+                return Ok(Slot::Done(relres, Direction::Kept));
+            }
+            let beta = (rho_new / rho) * (alpha / omega);
+            let direction = if let Some(kind) = restart_kind(beta, omega, rho_new) {
+                restart(r, p, r0s, &mut rho);
+                Direction::Restarted(kind)
+            } else {
+                rho = rho_new;
+                blas1::bicgstab_p_update(r, beta, omega, mu, p);
+                Direction::Kept
+            };
+            coster.axpy(&mut led.tl, 1); // the p-update step runs either way
+            coster.iteration_end(&mut led.tl);
+            Ok(Slot::Done(relres, direction))
+        },
+    );
+    led.report(out, x)
 }
 
 /// Breakdown recovery: restart the Krylov process from the current
@@ -308,7 +229,7 @@ mod tests {
     use super::*;
     use crate::config::MAX_CONSECUTIVE_RESTARTS;
     use crate::coster::{Coster, MultiCoster, SingleCoster};
-    use crate::report::SolveFailure;
+    use crate::report::{RecoveryAction, SolveFailure};
     use mf_gpu::{CostModel, DeviceSpec};
     use mf_precision::ClassifyOptions;
     use mf_sparse::{Coo, Csr, TiledMatrix};

@@ -1,18 +1,24 @@
-//! The conjugate-gradient core (paper Algorithm 1 / Algorithm 3).
+//! The conjugate-gradient core (paper Algorithm 1 / Algorithm 3), plus the
+//! bookkeeping every sequential core shares.
 //!
 //! One numeric loop serves both execution modes; the [`Coster`] decides how
 //! the time of each step is charged. The numerics are exact: every SpMV
 //! multiplies the (possibly dynamically lowered) quantized tile values, so
-//! mixed precision genuinely perturbs convergence.
+//! mixed precision genuinely perturbs convergence. Like every engine, the
+//! core runs its iterations as slots of the one loop driver
+//! (`report::drive`), which owns the iteration budget, convergence, the
+//! restart policy and the adaptive refresh slots, and returns a
+//! [`SolveReport`].
 
 use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
-use crate::report::{BreakdownEvent, BreakdownKind, RecoveryAction, RestartPolicy, SolveFailure};
+use crate::report::{drive, BreakdownKind, Direction, ExecutedMode, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
 use mf_kernels::{blas1, spmv_mixed, spmv_mixed_par, MixedSpmvStats, SharedTiles, VisFlag};
 use mf_sparse::TiledMatrix;
+use std::convert::Infallible;
 
 /// Dispatches the mixed SpMV serially or tile-row-striped according to the
 /// resolved host thread count. The two paths are bitwise-identical
@@ -32,173 +38,140 @@ pub(crate) fn mixed_spmv(
     }
 }
 
-/// Raw output of a solver core loop.
-#[derive(Clone, Debug)]
-pub struct CoreResult {
-    /// Solution iterate.
-    pub x: Vec<f64>,
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Converged by the relative-residual criterion.
-    pub converged: bool,
-    /// Final relative residual from the recurrence.
-    pub final_relres: f64,
-    /// Modeled time of the solve loop.
-    pub timeline: Timeline,
-    /// Accumulated SpMV statistics.
-    pub spmv_stats: MixedSpmvStats,
-    /// Per-iteration relative residuals (when traced).
-    pub residual_history: Vec<f64>,
-    /// Per-iteration relative errors vs. the reference (when configured).
-    pub error_history: Vec<f64>,
-    /// Per-iteration |p| range histograms (when traced).
-    pub p_range_history: Vec<[usize; 5]>,
-    /// Per-iteration bypassed-tile counts (when traced).
-    pub bypass_history: Vec<usize>,
-    /// Per-iteration histogram of *current* tile precisions in the on-chip
-    /// copy `[FP64, FP32, FP16, FP8]` (when traced; paper Fig. 7).
-    pub precision_history: Vec<[usize; 4]>,
-    /// Every breakdown the loop observed and what was done about it.
-    pub breakdowns: Vec<BreakdownEvent>,
-    /// Set when the loop terminated abnormally (non-finite state or a
-    /// restart fixed point); `None` for convergence or plain iteration
-    /// exhaustion.
-    pub failure: Option<SolveFailure>,
-    /// Structured event trace (when `SolverConfig::trace` is enabled).
-    pub trace: Option<mf_trace::Trace>,
-    /// Re-tier plans the adaptive controller applied, in order (empty
-    /// unless `SolverConfig::adaptive` is armed).
-    pub retier_trail: Vec<mf_precision::RetierDecision>,
+/// What a sequential core records beside its [`Outcome`]: the modeled
+/// time, the SpMV statistics, the host event stream (recorded as warp 0)
+/// and the per-iteration trails only the sequential cores keep.
+pub(crate) struct Ledger {
+    pub(crate) tl: Timeline,
+    pub(crate) spmv_stats: MixedSpmvStats,
+    tracer: Option<mf_trace::WarpTracer>,
+    mode: ExecutedMode,
+    warp_count: usize,
+    error_history: Vec<f64>,
+    p_range_history: Vec<[usize; 5]>,
+    bypass_history: Vec<usize>,
+    precision_history: Vec<[usize; 4]>,
 }
 
-impl CoreResult {
-    /// A fresh not-yet-run result: no solution, `∞` residual, empty
-    /// histories. Cores fill it in as the loop executes.
-    pub fn empty() -> CoreResult {
-        CoreResult {
-            x: Vec::new(),
-            iterations: 0,
-            converged: false,
-            final_relres: f64::INFINITY,
-            timeline: Timeline::new(),
+impl Ledger {
+    /// An empty ledger for a core charged in `mode` on `warp_count` warps;
+    /// `traced` arms the event stream when `cfg.trace` is enabled.
+    pub(crate) fn new(
+        cfg: &SolverConfig,
+        traced: bool,
+        mode: ExecutedMode,
+        warp_count: usize,
+    ) -> Ledger {
+        Ledger {
+            tl: Timeline::new(),
             spmv_stats: MixedSpmvStats::default(),
-            residual_history: Vec::new(),
+            tracer: (traced && cfg.trace.enabled)
+                .then(|| mf_trace::WarpTracer::new(0, cfg.trace.capacity_per_warp)),
+            mode,
+            warp_count,
             error_history: Vec::new(),
             p_range_history: Vec::new(),
             bypass_history: Vec::new(),
             precision_history: Vec::new(),
-            breakdowns: Vec::new(),
-            failure: None,
-            trace: None,
-            retier_trail: Vec::new(),
         }
     }
 
-    /// The `b = 0` result: `x = 0` solves the system exactly, at iteration
-    /// 0, with the set-up already charged to `timeline`.
-    pub(crate) fn zero_rhs(n: usize, timeline: Timeline) -> CoreResult {
-        CoreResult {
-            x: vec![0.0; n],
-            converged: true,
-            final_relres: 0.0,
-            timeline,
-            ..CoreResult::empty()
+    /// Stamps the event stream at iteration `it`, step `step`.
+    pub(crate) fn stamp(&self, it: i64, step: usize) {
+        if let Some(t) = &self.tracer {
+            t.stamp(it, step);
         }
     }
 
-    /// Records a breakdown observed at the *current* (0-based) iteration —
-    /// call before `iterations` is advanced past it.
-    pub(crate) fn record_breakdown(
+    /// Folds one SpMV call's statistics in and records its per-precision
+    /// byte counters, bypass hits and the current on-chip precision
+    /// histogram as events.
+    pub(crate) fn spmv(&mut self, stats: &MixedSpmvStats, shared: &SharedTiles) {
+        self.spmv_stats.merge(stats);
+        let Some(t) = &self.tracer else { return };
+        for (code, bytes) in stats.bytes_by_precision().into_iter().enumerate() {
+            if bytes > 0 {
+                t.record(mf_trace::EventKind::SpmvBytes, code as u64, bytes);
+            }
+        }
+        t.record(
+            mf_trace::EventKind::Bypass,
+            stats.tiles_bypassed as u64,
+            stats.nnz_bypassed as u64,
+        );
+        t.record(
+            mf_trace::EventKind::Precision,
+            mf_trace::pack_precision_histogram(current_precision_histogram(shared)),
+            0,
+        );
+    }
+
+    /// Records one applied re-tier plan as an event.
+    pub(crate) fn retiered(&self, d: &mf_precision::RetierDecision) {
+        if let Some(t) = &self.tracer {
+            let (pa, pb) = crate::adaptive::retier_trace_payload(d);
+            t.record(mf_trace::EventKind::Retier, pa, pb);
+        }
+    }
+
+    /// Records one iteration's trails as `cfg` asks: the error of `x`
+    /// against the reference solution, and under `trace_partial` the |p|
+    /// ranges of `p`, the `bypassed` tile count and the on-chip precision
+    /// histogram.
+    pub(crate) fn trails(
         &mut self,
-        iteration: usize,
-        kind: BreakdownKind,
-        action: RecoveryAction,
+        cfg: &SolverConfig,
+        x: &[f64],
+        partial: &PartialState,
+        p: &[f64],
+        bypassed: usize,
+        shared: &SharedTiles,
     ) {
-        self.breakdowns.push(BreakdownEvent {
-            iteration,
-            kind,
-            action,
-        });
-    }
-
-    /// Records a breakdown restart of `kind` at the current iteration,
-    /// counts the iteration as executed and applies `policy` to the
-    /// rebuilt state; true when the loop must stop.
-    pub(crate) fn restart(
-        &mut self,
-        policy: &mut RestartPolicy,
-        kind: BreakdownKind,
-        finite: bool,
-    ) -> bool {
-        let iteration = self.iterations;
-        self.iterations += 1;
-        let (action, failure) = policy.restart(iteration, finite);
-        self.record_breakdown(iteration, kind, action);
-        self.failure = failure;
-        self.failure.is_some()
-    }
-
-    /// Aborts at `iteration` on a poisoned (non-finite) state: no restart
-    /// can rebuild finite state from it (`final_relres` keeps its last
-    /// value).
-    pub(crate) fn abort_nonfinite(&mut self, iteration: usize) {
-        self.record_breakdown(iteration, BreakdownKind::NonFinite, RecoveryAction::Aborted);
-        self.failure = Some(SolveFailure::NonFinite { iteration });
-    }
-}
-
-/// Builds the host-side event tracer for a sequential core (recorded as
-/// warp 0) when tracing is enabled; one `Option` branch otherwise.
-pub(crate) fn host_tracer(cfg: &SolverConfig) -> Option<mf_trace::WarpTracer> {
-    cfg.trace
-        .enabled
-        .then(|| mf_trace::WarpTracer::new(0, cfg.trace.capacity_per_warp))
-}
-
-/// Records one SpMV call's per-precision byte counters, bypass hits, and
-/// the current on-chip precision histogram. Shared by the sequential CG
-/// and BiCGSTAB cores so both emit the same event shape.
-pub(crate) fn record_spmv_trace(
-    tracer: &mf_trace::WarpTracer,
-    stats: &MixedSpmvStats,
-    shared: &SharedTiles,
-) {
-    for (code, bytes) in stats.bytes_by_precision().into_iter().enumerate() {
-        if bytes > 0 {
-            tracer.record(mf_trace::EventKind::SpmvBytes, code as u64, bytes);
+        if let Some(reference) = &cfg.reference_solution {
+            let (mut diff, mut norm) = (0.0, 0.0);
+            for (a, b) in x.iter().zip(reference) {
+                diff += (a - b) * (a - b);
+                norm += b * b;
+            }
+            self.error_history
+                .push((diff / norm.max(f64::MIN_POSITIVE)).sqrt());
+        }
+        if cfg.trace_partial {
+            self.p_range_history.push(partial.p_range_histogram(p));
+            self.bypass_history.push(bypassed);
+            self.precision_history
+                .push(current_precision_histogram(shared));
         }
     }
-    tracer.record(
-        mf_trace::EventKind::Bypass,
-        stats.tiles_bypassed as u64,
-        stats.nnz_bypassed as u64,
-    );
-    tracer.record(
-        mf_trace::EventKind::Precision,
-        mf_trace::pack_precision_histogram(current_precision_histogram(shared)),
-        0,
-    );
-}
 
-/// Finalizes a sequential core's trace: merge the single host stream and
-/// fold in the breakdown trail as epilogue events.
-pub(crate) fn finish_host_trace(tracer: Option<mf_trace::WarpTracer>, result: &mut CoreResult) {
-    if let Some(t) = tracer {
-        let mut trace = mf_trace::Trace::merge(vec![t.finish()]);
-        crate::report::append_breakdown_epilogue(&mut trace, &result.breakdowns);
-        result.trace = Some(trace);
+    /// The report of a loop that ended as `out` with solution `x`: the
+    /// trace gets the breakdown trail as epilogue events.
+    pub(crate) fn report(self, out: Outcome, x: &[f64]) -> SolveReport {
+        let trace = self.tracer.map(|t| {
+            let mut trace = mf_trace::Trace::merge(vec![t.finish()]);
+            crate::report::append_breakdown_epilogue(&mut trace, &out.breakdowns);
+            trace
+        });
+        SolveReport {
+            x: x.to_vec(),
+            mode: self.mode,
+            warp_count: self.warp_count,
+            timeline: self.tl,
+            spmv_stats: self.spmv_stats,
+            error_history: self.error_history,
+            p_range_history: self.p_range_history,
+            bypass_history: self.bypass_history,
+            precision_history: self.precision_history,
+            trace,
+            ..out.report()
+        }
     }
-}
 
-/// Relative error `‖x − x*‖₂ / ‖x*‖₂`.
-pub(crate) fn rel_error(x: &[f64], reference: &[f64]) -> f64 {
-    let mut diff = 0.0;
-    let mut norm = 0.0;
-    for (a, b) in x.iter().zip(reference) {
-        diff += (a - b) * (a - b);
-        norm += b * b;
+    /// The `b = 0` report: `x = 0` solves the system exactly, at
+    /// iteration 0, with the set-up already charged.
+    pub(crate) fn zero_rhs(self, n: usize) -> SolveReport {
+        self.report(Outcome::zero_rhs(), &vec![0.0; n])
     }
-    (diff / norm.max(f64::MIN_POSITIVE)).sqrt()
 }
 
 /// The one CG-family breakdown rule (classic, pipelined, preconditioned,
@@ -220,7 +193,7 @@ pub(crate) fn curvature_breakdown(alpha: f64, curvature: f64) -> Option<Breakdow
 /// once, mutated by dynamic lowering); `partial` controls the Finding-3
 /// strategy (pass a disabled state for plain mixed/FP64 runs). Every loop
 /// vector comes from `ws`, so a warm workspace makes the iteration loop
-/// allocation-free (the returned result still clones the solution out
+/// allocation-free (the returned report still clones the solution out
 /// once per solve).
 pub fn run_cg(
     m: &TiledMatrix,
@@ -230,23 +203,18 @@ pub fn run_cg(
     coster: &Coster,
     partial: &mut PartialState,
     ws: &mut SolverWorkspace,
-) -> CoreResult {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols, "CG needs a square (SPD) matrix");
 
-    let mut tl = Timeline::new();
-    coster.solve_start(&mut tl);
-
-    let tracer = host_tracer(cfg);
+    let mut led = Ledger::new(cfg, true, coster.mode(), coster.warp_count());
+    coster.solve_start(&mut led.tl);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        let mut result = CoreResult::zero_rhs(n, tl);
-        finish_host_trace(tracer, &mut result);
-        return result;
+        return led.zero_rhs(n);
     }
-    let mut result = CoreResult::empty();
 
     // x0 = 0 ⇒ r0 = b, p0 = r0 (paper Algorithm 1 lines 1–3). The vectors
     // live in the workspace; `ensure` zero-fills them without reallocating
@@ -263,154 +231,103 @@ pub fn run_cg(
     // tile census alone, so every engine replays the identical decision
     // sequence. The refresh SpMV runs with all-Keep flags — it computes
     // the *true* residual of the re-tiered operator.
-    let mut ctrl = cfg
+    let ctrl = cfg
         .adaptive
         .map(|ac| crate::adaptive::controller_for(m, ac));
     let retier_keep = ctrl.as_ref().map(|_| keep_flags(m.tile_cols));
 
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut restarts = RestartPolicy::new(!check_convergence);
-
-    for j in 0..iters {
-        // ---- Step A: vis_flag retrieval + mixed-precision SpMV µ = A·p.
-        if let Some(t) = &tracer {
-            t.stamp(j as i64, 1); // PCG_STEPS[1] = "spmv"
-        }
-        partial.update(p);
-        if partial.enabled() {
-            coster.visflag_scan(&mut tl);
-        }
-        let stats = mixed_spmv(m, shared, &partial.vis_flags, p, u, threads);
-        result.spmv_stats.merge(&stats);
-        if let Some(t) = &tracer {
-            record_spmv_trace(t, &stats, shared);
-        }
-        coster.spmv(&mut tl, m, shared, &partial.vis_flags, &stats);
-
-        // ---- Step B: α = (r,r) / (µ,p).
-        let py = blas1::dot(u, p);
-        coster.dot(&mut tl, true);
-        let alpha = rr / py;
-        if let Some(kind) = curvature_breakdown(alpha, py) {
-            // Curvature breakdown (quantization can push a borderline SPD
-            // system off the cone, and fixed-iteration benchmark runs keep
-            // iterating past exact convergence). Restart the direction from
-            // the current residual — but charge the *full* iteration: the
-            // GPU kernel executes every step regardless of degenerate
-            // scalars.
-            p.copy_from_slice(r);
-            rr = blas1::dot(r, r);
-            coster.axpy(&mut tl, 2);
-            coster.dot(&mut tl, true);
-            coster.axpy(&mut tl, 1);
-            coster.iteration_end(&mut tl);
-            let relres = rr.sqrt() / norm_b;
-            if relres.is_finite() {
-                result.final_relres = relres;
-            }
-            if cfg.trace_residuals {
-                result.residual_history.push(relres);
-            }
-            if let Some(reference) = &cfg.reference_solution {
-                result.error_history.push(rel_error(x, reference));
-            }
-            if cfg.trace_partial {
-                result.p_range_history.push(partial.p_range_histogram(p));
-                result.bypass_history.push(stats.tiles_bypassed);
-                result
-                    .precision_history
-                    .push(current_precision_histogram(shared));
-            }
-            // Abort when recovery is impossible: the residual itself went
-            // non-finite, or restarting keeps reproducing the same state.
-            if result.restart(&mut restarts, kind, rr.is_finite()) {
-                break;
-            }
-            continue;
-        }
-        restarts.progressed();
-
-        // ---- Step C: x += αp; r −= αµ; z = (r,r).
-        blas1::axpy(alpha, p, x);
-        blas1::axpy(-alpha, u, r);
-        coster.axpy(&mut tl, 2);
-        let rr_new = blas1::dot(r, r);
-        coster.dot(&mut tl, true);
-        if !rr_new.is_finite() {
-            // Overflowed residual recurrence: the iterate is poisoned and a
-            // restart would rebuild from the same non-finite r. Fail
-            // observably instead of NaN-spinning to max_iter.
-            result.iterations += 1;
-            result.abort_nonfinite(result.iterations - 1);
-            coster.iteration_end(&mut tl);
-            break;
-        }
-
-        // ---- Step D: β = z/(r,r)_old; p = r + βp.
-        let beta = rr_new / rr;
-        rr = rr_new;
-        blas1::xpay(r, beta, p);
-        coster.axpy(&mut tl, 1);
-        coster.iteration_end(&mut tl);
-
-        result.iterations += 1;
-        let relres = rr_new.sqrt() / norm_b;
-        result.final_relres = relres;
-
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if let Some(reference) = &cfg.reference_solution {
-            result.error_history.push(rel_error(x, reference));
-        }
-        if cfg.trace_partial {
-            result.p_range_history.push(partial.p_range_histogram(p));
-            result.bypass_history.push(stats.tiles_bypassed);
-            result
-                .precision_history
-                .push(current_precision_histogram(shared));
-        }
-
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-
-        // ---- Adaptive re-tier epoch (after the convergence check, so a
-        // converged solve never re-tiers): apply the plan to the on-chip
-        // tiles, then refresh the recurrence from the true residual of the
-        // re-tiered operator — r = b − A·x, p = r — because the recurrence
-        // tracks the *old* operator. Breakdown-restart iterations `continue`
-        // above and are never observed.
-        if let Some(c) = ctrl.as_mut() {
-            if let Some(d) = c.observe(result.iterations, relres, cfg.tolerance) {
+    let mut out = Outcome::sequential(cfg.trace_residuals);
+    let mut refreshes = 0;
+    let Ok(()) = drive::<Infallible>(
+        &mut out,
+        cfg.max_iter,
+        cfg.fixed_iterations,
+        cfg.tolerance,
+        ctrl,
+        || Ok(()),
+        |j, refresh| {
+            if let Some(d) = refresh {
+                // ---- Adaptive re-tier epoch: apply the plan to the on-chip
+                // tiles, then refresh the recurrence from the true residual
+                // of the re-tiered operator — r = b − A·x, p = r — because
+                // the recurrence tracks the *old* operator.
                 shared.apply_retier(m, &d.actions);
-                coster.retier(&mut tl, crate::adaptive::touched_nnz(m, &d));
+                coster.retier(&mut led.tl, crate::adaptive::touched_nnz(m, d));
                 let keepf = retier_keep.as_ref().expect("armed with controller");
                 let rstats = mixed_spmv(m, shared, keepf, x, u, threads);
-                result.spmv_stats.merge(&rstats);
-                coster.spmv(&mut tl, m, shared, keepf, &rstats);
+                led.spmv_stats.merge(&rstats);
+                coster.spmv(&mut led.tl, m, shared, keepf, &rstats);
                 for i in 0..n {
                     r[i] = b[i] - u[i];
                 }
                 p.copy_from_slice(r);
                 rr = blas1::dot(r, r);
-                coster.axpy(&mut tl, 2);
-                coster.dot(&mut tl, true);
-                if let Some(t) = &tracer {
-                    let (pa, pb) = crate::adaptive::retier_trace_payload(&d);
-                    t.record(mf_trace::EventKind::Retier, pa, pb);
-                }
-                result.retier_trail.push(d);
+                coster.axpy(&mut led.tl, 2);
+                coster.dot(&mut led.tl, true);
+                led.retiered(d);
+                refreshes += 1;
+                return Ok(Slot::Refreshed);
             }
-        }
-    }
 
-    finish_host_trace(tracer, &mut result);
-    result.x = x.clone();
-    result.timeline = tl;
-    result
+            // ---- Step A: vis_flag retrieval + mixed-precision SpMV µ = A·p.
+            led.stamp(j - refreshes, 1); // PCG_STEPS[1] = "spmv"
+            partial.update(p);
+            if partial.enabled() {
+                coster.visflag_scan(&mut led.tl);
+            }
+            let stats = mixed_spmv(m, shared, &partial.vis_flags, p, u, threads);
+            led.spmv(&stats, shared);
+            coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &stats);
+
+            // ---- Step B: α = (r,r) / (µ,p).
+            let py = blas1::dot(u, p);
+            coster.dot(&mut led.tl, true);
+            let alpha = rr / py;
+            if let Some(kind) = curvature_breakdown(alpha, py) {
+                // Curvature breakdown (quantization can push a borderline
+                // SPD system off the cone, and fixed-iteration benchmark
+                // runs keep iterating past exact convergence). Restart the
+                // direction from the current residual — but charge the
+                // *full* iteration: the GPU kernel executes every step
+                // regardless of degenerate scalars.
+                p.copy_from_slice(r);
+                rr = blas1::dot(r, r);
+                coster.axpy(&mut led.tl, 2);
+                coster.dot(&mut led.tl, true);
+                coster.axpy(&mut led.tl, 1);
+                coster.iteration_end(&mut led.tl);
+                led.trails(cfg, x, partial, p, stats.tiles_bypassed, shared);
+                return Ok(Slot::Restart {
+                    kind,
+                    finite: rr.is_finite(),
+                    relres: Some(rr.sqrt() / norm_b),
+                });
+            }
+
+            // ---- Step C: x += αp; r −= αµ; z = (r,r).
+            blas1::axpy(alpha, p, x);
+            blas1::axpy(-alpha, u, r);
+            coster.axpy(&mut led.tl, 2);
+            let rr_new = blas1::dot(r, r);
+            coster.dot(&mut led.tl, true);
+            if !rr_new.is_finite() {
+                // Overflowed residual recurrence: the iterate is poisoned
+                // and a restart would rebuild from the same non-finite r.
+                coster.iteration_end(&mut led.tl);
+                return Ok(Slot::NonFinite);
+            }
+
+            // ---- Step D: β = z/(r,r)_old; p = r + βp.
+            let beta = rr_new / rr;
+            rr = rr_new;
+            blas1::xpay(r, beta, p);
+            coster.axpy(&mut led.tl, 1);
+            coster.iteration_end(&mut led.tl);
+            led.trails(cfg, x, partial, p, stats.tiles_bypassed, shared);
+            Ok(Slot::Done(rr_new.sqrt() / norm_b, Direction::Kept))
+        },
+    );
+    led.report(out, x)
 }
 
 /// Histogram of the on-chip copy's *current* tile precisions,

@@ -14,6 +14,7 @@
 //!   step (a step cannot finish before its slowest warp), the atomic
 //!   updates of the dependency arrays and one busy-wait poll per barrier.
 
+use crate::report::ExecutedMode;
 use mf_gpu::{CostModel, Phase, ShmemPlan, SpmvSchedule, Timeline, VectorSchedule};
 use mf_kernels::{MixedSpmvStats, SharedTiles, VisFlag};
 use mf_sparse::TiledMatrix;
@@ -355,34 +356,15 @@ impl MultiCoster {
         tl.add(Phase::Sync, self.cost.launch_us());
     }
 
-    /// A *recursive-block* triangular solve (paper §III-C, ref. \[41\]): the
-    /// leaf triangles serialize (one device sweep each), but the square
-    /// blocks run as parallel SpMVs — that trade is where the PCG speedups
-    /// of Fig. 10 come from.
-    pub fn sptrsv_recursive(&self, tl: &mut Timeline, stats: &mf_kernels::RecursiveTrsvStats) {
-        let leaf_sweeps = stats.leaves as f64 * 0.8;
-        let spmv_body = self.cost.roofline_us(
-            2.0 * stats.spmv_nnz as f64,
-            20.0 * stats.spmv_nnz as f64,
-            self.cost.spmv_warps(stats.spmv_nnz.max(1)),
-        );
-        let leaf_body = self.cost.roofline_us(
-            2.0 * stats.trsv_nnz as f64,
-            12.0 * stats.trsv_nnz as f64,
-            32,
-        );
-        let t = (leaf_sweeps + spmv_body + leaf_body).max(self.cost.device.min_kernel_body_us);
-        tl.add(Phase::SpTrsv, t);
-        tl.add(Phase::Sync, self.cost.launch_us());
-    }
-
     /// Triangular solve with the algorithm the solver's preprocessing picks
-    /// for this matrix: the recursive-block scheme (wins when the factor
-    /// has deep dependency chains — banded/FEM matrices, where the paper
-    /// reports its 40×+ PCG speedups) or plain level scheduling (wins when
-    /// the factor is already level-parallel, e.g. scattered circuit
-    /// patterns). `levels` is the combined level count of the factors the
-    /// call applies; `nnz` their nonzeros.
+    /// for this matrix: plain level scheduling (wins when the factor is
+    /// already level-parallel, e.g. scattered circuit patterns) or the
+    /// recursive-block scheme of paper §III-C, ref. \[41\], whose leaf
+    /// triangles serialize while its square blocks run as parallel SpMVs
+    /// (wins when the factor has deep dependency chains — banded/FEM
+    /// matrices, where the paper reports its 40×+ PCG speedups). `levels`
+    /// is the combined level count of the factors the call applies; `nnz`
+    /// their nonzeros.
     pub fn sptrsv_adaptive(
         &self,
         tl: &mut Timeline,
@@ -484,6 +466,14 @@ pub enum Coster {
 }
 
 impl Coster {
+    /// The execution mode this coster charges.
+    pub(crate) fn mode(&self) -> ExecutedMode {
+        match self {
+            Coster::Single(_) => ExecutedMode::SingleKernel,
+            Coster::Multi(_) => ExecutedMode::MultiKernel,
+        }
+    }
+
     /// Warps the execution uses (0 = not warp-scheduled).
     pub fn warp_count(&self) -> usize {
         match self {

@@ -38,19 +38,16 @@
 //!
 //! [`MAX_CONSECUTIVE_RESTARTS`]: crate::config::MAX_CONSECUTIVE_RESTARTS
 
-use crate::cg::{
-    current_precision_histogram, curvature_breakdown, finish_host_trace, host_tracer, mixed_spmv,
-    record_spmv_trace, rel_error, CoreResult,
-};
+use crate::cg::{curvature_breakdown, keep_flags, mixed_spmv, Ledger};
 use crate::config::SolverConfig;
 use crate::coster::{Coster, MultiCoster};
 use crate::partial::PartialState;
 use crate::precond::{Bound, Precond};
-use crate::report::RestartPolicy;
+use crate::report::{drive, Direction, ExecutedMode, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
-use mf_gpu::Timeline;
 use mf_kernels::{blas1, SharedTiles};
 use mf_sparse::TiledMatrix;
+use std::convert::Infallible;
 
 /// Pipelined scalar update: returns `(beta, alpha, denom)` for the current
 /// `(γ, δ)` pair. `fresh` selects the steepest-descent start used on
@@ -83,23 +80,18 @@ pub fn run_cg_pipelined(
     coster: &Coster,
     partial: &mut PartialState,
     ws: &mut SolverWorkspace,
-) -> CoreResult {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols, "CG needs a square (SPD) matrix");
 
-    let mut tl = Timeline::new();
-    coster.solve_start(&mut tl);
-
-    let tracer = host_tracer(cfg);
+    let mut led = Ledger::new(cfg, true, coster.mode(), coster.warp_count());
+    coster.solve_start(&mut led.tl);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        let mut result = CoreResult::zero_rhs(n, tl);
-        finish_host_trace(tracer, &mut result);
-        return result;
+        return led.zero_rhs(n);
     }
-    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -119,167 +111,119 @@ pub fn run_cg_pipelined(
     // SpMV is the pipeline's one-time extra cost over classic CG.
     partial.update(r);
     if partial.enabled() {
-        coster.visflag_scan(&mut tl);
+        coster.visflag_scan(&mut led.tl);
     }
     let stats = mixed_spmv(m, shared, &partial.vis_flags, r, w, threads);
-    result.spmv_stats.merge(&stats);
-    if let Some(t) = &tracer {
-        t.stamp(0, 0);
-        record_spmv_trace(t, &stats, shared);
-    }
-    coster.spmv_unsync(&mut tl, m, shared, &partial.vis_flags, &stats);
+    led.stamp(0, 0);
+    led.spmv(&stats, shared);
+    coster.spmv_unsync(&mut led.tl, m, shared, &partial.vis_flags, &stats);
     let (mut gamma, mut delta) = blas1::dot2(r, w, r);
-    coster.dot_unsync(&mut tl, true);
-    coster.barrier(&mut tl); // the init epoch publishing w, γ₀, δ₀
+    coster.dot_unsync(&mut led.tl, true);
+    coster.barrier(&mut led.tl); // the init epoch publishing w, γ₀, δ₀
 
     // Adaptive re-tiering: the refresh recomputes r = b − A·x and the
     // recurrence seeds w = A·r, (γ, δ) from the re-tiered operator and
     // flags a fresh (steepest-descent) start — the pipelined analogue of
     // the classic core's r/p rebuild.
-    let mut ctrl = cfg
+    let ctrl = cfg
         .adaptive
         .map(|ac| crate::adaptive::controller_for(m, ac));
-    let retier_keep = ctrl.as_ref().map(|_| crate::cg::keep_flags(m.tile_cols));
+    let retier_keep = ctrl.as_ref().map(|_| keep_flags(m.tile_cols));
 
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut restarts = RestartPolicy::new(!check_convergence);
     let mut gamma_old = 1.0f64;
     let mut alpha_old = 1.0f64;
     let mut fresh = true;
-
-    for j in 0..iters {
-        if let Some(t) = &tracer {
-            t.stamp(j as i64, 2); // PCG_PIPELINED_STEPS[2] = "spmv"
-        }
-        // ---- SpMV q = A·w. On the device this overlaps the reduction that
-        // produced (γ, δ); sequentially it simply runs first.
-        partial.update(w);
-        if partial.enabled() {
-            coster.visflag_scan(&mut tl);
-        }
-        let stats = mixed_spmv(m, shared, &partial.vis_flags, w, q, threads);
-        result.spmv_stats.merge(&stats);
-        if let Some(t) = &tracer {
-            record_spmv_trace(t, &stats, shared);
-        }
-        coster.spmv_unsync(&mut tl, m, shared, &partial.vis_flags, &stats);
-
-        // ---- Scalars from the previous reduction.
-        let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-        if let Some(kind) = curvature_breakdown(alpha, denom) {
-            // Breakdown restart: discard the direction history (β = 0 next
-            // iteration rebuilds p, s, z from r, w, q) without touching x or
-            // r — the same fixed-point-compatible semantics as classic CG.
-            fresh = true;
-            coster.barrier(&mut tl); // epochs stay aligned with the normal path
-            let relres = gamma.sqrt() / norm_b;
-            if relres.is_finite() {
-                result.final_relres = relres;
-            }
-            if cfg.trace_residuals {
-                result.residual_history.push(relres);
-            }
-            if let Some(reference) = &cfg.reference_solution {
-                result.error_history.push(rel_error(x, reference));
-            }
-            if cfg.trace_partial {
-                result.p_range_history.push(partial.p_range_histogram(w));
-                result.bypass_history.push(stats.tiles_bypassed);
-                result
-                    .precision_history
-                    .push(current_precision_histogram(shared));
-            }
-            if result.restart(&mut restarts, kind, gamma.is_finite()) {
-                break;
-            }
-            continue;
-        }
-        restarts.progressed();
-
-        // ---- Fused six-vector update (one pass; see blas1).
-        blas1::cg_pipelined_update(alpha, beta, q, p, s, z, x, r, w);
-        coster.axpy_unsync(&mut tl, 6);
-
-        // ---- Fused dot pair for the *next* iteration's scalars, then THE
-        // one barrier epoch of the iteration (the schedule's whole point).
-        let (gamma_new, delta_new) = blas1::dot2(r, w, r);
-        coster.dot_unsync(&mut tl, true);
-        coster.barrier(&mut tl);
-
-        gamma_old = gamma;
-        alpha_old = alpha;
-        gamma = gamma_new;
-        delta = delta_new;
-        fresh = false;
-
-        result.iterations += 1;
-        if !gamma.is_finite() {
-            // Poisoned residual recurrence — abort observably, exactly like
-            // the classic core's (r,r) check.
-            result.abort_nonfinite(result.iterations - 1);
-            break;
-        }
-        let relres = gamma.sqrt() / norm_b;
-        result.final_relres = relres;
-
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if let Some(reference) = &cfg.reference_solution {
-            result.error_history.push(rel_error(x, reference));
-        }
-        if cfg.trace_partial {
-            result.p_range_history.push(partial.p_range_histogram(w));
-            result.bypass_history.push(stats.tiles_bypassed);
-            result
-                .precision_history
-                .push(current_precision_histogram(shared));
-        }
-
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-
-        // ---- Adaptive re-tier epoch (after the convergence check):
-        // re-tier, then reseed the whole recurrence from the true residual
-        // of the re-tiered operator: r = b − A·x (via the q temp), w = A·r,
-        // (γ, δ) = ((r,r), (w,r)), fresh start.
-        if let Some(c) = ctrl.as_mut() {
-            if let Some(d) = c.observe(result.iterations, relres, cfg.tolerance) {
+    let mut out = Outcome::sequential(cfg.trace_residuals);
+    let mut refreshes = 0;
+    let Ok(()) = drive::<Infallible>(
+        &mut out,
+        cfg.max_iter,
+        cfg.fixed_iterations,
+        cfg.tolerance,
+        ctrl,
+        || Ok(()),
+        |j, refresh| {
+            if let Some(d) = refresh {
+                // ---- Adaptive re-tier epoch: re-tier, then reseed the
+                // whole recurrence from the true residual of the re-tiered
+                // operator: r = b − A·x (via the q temp), w = A·r,
+                // (γ, δ) = ((r,r), (w,r)), fresh start.
                 shared.apply_retier(m, &d.actions);
-                coster.retier(&mut tl, crate::adaptive::touched_nnz(m, &d));
+                coster.retier(&mut led.tl, crate::adaptive::touched_nnz(m, d));
                 let keepf = retier_keep.as_ref().expect("armed with controller");
                 let xstats = mixed_spmv(m, shared, keepf, x, q, threads);
-                result.spmv_stats.merge(&xstats);
-                coster.spmv_unsync(&mut tl, m, shared, keepf, &xstats);
+                led.spmv_stats.merge(&xstats);
+                coster.spmv_unsync(&mut led.tl, m, shared, keepf, &xstats);
                 for i in 0..n {
                     r[i] = b[i] - q[i];
                 }
-                coster.axpy_unsync(&mut tl, 1);
+                coster.axpy_unsync(&mut led.tl, 1);
                 let wstats = mixed_spmv(m, shared, keepf, r, w, threads);
-                result.spmv_stats.merge(&wstats);
-                coster.spmv_unsync(&mut tl, m, shared, keepf, &wstats);
-                let (g, dl) = blas1::dot2(r, w, r);
-                gamma = g;
-                delta = dl;
-                coster.dot_unsync(&mut tl, true);
-                coster.barrier(&mut tl);
+                led.spmv_stats.merge(&wstats);
+                coster.spmv_unsync(&mut led.tl, m, shared, keepf, &wstats);
+                (gamma, delta) = blas1::dot2(r, w, r);
+                coster.dot_unsync(&mut led.tl, true);
+                coster.barrier(&mut led.tl);
                 fresh = true;
-                if let Some(t) = &tracer {
-                    let (pa, pb) = crate::adaptive::retier_trace_payload(&d);
-                    t.record(mf_trace::EventKind::Retier, pa, pb);
-                }
-                result.retier_trail.push(d);
+                led.retiered(d);
+                refreshes += 1;
+                return Ok(Slot::Refreshed);
             }
-        }
-    }
 
-    finish_host_trace(tracer, &mut result);
-    result.x = x.clone();
-    result.timeline = tl;
-    result
+            led.stamp(j - refreshes, 2); // PCG_PIPELINED_STEPS[2] = "spmv"
+                                         // ---- SpMV q = A·w. On the device this overlaps the reduction
+                                         // that produced (γ, δ); sequentially it simply runs first.
+            partial.update(w);
+            if partial.enabled() {
+                coster.visflag_scan(&mut led.tl);
+            }
+            let stats = mixed_spmv(m, shared, &partial.vis_flags, w, q, threads);
+            led.spmv(&stats, shared);
+            coster.spmv_unsync(&mut led.tl, m, shared, &partial.vis_flags, &stats);
+
+            // ---- Scalars from the previous reduction.
+            let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
+            if let Some(kind) = curvature_breakdown(alpha, denom) {
+                // Breakdown restart: discard the direction history (β = 0
+                // next iteration rebuilds p, s, z from r, w, q) without
+                // touching x or r — the same fixed-point-compatible
+                // semantics as classic CG.
+                fresh = true;
+                coster.barrier(&mut led.tl); // epochs stay aligned with the normal path
+                led.trails(cfg, x, partial, w, stats.tiles_bypassed, shared);
+                return Ok(Slot::Restart {
+                    kind,
+                    finite: gamma.is_finite(),
+                    relres: Some(gamma.sqrt() / norm_b),
+                });
+            }
+
+            // ---- Fused six-vector update (one pass; see blas1).
+            blas1::cg_pipelined_update(alpha, beta, q, p, s, z, x, r, w);
+            coster.axpy_unsync(&mut led.tl, 6);
+
+            // ---- Fused dot pair for the *next* iteration's scalars, then
+            // THE one barrier epoch of the iteration (the schedule's whole
+            // point).
+            let (gamma_new, delta_new) = blas1::dot2(r, w, r);
+            coster.dot_unsync(&mut led.tl, true);
+            coster.barrier(&mut led.tl);
+
+            gamma_old = gamma;
+            alpha_old = alpha;
+            gamma = gamma_new;
+            delta = delta_new;
+            fresh = false;
+            if !gamma.is_finite() {
+                // Poisoned residual recurrence — abort observably, exactly
+                // like the classic core's (r,r) check.
+                return Ok(Slot::NonFinite);
+            }
+            led.trails(cfg, x, partial, w, stats.tiles_bypassed, shared);
+            Ok(Slot::Done(gamma.sqrt() / norm_b, Direction::Kept))
+        },
+    );
+    led.report(out, x)
 }
 
 /// Pipelined preconditioned CG with `M⁻¹ = pc`. Vector map: `u = M⁻¹r`
@@ -296,18 +240,17 @@ pub fn run_pcg_pipelined(
     cfg: &SolverConfig,
     mc: &MultiCoster,
     ws: &mut SolverWorkspace,
-) -> CoreResult {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
 
-    let mut tl = Timeline::new();
-    let pc = Bound::new(pc, mc, cfg, &mut tl, n);
+    let mut led = Ledger::new(cfg, false, ExecutedMode::MultiKernel, 0);
+    let pc = Bound::new(pc, mc, cfg, &mut led.tl, n);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        return CoreResult::zero_rhs(n, tl);
+        return led.zero_rhs(n);
     }
-    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -326,92 +269,78 @@ pub fn run_pcg_pipelined(
     } = ws;
     r.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
-    let keep = crate::cg::keep_flags(m.tile_cols);
+    let keep = keep_flags(m.tile_cols);
 
     // Init (x0 = 0): r = b, u = M⁻¹r, w = A·u, γ = (r,u), δ = (w,u),
     // ρ = (r,r) = ‖b‖².
-    pc.apply(&mut tl, r, y, u);
+    pc.apply(&mut led.tl, r, y, u);
     let stats = mixed_spmv(m, shared, &keep, u, w, threads);
-    result.spmv_stats.merge(&stats);
-    mc.spmv(&mut tl, m, &stats);
+    led.spmv(&stats, shared);
+    mc.spmv(&mut led.tl, m, &stats);
     let (mut gamma, mut delta) = blas1::dot2(r, w, u);
-    mc.dot(&mut tl, true);
+    mc.dot(&mut led.tl, true);
     let mut rho = norm_b * norm_b;
 
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut restarts = RestartPolicy::new(!check_convergence);
     let mut gamma_old = 1.0f64;
     let mut alpha_old = 1.0f64;
     let mut fresh = true;
+    let mut out = Outcome::sequential(cfg.trace_residuals);
+    let Ok(()) = drive::<Infallible>(
+        &mut out,
+        cfg.max_iter,
+        cfg.fixed_iterations,
+        cfg.tolerance,
+        None,
+        || Ok(()),
+        |_, _| {
+            // ---- Preconditioner chain m = M⁻¹w, then SpMV n = A·m. On the
+            // device these overlap the reduction that produced (γ, δ, ρ).
+            pc.apply(&mut led.tl, w, y, mvec);
+            let stats = mixed_spmv(m, shared, &keep, mvec, nvec, threads);
+            led.spmv(&stats, shared);
+            mc.spmv(&mut led.tl, m, &stats);
 
-    for _j in 0..iters {
-        // ---- Preconditioner chain m = M⁻¹w, then SpMV n = A·m. On the
-        // device these overlap the reduction that produced (γ, δ, ρ).
-        pc.apply(&mut tl, w, y, mvec);
-        let stats = mixed_spmv(m, shared, &keep, mvec, nvec, threads);
-        result.spmv_stats.merge(&stats);
-        mc.spmv(&mut tl, m, &stats);
-
-        // ---- Scalars from the previous reduction.
-        let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-        if let Some(kind) = curvature_breakdown(alpha, denom) {
-            // Breakdown restart: same flag-only recovery as pipelined CG
-            // (β = 0 rebuilds p, s, q, z from u, w, m, n next iteration).
-            fresh = true;
-            let relres = rho.sqrt() / norm_b;
-            if relres.is_finite() {
-                result.final_relres = relres;
+            // ---- Scalars from the previous reduction.
+            let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
+            if let Some(kind) = curvature_breakdown(alpha, denom) {
+                // Breakdown restart: same flag-only recovery as pipelined
+                // CG (β = 0 rebuilds p, s, q, z from u, w, m, n next
+                // iteration).
+                fresh = true;
+                return Ok(Slot::Restart {
+                    kind,
+                    finite: gamma.is_finite(),
+                    relres: Some(rho.sqrt() / norm_b),
+                });
             }
-            if cfg.trace_residuals {
-                result.residual_history.push(relres);
+
+            // ---- Fused eight-vector update (one pass; see blas1).
+            blas1::pcg_pipelined_update(alpha, beta, mvec, nvec, p, s, q, z, x, r, u, w);
+            mc.axpy(&mut led.tl);
+            mc.axpy(&mut led.tl);
+
+            // ---- Fused reduction for the next iteration: γ' = (r,u),
+            // δ' = (w,u), plus the residual norm ρ' = (r,r) the
+            // convergence test needs (γ is *not* a norm under
+            // preconditioning).
+            let (gamma_new, delta_new) = blas1::dot2(r, w, u);
+            mc.dot(&mut led.tl, false);
+            let rho_new = blas1::dot(r, r);
+            mc.dot(&mut led.tl, true);
+
+            gamma_old = gamma;
+            alpha_old = alpha;
+            gamma = gamma_new;
+            delta = delta_new;
+            rho = rho_new;
+            fresh = false;
+            if !rho.is_finite() {
+                return Ok(Slot::NonFinite);
             }
-            if result.restart(&mut restarts, kind, gamma.is_finite()) {
-                break;
-            }
-            continue;
-        }
-        restarts.progressed();
-
-        // ---- Fused eight-vector update (one pass; see blas1).
-        blas1::pcg_pipelined_update(alpha, beta, mvec, nvec, p, s, q, z, x, r, u, w);
-        mc.axpy(&mut tl);
-        mc.axpy(&mut tl);
-
-        // ---- Fused reduction for the next iteration: γ' = (r,u),
-        // δ' = (w,u), plus the residual norm ρ' = (r,r) the convergence
-        // test needs (γ is *not* a norm under preconditioning).
-        let (gamma_new, delta_new) = blas1::dot2(r, w, u);
-        mc.dot(&mut tl, false);
-        let rho_new = blas1::dot(r, r);
-        mc.dot(&mut tl, true);
-
-        gamma_old = gamma;
-        alpha_old = alpha;
-        gamma = gamma_new;
-        delta = delta_new;
-        rho = rho_new;
-        fresh = false;
-
-        result.iterations += 1;
-        if !rho.is_finite() {
-            result.abort_nonfinite(result.iterations - 1);
-            break;
-        }
-        let relres = rho.sqrt() / norm_b;
-        result.final_relres = relres;
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-    }
-
-    result.x = x.clone();
-    result.timeline = tl;
-    result
+            Ok(Slot::Done(rho.sqrt() / norm_b, Direction::Kept))
+        },
+    );
+    led.report(out, x)
 }
 
 #[cfg(test)]

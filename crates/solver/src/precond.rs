@@ -16,14 +16,15 @@
 //! needs the single kernel's persistent on-chip tile copy (§III-D).
 
 use crate::bicgstab::{alpha_breakdown, restart_kind, restart_rho};
-use crate::cg::{curvature_breakdown, keep_flags, mixed_spmv, CoreResult};
+use crate::cg::{curvature_breakdown, keep_flags, mixed_spmv, Ledger};
 use crate::config::SolverConfig;
 use crate::coster::MultiCoster;
-use crate::report::{RecoveryAction, RestartPolicy};
+use crate::report::{drive, Direction, ExecutedMode, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{Phase, Timeline};
 use mf_kernels::{blas1, level_schedule, BlockJacobi, Ic0, Ilu0, RecursiveTrsvStats, SharedTiles};
 use mf_sparse::TiledMatrix;
+use std::convert::Infallible;
 
 /// The preconditioner `M⁻¹` a preconditioned core applies. The variants
 /// differ in three things only — the factorization charge, the SpTRSV
@@ -155,18 +156,17 @@ pub fn run_pcg(
     cfg: &SolverConfig,
     mc: &MultiCoster,
     ws: &mut SolverWorkspace,
-) -> CoreResult {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
 
-    let mut tl = Timeline::new();
-    let pc = Bound::new(pc, mc, cfg, &mut tl, n);
+    let mut led = Ledger::new(cfg, false, ExecutedMode::MultiKernel, 0);
+    let pc = Bound::new(pc, mc, cfg, &mut led.tl, n);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        return CoreResult::zero_rhs(n, tl);
+        return led.zero_rhs(n);
     }
-    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -175,115 +175,105 @@ pub fn run_pcg(
     r.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
     let keep = keep_flags(m.tile_cols);
-    pc.apply(&mut tl, r, y, z);
+    pc.apply(&mut led.tl, r, y, z);
     p.copy_from_slice(z);
     let mut rz = blas1::dot(r, z);
-    mc.dot(&mut tl, true);
+    mc.dot(&mut led.tl, true);
 
     // Adaptive re-tiering: same controller state machine as the CG core
     // (see `crate::adaptive`); the refresh re-derives z and rz through the
     // preconditioner because the recurrence tracks the old operator.
-    let mut ctrl = cfg
+    let ctrl = cfg
         .adaptive
         .map(|ac| crate::adaptive::controller_for(m, ac));
 
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut restarts = RestartPolicy::new(!check_convergence);
-
-    for _j in 0..iters {
-        let stats = mixed_spmv(m, shared, &keep, p, u, threads);
-        result.spmv_stats.merge(&stats);
-        mc.spmv(&mut tl, m, &stats);
-
-        let pu = blas1::dot(p, u);
-        mc.dot(&mut tl, true);
-        let alpha = rz / pu;
-        if let Some(kind) = curvature_breakdown(alpha, pu) {
-            // Breakdown restart — the kernel sequence still runs, charge it.
-            p.copy_from_slice(z);
-            rz = blas1::dot(r, z);
-            mc.axpy(&mut tl);
-            mc.axpy(&mut tl);
-            mc.dot(&mut tl, true);
-            mc.dot(&mut tl, true);
-            mc.axpy(&mut tl);
-            // A restart leaves x and r untouched, so repeating it is a
-            // fixed point (see crate::cg) — abort instead of spinning.
-            if result.restart(&mut restarts, kind, rz.is_finite()) {
-                break;
-            }
-            continue;
-        }
-        restarts.progressed();
-
-        blas1::axpy(alpha, p, x);
-        blas1::axpy(-alpha, u, r);
-        mc.axpy(&mut tl);
-        mc.axpy(&mut tl);
-
-        let rr = blas1::dot(r, r);
-        mc.dot(&mut tl, true);
-        if !rr.is_finite() {
-            // Poisoned residual: no restart can rebuild finite state from
-            // it.
-            result.iterations += 1;
-            result.abort_nonfinite(result.iterations - 1);
-            break;
-        }
-
-        pc.apply(&mut tl, r, y, z);
-
-        let rz_new = blas1::dot(r, z);
-        mc.dot(&mut tl, true);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        blas1::xpay(z, beta, p);
-        mc.axpy(&mut tl);
-
-        result.iterations += 1;
-        let relres = rr.sqrt() / norm_b;
-        result.final_relres = relres;
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-        if !beta.is_finite() {
-            // β = (r,z)_new/(r,z) went non-finite — the preconditioned
-            // correlation collapsed.
-            result.abort_nonfinite(result.iterations - 1);
-            break;
-        }
-
-        // ---- Adaptive re-tier epoch (after the convergence check):
-        // re-tier the tiles, then rebuild r = b − A·x, z = M⁻¹r, p = z and
-        // rz = (r,z) from the re-tiered operator.
-        if let Some(c) = ctrl.as_mut() {
-            if let Some(d) = c.observe(result.iterations, relres, cfg.tolerance) {
+    let mut out = Outcome::sequential(cfg.trace_residuals);
+    let Ok(()) = drive::<Infallible>(
+        &mut out,
+        cfg.max_iter,
+        cfg.fixed_iterations,
+        cfg.tolerance,
+        ctrl,
+        || Ok(()),
+        |_, refresh| {
+            let tl = &mut led.tl;
+            if let Some(d) = refresh {
+                // ---- Adaptive re-tier epoch: re-tier the tiles, then
+                // rebuild r = b − A·x, z = M⁻¹r, p = z and rz = (r,z) from
+                // the re-tiered operator.
                 shared.apply_retier(m, &d.actions);
-                mc.retier(&mut tl, crate::adaptive::touched_nnz(m, &d));
+                mc.retier(tl, crate::adaptive::touched_nnz(m, d));
                 let rstats = mixed_spmv(m, shared, &keep, x, u, threads);
-                result.spmv_stats.merge(&rstats);
-                mc.spmv(&mut tl, m, &rstats);
+                led.spmv_stats.merge(&rstats);
+                mc.spmv(tl, m, &rstats);
                 for i in 0..n {
                     r[i] = b[i] - u[i];
                 }
-                mc.axpy(&mut tl);
-                pc.apply(&mut tl, r, y, z);
+                mc.axpy(tl);
+                pc.apply(tl, r, y, z);
                 p.copy_from_slice(z);
                 rz = blas1::dot(r, z);
-                mc.dot(&mut tl, true);
-                result.retier_trail.push(d);
+                mc.dot(tl, true);
+                return Ok(Slot::Refreshed);
             }
-        }
-    }
 
-    result.x = x.clone();
-    result.timeline = tl;
-    result
+            let stats = mixed_spmv(m, shared, &keep, p, u, threads);
+            led.spmv_stats.merge(&stats);
+            mc.spmv(tl, m, &stats);
+
+            let pu = blas1::dot(p, u);
+            mc.dot(tl, true);
+            let alpha = rz / pu;
+            if let Some(kind) = curvature_breakdown(alpha, pu) {
+                // Breakdown restart — the kernel sequence still runs, charge
+                // it. A restart leaves x and r untouched, so repeating it is
+                // a fixed point (see crate::cg) the driver aborts.
+                p.copy_from_slice(z);
+                rz = blas1::dot(r, z);
+                mc.axpy(tl);
+                mc.axpy(tl);
+                mc.dot(tl, true);
+                mc.dot(tl, true);
+                mc.axpy(tl);
+                return Ok(Slot::Restart {
+                    kind,
+                    finite: rz.is_finite(),
+                    relres: None,
+                });
+            }
+
+            blas1::axpy(alpha, p, x);
+            blas1::axpy(-alpha, u, r);
+            mc.axpy(tl);
+            mc.axpy(tl);
+
+            let rr = blas1::dot(r, r);
+            mc.dot(tl, true);
+            if !rr.is_finite() {
+                // Poisoned residual: no restart can rebuild finite state
+                // from it.
+                return Ok(Slot::NonFinite);
+            }
+
+            pc.apply(tl, r, y, z);
+
+            let rz_new = blas1::dot(r, z);
+            mc.dot(tl, true);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            blas1::xpay(z, beta, p);
+            mc.axpy(tl);
+            // A non-finite β = (r,z)_new/(r,z): the preconditioned
+            // correlation collapsed and the direction is lost.
+            let direction = if beta.is_finite() {
+                Direction::Kept
+            } else {
+                Direction::Lost
+            };
+            Ok(Slot::Done(rr.sqrt() / norm_b, direction))
+        },
+    );
+    led.report(out, x)
 }
 
 /// Preconditioned BiCGSTAB (right preconditioning: `p̂ = M⁻¹p`,
@@ -296,18 +286,17 @@ pub fn run_pbicgstab(
     cfg: &SolverConfig,
     mc: &MultiCoster,
     ws: &mut SolverWorkspace,
-) -> CoreResult {
+) -> SolveReport {
     let n = m.nrows;
     assert_eq!(b.len(), n);
 
-    let mut tl = Timeline::new();
-    let pc = Bound::new(pc, mc, cfg, &mut tl, n);
+    let mut led = Ledger::new(cfg, false, ExecutedMode::MultiKernel, 0);
+    let pc = Bound::new(pc, mc, cfg, &mut led.tl, n);
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
-        return CoreResult::zero_rhs(n, tl);
+        return led.zero_rhs(n);
     }
-    let mut result = CoreResult::empty();
 
     ws.ensure(n);
     let SolverWorkspace {
@@ -330,104 +319,99 @@ pub fn run_pbicgstab(
     let keep = keep_flags(m.tile_cols);
     let mut rho = blas1::dot(r, r0s);
 
-    let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-    let check_convergence = cfg.fixed_iterations.is_none();
-    let mut restarts = RestartPolicy::new(!check_convergence);
+    let mut out = Outcome::sequential(cfg.trace_residuals);
+    let Ok(()) = drive::<Infallible>(
+        &mut out,
+        cfg.max_iter,
+        cfg.fixed_iterations,
+        cfg.tolerance,
+        None,
+        || Ok(()),
+        |_, _| {
+            let tl = &mut led.tl;
+            // p̂ = M⁻¹ p ; v = A p̂.
+            let st_p = pc.apply(tl, p, y, phat);
+            let st1 = mixed_spmv(m, shared, &keep, phat, v, threads);
+            led.spmv_stats.merge(&st1);
+            mc.spmv(tl, m, &st1);
 
-    for _j in 0..iters {
-        // p̂ = M⁻¹ p ; v = A p̂.
-        let st_p = pc.apply(&mut tl, p, y, phat);
-        let st1 = mixed_spmv(m, shared, &keep, phat, v, threads);
-        result.spmv_stats.merge(&st1);
-        mc.spmv(&mut tl, m, &st1);
-
-        let denom = blas1::dot(v, r0s);
-        mc.dot(&mut tl, true);
-        let alpha = rho / denom;
-        if let Some(kind) = alpha_breakdown(alpha, denom) {
-            // Breakdown restart — charge the remaining pipeline.
-            p.copy_from_slice(r);
-            rho = restart_rho(blas1::dot(r, r0s), || blas1::dot(r, r));
-            mc.axpy(&mut tl);
-            pc.charge(&mut tl, &st_p);
-            mc.spmv(&mut tl, m, &st1);
-            mc.dot(&mut tl, true);
-            mc.dot(&mut tl, true);
-            mc.axpy(&mut tl);
-            mc.axpy(&mut tl);
-            mc.axpy(&mut tl);
-            mc.dot(&mut tl, true);
-            mc.dot(&mut tl, true);
-            mc.axpy(&mut tl);
-            // Same fixed-point argument as the sequential BiCGSTAB core.
-            if result.restart(&mut restarts, kind, rho.is_finite()) {
-                break;
+            let denom = blas1::dot(v, r0s);
+            mc.dot(tl, true);
+            let alpha = rho / denom;
+            if let Some(kind) = alpha_breakdown(alpha, denom) {
+                // Breakdown restart — charge the remaining pipeline. Same
+                // fixed-point argument as the sequential BiCGSTAB core.
+                p.copy_from_slice(r);
+                rho = restart_rho(blas1::dot(r, r0s), || blas1::dot(r, r));
+                mc.axpy(tl);
+                pc.charge(tl, &st_p);
+                mc.spmv(tl, m, &st1);
+                mc.dot(tl, true);
+                mc.dot(tl, true);
+                mc.axpy(tl);
+                mc.axpy(tl);
+                mc.axpy(tl);
+                mc.dot(tl, true);
+                mc.dot(tl, true);
+                mc.axpy(tl);
+                return Ok(Slot::Restart {
+                    kind,
+                    finite: rho.is_finite(),
+                    relres: None,
+                });
             }
-            continue;
-        }
 
-        blas1::waxpy(r, -alpha, v, s);
-        mc.axpy(&mut tl);
+            blas1::waxpy(r, -alpha, v, s);
+            mc.axpy(tl);
 
-        // ŝ = M⁻¹ s ; t = A ŝ.
-        pc.apply(&mut tl, s, y, shat);
-        let st2 = mixed_spmv(m, shared, &keep, shat, t, threads);
-        result.spmv_stats.merge(&st2);
-        mc.spmv(&mut tl, m, &st2);
+            // ŝ = M⁻¹ s ; t = A ŝ.
+            pc.apply(tl, s, y, shat);
+            let st2 = mixed_spmv(m, shared, &keep, shat, t, threads);
+            led.spmv_stats.merge(&st2);
+            mc.spmv(tl, m, &st2);
 
-        let ts_dot = blas1::dot(t, s);
-        let tt = blas1::dot(t, t);
-        mc.dot(&mut tl, false);
-        mc.dot(&mut tl, true); // scalar pair -> one readback
-        let omega = if tt > 0.0 { ts_dot / tt } else { 0.0 };
+            let ts_dot = blas1::dot(t, s);
+            let tt = blas1::dot(t, t);
+            mc.dot(tl, false);
+            mc.dot(tl, true); // scalar pair -> one readback
+            let omega = if tt > 0.0 { ts_dot / tt } else { 0.0 };
 
-        for i in 0..n {
-            x[i] += alpha * phat[i] + omega * shat[i];
-        }
-        mc.axpy(&mut tl);
-        mc.axpy(&mut tl);
-        blas1::waxpy(s, -omega, t, r);
-        mc.axpy(&mut tl);
+            for i in 0..n {
+                x[i] += alpha * phat[i] + omega * shat[i];
+            }
+            mc.axpy(tl);
+            mc.axpy(tl);
+            blas1::waxpy(s, -omega, t, r);
+            mc.axpy(tl);
 
-        let rho_new = blas1::dot(r, r0s);
-        mc.dot(&mut tl, false);
-        let rr = blas1::dot(r, r);
-        mc.dot(&mut tl, true); // scalar pair -> one readback
-        restarts.progressed(); // x and r advanced: real progress
+            let rho_new = blas1::dot(r, r0s);
+            mc.dot(tl, false);
+            let rr = blas1::dot(r, r);
+            mc.dot(tl, true); // scalar pair -> one readback
+            if !rr.is_finite() {
+                return Ok(Slot::NonFinite);
+            }
 
-        if !rr.is_finite() {
-            result.iterations += 1;
-            result.abort_nonfinite(result.iterations - 1);
-            break;
-        }
-
-        result.iterations += 1;
-        let relres = rr.sqrt() / norm_b;
-        result.final_relres = relres;
-        if cfg.trace_residuals {
-            result.residual_history.push(relres);
-        }
-        if check_convergence && relres < cfg.tolerance {
-            result.converged = true;
-            break;
-        }
-
-        let beta = (rho_new / rho) * (alpha / omega);
-        if let Some(kind) = restart_kind(beta, omega, rho_new) {
-            result.record_breakdown(result.iterations - 1, kind, RecoveryAction::Restarted);
-            p.copy_from_slice(r);
-            rho = restart_rho(blas1::dot(r, r0s), || blas1::dot(r, r));
-            mc.axpy(&mut tl); // the p-update kernel still runs
-            continue;
-        }
-        rho = rho_new;
-        blas1::bicgstab_p_update(r, beta, omega, v, p);
-        mc.axpy(&mut tl);
-    }
-
-    result.x = x.clone();
-    result.timeline = tl;
-    result
+            let relres = rr.sqrt() / norm_b;
+            if cfg.fixed_iterations.is_none() && relres < cfg.tolerance {
+                // Converged: the direction update neither runs nor charges.
+                return Ok(Slot::Done(relres, Direction::Kept));
+            }
+            let beta = (rho_new / rho) * (alpha / omega);
+            let direction = if let Some(kind) = restart_kind(beta, omega, rho_new) {
+                p.copy_from_slice(r);
+                rho = restart_rho(blas1::dot(r, r0s), || blas1::dot(r, r));
+                Direction::Restarted(kind)
+            } else {
+                rho = rho_new;
+                blas1::bicgstab_p_update(r, beta, omega, v, p);
+                Direction::Kept
+            };
+            mc.axpy(tl); // the p-update kernel runs either way
+            Ok(Slot::Done(relres, direction))
+        },
+    );
+    led.report(out, x)
 }
 
 #[cfg(test)]

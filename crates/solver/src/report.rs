@@ -230,9 +230,9 @@ impl RestartPolicy {
     }
 }
 
-/// The numeric outcome of one engine's slot loop, before the engine folds
-/// in its solution and telemetry: what every threaded warp and the sharded
-/// orchestrator record through [`drive`].
+/// The numeric outcome of one slot loop, before its engine or core folds
+/// in the solution and telemetry: what every sequential core, threaded
+/// warp and sharded orchestrator records through [`drive`].
 pub(crate) struct Outcome {
     pub(crate) iterations: usize,
     pub(crate) converged: bool,
@@ -241,10 +241,40 @@ pub(crate) struct Outcome {
     pub(crate) failure: Option<SolveFailure>,
     pub(crate) residual_history: Vec<f64>,
     pub(crate) retier_trail: Vec<mf_precision::RetierDecision>,
+    recorder: Recorder,
+}
+
+/// Whose loop an [`Outcome`] records: the one place the sequential cores
+/// and the engines differ in the slot loop. A sequential core's history
+/// stays empty unless it traces residuals, and then also takes the
+/// residual a restart slot reports; a plan observed on a sequential core's
+/// last iteration still gets its refresh slot.
+#[derive(Clone, Copy)]
+enum Recorder {
+    /// A threaded or sharded engine: the residual history holds every
+    /// completed iteration's residual.
+    Engine,
+    /// A sequential core without `trace_residuals`.
+    Sequential,
+    /// A sequential core under `trace_residuals`.
+    TracedSequential,
 }
 
 impl Outcome {
+    /// A threaded or sharded engine's outcome.
     pub(crate) fn new() -> Outcome {
+        Outcome::recorded_by(Recorder::Engine)
+    }
+
+    /// A sequential core's outcome under `trace_residuals`.
+    pub(crate) fn sequential(trace_residuals: bool) -> Outcome {
+        Outcome::recorded_by(match trace_residuals {
+            true => Recorder::TracedSequential,
+            false => Recorder::Sequential,
+        })
+    }
+
+    fn recorded_by(recorder: Recorder) -> Outcome {
         Outcome {
             iterations: 0,
             converged: false,
@@ -253,16 +283,29 @@ impl Outcome {
             failure: None,
             residual_history: Vec::new(),
             retier_trail: Vec::new(),
+            recorder,
+        }
+    }
+
+    /// The `b = 0` outcome: `x = 0` solves the system exactly, at
+    /// iteration 0.
+    pub(crate) fn zero_rhs() -> Outcome {
+        Outcome {
+            converged: true,
+            final_relres: 0.0,
+            ..Outcome::new()
         }
     }
 
     /// Records completed iteration `it` with recurrence residual `relres`;
-    /// true once converged.
-    fn complete(&mut self, it: usize, relres: f64, tol: f64) -> bool {
+    /// true once converged (never when `check` is off).
+    fn complete(&mut self, it: usize, relres: f64, tol: f64, check: bool) -> bool {
         self.iterations = it + 1;
         self.final_relres = relres;
-        self.residual_history.push(relres);
-        self.converged = relres < tol;
+        if !matches!(self.recorder, Recorder::Sequential) {
+            self.residual_history.push(relres);
+        }
+        self.converged = check && relres < tol;
         self.converged
     }
 
@@ -284,8 +327,13 @@ impl Outcome {
             action,
         });
         self.iterations = it + 1;
-        if let Some(r) = relres.filter(|r| r.is_finite()) {
-            self.final_relres = r;
+        if let Some(r) = relres {
+            if matches!(self.recorder, Recorder::TracedSequential) {
+                self.residual_history.push(r);
+            }
+            if r.is_finite() {
+                self.final_relres = r;
+            }
         }
         self.failure = failure;
         self.failure.is_some()
@@ -347,25 +395,32 @@ pub(crate) enum Direction {
     Lost,
 }
 
-/// The one slot loop of every threaded and sharded engine. Slot `j` runs
-/// `slot(j, refresh)` after `gate()`; the loop stops at `max_iter`
-/// iterations, on convergence, or on an abort under the one
-/// [`RestartPolicy`]. An armed `ctrl` observes each completed iteration
-/// after the convergence check; a plan it returns is handed to the next
-/// slot as its refresh pass, which takes a slot without counting as an
-/// iteration, so slots and iterations diverge only in adaptive runs.
+/// The one slot loop of every engine: the sequential cores, the threaded
+/// warps and the sharded orchestrator. Slot `j` runs `slot(j, refresh)`
+/// after `gate()`; the loop stops after `max_iter` iterations, on
+/// convergence, or on an abort under the one [`RestartPolicy`]. A
+/// `fixed_iterations` budget replaces `max_iter` and runs it out: no
+/// convergence check and no stall abort. An armed `ctrl` observes each
+/// completed iteration after the convergence check; a plan it returns is
+/// handed to the next slot as its refresh pass, which takes a slot
+/// without counting as an iteration, so slots and iterations diverge only
+/// in adaptive runs.
 pub(crate) fn drive<E>(
     out: &mut Outcome,
     max_iter: usize,
+    fixed_iterations: Option<usize>,
     tol: f64,
     mut ctrl: Option<mf_precision::PrecisionController>,
     mut gate: impl FnMut() -> Result<(), E>,
     mut slot: impl FnMut(i64, Option<&mf_precision::RetierDecision>) -> Result<Slot, E>,
 ) -> Result<(), E> {
-    let mut restarts = RestartPolicy::new(false);
+    let iters = fixed_iterations.unwrap_or(max_iter);
+    let check = fixed_iterations.is_none();
+    let mut restarts = RestartPolicy::new(!check);
     let mut pending = None;
     let (mut it, mut j) = (0usize, 0i64);
-    while it < max_iter {
+    let engine = matches!(out.recorder, Recorder::Engine);
+    while it < iters || (!engine && pending.is_some()) {
         gate()?;
         let refresh = pending.take();
         let ended = slot(j, refresh.as_ref())?;
@@ -390,7 +445,7 @@ pub(crate) fn drive<E>(
             }
             Slot::Done(relres, direction) => {
                 restarts.progressed();
-                if out.complete(it, relres, tol) {
+                if out.complete(it, relres, tol, check) {
                     break;
                 }
                 match direction {
@@ -460,11 +515,13 @@ pub enum EngineSection {
 
 /// Everything a solve produces, whichever engine ran it.
 ///
-/// The sequential cores fill every field. The threaded and sharded engines
-/// run single-kernel schedules and fill the numeric fields, the trace and
-/// [`SolveReport::engine`] (and the threaded CG engines the re-tier
-/// trail); they leave `spmv_stats` and the per-iteration `error_history`,
-/// `p_range_history`, `bypass_history` and `precision_history` empty. The preprocessing fields (`tiled_memory`,
+/// Every engine runs the same slot-loop driver and returns this report.
+/// The sequential cores fill every field but [`SolveReport::engine`]. The
+/// threaded and sharded engines run single-kernel schedules and fill the
+/// numeric fields, the trace and [`SolveReport::engine`] (and the
+/// threaded CG engines the re-tier trail); they leave `spmv_stats` and the
+/// per-iteration `error_history`, `p_range_history`, `bypass_history` and
+/// `precision_history` empty. The preprocessing fields (`tiled_memory`,
 /// `csr_memory`, `preprocess_wall_us`, `preprocess_passes` and the
 /// preprocessing share of `timeline`) are charged by the facade: an engine
 /// entry called directly, without the CSR, leaves them zero.
@@ -501,9 +558,12 @@ pub struct SolveReport {
     /// OS threads of a threaded run, and the equivalent single-device
     /// schedule's warps (a cost-model input) of a sharded run.
     pub warp_count: usize,
-    /// Relative residual after each iteration (when `trace_residuals`; the
-    /// threaded and sharded engines always record the recurrence value of
-    /// each completed, non-breakdown iteration).
+    /// Relative residual after each iteration. The threaded and sharded
+    /// engines always record the recurrence value of each completed,
+    /// non-breakdown iteration. The sequential cores record only under
+    /// `trace_residuals`, and then CG, pipelined CG, BiCGSTAB and
+    /// pipelined PCG also record the residual each breakdown restart
+    /// leaves.
     pub residual_history: Vec<f64>,
     /// Relative error vs. the reference solution per iteration (when a
     /// reference is configured; Fig. 12).

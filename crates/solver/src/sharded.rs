@@ -505,6 +505,7 @@ fn run_sharded(
     let Ok(()) = drive::<Infallible>(
         &mut out,
         max_iter,
+        None,
         tol,
         None,
         || Ok(()),

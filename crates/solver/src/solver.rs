@@ -1,7 +1,7 @@
 //! The `MilleFeuille` facade: preprocessing, mode selection, dispatch.
 
 use crate::bicgstab::run_bicgstab;
-use crate::cg::{run_cg, CoreResult};
+use crate::cg::run_cg;
 use crate::config::{KernelMode, PipelineMode, SolverConfig};
 use crate::coster::{Coster, MultiCoster, SingleCoster};
 use crate::partial::PartialState;
@@ -323,7 +323,7 @@ type Core = fn(
     &Coster,
     &mut PartialState,
     &mut SolverWorkspace,
-) -> CoreResult;
+) -> SolveReport;
 
 /// The signature every preconditioned sequential core shares, so the
 /// facade runs them through one body.
@@ -335,7 +335,7 @@ type PrecondCore = fn(
     &SolverConfig,
     &MultiCoster,
     &mut SolverWorkspace,
-) -> CoreResult;
+) -> SolveReport;
 
 /// Everything produced by preprocessing (paper Fig. 14 measures its cost).
 pub struct Preprocessed {
@@ -663,37 +663,6 @@ impl MilleFeuille {
         )
     }
 
-    fn assemble(
-        &self,
-        a: &Csr,
-        pre: &Preprocessed,
-        mode: ExecutedMode,
-        warp_count: usize,
-        core: CoreResult,
-    ) -> SolveReport {
-        let rep = SolveReport {
-            x: core.x,
-            converged: core.converged,
-            iterations: core.iterations,
-            final_relres: core.final_relres,
-            mode,
-            timeline: core.timeline,
-            spmv_stats: core.spmv_stats,
-            warp_count,
-            residual_history: core.residual_history,
-            error_history: core.error_history,
-            p_range_history: core.p_range_history,
-            bypass_history: core.bypass_history,
-            precision_history: core.precision_history,
-            breakdowns: core.breakdowns,
-            failure: core.failure,
-            trace: core.trace,
-            retier_trail: core.retier_trail,
-            ..SolveReport::default()
-        };
-        with_preprocessing(a, pre, rep)
-    }
-
     /// [`Method::Auto`] on a preprocessed matrix. The CG→BiCGSTAB handoff
     /// reuses `pre`: the tiled format is method-agnostic, so a second
     /// CSR→tiled pass would be pure waste (and would double-charge
@@ -776,7 +745,7 @@ impl MilleFeuille {
         let mut shared = SharedTiles::load(&pre.tiled);
         let mut partial = self.partial_state(&pre.tiled, b, mode);
         let coster = self.build_coster(&pre.tiled, mode);
-        let res = core(
+        let rep = core(
             &pre.tiled,
             &mut shared,
             b,
@@ -785,7 +754,7 @@ impl MilleFeuille {
             &mut partial,
             ws,
         );
-        self.assemble(a, pre, mode, coster.warp_count(), res)
+        with_preprocessing(a, pre, rep)
     }
 
     /// ILU(0)-PCG with caller-provided factors on an already-preprocessed
@@ -817,7 +786,7 @@ impl MilleFeuille {
     ) -> SolveReport {
         let mut shared = SharedTiles::load(&pre.tiled);
         let mc = MultiCoster::new(self.cost(), a.nrows);
-        let res = core(
+        let rep = core(
             &pre.tiled,
             &mut shared,
             pc,
@@ -826,7 +795,7 @@ impl MilleFeuille {
             &mc,
             &mut SolverWorkspace::new(),
         );
-        self.assemble(a, pre, ExecutedMode::MultiKernel, 0, res)
+        with_preprocessing(a, pre, rep)
     }
 
     /// The threaded engines' options from this facade's config: `max_warps`

@@ -1240,6 +1240,7 @@ fn cg_family(
         drive(
             &mut warp.out,
             max_iter,
+            None,
             tol,
             ctrl,
             || sync.iteration_gate(),
@@ -1400,6 +1401,7 @@ fn bicgstab_family(
         drive(
             &mut warp.out,
             max_iter,
+            None,
             tol,
             None,
             || sync.iteration_gate(),
@@ -1647,6 +1649,7 @@ pub fn run_cg_pipelined_threaded(
         drive(
             &mut warp.out,
             max_iter,
+            None,
             tol,
             ctrl,
             || sync.iteration_gate(),
@@ -1804,6 +1807,7 @@ pub fn run_pcg_pipelined_threaded(
         drive(
             &mut warp.out,
             max_iter,
+            None,
             tol,
             None,
             || sync.iteration_gate(),

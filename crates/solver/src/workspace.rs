@@ -7,7 +7,7 @@
 //! preconditioned cores need. `ensure(n)` zero-fills and resizes them; once
 //! a workspace has seen a system of size `n`, subsequent solves of size
 //! `≤ n` perform **zero** heap allocations inside the iteration loop (the
-//! returned [`crate::cg::CoreResult`] still clones the solution out, one
+//! returned [`crate::SolveReport`] still clones the solution out, one
 //! allocation per solve).
 
 /// Pre-allocated vectors shared by all solver cores. Create once, pass to

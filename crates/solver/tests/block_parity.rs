@@ -56,7 +56,7 @@ fn noisy_spd(n: usize, seed: u64) -> Csr {
     a.to_csr()
 }
 
-fn single_solve(a: &Csr, cfg: &SolverConfig, b: &[f64]) -> mf_solver::cg::CoreResult {
+fn single_solve(a: &Csr, cfg: &SolverConfig, b: &[f64]) -> mf_solver::SolveReport {
     let m = TiledMatrix::from_csr_with(a, cfg.tile_size, &mf_precision::ClassifyOptions::default());
     let mut shared = SharedTiles::load(&m);
     let coster = Coster::Single(SingleCoster::new(

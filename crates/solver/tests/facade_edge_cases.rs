@@ -5,7 +5,6 @@
 use mf_gpu::{CostModel, DeviceSpec};
 use mf_kernels::{blas1, SharedTiles};
 use mf_solver::bicgstab::run_bicgstab;
-use mf_solver::cg::CoreResult;
 use mf_solver::coster::{Coster, SingleCoster};
 use mf_solver::partial::PartialState;
 use mf_solver::{
@@ -183,7 +182,7 @@ fn zero_rhs_is_uniform_across_threaded_facades() {
 
 /// Runs a sequential core on `a` with the default configuration,
 /// single-kernel pricing and `ws` as its workspace.
-fn run_core(core: Core, a: &Csr, b: &[f64], ws: &mut SolverWorkspace) -> CoreResult {
+fn run_core(core: Core, a: &Csr, b: &[f64], ws: &mut SolverWorkspace) -> SolveReport {
     let cfg = SolverConfig::default();
     let m = TiledMatrix::from_csr_with(a, cfg.tile_size, &cfg.classify);
     let cost = CostModel::new(DeviceSpec::a100());
@@ -203,7 +202,7 @@ type Core = fn(
     &Coster,
     &mut PartialState,
     &mut SolverWorkspace,
-) -> CoreResult;
+) -> SolveReport;
 
 /// One long-lived workspace fed n=100 → n=37 → n=250 → n=37 across CG,
 /// BiCGSTAB and pipelined CG: every solve must be bitwise identical to a

@@ -73,6 +73,7 @@ TIERS=(
     "prop_retier|mf-precision|prop_retier|300||rerun"
     "preprocess_parity|mf-solver|preprocess_parity|300||rerun"
     "core_golden|mf-solver|core_golden|300||rerun"
+    "sequential_trails|mf-solver|sequential_trails|300||rerun"
 )
 
 list_tiers() {

@@ -24,7 +24,7 @@ use mille_feuille::gpu::CostModel;
 use mille_feuille::kernels::{blas1, SharedTiles};
 use mille_feuille::precision::ClassifyOptions;
 use mille_feuille::prelude::*;
-use mille_feuille::solver::cg::{run_cg, CoreResult};
+use mille_feuille::solver::cg::run_cg;
 use mille_feuille::solver::coster::{Coster, SingleCoster};
 use mille_feuille::solver::partial::PartialState;
 use mille_feuille::solver::pipelined::run_cg_pipelined;
@@ -96,7 +96,7 @@ fn coster_for(m: &TiledMatrix) -> Coster {
     ))
 }
 
-fn seq_classic(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> CoreResult {
+fn seq_classic(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> SolveReport {
     let mut shared = SharedTiles::load(m);
     let coster = coster_for(m);
     let eps_abs = cfg.tolerance * blas1::norm2(b);
@@ -112,7 +112,7 @@ fn seq_classic(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> CoreResult {
     )
 }
 
-fn seq_pipelined(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> CoreResult {
+fn seq_pipelined(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> SolveReport {
     let mut shared = SharedTiles::load(m);
     let coster = coster_for(m);
     let eps_abs = cfg.tolerance * blas1::norm2(b);

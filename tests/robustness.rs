@@ -233,3 +233,65 @@ fn factorization_fallback_boosts_diagonal() {
         )
         .is_err());
 }
+
+/// An overflowing right-hand side poisons every path's recurrence on the
+/// first step. Every facade row — each sequential core, `Auto`, the
+/// threaded engines at 2 warps and the sharded engines at 2 shards × 2
+/// warps — must abort as `NonFinite` with a non-NaN `final_relres` (its
+/// last finite value, or the `∞` of a solve that never had one) and a
+/// NaN-free solution.
+#[test]
+fn overflowing_rhs_never_reports_nan_relres() {
+    let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
+    let a = mille_feuille::collection::poisson2d(8, 8);
+    let b = vec![1e200; a.nrows];
+    let ilu = Method::Pcg(PrecondKind::Ilu0);
+    let rows = [
+        ("cg", SolveSpec::new(Method::Cg)),
+        ("cg_pipelined", SolveSpec::new(Method::Cg).pipelined()),
+        ("bicgstab", SolveSpec::new(Method::BiCgStab)),
+        ("pcg_ilu0", SolveSpec::new(ilu)),
+        ("pcg_ic0", SolveSpec::new(Method::Pcg(PrecondKind::Ic0))),
+        (
+            "pcg_block_jacobi",
+            SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))),
+        ),
+        ("pcg_pipelined", SolveSpec::new(ilu).pipelined()),
+        ("pbicgstab", SolveSpec::new(Method::PBiCgStab)),
+        ("auto", SolveSpec::auto()),
+        ("cg_threaded", SolveSpec::new(Method::Cg).threaded(2)),
+        (
+            "bicgstab_threaded",
+            SolveSpec::new(Method::BiCgStab).threaded(2),
+        ),
+        ("pcg_threaded", SolveSpec::new(ilu).threaded(2)),
+        (
+            "pbicgstab_threaded",
+            SolveSpec::new(Method::PBiCgStab).threaded(2),
+        ),
+        (
+            "cg_pipelined_threaded",
+            SolveSpec::new(Method::Cg).pipelined().threaded(2),
+        ),
+        (
+            "pcg_pipelined_threaded",
+            SolveSpec::new(ilu).pipelined().threaded(2),
+        ),
+        ("cg_sharded", SolveSpec::new(Method::Cg).sharded(2, 2)),
+        ("pcg_sharded", SolveSpec::new(ilu).sharded(2, 2)),
+    ];
+    let mut wrong = Vec::new();
+    for (name, spec) in &rows {
+        let rep = solver.solve(&a, &b, spec).unwrap();
+        let ok = !rep.final_relres.is_nan()
+            && matches!(rep.failure, Some(SolveFailure::NonFinite { .. }))
+            && !rep.x.iter().any(|v| v.is_nan());
+        if !ok {
+            wrong.push(format!(
+                "{name}: final_relres {}, failure {:?}",
+                rep.final_relres, rep.failure
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
