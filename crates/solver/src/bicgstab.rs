@@ -11,7 +11,7 @@ use crate::cg::{mixed_spmv, Ledger};
 use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
-use crate::report::{drive, BreakdownKind, Direction, Outcome, Slot, SolveReport};
+use crate::report::{converges, drive, BreakdownKind, Direction, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_kernels::{blas1, SharedTiles};
 use mf_sparse::TiledMatrix;
@@ -156,8 +156,9 @@ pub fn run_bicgstab(
             let relres = rr.sqrt() / norm_b;
             let bypassed = st1.tiles_bypassed + st2.tiles_bypassed;
             led.trails(cfg, x, partial, p, bypassed, shared);
-            if cfg.fixed_iterations.is_none() && relres < cfg.tolerance {
-                // Converged: the direction update neither runs nor charges.
+            if converges(relres, cfg.tolerance, cfg.fixed_iterations) {
+                // The driver stops here: the direction update neither runs
+                // nor charges.
                 return Ok(Slot::Done(relres, Direction::Kept));
             }
             let beta = (rho_new / rho) * (alpha / omega);

@@ -19,7 +19,7 @@ use crate::bicgstab::{alpha_breakdown, restart_kind, restart_rho};
 use crate::cg::{curvature_breakdown, keep_flags, mixed_spmv, Ledger};
 use crate::config::SolverConfig;
 use crate::coster::MultiCoster;
-use crate::report::{drive, Direction, ExecutedMode, Outcome, Slot, SolveReport};
+use crate::report::{converges, drive, Direction, ExecutedMode, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{Phase, Timeline};
 use mf_kernels::{blas1, level_schedule, BlockJacobi, Ic0, Ilu0, RecursiveTrsvStats, SharedTiles};
@@ -393,8 +393,9 @@ pub fn run_pbicgstab(
             }
 
             let relres = rr.sqrt() / norm_b;
-            if cfg.fixed_iterations.is_none() && relres < cfg.tolerance {
-                // Converged: the direction update neither runs nor charges.
+            if converges(relres, cfg.tolerance, cfg.fixed_iterations) {
+                // The driver stops here: the direction update neither runs
+                // nor charges.
                 return Ok(Slot::Done(relres, Direction::Kept));
             }
             let beta = (rho_new / rho) * (alpha / omega);

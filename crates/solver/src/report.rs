@@ -287,26 +287,15 @@ impl Outcome {
         }
     }
 
-    /// The `b = 0` outcome: `x = 0` solves the system exactly, at
-    /// iteration 0.
-    pub(crate) fn zero_rhs() -> Outcome {
-        Outcome {
-            converged: true,
-            final_relres: 0.0,
-            ..Outcome::new()
-        }
-    }
-
-    /// Records completed iteration `it` with recurrence residual `relres`;
-    /// true once converged (never when `check` is off).
-    fn complete(&mut self, it: usize, relres: f64, tol: f64, check: bool) -> bool {
+    /// Records completed iteration `it` with recurrence residual `relres`,
+    /// which `converged` says ends the solve.
+    fn complete(&mut self, it: usize, relres: f64, converged: bool) {
         self.iterations = it + 1;
         self.final_relres = relres;
         if !matches!(self.recorder, Recorder::Sequential) {
             self.residual_history.push(relres);
         }
-        self.converged = check && relres < tol;
-        self.converged
+        self.converged = converged;
     }
 
     /// Records a breakdown restart of `kind` at iteration `it` under
@@ -395,6 +384,13 @@ pub(crate) enum Direction {
     Lost,
 }
 
+/// The one convergence rule: a completed iteration with recurrence
+/// residual `relres` ends a solve below `tol`, unless the solve runs a
+/// fixed iteration budget.
+pub(crate) fn converges(relres: f64, tol: f64, fixed_iterations: Option<usize>) -> bool {
+    fixed_iterations.is_none() && relres < tol
+}
+
 /// The one slot loop of every engine: the sequential cores, the threaded
 /// warps and the sharded orchestrator. Slot `j` runs `slot(j, refresh)`
 /// after `gate()`; the loop stops after `max_iter` iterations, on
@@ -415,8 +411,7 @@ pub(crate) fn drive<E>(
     mut slot: impl FnMut(i64, Option<&mf_precision::RetierDecision>) -> Result<Slot, E>,
 ) -> Result<(), E> {
     let iters = fixed_iterations.unwrap_or(max_iter);
-    let check = fixed_iterations.is_none();
-    let mut restarts = RestartPolicy::new(!check);
+    let mut restarts = RestartPolicy::new(fixed_iterations.is_some());
     let mut pending = None;
     let (mut it, mut j) = (0usize, 0i64);
     let engine = matches!(out.recorder, Recorder::Engine);
@@ -445,7 +440,9 @@ pub(crate) fn drive<E>(
             }
             Slot::Done(relres, direction) => {
                 restarts.progressed();
-                if out.complete(it, relres, tol, check) {
+                let converged = converges(relres, tol, fixed_iterations);
+                out.complete(it, relres, converged);
+                if converged {
                     break;
                 }
                 match direction {
