@@ -6,7 +6,9 @@
 //! * [`ic0`] — IC(0): `A ≈ L·Lᵀ` for symmetric positive-definite matrices.
 //!
 //! Applying the preconditioner (`M z = r`) is two triangular solves, which
-//! the solvers run through the recursive-block SpTRSV of [`crate::sptrsv`].
+//! the solvers run through the recursive-block SpTRSV of [`crate::sptrsv`]:
+//! one O(nnz) pass per solve, bitwise the recursion's result, with no
+//! per-factor plan stored beside `L` and `U`.
 
 use crate::sptrsv::{
     sptrsv_lower, sptrsv_lower_recursive_into, sptrsv_upper, sptrsv_upper_recursive_into,

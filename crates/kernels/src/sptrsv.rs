@@ -13,6 +13,16 @@
 //!   square block is applied with SpMV (parallel-friendly), recursing into
 //!   the triangles. §IV-C credits this for the large PCG/PBiCGSTAB speedups
 //!   on matrices with high-parallelism blocks.
+//!
+//! On the host the recursion runs as one O(nnz) pass. Only the O(n / leaf)
+//! nodes of the halving tree are walked; each leaf row is scanned once and
+//! takes its ancestors' square-block sums in the recursion's order, each
+//! summed in CSR order from `0.0`. Skipping a block with no entries is
+//! exact, because the recursion subtracts `+0.0` there and `x − (+0.0)` is
+//! `x` for every `x`. So `x` and [`RecursiveTrsvStats`] are bitwise those of
+//! the recursion, which rescanned every row at every level
+//! (nnz · log₂(n / leaf)). The equality relies on sorted columns, the
+//! [`Csr`] invariant.
 
 use mf_sparse::Csr;
 
@@ -185,7 +195,15 @@ pub fn sptrsv_lower_recursive(
 }
 
 /// In-place [`sptrsv_lower_recursive`]: the solution lands in `x`
-/// (length `l.nrows`) without allocating.
+/// (length `l.nrows`) without allocating. A `leaf` of 0 is treated as 1.
+///
+/// Row `r` of leaf `[lo, hi)` takes one square-block update from every
+/// ancestor whose right half holds it: the sum of its entries in that
+/// block's columns `[lo', mid)`, in CSR order from `0.0`. Top-down these
+/// ranges tile `[0, lo)` in ascending order, so with sorted columns the
+/// row's entries meet them in order and one scan flushes each sum into
+/// `x[r]` as it crosses a split point. Unsorted rows still solve
+/// correctly but group the sums differently.
 pub fn sptrsv_lower_recursive_into(
     l: &Csr,
     b: &[f64],
@@ -193,66 +211,37 @@ pub fn sptrsv_lower_recursive_into(
     unit_diag: bool,
     leaf: usize,
 ) -> RecursiveTrsvStats {
-    assert!(leaf >= 1);
     assert_eq!(l.nrows, l.ncols);
     assert_eq!(b.len(), l.nrows);
     assert_eq!(x.len(), l.nrows);
     x.copy_from_slice(b);
-    let mut stats = RecursiveTrsvStats::default();
-    rec_lower(l, x, 0, l.nrows, unit_diag, leaf, &mut stats, 1);
-    stats
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rec_lower(
-    l: &Csr,
-    x: &mut [f64],
-    lo: usize,
-    hi: usize,
-    unit: bool,
-    leaf: usize,
-    stats: &mut RecursiveTrsvStats,
-    depth: usize,
-) {
-    if hi <= lo {
-        return;
-    }
-    stats.depth = stats.depth.max(depth);
-    if hi - lo <= leaf {
-        // Leaf: substitution using only columns in [lo, hi) — everything to
-        // the left has already been applied by ancestor square blocks.
-        stats.leaves += 1;
-        stats.max_leaf_rows = stats.max_leaf_rows.max(hi - lo);
+    walk_leaves(l.nrows, leaf, true, |lo, hi, splits| {
+        let (mut spmv, mut trsv) = (0, 0);
         for r in lo..hi {
-            let mut sum = 0.0;
-            let mut diag = if unit { 1.0 } else { 0.0 };
+            let (mut xr, mut block, mut sum, mut k) = (x[r], 0.0, 0.0, 0);
+            let mut diag = if unit_diag { 1.0 } else { 0.0 };
             for (c, v) in l.row(r) {
-                if c >= lo && c < r {
+                if c < lo {
+                    // `splits` ascend to `lo`, so this loop stops in bounds.
+                    while c >= splits[k] {
+                        xr -= block;
+                        block = 0.0;
+                        k += 1;
+                    }
+                    block += v * x[c];
+                    spmv += 1;
+                } else if c < r {
                     sum += v * x[c];
-                    stats.trsv_nnz += 1;
-                } else if c == r && !unit {
+                    trsv += 1;
+                } else if c == r && !unit_diag {
                     diag = v;
                 }
             }
             debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-            x[r] = (x[r] - sum) / diag;
+            x[r] = (xr - block - sum) / diag;
         }
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    rec_lower(l, x, lo, mid, unit, leaf, stats, depth + 1);
-    // Square block A21 (rows mid..hi, cols lo..mid) applied as SpMV.
-    for r in mid..hi {
-        let mut sum = 0.0;
-        for (c, v) in l.row(r) {
-            if c >= lo && c < mid {
-                sum += v * x[c];
-                stats.spmv_nnz += 1;
-            }
-        }
-        x[r] -= sum;
-    }
-    rec_lower(l, x, mid, hi, unit, leaf, stats, depth + 1);
+        (spmv, trsv)
+    })
 }
 
 /// Recursive-block backward solve `U x = b`.
@@ -268,7 +257,13 @@ pub fn sptrsv_upper_recursive(
 }
 
 /// In-place [`sptrsv_upper_recursive`]: the solution lands in `x`
-/// (length `u.nrows`) without allocating.
+/// (length `u.nrows`) without allocating. A `leaf` of 0 is treated as 1.
+///
+/// The mirror of [`sptrsv_lower_recursive_into`]: leaves run right to left
+/// and row `r`'s ancestor blocks tile `[hi, n)` top-down in *descending*
+/// column order, which a CSR scan meets last-first. The scan therefore
+/// keeps one running sum per block (resumed if an unsorted row returns to
+/// a block) and subtracts them top-down after the row.
 pub fn sptrsv_upper_recursive_into(
     u: &Csr,
     b: &[f64],
@@ -276,64 +271,102 @@ pub fn sptrsv_upper_recursive_into(
     unit_diag: bool,
     leaf: usize,
 ) -> RecursiveTrsvStats {
-    assert!(leaf >= 1);
     assert_eq!(u.nrows, u.ncols);
     assert_eq!(b.len(), u.nrows);
     assert_eq!(x.len(), u.nrows);
     x.copy_from_slice(b);
-    let mut stats = RecursiveTrsvStats::default();
-    rec_upper(u, x, 0, u.nrows, unit_diag, leaf, &mut stats, 1);
-    stats
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rec_upper(
-    u: &Csr,
-    x: &mut [f64],
-    lo: usize,
-    hi: usize,
-    unit: bool,
-    leaf: usize,
-    stats: &mut RecursiveTrsvStats,
-    depth: usize,
-) {
-    if hi <= lo {
-        return;
-    }
-    stats.depth = stats.depth.max(depth);
-    if hi - lo <= leaf {
-        stats.leaves += 1;
-        stats.max_leaf_rows = stats.max_leaf_rows.max(hi - lo);
+    let mut blocks = [0.0; MAX_SPLITS];
+    walk_leaves(u.nrows, leaf, false, |lo, hi, splits| {
+        let (mut spmv, mut trsv) = (0, 0);
         for r in (lo..hi).rev() {
-            let mut sum = 0.0;
-            let mut diag = if unit { 1.0 } else { 0.0 };
+            let (mut run, mut sum, mut k) = (0.0, 0.0, 0);
+            let mut diag = if unit_diag { 1.0 } else { 0.0 };
             for (c, v) in u.row(r) {
-                if c > r && c < hi {
+                if c >= hi {
+                    // Block k holds columns [splits[k], splits[k - 1]).
+                    if c < splits[k] || (k > 0 && c >= splits[k - 1]) {
+                        blocks[k] = run;
+                        k = splits.partition_point(|&s| s > c);
+                        run = blocks[k];
+                    }
+                    run += v * x[c];
+                    spmv += 1;
+                } else if c > r {
                     sum += v * x[c];
-                    stats.trsv_nnz += 1;
-                } else if c == r && !unit {
+                    trsv += 1;
+                } else if c == r && !unit_diag {
                     diag = v;
                 }
             }
-            debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-            x[r] = (x[r] - sum) / diag;
-        }
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    rec_upper(u, x, mid, hi, unit, leaf, stats, depth + 1);
-    // Square block A12 (rows lo..mid, cols mid..hi) applied as SpMV.
-    for r in lo..mid {
-        let mut sum = 0.0;
-        for (c, v) in u.row(r) {
-            if c >= mid && c < hi {
-                sum += v * x[c];
-                stats.spmv_nnz += 1;
+            blocks[k] = run;
+            let mut xr = x[r];
+            for block in &mut blocks[..splits.len()] {
+                xr -= std::mem::take(block);
             }
+            debug_assert!(diag != 0.0, "zero diagonal at row {r}");
+            x[r] = (xr - sum) / diag;
         }
-        x[r] -= sum;
+        (spmv, trsv)
+    })
+}
+
+/// Split points on one root-to-leaf path: each split halves a block of at
+/// least two rows, so no path holds more than `usize::BITS` of them.
+const MAX_SPLITS: usize = usize::BITS as usize;
+
+/// Walks the halving tree of ref. \[41\] over `n` rows and calls
+/// `solve(lo, hi, splits)` on each leaf in solve order: left to right for
+/// the forward solve (`lower`), right to left for the backward one.
+/// `splits` are the midpoints of the ancestors whose square block updates
+/// the leaf's rows, top-down; `solve` returns the entries it applied in
+/// those blocks and in the leaf. Only the O(n / leaf) tree nodes are
+/// visited, so with a one-pass `solve` the whole apply is O(nnz).
+fn walk_leaves(
+    n: usize,
+    leaf: usize,
+    lower: bool,
+    solve: impl FnMut(usize, usize, &[usize]) -> (usize, usize),
+) -> RecursiveTrsvStats {
+    struct Tree<F> {
+        leaf: usize,
+        lower: bool,
+        splits: [usize; MAX_SPLITS],
+        stats: RecursiveTrsvStats,
+        solve: F,
     }
-    rec_upper(u, x, lo, mid, unit, leaf, stats, depth + 1);
+    impl<F: FnMut(usize, usize, &[usize]) -> (usize, usize)> Tree<F> {
+        fn walk(&mut self, lo: usize, hi: usize, depth: usize, k: usize) {
+            self.stats.depth = self.stats.depth.max(depth);
+            if hi - lo <= self.leaf {
+                let (spmv, trsv) = (self.solve)(lo, hi, &self.splits[..k]);
+                self.stats.leaves += 1;
+                self.stats.max_leaf_rows = self.stats.max_leaf_rows.max(hi - lo);
+                self.stats.spmv_nnz += spmv;
+                self.stats.trsv_nnz += trsv;
+                return;
+            }
+            let mid = lo + (hi - lo) / 2;
+            let (first, second) = if self.lower {
+                ((lo, mid), (mid, hi))
+            } else {
+                ((mid, hi), (lo, mid))
+            };
+            self.walk(first.0, first.1, depth + 1, k);
+            self.splits[k] = mid;
+            self.walk(second.0, second.1, depth + 1, k + 1);
+        }
+    }
+    let mut tree = Tree {
+        leaf: leaf.max(1),
+        lower,
+        splits: [0; MAX_SPLITS],
+        stats: RecursiveTrsvStats::default(),
+        solve,
+    };
+    if n > 0 {
+        tree.walk(0, n, 1, 0);
+    }
+    tree.stats
 }
 
 #[cfg(test)]

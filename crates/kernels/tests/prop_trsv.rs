@@ -336,6 +336,30 @@ fn small_trees_match_recursion_bitwise() {
     }
 }
 
+/// A leaf of 0 is a leaf of one row (a 0-row leaf would never end the
+/// halving): same bits and statistics as `leaf = 1`.
+#[test]
+fn zero_leaf_solves_as_leaf_one() {
+    let mut rng = Rng(0);
+    for n in [0, 1, 2, 5, 64, 129] {
+        for (lower, wild) in [(true, false), (true, true), (false, false), (false, true)] {
+            let t = factor(n, lower, wild, &mut rng);
+            let b = rhs(n, wild, &mut rng);
+            for unit in [false, true] {
+                let zero = catch_unwind(AssertUnwindSafe(|| kernel(&t, &b, unit, 0, lower)));
+                let one = catch_unwind(AssertUnwindSafe(|| kernel(&t, &b, unit, 1, lower)));
+                match (zero, one) {
+                    (Ok((x0, s0)), Ok((x1, s1))) => {
+                        assert_eq!(s0, s1, "n={n} lower={lower} unit={unit}");
+                        assert_eq!(bits(&x0), bits(&x1), "n={n} lower={lower} unit={unit}");
+                    }
+                    (z, o) => assert!(z.is_err() && o.is_err(), "n={n} lower={lower}"),
+                }
+            }
+        }
+    }
+}
+
 /// Unsorted rows (outside the `Csr` invariant) still solve: the same
 /// statistics, and `x` equal to the oracle's up to the grouping of sums.
 #[test]

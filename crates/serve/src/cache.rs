@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use mf_kernels::Ilu0;
 use mf_solver::report::ExecutedMode;
@@ -132,7 +132,7 @@ struct BuildGuard<'a> {
 impl Drop for BuildGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut inner = self.cache.inner.lock().unwrap();
+            let mut inner = self.cache.lock();
             inner.map.remove(&self.fp);
             self.cache.cond.notify_all();
         }
@@ -163,6 +163,18 @@ impl PreparedCache {
         }
     }
 
+    /// Locks the bookkeeping, recovering it if a thread panicked while
+    /// holding the lock. Builds run unlocked, so no critical section calls
+    /// user code; each one only edits counters, the map and the LRU, and
+    /// later calls tolerate those half-done (eviction skips a key the map
+    /// no longer holds, and [`BuildGuard`] drops an abandoned `Building`
+    /// slot). Unwrapping instead would turn one panic into a panic on every
+    /// later request, and into an abort when `BuildGuard::drop` runs during
+    /// unwinding.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the prepared state for `fp`, building it with `build` on a
     /// miss. The second value is `true` on a cache hit. Exactly one caller
     /// builds per absent key; concurrent requests for the same key block
@@ -171,7 +183,7 @@ impl PreparedCache {
     where
         F: FnOnce() -> PreparedMatrix,
     {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         loop {
             match inner.map.get(&fp) {
                 Some(Slot::Ready(arc)) => {
@@ -183,7 +195,10 @@ impl PreparedCache {
                     return (arc, true);
                 }
                 Some(Slot::Building) => {
-                    inner = self.cond.wait(inner).unwrap();
+                    inner = self
+                        .cond
+                        .wait(inner)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
                 None => break,
             }
@@ -201,7 +216,7 @@ impl PreparedCache {
         let prepared = Arc::new(build());
         guard.armed = false;
 
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.stats.builds += 1;
         let cap = self.config.max_entry_bytes.min(self.config.byte_budget);
         if prepared.bytes > cap {
@@ -234,12 +249,12 @@ impl PreparedCache {
 
     /// Current aggregate counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats
+        self.lock().stats
     }
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().lru.len()
+        self.lock().lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -248,20 +263,17 @@ impl PreparedCache {
 
     /// Resident bytes.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().unwrap().bytes
+        self.lock().bytes
     }
 
     /// Whether `fp` is resident (Ready) right now.
     pub fn contains(&self, fp: Fingerprint) -> bool {
-        matches!(
-            self.inner.lock().unwrap().map.get(&fp),
-            Some(Slot::Ready(_))
-        )
+        matches!(self.lock().map.get(&fp), Some(Slot::Ready(_)))
     }
 
     /// Drains the cache-event trace recorded so far, resetting the ring.
     pub fn take_trace(&self) -> Trace {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let tracer = std::mem::replace(
             &mut inner.tracer,
             WarpTracer::new(0, self.config.trace_capacity),
@@ -385,6 +397,45 @@ mod tests {
         assert_eq!(hit.a, a.fingerprint().0[0]);
         // Drained: a fresh take sees nothing.
         assert_eq!(cache.take_trace().events.len(), 0);
+    }
+
+    #[test]
+    fn poisoned_lock_still_answers() {
+        let cache = Arc::new(PreparedCache::new(CacheConfig::default()));
+        let a = diag(16, 2.0);
+        let fp = a.fingerprint();
+        cache.get_or_build(fp, || prepare(&a));
+        let c2 = cache.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _held = c2.inner.lock().unwrap();
+            panic!("injected panic while holding the cache lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cache.inner.is_poisoned());
+
+        let (_, hit) = cache.get_or_build(fp, || panic!("resident"));
+        assert!(hit);
+        let b = diag(16, 3.0);
+        let (_, hit) = cache.get_or_build(b.fingerprint(), || prepare(&b));
+        assert!(!hit);
+        assert_eq!(cache.len(), 2);
+        assert!(cache.contains(fp) && cache.contains(b.fingerprint()));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.builds), (1, 2, 2));
+
+        // A build that panics now unwinds through `BuildGuard::drop`, which
+        // locks the poisoned mutex: it must clean up, not abort.
+        let c = diag(16, 4.0);
+        let fc = c.fingerprint();
+        let c3 = cache.clone();
+        let failed = std::thread::spawn(move || {
+            c3.get_or_build(fc, || panic!("injected build failure"));
+        });
+        assert!(failed.join().is_err());
+        assert!(!cache.contains(fc));
+        let (_, hit) = cache.get_or_build(fc, || prepare(&c));
+        assert!(!hit);
+        assert!(cache.contains(fc));
     }
 
     #[test]

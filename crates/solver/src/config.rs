@@ -148,6 +148,8 @@ pub struct SolverConfig {
     /// Classification options for the initial tile precisions.
     pub classify: ClassifyOptions,
     /// Leaf size of the recursive-block SpTRSV (preconditioned solvers).
+    /// A leaf of 0 is treated as 1: a 0-row leaf could never end the
+    /// halving.
     pub trsv_leaf: usize,
     /// Record the relative residual after every iteration (Fig. 12).
     pub trace_residuals: bool,

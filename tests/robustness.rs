@@ -295,3 +295,46 @@ fn overflowing_rhs_never_reports_nan_relres() {
     }
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
+
+/// `trsv_leaf: 0` is treated as a leaf of one row by the recursive-block
+/// SpTRSV, so every sequential path that applies ILU(0) or IC(0) solves
+/// instead of panicking, bitwise as with `trsv_leaf: 1`.
+#[test]
+fn zero_trsv_leaf_solves_like_leaf_one() {
+    let a = mille_feuille::collection::poisson2d(8, 8);
+    let b = rhs(&a);
+    let with_leaf = |trsv_leaf| {
+        MilleFeuille::new(
+            DeviceSpec::a100(),
+            SolverConfig {
+                trsv_leaf,
+                ..SolverConfig::default()
+            },
+        )
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let ilu = Method::Pcg(PrecondKind::Ilu0);
+    let rows = [
+        ("pcg_ilu0", SolveSpec::new(ilu)),
+        ("pcg_ic0", SolveSpec::new(Method::Pcg(PrecondKind::Ic0))),
+        ("pbicgstab", SolveSpec::new(Method::PBiCgStab)),
+        ("pcg_pipelined", SolveSpec::new(ilu).pipelined()),
+    ];
+    for (name, spec) in &rows {
+        let zero = with_leaf(0).solve(&a, &b, spec).unwrap();
+        let one = with_leaf(1).solve(&a, &b, spec).unwrap();
+        assert!(zero.converged, "{name}: must converge");
+        assert_eq!(bits(&zero.x), bits(&one.x), "{name}: x");
+        assert_eq!(zero.iterations, one.iterations, "{name}: iterations");
+        assert_eq!(
+            bits(&zero.residual_history),
+            bits(&one.residual_history),
+            "{name}: residual history"
+        );
+        assert_eq!(
+            zero.timeline.total_us().to_bits(),
+            one.timeline.total_us().to_bits(),
+            "{name}: modeled time"
+        );
+    }
+}
