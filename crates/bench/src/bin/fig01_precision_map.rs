@@ -85,6 +85,6 @@ fn main() {
     println!("\nhistograms -> {}", path.display());
     println!(
         "\nPaper reference: garon2 mostly FP16/FP8; nmos3 half FP64 / half FP8;\n\
-         ASIC_320k FP8 blocks with FP64 row/column interconnect."
+         ASIC_320k FP8 blocks with FP64 row/column hub connections."
     );
 }

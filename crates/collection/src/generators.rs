@@ -218,22 +218,22 @@ pub fn convdiff2d(nx: usize, ny: usize, conv_x: f64, conv_y: f64) -> Csr {
 
 /// Circuit-like nonsymmetric matrix (`ASIC_320k`-style, Fig. 1 right):
 /// `nblocks` dense-ish diagonal device blocks of `block` rows with
-/// small-integer conductance values (FP8-classifiable), plus wide-dynamic-
-/// range interconnect entries (FP64) confined to a contiguous *hub band* of
+/// small-integer conductance values (FP8-classifiable), plus `hub_links`
+/// wide-dynamic-range entries (FP64) confined to a contiguous *hub band* of
 /// `hub_fraction·n` supply/clock nodes — the "row/column rectangular
 /// connections" the paper observes to need FP64 while the device blocks
 /// classify to FP8. Diagonally dominated.
 pub fn circuit_like(
     nblocks: usize,
     block: usize,
-    interconnects: usize,
+    hub_links: usize,
     hub_fraction: f64,
     seed: u64,
 ) -> Csr {
     circuit_like_with(
         nblocks,
         block,
-        interconnects,
+        hub_links,
         hub_fraction,
         ValueClass::Wide,
         seed,
@@ -246,7 +246,7 @@ pub fn circuit_like(
 pub fn circuit_like_with(
     nblocks: usize,
     block: usize,
-    interconnects: usize,
+    hub_links: usize,
     hub_fraction: f64,
     hub_class: ValueClass,
     seed: u64,
@@ -254,7 +254,7 @@ pub fn circuit_like_with(
     let n = nblocks * block;
     let nhubs = ((n as f64 * hub_fraction) as usize).clamp(1, n);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut a = Coo::with_capacity(n, n, nblocks * block * block / 2 + 2 * interconnects + n);
+    let mut a = Coo::with_capacity(n, n, nblocks * block * block / 2 + 2 * hub_links + n);
     for b in 0..nblocks {
         let base = b * block;
         for i in 0..block {
@@ -270,7 +270,7 @@ pub fn circuit_like_with(
     // FP64 values inside the hub stripe is what reproduces Fig. 1's
     // ASIC_320k picture: FP8 device blocks, FP64 rectangular connections —
     // and it keeps the diagonal-dominance fix from widening non-hub rows.
-    for _ in 0..interconnects {
+    for _ in 0..hub_links {
         let hub = rng.random_range(0..nhubs);
         let other = rng.random_range(0..n);
         if hub != other {
@@ -477,7 +477,7 @@ mod tests {
         let s = MatrixStats::compute(&a);
         assert!(!s.symmetric);
         assert_eq!(s.diag_dominant_fraction, 1.0);
-        // Wide value range from the interconnects.
+        // Wide value range from the hub links.
         assert!(s.max_abs / s.min_abs > 1e6);
     }
 

@@ -244,7 +244,7 @@ pub fn named_matrices() -> &'static [NamedMatrix] {
         named!(
             "ASIC_320k",
             Bicgstab,
-            "circuit with FP8 device blocks + FP64 wide-range interconnect (Fig. 1 right); scaled from n=321671 to n=64000",
+            "circuit with FP8 device blocks + FP64 wide-range hub connections (Fig. 1 right); scaled from n=321671 to n=64000",
             || circuit_like(8_000, 8, 40_000, 0.04, 0x320)
         ),
         named!(

@@ -4,7 +4,7 @@
 //! The "enough good" criterion (paper §II-A) classifies a nonzero by whether
 //! it is (nearly) exactly representable in a narrow type. Real matrices
 //! differ wildly here — Fig. 1 shows `garon2` mostly FP16/FP8, `nmos3` half
-//! FP64 / half FP8, `ASIC_320k` FP8 blocks with FP64 interconnect. The
+//! FP64 / half FP8, `ASIC_320k` FP8 blocks with FP64 hub connections. The
 //! classes below generate values landing in chosen classification buckets.
 
 use rand::{Rng, RngExt};

@@ -35,25 +35,16 @@
 //!   [`TicketFaults`] perturbation, and the schedule model behind
 //!   `fig_ticket`. The concurrency substrate for host-side
 //!   preprocessing in `mf-solver`.
-//! * [`backend`] — the [`SimDevice`] each shard of the sharded engine is
-//!   charged on (roofline pricing, a host link, its own [`Timeline`]) and
-//!   the [`Interconnect`] link model for halo messages and reductions.
-//! * [`shard`] — deterministic row-block domain decomposition
-//!   ([`ShardPlan`]) with halo-column extraction, the partitioning layer
-//!   under the multi-device sharded engine in `mf-solver`.
 
-pub mod backend;
 pub mod cost;
 pub mod deps;
 pub mod device;
 pub mod faults;
 pub mod schedule;
-pub mod shard;
 pub mod sharedmem;
 pub mod ticket;
 pub mod timeline;
 
-pub use backend::{Interconnect, SimDevice};
 pub use cost::CostModel;
 pub use deps::{Heartbeat, RowDeps};
 pub use device::{DeviceSpec, Vendor};
@@ -62,7 +53,6 @@ pub use faults::{
     WarpFaults,
 };
 pub use schedule::{SpmvSchedule, VectorSchedule};
-pub use shard::ShardPlan;
 pub use sharedmem::ShmemPlan;
 pub use ticket::{
     run_ticketed, simulate_barrier_pipeline, simulate_ticketed, ticket_seed, CommitInfo,

@@ -19,14 +19,10 @@
 //!   preconditioned solvers.
 //! * [`ilu`] — ILU(0) and IC(0) factorizations for the PCG/PBiCGSTAB
 //!   variants.
-//! * [`shard`] — per-shard tile views with halo columns and the
-//!   sequential-span triangular solves used by the multi-device sharded
-//!   engine.
 
 pub mod blas1;
 pub mod block_jacobi;
 pub mod ilu;
-pub mod shard;
 pub mod spmm;
 pub mod spmv;
 pub mod sptrsv;
@@ -38,7 +34,6 @@ pub use ilu::{
     FactorError, FactorRow, FactorRowsView, Ic0, Ic0Rows, Ic0Scratch, Ilu0, Ilu0Rows, IluScratch,
     MAX_FACTOR_SHIFTS,
 };
-pub use shard::{sptrsv_lower_span, sptrsv_upper_span, ShardView};
 pub use spmm::{axpy_block, col, col_mut, dot_block, spmm_mixed, xpay_block};
 pub use spmv::{spmv_csr, spmv_mixed, spmv_mixed_par, spmv_tiled, MixedSpmvStats, SharedTiles};
 pub use sptrsv::{

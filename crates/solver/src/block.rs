@@ -161,6 +161,10 @@ impl BlockWorkspace {
 /// core: mf-serve's `solve_batch` falls back to `k` independent
 /// single-RHS adaptive solves (each with its own [`SharedTiles`] and its
 /// own controller), which is the only grouping-invariant semantics.
+///
+/// # Panics
+///
+/// If `m` is not square, `k` is 0 or `b.len() != m.nrows * k`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cg_block_ws(
     m: &TiledMatrix,

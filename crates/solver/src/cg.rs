@@ -178,7 +178,7 @@ impl Ledger {
 }
 
 /// The one CG-family breakdown rule (classic, pipelined, preconditioned,
-/// threaded and sharded alike): a step `α` over the curvature `(p, A·p)`
+/// threaded alike): a step `α` over the curvature `(p, A·p)`
 /// (or the pipelined denominator) breaks down when `α` is not finite or
 /// the curvature is not positive — `Curvature` when the curvature is a
 /// finite non-positive number, `NonFinite` otherwise.

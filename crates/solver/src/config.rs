@@ -196,8 +196,7 @@ pub struct SolverConfig {
     /// when adaptive is armed, because the one-way on-chip lowering would
     /// fight the controller's plans. Armed on CG, pipelined CG, PCG with
     /// any preconditioner (ILU(0), IC(0), block-Jacobi) and the threaded
-    /// CG engines; BiCGSTAB, PBiCGSTAB, pipelined PCG and the sharded
-    /// engines ignore it.
+    /// CG engines; BiCGSTAB, PBiCGSTAB and pipelined PCG ignore it.
     pub adaptive: Option<mf_precision::AdaptiveConfig>,
 }
 

@@ -24,8 +24,8 @@
 //! [`MilleFeuille`] owns a device model and a [`SolverConfig`]. Its one
 //! entry, [`MilleFeuille::solve`], takes any CSR matrix and a
 //! [`SolveSpec`]: the [`Method`] (`Auto`, CG, BiCGSTAB, PCG with ILU(0) /
-//! IC(0) / block-Jacobi, PBiCGSTAB), the [`Engine`] (sequential, threaded
-//! or sharded), the [`PipelineMode`] and optionally caller-supplied
+//! IC(0) / block-Jacobi, PBiCGSTAB), the [`Engine`] (sequential or
+//! threaded), the [`PipelineMode`] and optionally caller-supplied
 //! factors. It preprocesses the matrix into the tiled format (§III-B),
 //! picks single- vs multi-kernel mode (§III-C, with the ≈10⁶-nnz
 //! fallback), runs the solve, and returns a [`SolveReport`] with the
@@ -45,7 +45,7 @@
 //! dependency counters ([`mf_gpu::deps::RowDeps`]), and are deterministic
 //! and warp-count invariant by construction so differential tests can
 //! compare them bitwise against sequential references. Engine-only
-//! telemetry (heartbeat positions, fault tallies, halo traffic) rides in
+//! telemetry (heartbeat positions, fault tallies) rides in
 //! [`SolveReport::engine`].
 //!
 //! ## Robustness
@@ -68,7 +68,6 @@ pub mod partial;
 pub mod pipelined;
 pub mod precond;
 pub mod report;
-pub mod sharded;
 pub mod solver;
 pub mod threaded;
 pub mod ticketed;
@@ -86,7 +85,6 @@ pub use report::{
     BreakdownEvent, BreakdownKind, EngineSection, ExecutedMode, RecoveryAction, SolveFailure,
     SolveReport, WarpProgress,
 };
-pub use sharded::{run_cg_sharded, run_pcg_sharded, ShardedOpts};
 pub use solver::{Engine, Method, MilleFeuille, PrecondKind, SolveError, SolveSpec};
 pub use threaded::{
     run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_ilu_sptrsv_threaded,

@@ -231,8 +231,8 @@ impl RestartPolicy {
 }
 
 /// The numeric outcome of one slot loop, before its engine or core folds
-/// in the solution and telemetry: what every sequential core, threaded
-/// warp and sharded orchestrator records through [`drive`].
+/// in the solution and telemetry: what every sequential core and threaded
+/// warp records through [`drive`].
 pub(crate) struct Outcome {
     pub(crate) iterations: usize,
     pub(crate) converged: bool,
@@ -251,7 +251,7 @@ pub(crate) struct Outcome {
 /// last iteration still gets its refresh slot.
 #[derive(Clone, Copy)]
 enum Recorder {
-    /// A threaded or sharded engine: the residual history holds every
+    /// A threaded engine: the residual history holds every
     /// completed iteration's residual.
     Engine,
     /// A sequential core without `trace_residuals`.
@@ -261,7 +261,7 @@ enum Recorder {
 }
 
 impl Outcome {
-    /// A threaded or sharded engine's outcome.
+    /// A threaded engine's outcome.
     pub(crate) fn new() -> Outcome {
         Outcome::recorded_by(Recorder::Engine)
     }
@@ -391,8 +391,8 @@ pub(crate) fn converges(relres: f64, tol: f64, fixed_iterations: Option<usize>) 
     fixed_iterations.is_none() && relres < tol
 }
 
-/// The one slot loop of every engine: the sequential cores, the threaded
-/// warps and the sharded orchestrator. Slot `j` runs `slot(j, refresh)`
+/// The one slot loop of every engine: the sequential cores and the
+/// threaded warps. Slot `j` runs `slot(j, refresh)`
 /// after `gate()`; the loop stops after `max_iter` iterations, on
 /// convergence, or on an abort under the one [`RestartPolicy`]. A
 /// `fixed_iterations` budget replaces `max_iter` and runs it out: no
@@ -477,8 +477,8 @@ pub enum ExecutedMode {
     MultiKernel,
 }
 
-/// Telemetry only the threaded or the sharded engines produce: the one
-/// optional section of a [`SolveReport`].
+/// Telemetry only the threaded engines produce: the one optional section
+/// of a [`SolveReport`].
 #[derive(Clone, Debug)]
 pub enum EngineSection {
     /// A run of a [`crate::threaded`] engine.
@@ -492,29 +492,13 @@ pub enum EngineSection {
         /// merged injection tally. `None` under an empty plan.
         injected_faults: Option<InjectedFaults>,
     },
-    /// A run of a [`crate::sharded`] engine.
-    Sharded {
-        /// Effective shard (device) count after clamping to the segment
-        /// count.
-        shards: usize,
-        /// Total bytes moved over the interconnect by halo traffic.
-        halo_bytes: u64,
-        /// Total halo messages (one per (receiver, peer) pair per
-        /// exchange).
-        halo_messages: u64,
-        /// Packed matrix value bytes resident on each device — the
-        /// `fig_shard` scaling-shape metric (≈ total / shards per device).
-        per_shard_value_bytes: Vec<usize>,
-        /// Fault-injection telemetry (`None` under an empty plan).
-        injected_faults: Option<InjectedFaults>,
-    },
 }
 
 /// Everything a solve produces, whichever engine ran it.
 ///
 /// Every engine runs the same slot-loop driver and returns this report.
 /// The sequential cores fill every field but [`SolveReport::engine`]. The
-/// threaded and sharded engines run single-kernel schedules and fill the
+/// threaded engines run single-kernel schedules and fill the
 /// numeric fields, the trace and [`SolveReport::engine`] (and the
 /// threaded CG engines the re-tier trail); they leave `spmv_stats` and the
 /// per-iteration `error_history`, `p_range_history`, `bypass_history` and
@@ -538,12 +522,11 @@ pub struct SolveReport {
     /// engine. It can drift from the true residual on stiff systems; see
     /// [`SolveReport::true_relres`].
     pub final_relres: f64,
-    /// Which execution path ran (`SingleKernel` for the threaded and
-    /// sharded engines).
+    /// Which execution path ran (`SingleKernel` for the threaded
+    /// engines).
     pub mode: ExecutedMode,
     /// Modeled time ledger (µs), including preprocessing phases. The
-    /// threaded engines charge no modeled time; the sharded engines merge
-    /// every device's ledger.
+    /// threaded engines charge no modeled time.
     pub timeline: Timeline,
     /// Aggregated mixed-precision SpMV statistics over all iterations.
     pub spmv_stats: MixedSpmvStats,
@@ -552,12 +535,11 @@ pub struct SolveReport {
     /// Memory footprint of the equivalent 3-array CSR (Fig. 13 baseline).
     pub csr_memory: usize,
     /// Warps the single-kernel schedule used (0 in multi-kernel mode): the
-    /// OS threads of a threaded run, and the equivalent single-device
-    /// schedule's warps (a cost-model input) of a sharded run.
+    /// OS threads of a threaded run.
     pub warp_count: usize,
-    /// Relative residual after each iteration. The threaded and sharded
-    /// engines always record the recurrence value of each completed,
-    /// non-breakdown iteration. The sequential cores record only under
+    /// Relative residual after each iteration. The threaded engines always
+    /// record the recurrence value of each completed, non-breakdown
+    /// iteration. The sequential cores record only under
     /// `trace_residuals`, and then CG, pipelined CG, BiCGSTAB and
     /// pipelined PCG also record the residual each breakdown restart
     /// leaves.
@@ -600,17 +582,12 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
-    /// Fault-injection telemetry of a threaded or sharded run under a
-    /// non-empty plan.
+    /// Fault-injection telemetry of a threaded run under a non-empty plan.
     pub fn injected_faults(&self) -> Option<&InjectedFaults> {
-        match self.engine.as_ref()? {
-            EngineSection::Threaded {
-                injected_faults, ..
-            }
-            | EngineSection::Sharded {
-                injected_faults, ..
-            } => injected_faults.as_ref(),
-        }
+        let EngineSection::Threaded {
+            injected_faults, ..
+        } = self.engine.as_ref()?;
+        injected_faults.as_ref()
     }
 
     /// The heartbeat's last position of each warp of a threaded run;

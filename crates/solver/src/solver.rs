@@ -8,7 +8,6 @@ use crate::partial::PartialState;
 use crate::pipelined::{run_cg_pipelined, run_pcg_pipelined};
 use crate::precond::{run_pbicgstab, run_pcg, Precond};
 use crate::report::{BreakdownEvent, BreakdownKind, ExecutedMode, RecoveryAction, SolveReport};
-use crate::sharded::{run_cg_sharded, run_pcg_sharded, ShardedOpts};
 use crate::threaded::{
     run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_pbicgstab_threaded,
     run_pcg_pipelined_threaded, run_pcg_threaded, ThreadedOpts,
@@ -75,28 +74,17 @@ pub enum Engine {
         /// Warp (OS thread) cap.
         warps: usize,
     },
-    /// The multi-device sharded engines ([`crate::sharded`]): the tiled
-    /// matrix row-block partitioned across simulated devices of this
-    /// facade's model, with per-iteration halo exchange. Numeric outputs
-    /// are bitwise identical to the threaded engines without adaptive
-    /// re-tiering, at any shard count.
-    Sharded {
-        /// Requested shard (device) count.
-        shards: usize,
-        /// Warp cap of the equivalent single-device schedule.
-        warps: usize,
-    },
 }
 
 /// What [`MilleFeuille::solve`] runs: a method on an engine with a
 /// schedule, optionally with a caller-supplied factorization.
 ///
-/// | method | `Sequential` | `Threaded` | `Sharded` |
-/// |---|---|---|---|
-/// | `Auto` | classic, pipelined | — | — |
-/// | `Cg`, `Pcg(Ilu0)` | classic, pipelined | classic, pipelined | classic |
-/// | `Pcg(Ic0)`, `Pcg(BlockJacobi)` | classic, pipelined | — | — |
-/// | `BiCgStab`, `PBiCgStab` | classic | classic | — |
+/// | method | `Sequential` | `Threaded` |
+/// |---|---|---|
+/// | `Auto` | classic, pipelined | — |
+/// | `Cg`, `Pcg(Ilu0)` | classic, pipelined | classic, pipelined |
+/// | `Pcg(Ic0)`, `Pcg(BlockJacobi)` | classic, pipelined | — |
+/// | `BiCgStab`, `PBiCgStab` | classic | classic |
 ///
 /// [`PipelineMode::Auto`] resolves per matrix
 /// ([`MilleFeuille::decide_pipeline`]) where a pipelined schedule exists
@@ -151,14 +139,6 @@ impl<'f> SolveSpec<'f> {
         }
     }
 
-    /// This spec on `shards` devices, with at most `warps` warps.
-    pub fn sharded(self, shards: usize, warps: usize) -> SolveSpec<'f> {
-        SolveSpec {
-            engine: Engine::Sharded { shards, warps },
-            ..self
-        }
-    }
-
     /// This spec with the pipelined schedule.
     pub fn pipelined(self) -> SolveSpec<'f> {
         SolveSpec {
@@ -182,7 +162,6 @@ impl<'f> SolveSpec<'f> {
     /// table on [`SolveSpec`]).
     fn check(&self) -> Result<(), SolveError> {
         let sequential = self.engine == Engine::Sequential;
-        let sharded = matches!(self.engine, Engine::Sharded { .. });
         let pipelined = self.pipeline == PipelineMode::Pipelined;
         let reason = match self.method {
             Method::Auto if !sequential => {
@@ -191,14 +170,8 @@ impl<'f> SolveSpec<'f> {
             Method::Pcg(PrecondKind::Ic0 | PrecondKind::BlockJacobi(_)) if !sequential => {
                 Some("IC(0) and block-Jacobi run on the sequential engine only")
             }
-            Method::BiCgStab | Method::PBiCgStab if sharded => {
-                Some("the sharded engines run CG and ILU(0)-PCG only")
-            }
             Method::BiCgStab | Method::PBiCgStab if pipelined => {
                 Some("BiCGSTAB has no pipelined schedule")
-            }
-            Method::Cg | Method::Pcg(_) if sharded && pipelined => {
-                Some("the sharded engines have no pipelined schedule")
             }
             _ => None,
         };
@@ -531,9 +504,9 @@ impl MilleFeuille {
     /// [`Ic0::new_boosted`]); each shift attempt leads the report's
     /// breakdown trail as a `FactorShift` event. Every engine inherits
     /// `tolerance` and `max_iter` from [`SolverConfig`]; the threaded
-    /// engines also inherit its watchdog, trace and adaptive controller,
-    /// the sharded engines its trace. Only the sequential cores honour
-    /// `fixed_iterations` and partial convergence.
+    /// engines also inherit its watchdog, trace and adaptive controller.
+    /// Only the sequential cores honour `fixed_iterations` and partial
+    /// convergence.
     ///
     /// Errors: [`SolveError::Unsupported`] before any work for a
     /// combination no engine implements; otherwise the preconditioner
@@ -631,14 +604,6 @@ impl MilleFeuille {
             }
             (Engine::Threaded { warps }, Method::PBiCgStab, Some(Precond::Ilu0(ilu))) => {
                 run_pbicgstab_threaded(m, ilu, b, tol, max_iter, &self.threaded_opts(warps))
-            }
-            (Engine::Sharded { shards, warps }, Method::Cg, _) => {
-                let opts = self.sharded_opts(shards, warps);
-                run_cg_sharded(m, b, tol, max_iter, &opts, &mut SolverWorkspace::new())
-            }
-            (Engine::Sharded { shards, warps }, Method::Pcg(_), Some(Precond::Ilu0(ilu))) => {
-                let opts = self.sharded_opts(shards, warps);
-                run_pcg_sharded(m, ilu, b, tol, max_iter, &opts, &mut SolverWorkspace::new())
             }
             _ => unreachable!("SolveSpec::check admits no other combination"),
         };
@@ -807,17 +772,6 @@ impl MilleFeuille {
             trace: self.config.trace,
             adaptive: self.config.adaptive,
             ..ThreadedOpts::new(max_warps)
-        }
-    }
-
-    /// The sharded engines' options from this facade's config: `shards`
-    /// devices of this facade's model, at most `max_warps` warps, the
-    /// configured trace, the default interconnect and no fault injection.
-    fn sharded_opts(&self, shards: usize, max_warps: usize) -> ShardedOpts {
-        ShardedOpts {
-            device: self.device.clone(),
-            trace: self.config.trace,
-            ..ShardedOpts::new(shards, max_warps)
         }
     }
 
@@ -1209,11 +1163,8 @@ mod tests {
         let rejected = [
             SolveSpec::auto().threaded(2),
             ic0.threaded(2),
-            SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))).sharded(2, 2),
-            SolveSpec::new(Method::BiCgStab).sharded(2, 2),
             SolveSpec::new(Method::PBiCgStab).pipelined(),
             SolveSpec::new(Method::BiCgStab).threaded(2).pipelined(),
-            SolveSpec::new(Method::Cg).sharded(2, 2).pipelined(),
             SolveSpec::new(Method::Cg).with_factors(Precond::Ilu0(&ilu)),
             ic0.with_factors(Precond::Ilu0(&ilu)),
         ];
@@ -1226,7 +1177,6 @@ mod tests {
         // Auto on the classic-only paths is a choice, not a fallback.
         for spec in [
             SolveSpec::new(Method::BiCgStab),
-            SolveSpec::new(Method::Cg).sharded(2, 2),
             SolveSpec::new(Method::PBiCgStab).threaded(2),
         ] {
             let spec = SolveSpec {
@@ -1244,7 +1194,7 @@ mod tests {
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
         let ilu = mf_kernels::ilu0(&a).unwrap();
         let ilu0 = SolveSpec::new(Method::Pcg(PrecondKind::Ilu0));
-        for spec in [ilu0, ilu0.pipelined(), ilu0.threaded(2), ilu0.sharded(2, 2)] {
+        for spec in [ilu0, ilu0.pipelined(), ilu0.threaded(2)] {
             let built = solver.solve(&a, &b, &spec).unwrap();
             let given = solver
                 .solve(&a, &b, &spec.with_factors(Precond::Ilu0(&ilu)))
@@ -1260,22 +1210,17 @@ mod tests {
         let b = rhs(&a);
         let solver = MilleFeuille::with_defaults(DeviceSpec::a100());
         let cg = SolveSpec::new(Method::Cg);
-        for spec in [cg.threaded(2), cg.sharded(2, 2)] {
-            let rep = solver.solve(&a, &b, &spec).unwrap();
-            assert!(rep.converged, "{spec:?}");
-            assert_eq!(rep.mode, ExecutedMode::SingleKernel);
-            assert_eq!(rep.preprocess_passes, 1);
-            assert_eq!(rep.csr_memory, a.memory_bytes());
-            assert!(rep.timeline.get(Phase::Preprocess) > 0.0);
-            assert!(rep.warp_count >= 1);
-            match (spec.engine, &rep.engine) {
-                (Engine::Threaded { .. }, Some(crate::report::EngineSection::Threaded { .. })) => {
-                    assert_eq!(rep.last_progress().len(), rep.warp_count)
-                }
-                (Engine::Sharded { .. }, Some(crate::report::EngineSection::Sharded { .. })) => {}
-                (_, section) => panic!("{spec:?} reported {section:?}"),
-            }
-        }
+        let rep = solver.solve(&a, &b, &cg.threaded(2)).unwrap();
+        assert!(rep.converged);
+        assert_eq!(rep.mode, ExecutedMode::SingleKernel);
+        assert_eq!(rep.preprocess_passes, 1);
+        assert_eq!(rep.csr_memory, a.memory_bytes());
+        assert!(rep.timeline.get(Phase::Preprocess) > 0.0);
+        assert!(rep.warp_count >= 1);
+        let Some(crate::report::EngineSection::Threaded { .. }) = &rep.engine else {
+            panic!("the threaded engine reported {:?}", rep.engine)
+        };
+        assert_eq!(rep.last_progress().len(), rep.warp_count);
         let seq = solver.solve(&a, &b, &cg).unwrap();
         assert!(seq.engine.is_none() && seq.injected_faults().is_none());
     }

@@ -26,6 +26,9 @@
 //! order as the hand-off did, so the results are bitwise those of the
 //! Algorithm-3 schedule at any warp count.
 //!
+//! Every entry asserts its shape preconditions and documents them under
+//! `# Panics`; typed input errors belong to [`crate::MilleFeuille::solve`].
+//!
 //! One deliberate deviation from the paper's pseudocode: instead of
 //! *resetting* the dependency counters between iterations (Algorithm 3
 //! re-initializes them after the Step-D check, which needs a subtle
@@ -1142,6 +1145,10 @@ fn warp_sweep(
 /// assert!(rep.converged);
 /// assert!(rep.x.iter().all(|v| (v - 1.0).abs() < 1e-7));
 /// ```
+///
+/// # Panics
+///
+/// If `m` is not square, `b.len() != m.nrows` or `opts.warps` is 0.
 pub fn run_cg_threaded(
     m: &TiledMatrix,
     b: &[f64],
@@ -1166,6 +1173,11 @@ pub fn run_cg_threaded(
 /// kernel, so residual trajectories are bitwise-reproducible across 1..k
 /// warps — the property the differential harness in
 /// `tests/threaded_parity.rs` locks down. `opts.adaptive` is ignored.
+///
+/// # Panics
+///
+/// If `m` is not square, `b.len()` or `ilu`'s factors differ from
+/// `m.nrows`, or `opts.warps` is 0.
 pub fn run_pcg_threaded(
     m: &TiledMatrix,
     ilu: &Ilu0,
@@ -1335,6 +1347,10 @@ fn cg_family(
 /// is owner-computes and every dot is a per-segment single-writer
 /// reduction, so the result is bitwise warp-count invariant and immune to
 /// benign schedule perturbations.
+///
+/// # Panics
+///
+/// If `m` is not square, `b.len() != m.nrows` or `opts.warps` is 0.
 pub fn run_bicgstab_threaded(
     m: &TiledMatrix,
     b: &[f64],
@@ -1352,6 +1368,11 @@ pub fn run_bicgstab_threaded(
 /// watchdog story of [`run_pcg_threaded`]; breakdown/restart semantics
 /// mirror the sequential `run_pbicgstab` core (ρ/ω restarts, `Stalled`
 /// abort after futile restarts). `opts.adaptive` is ignored.
+///
+/// # Panics
+///
+/// If `m` is not square, `b.len()` or `ilu`'s factors differ from
+/// `m.nrows`, or `opts.warps` is 0.
 pub fn run_pbicgstab_threaded(
     m: &TiledMatrix,
     ilu: &Ilu0,
@@ -1512,6 +1533,11 @@ fn bicgstab_family(
 /// cycle (corrupted factor) fails as [`SolveFailure::Wedged`] once the
 /// heartbeat watchdog fires; a panicking warp (e.g. out-of-range column
 /// index) fails as [`SolveFailure::WarpPanic`] — never a hang.
+///
+/// # Panics
+///
+/// If `l` or `u` is not square, `l`, `u` and `b` differ in size, or `seg`
+/// or `opts.warps` is 0.
 pub fn run_ilu_sptrsv_threaded(
     l: &Csr,
     u: &Csr,
@@ -1593,6 +1619,10 @@ pub fn run_ilu_sptrsv_threaded(
 /// slot plus its (γ, δ) partials) — after which the direction stack
 /// restarts exactly like a flag-only breakdown restart. The parities do
 /// not flip.
+///
+/// # Panics
+///
+/// If `m` is not square, `b.len() != m.nrows` or `opts.warps` is 0.
 pub fn run_cg_pipelined_threaded(
     m: &TiledMatrix,
     b: &[f64],
@@ -1753,6 +1783,11 @@ pub fn run_cg_pipelined_threaded(
 /// The in-kernel SpTRSV, poison/watchdog and fault-injection machinery are
 /// identical to [`run_pcg_threaded`]; breakdown semantics mirror
 /// [`crate::pipelined::run_pcg_pipelined`]. `opts.adaptive` is ignored.
+///
+/// # Panics
+///
+/// If `m` is not square, `b.len()` or `ilu`'s factors differ from
+/// `m.nrows`, or `opts.warps` is 0.
 pub fn run_pcg_pipelined_threaded(
     m: &TiledMatrix,
     ilu: &Ilu0,

@@ -1,8 +1,8 @@
 //! Golden outputs of every facade path, pinned bitwise: the sequential
 //! cores (CG, pipelined CG, BiCGSTAB, PCG with ILU(0) / IC(0) /
 //! block-Jacobi, pipelined PCG, PBiCGSTAB), the `Auto` method pick with
-//! its CG→BiCGSTAB handoff, the six threaded engines at 2 warps and the
-//! two sharded engines at 2 shards × 2 warps. Breakdown cases drive every
+//! its CG→BiCGSTAB handoff and the six threaded engines at 2 warps.
+//! Breakdown cases drive every
 //! family through its restart branches: curvature for CG, α, ρ and ω for
 //! BiCGSTAB.
 //!
@@ -199,9 +199,8 @@ const CORES: [&str; 8] = [
     "pbicgstab",
 ];
 
-/// Every sequential core, `Auto`, then the threaded engines at 2 warps
-/// and the sharded engines at 2 shards × 2 warps.
-const ALL: [&str; 17] = [
+/// Every sequential core, `Auto`, then the threaded engines at 2 warps.
+const ALL: [&str; 15] = [
     "cg",
     "cg_pipelined",
     "bicgstab",
@@ -217,8 +216,6 @@ const ALL: [&str; 17] = [
     "pbicgstab_threaded",
     "cg_pipelined_threaded",
     "pcg_pipelined_threaded",
-    "cg_sharded",
-    "pcg_sharded",
 ];
 
 const BICGSTAB_FAMILY: [&str; 4] = [
@@ -261,8 +258,6 @@ fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<Outcome,
         "pbicgstab_threaded" => SolveSpec::new(Method::PBiCgStab).threaded(2),
         "cg_pipelined_threaded" => SolveSpec::new(Method::Cg).pipelined().threaded(2),
         "pcg_pipelined_threaded" => SolveSpec::new(ilu).pipelined().threaded(2),
-        "cg_sharded" => SolveSpec::new(Method::Cg).sharded(2, 2),
-        "pcg_sharded" => SolveSpec::new(ilu).sharded(2, 2),
         other => panic!("unknown core {other}"),
     };
     let sequential = spec.engine == Engine::Sequential;
@@ -488,7 +483,6 @@ fn cases() -> Vec<Case> {
                 "pcg_threaded",
                 "pbicgstab_threaded",
                 "pcg_pipelined_threaded",
-                "pcg_sharded",
             ],
         },
         Case {
@@ -563,8 +557,6 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("spd", "pbicgstab_threaded", engine(0xb441a0e68b132c29, 7, 0x10a56644b5c66d0b, "", "None")),
     ("spd", "cg_pipelined_threaded", engine(0xb33814d0b70becca, 35, 0x7422084785c7ea63, "", "None")),
     ("spd", "pcg_pipelined_threaded", engine(0x6e661f74a22c4003, 12, 0x40f98b7969a124dc, "", "None")),
-    ("spd", "cg_sharded", engine(0x7787da13d8decb48, 35, 0x047339353aff32f3, "", "None")),
-    ("spd", "pcg_sharded", engine(0x425404af4e289840, 12, 0x4724f5418640c701, "", "None")),
     ("negdef", "cg", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4063d551bb1709c6)),
     ("negdef", "cg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x404cea1586ded352)),
     ("negdef", "bicgstab", ok(0xfe13d8f607f0e197, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
@@ -580,8 +572,6 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("negdef", "pbicgstab_threaded", engine(0x90bfab203ab21629, 7, 0x10a56644b5c66d0b, "", "None")),
     ("negdef", "cg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("negdef", "pcg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
-    ("negdef", "cg_sharded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
-    ("negdef", "pcg_sharded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("nonsym", "bicgstab", ok(0xe6cb792bd897fbac, 15, 0x1588c8be51604b74, "", "None", 0x407f08f776cc4bcd)),
     ("nonsym", "pbicgstab", ok(0x1199c123bddbb873, 1, 0x419a8553fc3978b9, "", "None", 0x406ed804f66dd6b2)),
     ("nonsym", "auto", ok(0xe6cb792bd897fbac, 15, 0x1588c8be51604b74, "", "None", 0x407f08f776cc4bcd)),
@@ -596,7 +586,6 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("zero_pivot", "pcg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("zero_pivot", "pbicgstab_threaded", engine(0x65c28d0c9e9134a3, 12, 0x6fa650aa0d5d2725, "0:FactorShift:Restarted", "None")),
     ("zero_pivot", "pcg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
-    ("zero_pivot", "pcg_sharded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("fixed_iters", "cg", ok(0xc050784f836c8490, 40, 0x9f7ccb463020c1e7, "24-39:Curvature:Restarted", "None", 0x40842b9b05f8eaf4)),
     ("fixed_iters", "cg_pipelined", ok(0xda31755edd3f3092, 40, 0xc9bf8933d7ea9ac9, "26:Curvature:Restarted 28-39:Curvature:Restarted", "None", 0x406a4a8794ab3ca7)),
     ("fixed_iters", "bicgstab", ok(0xec922d5ea1650470, 40, 0x0ce2a931f859fc5a, "15:Omega:Restarted 16-39:NonFinite:Restarted", "None", 0x40938d3c5da47658)),
@@ -703,7 +692,7 @@ fn golden_cases_exercise_convergence_restarts_and_retiering() {
         .breakdowns
         .iter()
         .any(|e| e.action == mf_solver::RecoveryAction::SwitchedSolver));
-    for core in ["pcg_ilu0", "pcg_threaded", "pcg_sharded"] {
+    for core in ["pcg_ilu0", "pcg_threaded"] {
         let boosted = by_core("zero_pivot", core).unwrap();
         assert_eq!(
             boosted.breakdowns.first().map(|e| e.kind),

@@ -270,36 +270,6 @@ impl TiledMatrix {
             .decode_run(self.val_offsets[i], self.tile_prec[i], out);
     }
 
-    /// Multiplies the contiguous tile span `tiles` into `y`, where `y[0]`
-    /// corresponds to matrix row `row_base` (accumulating; the caller zeroes
-    /// `y`). Tiles are stored sorted by `(tile_row, tile_col)`, so a span of
-    /// whole tile rows touches a contiguous, exclusive row range — the
-    /// property both the sequential [`matvec`](Self::matvec) (one span: all
-    /// tiles) and the stripe-parallel kernels in `mf-kernels` rely on to
-    /// share this single tile-iteration loop.
-    pub fn tile_matvec_span(
-        &self,
-        tiles: std::ops::Range<usize>,
-        x: &[f64],
-        y: &mut [f64],
-        row_base: usize,
-    ) {
-        for i in tiles {
-            let base_row = self.tile_rowidx[i] as usize * self.tile_size;
-            let base_col = self.tile_colidx[i] as usize * self.tile_size;
-            let nnz_base = self.tile_nnz[i] as usize;
-            for ri in self.nonrow[i] as usize..self.nonrow[i + 1] as usize {
-                let r = base_row + self.row_index[ri] as usize;
-                let mut sum = 0.0;
-                for k in self.csr_rowptr[ri] as usize..self.csr_rowptr[ri + 1] as usize {
-                    sum += self.tile_value(i, k - nnz_base)
-                        * x[base_col + self.csr_colidx[k] as usize];
-                }
-                y[r - row_base] += sum;
-            }
-        }
-    }
-
     /// Converts back to CSR. Values carry the quantization of their tile's
     /// precision (exactly what the GPU kernels would compute with).
     pub fn to_csr(&self) -> Csr {
@@ -325,7 +295,20 @@ impl TiledMatrix {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
         y.fill(0.0);
-        self.tile_matvec_span(0..self.tile_count(), x, y, 0);
+        for i in 0..self.tile_count() {
+            let base_row = self.tile_rowidx[i] as usize * self.tile_size;
+            let base_col = self.tile_colidx[i] as usize * self.tile_size;
+            let nnz_base = self.tile_nnz[i] as usize;
+            for ri in self.nonrow[i] as usize..self.nonrow[i + 1] as usize {
+                let r = base_row + self.row_index[ri] as usize;
+                let mut sum = 0.0;
+                for k in self.csr_rowptr[ri] as usize..self.csr_rowptr[ri + 1] as usize {
+                    sum += self.tile_value(i, k - nnz_base)
+                        * x[base_col + self.csr_colidx[k] as usize];
+                }
+                y[r] += sum;
+            }
+        }
     }
 
     /// Per-tile precision histogram indexed `[FP64, FP32, FP16, FP8]`

@@ -102,7 +102,6 @@ impl TraceConfig {
 /// | `CacheMiss` | fingerprint low 64 bits | entry bytes | yes* |
 /// | `CacheEvict` | fingerprint low 64 bits | bytes freed | yes* |
 /// | `Retier` | packed (cap code << 32 \| actions) | iteration decided | yes |
-/// | `Halo` | bytes exchanged | packed (peer shard << 32 \| messages) | yes |
 /// | `Ticket` | packed (stream code << 32 \| unit index) | packed (worker+1 << 1 \| fallback) | **no** |
 ///
 /// (*) Cache events are deterministic for a fixed *request order*; a
@@ -126,23 +125,18 @@ pub enum EventKind {
     CacheEvict = 12,
     /// Adaptive re-tier plan applied (controller v2).
     Retier = 13,
-    /// Sharded-engine halo exchange: one shard's boundary-vector traffic
-    /// for an iteration step. Appended last so [`TraceSummary::counts`]
-    /// indices from earlier releases stay valid.
-    Halo = 14,
     /// Ticketed-preprocessing commit: one event per committed ticket, in
     /// commit order. `a` packs (stream code << 32 | unit index) — both
     /// deterministic; `b` packs which worker produced the result and
     /// whether the committer fell back to a serial recompute — both
-    /// schedule-dependent, zeroed in canonical serializations. Appended
-    /// last (see [`EventKind::Halo`]).
-    Ticket = 15,
+    /// schedule-dependent, zeroed in canonical serializations.
+    Ticket = 14,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order — [`TraceSummary::counts`] is
     /// indexed by this order.
-    pub const ALL: [EventKind; 16] = [
+    pub const ALL: [EventKind; 15] = [
         EventKind::IterStart,
         EventKind::IterEnd,
         EventKind::BarrierEnter,
@@ -157,7 +151,6 @@ impl EventKind {
         EventKind::CacheMiss,
         EventKind::CacheEvict,
         EventKind::Retier,
-        EventKind::Halo,
         EventKind::Ticket,
     ];
 
@@ -178,7 +171,6 @@ impl EventKind {
             EventKind::CacheMiss => "cache_miss",
             EventKind::CacheEvict => "cache_evict",
             EventKind::Retier => "retier",
-            EventKind::Halo => "halo",
             EventKind::Ticket => "ticket",
         }
     }

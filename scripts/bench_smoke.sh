@@ -15,11 +15,7 @@
 # BENCH_adaptive.json; *fails* when the residual-driven controller moves
 # more total value bytes than the static classification on any SPD matrix,
 # reaches a different termination status, or is not strictly cheaper on at
-# least half the population), and the multi-device sharding bench
-# (bench_out/fig_shard.csv + BENCH_shard.json; *fails* when any shard
-# count changes a single bit of any solve versus the single-device
-# engine, or when 4-way sharding keeps more than 0.35 of the largest grid
-# matrix's packed payload on one device), and the ticketed-preprocessing
+# least half the population), and the ticketed-preprocessing
 # bench (bench_out/fig_ticket.csv + BENCH_ticket.json; *fails* when any
 # worker count changes a bit of the tiles or ILU(0) factors versus the
 # phase-barrier reference, or when the fused ticketed schedule's modeled
@@ -36,7 +32,7 @@
 # MF_SKIP_GATE_GUARD=1 to skip the guard (e.g. when intentionally
 # regenerating baselines).
 #
-# Knobs (see crates/bench/src/bin/{spmv_scaling,fig_trace_timeline,fig_pipeline,fig_serve,fig_adaptive,fig_shard,fig_ticket}.rs):
+# Knobs (see crates/bench/src/bin/{spmv_scaling,fig_trace_timeline,fig_pipeline,fig_serve,fig_adaptive,fig_ticket}.rs):
 #   MF_SPMV_GRID      Poisson grid side (default 320 -> 102,400 rows)
 #   MF_SPMV_REPS      timed reps per thread count (default 20)
 #   MF_SPMV_THREADS   comma list of thread counts (default 1,2,4,8)
@@ -58,11 +54,6 @@
 #   MF_ADAPT_TOL      convergence tolerance of the adaptive bench (default 1e-10)
 #   MF_ADAPT_MAXITER  iteration cap of the adaptive bench (default 4000)
 #   MF_ADAPT_SCALE    size multiplier on the adaptive population (default 1)
-#   MF_SHARD_GRID     largest Poisson side of the sharding bench (default 96)
-#   MF_SHARD_TOL      convergence tolerance of the sharding bench (default 1e-10)
-#   MF_SHARD_MAXITER  iteration cap of the sharding bench (default 2000)
-#   MF_SHARD_WARPS    warp cap of both engines in the sharding bench (default 4)
-#   MF_SHARD_SPLIT_GATE  max per-device payload fraction at 4 shards (default 0.35)
 #   MF_TICKET_GRID    Poisson grid side of the ticketed bench (default 64)
 #   MF_TICKET_TILE    tile size of the ticketed bench (default 16)
 #   MF_SKIP_GATE_GUARD  1 = skip the committed-baseline gate-flip guard
@@ -81,14 +72,13 @@ fi
 # works on a clean checkout.
 cargo build --release --locked --offline -p mf-bench \
     --bin spmv_scaling --bin fig_trace_timeline --bin fig_pipeline --bin fig_serve \
-    --bin fig_adaptive --bin fig_shard --bin fig_ticket --bin fig06_dependency_trace \
+    --bin fig_adaptive --bin fig_ticket --bin fig06_dependency_trace \
     --bin gate_diff
 ./target/release/spmv_scaling
 ./target/release/fig_trace_timeline --trace-dir bench_out/traces
 ./target/release/fig_pipeline
 ./target/release/fig_serve
 ./target/release/fig_adaptive
-./target/release/fig_shard
 ./target/release/fig_ticket
 ./target/release/fig06_dependency_trace
 

@@ -66,9 +66,7 @@ TIERS=(
     "prop_heartbeat|mf-solver|prop_heartbeat|300||rerun"
     "serve|mf-serve||300||rerun"
     "adaptive_parity|mille-feuille|adaptive_parity|300||faultplan"
-    "sharded_parity|mille-feuille|sharded_parity|420||faultplan"
     "ticketed_parity|mille-feuille|ticketed_parity|300||ticketfaults"
-    "prop_partition|mf-gpu|prop_partition|300||rerun"
     "prop_ticket|mf-gpu|prop_ticket|300||rerun"
     "prop_retier|mf-precision|prop_retier|300||rerun"
     "prop_trsv|mf-kernels|prop_trsv|300||rerun"

@@ -214,7 +214,7 @@ fn fig1_precision_characters() {
     assert!(h[3] > asic.nnz() / 2, "ASIC FP8 majority: {h:?}");
     assert!(
         h[0] > asic.nnz() / 20,
-        "ASIC FP64 interconnect share: {h:?}"
+        "ASIC FP64 hub-connection share: {h:?}"
     );
 }
 

@@ -235,9 +235,8 @@ fn factorization_fallback_boosts_diagonal() {
 }
 
 /// An overflowing right-hand side poisons every path's recurrence on the
-/// first step. Every facade row — each sequential core, `Auto`, the
-/// threaded engines at 2 warps and the sharded engines at 2 shards × 2
-/// warps — must abort as `NonFinite` with a non-NaN `final_relres` (its
+/// first step. Every facade row — each sequential core, `Auto` and the
+/// threaded engines at 2 warps — must abort as `NonFinite` with a non-NaN `final_relres` (its
 /// last finite value, or the `∞` of a solve that never had one) and a
 /// NaN-free solution.
 #[test]
@@ -277,8 +276,6 @@ fn overflowing_rhs_never_reports_nan_relres() {
             "pcg_pipelined_threaded",
             SolveSpec::new(ilu).pipelined().threaded(2),
         ),
-        ("cg_sharded", SolveSpec::new(Method::Cg).sharded(2, 2)),
-        ("pcg_sharded", SolveSpec::new(ilu).sharded(2, 2)),
     ];
     let mut wrong = Vec::new();
     for (name, spec) in &rows {

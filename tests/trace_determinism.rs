@@ -25,8 +25,7 @@ use mille_feuille::collection::ValueClass;
 use mille_feuille::kernels::ilu0;
 use mille_feuille::prelude::*;
 use mille_feuille::solver::{
-    run_bicgstab_threaded, run_cg_sharded, run_cg_threaded, run_pbicgstab_threaded,
-    run_pcg_sharded, run_pcg_threaded, ShardedOpts, SolverWorkspace,
+    run_bicgstab_threaded, run_cg_threaded, run_pbicgstab_threaded, run_pcg_threaded,
 };
 use mille_feuille::trace::{EventKind, Trace, TraceConfig};
 
@@ -276,134 +275,6 @@ fn chrome_trace_shape_is_perfetto_ingestible() {
         assert!(
             chrome.contains(&format!("\"tid\":{w}")),
             "warp {w} missing from the timeline"
-        );
-    }
-}
-
-/// A sharded solve closed over its fixture, dispatchable uniformly.
-fn sharded_runs(plan: &FaultPlan, tc: &TraceConfig, shards: usize) -> Vec<(String, SolveReport)> {
-    let (tol, max_iter) = (1e-10, 150);
-    let spd = spd_fixture();
-    let (b, m) = (paper_rhs(&spd), tiled(&spd));
-    let ilu = ilu0(&spd).expect("ILU(0) on the SPD fixture");
-    let opts = ShardedOpts {
-        faults: plan.clone(),
-        trace: *tc,
-        ..ShardedOpts::new(shards, 4)
-    };
-    let cg = run_cg_sharded(&m, &b, tol, max_iter, &opts, &mut SolverWorkspace::new());
-    let pcg = run_pcg_sharded(
-        &m,
-        &ilu,
-        &b,
-        tol,
-        max_iter,
-        &opts,
-        &mut SolverWorkspace::new(),
-    );
-    vec![
-        (format!("sharded-cg/s{shards}"), cg),
-        (format!("sharded-pcg/s{shards}"), pcg),
-    ]
-}
-
-/// The sharded engine's merged trace (per-device streams, `warp` = shard)
-/// is bitwise-deterministic across repeat runs in both canonical exports,
-/// clean and under a seeded fault plan.
-#[test]
-fn sharded_canonical_streams_are_bitwise_deterministic() {
-    let plans = [
-        FaultPlan::default(),
-        FaultPlan::seeded(42).with_delay(60, 12).with_stall(64, 20),
-    ];
-    let on = TraceConfig::on();
-    for plan in &plans {
-        for shards in [2usize, 4] {
-            let first = sharded_runs(plan, &on, shards);
-            let second = sharded_runs(plan, &on, shards);
-            for ((label, a), (_, b)) in first.iter().zip(&second) {
-                let (ta, tb) = (
-                    a.trace.as_ref().expect("trace on"),
-                    b.trace.as_ref().expect("trace on"),
-                );
-                assert_eq!(
-                    ta.canonical_jsonl(),
-                    tb.canonical_jsonl(),
-                    "{label}/{plan}: canonical JSONL diverged between identical runs"
-                );
-                assert_eq!(
-                    ta.to_chrome_trace(),
-                    tb.to_chrome_trace(),
-                    "{label}/{plan}: Chrome trace diverged between identical runs"
-                );
-                assert_eq!(a.iterations, b.iterations, "{label}: iterations");
-                assert_eq!(
-                    a.final_relres.to_bits(),
-                    b.final_relres.to_bits(),
-                    "{label}: final relres"
-                );
-            }
-        }
-    }
-}
-
-/// Halo events carry coherent (shard, iteration, step) coordinates and
-/// payloads that tally exactly with the report's interconnect telemetry —
-/// what makes a FaultPlan repro line actionable against a sharded trace.
-#[test]
-fn sharded_halo_events_carry_shard_coordinates() {
-    let shards = 4;
-    let on = TraceConfig::on();
-    let plan = FaultPlan::seeded(42).with_delay(60, 12).with_stall(64, 20);
-    for (label, rep) in sharded_runs(&plan, &on, shards) {
-        let trace = rep.trace.as_ref().expect("trace on");
-        let halos: Vec<_> = trace
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Halo)
-            .collect();
-        assert!(!halos.is_empty(), "{label}: multi-shard run must exchange");
-        let mut bytes = 0u64;
-        for e in &halos {
-            assert!(
-                (e.warp as usize) < shards,
-                "{label}: receiver shard out of range"
-            );
-            let peer = (e.b >> 32) as usize;
-            let messages = e.b & 0xffff_ffff;
-            assert!(peer < shards, "{label}: peer shard out of range");
-            assert_ne!(peer, e.warp as usize, "{label}: no self-exchange");
-            assert_eq!(messages, 1, "{label}: one message per peer per event");
-            assert!(e.a > 0, "{label}: empty halo message");
-            assert!(e.a % 8 == 0, "{label}: halo payload is f64s");
-            assert!(
-                (e.iteration as usize) < rep.iterations.max(1),
-                "{label}: halo iteration beyond the solve"
-            );
-            assert!(e.step <= 3, "{label}: halo step outside the slot table");
-            bytes += e.a;
-        }
-        let Some(EngineSection::Sharded {
-            halo_bytes,
-            halo_messages,
-            ..
-        }) = &rep.engine
-        else {
-            panic!("{label}: a sharded run reports its sharding");
-        };
-        assert_eq!(
-            bytes, *halo_bytes,
-            "{label}: trace bytes must tally with telemetry"
-        );
-        assert_eq!(
-            halos.len() as u64,
-            *halo_messages,
-            "{label}: trace messages must tally with telemetry"
-        );
-        // The injected plan is reported with its builder repro line.
-        assert_eq!(
-            rep.injected_faults().expect("plan fired").plan,
-            plan.to_string()
         );
     }
 }
