@@ -16,16 +16,18 @@
 //!
 //! # Determinism contract
 //!
-//! For every active column `j`, [`spmm_mixed`] performs *exactly* the
-//! floating-point operations [`crate::spmv_mixed`] performs for that
-//! column's vector, in the same order — per-row partial sums are kept in a
-//! register per column and added to `y` once, never accumulated directly
-//! across tiles. A batched solve is therefore bitwise identical to the `k`
-//! independent solves it replaces (pinned by proptests here and by the
-//! blocked-core parity tests in `mf-solver`).
+//! [`spmm_mixed`] runs Algorithm 5's admission step once per tile and then
+//! the same row kernel as [`crate::spmv_mixed`]
+//! ([`crate::spmv::tile_row_sums`]) once per active column while the tile
+//! is hot. Every `(column, row)` pair therefore receives the same per-tile
+//! partial sums, each started from `0.0` and added to `y` once, in the
+//! same tile order as the single-vector kernel. A batched solve is bitwise
+//! identical to the `k` independent solves it replaces (pinned by
+//! `tests/prop_spmv.rs` and by the blocked-core parity tests in
+//! `mf-solver`).
 
 use crate::blas1;
-use crate::spmv::{MixedSpmvStats, SharedTiles};
+use crate::spmv::{admit, check_mixed_inputs, tile_row_sums, MixedSpmvStats, SharedTiles};
 use crate::visflag::VisFlag;
 use mf_sparse::TiledMatrix;
 
@@ -64,61 +66,31 @@ pub fn spmm_mixed(
     y: &mut [f64],
     active: &[bool],
 ) -> MixedSpmvStats {
-    let k = active.len();
-    assert_eq!(x.len(), m.ncols * k, "x must be ncols × k column-major");
-    assert_eq!(y.len(), m.nrows * k, "y must be nrows × k column-major");
-    assert!(
-        vis_flags.len() >= m.tile_cols,
-        "need one vis_flag per tile column: {} < {}",
-        vis_flags.len(),
-        m.tile_cols
-    );
+    check_mixed_inputs(m, vis_flags, x, y, active.len());
     let (n_in, n_out) = (m.ncols, m.nrows);
+    // The active columns' (x, y) pairs, sliced once per call rather than
+    // once per tile.
+    let mut cols: Vec<(&[f64], &mut [f64])> = Vec::with_capacity(active.len());
+    let mut y_rest = y;
     for (j, &live) in active.iter().enumerate() {
+        let (yj, rest) = std::mem::take(&mut y_rest).split_at_mut(n_out);
+        y_rest = rest;
         if live {
-            col_mut(y, n_out, j).fill(0.0);
+            yj.fill(0.0);
+            cols.push((col(x, n_in, j), yj));
         }
     }
 
     let mut stats = MixedSpmvStats::default();
     for i in 0..m.tile_count() {
-        let v_f = vis_flags[m.tile_colidx[i] as usize];
-        let tile_nnz = (m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize;
-        if v_f == VisFlag::Bypass {
-            stats.tiles_bypassed += 1;
-            stats.nnz_bypassed += tile_nnz;
+        let vals = &mut shared.arena[shared.tile_off[i]..shared.tile_off[i + 1]];
+        let prec = &mut shared.current_prec[i];
+        if !admit(m, i, vis_flags, vals, prec, &mut stats) {
             continue;
         }
-        let (a_lo, a_hi) = (shared.tile_off[i], shared.tile_off[i + 1]);
-        if let Some(demanded) = v_f.demanded() {
-            if demanded < shared.current_prec[i] {
-                shared.current_prec[i] = demanded;
-                demanded.quantize_slice(&mut shared.arena[a_lo..a_hi]);
-                stats.conversions += 1;
-            }
-        }
-        let exec_prec = shared.current_prec[i];
-        stats.tiles_computed += 1;
-        stats.nnz_by_prec[exec_prec.tile_code() as usize] += tile_nnz;
-
         let base_row = m.tile_rowidx[i] as usize * m.tile_size;
-        let base_col = m.tile_colidx[i] as usize * m.tile_size;
-        let nnz_base = m.tile_nnz[i] as usize;
-        let vals = &shared.arena[a_lo..a_hi];
-        for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-            let r = base_row + m.row_index[ri] as usize;
-            let (e_lo, e_hi) = (m.csr_rowptr[ri] as usize, m.csr_rowptr[ri + 1] as usize);
-            for (j, _) in active.iter().enumerate().filter(|(_, a)| **a) {
-                // Per-column register accumulator, added to y once — the
-                // exact op sequence of the single-vector kernel, so the
-                // column result is bitwise spmv_mixed's.
-                let xj = col(x, n_in, j);
-                let mut sum = 0.0;
-                for e in e_lo..e_hi {
-                    sum += vals[e - nnz_base] * xj[base_col + m.csr_colidx[e] as usize];
-                }
-                y[j * n_out + r] += sum;
-            }
+        for (xj, yj) in &mut cols {
+            tile_row_sums(m, i, vals, |c| xj[c], &mut yj[base_row..]);
         }
     }
     stats

@@ -9,10 +9,23 @@
 //!   per-column `vis_flag` demands, with on-chip (shared-memory copy)
 //!   precision lowering and tile bypass. [`spmv_mixed_par`] runs it over
 //!   row stripes on scoped threads, bitwise identical to the serial kernel.
+//!
+//! Algorithm 5's per-tile body lives here once, in two pieces every
+//! executor runs: the crate-private *admission step* (bypass check,
+//! one-way in-place lowering of the tile's resident copy, statistics) and
+//! the public *row kernel* [`tile_row_sums`] (each nonempty row's CSR-order
+//! partial sum, started from `0.0`, added into the output once). The
+//! serial and stripe-parallel kernels call both once per tile;
+//! [`crate::spmm_mixed`] admits a tile once and runs the row kernel once
+//! per active column; the threaded engines in `mf-solver` run the row kernel
+//! over their per-warp resident arenas ([`decode_tiles`]), which they
+//! re-tier with the same fresh-decode rule ([`retier_values`]) as
+//! [`SharedTiles::retier_tile`].
 
 use crate::visflag::VisFlag;
-use mf_precision::Precision;
+use mf_precision::{Precision, RetierAction, TileTier};
 use mf_sparse::{Csr, TiledMatrix};
+use std::ops::Range;
 
 /// Reference FP64 CSR SpMV: `y = A x`.
 pub fn spmv_csr(a: &Csr, x: &[f64], y: &mut [f64]) {
@@ -46,36 +59,15 @@ pub struct SharedTiles {
     pub tile_off: Vec<usize>,
     /// Current (possibly lowered) precision per tile.
     pub current_prec: Vec<Precision>,
-    /// Initial precision per tile (from `TilePrec`).
-    pub initial_prec: Vec<Precision>,
 }
 
 impl SharedTiles {
     /// Loads (decodes) every tile — the one-time off-chip → on-chip copy.
     pub fn load(m: &TiledMatrix) -> SharedTiles {
-        let t = m.tile_count();
-        let tile_off: Vec<usize> = m.tile_nnz.iter().map(|&o| o as usize).collect();
-        let mut arena = vec![0.0; tile_off[t]];
-        for i in 0..t {
-            m.decode_tile_into(i, &mut arena[tile_off[i]..tile_off[i + 1]]);
-        }
         SharedTiles {
-            arena,
-            tile_off,
+            arena: decode_tiles(m, 0..m.tile_count()),
+            tile_off: m.tile_nnz.iter().map(|&o| o as usize).collect(),
             current_prec: m.tile_prec.clone(),
-            initial_prec: m.tile_prec.clone(),
-        }
-    }
-
-    /// A valueless instance carrying only the precision state — for cost
-    /// modeling (`Coster::spmv` reads `current_prec` alone) without paying
-    /// for a decode of every tile.
-    pub fn precision_only(initial_prec: &[Precision]) -> SharedTiles {
-        SharedTiles {
-            arena: Vec::new(),
-            tile_off: vec![0; initial_prec.len() + 1],
-            current_prec: initial_prec.to_vec(),
-            initial_prec: initial_prec.to_vec(),
         }
     }
 
@@ -85,58 +77,49 @@ impl SharedTiles {
         &self.arena[self.tile_off[i]..self.tile_off[i + 1]]
     }
 
-    /// Lowers tile `i` to `to` if that is strictly narrower than its current
-    /// precision, requantizing the on-chip copy. Returns `true` when a
-    /// conversion happened.
-    pub fn lower_tile(&mut self, i: usize, to: Precision) -> bool {
-        if to < self.current_prec[i] {
-            self.current_prec[i] = to;
-            let (lo, hi) = (self.tile_off[i], self.tile_off[i + 1]);
-            to.quantize_slice(&mut self.arena[lo..hi]);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Resets every tile to its initial precision by re-decoding from `m`
-    /// into the existing arena (used between independent solves on the same
-    /// matrix). Performs no allocations.
-    pub fn reset(&mut self, m: &TiledMatrix) {
-        for i in 0..m.tile_count() {
-            let (lo, hi) = (self.tile_off[i], self.tile_off[i + 1]);
-            m.decode_tile_into(i, &mut self.arena[lo..hi]);
-            self.current_prec[i] = self.initial_prec[i];
-        }
-    }
-
-    /// Re-tiers tile `i` to `tier` (adaptive controller v2): re-decodes the
-    /// tile's *classification-time* stored values from `m` and quantizes
-    /// them to the target tier in place — no re-tiling, the tile layout and
-    /// arena range are untouched, only the resident values and the
-    /// precision tag change.
-    ///
-    /// Unlike [`SharedTiles::lower_tile`] (the one-way §III-D path, which
-    /// deliberately requantizes the *current* on-chip copy), re-tiering
-    /// always starts from a fresh decode: quantizing an already-quantized
-    /// copy would compound rounding, making the values depend on the plan
-    /// history rather than on the plan — and promotion would be impossible.
+    /// Re-tiers tile `i` to `tier` (adaptive controller v2) through
+    /// [`retier_values`]: no re-tiling, the tile layout and arena range are
+    /// untouched, only the resident values and the precision tag change.
     /// `current_prec` records the tier's storage precision (scaled FP8
     /// accounts as FP8), so the SpMV statistics and the cost model see the
     /// re-tiered traffic with no kernel changes.
-    pub fn retier_tile(&mut self, m: &TiledMatrix, i: usize, tier: mf_precision::TileTier) {
+    pub fn retier_tile(&mut self, m: &TiledMatrix, i: usize, tier: TileTier) {
         let (lo, hi) = (self.tile_off[i], self.tile_off[i + 1]);
-        m.decode_tile_into(i, &mut self.arena[lo..hi]);
-        tier.quantize_slice(&mut self.arena[lo..hi]);
+        retier_values(m, i, tier, &mut self.arena[lo..hi]);
         self.current_prec[i] = tier.storage();
     }
 
     /// Applies a whole re-tier plan, in action order.
-    pub fn apply_retier(&mut self, m: &TiledMatrix, actions: &[mf_precision::RetierAction]) {
+    pub fn apply_retier(&mut self, m: &TiledMatrix, actions: &[RetierAction]) {
         for a in actions {
             self.retier_tile(m, a.tile as usize, a.to);
         }
     }
+}
+
+/// Decodes tiles `tiles` of `m` into one flat arena — the off-chip →
+/// on-chip copy. Tile `i` lands at
+/// `m.tile_nnz[i] - m.tile_nnz[tiles.start]` onward, in tile order.
+pub fn decode_tiles(m: &TiledMatrix, tiles: Range<usize>) -> Vec<f64> {
+    let base = m.tile_nnz[tiles.start] as usize;
+    let mut arena = vec![0.0; m.tile_nnz[tiles.end] as usize - base];
+    for i in tiles {
+        let (lo, hi) = (m.tile_nnz[i] as usize, m.tile_nnz[i + 1] as usize);
+        m.decode_tile_into(i, &mut arena[lo - base..hi - base]);
+    }
+    arena
+}
+
+/// Re-tiers one resident tile copy: `vals` (tile `i`'s values) becomes a
+/// fresh decode of the *classification-time* stored values, quantized to
+/// `tier`. Unlike the one-way §III-D lowering, which deliberately
+/// requantizes the current on-chip copy, re-tiering always starts from a
+/// fresh decode: quantizing an already-quantized copy would compound
+/// rounding, making the values depend on the plan history rather than on
+/// the plan — and promotion would be impossible.
+pub fn retier_values(m: &TiledMatrix, i: usize, tier: TileTier, vals: &mut [f64]) {
+    m.decode_tile_into(i, vals);
+    tier.quantize_slice(vals);
 }
 
 /// Execution statistics of one mixed-precision SpMV — feeds both the cost
@@ -171,11 +154,7 @@ impl MixedSpmvStats {
     /// kernel would consume if the tile were streamed from global memory;
     /// on-chip resident tiles don't pay it after the first load.
     pub fn value_bytes(&self) -> usize {
-        self.nnz_by_prec
-            .iter()
-            .enumerate()
-            .map(|(code, &n)| n * Precision::from_tile_code(code as u8).unwrap().bytes())
-            .sum()
+        self.bytes_by_precision().iter().sum::<u64>() as usize
     }
 
     /// Value bytes split per executed precision `[FP64, FP32, FP16, FP8]`
@@ -225,7 +204,7 @@ pub fn spmv_mixed(
     x: &[f64],
     y: &mut [f64],
 ) -> MixedSpmvStats {
-    check_mixed_inputs(m, vis_flags, x, y);
+    check_mixed_inputs(m, vis_flags, x, y, 1);
     y.fill(0.0);
     mixed_span(
         m,
@@ -241,15 +220,82 @@ pub fn spmv_mixed(
     )
 }
 
-fn check_mixed_inputs(m: &TiledMatrix, vis_flags: &[VisFlag], x: &[f64], y: &[f64]) {
-    assert_eq!(x.len(), m.ncols);
-    assert_eq!(y.len(), m.nrows);
+/// The shape contract of the mixed kernels over `k` column-major vectors.
+pub(crate) fn check_mixed_inputs(
+    m: &TiledMatrix,
+    vis_flags: &[VisFlag],
+    x: &[f64],
+    y: &[f64],
+    k: usize,
+) {
+    assert_eq!(x.len(), m.ncols * k, "x must be ncols × k column-major");
+    assert_eq!(y.len(), m.nrows * k, "y must be nrows × k column-major");
     assert!(
         vis_flags.len() >= m.tile_cols,
         "need one vis_flag per tile column: {} < {}",
         vis_flags.len(),
         m.tile_cols
     );
+}
+
+/// Algorithm 5's admission step for tile `i`, whose resident values are
+/// `vals` at precision `prec`: bypass the tile if its column's flag says
+/// so, otherwise lower the copy once, in place, when the demand is
+/// narrower than `prec` (one-way, §III-D), and count the work in `stats`.
+/// Returns whether the tile is to be multiplied.
+#[inline]
+pub(crate) fn admit(
+    m: &TiledMatrix,
+    i: usize,
+    vis_flags: &[VisFlag],
+    vals: &mut [f64],
+    prec: &mut Precision,
+    stats: &mut MixedSpmvStats,
+) -> bool {
+    let v_f = vis_flags[m.tile_colidx[i] as usize];
+    if v_f == VisFlag::Bypass {
+        stats.tiles_bypassed += 1;
+        stats.nnz_bypassed += vals.len();
+        return false;
+    }
+    if let Some(demanded) = v_f.demanded() {
+        if demanded < *prec {
+            *prec = demanded;
+            demanded.quantize_slice(vals);
+            stats.conversions += 1;
+        }
+    }
+    stats.tiles_computed += 1;
+    stats.nnz_by_prec[prec.tile_code() as usize] += vals.len();
+    true
+}
+
+/// Algorithm 5's row kernel for tile `i` with resident values `vals`: for
+/// each nonempty row, the partial sum of `vals · x` in CSR order, started
+/// from `0.0`, is added once into `out[local_row]` — `out[0]` is the tile
+/// row's first matrix row. `x` loads the input at a global column index,
+/// so plain slices and atomic bit-cells share this code. Called in tile
+/// order, this reproduces `TiledMatrix::matvec`'s per-row summation bit
+/// for bit.
+#[inline]
+pub fn tile_row_sums(
+    m: &TiledMatrix,
+    i: usize,
+    vals: &[f64],
+    x: impl Fn(usize) -> f64,
+    out: &mut [f64],
+) {
+    let base_col = m.tile_colidx[i] as usize * m.tile_size;
+    let nnz_base = m.tile_nnz[i] as usize;
+    for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
+        let mut sum = 0.0;
+        for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
+            sum += vals[k - nnz_base] * x(base_col + m.csr_colidx[k] as usize);
+        }
+        // atomicAdd(u[...], sum) in the kernel; a plain add here because
+        // every executor owns its output rows exclusively.
+        out[m.row_index[ri] as usize] += sum;
+    }
 }
 
 /// The Algorithm-5 engine over one contiguous tile span. Both the
@@ -268,7 +314,7 @@ fn mixed_span(
     m: &TiledMatrix,
     vis_flags: &[VisFlag],
     x: &[f64],
-    tiles: std::ops::Range<usize>,
+    tiles: Range<usize>,
     tile_off: &[usize],
     y: &mut [f64],
     y_base: usize,
@@ -279,41 +325,10 @@ fn mixed_span(
     let mut stats = MixedSpmvStats::default();
     let prec_base = tiles.start;
     for i in tiles {
-        let v_f = vis_flags[m.tile_colidx[i] as usize];
-        let tile_nnz = (m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize;
-        if v_f == VisFlag::Bypass {
-            stats.tiles_bypassed += 1;
-            stats.nnz_bypassed += tile_nnz;
-            continue;
-        }
-        let pi = i - prec_base;
-        let (a_lo, a_hi) = (tile_off[i] - arena_base, tile_off[i + 1] - arena_base);
-        if let Some(demanded) = v_f.demanded() {
-            // One-way in-place lowering of the on-chip copy (§III-D); the
-            // stripe owns this arena range exclusively.
-            if demanded < prec[pi] {
-                prec[pi] = demanded;
-                demanded.quantize_slice(&mut arena[a_lo..a_hi]);
-                stats.conversions += 1;
-            }
-        }
-        let exec_prec = prec[pi];
-        stats.tiles_computed += 1;
-        stats.nnz_by_prec[exec_prec.tile_code() as usize] += tile_nnz;
-
-        let base_row = m.tile_rowidx[i] as usize * m.tile_size;
-        let base_col = m.tile_colidx[i] as usize * m.tile_size;
-        let nnz_base = m.tile_nnz[i] as usize;
-        let vals = &arena[a_lo..a_hi];
-        for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-            let r = base_row + m.row_index[ri] as usize;
-            let mut sum = 0.0;
-            for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
-                sum += vals[k - nnz_base] * x[base_col + m.csr_colidx[k] as usize];
-            }
-            // atomicAdd(u[...], sum) in the kernel; plain add here because
-            // each span owns its row range exclusively.
-            y[r - y_base] += sum;
+        let vals = &mut arena[tile_off[i] - arena_base..tile_off[i + 1] - arena_base];
+        if admit(m, i, vis_flags, vals, &mut prec[i - prec_base], &mut stats) {
+            let base_row = m.tile_rowidx[i] as usize * m.tile_size;
+            tile_row_sums(m, i, vals, |c| x[c], &mut y[base_row - y_base..]);
         }
     }
     stats
@@ -338,25 +353,14 @@ pub fn spmv_mixed_par(
     y: &mut [f64],
     threads: usize,
 ) -> MixedSpmvStats {
-    check_mixed_inputs(m, vis_flags, x, y);
+    check_mixed_inputs(m, vis_flags, x, y, 1);
     let t = m.tile_count();
     let threads = threads.max(1).min(m.tile_rows.max(1));
     if threads <= 1 || t == 0 {
         return spmv_mixed(m, shared, vis_flags, x, y);
     }
 
-    // row_start[tr]: first tile index of tile row >= tr (tiles are sorted
-    // row-major, so each tile row is one contiguous run).
-    let mut row_start = vec![0usize; m.tile_rows + 1];
-    {
-        let mut i = 0;
-        for (tr, slot) in row_start.iter_mut().enumerate() {
-            while i < t && (m.tile_rowidx[i] as usize) < tr {
-                i += 1;
-            }
-            *slot = i;
-        }
-    }
+    let row_start = m.tile_row_starts();
 
     // Cut the tile-row space into `threads` contiguous stripes balanced by
     // nonzero count.
@@ -375,65 +379,26 @@ pub fn spmv_mixed_par(
         }
     }
 
-    // Partition y / arena / current_prec into per-stripe exclusive windows.
-    let ts = m.tile_size;
-    let nrows = m.nrows;
-    struct Stripe<'s> {
-        tiles: std::ops::Range<usize>,
-        y: &'s mut [f64],
-        y_base: usize,
-        arena: &'s mut [f64],
-        arena_base: usize,
-        prec: &'s mut [Precision],
-    }
-    let mut stripes: Vec<Stripe<'_>> = Vec::with_capacity(threads);
-    {
-        let mut y_rest: &mut [f64] = y;
-        let mut arena_rest: &mut [f64] = &mut shared.arena;
-        let mut prec_rest: &mut [Precision] = &mut shared.current_prec;
-        let (mut y_pos, mut arena_pos, mut prec_pos) = (0usize, 0usize, 0usize);
-        for w in 0..threads {
-            let (r0, r1) = (cuts[w], cuts[w + 1]);
-            let (t0, t1) = (row_start[r0], row_start[r1]);
-            let y_hi = (r1 * ts).min(nrows);
-            let (y_span, yr) = y_rest.split_at_mut(y_hi - y_pos);
-            y_rest = yr;
-            let (a_span, ar) = arena_rest.split_at_mut(tile_off[t1] - arena_pos);
-            arena_rest = ar;
-            let (p_span, pr) = prec_rest.split_at_mut(t1 - prec_pos);
-            prec_rest = pr;
-            stripes.push(Stripe {
-                tiles: t0..t1,
-                y: y_span,
-                y_base: y_pos,
-                arena: a_span,
-                arena_base: arena_pos,
-                prec: p_span,
-            });
-            y_pos = y_hi;
-            arena_pos = tile_off[t1];
-            prec_pos = t1;
-        }
-    }
-
+    // Hand every stripe exclusive windows of y / arena / current_prec.
+    let (ts, nrows) = (m.tile_size, m.nrows);
+    let (mut y_rest, mut arena_rest) = (y, shared.arena.as_mut_slice());
+    let mut prec_rest = shared.current_prec.as_mut_slice();
     let parts: Vec<MixedSpmvStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = stripes
-            .into_iter()
-            .map(|stripe| {
+        let handles: Vec<_> = cuts
+            .windows(2)
+            .map(|c| {
+                let tiles = row_start[c[0]]..row_start[c[1]];
+                let (y_lo, y_hi) = ((c[0] * ts).min(nrows), (c[1] * ts).min(nrows));
+                let (a_lo, a_hi) = (tile_off[tiles.start], tile_off[tiles.end]);
+                let (y, rest) = std::mem::take(&mut y_rest).split_at_mut(y_hi - y_lo);
+                y_rest = rest;
+                let (arena, rest) = std::mem::take(&mut arena_rest).split_at_mut(a_hi - a_lo);
+                arena_rest = rest;
+                let (prec, rest) = std::mem::take(&mut prec_rest).split_at_mut(tiles.len());
+                prec_rest = rest;
                 s.spawn(move || {
-                    stripe.y.fill(0.0);
-                    mixed_span(
-                        m,
-                        vis_flags,
-                        x,
-                        stripe.tiles,
-                        tile_off,
-                        stripe.y,
-                        stripe.y_base,
-                        stripe.arena,
-                        stripe.arena_base,
-                        stripe.prec,
-                    )
+                    y.fill(0.0);
+                    mixed_span(m, vis_flags, x, tiles, tile_off, y, y_lo, arena, a_lo, prec)
                 })
             })
             .collect();
@@ -622,37 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_reset_restores_precision() {
-        let mut a = Coo::new(2, 2);
-        a.push(0, 0, 0.1);
-        let t = TiledMatrix::from_csr_with(&a.to_csr(), 2, &ClassifyOptions::default());
-        let mut shared = SharedTiles::load(&t);
-        shared.lower_tile(0, Precision::Fp8);
-        assert_eq!(shared.current_prec[0], Precision::Fp8);
-        shared.reset(&t);
-        assert_eq!(shared.current_prec[0], Precision::Fp64);
-        assert_eq!(shared.tile_values(0)[0], 0.1);
-    }
-
-    #[test]
-    fn shared_reset_does_not_allocate() {
-        let (_, t) = sample();
-        let mut shared = SharedTiles::load(&t);
-        let arena_ptr = shared.arena.as_ptr();
-        let arena_cap = shared.arena.capacity();
-        for i in 0..t.tile_count() {
-            shared.lower_tile(i, Precision::Fp8);
-        }
-        shared.reset(&t);
-        assert_eq!(shared.arena.as_ptr(), arena_ptr, "arena reallocated");
-        assert_eq!(shared.arena.capacity(), arena_cap);
-        for i in 0..t.tile_count() {
-            assert_eq!(shared.tile_values(i), t.decode_tile_values(i).as_slice());
-            assert_eq!(shared.current_prec[i], shared.initial_prec[i]);
-        }
-    }
-
-    #[test]
     fn retier_decodes_fresh_not_compounded() {
         use mf_precision::{pick_scale_exp, TileTier};
         // A tile with a value only exact in FP64.
@@ -661,7 +595,8 @@ mod tests {
         let t = TiledMatrix::from_csr_with(&a.to_csr(), 2, &ClassifyOptions::default());
         let mut shared = SharedTiles::load(&t);
         // Degrade the on-chip copy first (the §III-D one-way path)...
-        shared.lower_tile(0, Precision::Fp8);
+        let mut y = [0.0; 2];
+        spmv_mixed(&t, &mut shared, &[VisFlag::Fp8], &[1.0; 2], &mut y);
         assert_eq!(shared.tile_values(0)[0], Precision::Fp8.quantize(0.1));
         // ...then re-tier to FP16: the result must be FP16(0.1), NOT
         // FP16(FP8(0.1)) — a fresh decode, not a compounded requantize.

@@ -17,6 +17,7 @@
 use crate::report::ExecutedMode;
 use mf_gpu::{CostModel, Phase, ShmemPlan, SpmvSchedule, Timeline, VectorSchedule};
 use mf_kernels::{MixedSpmvStats, SharedTiles, VisFlag};
+use mf_precision::Precision;
 use mf_sparse::TiledMatrix;
 
 /// Per-warp sustained rates derived from the device peaks (a single warp
@@ -119,7 +120,7 @@ impl SingleCoster {
 
     /// Per-warp straggler body of the mixed-precision SpMV plus the active
     /// tile count (needed for the dependency-array atomic charge).
-    fn spmv_body(&self, shared: &SharedTiles, vis: &[VisFlag]) -> (f64, usize) {
+    fn spmv_body(&self, prec: &[Precision], vis: &[VisFlag]) -> (f64, usize) {
         let mut worst = 0.0f64;
         let mut active_tiles = 0usize;
         for (w, &(lo, hi)) in self.spmv_sched.warp_tiles.iter().enumerate() {
@@ -132,7 +133,7 @@ impl SingleCoster {
                 }
                 active_tiles += 1;
                 let nnz = self.tile_nnz[i] as f64;
-                flops += 2.0 * nnz * shared.current_prec[i].flop_cost();
+                flops += 2.0 * nnz * prec[i].flop_cost();
                 // Resident tiles cost no HBM traffic; overflow tiles stream
                 // from global memory each iteration. The x-gather is global
                 // either way.
@@ -157,11 +158,11 @@ impl SingleCoster {
         self.rates.warp_time(2.0 * e * f, 24.0 * e * f)
     }
 
-    /// Step A: per-warp maxima of the mixed-precision SpMV. `shared` holds
+    /// Step A: per-warp maxima of the mixed-precision SpMV. `prec` holds
     /// the current (possibly lowered) tile precisions; `vis` decides
     /// bypass. Also charges the per-tile atomics and the Step-A barrier.
-    pub fn spmv(&self, tl: &mut Timeline, shared: &SharedTiles, vis: &[VisFlag]) {
-        let (worst, active_tiles) = self.spmv_body(shared, vis);
+    pub fn spmv(&self, tl: &mut Timeline, prec: &[Precision], vis: &[VisFlag]) {
+        let (worst, active_tiles) = self.spmv_body(prec, vis);
         tl.add(Phase::Spmv, worst);
         tl.add(Phase::Atomic, self.cost.atomics_us(active_tiles));
         tl.add(Phase::Wait, self.cost.spin_us());
@@ -171,8 +172,8 @@ impl SingleCoster {
     /// pipelined schedule's SpMV publishes through the iteration's one
     /// explicit [`SingleCoster::barrier`] instead of its own epoch. The
     /// per-tile dependency atomics still apply (owner hand-off bookkeeping).
-    pub fn spmv_unsync(&self, tl: &mut Timeline, shared: &SharedTiles, vis: &[VisFlag]) {
-        let (worst, active_tiles) = self.spmv_body(shared, vis);
+    pub fn spmv_unsync(&self, tl: &mut Timeline, prec: &[Precision], vis: &[VisFlag]) {
+        let (worst, active_tiles) = self.spmv_body(prec, vis);
         tl.add(Phase::Spmv, worst);
         tl.add(Phase::Atomic, self.cost.atomics_us(active_tiles));
     }
@@ -247,15 +248,12 @@ impl SingleCoster {
     /// performance benefits of a single kernel" — which this estimate makes
     /// operational (tile-scattered matrices whose dependency-array atomic
     /// traffic dominates fall back).
-    pub fn estimate_cg_iteration_us(&self, initial_prec: &[mf_precision::Precision]) -> f64 {
+    pub fn estimate_cg_iteration_us(&self, initial_prec: &[Precision]) -> f64 {
         let mut tl = Timeline::new();
-        // spmv costing reads only current_prec.
-        let shared = SharedTiles::precision_only(initial_prec);
-        let keep = [VisFlag::Keep; 1];
         // spmv() indexes vis by tile column; build a full Keep vector.
         let max_col = self.tile_col.iter().copied().max().unwrap_or(0) as usize;
-        let keep = vec![keep[0]; max_col + 1];
-        self.spmv(&mut tl, &shared, &keep);
+        let keep = vec![VisFlag::Keep; max_col + 1];
+        self.spmv(&mut tl, initial_prec, &keep);
         self.dot(&mut tl);
         self.axpy(&mut tl, 2);
         self.dot(&mut tl);
@@ -270,15 +268,11 @@ impl SingleCoster {
     /// schedule's ~4. `PipelineMode::Auto` compares this against
     /// [`SingleCoster::estimate_cg_iteration_us`] to decide whether the
     /// barrier savings justify the pipelined recurrence's rounding drift.
-    pub fn estimate_cg_pipelined_iteration_us(
-        &self,
-        initial_prec: &[mf_precision::Precision],
-    ) -> f64 {
+    pub fn estimate_cg_pipelined_iteration_us(&self, initial_prec: &[Precision]) -> f64 {
         let mut tl = Timeline::new();
-        let shared = SharedTiles::precision_only(initial_prec);
         let max_col = self.tile_col.iter().copied().max().unwrap_or(0) as usize;
         let keep = vec![VisFlag::Keep; max_col + 1];
-        self.spmv_unsync(&mut tl, &shared, &keep);
+        self.spmv_unsync(&mut tl, initial_prec, &keep);
         // dot2 streams the same two vectors one dot would; the second
         // accumulator is register traffic.
         self.dot_unsync(&mut tl);
@@ -500,7 +494,7 @@ impl Coster {
         stats: &MixedSpmvStats,
     ) {
         match self {
-            Coster::Single(s) => s.spmv(tl, shared, vis),
+            Coster::Single(s) => s.spmv(tl, &shared.current_prec, vis),
             Coster::Multi(mc) => mc.spmv(tl, m, stats),
         }
     }
@@ -538,7 +532,7 @@ impl Coster {
         stats: &MixedSpmvStats,
     ) {
         match self {
-            Coster::Single(s) => s.spmv_unsync(tl, shared, vis),
+            Coster::Single(s) => s.spmv_unsync(tl, &shared.current_prec, vis),
             Coster::Multi(mc) => mc.spmv(tl, m, stats),
         }
     }
@@ -647,7 +641,7 @@ mod tests {
         let shared = SharedTiles::load(&m);
         let vis = vec![VisFlag::Keep; m.tile_cols];
         for _ in 0..10 {
-            sc.spmv(&mut tl, &shared, &vis);
+            sc.spmv(&mut tl, &shared.current_prec, &vis);
             sc.dot(&mut tl);
             sc.axpy(&mut tl, 2);
             sc.dot(&mut tl);
@@ -699,7 +693,7 @@ mod tests {
         sc.solve_start(&mut tl_s);
         let mut tl_m = Timeline::new();
         for _ in 0..100 {
-            sc.spmv(&mut tl_s, &shared, &vis);
+            sc.spmv(&mut tl_s, &shared.current_prec, &vis);
             sc.dot(&mut tl_s);
             sc.axpy(&mut tl_s, 2);
             sc.dot(&mut tl_s);
@@ -784,9 +778,9 @@ mod tests {
         let keep = vec![VisFlag::Keep; m.tile_cols];
         let byp = vec![VisFlag::Bypass; m.tile_cols];
         let mut tl_k = Timeline::new();
-        sc.spmv(&mut tl_k, &shared, &keep);
+        sc.spmv(&mut tl_k, &shared.current_prec, &keep);
         let mut tl_b = Timeline::new();
-        sc.spmv(&mut tl_b, &shared, &byp);
+        sc.spmv(&mut tl_b, &shared.current_prec, &byp);
         assert!(tl_b.get(Phase::Spmv) < tl_k.get(Phase::Spmv));
         assert_eq!(tl_b.get(Phase::Atomic), 0.0);
     }

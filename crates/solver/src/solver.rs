@@ -88,8 +88,8 @@ pub enum Engine {
 ///
 /// [`PipelineMode::Auto`] resolves per matrix
 /// ([`MilleFeuille::decide_pipeline`]) where a pipelined schedule exists
-/// and is classic elsewhere. Every other combination, and factors that do
-/// not match the method's preconditioner, is
+/// and is classic elsewhere. Every other combination, factors that do not
+/// match the method's preconditioner, and `Threaded { warps: 0 }` are
 /// [`SolveError::Unsupported`].
 #[derive(Clone, Copy, Debug)]
 pub struct SolveSpec<'f> {
@@ -164,6 +164,9 @@ impl<'f> SolveSpec<'f> {
         let sequential = self.engine == Engine::Sequential;
         let pipelined = self.pipeline == PipelineMode::Pipelined;
         let reason = match self.method {
+            _ if self.engine == (Engine::Threaded { warps: 0 }) => {
+                Some("the threaded engines need at least one warp")
+            }
             Method::Auto if !sequential => {
                 Some("Auto picks a method on the sequential engine only")
             }
@@ -1162,6 +1165,7 @@ mod tests {
         let ic0 = SolveSpec::new(Method::Pcg(PrecondKind::Ic0));
         let rejected = [
             SolveSpec::auto().threaded(2),
+            SolveSpec::new(Method::Cg).threaded(0),
             ic0.threaded(2),
             SolveSpec::new(Method::PBiCgStab).pipelined(),
             SolveSpec::new(Method::BiCgStab).threaded(2).pipelined(),

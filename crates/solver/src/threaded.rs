@@ -115,6 +115,7 @@ use mf_gpu::{
     WarpFaults,
 };
 use mf_kernels::ilu::Ilu0;
+use mf_kernels::spmv::{decode_tiles, retier_values, tile_row_sums};
 use mf_precision::{AdaptiveConfig, RetierDecision};
 use mf_sparse::{Csr, TiledMatrix};
 use mf_trace::{EventKind, Trace, TraceConfig, WarpTrace, WarpTracer};
@@ -706,10 +707,10 @@ fn prologue(
 
 /// How an engine's rows are laid out over its warps: segments of `ts`
 /// rows, warp `w` owning segments `seg_lo[w]..seg_lo[w + 1]`. `tr_start`
-/// holds each tile row's first tile index (tiles are stored sorted by
-/// `(tile_row, tile_col)`), padded to `segments + 1` entries so trailing
-/// all-zero tile rows own an empty range; it is empty for the SpTRSV
-/// runner, which has no tiles.
+/// holds each tile row's first tile index
+/// ([`TiledMatrix::tile_row_starts`]), padded to `segments + 1` entries
+/// because `n = 0` has one segment but no tile row; it is empty for the
+/// SpTRSV runner, which has no tiles.
 struct Layout {
     n: usize,
     ts: usize,
@@ -743,15 +744,8 @@ impl Layout {
     /// count.
     fn for_matrix(m: &TiledMatrix, max_warps: usize) -> Layout {
         let mut lay = Layout::new(m.nrows, m.tile_size, max_warps);
-        let segments = lay.segments();
-        let mut starts = vec![0usize; segments + 1];
-        for &tr in &m.tile_rowidx {
-            starts[tr as usize + 1] += 1;
-        }
-        for s in 0..segments {
-            starts[s + 1] += starts[s];
-        }
-        lay.tr_start = starts;
+        lay.tr_start = m.tile_row_starts();
+        lay.tr_start.resize(lay.segments() + 1, m.tile_count());
         lay
     }
 
@@ -876,15 +870,16 @@ impl<'a> Barrier<'a> {
 }
 
 /// One warp's resident tiles — those of its own tile rows — decoded once
-/// ("loaded into shared memory") and requantized only by re-tier refresh
-/// passes, plus its segments and row accumulator.
+/// ("loaded into shared memory") into one flat arena and requantized only
+/// by re-tier refresh passes, plus its segments and row accumulator.
 struct WarpTiles<'a> {
     m: &'a TiledMatrix,
     lay: &'a Layout,
     sync: WarpSync<'a>,
     segs: Range<usize>,
     tiles: Range<usize>,
-    vals: Vec<Vec<f64>>,
+    /// Tile `i`'s values at `m.tile_nnz[i] - m.tile_nnz[tiles.start]`.
+    arena: Vec<f64>,
     acc: Vec<f64>,
 }
 
@@ -896,44 +891,42 @@ impl<'a> WarpTiles<'a> {
             lay,
             sync,
             segs: lay.segs(w),
-            vals: tiles.clone().map(|i| m.decode_tile_values(i)).collect(),
+            arena: decode_tiles(m, tiles.clone()),
             tiles,
             acc: vec![0.0; lay.ts],
         }
     }
 
-    /// Requantizes the resident tiles an applied re-tier plan names, from
-    /// a fresh decode (the [`mf_kernels::SharedTiles::retier_tile`] rule).
+    /// Tile `i`'s window of the arena.
+    fn window(&self, i: usize) -> Range<usize> {
+        let base = self.m.tile_nnz[self.tiles.start] as usize;
+        self.m.tile_nnz[i] as usize - base..self.m.tile_nnz[i + 1] as usize - base
+    }
+
+    /// Re-tiers the resident tiles an applied plan names, through
+    /// [`retier_values`] (the [`mf_kernels::SharedTiles::retier_tile`] rule).
     fn retier(&mut self, d: &RetierDecision) {
-        for (ti, i) in self.tiles.clone().enumerate() {
-            if let Some(a) = d.actions.iter().find(|a| a.tile as usize == i) {
-                let mut fresh = self.m.decode_tile_values(i);
-                a.to.quantize_slice(&mut fresh);
-                self.vals[ti] = fresh;
+        for a in &d.actions {
+            let i = a.tile as usize;
+            if self.tiles.contains(&i) {
+                let w = self.window(i);
+                retier_values(self.m, i, a.to, &mut self.arena[w]);
             }
         }
     }
 
     /// Owner-computes `output = A·input` over this warp's whole tile rows:
-    /// each tile's per-row partial `Σ vals·input` is added in global tile
-    /// order, one plain store per row — no atomics, no inter-iteration
-    /// zeroing.
+    /// each segment's tiles run the Algorithm-5 row kernel in global tile
+    /// order into `acc`, then one plain store per row — no atomics, no
+    /// inter-iteration zeroing.
     fn spmv_own(&mut self, input: &[AtomicU64], output: &[AtomicU64]) {
-        let (m, lay) = (self.m, self.lay);
+        let lay = self.lay;
         for s in self.segs.clone() {
             let rows = lay.elems(s);
             self.acc[..rows.len()].fill(0.0);
             for i in lay.tr_start[s]..lay.tr_start[s + 1] {
-                let vals = &self.vals[i - self.tiles.start];
-                let base_col = m.tile_colidx[i] as usize * m.tile_size;
-                let nnz_base = m.tile_nnz[i] as usize;
-                for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-                    let mut sum = 0.0;
-                    for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
-                        sum += vals[k - nnz_base] * ld(&input[base_col + m.csr_colidx[k] as usize]);
-                    }
-                    self.acc[m.row_index[ri] as usize] += sum;
-                }
+                let vals = &self.arena[self.window(i)];
+                tile_row_sums(self.m, i, vals, |c| ld(&input[c]), &mut self.acc);
             }
             for (e, v) in rows.zip(&self.acc) {
                 st(&output[e], *v);

@@ -228,6 +228,15 @@ impl TiledMatrix {
         *self.tile_nnz.last().unwrap_or(&0) as usize
     }
 
+    /// First tile index of each tile row, then the tile count: tile row
+    /// `r` owns tiles `starts[r]..starts[r + 1]` (tiles are sorted row
+    /// major), and an all-zero tile row owns an empty range.
+    pub fn tile_row_starts(&self) -> Vec<usize> {
+        (0..=self.tile_rows)
+            .map(|r| self.tile_rowidx.partition_point(|&tr| (tr as usize) < r))
+            .collect()
+    }
+
     /// Total number of non-empty rows over all tiles (`rownumA`).
     #[inline]
     pub fn nonempty_row_count(&self) -> usize {
@@ -748,6 +757,12 @@ mod tests {
             let cur = (t.tile_rowidx[i], t.tile_colidx[i]);
             assert!(prev < cur, "tiles not sorted at {i}");
         }
+        let starts = t.tile_row_starts();
+        assert_eq!(starts.len(), t.tile_rows + 1);
+        assert_eq!(starts[t.tile_rows], t.tile_count());
+        for r in 0..t.tile_rows {
+            assert!((starts[r]..starts[r + 1]).all(|i| t.tile_rowidx[i] as usize == r));
+        }
     }
 
     #[test]
@@ -826,6 +841,7 @@ mod tests {
         let t = TiledMatrix::from_csr(&csr);
         assert_eq!(t.tile_count(), 0);
         assert_eq!(t.nnz(), 0);
+        assert_eq!(t.tile_row_starts(), vec![0; t.tile_rows + 1]);
         let mut y = vec![1.0; 10];
         t.matvec(&[1.0; 10], &mut y);
         assert!(y.iter().all(|&v| v == 0.0));
