@@ -232,9 +232,14 @@ impl TiledMatrix {
     /// `r` owns tiles `starts[r]..starts[r + 1]` (tiles are sorted row
     /// major), and an all-zero tile row owns an empty range.
     pub fn tile_row_starts(&self) -> Vec<usize> {
-        (0..=self.tile_rows)
-            .map(|r| self.tile_rowidx.partition_point(|&tr| (tr as usize) < r))
-            .collect()
+        let mut starts = vec![0usize; self.tile_rows + 1];
+        for &tr in &self.tile_rowidx {
+            starts[tr as usize + 1] += 1;
+        }
+        for r in 0..self.tile_rows {
+            starts[r + 1] += starts[r];
+        }
+        starts
     }
 
     /// Total number of non-empty rows over all tiles (`rownumA`).
