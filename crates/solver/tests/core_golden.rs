@@ -4,7 +4,10 @@
 //! its CG→BiCGSTAB handoff and the six threaded engines at 2 warps.
 //! Breakdown cases drive every
 //! family through its restart branches: curvature for CG, α, ρ and ω for
-//! BiCGSTAB.
+//! BiCGSTAB. Rows with supplied diagonal factors reach the preconditioned
+//! branches the built factorizations avoid: PBiCGSTAB's α restart, PCG's
+//! lost direction (a non-finite β); an overflowing right-hand side drives
+//! every sequential core into its non-finite abort.
 //!
 //! Each row digests one solve: an FNV-1a hash of the solution bits, the
 //! iteration count, a hash of the residual-history bits, the breakdown
@@ -17,9 +20,10 @@
 //! file's source form, so an intended change can be reviewed row by row.
 
 use mf_gpu::DeviceSpec;
+use mf_kernels::Ilu0;
 use mf_solver::{
-    AdaptiveConfig, BreakdownEvent, BreakdownKind, Engine, Method, MilleFeuille, PrecondKind,
-    RetierDecision, SolveError, SolveFailure, SolveSpec, SolverConfig,
+    AdaptiveConfig, BreakdownEvent, BreakdownKind, Engine, Method, MilleFeuille, Precond,
+    PrecondKind, RetierDecision, SolveError, SolveFailure, SolveSpec, SolverConfig,
 };
 use mf_sparse::{Coo, Csr};
 
@@ -184,6 +188,39 @@ fn skew(n: usize) -> Csr {
     a.to_csr()
 }
 
+/// The noisy SPD grid with one coupling pair `(0, 1)` raised by `1e200`.
+/// With `b[0] = 0` the first step stays finite but pushes `r[0]` to
+/// about `1e200`, so `(r, r)` overflows after the update and the cores
+/// take their non-finite abort rather than a restart.
+fn huge_coupling(g: usize) -> Csr {
+    let grid = noisy_grid(g, 1.0);
+    let mut a = Coo::new(grid.nrows, grid.ncols);
+    for r in 0..grid.nrows {
+        for k in grid.rowptr[r]..grid.rowptr[r + 1] {
+            let c = grid.colidx[k];
+            let huge = if r + c == 1 { 1e200 } else { 0.0 };
+            a.push(r, c, grid.vals[k] + huge);
+        }
+    }
+    a.to_csr()
+}
+
+/// ILU(0) factors with an empty `L` and `U = diag(d(0), …, d(n − 1))`,
+/// supplied in place of a built factorization. A unit diagonal makes a
+/// preconditioned path follow its unpreconditioned recurrence; an
+/// alternating-sign one makes `(r, M⁻¹r)` cancel exactly for a constant
+/// residual, so PCG's β = 0/0 loses the direction.
+fn diagonal_ilu0(n: usize, d: impl Fn(usize) -> f64) -> Ilu0 {
+    let mut u = Coo::new(n, n);
+    for i in 0..n {
+        u.push(i, i, d(i));
+    }
+    Ilu0 {
+        l: Coo::new(n, n).to_csr(),
+        u: u.to_csr(),
+    }
+}
+
 fn rhs(n: usize) -> Vec<f64> {
     noise(n, 11).iter().map(|v| 2.0 * v - 1.0).collect()
 }
@@ -218,11 +255,14 @@ const ALL: [&str; 15] = [
     "pcg_pipelined_threaded",
 ];
 
-const BICGSTAB_FAMILY: [&str; 4] = [
+/// The BiCGSTAB family plus sequential PBiCGSTAB with identity factors,
+/// which keeps the breakdowns the built factors' shift rescues.
+const SKEW_CORES: [&str; 5] = [
     "bicgstab",
     "bicgstab_threaded",
     "pbicgstab",
     "pbicgstab_threaded",
+    "pbicgstab_identity",
 ];
 
 /// What a row digests, whichever path produced it. `total_us` is the
@@ -242,6 +282,8 @@ struct Outcome {
 /// to set up yields `Err` with the error's debug form.
 fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<Outcome, String> {
     let ilu = Method::Pcg(PrecondKind::Ilu0);
+    let identity = diagonal_ilu0(a.nrows, |_| 1.0);
+    let signed = diagonal_ilu0(a.nrows, |i| if i % 2 == 0 { 1.0 } else { -1.0 });
     let spec = match core {
         "cg" => SolveSpec::new(Method::Cg),
         "cg_pipelined" => SolveSpec::new(Method::Cg).pipelined(),
@@ -251,6 +293,11 @@ fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<Outcome,
         "pcg_block_jacobi" => SolveSpec::new(Method::Pcg(PrecondKind::BlockJacobi(16))),
         "pcg_pipelined" => SolveSpec::new(ilu).pipelined(),
         "pbicgstab" => SolveSpec::new(Method::PBiCgStab),
+        "pcg_identity" => SolveSpec::new(ilu).with_factors(Precond::Ilu0(&identity)),
+        "pcg_signed" => SolveSpec::new(ilu).with_factors(Precond::Ilu0(&signed)),
+        "pbicgstab_identity" => {
+            SolveSpec::new(Method::PBiCgStab).with_factors(Precond::Ilu0(&identity))
+        }
         "auto" => SolveSpec::auto(),
         "cg_threaded" => SolveSpec::new(Method::Cg).threaded(2),
         "bicgstab_threaded" => SolveSpec::new(Method::BiCgStab).threaded(2),
@@ -423,11 +470,18 @@ struct Case {
 ///   from the stall abort;
 /// - `rotation`: 2×2 rotation blocks, where the BiCGSTAB family hits the
 ///   α breakdown on every step until it stalls (the preconditioned paths
-///   recover through factor shifts instead);
+///   recover through factor shifts instead, unless given identity
+///   factors);
 /// - `skew96`, `skew97`: skew tridiagonals that drive BiCGSTAB through ρ
 ///   and ω direction restarts and non-finite aborts;
 /// - `adaptive`: the SPD grid with the re-tier controller armed, on the
-///   paths that honour it.
+///   paths that honour it;
+/// - `overflow`: the SPD grid with one huge coupling, whose residual
+///   overflows after the first update, so the cores take their
+///   non-finite abort (with identity factors for the preconditioned
+///   ones);
+/// - `signed_m`: the SPD grid with `b = 1` and alternating-sign diagonal
+///   factors, where PCG's β = 0/0 loses the direction.
 fn cases() -> Vec<Case> {
     let spd = noisy_grid(20, 1.0);
     let n = spd.nrows;
@@ -435,6 +489,8 @@ fn cases() -> Vec<Case> {
     let mut fooled_b = vec![0.0; fooled.nrows];
     fooled_b[38] = 1.0;
     fooled_b[39] = -1.0;
+    let mut overflow_b = rhs(n);
+    overflow_b[0] = 0.0;
     vec![
         Case {
             name: "spd",
@@ -500,21 +556,41 @@ fn cases() -> Vec<Case> {
             a: rotation(64),
             b: rhs(64),
             cfg: base_config(),
-            cores: &BICGSTAB_FAMILY,
+            cores: &SKEW_CORES,
         },
         Case {
             name: "skew96",
             a: skew(96),
             b: rhs(96),
             cfg: base_config(),
-            cores: &BICGSTAB_FAMILY,
+            cores: &SKEW_CORES,
         },
         Case {
             name: "skew97",
             a: skew(97),
             b: rhs(97),
             cfg: base_config(),
-            cores: &BICGSTAB_FAMILY,
+            cores: &SKEW_CORES,
+        },
+        Case {
+            name: "overflow",
+            a: huge_coupling(20),
+            b: overflow_b,
+            cfg: base_config(),
+            cores: &[
+                "cg",
+                "cg_pipelined",
+                "bicgstab",
+                "pcg_identity",
+                "pbicgstab_identity",
+            ],
+        },
+        Case {
+            name: "signed_m",
+            a: spd.clone(),
+            b: vec![1.0; n],
+            cfg: base_config(),
+            cores: &["pcg_signed"],
         },
         Case {
             name: "adaptive",
@@ -598,14 +674,23 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("rotation", "bicgstab_threaded", engine(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })")),
     ("rotation", "pbicgstab", ok(0x04de09ed9e6ead4d, 2, 0x8a0c26e85c7971e4, "0:FactorShift:Restarted", "None", 0x4077dbc03a94ff37)),
     ("rotation", "pbicgstab_threaded", engine(0x04de09ed9e6ead4d, 2, 0x103537e2a71ce1b9, "0:FactorShift:Restarted", "None")),
+    ("rotation", "pbicgstab_identity", ok(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x409a5f8ef8b26ece)),
     ("skew96", "bicgstab", ok(0x69f742eef3808cd0, 1000, 0x568719676ecbdbc5, "41-42:Omega:Restarted", "None", 0x40de6e5fe66282ea)),
     ("skew96", "bicgstab_threaded", engine(0x44c0b77ba3c6a825, 71, 0xb621fae58797af7d, "1:NonFinite:Restarted 7:Rho:Restarted 26:Rho:Restarted 31:Rho:Restarted 48:Rho:Restarted 64:Rho:Restarted 69:Rho:Restarted 70:NonFinite:Aborted", "Some(NonFinite { iteration: 70 })")),
     ("skew96", "pbicgstab", ok(0xdeb6e4c8ef220d6c, 3, 0x4dc27e32ddea77ca, "0:FactorShift:Restarted", "None", 0x4081864e13ade294)),
     ("skew96", "pbicgstab_threaded", engine(0x32b130d227e23253, 3, 0xdf031ba86452f596, "0:FactorShift:Restarted", "None")),
+    ("skew96", "pbicgstab_identity", ok(0x69f742eef3808cd0, 1000, 0x568719676ecbdbc5, "41-42:Omega:Restarted", "None", 0x410577370d44e9f3)),
     ("skew97", "bicgstab", ok(0x89a30e1532607196, 1000, 0x9d261974c61445a3, "11:Rho:Restarted 127:Rho:Restarted 825:Omega:Restarted", "None", 0x40de768a9c4acc37)),
     ("skew97", "bicgstab_threaded", engine(0x6d556a9cf74934c0, 227, 0xcd159e0342070f36, "2:Omega:Restarted 51:Rho:Restarted 60:Omega:Restarted 67:Omega:Restarted 69:Omega:Restarted 73:Rho:Restarted 90:Omega:Restarted 109:Omega:Restarted 113-114:Omega:Restarted 116:Rho:Restarted 117:Omega:Restarted 172:Omega:Restarted 187:Rho:Restarted 189:Omega:Restarted 225:Rho:Restarted 226:NonFinite:Aborted", "Some(NonFinite { iteration: 226 })")),
     ("skew97", "pbicgstab", ok(0x621da237450c88da, 1000, 0x6c403cdedf85f492, "0:FactorShift:Restarted", "None", 0x41058585ae0d1020)),
     ("skew97", "pbicgstab_threaded", engine(0xcbf0c5e38343b9ff, 1000, 0x86aadfcec71a3d3d, "0:FactorShift:Restarted", "None")),
+    ("skew97", "pbicgstab_identity", ok(0x89a30e1532607196, 1000, 0x9d261974c61445a3, "11:Rho:Restarted 127:Rho:Restarted 825:Omega:Restarted", "None", 0x41057de2e15e9b91)),
+    ("overflow", "cg", ok(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x4043d7c2aa39a324)),
+    ("overflow", "cg_pipelined", ok(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x40420ef1f360aa48)),
+    ("overflow", "bicgstab", ok(0xf0099296fd4386a5, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x404c233ffbc4c706)),
+    ("overflow", "pcg_identity", ok(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406701d87ba2ad31)),
+    ("overflow", "pbicgstab_identity", ok(0xf0099296fd4386a5, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406f38ac79357ceb)),
+    ("signed_m", "pcg_signed", ok(0x13f631ef6a6fdd25, 1, 0xaab1693229ba1db8, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406d4fc465e77df1)),
     ("adaptive", "cg", ok(0x8eac0340b8a28d1a, 37, 0x0753d8ed0d067e59, "", "None", 0x4084e9329da3fcdb)),
     ("adaptive", "cg_pipelined", ok(0xe2cf373b0120fa58, 37, 0xc506e77d5a4ee660, "", "None", 0x4071edbd7ea69e30)),
     ("adaptive", "pcg_ilu0", ok(0xe26b36a9f7ffacc7, 12, 0xe9c96a45a45064da, "", "None", 0x409f39a4694d1a1a)),
@@ -676,8 +761,10 @@ fn golden_cases_exercise_convergence_restarts_and_retiering() {
     assert!(!adaptive.retier_trail.is_empty());
     let alpha = by_core("rotation", "bicgstab_threaded").unwrap();
     assert!(matches!(alpha.failure, Some(SolveFailure::Stalled { .. })));
+    let alpha = by_core("rotation", "pbicgstab_identity").unwrap();
+    assert!(matches!(alpha.failure, Some(SolveFailure::Stalled { .. })));
     for case in ["rotation", "skew96", "skew97"] {
-        for core in BICGSTAB_FAMILY {
+        for core in SKEW_CORES {
             let rep = by_core(case, core).unwrap();
             assert!(!rep.breakdowns.is_empty(), "{case}/{core}: empty trail");
         }
@@ -686,6 +773,27 @@ fn golden_cases_exercise_convergence_restarts_and_retiering() {
     for kind in [BreakdownKind::Rho, BreakdownKind::Omega] {
         assert!(skew.breakdowns.iter().any(|e| e.kind == kind), "{kind:?}");
     }
+    let overflow = cases().into_iter().find(|c| c.name == "overflow").unwrap();
+    for core in overflow.cores {
+        let rep = by_core("overflow", core).unwrap();
+        assert!(
+            matches!(rep.failure, Some(SolveFailure::NonFinite { iteration: 0 }))
+                && rep
+                    .breakdowns
+                    .iter()
+                    .all(|e| e.action != mf_solver::RecoveryAction::Restarted),
+            "overflow/{core}: {:?}",
+            rep.failure
+        );
+    }
+    // The lost direction ends a completed iteration: its residual is
+    // recorded before the abort.
+    let lost = by_core("signed_m", "pcg_signed").unwrap();
+    assert!(matches!(
+        lost.failure,
+        Some(SolveFailure::NonFinite { iteration: 0 })
+    ));
+    assert_eq!(lost.residual_history.len(), 1);
     let handoff = by_core("fooled", "auto").unwrap();
     assert!(handoff.converged);
     assert!(handoff
