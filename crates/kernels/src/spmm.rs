@@ -27,7 +27,9 @@
 //! `mf-solver`).
 
 use crate::blas1;
-use crate::spmv::{admit, check_mixed_inputs, tile_row_sums, MixedSpmvStats, SharedTiles};
+use crate::spmv::{
+    admit, check_mixed_inputs, tile_row_sums, tile_span, MixedSpmvStats, SharedTiles,
+};
 use crate::visflag::VisFlag;
 use mf_sparse::TiledMatrix;
 
@@ -83,7 +85,7 @@ pub fn spmm_mixed(
 
     let mut stats = MixedSpmvStats::default();
     for i in 0..m.tile_count() {
-        let vals = &mut shared.arena[shared.tile_off[i]..shared.tile_off[i + 1]];
+        let vals = &mut shared.arena[tile_span(m, i)];
         let prec = &mut shared.current_prec[i];
         if !admit(m, i, vis_flags, vals, prec, &mut stats) {
             continue;

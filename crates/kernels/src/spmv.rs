@@ -44,19 +44,16 @@ pub fn spmv_tiled(m: &TiledMatrix, x: &[f64], y: &mut [f64]) {
 /// the paper describes ("our precision conversion occurs only once in
 /// on-chip memory; thereafter, the low-precision values ... can be reused").
 ///
-/// Values live in one flat arena (tile `i` at
-/// `tile_off[i]..tile_off[i + 1]`, mirroring `TiledMatrix::tile_nnz`), so a
-/// span of whole tile rows owns a contiguous arena range — which is what
+/// Values live in one flat arena laid out like the matrix's nonzeros (tile
+/// `i` at `m.tile_nnz[i]..m.tile_nnz[i + 1]`), so a span of whole tile
+/// rows owns a contiguous arena range — which is what
 /// lets [`spmv_mixed_par`] hand disjoint `&mut` stripes to worker threads
 /// with `split_at_mut`, no locks.
 #[derive(Clone, Debug)]
 pub struct SharedTiles {
     /// Flat arena of decoded values; tile `i` occupies
-    /// `arena[tile_off[i]..tile_off[i + 1]]`.
+    /// `arena[m.tile_nnz[i]..m.tile_nnz[i + 1]]`.
     pub arena: Vec<f64>,
-    /// Per-tile arena offsets (prefix sums; `tile_off[tile_count]` is the
-    /// total nonzero count).
-    pub tile_off: Vec<usize>,
     /// Current (possibly lowered) precision per tile.
     pub current_prec: Vec<Precision>,
 }
@@ -66,15 +63,15 @@ impl SharedTiles {
     pub fn load(m: &TiledMatrix) -> SharedTiles {
         SharedTiles {
             arena: decode_tiles(m, 0..m.tile_count()),
-            tile_off: m.tile_nnz.iter().map(|&o| o as usize).collect(),
             current_prec: m.tile_prec.clone(),
         }
     }
 
-    /// Decoded values of tile `i` at its current precision.
+    /// Decoded values of tile `i` of `m` (the matrix this copy was loaded
+    /// from) at its current precision.
     #[inline]
-    pub fn tile_values(&self, i: usize) -> &[f64] {
-        &self.arena[self.tile_off[i]..self.tile_off[i + 1]]
+    pub fn tile_values(&self, m: &TiledMatrix, i: usize) -> &[f64] {
+        &self.arena[tile_span(m, i)]
     }
 
     /// Re-tiers tile `i` to `tier` (adaptive controller v2) through
@@ -84,8 +81,7 @@ impl SharedTiles {
     /// accounts as FP8), so the SpMV statistics and the cost model see the
     /// re-tiered traffic with no kernel changes.
     pub fn retier_tile(&mut self, m: &TiledMatrix, i: usize, tier: TileTier) {
-        let (lo, hi) = (self.tile_off[i], self.tile_off[i + 1]);
-        retier_values(m, i, tier, &mut self.arena[lo..hi]);
+        retier_values(m, i, tier, &mut self.arena[tile_span(m, i)]);
         self.current_prec[i] = tier.storage();
     }
 
@@ -97,6 +93,11 @@ impl SharedTiles {
     }
 }
 
+/// Tile `i`'s nonzero range, which is also its place in the arena.
+pub(crate) fn tile_span(m: &TiledMatrix, i: usize) -> Range<usize> {
+    m.tile_nnz[i] as usize..m.tile_nnz[i + 1] as usize
+}
+
 /// Decodes tiles `tiles` of `m` into one flat arena — the off-chip →
 /// on-chip copy. Tile `i` lands at
 /// `m.tile_nnz[i] - m.tile_nnz[tiles.start]` onward, in tile order.
@@ -104,8 +105,8 @@ pub fn decode_tiles(m: &TiledMatrix, tiles: Range<usize>) -> Vec<f64> {
     let base = m.tile_nnz[tiles.start] as usize;
     let mut arena = vec![0.0; m.tile_nnz[tiles.end] as usize - base];
     for i in tiles {
-        let (lo, hi) = (m.tile_nnz[i] as usize, m.tile_nnz[i + 1] as usize);
-        m.decode_tile_into(i, &mut arena[lo - base..hi - base]);
+        let span = tile_span(m, i);
+        m.decode_tile_into(i, &mut arena[span.start - base..span.end - base]);
     }
     arena
 }
@@ -211,7 +212,6 @@ pub fn spmv_mixed(
         vis_flags,
         x,
         0..m.tile_count(),
-        &shared.tile_off,
         y,
         0,
         &mut shared.arena,
@@ -315,7 +315,6 @@ fn mixed_span(
     vis_flags: &[VisFlag],
     x: &[f64],
     tiles: Range<usize>,
-    tile_off: &[usize],
     y: &mut [f64],
     y_base: usize,
     arena: &mut [f64],
@@ -325,7 +324,8 @@ fn mixed_span(
     let mut stats = MixedSpmvStats::default();
     let prec_base = tiles.start;
     for i in tiles {
-        let vals = &mut arena[tile_off[i] - arena_base..tile_off[i + 1] - arena_base];
+        let span = tile_span(m, i);
+        let vals = &mut arena[span.start - arena_base..span.end - arena_base];
         if admit(m, i, vis_flags, vals, &mut prec[i - prec_base], &mut stats) {
             let base_row = m.tile_rowidx[i] as usize * m.tile_size;
             tile_row_sums(m, i, vals, |c| x[c], &mut y[base_row - y_base..]);
@@ -364,15 +364,14 @@ pub fn spmv_mixed_par(
 
     // Cut the tile-row space into `threads` contiguous stripes balanced by
     // nonzero count.
-    let tile_off = shared.tile_off.as_slice();
-    let total_nnz = tile_off[t];
+    let total_nnz = m.tile_nnz[t] as usize;
     let mut cuts = vec![0usize; threads + 1];
     cuts[threads] = m.tile_rows;
     {
         let mut tr = 0usize;
         for (k, cut) in cuts.iter_mut().enumerate().take(threads).skip(1) {
             let target = total_nnz * k / threads;
-            while tr < m.tile_rows && tile_off[row_start[tr]] < target {
+            while tr < m.tile_rows && (m.tile_nnz[row_start[tr]] as usize) < target {
                 tr += 1;
             }
             *cut = tr;
@@ -389,7 +388,10 @@ pub fn spmv_mixed_par(
             .map(|c| {
                 let tiles = row_start[c[0]]..row_start[c[1]];
                 let (y_lo, y_hi) = ((c[0] * ts).min(nrows), (c[1] * ts).min(nrows));
-                let (a_lo, a_hi) = (tile_off[tiles.start], tile_off[tiles.end]);
+                let (a_lo, a_hi) = (
+                    m.tile_nnz[tiles.start] as usize,
+                    m.tile_nnz[tiles.end] as usize,
+                );
                 let (y, rest) = std::mem::take(&mut y_rest).split_at_mut(y_hi - y_lo);
                 y_rest = rest;
                 let (arena, rest) = std::mem::take(&mut arena_rest).split_at_mut(a_hi - a_lo);
@@ -398,7 +400,7 @@ pub fn spmv_mixed_par(
                 prec_rest = rest;
                 s.spawn(move || {
                     y.fill(0.0);
-                    mixed_span(m, vis_flags, x, tiles, tile_off, y, y_lo, arena, a_lo, prec)
+                    mixed_span(m, vis_flags, x, tiles, y, y_lo, arena, a_lo, prec)
                 })
             })
             .collect();
@@ -597,25 +599,25 @@ mod tests {
         // Degrade the on-chip copy first (the §III-D one-way path)...
         let mut y = [0.0; 2];
         spmv_mixed(&t, &mut shared, &[VisFlag::Fp8], &[1.0; 2], &mut y);
-        assert_eq!(shared.tile_values(0)[0], Precision::Fp8.quantize(0.1));
+        assert_eq!(shared.tile_values(&t, 0)[0], Precision::Fp8.quantize(0.1));
         // ...then re-tier to FP16: the result must be FP16(0.1), NOT
         // FP16(FP8(0.1)) — a fresh decode, not a compounded requantize.
         shared.retier_tile(&t, 0, TileTier::Full(Precision::Fp16));
-        assert_eq!(shared.tile_values(0)[0], Precision::Fp16.quantize(0.1));
+        assert_eq!(shared.tile_values(&t, 0)[0], Precision::Fp16.quantize(0.1));
         assert_eq!(shared.current_prec[0], Precision::Fp16);
         // Promotion back to the classification tier restores the value.
         shared.retier_tile(&t, 0, TileTier::Full(Precision::Fp64));
-        assert_eq!(shared.tile_values(0)[0], 0.1);
+        assert_eq!(shared.tile_values(&t, 0)[0], 0.1);
         // Scaled FP8 applies the scaled codec and accounts as FP8.
         let e = pick_scale_exp(0.1);
         shared.retier_tile(&t, 0, TileTier::ScaledFp8 { scale_exp: e });
         assert_eq!(
-            shared.tile_values(0)[0],
+            shared.tile_values(&t, 0)[0],
             mf_precision::quantize_scaled_e4m3(0.1, e)
         );
         assert_eq!(shared.current_prec[0], Precision::Fp8);
         // Within the documented scaled-FP8 round-trip envelope.
-        assert!((shared.tile_values(0)[0] - 0.1).abs() <= 0.1 * 2f64.powi(-4));
+        assert!((shared.tile_values(&t, 0)[0] - 0.1).abs() <= 0.1 * 2f64.powi(-4));
     }
 
     #[test]

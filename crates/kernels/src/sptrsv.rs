@@ -32,51 +32,22 @@ use mf_sparse::Csr;
 /// # Panics
 /// Panics (in debug) if a non-unit diagonal entry is missing or zero.
 pub fn sptrsv_lower(l: &Csr, b: &[f64], unit_diag: bool) -> Vec<f64> {
-    assert_eq!(l.nrows, l.ncols);
-    assert_eq!(b.len(), l.nrows);
-    let n = l.nrows;
-    let mut x = b.to_vec();
-    for r in 0..n {
-        let mut sum = 0.0;
-        let mut diag = if unit_diag { 1.0 } else { 0.0 };
-        for (c, v) in l.row(r) {
-            if c < r {
-                sum += v * x[c];
-            } else if c == r && !unit_diag {
-                diag = v;
-            }
-        }
-        debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-        x[r] = (x[r] - sum) / diag;
-    }
+    let mut x = vec![0.0; b.len()];
+    sptrsv_lower_into(l, b, &mut x, unit_diag);
     x
 }
 
 /// Backward substitution `U x = b`.
 pub fn sptrsv_upper(u: &Csr, b: &[f64], unit_diag: bool) -> Vec<f64> {
-    assert_eq!(u.nrows, u.ncols);
-    assert_eq!(b.len(), u.nrows);
-    let n = u.nrows;
-    let mut x = b.to_vec();
-    for r in (0..n).rev() {
-        let mut sum = 0.0;
-        let mut diag = if unit_diag { 1.0 } else { 0.0 };
-        for (c, v) in u.row(r) {
-            if c > r {
-                sum += v * x[c];
-            } else if c == r && !unit_diag {
-                diag = v;
-            }
-        }
-        debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-        x[r] = (x[r] - sum) / diag;
-    }
+    let mut x = vec![0.0; b.len()];
+    sptrsv_upper_into(u, b, &mut x, unit_diag);
     x
 }
 
 /// Allocation-free [`sptrsv_lower`]: solves `L x = b` into `x`
-/// (`x.len() == b.len()`), bitwise-identical to the allocating variant.
-/// This is the summation-order reference for the threaded in-kernel
+/// (`x.len() == b.len()`); the allocating variant calls it. It reads only
+/// solved entries of `x`, so `x` needs no initial value. This is the
+/// summation-order reference for the threaded in-kernel
 /// SpTRSV — both combine each row's stored entries in CSR order.
 pub fn sptrsv_lower_into(l: &Csr, b: &[f64], x: &mut [f64], unit_diag: bool) {
     assert_eq!(l.nrows, l.ncols);

@@ -81,12 +81,13 @@ fn oracle_spmv(
     y: &mut [f64],
 ) -> MixedSpmvStats {
     y.fill(0.0);
+    let tile_off: Vec<usize> = m.tile_nnz.iter().map(|&o| o as usize).collect();
     oracle_span(
         m,
         vis_flags,
         x,
         0..m.tile_count(),
-        &shared.tile_off,
+        &tile_off,
         y,
         0,
         &mut shared.arena,
@@ -119,7 +120,7 @@ fn oracle_spmm(
             stats.nnz_bypassed += tile_nnz;
             continue;
         }
-        let (a_lo, a_hi) = (shared.tile_off[i], shared.tile_off[i + 1]);
+        let (a_lo, a_hi) = (m.tile_nnz[i] as usize, m.tile_nnz[i + 1] as usize);
         if let Some(demanded) = v_f.demanded() {
             if demanded < shared.current_prec[i] {
                 shared.current_prec[i] = demanded;
@@ -154,7 +155,7 @@ fn oracle_spmm(
 fn oracle_retier(m: &TiledMatrix, shared: &mut SharedTiles, actions: &[RetierAction]) {
     for a in actions {
         let i = a.tile as usize;
-        let (lo, hi) = (shared.tile_off[i], shared.tile_off[i + 1]);
+        let (lo, hi) = (m.tile_nnz[i] as usize, m.tile_nnz[i + 1] as usize);
         m.decode_tile_into(i, &mut shared.arena[lo..hi]);
         a.to.quantize_slice(&mut shared.arena[lo..hi]);
         shared.current_prec[i] = a.to.storage();

@@ -1,27 +1,39 @@
-//! The BiCGSTAB core (paper Algorithm 2).
+//! The BiCGSTAB core (paper Algorithm 2) and its right-preconditioned
+//! form (PBiCGSTAB, §III-C).
 //!
 //! Same structure as [`crate::cg`]: exact numerics on the quantized tiles,
 //! time charged through a [`Coster`], iterations run as slots of the one
-//! loop driver. BiCGSTAB has two SpMVs per iteration; the
-//! partial-convergence flags are refreshed before each from its own input
-//! vector (`p_j` and `s_j`), matching the §III-D rule that the SpMV
-//! *input* drives tile precision.
+//! loop driver, and BiCGSTAB runs inside the PBiCGSTAB body with the two
+//! preconditioner applications skipped. BiCGSTAB has two SpMVs per
+//! iteration; the partial-convergence flags are refreshed before each from
+//! its own input vector (`p_j` and `s_j`), matching the §III-D rule that
+//! the SpMV *input* drives tile precision.
 
 use crate::cg::{mixed_spmv, Ledger};
 use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
+use crate::precond::{applied, Bound, Precond};
 use crate::report::{converges, drive, BreakdownKind, Direction, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
-use mf_kernels::{blas1, SharedTiles};
+use mf_kernels::{blas1, RecursiveTrsvStats, SharedTiles};
 use mf_sparse::TiledMatrix;
 use std::convert::Infallible;
 
-/// Runs BiCGSTAB on the tiled matrix, with its loop vectors in `ws` (see
-/// [`crate::cg::run_cg`] for the workspace contract).
+/// Runs BiCGSTAB on the tiled matrix, right-preconditioned by
+/// `M⁻¹ = pc` when one is given (PBiCGSTAB: `p̂ = M⁻¹p`, `ŝ = M⁻¹s`), with
+/// its loop vectors in `ws` (see [`crate::cg::run_cg`] for the workspace
+/// contract and the single-kernel panic).
+///
+/// One body serves both. Without `pc` it reads `p` and `s` wherever
+/// PBiCGSTAB reads `p̂` and `ŝ`, and skips the applications and their
+/// charges; only the unpreconditioned core records the event stream and
+/// the per-iteration trails.
+#[allow(clippy::too_many_arguments)]
 pub fn run_bicgstab(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
+    pc: Option<Precond<'_>>,
     b: &[f64],
     cfg: &SolverConfig,
     coster: &Coster,
@@ -32,8 +44,9 @@ pub fn run_bicgstab(
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols, "BiCGSTAB needs a square matrix");
 
-    let mut led = Ledger::new(cfg, true, coster.mode(), coster.warp_count());
+    let mut led = Ledger::new(cfg, pc.is_none(), coster.mode(), coster.warp_count());
     coster.solve_start(&mut led.tl);
+    let pc = pc.map(|pc| Bound::new(pc, coster.multi(), cfg, &mut led.tl, n));
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
@@ -51,6 +64,9 @@ pub fn run_bicgstab(
         u: mu,
         s,
         t: theta,
+        y,
+        phat,
+        shat,
         ..
     } = ws;
     r.copy_from_slice(b);
@@ -68,13 +84,24 @@ pub fn run_bicgstab(
         None,
         || Ok(()),
         |j, _| {
-            // µ = A·p (first SpMV, flags from p).
+            // p̂ = M⁻¹p; µ = A·p̂ (first SpMV, flags from its input).
             led.stamp(j, 1); // PBICGSTAB_STEPS[1] = "spmv_v"
-            partial.update(p);
+            let st_p = match &pc {
+                Some(pc) => pc.apply(&mut led.tl, p, y, phat),
+                None => RecursiveTrsvStats::default(),
+            };
+            partial.update(applied(&pc, p, phat));
             if partial.enabled() {
                 coster.visflag_scan(&mut led.tl);
             }
-            let st1 = mixed_spmv(m, shared, &partial.vis_flags, p, mu, threads);
+            let st1 = mixed_spmv(
+                m,
+                shared,
+                &partial.vis_flags,
+                applied(&pc, p, phat),
+                mu,
+                threads,
+            );
             led.spmv(&st1, shared);
             coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &st1);
 
@@ -85,20 +112,27 @@ pub fn run_bicgstab(
             if let Some(kind) = alpha_breakdown(alpha, denom) {
                 // Breakdown restart. Charge the rest of the iteration
                 // anyway — the kernel pipeline runs every step regardless
-                // (the second SpMV is charged, and its bypassed tiles
-                // counted, at the first one's profile, which is what it
-                // would execute with the same flags). An α-restart leaves
-                // x and r untouched, so repeating it is a fixed point the
-                // driver aborts.
+                // (the second application and SpMV are charged, and the
+                // SpMV's bypassed tiles counted, at the first one's
+                // profile, which is what it would execute with the same
+                // flags). An α-restart leaves x and r untouched, so
+                // repeating it is a fixed point the driver aborts.
                 restart(r, p, r0s, &mut rho);
                 let tl = &mut led.tl;
                 coster.axpy(tl, 1);
+                if let Some(pc) = &pc {
+                    pc.charge(tl, &st_p);
+                }
                 coster.spmv(tl, m, shared, &partial.vis_flags, &st1);
-                coster.dot(tl, false);
+                // PBiCGSTAB charges a readback for the first dot of each
+                // pair too, where the iteration it stands for has one per
+                // pair.
+                let first_to_host = pc.is_some();
+                coster.dot(tl, first_to_host);
                 coster.dot(tl, true);
                 coster.axpy(tl, 2);
                 coster.axpy(tl, 1);
-                coster.dot(tl, false);
+                coster.dot(tl, first_to_host);
                 coster.dot(tl, true);
                 coster.axpy(tl, 1);
                 coster.iteration_end(tl);
@@ -106,7 +140,7 @@ pub fn run_bicgstab(
                 return Ok(Slot::Restart {
                     kind,
                     finite: rho.is_finite(),
-                    relres: Some(blas1::dot(r, r).sqrt() / norm_b),
+                    relres: pc.is_none().then(|| blas1::dot(r, r).sqrt() / norm_b),
                 });
             }
 
@@ -114,13 +148,23 @@ pub fn run_bicgstab(
             blas1::waxpy(r, -alpha, mu, s);
             coster.axpy(&mut led.tl, 1);
 
-            // θ = A·s (second SpMV, flags from s).
+            // ŝ = M⁻¹s; θ = A·ŝ (second SpMV, flags from its input).
             led.stamp(j, 3); // PBICGSTAB_STEPS[3] = "spmv_t"
-            partial.update(s);
+            if let Some(pc) = &pc {
+                pc.apply(&mut led.tl, s, y, shat);
+            }
+            partial.update(applied(&pc, s, shat));
             if partial.enabled() {
                 coster.visflag_scan(&mut led.tl);
             }
-            let st2 = mixed_spmv(m, shared, &partial.vis_flags, s, theta, threads);
+            let st2 = mixed_spmv(
+                m,
+                shared,
+                &partial.vis_flags,
+                applied(&pc, s, shat),
+                theta,
+                threads,
+            );
             led.spmv(&st2, shared);
             coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &st2);
 
@@ -131,9 +175,10 @@ pub fn run_bicgstab(
             coster.dot(&mut led.tl, true); // scalar pair -> one readback
             let omega = if tt > 0.0 { ts / tt } else { 0.0 };
 
-            // x += αp + ωs (fused two-vector update, Algorithm 2 line 10).
+            // x += αp̂ + ωŝ (fused two-vector update, Algorithm 2 line 10).
+            let (ph, sh) = (applied(&pc, p, phat), applied(&pc, s, shat));
             for i in 0..n {
-                x[i] += alpha * p[i] + omega * s[i];
+                x[i] += alpha * ph[i] + omega * sh[i];
             }
             coster.axpy(&mut led.tl, 2);
 
@@ -273,6 +318,7 @@ mod tests {
         let res = run_bicgstab(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -293,6 +339,7 @@ mod tests {
         let res = run_bicgstab(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -310,6 +357,7 @@ mod tests {
         let res = run_bicgstab(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -329,6 +377,7 @@ mod tests {
         let res = run_bicgstab(
             &m,
             &mut shared,
+            None,
             &[0.0; 16],
             &cfg,
             &coster,
@@ -350,6 +399,7 @@ mod tests {
         let res_s = run_bicgstab(
             &m,
             &mut sh1,
+            None,
             &b,
             &cfg,
             &coster_s,
@@ -365,6 +415,7 @@ mod tests {
         let res_m = run_bicgstab(
             &m,
             &mut sh2,
+            None,
             &b,
             &cfg,
             &coster_m,
@@ -407,6 +458,7 @@ mod tests {
         let res = run_bicgstab(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -450,6 +502,7 @@ mod tests {
         let off = run_bicgstab(
             &m,
             &mut sh1,
+            None,
             &b,
             &base,
             &coster,
@@ -466,6 +519,7 @@ mod tests {
         let on = run_bicgstab(
             &m2,
             &mut sh2,
+            None,
             &b2,
             &cfg,
             &coster2,
@@ -510,6 +564,7 @@ mod tests {
         let res = run_bicgstab(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,

@@ -1,11 +1,14 @@
-//! The conjugate-gradient core (paper Algorithm 1 / Algorithm 3), plus the
-//! bookkeeping every sequential core shares.
+//! The conjugate-gradient core (paper Algorithm 1 / Algorithm 3) and its
+//! preconditioned form (PCG, §III-C), plus the bookkeeping every
+//! sequential core shares.
 //!
-//! One numeric loop serves both execution modes; the [`Coster`] decides how
-//! the time of each step is charged. The numerics are exact: every SpMV
-//! multiplies the (possibly dynamically lowered) quantized tile values, so
-//! mixed precision genuinely perturbs convergence. Like every engine, the
-//! core runs its iterations as slots of the one loop driver
+//! One numeric loop serves both execution modes and both forms: CG runs
+//! inside the PCG body with the preconditioner step skipped, the way the
+//! threaded engines share one body per Krylov family. The [`Coster`]
+//! decides how the time of each step is charged. The numerics are exact:
+//! every SpMV multiplies the (possibly dynamically lowered) quantized tile
+//! values, so mixed precision genuinely perturbs convergence. Like every
+//! engine, the core runs its iterations as slots of the one loop driver
 //! (`report::drive`), which owns the iteration budget, convergence, the
 //! restart policy and the adaptive refresh slots, and returns a
 //! [`SolveReport`].
@@ -13,6 +16,7 @@
 use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
+use crate::precond::{applied, Bound, Precond};
 use crate::report::{drive, BreakdownKind, Direction, ExecutedMode, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
@@ -45,6 +49,7 @@ pub(crate) struct Ledger {
     pub(crate) tl: Timeline,
     pub(crate) spmv_stats: MixedSpmvStats,
     tracer: Option<mf_trace::WarpTracer>,
+    traced: bool,
     mode: ExecutedMode,
     warp_count: usize,
     error_history: Vec<f64>,
@@ -54,8 +59,9 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// An empty ledger for a core charged in `mode` on `warp_count` warps;
-    /// `traced` arms the event stream when `cfg.trace` is enabled.
+    /// An empty ledger for a core charged in `mode` on `warp_count` warps.
+    /// `traced` arms the per-iteration trails and, when `cfg.trace` is
+    /// enabled, the event stream; only unpreconditioned cores record them.
     pub(crate) fn new(
         cfg: &SolverConfig,
         traced: bool,
@@ -67,6 +73,7 @@ impl Ledger {
             spmv_stats: MixedSpmvStats::default(),
             tracer: (traced && cfg.trace.enabled)
                 .then(|| mf_trace::WarpTracer::new(0, cfg.trace.capacity_per_warp)),
+            traced,
             mode,
             warp_count,
             error_history: Vec::new(),
@@ -114,10 +121,10 @@ impl Ledger {
         }
     }
 
-    /// Records one iteration's trails as `cfg` asks: the error of `x`
-    /// against the reference solution, and under `trace_partial` the |p|
-    /// ranges of `p`, the `bypassed` tile count and the on-chip precision
-    /// histogram.
+    /// Records one iteration's trails as `cfg` asks, on a traced ledger:
+    /// the error of `x` against the reference solution, and under
+    /// `trace_partial` the |p| ranges of `p`, the `bypassed` tile count and
+    /// the on-chip precision histogram.
     pub(crate) fn trails(
         &mut self,
         cfg: &SolverConfig,
@@ -127,6 +134,9 @@ impl Ledger {
         bypassed: usize,
         shared: &SharedTiles,
     ) {
+        if !self.traced {
+            return;
+        }
         if let Some(reference) = &cfg.reference_solution {
             let (mut diff, mut norm) = (0.0, 0.0);
             for (a, b) in x.iter().zip(reference) {
@@ -192,15 +202,30 @@ pub(crate) fn curvature_breakdown(alpha: f64, curvature: f64) -> Option<Breakdow
     }
 }
 
-/// Runs CG on the tiled matrix. `shared` is the on-chip tile copy (loaded
-/// once, mutated by dynamic lowering); `partial` controls the Finding-3
-/// strategy (pass a disabled state for plain mixed/FP64 runs). Every loop
+/// Runs CG on the tiled matrix, preconditioned by `M⁻¹ = pc` when one is
+/// given (PCG). `shared` is the on-chip tile copy (loaded once, mutated by
+/// dynamic lowering); `partial` controls the Finding-3 strategy (pass a
+/// disabled state for plain mixed/FP64 runs and for PCG). Every loop
 /// vector comes from `ws`, so a warm workspace makes the iteration loop
 /// allocation-free (the returned report still clones the solution out
 /// once per solve).
+///
+/// One body serves both. Without `pc` it reads `r` wherever PCG reads
+/// `z = M⁻¹r`, and skips the application, its charges and PCG's second
+/// restart dot. [`SolverConfig::adaptive`] arms the re-tier controller
+/// either way; only the unpreconditioned core records the event stream
+/// and the per-iteration trails.
+///
+/// # Panics
+///
+/// If `pc` comes with a single-kernel `coster`: the paper applies
+/// preconditioning in its multi-kernel method (§III-C), and so do the
+/// charges here.
+#[allow(clippy::too_many_arguments)]
 pub fn run_cg(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
+    pc: Option<Precond<'_>>,
     b: &[f64],
     cfg: &SolverConfig,
     coster: &Coster,
@@ -211,23 +236,32 @@ pub fn run_cg(
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols, "CG needs a square (SPD) matrix");
 
-    let mut led = Ledger::new(cfg, true, coster.mode(), coster.warp_count());
+    let mut led = Ledger::new(cfg, pc.is_none(), coster.mode(), coster.warp_count());
     coster.solve_start(&mut led.tl);
+    let pc = pc.map(|pc| Bound::new(pc, coster.multi(), cfg, &mut led.tl, n));
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
         return led.zero_rhs(n);
     }
 
-    // x0 = 0 ⇒ r0 = b, p0 = r0 (paper Algorithm 1 lines 1–3). The vectors
-    // live in the workspace; `ensure` zero-fills them without reallocating
-    // once warm.
+    // x0 = 0 ⇒ r0 = b, z0 = M⁻¹r0, p0 = z0 (paper Algorithm 1 lines 1–3).
+    // The vectors live in the workspace; `ensure` zero-fills them without
+    // reallocating once warm.
     ws.ensure(n);
-    let SolverWorkspace { x, r, p, u, .. } = ws;
+    let SolverWorkspace {
+        x, r, z, p, u, y, ..
+    } = ws;
     r.copy_from_slice(b);
-    p.copy_from_slice(b);
+    if let Some(pc) = &pc {
+        pc.apply(&mut led.tl, r, y, z);
+    }
+    p.copy_from_slice(applied(&pc, r, z));
     let threads = cfg.host_parallelism.threads_for(m.nnz());
-    let mut rr = blas1::dot(r, r);
+    let mut rz = blas1::dot(r, applied(&pc, r, z));
+    if pc.is_some() {
+        coster.dot(&mut led.tl, true);
+    }
 
     // Adaptive re-tiering (controller v2): a pure state machine observing
     // the residual trajectory at every convergence check. Built from the
@@ -252,8 +286,8 @@ pub fn run_cg(
             if let Some(d) = refresh {
                 // ---- Adaptive re-tier epoch: apply the plan to the on-chip
                 // tiles, then refresh the recurrence from the true residual
-                // of the re-tiered operator — r = b − A·x, p = r — because
-                // the recurrence tracks the *old* operator.
+                // of the re-tiered operator — r = b − A·x, z = M⁻¹r, p = z
+                // — because the recurrence tracks the *old* operator.
                 shared.apply_retier(m, &d.actions);
                 coster.retier(&mut led.tl, crate::adaptive::touched_nnz(m, d));
                 let keepf = retier_keep.as_ref().expect("armed with controller");
@@ -263,9 +297,15 @@ pub fn run_cg(
                 for i in 0..n {
                     r[i] = b[i] - u[i];
                 }
-                p.copy_from_slice(r);
-                rr = blas1::dot(r, r);
-                coster.axpy(&mut led.tl, 2);
+                match &pc {
+                    Some(pc) => {
+                        coster.axpy(&mut led.tl, 1);
+                        pc.apply(&mut led.tl, r, y, z);
+                    }
+                    None => coster.axpy(&mut led.tl, 2),
+                }
+                p.copy_from_slice(applied(&pc, r, z));
+                rz = blas1::dot(r, applied(&pc, r, z));
                 coster.dot(&mut led.tl, true);
                 led.retiered(d);
                 refreshes += 1;
@@ -282,52 +322,74 @@ pub fn run_cg(
             led.spmv(&stats, shared);
             coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &stats);
 
-            // ---- Step B: α = (r,r) / (µ,p).
+            // ---- Step B: α = (r,z) / (µ,p).
             let py = blas1::dot(u, p);
             coster.dot(&mut led.tl, true);
-            let alpha = rr / py;
+            let alpha = rz / py;
             if let Some(kind) = curvature_breakdown(alpha, py) {
                 // Curvature breakdown (quantization can push a borderline
                 // SPD system off the cone, and fixed-iteration benchmark
                 // runs keep iterating past exact convergence). Restart the
-                // direction from the current residual — but charge the
-                // *full* iteration: the GPU kernel executes every step
-                // regardless of degenerate scalars.
-                p.copy_from_slice(r);
-                rr = blas1::dot(r, r);
+                // direction from the current (preconditioned) residual —
+                // but charge the *full* iteration: the GPU kernel executes
+                // every step regardless of degenerate scalars, and PCG's
+                // has a second dot. A restart leaves x and r untouched, so
+                // repeating it is a fixed point the driver aborts.
+                p.copy_from_slice(applied(&pc, r, z));
+                rz = blas1::dot(r, applied(&pc, r, z));
                 coster.axpy(&mut led.tl, 2);
                 coster.dot(&mut led.tl, true);
+                if pc.is_some() {
+                    coster.dot(&mut led.tl, true);
+                }
                 coster.axpy(&mut led.tl, 1);
                 coster.iteration_end(&mut led.tl);
                 led.trails(cfg, x, partial, p, stats.tiles_bypassed, shared);
                 return Ok(Slot::Restart {
                     kind,
-                    finite: rr.is_finite(),
-                    relres: Some(rr.sqrt() / norm_b),
+                    finite: rz.is_finite(),
+                    // PCG's (r,z) is no residual norm: it reports none.
+                    relres: pc.is_none().then(|| rz.sqrt() / norm_b),
                 });
             }
 
-            // ---- Step C: x += αp; r −= αµ; z = (r,r).
+            // ---- Step C: x += αp; r −= αµ; (r,r).
             blas1::axpy(alpha, p, x);
             blas1::axpy(-alpha, u, r);
             coster.axpy(&mut led.tl, 2);
-            let rr_new = blas1::dot(r, r);
+            let rr = blas1::dot(r, r);
             coster.dot(&mut led.tl, true);
-            if !rr_new.is_finite() {
+            if !rr.is_finite() {
                 // Overflowed residual recurrence: the iterate is poisoned
                 // and a restart would rebuild from the same non-finite r.
                 coster.iteration_end(&mut led.tl);
                 return Ok(Slot::NonFinite);
             }
 
-            // ---- Step D: β = z/(r,r)_old; p = r + βp.
-            let beta = rr_new / rr;
-            rr = rr_new;
-            blas1::xpay(r, beta, p);
+            // ---- Step D: z = M⁻¹r; β = (r,z)/(r,z)_old; p = z + βp.
+            let rz_new = match &pc {
+                Some(pc) => {
+                    pc.apply(&mut led.tl, r, y, z);
+                    let rz_new = blas1::dot(r, z);
+                    coster.dot(&mut led.tl, true);
+                    rz_new
+                }
+                None => rr,
+            };
+            let beta = rz_new / rz;
+            rz = rz_new;
+            blas1::xpay(applied(&pc, r, z), beta, p);
             coster.axpy(&mut led.tl, 1);
             coster.iteration_end(&mut led.tl);
             led.trails(cfg, x, partial, p, stats.tiles_bypassed, shared);
-            Ok(Slot::Done(rr_new.sqrt() / norm_b, Direction::Kept))
+            // A non-finite PCG β: the preconditioned correlation (r,z)
+            // collapsed and the direction is lost.
+            let direction = if pc.is_some() && !beta.is_finite() {
+                Direction::Lost
+            } else {
+                Direction::Kept
+            };
+            Ok(Slot::Done(rr.sqrt() / norm_b, direction))
         },
     );
     led.report(out, x)
@@ -404,6 +466,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -426,6 +489,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -453,6 +517,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -471,6 +536,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &vec![0.0; 32],
             &cfg,
             &coster,
@@ -491,6 +557,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -522,6 +589,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -565,6 +633,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -587,7 +656,16 @@ mod tests {
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
         let mut ws = crate::workspace::SolverWorkspace::with_size(300);
         let ptrs = [ws.x.as_ptr(), ws.r.as_ptr(), ws.p.as_ptr(), ws.u.as_ptr()];
-        let res1 = run_cg(&m, &mut shared, &b, &cfg, &coster, &mut partial, &mut ws);
+        let res1 = run_cg(
+            &m,
+            &mut shared,
+            None,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut ws,
+        );
         assert!(res1.converged);
 
         // Second solve of the same system from fresh dynamic state, reusing
@@ -596,7 +674,16 @@ mod tests {
         let eps_abs = cfg.tolerance * blas1::norm2(&b);
         let mut partial2 =
             PartialState::new(cfg.partial_convergence, m.tile_cols, cfg.tile_size, eps_abs);
-        let res2 = run_cg(&m, &mut shared2, &b, &cfg, &coster, &mut partial2, &mut ws);
+        let res2 = run_cg(
+            &m,
+            &mut shared2,
+            None,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial2,
+            &mut ws,
+        );
 
         assert_eq!(res1.iterations, res2.iterations);
         assert_eq!(res1.x, res2.x);
@@ -620,6 +707,7 @@ mod tests {
         let serial = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &base,
             &coster,
@@ -635,6 +723,7 @@ mod tests {
             let par = run_cg(
                 &m2,
                 &mut sh2,
+                None,
                 &b2,
                 &cfg,
                 &coster2,
@@ -657,6 +746,7 @@ mod tests {
         let res_s = run_cg(
             &m,
             &mut sh1,
+            None,
             &b,
             &cfg,
             &coster_s,
@@ -673,6 +763,7 @@ mod tests {
         let res_m = run_cg(
             &m,
             &mut sh2,
+            None,
             &b,
             &cfg,
             &coster_m,
@@ -694,6 +785,7 @@ mod tests {
         let off = run_cg(
             &m,
             &mut sh1,
+            None,
             &b,
             &base,
             &coster,
@@ -710,6 +802,7 @@ mod tests {
         let on = run_cg(
             &m2,
             &mut sh2,
+            None,
             &b2,
             &cfg,
             &coster2,
@@ -766,6 +859,7 @@ mod tests {
         let res = run_cg(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,

@@ -173,12 +173,6 @@ pub struct SolverConfig {
     /// [`WatchdogPolicy::Disabled`] turns detection off. The facade passes
     /// this to the threaded engines as [`crate::ThreadedOpts::watchdog`].
     pub watchdog: WatchdogPolicy,
-    /// When [`crate::Method::Auto`]'s structure heuristic picks
-    /// CG but the solve aborts on curvature breakdowns (the matrix looked
-    /// SPD and was not), re-dispatch the system to BiCGSTAB instead of
-    /// surfacing the failed CG report. The handoff is recorded as a
-    /// [`crate::report::RecoveryAction::SwitchedSolver`] breakdown event.
-    pub auto_switch_on_breakdown: bool,
     /// Structured event tracing ([`mf_trace`]): off by default (every
     /// event site is one `Option` branch). When enabled, engines record
     /// iteration/barrier/row-wait/precision/bypass/breakdown/fault events
@@ -219,7 +213,6 @@ impl Default for SolverConfig {
             reference_solution: None,
             host_parallelism: HostParallelism::Auto,
             watchdog: WatchdogPolicy::default(),
-            auto_switch_on_breakdown: true,
             trace: TraceConfig::default(),
             adaptive: None,
         }
@@ -275,7 +268,6 @@ mod tests {
             WatchdogPolicy::Heartbeat(DEFAULT_HEARTBEAT),
             "watchdog defaults to the progress heartbeat"
         );
-        assert!(c.auto_switch_on_breakdown, "auto re-dispatch defaults on");
         assert!(!c.trace.enabled, "event tracing defaults off");
         assert!(c.adaptive.is_none(), "adaptive re-tiering defaults off");
     }

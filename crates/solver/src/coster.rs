@@ -468,6 +468,20 @@ impl Coster {
         }
     }
 
+    /// The multi-kernel coster a preconditioned core charges its
+    /// factorization and SpTRSV through.
+    ///
+    /// # Panics
+    ///
+    /// On a single-kernel coster: the paper applies preconditioning in its
+    /// multi-kernel method (§III-C).
+    pub(crate) fn multi(&self) -> &MultiCoster {
+        match self {
+            Coster::Multi(mc) => mc,
+            Coster::Single(_) => panic!("preconditioned cores charge in multi-kernel mode"),
+        }
+    }
+
     /// Warps the execution uses (0 = not warp-scheduled).
     pub fn warp_count(&self) -> usize {
         match self {

@@ -79,7 +79,7 @@ pub use block::{
 pub use config::{
     HostParallelism, KernelMode, PipelineMode, SolverConfig, WatchdogPolicy, DEFAULT_HEARTBEAT,
 };
-pub use pipelined::{run_cg_pipelined, run_pcg_pipelined};
+pub use pipelined::run_cg_pipelined;
 pub use precond::Precond;
 pub use report::{
     BreakdownEvent, BreakdownKind, EngineSection, ExecutedMode, RecoveryAction, SolveFailure,

@@ -69,18 +69,29 @@ pub(crate) fn pipeline_scalars(
     }
 }
 
-/// Pipelined CG on the tiled matrix (see [`crate::cg::run_cg`] for the
-/// workspace contract). Vector map: `q = A·w` lives in `ws.u`, `s = A·p`
-/// in `ws.s`, `z = A·s` in `ws.t`, plus the new `ws.w`.
+/// Pipelined CG on the tiled matrix, or pipelined PCG with `M⁻¹ = pc`
+/// when one is given (see [`crate::cg::run_cg`] for the workspace
+/// contract and the single-kernel panic). Vector map: `q = A·w` lives in
+/// `ws.u`, `s = A·p` in `ws.s`, `z = A·s` in `ws.t`, plus the new `ws.w`.
+///
+/// The two recurrences keep separate bodies: PCG's fused update carries
+/// eight vectors to CG's six, and aliasing its `q = M⁻¹s` onto `s` would
+/// update `s` twice. The preconditioned body runs its SpMVs with
+/// all-`Keep` flags and ignores `partial`.
+#[allow(clippy::too_many_arguments)]
 pub fn run_cg_pipelined(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
+    pc: Option<Precond<'_>>,
     b: &[f64],
     cfg: &SolverConfig,
     coster: &Coster,
     partial: &mut PartialState,
     ws: &mut SolverWorkspace,
 ) -> SolveReport {
+    if let Some(pc) = pc {
+        return pcg_pipelined(m, shared, pc, b, cfg, coster.multi(), ws);
+    }
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols, "CG needs a square (SPD) matrix");
@@ -229,10 +240,10 @@ pub fn run_cg_pipelined(
 /// Pipelined preconditioned CG with `M⁻¹ = pc`. Vector map: `u = M⁻¹r`
 /// lives in `ws.z`, `z = A·q` in `ws.t`, the SpTRSV intermediate in
 /// `ws.y`, plus the new `ws.w` (`A·u`), `ws.m` (`M⁻¹w`), `ws.n` (`A·m`)
-/// and `ws.q` (`M⁻¹s`). Like [`crate::precond::run_pcg`] it charges
-/// through a [`MultiCoster`] and runs its SpMVs with all-`Keep` flags;
-/// the threaded single-kernel engine is the in-kernel variant.
-pub fn run_pcg_pipelined(
+/// and `ws.q` (`M⁻¹s`). Like classic PCG it charges through a
+/// [`MultiCoster`]; the threaded single-kernel engine is the in-kernel
+/// variant.
+fn pcg_pipelined(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
     pc: Precond<'_>,
@@ -410,6 +421,7 @@ mod tests {
         let res = run_cg_pipelined(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -433,6 +445,7 @@ mod tests {
         let classic = run_cg(
             &m,
             &mut sh1,
+            None,
             &b,
             &cfg,
             &coster,
@@ -443,6 +456,7 @@ mod tests {
         let pipe = run_cg_pipelined(
             &m2,
             &mut sh2,
+            None,
             &b2,
             &cfg,
             &coster2,
@@ -465,6 +479,7 @@ mod tests {
         let res = run_cg_pipelined(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -483,6 +498,7 @@ mod tests {
         let res = run_cg_pipelined(
             &m,
             &mut shared,
+            None,
             &vec![0.0; 32],
             &cfg,
             &coster,
@@ -509,6 +525,7 @@ mod tests {
         let res = run_cg_pipelined(
             &m,
             &mut shared,
+            None,
             &b,
             &cfg,
             &coster,
@@ -533,14 +550,32 @@ mod tests {
         let (m, mut shared, coster, mut partial, b) = setup(&a, &cfg);
         let mut ws = SolverWorkspace::with_size(300);
         let ptrs = [ws.x.as_ptr(), ws.w.as_ptr(), ws.t.as_ptr()];
-        let res1 = run_cg_pipelined(&m, &mut shared, &b, &cfg, &coster, &mut partial, &mut ws);
+        let res1 = run_cg_pipelined(
+            &m,
+            &mut shared,
+            None,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial,
+            &mut ws,
+        );
         assert!(res1.converged);
 
         let mut shared2 = SharedTiles::load(&m);
         let eps_abs = cfg.tolerance * blas1::norm2(&b);
         let mut partial2 =
             PartialState::new(cfg.partial_convergence, m.tile_cols, cfg.tile_size, eps_abs);
-        let res2 = run_cg_pipelined(&m, &mut shared2, &b, &cfg, &coster, &mut partial2, &mut ws);
+        let res2 = run_cg_pipelined(
+            &m,
+            &mut shared2,
+            None,
+            &b,
+            &cfg,
+            &coster,
+            &mut partial2,
+            &mut ws,
+        );
         assert_eq!(res1.iterations, res2.iterations);
         assert_eq!(res1.x, res2.x);
         assert_eq!(
@@ -558,6 +593,7 @@ mod tests {
         let off = run_cg_pipelined(
             &m,
             &mut sh1,
+            None,
             &b,
             &base,
             &coster,
@@ -574,6 +610,7 @@ mod tests {
         let on = run_cg_pipelined(
             &m2,
             &mut sh2,
+            None,
             &b2,
             &cfg,
             &coster2,
@@ -597,16 +634,20 @@ mod tests {
         let cfg = SolverConfig::default();
         let m = TiledMatrix::from_csr_with(&a, 16, &ClassifyOptions::default());
         let mut shared = SharedTiles::load(&m);
-        let mc = MultiCoster::new(CostModel::new(DeviceSpec::a100()), a.nrows);
+        let mc = Coster::Multi(MultiCoster::new(
+            CostModel::new(DeviceSpec::a100()),
+            a.nrows,
+        ));
         let mut b = vec![0.0; a.nrows];
         a.matvec(&vec![1.0; a.ncols], &mut b);
-        let res = run_pcg_pipelined(
+        let res = run_cg_pipelined(
             &m,
             &mut shared,
-            Precond::Ilu0(&ilu),
+            Some(Precond::Ilu0(&ilu)),
             &b,
             &cfg,
             &mc,
+            &mut PartialState::new(false, m.tile_cols, 16, 1.0),
             &mut SolverWorkspace::new(),
         );
         assert!(res.converged, "relres {}", res.final_relres);
@@ -622,7 +663,10 @@ mod tests {
         let a = poisson1d(64);
         let ilu = ilu0(&a).unwrap();
         let m = TiledMatrix::from_csr_with(&a, 16, &ClassifyOptions::default());
-        let mc = MultiCoster::new(CostModel::new(DeviceSpec::a100()), a.nrows);
+        let mc = Coster::Multi(MultiCoster::new(
+            CostModel::new(DeviceSpec::a100()),
+            a.nrows,
+        ));
 
         let cfg = SolverConfig {
             fixed_iterations: Some(12),
@@ -631,25 +675,27 @@ mod tests {
         let mut shared = SharedTiles::load(&m);
         let mut b = vec![0.0; a.nrows];
         a.matvec(&vec![1.0; a.ncols], &mut b);
-        let res = run_pcg_pipelined(
+        let res = run_cg_pipelined(
             &m,
             &mut shared,
-            Precond::Ilu0(&ilu),
+            Some(Precond::Ilu0(&ilu)),
             &b,
             &cfg,
             &mc,
+            &mut PartialState::new(false, m.tile_cols, 16, 1.0),
             &mut SolverWorkspace::new(),
         );
         assert_eq!(res.iterations, 12);
 
         let mut shared2 = SharedTiles::load(&m);
-        let res0 = run_pcg_pipelined(
+        let res0 = run_cg_pipelined(
             &m,
             &mut shared2,
-            Precond::Ilu0(&ilu),
+            Some(Precond::Ilu0(&ilu)),
             &vec![0.0; 64],
             &SolverConfig::default(),
             &mc,
+            &mut PartialState::new(false, m.tile_cols, 16, 1.0),
             &mut SolverWorkspace::new(),
         );
         assert!(res0.converged);
@@ -673,11 +719,12 @@ mod tests {
         };
         let (m, mut sh1, coster, mut p1, b) = setup(&a, &cfg);
         let mut ws = SolverWorkspace::new();
-        let classic = run_cg(&m, &mut sh1, &b, &cfg, &coster, &mut p1, &mut ws);
+        let classic = run_cg(&m, &mut sh1, None, &b, &cfg, &coster, &mut p1, &mut ws);
         let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
         let pipe = run_cg_pipelined(
             &m2,
             &mut sh2,
+            None,
             &b2,
             &cfg,
             &coster2,

@@ -5,8 +5,8 @@ use crate::cg::run_cg;
 use crate::config::{KernelMode, PipelineMode, SolverConfig};
 use crate::coster::{Coster, MultiCoster, SingleCoster};
 use crate::partial::PartialState;
-use crate::pipelined::{run_cg_pipelined, run_pcg_pipelined};
-use crate::precond::{run_pbicgstab, run_pcg, Precond};
+use crate::pipelined::run_cg_pipelined;
+use crate::precond::Precond;
 use crate::report::{BreakdownEvent, BreakdownKind, ExecutedMode, RecoveryAction, SolveReport};
 use crate::threaded::{
     run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_pbicgstab_threaded,
@@ -25,12 +25,12 @@ pub enum Method {
     /// CG for (likely) symmetric positive definite matrices, BiCGSTAB
     /// otherwise. The structure heuristic can be fooled by a symmetric,
     /// diagonally dominated-looking matrix that is indefinite. When CG then
-    /// aborts on curvature breakdowns and
-    /// [`SolverConfig::auto_switch_on_breakdown`] is on (the default), the
-    /// system is re-dispatched to BiCGSTAB on the same preprocessed matrix:
-    /// the report is the BiCGSTAB one, with CG's breakdown trail and
-    /// residual/error history ahead of BiCGSTAB's and the handoff recorded
-    /// as a [`RecoveryAction::SwitchedSolver`] event. The spec's pipeline
+    /// aborts on curvature breakdowns, the system is re-dispatched to
+    /// BiCGSTAB on the same preprocessed matrix: the report is the BiCGSTAB
+    /// one, with CG's breakdown trail and residual/error history ahead of
+    /// BiCGSTAB's and the handoff recorded as a
+    /// [`RecoveryAction::SwitchedSolver`] event. A caller who wants the
+    /// failed CG report asks for [`Method::Cg`]. The spec's pipeline
     /// applies to the CG branch.
     Auto,
     /// Conjugate gradients (A must be SPD).
@@ -289,27 +289,17 @@ pub struct MilleFeuille {
     pub config: SolverConfig,
 }
 
-/// The signature every unpreconditioned sequential core shares (CG,
-/// pipelined CG, BiCGSTAB), so the facade runs them through one body.
+/// The signature every sequential core shares (CG or PCG, pipelined CG
+/// or PCG, BiCGSTAB or PBiCGSTAB), so the facade runs them through one
+/// body.
 type Core = fn(
     &TiledMatrix,
     &mut SharedTiles,
+    Option<Precond<'_>>,
     &[f64],
     &SolverConfig,
     &Coster,
     &mut PartialState,
-    &mut SolverWorkspace,
-) -> SolveReport;
-
-/// The signature every preconditioned sequential core shares, so the
-/// facade runs them through one body.
-type PrecondCore = fn(
-    &TiledMatrix,
-    &mut SharedTiles,
-    Precond<'_>,
-    &[f64],
-    &SolverConfig,
-    &MultiCoster,
     &mut SolverWorkspace,
 ) -> SolveReport;
 
@@ -563,28 +553,20 @@ impl MilleFeuille {
         let pipelined = |mode| self.decide_pipeline(m, mode, spec.pipeline);
         let single = ExecutedMode::SingleKernel;
         let rep = match (spec.engine, spec.method, pc) {
-            (Engine::Sequential, Method::Auto, _) => {
-                return self.run_auto(a, pre, b, spec.pipeline)
-            }
-            (Engine::Sequential, Method::Cg | Method::BiCgStab, _) => {
-                let mode = self.decide_mode(m);
-                let core: Core = match spec.method {
-                    Method::BiCgStab => run_bicgstab,
+            (Engine::Sequential, Method::Auto, _) => self.run_auto(a, pre, b, spec.pipeline),
+            (Engine::Sequential, method, pc) => {
+                // The paper extends its multi-kernel method with
+                // preconditioning (§III-C).
+                let mode = match pc {
+                    Some(_) => ExecutedMode::MultiKernel,
+                    None => self.decide_mode(m),
+                };
+                let core: Core = match method {
+                    Method::BiCgStab | Method::PBiCgStab => run_bicgstab,
                     _ if pipelined(mode) => run_cg_pipelined,
                     _ => run_cg,
                 };
-                return self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), core);
-            }
-            (Engine::Sequential, Method::Pcg(_), Some(pc)) => {
-                let core = if pipelined(ExecutedMode::MultiKernel) {
-                    run_pcg_pipelined
-                } else {
-                    run_pcg
-                };
-                return self.run_preconditioned(a, pre, b, pc, core);
-            }
-            (Engine::Sequential, Method::PBiCgStab, Some(pc)) => {
-                return self.run_preconditioned(a, pre, b, pc, run_pbicgstab)
+                self.run_core(pre, mode, b, pc, &mut SolverWorkspace::new(), core)
             }
             (Engine::Threaded { warps }, Method::Cg, _) => {
                 let opts = self.threaded_opts(warps);
@@ -643,21 +625,21 @@ impl MilleFeuille {
         pipeline: PipelineMode,
     ) -> SolveReport {
         let mode = self.decide_mode(&pre.tiled);
+        let run = |core| self.run_core(pre, mode, b, None, &mut SolverWorkspace::new(), core);
         if !mf_sparse::MatrixStats::compute(a).likely_spd() {
-            return self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), run_bicgstab);
+            return run(run_bicgstab);
         }
-        let core: Core = if self.decide_pipeline(&pre.tiled, mode, pipeline) {
+        let cg = run(if self.decide_pipeline(&pre.tiled, mode, pipeline) {
             run_cg_pipelined
         } else {
             run_cg
-        };
-        let cg = self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), core);
+        });
         let curvature_abort = cg.failure.is_some()
             && cg
                 .breakdowns
                 .iter()
                 .any(|e| e.kind == BreakdownKind::Curvature);
-        if !(curvature_abort && self.config.auto_switch_on_breakdown) {
+        if !curvature_abort {
             return cg;
         }
         let mut handoff = cg.breakdowns;
@@ -666,7 +648,7 @@ impl MilleFeuille {
             kind: BreakdownKind::Curvature,
             action: RecoveryAction::SwitchedSolver,
         });
-        let mut rep = self.run_core(a, pre, mode, b, &mut SolverWorkspace::new(), run_bicgstab);
+        let mut rep = run(run_bicgstab);
         handoff.extend(rep.breakdowns.iter().copied());
         rep.breakdowns = handoff;
         // The handoff report carries the full trajectory: CG's pre-switch
@@ -695,34 +677,36 @@ impl MilleFeuille {
         b: &[f64],
         ws: &mut SolverWorkspace,
     ) -> SolveReport {
-        self.run_core(a, pre, self.decide_mode(&pre.tiled), b, ws, run_cg)
+        let mode = self.decide_mode(&pre.tiled);
+        with_preprocessing(a, pre, self.run_core(pre, mode, b, None, ws, run_cg))
     }
 
-    /// The body every unpreconditioned sequential path shares: run `core`
-    /// on a fresh on-chip copy with the mode-matched coster and
-    /// partial-convergence state.
+    /// The body every sequential path shares: run `core`, preconditioned
+    /// by `pc` when given, on a fresh on-chip copy with the mode-matched
+    /// coster and partial-convergence state (disabled in multi-kernel
+    /// mode). The caller charges the preprocessing.
     fn run_core(
         &self,
-        a: &Csr,
         pre: &Preprocessed,
         mode: ExecutedMode,
         b: &[f64],
+        pc: Option<Precond<'_>>,
         ws: &mut SolverWorkspace,
         core: Core,
     ) -> SolveReport {
         let mut shared = SharedTiles::load(&pre.tiled);
         let mut partial = self.partial_state(&pre.tiled, b, mode);
         let coster = self.build_coster(&pre.tiled, mode);
-        let rep = core(
+        core(
             &pre.tiled,
             &mut shared,
+            pc,
             b,
             &self.config,
             &coster,
             &mut partial,
             ws,
-        );
-        with_preprocessing(a, pre, rep)
+        )
     }
 
     /// ILU(0)-PCG with caller-provided factors on an already-preprocessed
@@ -737,32 +721,8 @@ impl MilleFeuille {
         b: &[f64],
         ilu: &Ilu0,
     ) -> SolveReport {
-        self.run_preconditioned(a, pre, b, Precond::Ilu0(ilu), run_pcg)
-    }
-
-    /// The body every preconditioned sequential path shares: run `core`
-    /// with `M⁻¹ = pc` on a fresh on-chip copy and workspace, charged in
-    /// multi-kernel mode — the paper extends its multi-kernel method with
-    /// preconditioning (§III-C).
-    fn run_preconditioned(
-        &self,
-        a: &Csr,
-        pre: &Preprocessed,
-        b: &[f64],
-        pc: Precond<'_>,
-        core: PrecondCore,
-    ) -> SolveReport {
-        let mut shared = SharedTiles::load(&pre.tiled);
-        let mc = MultiCoster::new(self.cost(), a.nrows);
-        let rep = core(
-            &pre.tiled,
-            &mut shared,
-            pc,
-            b,
-            &self.config,
-            &mc,
-            &mut SolverWorkspace::new(),
-        );
+        let (mode, pc) = (ExecutedMode::MultiKernel, Some(Precond::Ilu0(ilu)));
+        let rep = self.run_core(pre, mode, b, pc, &mut SolverWorkspace::new(), run_cg);
         with_preprocessing(a, pre, rep)
     }
 
@@ -1346,21 +1306,6 @@ mod tests {
             .count();
         assert_eq!(switch, 1, "exactly one handoff event: {:?}", rep.breakdowns);
         assert_eq!(rep.status_label(), "converged");
-
-        // The knob turns the re-dispatch off: the failed CG report surfaces.
-        let pinned = MilleFeuille::new(
-            DeviceSpec::a100(),
-            SolverConfig {
-                auto_switch_on_breakdown: false,
-                ..SolverConfig::default()
-            },
-        );
-        let rep = pinned.solve(&a, &b, &SolveSpec::auto()).unwrap();
-        assert!(rep.failure.is_some());
-        assert!(!rep
-            .breakdowns
-            .iter()
-            .any(|e| e.action == RecoveryAction::SwitchedSolver));
     }
 
     /// Regression: the CG→BiCGSTAB re-dispatch used to preprocess the

@@ -1158,8 +1158,9 @@ pub fn run_cg_threaded(
 /// poison flag and watchdog polled in every spin (a wedged triangular
 /// dependency fails as [`SolveFailure::Wedged`], a panicking warp as
 /// [`SolveFailure::WarpPanic`]). Breakdown/restart semantics mirror the
-/// sequential `run_pcg` core: non-positive curvature restarts the
-/// direction from `p = z`, futile restarts abort as `Stalled`.
+/// sequential PCG core ([`crate::cg::run_cg`] with a preconditioner):
+/// non-positive curvature restarts the direction from `p = z`, futile
+/// restarts abort as `Stalled`.
 ///
 /// The same body as [`run_cg_threaded`], with the triangular solves
 /// combining each row's entries in CSR order exactly like the sequential
@@ -1359,8 +1360,9 @@ pub fn run_bicgstab_threaded(
 /// SpMVs per iteration, five barriers. The same body as
 /// [`run_bicgstab_threaded`], with the dependency-counter, poison and
 /// watchdog story of [`run_pcg_threaded`]; breakdown/restart semantics
-/// mirror the sequential `run_pbicgstab` core (ρ/ω restarts, `Stalled`
-/// abort after futile restarts). `opts.adaptive` is ignored.
+/// mirror the sequential PBiCGSTAB core ([`crate::bicgstab::run_bicgstab`]
+/// with a preconditioner: ρ/ω restarts, `Stalled` abort after futile
+/// restarts). `opts.adaptive` is ignored.
 ///
 /// # Panics
 ///
@@ -1775,7 +1777,8 @@ pub fn run_cg_pipelined_threaded(
 /// publishes `m = M⁻¹w` for the SpMV, one publishes the fused dot partials.
 /// The in-kernel SpTRSV, poison/watchdog and fault-injection machinery are
 /// identical to [`run_pcg_threaded`]; breakdown semantics mirror
-/// [`crate::pipelined::run_pcg_pipelined`]. `opts.adaptive` is ignored.
+/// [`crate::pipelined::run_cg_pipelined`] with a preconditioner.
+/// `opts.adaptive` is ignored.
 ///
 /// # Panics
 ///

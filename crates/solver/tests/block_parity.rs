@@ -69,6 +69,7 @@ fn single_solve(a: &Csr, cfg: &SolverConfig, b: &[f64]) -> mf_solver::SolveRepor
     run_cg(
         &m,
         &mut shared,
+        None,
         b,
         cfg,
         &coster,

@@ -8,8 +8,8 @@ use mf_solver::bicgstab::run_bicgstab;
 use mf_solver::coster::{Coster, SingleCoster};
 use mf_solver::partial::PartialState;
 use mf_solver::{
-    run_cg_pipelined, Method, MilleFeuille, PrecondKind, SolveReport, SolveSpec, SolverConfig,
-    SolverWorkspace,
+    run_cg_pipelined, Method, MilleFeuille, Precond, PrecondKind, SolveReport, SolveSpec,
+    SolverConfig, SolverWorkspace,
 };
 use mf_sparse::{Coo, Csr, TiledMatrix};
 
@@ -191,12 +191,13 @@ fn run_core(core: Core, a: &Csr, b: &[f64], ws: &mut SolverWorkspace) -> SolveRe
     let mut partial =
         PartialState::new(cfg.partial_convergence, m.tile_cols, cfg.tile_size, eps_abs);
     let mut shared = SharedTiles::load(&m);
-    core(&m, &mut shared, b, &cfg, &coster, &mut partial, ws)
+    core(&m, &mut shared, None, b, &cfg, &coster, &mut partial, ws)
 }
 
 type Core = fn(
     &TiledMatrix,
     &mut SharedTiles,
+    Option<Precond<'_>>,
     &[f64],
     &SolverConfig,
     &Coster,

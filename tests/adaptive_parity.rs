@@ -104,6 +104,7 @@ fn seq_classic(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> SolveReport {
     run_cg(
         m,
         &mut shared,
+        None,
         b,
         cfg,
         &coster,
@@ -120,6 +121,7 @@ fn seq_pipelined(m: &TiledMatrix, b: &[f64], cfg: &SolverConfig) -> SolveReport 
     run_cg_pipelined(
         m,
         &mut shared,
+        None,
         b,
         cfg,
         &coster,
