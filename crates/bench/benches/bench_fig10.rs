@@ -1,6 +1,6 @@
 //! Criterion companion to **Figure 10**: preconditioned solves — ILU(0)
-//! factorization, recursive-block vs level-scheduled preconditioner
-//! application, and the full PCG pipeline.
+//! factorization and the full PCG pipeline against the level-scheduled
+//! baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mf_baselines::Baseline;

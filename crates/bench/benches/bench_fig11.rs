@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
+use mf_precision::Precision;
 use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 use std::hint::black_box;
 
@@ -17,7 +18,7 @@ fn bench_mixed_vs_fp64(c: &mut Criterion) {
         for (label, mixed) in [("mixed", true), ("fp64_only", false)] {
             let cfg = SolverConfig {
                 fixed_iterations: Some(100),
-                mixed_precision: mixed,
+                uniform_precision: (!mixed).then_some(Precision::Fp64),
                 partial_convergence: mixed,
                 ..SolverConfig::default()
             };

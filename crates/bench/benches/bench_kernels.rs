@@ -1,11 +1,11 @@
 //! Criterion: real CPU wall time of the computational kernels — CSR vs
-//! tiled vs mixed-precision SpMV, BLAS-1, and SpTRSV variants.
+//! tiled vs mixed-precision SpMV, BLAS-1, SpTRSV and the ILU(0) apply.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mf_collection::{convdiff2d, poisson2d};
 use mf_kernels::{
-    blas1, ilu0, retrieve_vis_flags, spmv_csr, spmv_mixed, spmv_tiled, sptrsv_lower,
-    sptrsv_lower_recursive, SharedTiles, VisFlag,
+    blas1, ilu0, retrieve_vis_flags, spmv_csr, spmv_mixed, spmv_tiled, sptrsv_lower_into,
+    SharedTiles, VisFlag,
 };
 use mf_sparse::TiledMatrix;
 use std::hint::black_box;
@@ -61,21 +61,13 @@ fn bench_sptrsv(c: &mut Criterion) {
     let f = ilu0(&a).expect("ilu0");
     let b: Vec<f64> = (0..a.nrows).map(|i| (i as f64 * 0.1).sin()).collect();
 
+    let (mut y, mut z) = (vec![0.0; a.nrows], vec![0.0; a.nrows]);
     let mut g = c.benchmark_group("sptrsv");
-    g.bench_function("lower_plain", |bch| {
-        bch.iter(|| sptrsv_lower(black_box(&f.l), black_box(&b), true))
+    g.bench_function("lower_into", |bch| {
+        bch.iter(|| sptrsv_lower_into(black_box(&f.l), black_box(&b), &mut y, true))
     });
-    for leaf in [16usize, 64, 256] {
-        g.bench_with_input(
-            BenchmarkId::new("lower_recursive", leaf),
-            &leaf,
-            |bch, &leaf| {
-                bch.iter(|| sptrsv_lower_recursive(black_box(&f.l), black_box(&b), true, leaf))
-            },
-        );
-    }
-    g.bench_function("ilu_apply", |bch| {
-        bch.iter(|| f.apply_default(black_box(&b)))
+    g.bench_function("ilu_apply_into", |bch| {
+        bch.iter(|| f.apply_into(black_box(&b), &mut y, &mut z))
     });
     g.finish();
 }

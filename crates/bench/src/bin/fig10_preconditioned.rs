@@ -1,9 +1,10 @@
 //! **Figure 10**: ILU(0)-preconditioned CG and BiCGSTAB vs the vendor
 //! baselines on both devices, 100 iterations.
 //!
-//! Mille-feuille applies the preconditioner with the recursive-block SpTRSV
-//! (ref. \[41\]); the baselines use level-scheduled SpSV (cusparseSpSV-style),
-//! which is what drives the large speedups on banded/blocky matrices.
+//! Mille-feuille's preconditioner application is modeled as the
+//! recursive-block SpTRSV (ref. \[41\]); the baselines are modeled as
+//! level-scheduled SpSV (cusparseSpSV-style), which is what drives the large
+//! speedups on banded/blocky matrices.
 //!
 //! Paper reference numbers (geometric mean, max):
 //!   PCG:       3.82× / 40.38× (A100)   3.47× / 47.75× (MI210)

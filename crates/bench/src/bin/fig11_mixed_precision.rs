@@ -41,9 +41,7 @@ fn main() {
             };
             let fp64_cfg = SolverConfig {
                 fixed_iterations: Some(iters),
-                mixed_precision: false,
-                partial_convergence: false,
-                ..SolverConfig::default()
+                ..SolverConfig::fp64_only()
             };
             let run = |cfg: SolverConfig| {
                 let solver = MilleFeuille::new(device.clone(), cfg);

@@ -9,6 +9,7 @@ use mf_baselines::Baseline;
 use mf_bench::{harness::paper_rhs, write_csv, Table};
 use mf_collection::{named_matrix, SolverKind};
 use mf_gpu::DeviceSpec;
+use mf_precision::Precision;
 use mf_solver::{Method, MilleFeuille, SolveSpec, SolverConfig};
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
 
         let traced = |mixed: bool| -> Vec<f64> {
             let cfg = SolverConfig {
-                mixed_precision: mixed,
+                uniform_precision: (!mixed).then_some(Precision::Fp64),
                 partial_convergence: mixed,
                 trace_residuals: true,
                 max_iter: 3000,

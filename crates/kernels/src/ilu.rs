@@ -5,27 +5,14 @@
 //!   `U` is upper triangular with the diagonal stored.
 //! * [`ic0`] — IC(0): `A ≈ L·Lᵀ` for symmetric positive-definite matrices.
 //!
-//! Applying the preconditioner (`M z = r`) is two triangular solves, which
-//! the solvers run through the recursive-block SpTRSV of [`crate::sptrsv`]:
-//! one O(nnz) pass per solve, bitwise the recursion's result, with no
-//! per-factor plan stored beside `L` and `U`.
+//! Applying the preconditioner (`M z = r`) is two triangular solves by
+//! plain substitution ([`crate::sptrsv`]): [`Ilu0::apply_into`] and
+//! [`Ic0::apply_into`] are what every solver runs. The paper's
+//! recursive-block schedule for them exists only in the cost model, priced
+//! from [`crate::RecursiveTrsvStats::of`].
 
-use crate::sptrsv::{
-    sptrsv_lower, sptrsv_lower_recursive_into, sptrsv_upper, sptrsv_upper_recursive_into,
-    RecursiveTrsvStats, DEFAULT_TRSV_LEAF,
-};
+use crate::sptrsv::{sptrsv_lower_into, sptrsv_upper_into};
 use mf_sparse::Csr;
-
-/// Merges the statistics of a forward + backward recursive solve pair.
-fn combine_trsv(s1: RecursiveTrsvStats, s2: RecursiveTrsvStats) -> RecursiveTrsvStats {
-    RecursiveTrsvStats {
-        leaves: s1.leaves + s2.leaves,
-        max_leaf_rows: s1.max_leaf_rows.max(s2.max_leaf_rows),
-        spmv_nnz: s1.spmv_nnz + s2.spmv_nnz,
-        trsv_nnz: s1.trsv_nnz + s2.trsv_nnz,
-        depth: s1.depth.max(s2.depth),
-    }
-}
 
 /// An ILU(0) factorization `A ≈ L U`.
 #[derive(Clone, Debug)]
@@ -402,41 +389,34 @@ fn rows_to_csr(n: usize, rows: &[Vec<(usize, f64)>]) -> Csr {
 }
 
 impl Ilu0 {
-    /// Applies the preconditioner: solves `L U z = r` with plain
-    /// substitution (oracle path).
+    /// Applies the preconditioner: solves `L U z = r` by plain
+    /// substitution.
     pub fn apply(&self, r: &[f64]) -> Vec<f64> {
-        let y = sptrsv_lower(&self.l, r, true);
-        sptrsv_upper(&self.u, &y, false)
+        let (mut y, mut z) = (vec![0.0; r.len()], vec![0.0; r.len()]);
+        self.apply_into(r, &mut y, &mut z);
+        z
     }
 
-    /// Applies the preconditioner with the recursive-block SpTRSV (the path
-    /// Mille-feuille uses, §III-C). Returns `z` and the combined SpTRSV
-    /// statistics of both solves for the cost model.
-    pub fn apply_recursive(&self, r: &[f64], leaf: usize) -> (Vec<f64>, RecursiveTrsvStats) {
-        let mut y = vec![0.0; r.len()];
-        let mut z = vec![0.0; r.len()];
-        let stats = self.apply_recursive_into(r, leaf, &mut y, &mut z);
-        (z, stats)
+    /// In-place [`Self::apply`]: solves `L y = r` into `scratch`, then
+    /// `U z = y` into `z`. Allocation-free, so the solver loops reuse
+    /// workspace buffers across iterations.
+    pub fn apply_into(&self, r: &[f64], scratch: &mut [f64], z: &mut [f64]) {
+        sptrsv_lower_into(&self.l, r, scratch, true);
+        sptrsv_upper_into(&self.u, scratch, z, false);
     }
 
-    /// In-place [`Self::apply_recursive`]: `scratch` holds the intermediate
-    /// `y` of `L y = r`, `z` receives the solution. Allocation-free, so the
-    /// solver loops can reuse workspace buffers across iterations.
+    /// Forwards to [`Self::apply_into`]. It is kept only because mfbench's
+    /// `kernels.ilu_apply_us` probe calls it, and mfbench changes only
+    /// with the benchmark. `leaf` is unused: the recursive-block leaf size
+    /// affects modeled cost only.
     pub fn apply_recursive_into(
         &self,
         r: &[f64],
-        leaf: usize,
+        _leaf: usize,
         scratch: &mut [f64],
         z: &mut [f64],
-    ) -> RecursiveTrsvStats {
-        let s1 = sptrsv_lower_recursive_into(&self.l, r, scratch, true, leaf);
-        let s2 = sptrsv_upper_recursive_into(&self.u, scratch, z, false, leaf);
-        combine_trsv(s1, s2)
-    }
-
-    /// Applies with the default leaf size.
-    pub fn apply_default(&self, r: &[f64]) -> Vec<f64> {
-        self.apply_recursive(r, DEFAULT_TRSV_LEAF).0
+    ) {
+        self.apply_into(r, scratch, z);
     }
 
     /// Total stored nonzeros of both factors.
@@ -493,29 +473,15 @@ impl Ic0 {
 
     /// Applies the preconditioner: solves `L Lᵀ z = r` by substitution.
     pub fn apply(&self, r: &[f64]) -> Vec<f64> {
-        let y = sptrsv_lower(&self.l, r, false);
-        sptrsv_upper(&self.lt, &y, false)
+        let (mut y, mut z) = (vec![0.0; r.len()], vec![0.0; r.len()]);
+        self.apply_into(r, &mut y, &mut z);
+        z
     }
 
-    /// Applies with the recursive-block SpTRSV, returning combined stats.
-    pub fn apply_recursive(&self, r: &[f64], leaf: usize) -> (Vec<f64>, RecursiveTrsvStats) {
-        let mut y = vec![0.0; r.len()];
-        let mut z = vec![0.0; r.len()];
-        let stats = self.apply_recursive_into(r, leaf, &mut y, &mut z);
-        (z, stats)
-    }
-
-    /// In-place [`Self::apply_recursive`] (see [`Ilu0::apply_recursive_into`]).
-    pub fn apply_recursive_into(
-        &self,
-        r: &[f64],
-        leaf: usize,
-        scratch: &mut [f64],
-        z: &mut [f64],
-    ) -> RecursiveTrsvStats {
-        let s1 = sptrsv_lower_recursive_into(&self.l, r, scratch, false, leaf);
-        let s2 = sptrsv_upper_recursive_into(&self.lt, scratch, z, false, leaf);
-        combine_trsv(s1, s2)
+    /// In-place [`Self::apply`] (see [`Ilu0::apply_into`]).
+    pub fn apply_into(&self, r: &[f64], scratch: &mut [f64], z: &mut [f64]) {
+        sptrsv_lower_into(&self.l, r, scratch, false);
+        sptrsv_upper_into(&self.lt, scratch, z, false);
     }
 
     /// Total stored nonzeros of both factor copies.
@@ -779,23 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn ilu0_apply_recursive_matches_plain() {
-        let a = nonsym(60);
-        let f = ilu0(&a).unwrap();
-        let b: Vec<f64> = (0..60).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let plain = f.apply(&b);
-        for leaf in [1, 4, 16, 64] {
-            let (rec, stats) = f.apply_recursive(&b, leaf);
-            for i in 0..60 {
-                assert!((plain[i] - rec[i]).abs() < 1e-10 * plain[i].abs().max(1.0));
-            }
-            assert!(stats.leaves >= 2);
-        }
-        let d = f.apply_default(&b);
-        assert_eq!(d.len(), 60);
-    }
-
-    #[test]
     fn ilu0_zero_pivot_detected() {
         let mut a = Coo::new(2, 2);
         a.push(0, 1, 1.0);
@@ -841,12 +790,6 @@ mod tests {
         for i in 0..25 {
             assert!((r[i] - b[i]).abs() < 1e-10);
         }
-        // Recursive application agrees.
-        let (z2, stats) = ic.apply_recursive(&b, 4);
-        for i in 0..25 {
-            assert!((z[i] - z2[i]).abs() < 1e-10);
-        }
-        assert!(stats.leaves >= 2);
         assert_eq!(ic.nnz(), ic.l.nnz() * 2);
     }
 

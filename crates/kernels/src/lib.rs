@@ -14,9 +14,9 @@
 //!   layer, bitwise identical per column to the single-vector kernels.
 //! * [`visflag`] — the convergent-elements retrieval of paper Algorithm 4
 //!   producing the per-column-segment `vis_flag` demands.
-//! * [`sptrsv`] — sparse triangular solves: naive, level-scheduled analysis,
-//!   and the recursive-block algorithm (paper §III-C, ref. \[41\]) used by the
-//!   preconditioned solvers.
+//! * [`sptrsv`] — sparse triangular solves by plain substitution, plus the
+//!   level-schedule analysis and the recursive-block work statistics (paper
+//!   §III-C, ref. \[41\]) the cost model prices them by.
 //! * [`ilu`] — ILU(0) and IC(0) factorizations for the PCG/PBiCGSTAB
 //!   variants.
 
@@ -37,8 +37,7 @@ pub use ilu::{
 pub use spmm::{axpy_block, col, col_mut, dot_block, spmm_mixed, xpay_block};
 pub use spmv::{spmv_csr, spmv_mixed, spmv_mixed_par, spmv_tiled, MixedSpmvStats, SharedTiles};
 pub use sptrsv::{
-    level_schedule, sptrsv_lower, sptrsv_lower_into, sptrsv_lower_recursive,
-    sptrsv_lower_recursive_into, sptrsv_upper, sptrsv_upper_into, sptrsv_upper_recursive,
-    sptrsv_upper_recursive_into, LevelSchedule, RecursiveTrsvStats,
+    level_schedule, sptrsv_lower, sptrsv_lower_into, sptrsv_upper, sptrsv_upper_into,
+    LevelSchedule, RecursiveTrsvStats,
 };
 pub use visflag::{retrieve_vis_flags, VisFlag};

@@ -2,27 +2,25 @@
 //!
 //! The preconditioned solvers (paper §III-C last paragraph, §IV-C) apply
 //! `M z = r` with `M = L U` from ILU(0), which needs two triangular solves
-//! per iteration. Three algorithms are provided:
+//! per iteration. The host runs one order:
 //!
-//! * [`sptrsv_lower`] / [`sptrsv_upper`] — plain substitution (the oracle).
-//! * [`level_schedule`] — dependency-level analysis; the number of levels is
-//!   what makes SpTRSV latency-bound on GPUs and is fed to the cost model.
-//! * [`sptrsv_lower_recursive`] / [`sptrsv_upper_recursive`] — the
-//!   **recursive block algorithm** (ref. \[41\]) the paper uses: a triangular
-//!   matrix is split into two smaller triangles and one square block; the
-//!   square block is applied with SpMV (parallel-friendly), recursing into
-//!   the triangles. §IV-C credits this for the large PCG/PBiCGSTAB speedups
-//!   on matrices with high-parallelism blocks.
+//! * [`sptrsv_lower`] / [`sptrsv_upper`] and their allocation-free `_into`
+//!   forms — plain substitution, each row's entries combined in CSR order.
+//!   Every engine solves with it: the sequential cores and the serving
+//!   layer through `Ilu0::apply_into` / `Ic0::apply_into`, the threaded
+//!   engines row by row in the same order.
 //!
-//! On the host the recursion runs as one O(nnz) pass. Only the O(n / leaf)
-//! nodes of the halving tree are walked; each leaf row is scanned once and
-//! takes its ancestors' square-block sums in the recursion's order, each
-//! summed in CSR order from `0.0`. Skipping a block with no entries is
-//! exact, because the recursion subtracts `+0.0` there and `x − (+0.0)` is
-//! `x` for every `x`. So `x` and [`RecursiveTrsvStats`] are bitwise those of
-//! the recursion, which rescanned every row at every level
-//! (nnz · log₂(n / leaf)). The equality relies on sorted columns, the
-//! [`Csr`] invariant.
+//! Two analyses feed the cost model:
+//!
+//! * [`level_schedule`] — dependency levels; their number is what makes
+//!   SpTRSV latency-bound on GPUs.
+//! * [`RecursiveTrsvStats::of`] — the work split of the **recursive block
+//!   algorithm** (ref. \[41\]) the paper runs on the GPU: a triangle is split
+//!   into two smaller triangles and one square block, the square block is
+//!   applied with SpMV (parallel-friendly), and the triangles recurse. It is
+//!   a schedule, not different numerics, so it is priced from these
+//!   statistics and never executed on the host, as with the Algorithm-3
+//!   `d_s` SpMV hand-off.
 
 use mf_sparse::Csr;
 
@@ -133,6 +131,9 @@ pub fn level_schedule(t: &Csr, lower: bool) -> LevelSchedule {
     }
 }
 
+/// Default leaf size of the recursive algorithm.
+pub const DEFAULT_TRSV_LEAF: usize = 64;
+
 /// Work statistics of a recursive-block triangular solve, consumed by the
 /// cost model (the square-block SpMV part is parallel, the leaf part is
 /// level-bound only within each leaf).
@@ -150,194 +151,63 @@ pub struct RecursiveTrsvStats {
     pub depth: usize,
 }
 
-/// Default leaf size of the recursive algorithm.
-pub const DEFAULT_TRSV_LEAF: usize = 64;
-
-/// Recursive-block forward solve `L x = b` (ref. \[41\]).
-pub fn sptrsv_lower_recursive(
-    l: &Csr,
-    b: &[f64],
-    unit_diag: bool,
-    leaf: usize,
-) -> (Vec<f64>, RecursiveTrsvStats) {
-    let mut x = vec![0.0; l.nrows];
-    let stats = sptrsv_lower_recursive_into(l, b, &mut x, unit_diag, leaf);
-    (x, stats)
-}
-
-/// In-place [`sptrsv_lower_recursive`]: the solution lands in `x`
-/// (length `l.nrows`) without allocating. A `leaf` of 0 is treated as 1.
-///
-/// Row `r` of leaf `[lo, hi)` takes one square-block update from every
-/// ancestor whose right half holds it: the sum of its entries in that
-/// block's columns `[lo', mid)`, in CSR order from `0.0`. Top-down these
-/// ranges tile `[0, lo)` in ascending order, so with sorted columns the
-/// row's entries meet them in order and one scan flushes each sum into
-/// `x[r]` as it crosses a split point. Unsorted rows still solve
-/// correctly but group the sums differently.
-pub fn sptrsv_lower_recursive_into(
-    l: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    unit_diag: bool,
-    leaf: usize,
-) -> RecursiveTrsvStats {
-    assert_eq!(l.nrows, l.ncols);
-    assert_eq!(b.len(), l.nrows);
-    assert_eq!(x.len(), l.nrows);
-    x.copy_from_slice(b);
-    walk_leaves(l.nrows, leaf, true, |lo, hi, splits| {
-        let (mut spmv, mut trsv) = (0, 0);
-        for r in lo..hi {
-            let (mut xr, mut block, mut sum, mut k) = (x[r], 0.0, 0.0, 0);
-            let mut diag = if unit_diag { 1.0 } else { 0.0 };
-            for (c, v) in l.row(r) {
-                if c < lo {
-                    // `splits` ascend to `lo`, so this loop stops in bounds.
-                    while c >= splits[k] {
-                        xr -= block;
-                        block = 0.0;
-                        k += 1;
+impl RecursiveTrsvStats {
+    /// The statistics the recursive-block solve of ref. \[41\] would
+    /// record on `t` (lower triangle when `lower`, else upper) with leaves
+    /// of at most `leaf` rows; a `leaf` of 0 is treated as 1, since a 0-row
+    /// leaf could never end the halving. They depend only on the structure:
+    /// a dependency entry counts as leaf work when its column lies in its
+    /// row's leaf and as square-block SpMV work otherwise. One counting
+    /// pass over the entries, after a walk of the halving tree's
+    /// O(n / leaf) nodes.
+    pub fn of(t: &Csr, lower: bool, leaf: usize) -> RecursiveTrsvStats {
+        let mut stats = RecursiveTrsvStats::default();
+        let mut starts = Vec::new();
+        if t.nrows > 0 {
+            halve(0, t.nrows, leaf.max(1), 1, &mut stats, &mut starts);
+        }
+        starts.push(t.nrows);
+        let mut k = 0;
+        for r in 0..t.nrows {
+            if r == starts[k + 1] {
+                k += 1;
+            }
+            let leaf_cols = starts[k]..starts[k + 1];
+            for &c in &t.colidx[t.rowptr[r]..t.rowptr[r + 1]] {
+                if (lower && c < r) || (!lower && c > r) {
+                    if leaf_cols.contains(&c) {
+                        stats.trsv_nnz += 1;
+                    } else {
+                        stats.spmv_nnz += 1;
                     }
-                    block += v * x[c];
-                    spmv += 1;
-                } else if c < r {
-                    sum += v * x[c];
-                    trsv += 1;
-                } else if c == r && !unit_diag {
-                    diag = v;
                 }
             }
-            debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-            x[r] = (xr - block - sum) / diag;
         }
-        (spmv, trsv)
-    })
+        stats
+    }
 }
 
-/// Recursive-block backward solve `U x = b`.
-pub fn sptrsv_upper_recursive(
-    u: &Csr,
-    b: &[f64],
-    unit_diag: bool,
+/// Splits rows `[lo, hi)` in halves down to leaves of at most `leaf` rows,
+/// recording the tree's shape in `stats` and each leaf's first row, in
+/// ascending order, in `starts`.
+fn halve(
+    lo: usize,
+    hi: usize,
     leaf: usize,
-) -> (Vec<f64>, RecursiveTrsvStats) {
-    let mut x = vec![0.0; u.nrows];
-    let stats = sptrsv_upper_recursive_into(u, b, &mut x, unit_diag, leaf);
-    (x, stats)
-}
-
-/// In-place [`sptrsv_upper_recursive`]: the solution lands in `x`
-/// (length `u.nrows`) without allocating. A `leaf` of 0 is treated as 1.
-///
-/// The mirror of [`sptrsv_lower_recursive_into`]: leaves run right to left
-/// and row `r`'s ancestor blocks tile `[hi, n)` top-down in *descending*
-/// column order, which a CSR scan meets last-first. The scan therefore
-/// keeps one running sum per block (resumed if an unsorted row returns to
-/// a block) and subtracts them top-down after the row.
-pub fn sptrsv_upper_recursive_into(
-    u: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    unit_diag: bool,
-    leaf: usize,
-) -> RecursiveTrsvStats {
-    assert_eq!(u.nrows, u.ncols);
-    assert_eq!(b.len(), u.nrows);
-    assert_eq!(x.len(), u.nrows);
-    x.copy_from_slice(b);
-    let mut blocks = [0.0; MAX_SPLITS];
-    walk_leaves(u.nrows, leaf, false, |lo, hi, splits| {
-        let (mut spmv, mut trsv) = (0, 0);
-        for r in (lo..hi).rev() {
-            let (mut run, mut sum, mut k) = (0.0, 0.0, 0);
-            let mut diag = if unit_diag { 1.0 } else { 0.0 };
-            for (c, v) in u.row(r) {
-                if c >= hi {
-                    // Block k holds columns [splits[k], splits[k - 1]).
-                    if c < splits[k] || (k > 0 && c >= splits[k - 1]) {
-                        blocks[k] = run;
-                        k = splits.partition_point(|&s| s > c);
-                        run = blocks[k];
-                    }
-                    run += v * x[c];
-                    spmv += 1;
-                } else if c > r {
-                    sum += v * x[c];
-                    trsv += 1;
-                } else if c == r && !unit_diag {
-                    diag = v;
-                }
-            }
-            blocks[k] = run;
-            let mut xr = x[r];
-            for block in &mut blocks[..splits.len()] {
-                xr -= std::mem::take(block);
-            }
-            debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-            x[r] = (xr - sum) / diag;
-        }
-        (spmv, trsv)
-    })
-}
-
-/// Split points on one root-to-leaf path: each split halves a block of at
-/// least two rows, so no path holds more than `usize::BITS` of them.
-const MAX_SPLITS: usize = usize::BITS as usize;
-
-/// Walks the halving tree of ref. \[41\] over `n` rows and calls
-/// `solve(lo, hi, splits)` on each leaf in solve order: left to right for
-/// the forward solve (`lower`), right to left for the backward one.
-/// `splits` are the midpoints of the ancestors whose square block updates
-/// the leaf's rows, top-down; `solve` returns the entries it applied in
-/// those blocks and in the leaf. Only the O(n / leaf) tree nodes are
-/// visited, so with a one-pass `solve` the whole apply is O(nnz).
-fn walk_leaves(
-    n: usize,
-    leaf: usize,
-    lower: bool,
-    solve: impl FnMut(usize, usize, &[usize]) -> (usize, usize),
-) -> RecursiveTrsvStats {
-    struct Tree<F> {
-        leaf: usize,
-        lower: bool,
-        splits: [usize; MAX_SPLITS],
-        stats: RecursiveTrsvStats,
-        solve: F,
+    depth: usize,
+    stats: &mut RecursiveTrsvStats,
+    starts: &mut Vec<usize>,
+) {
+    stats.depth = stats.depth.max(depth);
+    if hi - lo <= leaf {
+        stats.leaves += 1;
+        stats.max_leaf_rows = stats.max_leaf_rows.max(hi - lo);
+        starts.push(lo);
+        return;
     }
-    impl<F: FnMut(usize, usize, &[usize]) -> (usize, usize)> Tree<F> {
-        fn walk(&mut self, lo: usize, hi: usize, depth: usize, k: usize) {
-            self.stats.depth = self.stats.depth.max(depth);
-            if hi - lo <= self.leaf {
-                let (spmv, trsv) = (self.solve)(lo, hi, &self.splits[..k]);
-                self.stats.leaves += 1;
-                self.stats.max_leaf_rows = self.stats.max_leaf_rows.max(hi - lo);
-                self.stats.spmv_nnz += spmv;
-                self.stats.trsv_nnz += trsv;
-                return;
-            }
-            let mid = lo + (hi - lo) / 2;
-            let (first, second) = if self.lower {
-                ((lo, mid), (mid, hi))
-            } else {
-                ((mid, hi), (lo, mid))
-            };
-            self.walk(first.0, first.1, depth + 1, k);
-            self.splits[k] = mid;
-            self.walk(second.0, second.1, depth + 1, k + 1);
-        }
-    }
-    let mut tree = Tree {
-        leaf: leaf.max(1),
-        lower,
-        splits: [0; MAX_SPLITS],
-        stats: RecursiveTrsvStats::default(),
-        solve,
-    };
-    if n > 0 {
-        tree.walk(0, n, 1, 0);
-    }
-    tree.stats
+    let mid = lo + (hi - lo) / 2;
+    halve(lo, mid, leaf, depth + 1, stats, starts);
+    halve(mid, hi, leaf, depth + 1, stats, starts);
 }
 
 #[cfg(test)]
@@ -465,59 +335,18 @@ mod tests {
     }
 
     #[test]
-    fn recursive_matches_plain_lower() {
-        for leaf in [1, 2, 8, 64] {
-            let l = random_lower(100, 400);
-            let b: Vec<f64> = (0..100).map(|i| ((i * i) % 17) as f64 - 8.0).collect();
-            let plain = sptrsv_lower(&l, &b, false);
-            let (rec, stats) = sptrsv_lower_recursive(&l, &b, false, leaf);
-            for i in 0..100 {
-                assert!(
-                    (plain[i] - rec[i]).abs() < 1e-10 * plain[i].abs().max(1.0),
-                    "leaf {leaf} row {i}"
-                );
-            }
-            assert!(stats.leaves >= 1);
-            assert!(stats.max_leaf_rows <= leaf.max(1));
-        }
-    }
-
-    #[test]
-    fn recursive_matches_plain_upper() {
-        for leaf in [1, 4, 32] {
-            let u = random_lower(80, 300).transpose();
-            let b: Vec<f64> = (0..80).map(|i| (i as f64 * 0.3).sin()).collect();
-            let plain = sptrsv_upper(&u, &b, false);
-            let (rec, _) = sptrsv_upper_recursive(&u, &b, false, leaf);
-            for i in 0..80 {
-                assert!(
-                    (plain[i] - rec[i]).abs() < 1e-10 * plain[i].abs().max(1.0),
-                    "leaf {leaf} row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn recursive_stats_account_all_offdiag_nnz() {
         let l = random_lower(64, 200);
-        let b = vec![1.0; 64];
-        let (_, stats) = sptrsv_lower_recursive(&l, &b, false, 8);
+        let stats = RecursiveTrsvStats::of(&l, true, 8);
         // Every strictly-lower nonzero is consumed exactly once, either in a
         // leaf or in a square-block SpMV.
         let strict_lower = l.nnz() - 64; // diagonal entries excluded
         assert_eq!(stats.spmv_nnz + stats.trsv_nnz, strict_lower);
         assert!(stats.spmv_nnz > 0, "recursion must offload work to SpMV");
         assert!(stats.depth > 1);
-    }
-
-    #[test]
-    fn recursive_unit_diag() {
-        let mut a = Coo::new(3, 3);
-        a.push(1, 0, 2.0);
-        a.push(2, 1, 3.0);
-        let (x, _) = sptrsv_lower_recursive(&a.to_csr(), &[1.0, 0.0, 0.0], true, 1);
-        assert_eq!(x, vec![1.0, -2.0, 6.0]);
+        assert_eq!((stats.leaves, stats.max_leaf_rows), (8, 8));
+        // The upper solve of the transpose splits the same entries.
+        assert_eq!(RecursiveTrsvStats::of(&l.transpose(), false, 8), stats);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use mf_kernels::{
     blas1, ilu0, level_schedule, spmv_csr, spmv_mixed, spmv_mixed_par, spmv_tiled, sptrsv_lower,
-    sptrsv_lower_recursive, sptrsv_upper, sptrsv_upper_recursive, SharedTiles, VisFlag,
+    SharedTiles, VisFlag,
 };
 use mf_precision::{ClassifyOptions, Precision};
 use mf_sparse::{Coo, Csr, TiledMatrix};
@@ -153,22 +153,6 @@ proptest! {
         }
     }
 
-    /// Recursive and plain solves agree at arbitrary leaf sizes, both ways.
-    #[test]
-    fn recursive_solves_agree(a in coo_strategy(60, 250), leaf in 1usize..80) {
-        let l = a.lower_triangle();
-        let u = a.upper_triangle();
-        let b: Vec<f64> = (0..l.nrows).map(|i| (i as f64 * 0.37).sin()).collect();
-        let p1 = sptrsv_lower(&l, &b, false);
-        let (r1, _) = sptrsv_lower_recursive(&l, &b, false, leaf);
-        let p2 = sptrsv_upper(&u, &b, false);
-        let (r2, _) = sptrsv_upper_recursive(&u, &b, false, leaf);
-        for i in 0..l.nrows {
-            prop_assert!((p1[i] - r1[i]).abs() < 1e-9 * p1[i].abs().max(1.0));
-            prop_assert!((p2[i] - r2[i]).abs() < 1e-9 * p2[i].abs().max(1.0));
-        }
-    }
-
     /// ILU(0) preconditioning: applying M⁻¹ never produces NaN on dominant
     /// systems, and M⁻¹·(A·x) ≈ x for tridiagonal-like patterns where the
     /// factorization is exact.
@@ -178,10 +162,6 @@ proptest! {
         let b: Vec<f64> = (0..a.nrows).map(|i| (i as f64).cos()).collect();
         let z = f.apply(&b);
         prop_assert!(z.iter().all(|v| v.is_finite()));
-        let (z2, _) = f.apply_recursive(&b, 16);
-        for i in 0..a.nrows {
-            prop_assert!((z[i] - z2[i]).abs() < 1e-9 * z[i].abs().max(1.0));
-        }
     }
 
     /// Level schedules are valid topological orders: every dependency of a

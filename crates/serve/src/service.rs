@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use mf_gpu::DeviceSpec;
 use mf_kernels::SharedTiles;
-use mf_solver::block::{run_cg_block_ws, BlockOptions, BlockWorkspace, ColumnStatus};
+use mf_solver::block::{run_cg_block_ws, BlockWorkspace, ColumnStatus};
 use mf_solver::{MilleFeuille, SolveReport, SolverConfig, SolverWorkspace};
 use mf_sparse::Csr;
 use mf_trace::Trace;
@@ -31,8 +31,6 @@ pub struct ServeConfig {
     pub solver: SolverConfig,
     /// Preprocessing-cache sizing and admission knobs.
     pub cache: CacheConfig,
-    /// Blocked-CG tuning (spread detach).
-    pub block: BlockOptions,
     /// Also factor ILU(0) during preparation and serve single solves
     /// through the preconditioned path. The factors are cached with the
     /// tiled matrix, so warm preconditioned solves skip both the
@@ -48,7 +46,6 @@ impl Default for ServeConfig {
             device: DeviceSpec::a100(),
             solver: SolverConfig::default(),
             cache: CacheConfig::default(),
-            block: BlockOptions::default(),
             precondition: false,
             max_batch: 32,
         }
@@ -245,7 +242,6 @@ impl SolveService {
                 &b,
                 k,
                 &self.batch_cfg,
-                &self.config.block,
                 &coster,
                 &mut bws,
             );
@@ -291,7 +287,6 @@ impl SolveService {
             b,
             1,
             &self.batch_cfg,
-            &self.config.block,
             &coster,
             &mut ws,
         );

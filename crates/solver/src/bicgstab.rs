@@ -16,7 +16,7 @@ use crate::partial::PartialState;
 use crate::precond::{applied, Bound, Precond};
 use crate::report::{converges, drive, BreakdownKind, Direction, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
-use mf_kernels::{blas1, RecursiveTrsvStats, SharedTiles};
+use mf_kernels::{blas1, SharedTiles};
 use mf_sparse::TiledMatrix;
 use std::convert::Infallible;
 
@@ -86,10 +86,9 @@ pub fn run_bicgstab(
         |j, _| {
             // p̂ = M⁻¹p; µ = A·p̂ (first SpMV, flags from its input).
             led.stamp(j, 1); // PBICGSTAB_STEPS[1] = "spmv_v"
-            let st_p = match &pc {
-                Some(pc) => pc.apply(&mut led.tl, p, y, phat),
-                None => RecursiveTrsvStats::default(),
-            };
+            if let Some(pc) = &pc {
+                pc.apply(&mut led.tl, p, y, phat);
+            }
             partial.update(applied(&pc, p, phat));
             if partial.enabled() {
                 coster.visflag_scan(&mut led.tl);
@@ -121,18 +120,14 @@ pub fn run_bicgstab(
                 let tl = &mut led.tl;
                 coster.axpy(tl, 1);
                 if let Some(pc) = &pc {
-                    pc.charge(tl, &st_p);
+                    pc.charge(tl);
                 }
                 coster.spmv(tl, m, shared, &partial.vis_flags, &st1);
-                // PBiCGSTAB charges a readback for the first dot of each
-                // pair too, where the iteration it stands for has one per
-                // pair.
-                let first_to_host = pc.is_some();
-                coster.dot(tl, first_to_host);
+                coster.dot(tl, false);
                 coster.dot(tl, true);
                 coster.axpy(tl, 2);
                 coster.axpy(tl, 1);
-                coster.dot(tl, first_to_host);
+                coster.dot(tl, false);
                 coster.dot(tl, true);
                 coster.axpy(tl, 1);
                 coster.iteration_end(tl);

@@ -17,7 +17,7 @@
 //!   is final, the SpMM skips it) while the rest keep iterating;
 //! * **detached** — the column hit a breakdown (non-SPD curvature,
 //!   non-finite scalar) or its residual diverged from the batch by more
-//!   than [`BlockOptions::spread_detach_ratio`]: the blocked core does not
+//!   than `SPREAD_DETACH_RATIO` (10⁸): the blocked core does not
 //!   replicate the single-RHS restart machinery, it hands the column back
 //!   for an individual [`crate::cg::run_cg`] solve (which the serving
 //!   layer performs automatically — and which is itself bitwise what a
@@ -30,27 +30,15 @@ use mf_kernels::spmm::{axpy_block, col, col_mut, dot_block};
 use mf_kernels::{blas1, spmm_mixed, MixedSpmvStats, SharedTiles, VisFlag};
 use mf_sparse::TiledMatrix;
 
-/// Tuning knobs of the blocked core that have no single-RHS counterpart.
-#[derive(Clone, Copy, Debug)]
-pub struct BlockOptions {
-    /// Detach a column whose relative residual exceeds the best *active*
-    /// column's by this factor (the batch would otherwise burn shared SpMM
-    /// passes pacing a straggler). `f64::INFINITY` disables spread detach.
-    pub spread_detach_ratio: f64,
-    /// Grace period: spread detach only fires after this many iterations,
-    /// so transient early-iteration spread doesn't eject columns that
-    /// would have tracked the batch fine.
-    pub spread_detach_after: usize,
-}
+/// Detach a column whose relative residual exceeds the best *active*
+/// column's by this factor (the batch would otherwise burn shared SpMM
+/// passes pacing a straggler).
+const SPREAD_DETACH_RATIO: f64 = 1e8;
 
-impl Default for BlockOptions {
-    fn default() -> BlockOptions {
-        BlockOptions {
-            spread_detach_ratio: 1e8,
-            spread_detach_after: 32,
-        }
-    }
-}
+/// Grace period: spread detach only fires after this many iterations, so
+/// transient early-iteration spread doesn't eject columns that would have
+/// tracked the batch fine.
+const SPREAD_DETACH_AFTER: usize = 32;
 
 /// Why a column left the lockstep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,14 +153,12 @@ impl BlockWorkspace {
 /// # Panics
 ///
 /// If `m` is not square, `k` is 0 or `b.len() != m.nrows * k`.
-#[allow(clippy::too_many_arguments)]
 pub fn run_cg_block_ws(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
     b: &[f64],
     k: usize,
     cfg: &SolverConfig,
-    opts: &BlockOptions,
     coster: &Coster,
     ws: &mut BlockWorkspace,
 ) -> BlockResult {
@@ -292,9 +278,9 @@ pub fn run_cg_block_ws(
         // ---- Spread detach: a straggler orders of magnitude behind the
         // best active column wastes the batch's shared passes — hand it
         // back for an individual solve.
-        if opts.spread_detach_ratio.is_finite() && result.spmm_passes >= opts.spread_detach_after {
+        if result.spmm_passes >= SPREAD_DETACH_AFTER {
             for (j, column) in columns.iter_mut().enumerate() {
-                if ws.active[j] && ws.relres[j] > best_active * opts.spread_detach_ratio {
+                if ws.active[j] && ws.relres[j] > best_active * SPREAD_DETACH_RATIO {
                     ws.active[j] = false;
                     column.status = ColumnStatus::Detached;
                 }

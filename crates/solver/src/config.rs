@@ -125,14 +125,12 @@ pub struct SolverConfig {
     pub fixed_iterations: Option<usize>,
     /// Tile edge length (paper: 16).
     pub tile_size: usize,
-    /// Store tiles in classified mixed precision (Finding 1). When `false`
-    /// every tile is FP64 (the ablation baseline of Fig. 11).
-    pub mixed_precision: bool,
-    /// Force every tile to one uniform storage precision, overriding both
-    /// `mixed_precision` and classification (the matrix-grained storage
-    /// alternative of §II-A; used by the granularity ablation). Values are
-    /// quantized accordingly — choose the precision that is lossless for
-    /// the whole matrix to compare fairly.
+    /// Force every tile to one uniform storage precision instead of the
+    /// classified mixed precision of Finding 1 (`None`, the default). FP64
+    /// is the "only FP64" baseline of Fig. 11; the other precisions are the
+    /// matrix-grained storage alternative of §II-A that the granularity
+    /// ablation compares. Values are quantized accordingly — choose the
+    /// precision that is lossless for the whole matrix to compare fairly.
     pub uniform_precision: Option<mf_precision::Precision>,
     /// Enable the partial-convergence strategy: per-iteration `vis_flag`
     /// retrieval, dynamic on-chip lowering and tile bypass (Finding 3).
@@ -147,9 +145,10 @@ pub struct SolverConfig {
     pub kernel_mode: KernelMode,
     /// Classification options for the initial tile precisions.
     pub classify: ClassifyOptions,
-    /// Leaf size of the recursive-block SpTRSV (preconditioned solvers).
-    /// A leaf of 0 is treated as 1: a 0-row leaf could never end the
-    /// halving.
+    /// Leaf size of the recursive-block SpTRSV the preconditioned solvers
+    /// are charged as. It affects modeled cost only: every engine solves
+    /// the triangles by plain substitution. A leaf of 0 is treated as 1: a
+    /// 0-row leaf could never end the halving.
     pub trsv_leaf: usize,
     /// Record the relative residual after every iteration (Fig. 12).
     pub trace_residuals: bool,
@@ -201,7 +200,6 @@ impl Default for SolverConfig {
             max_iter: 1000,
             fixed_iterations: None,
             tile_size: mf_sparse::DEFAULT_TILE_SIZE,
-            mixed_precision: true,
             uniform_precision: None,
             partial_convergence: true,
             partial_safety: 0.1,
@@ -228,11 +226,11 @@ impl SolverConfig {
         }
     }
 
-    /// A plain FP64 configuration (mixed precision and the partial-
+    /// A plain FP64 configuration (uniform FP64 tiles, the partial-
     /// convergence strategy disabled) — the "only FP64" bar of Fig. 11.
     pub fn fp64_only() -> Self {
         SolverConfig {
-            mixed_precision: false,
+            uniform_precision: Some(mf_precision::Precision::Fp64),
             partial_convergence: false,
             ..SolverConfig::default()
         }
@@ -258,7 +256,7 @@ mod tests {
         assert_eq!(c.tolerance, 1e-10);
         assert_eq!(c.max_iter, 1000);
         assert_eq!(c.tile_size, 16);
-        assert!(c.mixed_precision);
+        assert!(c.uniform_precision.is_none());
         assert!(c.partial_convergence);
         assert_eq!(c.kernel_mode, KernelMode::Auto);
         assert!(c.fixed_iterations.is_none());
@@ -289,7 +287,7 @@ mod tests {
             Some(100)
         );
         let f = SolverConfig::fp64_only();
-        assert!(!f.mixed_precision);
+        assert_eq!(f.uniform_precision, Some(mf_precision::Precision::Fp64));
         assert!(!f.partial_convergence);
         let s = SolverConfig::convergence_study();
         assert!(s.trace_residuals && s.trace_partial);

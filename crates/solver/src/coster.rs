@@ -343,13 +343,6 @@ impl MultiCoster {
         tl.add(Phase::Sync, self.cost.launch_us());
     }
 
-    /// A sparse triangular-solve kernel call (preconditioner application),
-    /// priced by its dependency-level depth.
-    pub fn sptrsv(&self, tl: &mut Timeline, nnz: usize, levels: usize) {
-        tl.add(Phase::SpTrsv, self.cost.sptrsv_us(nnz, self.nrows, levels));
-        tl.add(Phase::Sync, self.cost.launch_us());
-    }
-
     /// Triangular solve with the algorithm the solver's preprocessing picks
     /// for this matrix: plain level scheduling (wins when the factor is
     /// already level-parallel, e.g. scattered circuit patterns) or the
@@ -743,18 +736,14 @@ mod tests {
         };
         let mut tl_deep = Timeline::new();
         mc.sptrsv_adaptive(&mut tl_deep, &stats, 40_000, 20_000);
-        let mut tl_level = Timeline::new();
-        mc.sptrsv(&mut tl_level, 40_000, 20_000);
         assert!(
-            tl_deep.get(Phase::SpTrsv) < tl_level.get(Phase::SpTrsv) / 10.0,
+            tl_deep.get(Phase::SpTrsv) < mc.cost.sptrsv_us(40_000, 20_000, 20_000) / 10.0,
             "recursion should dominate serialized factors"
         );
         // Level-parallel factor (few levels): level scheduling must win.
         let mut tl_flat = Timeline::new();
         mc.sptrsv_adaptive(&mut tl_flat, &stats, 40_000, 8);
-        let mut tl_flat_level = Timeline::new();
-        mc.sptrsv(&mut tl_flat_level, 40_000, 8);
-        assert!(tl_flat.get(Phase::SpTrsv) <= tl_flat_level.get(Phase::SpTrsv) + 1e-9);
+        assert!(tl_flat.get(Phase::SpTrsv) <= mc.cost.sptrsv_us(40_000, 20_000, 8) + 1e-9);
     }
 
     #[test]

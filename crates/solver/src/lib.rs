@@ -73,9 +73,7 @@ pub mod threaded;
 pub mod ticketed;
 pub mod workspace;
 
-pub use block::{
-    run_cg_block_ws, BlockOptions, BlockResult, BlockWorkspace, ColumnResult, ColumnStatus,
-};
+pub use block::{run_cg_block_ws, BlockResult, BlockWorkspace, ColumnResult, ColumnStatus};
 pub use config::{
     HostParallelism, KernelMode, PipelineMode, SolverConfig, WatchdogPolicy, DEFAULT_HEARTBEAT,
 };

@@ -7,7 +7,11 @@
 //! [`MultiCoster`]; the
 //! Mille-feuille advantage comes from (a) the tiled mixed-precision SpMV
 //! and (b) the recursive-block SpTRSV, whose square sub-blocks run as
-//! parallel SpMVs instead of serialized dependency levels.
+//! parallel SpMVs instead of serialized dependency levels. That schedule
+//! lives in the cost model only: `Bound::new` derives its
+//! [`RecursiveTrsvStats`] from the factor structure once per solve, and
+//! every application solves by plain substitution (`Ilu0::apply_into`,
+//! `Ic0::apply_into`), the order the threaded engines run too.
 //!
 //! The preconditioner is one pluggable `M⁻¹`, a [`Precond`], inside a
 //! single recurrence per Krylov family: [`crate::cg::run_cg`] and
@@ -23,14 +27,15 @@ use crate::config::SolverConfig;
 use crate::coster::MultiCoster;
 use mf_gpu::{Phase, Timeline};
 use mf_kernels::{level_schedule, BlockJacobi, Ic0, Ilu0, RecursiveTrsvStats};
+use mf_sparse::Csr;
 
 /// The preconditioner `M⁻¹` a preconditioned core applies. The variants
 /// differ in three things only — the factorization charge, the SpTRSV
 /// level count and apply-plus-charge — and the core loops are shared.
 #[derive(Clone, Copy, Debug)]
 pub enum Precond<'a> {
-    /// `M = L·U` from ILU(0), applied through the recursive-block SpTRSV
-    /// (the paper's preconditioner).
+    /// `M = L·U` from ILU(0) (the paper's preconditioner), applied by
+    /// plain substitution and charged as the recursive-block SpTRSV.
     Ilu0(&'a Ilu0),
     /// `M = L·Lᵀ` from IC(0) — an extension beyond the paper's ILU(0)
     /// evaluation that suits the SPD class: symmetric preconditioning
@@ -53,20 +58,39 @@ fn charge_factorization(mc: &MultiCoster, tl: &mut Timeline, nnz: usize, n: usiz
     tl.add(Phase::Sync, 2.0 * mc.cost.launch_us());
 }
 
-/// A [`Precond`] bound to one solve: the coster it charges, the SpTRSV
-/// leaf size and the factors' combined dependency-level count.
+/// The triangular pair `lower`, `upper`: its combined dependency-level
+/// count and the recursive-block statistics of one application.
+fn trsv_pair(lower: &Csr, upper: &Csr, leaf: usize) -> (usize, RecursiveTrsvStats) {
+    let (l, u) = (
+        RecursiveTrsvStats::of(lower, true, leaf),
+        RecursiveTrsvStats::of(upper, false, leaf),
+    );
+    let levels = level_schedule(lower, true).num_levels + level_schedule(upper, false).num_levels;
+    let stats = RecursiveTrsvStats {
+        leaves: l.leaves + u.leaves,
+        max_leaf_rows: l.max_leaf_rows.max(u.max_leaf_rows),
+        spmv_nnz: l.spmv_nnz + u.spmv_nnz,
+        trsv_nnz: l.trsv_nnz + u.trsv_nnz,
+        depth: l.depth.max(u.depth),
+    };
+    (levels, stats)
+}
+
+/// A [`Precond`] bound to one solve: the coster it charges and, for a
+/// triangular pair, its combined dependency-level count and the
+/// recursive-block statistics every application is charged by.
 pub(crate) struct Bound<'a> {
     pc: Precond<'a>,
     mc: &'a MultiCoster,
-    leaf: usize,
     levels: usize,
+    stats: RecursiveTrsvStats,
 }
 
 impl<'a> Bound<'a> {
-    /// Charges the factorization to `tl` and derives the level count:
-    /// preprocessing decides the SpTRSV algorithm for the factor pair,
-    /// recursive-block vs level-scheduled (see
-    /// [`MultiCoster::sptrsv_adaptive`]).
+    /// Charges the factorization to `tl` and analyses the factor pair
+    /// once: preprocessing decides the SpTRSV algorithm it is charged as,
+    /// recursive-block (leaves of `cfg.trsv_leaf` rows) vs level-scheduled
+    /// (see [`MultiCoster::sptrsv_adaptive`]).
     pub(crate) fn new(
         pc: Precond<'a>,
         mc: &'a MultiCoster,
@@ -74,14 +98,14 @@ impl<'a> Bound<'a> {
         tl: &mut Timeline,
         n: usize,
     ) -> Bound<'a> {
-        let levels = match pc {
+        let (levels, stats) = match pc {
             Precond::Ilu0(ilu) => {
                 charge_factorization(mc, tl, ilu.nnz(), n);
-                level_schedule(&ilu.l, true).num_levels + level_schedule(&ilu.u, false).num_levels
+                trsv_pair(&ilu.l, &ilu.u, cfg.trsv_leaf)
             }
             Precond::Ic0(ic) => {
                 charge_factorization(mc, tl, ic.l.nnz(), n);
-                level_schedule(&ic.l, true).num_levels + level_schedule(&ic.lt, false).num_levels
+                trsv_pair(&ic.l, &ic.lt, cfg.trsv_leaf)
             }
             Precond::BlockJacobi(bj) => {
                 // One dense inversion per block, parallel over blocks.
@@ -98,45 +122,44 @@ impl<'a> Bound<'a> {
                     ),
                 );
                 tl.add(Phase::Sync, mc.cost.launch_us());
-                0
+                (0, RecursiveTrsvStats::default())
             }
         };
         Bound {
             pc,
             mc,
-            leaf: cfg.trsv_leaf,
             levels,
+            stats,
         }
     }
 
     /// `dst = M⁻¹·src`, charged to `tl`; `scratch` holds the triangular
-    /// pair's intermediate. Returns the SpTRSV work (zero for
-    /// block-Jacobi) so a breakdown path can charge the same application
-    /// again.
+    /// pair's intermediate.
     pub(crate) fn apply(
         &self,
         tl: &mut Timeline,
         src: &[f64],
         scratch: &mut [f64],
         dst: &mut [f64],
-    ) -> RecursiveTrsvStats {
-        let stats = match self.pc {
-            Precond::Ilu0(ilu) => ilu.apply_recursive_into(src, self.leaf, scratch, dst),
-            Precond::Ic0(ic) => ic.apply_recursive_into(src, self.leaf, scratch, dst),
-            Precond::BlockJacobi(bj) => {
-                bj.apply_into(src, dst);
-                RecursiveTrsvStats::default()
-            }
-        };
-        self.charge(tl, &stats);
-        stats
+    ) {
+        match self.pc {
+            Precond::Ilu0(ilu) => ilu.apply_into(src, scratch, dst),
+            Precond::Ic0(ic) => ic.apply_into(src, scratch, dst),
+            Precond::BlockJacobi(bj) => bj.apply_into(src, dst),
+        }
+        self.charge(tl);
     }
 
-    /// Charges one application that did `stats` work.
-    pub(crate) fn charge(&self, tl: &mut Timeline, stats: &RecursiveTrsvStats) {
+    /// Charges one application, as a breakdown path does for the
+    /// application its skipped steps stand for.
+    pub(crate) fn charge(&self, tl: &mut Timeline) {
         match self.pc {
-            Precond::Ilu0(ilu) => self.mc.sptrsv_adaptive(tl, stats, ilu.nnz(), self.levels),
-            Precond::Ic0(ic) => self.mc.sptrsv_adaptive(tl, stats, ic.nnz(), self.levels),
+            Precond::Ilu0(ilu) => self
+                .mc
+                .sptrsv_adaptive(tl, &self.stats, ilu.nnz(), self.levels),
+            Precond::Ic0(ic) => self
+                .mc
+                .sptrsv_adaptive(tl, &self.stats, ic.nnz(), self.levels),
             Precond::BlockJacobi(bj) => self.mc.block_jacobi(tl, bj),
         }
     }

@@ -48,8 +48,8 @@ pub enum Method {
 /// The preconditioner of [`Method::Pcg`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrecondKind {
-    /// ILU(0), applied by the recursive-block SpTRSV (§IV-C): the paper's
-    /// preconditioner.
+    /// ILU(0), the paper's preconditioner: applied by plain substitution
+    /// and charged as the recursive-block SpTRSV of §IV-C.
     Ilu0,
     /// IC(0), `M = L·Lᵀ`: an extension beyond the paper's ILU(0)
     /// evaluation. The symmetric factorization halves the factor work and
@@ -350,9 +350,6 @@ impl MilleFeuille {
         let ts = self.config.tile_size;
         match self.config.uniform_precision {
             Some(p) => TiledMatrix::from_csr_uniform(a, ts, p),
-            None if !self.config.mixed_precision => {
-                TiledMatrix::from_csr_uniform(a, ts, mf_precision::Precision::Fp64)
-            }
             None if threads > 1 => TiledMatrix::from_csr_par(a, ts, &self.config.classify),
             None => TiledMatrix::from_csr_with(a, ts, &self.config.classify),
         }
@@ -1069,10 +1066,8 @@ mod tests {
         let fp64 = MilleFeuille::new(
             DeviceSpec::a100(),
             SolverConfig {
-                mixed_precision: false,
-                partial_convergence: false,
                 fixed_iterations: Some(100),
-                ..SolverConfig::default()
+                ..SolverConfig::fp64_only()
             },
         );
         let t_mixed = mixed

@@ -4,7 +4,7 @@
 
 use mf_gpu::{CostModel, DeviceSpec};
 use mf_kernels::{blas1, SharedTiles};
-use mf_solver::block::{run_cg_block_ws, BlockOptions, BlockWorkspace, ColumnStatus};
+use mf_solver::block::{run_cg_block_ws, BlockWorkspace, ColumnStatus};
 use mf_solver::cg::run_cg;
 use mf_solver::coster::{Coster, SingleCoster};
 use mf_solver::partial::PartialState;
@@ -112,7 +112,6 @@ fn batched_columns_are_bitwise_single_solves() {
         &b,
         k,
         &cfg,
-        &BlockOptions::default(),
         &coster,
         &mut BlockWorkspace::new(),
     );
@@ -167,7 +166,6 @@ fn k1_batch_matches_single_solve() {
         &b,
         1,
         &cfg,
-        &BlockOptions::default(),
         &coster,
         &mut BlockWorkspace::new(),
     );
@@ -206,7 +204,6 @@ fn breakdown_column_detaches_without_poisoning_batch() {
         &b,
         2,
         &cfg,
-        &BlockOptions::default(),
         &coster,
         &mut BlockWorkspace::new(),
     );
@@ -258,7 +255,6 @@ fn adaptive_config_is_inert_in_the_lockstep() {
             &b,
             k,
             cfg,
-            &BlockOptions::default(),
             &coster,
             &mut BlockWorkspace::new(),
         )
@@ -308,16 +304,7 @@ fn workspace_reuse_across_batches_is_clean() {
             cfg.tile_size,
         ));
         let mut sh1 = SharedTiles::load(&m);
-        let warm = run_cg_block_ws(
-            &m,
-            &mut sh1,
-            &b,
-            k,
-            &cfg,
-            &BlockOptions::default(),
-            &coster,
-            &mut ws,
-        );
+        let warm = run_cg_block_ws(&m, &mut sh1, &b, k, &cfg, &coster, &mut ws);
         let mut sh2 = SharedTiles::load(&m);
         let fresh = run_cg_block_ws(
             &m,
@@ -325,7 +312,6 @@ fn workspace_reuse_across_batches_is_clean() {
             &b,
             k,
             &cfg,
-            &BlockOptions::default(),
             &coster,
             &mut BlockWorkspace::new(),
         );

@@ -621,11 +621,11 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("spd", "cg", ok(0x9425320671f9099f, 35, 0x273d4c57dfd6e925, "", "None", 0x4082fb0f95f54a1f)),
     ("spd", "cg_pipelined", ok(0xbbe24da6b0186328, 35, 0x31eb0bdd9f865d2c, "", "None", 0x40700809fdfab269)),
     ("spd", "bicgstab", ok(0xa552c516a74e5297, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
-    ("spd", "pcg_ilu0", ok(0x0076f3bdebb9fd04, 12, 0xd4258c9e228c7d57, "", "None", 0x409cd95d3a3257d6)),
-    ("spd", "pcg_ic0", ok(0xff278ff14eadcc75, 12, 0x9331e629fd21f436, "", "None", 0x409cd999eaa766dc)),
+    ("spd", "pcg_ilu0", ok(0x4722aed7076800cd, 12, 0xd526ec7be5b1ef68, "", "None", 0x409cd95d3a3257d6)),
+    ("spd", "pcg_ic0", ok(0x763bb4dc2a769674, 12, 0xeb674bf24595b678, "", "None", 0x409cd999eaa766dc)),
     ("spd", "pcg_block_jacobi", ok(0x09d6057e119fc432, 26, 0xc2e767d7248eb8eb, "", "None", 0x40ab68fe3cbdcf17)),
-    ("spd", "pcg_pipelined", ok(0xb89faee37789a571, 12, 0x1611981d950c8bdf, "", "None", 0x4092e43220f3ad08)),
-    ("spd", "pbicgstab", ok(0xce1381bca41049d1, 7, 0xfc99b10b8f2ccb38, "", "None", 0x4098cd2368e391ee)),
+    ("spd", "pcg_pipelined", ok(0x2dca1a29a2e92db4, 12, 0x81bcfe2cf5a50eab, "", "None", 0x4092e43220f3ad08)),
+    ("spd", "pbicgstab", ok(0xf22de9fd84215881, 7, 0x7f479a5bf5636325, "", "None", 0x4098cd2368e391ee)),
     ("spd", "auto", ok(0xbbe24da6b0186328, 35, 0x31eb0bdd9f865d2c, "", "None", 0x40700809fdfab269)),
     ("spd", "cg_threaded", engine(0x7787da13d8decb48, 35, 0x047339353aff32f3, "", "None")),
     ("spd", "bicgstab_threaded", engine(0x21a6a30ea86030ec, 25, 0xb23fd71d5d74d99d, "", "None")),
@@ -640,7 +640,7 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("negdef", "pcg_ic0", err("NotSpd(0)")),
     ("negdef", "pcg_block_jacobi", ok(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40908dc828d747ce)),
     ("negdef", "pcg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4076e58d2a83adee)),
-    ("negdef", "pbicgstab", ok(0xdb40eafdc6329bd1, 7, 0xfc99b10b8f2ccb38, "", "None", 0x4098cd2368e391ee)),
+    ("negdef", "pbicgstab", ok(0xc043d5695370d581, 7, 0x7f479a5bf5636325, "", "None", 0x4098cd2368e391ee)),
     ("negdef", "auto", ok(0xfe13d8f607f0e197, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
     ("negdef", "cg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("negdef", "bicgstab_threaded", engine(0xb36e17ac38696fec, 25, 0xb23fd71d5d74d99d, "", "None")),
@@ -658,7 +658,7 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("zero_pivot", "pcg_ilu0", ok(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40910aecef07cb20)),
     ("zero_pivot", "pcg_ic0", err("NotSpd(1)")),
     ("zero_pivot", "pcg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4076e556d9629786)),
-    ("zero_pivot", "pbicgstab", ok(0x522f59df76d2e56d, 12, 0xb4933e415d098429, "0:FactorShift:Restarted", "None", 0x40a4ffb669c69d8e)),
+    ("zero_pivot", "pbicgstab", ok(0x49d22b176b05aa42, 12, 0x50b95d97da7c0c15, "0:FactorShift:Restarted", "None", 0x40a4ffb669c69d8e)),
     ("zero_pivot", "pcg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("zero_pivot", "pbicgstab_threaded", engine(0x65c28d0c9e9134a3, 12, 0x6fa650aa0d5d2725, "0:FactorShift:Restarted", "None")),
     ("zero_pivot", "pcg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
@@ -669,12 +669,12 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("fixed_iters", "pcg_ic0", ok(0xb832bec6706d3659, 40, 0xdfdc1ae070a3a671, "11-39:Curvature:Restarted", "None", 0x40b203f4d4dc3c59)),
     ("fixed_iters", "pcg_block_jacobi", ok(0x67f000b6b9308c2d, 40, 0xe8fe4aa77da982b7, "", "None", 0x40b2fde9ecfc0b80)),
     ("fixed_iters", "pcg_pipelined", ok(0xbbd93ebfffe6ca0c, 40, 0x47276fd29a528248, "2:Curvature:Restarted 7:Curvature:Restarted 12:Curvature:Restarted 17:Curvature:Restarted 27:Curvature:Restarted 32:Curvature:Restarted 37:Curvature:Restarted", "None", 0x40a3a7a5417d6a51)),
-    ("fixed_iters", "pbicgstab", ok(0xdf5d5d6c5189651e, 40, 0x87a0b0c143295756, "5-14:Omega:Restarted 15-39:Rho:Restarted", "None", 0x40be74d2a0beb529)),
+    ("fixed_iters", "pbicgstab", ok(0xdf5d5d6c5189651e, 40, 0x87a0b0c143295756, "5-14:Omega:Restarted 15-39:Rho:Restarted", "None", 0x40bb54d2a0beb529)),
     ("rotation", "bicgstab", ok(0x7da144b97d054b25, 8, 0x01254f26d3b0bba5, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x4070d719a7979dd0)),
     ("rotation", "bicgstab_threaded", engine(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })")),
     ("rotation", "pbicgstab", ok(0x04de09ed9e6ead4d, 2, 0x8a0c26e85c7971e4, "0:FactorShift:Restarted", "None", 0x4077dbc03a94ff37)),
     ("rotation", "pbicgstab_threaded", engine(0x04de09ed9e6ead4d, 2, 0x103537e2a71ce1b9, "0:FactorShift:Restarted", "None")),
-    ("rotation", "pbicgstab_identity", ok(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x409a5f8ef8b26ece)),
+    ("rotation", "pbicgstab_identity", ok(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x40965f8ef8b26ece)),
     ("skew96", "bicgstab", ok(0x69f742eef3808cd0, 1000, 0x568719676ecbdbc5, "41-42:Omega:Restarted", "None", 0x40de6e5fe66282ea)),
     ("skew96", "bicgstab_threaded", engine(0x44c0b77ba3c6a825, 71, 0xb621fae58797af7d, "1:NonFinite:Restarted 7:Rho:Restarted 26:Rho:Restarted 31:Rho:Restarted 48:Rho:Restarted 64:Rho:Restarted 69:Rho:Restarted 70:NonFinite:Aborted", "Some(NonFinite { iteration: 70 })")),
     ("skew96", "pbicgstab", ok(0xdeb6e4c8ef220d6c, 3, 0x4dc27e32ddea77ca, "0:FactorShift:Restarted", "None", 0x4081864e13ade294)),
@@ -693,7 +693,7 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("signed_m", "pcg_signed", ok(0x13f631ef6a6fdd25, 1, 0xaab1693229ba1db8, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406d4fc465e77df1)),
     ("adaptive", "cg", ok(0x8eac0340b8a28d1a, 37, 0x0753d8ed0d067e59, "", "None", 0x4084e9329da3fcdb)),
     ("adaptive", "cg_pipelined", ok(0xe2cf373b0120fa58, 37, 0xc506e77d5a4ee660, "", "None", 0x4071edbd7ea69e30)),
-    ("adaptive", "pcg_ilu0", ok(0xe26b36a9f7ffacc7, 12, 0xe9c96a45a45064da, "", "None", 0x409f39a4694d1a1a)),
+    ("adaptive", "pcg_ilu0", ok(0xf074b85c1574a652, 12, 0xf69febd6a0897461, "", "None", 0x409f39a4694d1a1a)),
     ("adaptive", "cg_threaded", engine(0xbe1f45f8f2c7454a, 37, 0x683009a8d0069f48, "", "None")),
     ("adaptive", "cg_pipelined_threaded", engine(0xc24498e17d4749f6, 37, 0x4d0896df7ccf6931, "", "None")),
     ]

@@ -3,7 +3,9 @@
 //! 1–8 warps, `run_ilu_sptrsv_threaded` must be **bitwise** identical to
 //! the sequential `sptrsv_lower_into` + `sptrsv_upper_into` kernels — the
 //! per-row epoch counters only reorder the *waiting*, never the
-//! floating-point combination order.
+//! floating-point combination order. On ILU(0) factors it must also match
+//! `Ilu0::apply_into`, the apply the sequential cores and the serving
+//! layer run, so every engine solves a triangle in one order.
 
 use mf_kernels::{ilu0, sptrsv_lower_into, sptrsv_upper_into};
 use mf_solver::{run_ilu_sptrsv_threaded, ThreadedOpts};
@@ -142,5 +144,8 @@ proptest! {
         let x = sequential(&f.l, &f.u, &b, true, false);
         let rep = run_ilu_sptrsv_threaded(&f.l, &f.u, &b, true, false, seg, &ThreadedOpts::new(warps));
         assert_bitwise(&rep, &x)?;
+        let (mut y, mut z) = (vec![0.0; n], vec![0.0; n]);
+        f.apply_into(&b, &mut y, &mut z);
+        assert_bitwise(&rep, &z)?;
     }
 }

@@ -301,11 +301,11 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("spd", "cg", ok(0x3dd07eb3a7a91edf, 0xec6cc6a09dc9eb6b, "MixedSpmvStats { tiles_computed: 1932, tiles_bypassed: 0, conversions: 3, nnz_by_prec: [50994, 78, 0, 0], nnz_bypassed: 0 }", 0x1da8fbea21d6a7f3, "SingleKernel", 16)),
     ("spd", "cg_pipelined", ok(0x3dd07eb7d6fa11af, 0xb9783d5d713d73b6, "MixedSpmvStats { tiles_computed: 1978, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [52288, 0, 0, 0], nnz_bypassed: 0 }", 0x13efebfa7cb1ae7a, "SingleKernel", 16)),
     ("spd", "bicgstab", ok(0x3ddad5f4a857e6ff, 0x63393ab897489aeb, "MixedSpmvStats { tiles_computed: 2760, tiles_bypassed: 0, conversions: 20, nnz_by_prec: [72430, 530, 0, 0], nnz_bypassed: 0 }", 0xbf2176057fd3737b, "SingleKernel", 16)),
-    ("spd", "pcg_ilu0", ok(0x3dceb58e06ecf23f, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 598, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [15808, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
-    ("spd", "pcg_ic0", ok(0x3dceb58e06ecf23b, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 598, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [15808, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("spd", "pcg_ilu0", ok(0x3dceb58e06ecf286, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 598, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [15808, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("spd", "pcg_ic0", ok(0x3dceb58e06ecf22b, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 598, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [15808, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
     ("spd", "pcg_block_jacobi", ok(0x3dcf613f02195e06, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 1334, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [35264, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
-    ("spd", "pcg_pipelined", ok(0x3dceb58cd6c05a89, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
-    ("spd", "pbicgstab", ok(0x3dcb7776f3758670, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("spd", "pcg_pipelined", ok(0x3dceb58baf04d189, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("spd", "pbicgstab", ok(0x3dcb7776f37585c1, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
     ("spd", "auto", ok(0x3dd07eb7d6fa11af, 0xb9783d5d713d73b6, "MixedSpmvStats { tiles_computed: 1978, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [52288, 0, 0, 0], nnz_bypassed: 0 }", 0x13efebfa7cb1ae7a, "SingleKernel", 16)),
     ("negdef", "cg", ok(0x3ff0000000000000, 0xdc74d56166958925, "MixedSpmvStats { tiles_computed: 368, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [9728, 0, 0, 0], nnz_bypassed: 0 }", 0x9912a8610e3f8c91, "SingleKernel", 16)),
     ("negdef", "cg_pipelined", ok(0x3ff0000000000000, 0xdc74d56166958925, "MixedSpmvStats { tiles_computed: 414, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [10944, 0, 0, 0], nnz_bypassed: 0 }", 0xbf17cc35b9c997d9, "SingleKernel", 16)),
@@ -314,7 +314,7 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("negdef", "pcg_ic0", err("Factor(NotSpd(0))")),
     ("negdef", "pcg_block_jacobi", ok(0x7ff0000000000000, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 368, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [9728, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
     ("negdef", "pcg_pipelined", ok(0x3ff0000000000000, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 414, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [10944, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
-    ("negdef", "pbicgstab", ok(0x3dcb7776f3758670, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("negdef", "pbicgstab", ok(0x3dcb7776f37585c1, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
     ("negdef", "auto", ok(0x3ddad5f4a857e6ff, 0x63393ab897489aeb, "MixedSpmvStats { tiles_computed: 2760, tiles_bypassed: 0, conversions: 20, nnz_by_prec: [72430, 530, 0, 0], nnz_bypassed: 0 }", 0xbf2176057fd3737b, "SingleKernel", 16)),
     ("fixed_iters", "cg", ok(0x3d0a5a35dc1bf797, 0x8be880db73ab8d7e, "MixedSpmvStats { tiles_computed: 171, tiles_bypassed: 109, conversions: 0, nnz_by_prec: [0, 0, 0, 3456], nnz_bypassed: 2224 }", 0xfe0204af3a911d61, "SingleKernel", 3)),
     ("fixed_iters", "cg_pipelined", ok(0x3d0c58d2ddc9e2e1, 0x86953068e2c2cdf7, "MixedSpmvStats { tiles_computed: 179, tiles_bypassed: 108, conversions: 0, nnz_by_prec: [0, 0, 0, 3644], nnz_bypassed: 2178 }", 0x3c8927fc6c6938f9, "SingleKernel", 3)),
@@ -328,11 +328,11 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("adaptive", "cg", ok(0x3f91cab91a9f43d1, 0x57d61ab8ab794e8e, "MixedSpmvStats { tiles_computed: 690, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [4864, 1216, 6080, 6080], nnz_bypassed: 0 }", 0x8ad28646186e3493, "SingleKernel", 16)),
     ("adaptive", "cg_pipelined", ok(0x3f91cab91a9f43d6, 0xacd7a821a6c2e04c, "MixedSpmvStats { tiles_computed: 874, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [6080, 2432, 7296, 7296], nnz_bypassed: 0 }", 0x61287c0510005190, "SingleKernel", 16)),
     ("adaptive", "bicgstab", ok(0x3f1cf6d2eacc7429, 0x5640815c84ff192a, "MixedSpmvStats { tiles_computed: 1104, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [29184, 0, 0, 0], nnz_bypassed: 0 }", 0x7d557f96840619d6, "SingleKernel", 16)),
-    ("adaptive", "pcg_ilu0", ok(0x3ea8ffcf92a88260, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 690, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [6080, 6080, 6080, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
-    ("adaptive", "pcg_ic0", ok(0x3ea8ffcf92a887c1, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 690, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [6080, 6080, 6080, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("adaptive", "pcg_ilu0", ok(0x3ea8ffcf92a888cf, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 690, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [6080, 6080, 6080, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("adaptive", "pcg_ic0", ok(0x3ea8ffcf92a8860d, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 690, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [6080, 6080, 6080, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
     ("adaptive", "pcg_block_jacobi", ok(0x3f1a8af29d24c42c, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [4864, 1216, 10944, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
-    ("adaptive", "pcg_pipelined", ok(0x3df945d9cd48d3e8, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 598, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [15808, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
-    ("adaptive", "pbicgstab", ok(0x3dcb7776f3758670, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("adaptive", "pcg_pipelined", ok(0x3df945d9a35640bf, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 598, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [15808, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
+    ("adaptive", "pbicgstab", ok(0x3dcb7776f37585c1, 0x0c8210784d8af5a5, "MixedSpmvStats { tiles_computed: 644, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [17024, 0, 0, 0], nnz_bypassed: 0 }", 0x0000000000000000, "MultiKernel", 0)),
     ("adaptive", "auto", ok(0x3f91cab91a9f43d6, 0xacd7a821a6c2e04c, "MixedSpmvStats { tiles_computed: 874, tiles_bypassed: 0, conversions: 0, nnz_by_prec: [6080, 2432, 7296, 7296], nnz_bypassed: 0 }", 0x61287c0510005190, "SingleKernel", 16)),
     ]
 }

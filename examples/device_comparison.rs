@@ -44,9 +44,7 @@ fn main() {
             let base = {
                 let cfg = SolverConfig {
                     kernel_mode: KernelMode::MultiKernel,
-                    mixed_precision: false,
-                    partial_convergence: false,
-                    ..SolverConfig::default()
+                    ..SolverConfig::fp64_only()
                 };
                 MilleFeuille::new(device.clone(), cfg)
                     .solve(&a, &b, &SolveSpec::new(Method::Cg))

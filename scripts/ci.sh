@@ -70,6 +70,7 @@ TIERS=(
     "prop_ticket|mf-gpu|prop_ticket|300||rerun"
     "prop_retier|mf-precision|prop_retier|300||rerun"
     "prop_trsv|mf-kernels|prop_trsv|300||rerun"
+    "prop_sptrsv|mf-solver|prop_sptrsv|300||rerun"
     "prop_spmv|mf-kernels|prop_spmv|300||rerun"
     "preprocess_parity|mf-solver|preprocess_parity|300||rerun"
     "core_golden|mf-solver|core_golden|300||rerun"

@@ -153,7 +153,7 @@ fn main() -> ExitCode {
     let cfg = SolverConfig {
         tolerance: args.tol,
         max_iter: args.max_iter,
-        mixed_precision: !args.fp64,
+        uniform_precision: args.fp64.then_some(Precision::Fp64),
         partial_convergence: !args.no_partial && !args.fp64,
         kernel_mode: args.mode,
         ..SolverConfig::default()

@@ -294,7 +294,7 @@ fn overflowing_rhs_never_reports_nan_relres() {
 }
 
 /// `trsv_leaf: 0` is treated as a leaf of one row by the recursive-block
-/// SpTRSV, so every sequential path that applies ILU(0) or IC(0) solves
+/// cost model, so every sequential path that applies ILU(0) or IC(0) solves
 /// instead of panicking, bitwise as with `trsv_leaf: 1`.
 #[test]
 fn zero_trsv_leaf_solves_like_leaf_one() {
