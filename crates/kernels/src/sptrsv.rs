@@ -173,13 +173,12 @@ impl RecursiveTrsvStats {
                 k += 1;
             }
             let leaf_cols = starts[k]..starts[k + 1];
-            for &c in &t.colidx[t.rowptr[r]..t.rowptr[r + 1]] {
-                if (lower && c < r) || (!lower && c > r) {
-                    if leaf_cols.contains(&c) {
-                        stats.trsv_nnz += 1;
-                    } else {
-                        stats.spmv_nnz += 1;
-                    }
+            for (c, _) in t.row(r) {
+                let dep = if lower { c < r } else { c > r };
+                if dep && leaf_cols.contains(&c) {
+                    stats.trsv_nnz += 1;
+                } else if dep {
+                    stats.spmv_nnz += 1;
                 }
             }
         }
