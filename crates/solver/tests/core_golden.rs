@@ -298,6 +298,13 @@ fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<Outcome,
         "pbicgstab_identity" => {
             SolveSpec::new(Method::PBiCgStab).with_factors(Precond::Ilu0(&identity))
         }
+        "pcg_pipelined_identity" => SolveSpec::new(ilu)
+            .pipelined()
+            .with_factors(Precond::Ilu0(&identity)),
+        "pcg_pipelined_identity_threaded" => SolveSpec::new(ilu)
+            .pipelined()
+            .threaded(2)
+            .with_factors(Precond::Ilu0(&identity)),
         "auto" => SolveSpec::auto(),
         "cg_threaded" => SolveSpec::new(Method::Cg).threaded(2),
         "bicgstab_threaded" => SolveSpec::new(Method::BiCgStab).threaded(2),
@@ -475,11 +482,12 @@ struct Case {
 /// - `skew96`, `skew97`: skew tridiagonals that drive BiCGSTAB through ρ
 ///   and ω direction restarts and non-finite aborts;
 /// - `adaptive`: the SPD grid with the re-tier controller armed, on the
-///   paths that honour it;
+///   paths that honour it and on the pipelined PCG paths, which must
+///   ignore it;
 /// - `overflow`: the SPD grid with one huge coupling, whose residual
-///   overflows after the first update, so the cores take their
-///   non-finite abort (with identity factors for the preconditioned
-///   ones);
+///   overflows after the first update, so the cores and the pipelined
+///   engines take their non-finite abort (with identity factors for the
+///   preconditioned ones);
 /// - `signed_m`: the SPD grid with `b = 1` and alternating-sign diagonal
 ///   factors, where PCG's β = 0/0 loses the direction.
 fn cases() -> Vec<Case> {
@@ -583,6 +591,9 @@ fn cases() -> Vec<Case> {
                 "bicgstab",
                 "pcg_identity",
                 "pbicgstab_identity",
+                "pcg_pipelined_identity",
+                "cg_pipelined_threaded",
+                "pcg_pipelined_identity_threaded",
             ],
         },
         Case {
@@ -610,6 +621,8 @@ fn cases() -> Vec<Case> {
                 "pcg_ilu0",
                 "cg_threaded",
                 "cg_pipelined_threaded",
+                "pcg_pipelined",
+                "pcg_pipelined_threaded",
             ],
         },
     ]
@@ -690,12 +703,17 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("overflow", "bicgstab", ok(0xf0099296fd4386a5, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x404c233ffbc4c706)),
     ("overflow", "pcg_identity", ok(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406701d87ba2ad31)),
     ("overflow", "pbicgstab_identity", ok(0xf0099296fd4386a5, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406f38ac79357ceb)),
+    ("overflow", "pcg_pipelined_identity", ok(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x4067bfb62fc8aada)),
+    ("overflow", "cg_pipelined_threaded", engine(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })")),
+    ("overflow", "pcg_pipelined_identity_threaded", engine(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })")),
     ("signed_m", "pcg_signed", ok(0x13f631ef6a6fdd25, 1, 0xaab1693229ba1db8, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406d4fc465e77df1)),
     ("adaptive", "cg", ok(0x8eac0340b8a28d1a, 37, 0x0753d8ed0d067e59, "", "None", 0x4084e9329da3fcdb)),
     ("adaptive", "cg_pipelined", ok(0xe2cf373b0120fa58, 37, 0xc506e77d5a4ee660, "", "None", 0x4071edbd7ea69e30)),
     ("adaptive", "pcg_ilu0", ok(0xf074b85c1574a652, 12, 0xf69febd6a0897461, "", "None", 0x409f39a4694d1a1a)),
     ("adaptive", "cg_threaded", engine(0xbe1f45f8f2c7454a, 37, 0x683009a8d0069f48, "", "None")),
     ("adaptive", "cg_pipelined_threaded", engine(0xc24498e17d4749f6, 37, 0x4d0896df7ccf6931, "", "None")),
+    ("adaptive", "pcg_pipelined", ok(0x2dca1a29a2e92db4, 12, 0x81bcfe2cf5a50eab, "", "None", 0x4092e43220f3ad08)),
+    ("adaptive", "pcg_pipelined_threaded", engine(0x6e661f74a22c4003, 12, 0x40f98b7969a124dc, "", "None")),
     ]
 }
 

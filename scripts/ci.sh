@@ -75,6 +75,7 @@ TIERS=(
     "preprocess_parity|mf-solver|preprocess_parity|300||rerun"
     "core_golden|mf-solver|core_golden|300||rerun"
     "sequential_trails|mf-solver|sequential_trails|300||rerun"
+    "baseline_golden|mf-baselines|baseline_golden|300||rerun"
 )
 
 list_tiers() {
