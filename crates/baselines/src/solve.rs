@@ -113,196 +113,73 @@ fn rel_error(x: &[f64], reference: &[f64]) -> f64 {
     (diff / norm.max(f64::MIN_POSITIVE)).sqrt()
 }
 
+/// ILU(0) factors bound to one solve: the level counts their
+/// level-scheduled SpTRSV (how `cusparseSpSV_solve` executes) is charged
+/// by, and the forward-solve scratch.
+struct Factors<'a> {
+    ilu: &'a Ilu0,
+    l_levels: usize,
+    u_levels: usize,
+    scratch: Vec<f64>,
+}
+
+impl<'a> Factors<'a> {
+    /// Analyses `ilu` and charges its factorization to `ch`.
+    fn new(ilu: &'a Ilu0, ch: &mut Charges<'_>, n: usize) -> Self {
+        let l_levels = level_schedule(&ilu.l, true).num_levels.max(1);
+        let u_levels = level_schedule(&ilu.u, false).num_levels.max(1);
+        ch.tl.add(
+            Phase::Factorize,
+            2.0 * ch.b.cost().sptrsv_us(ilu.nnz(), n, l_levels + u_levels),
+        );
+        Factors {
+            ilu,
+            l_levels,
+            u_levels,
+            scratch: vec![0.0; n],
+        }
+    }
+
+    /// `dst = M⁻¹·src`, charged as the two triangular sweeps.
+    fn apply(&mut self, ch: &mut Charges<'_>, src: &[f64], dst: &mut [f64]) {
+        self.ilu.apply_into(src, &mut self.scratch, dst);
+        let n = dst.len();
+        ch.sptrsv(self.ilu.l.nnz(), n, self.l_levels);
+        ch.sptrsv(self.ilu.u.nnz(), n, self.u_levels);
+    }
+}
+
+/// The vector a loop reads where its preconditioned recurrence reads
+/// `M⁻¹v`: `mv` under a preconditioner, `v` itself without one.
+fn applied<'v>(pc: &Option<Factors<'_>>, v: &'v [f64], mv: &'v [f64]) -> &'v [f64] {
+    if pc.is_some() {
+        mv
+    } else {
+        v
+    }
+}
+
+/// The BiCGSTAB restart: `p = r` and `ρ = (r, r₀*)`, falling back to
+/// `‖r‖²` when that vanishes.
+fn restart_direction(r: &[f64], r0s: &[f64], p: &mut [f64]) -> f64 {
+    p.copy_from_slice(r);
+    let rho = blas1::dot(r, r0s);
+    if rho == 0.0 {
+        blas1::dot(r, r)
+    } else {
+        rho
+    }
+}
+
 impl Baseline {
     /// FP64 CSR CG through this library (Algorithm 1, one kernel per op).
     pub fn solve_cg(&self, a: &Csr, b: &[f64], cfg: &SolverConfig) -> BaselineReport {
-        let n = a.nrows;
-        assert_eq!(b.len(), n);
-        let mut ch = Charges::new(self);
-
-        let norm_b = blas1::norm2(b);
-        if norm_b == 0.0 {
-            return report(vec![0.0; n], 0, true, 0.0, ch.tl, vec![], vec![]);
-        }
-        let mut x = vec![0.0; n];
-        let mut r = b.to_vec();
-        let mut p = r.clone();
-        let mut u = vec![0.0; n];
-        let mut rr = blas1::dot(&r, &r);
-        let mut residual_history = Vec::new();
-        let mut error_history = Vec::new();
-
-        let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-        let check = cfg.fixed_iterations.is_none();
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut relres = f64::INFINITY;
-
-        for _ in 0..iters {
-            spmv_csr(a, &p, &mut u);
-            ch.spmv(a.nnz(), n);
-            let py = blas1::dot(&u, &p);
-            ch.dot(n, true);
-            let alpha = rr / py;
-            if !alpha.is_finite() || py <= 0.0 {
-                // Breakdown restart — the kernels still run, charge fully.
-                p.copy_from_slice(&r);
-                rr = blas1::dot(&r, &r);
-                ch.axpy(n);
-                ch.axpy(n);
-                ch.dot(n, true);
-                ch.axpy(n);
-                ch.host();
-                iterations += 1;
-                continue;
-            }
-            blas1::axpy(alpha, &p, &mut x);
-            ch.axpy(n);
-            blas1::axpy(-alpha, &u, &mut r);
-            ch.axpy(n);
-            let rr_new = blas1::dot(&r, &r);
-            ch.dot(n, true);
-            let beta = rr_new / rr;
-            rr = rr_new;
-            blas1::xpay(&r, beta, &mut p);
-            ch.axpy(n);
-            ch.host();
-
-            iterations += 1;
-            relres = rr_new.sqrt() / norm_b;
-            if cfg.trace_residuals {
-                residual_history.push(relres);
-            }
-            if let Some(reference) = &cfg.reference_solution {
-                error_history.push(rel_error(&x, reference));
-            }
-            if check && relres < cfg.tolerance {
-                converged = true;
-                break;
-            }
-        }
-        report(
-            x,
-            iterations,
-            converged,
-            relres,
-            ch.tl,
-            residual_history,
-            error_history,
-        )
+        self.cg(a, b, cfg, None)
     }
 
     /// FP64 CSR BiCGSTAB through this library (Algorithm 2).
     pub fn solve_bicgstab(&self, a: &Csr, b: &[f64], cfg: &SolverConfig) -> BaselineReport {
-        let n = a.nrows;
-        assert_eq!(b.len(), n);
-        let mut ch = Charges::new(self);
-
-        let norm_b = blas1::norm2(b);
-        if norm_b == 0.0 {
-            return report(vec![0.0; n], 0, true, 0.0, ch.tl, vec![], vec![]);
-        }
-        let mut x = vec![0.0; n];
-        let mut r = b.to_vec();
-        let r0s = r.clone();
-        let mut p = r.clone();
-        let mut mu = vec![0.0; n];
-        let mut s = vec![0.0; n];
-        let mut theta = vec![0.0; n];
-        let mut rho = blas1::dot(&r, &r0s);
-        let mut residual_history = Vec::new();
-        let mut error_history = Vec::new();
-
-        let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-        let check = cfg.fixed_iterations.is_none();
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut relres = f64::INFINITY;
-
-        for _ in 0..iters {
-            spmv_csr(a, &p, &mut mu);
-            ch.spmv(a.nnz(), n);
-            let denom = blas1::dot(&mu, &r0s);
-            ch.dot(n, true);
-            let alpha = rho / denom;
-            if !alpha.is_finite() || denom.abs() < f64::MIN_POSITIVE {
-                // Breakdown restart — the kernels still run, charge fully.
-                p.copy_from_slice(&r);
-                rho = blas1::dot(&r, &r0s);
-                if rho == 0.0 {
-                    rho = blas1::dot(&r, &r);
-                }
-                ch.axpy(n);
-                ch.spmv(a.nnz(), n);
-                ch.dot(n, false);
-                ch.dot(n, true);
-                ch.axpy(n);
-                ch.axpy(n);
-                ch.axpy(n);
-                ch.dot(n, false);
-                ch.dot(n, true);
-                ch.axpy(n);
-                ch.host();
-                iterations += 1;
-                continue;
-            }
-            blas1::waxpy(&r, -alpha, &mu, &mut s);
-            ch.axpy(n);
-            spmv_csr(a, &s, &mut theta);
-            ch.spmv(a.nnz(), n);
-            let ts = blas1::dot(&theta, &s);
-            let tt = blas1::dot(&theta, &theta);
-            ch.dot(n, false);
-            ch.dot(n, true); // (θ,s) and (θ,θ) ride one scalar-pair readback
-            let omega = if tt > 0.0 { ts / tt } else { 0.0 };
-            for i in 0..n {
-                x[i] += alpha * p[i] + omega * s[i];
-            }
-            ch.axpy(n);
-            ch.axpy(n);
-            blas1::waxpy(&s, -omega, &theta, &mut r);
-            ch.axpy(n);
-            let rho_new = blas1::dot(&r, &r0s);
-            ch.dot(n, false);
-            let rr = blas1::dot(&r, &r);
-            ch.dot(n, true); // ρ and ‖r‖² ride one readback
-            ch.host();
-
-            iterations += 1;
-            relres = rr.sqrt() / norm_b;
-            if cfg.trace_residuals {
-                residual_history.push(relres);
-            }
-            if let Some(reference) = &cfg.reference_solution {
-                error_history.push(rel_error(&x, reference));
-            }
-            if check && relres < cfg.tolerance {
-                converged = true;
-                break;
-            }
-            let beta = (rho_new / rho) * (alpha / omega);
-            if !beta.is_finite() || omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE {
-                p.copy_from_slice(&r);
-                rho = blas1::dot(&r, &r0s);
-                if rho == 0.0 {
-                    rho = blas1::dot(&r, &r);
-                }
-                ch.axpy(n); // the p-update kernel still runs
-                continue;
-            }
-            rho = rho_new;
-            blas1::bicgstab_p_update(&r, beta, omega, &mu, &mut p);
-            ch.axpy(n);
-        }
-        report(
-            x,
-            iterations,
-            converged,
-            relres,
-            ch.tl,
-            residual_history,
-            error_history,
-        )
+        self.bicgstab(a, b, cfg, None)
     }
 
     /// FP64 PCG with ILU(0) factors `ilu` and *level-scheduled* SpTRSV
@@ -314,84 +191,7 @@ impl Baseline {
         cfg: &SolverConfig,
         ilu: &Ilu0,
     ) -> BaselineReport {
-        let n = a.nrows;
-        let mut ch = Charges::new(self);
-        let l_levels = level_schedule(&ilu.l, true).num_levels.max(1);
-        let u_levels = level_schedule(&ilu.u, false).num_levels.max(1);
-        ch.tl.add(
-            Phase::Factorize,
-            2.0 * self.cost().sptrsv_us(ilu.nnz(), n, l_levels + u_levels),
-        );
-
-        let norm_b = blas1::norm2(b);
-        if norm_b == 0.0 {
-            return report(vec![0.0; n], 0, true, 0.0, ch.tl, vec![], vec![]);
-        }
-        let mut x = vec![0.0; n];
-        let mut r = b.to_vec();
-        let mut z = ilu.apply(&r);
-        ch.sptrsv(ilu.l.nnz(), n, l_levels);
-        ch.sptrsv(ilu.u.nnz(), n, u_levels);
-        let mut p = z.clone();
-        let mut u = vec![0.0; n];
-        let mut rz = blas1::dot(&r, &z);
-        ch.dot(n, true);
-
-        let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
-        let check = cfg.fixed_iterations.is_none();
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut relres = f64::INFINITY;
-        let mut residual_history = Vec::new();
-
-        for _ in 0..iters {
-            spmv_csr(a, &p, &mut u);
-            ch.spmv(a.nnz(), n);
-            let pu = blas1::dot(&p, &u);
-            ch.dot(n, true);
-            let alpha = rz / pu;
-            if !alpha.is_finite() || pu <= 0.0 {
-                break;
-            }
-            blas1::axpy(alpha, &p, &mut x);
-            ch.axpy(n);
-            blas1::axpy(-alpha, &u, &mut r);
-            ch.axpy(n);
-            let rr = blas1::dot(&r, &r);
-            ch.dot(n, true);
-            z = ilu.apply(&r);
-            ch.sptrsv(ilu.l.nnz(), n, l_levels);
-            ch.sptrsv(ilu.u.nnz(), n, u_levels);
-            let rz_new = blas1::dot(&r, &z);
-            ch.dot(n, true);
-            let beta = rz_new / rz;
-            rz = rz_new;
-            blas1::xpay(&z, beta, &mut p);
-            ch.axpy(n);
-            ch.host();
-
-            iterations += 1;
-            relres = rr.sqrt() / norm_b;
-            if cfg.trace_residuals {
-                residual_history.push(relres);
-            }
-            if check && relres < cfg.tolerance {
-                converged = true;
-                break;
-            }
-            if !beta.is_finite() {
-                break;
-            }
-        }
-        report(
-            x,
-            iterations,
-            converged,
-            relres,
-            ch.tl,
-            residual_history,
-            vec![],
-        )
+        self.cg(a, b, cfg, Some(ilu))
     }
 
     /// FP64 PBiCGSTAB with ILU(0) factors `ilu` and level-scheduled
@@ -403,14 +203,130 @@ impl Baseline {
         cfg: &SolverConfig,
         ilu: &Ilu0,
     ) -> BaselineReport {
+        self.bicgstab(a, b, cfg, Some(ilu))
+    }
+
+    /// The CG family's one loop: PCG with `M⁻¹` from `ilu`, plain CG
+    /// without it, which reads `r` where PCG reads `z = M⁻¹r`. The two
+    /// differ beyond that: CG restarts the direction on a curvature
+    /// breakdown and charges the skipped kernels, where PCG stops; only
+    /// CG records the error history.
+    fn cg(&self, a: &Csr, b: &[f64], cfg: &SolverConfig, ilu: Option<&Ilu0>) -> BaselineReport {
         let n = a.nrows;
+        assert_eq!(b.len(), n);
         let mut ch = Charges::new(self);
-        let l_levels = level_schedule(&ilu.l, true).num_levels.max(1);
-        let u_levels = level_schedule(&ilu.u, false).num_levels.max(1);
-        ch.tl.add(
-            Phase::Factorize,
-            2.0 * self.cost().sptrsv_us(ilu.nnz(), n, l_levels + u_levels),
-        );
+        let mut pc = ilu.map(|ilu| Factors::new(ilu, &mut ch, n));
+
+        let norm_b = blas1::norm2(b);
+        if norm_b == 0.0 {
+            return report(vec![0.0; n], 0, true, 0.0, ch.tl, vec![], vec![]);
+        }
+        let mut x = vec![0.0; n];
+        let mut r = b.to_vec();
+        let mut z = vec![0.0; n];
+        if let Some(pc) = &mut pc {
+            pc.apply(&mut ch, &r, &mut z);
+        }
+        let mut p = applied(&pc, &r, &z).to_vec();
+        let mut u = vec![0.0; n];
+        let mut rz = blas1::dot(&r, applied(&pc, &r, &z));
+        if pc.is_some() {
+            ch.dot(n, true);
+        }
+        let mut residual_history = Vec::new();
+        let mut error_history = Vec::new();
+
+        let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
+        let check = cfg.fixed_iterations.is_none();
+        let mut iterations = 0;
+        let mut converged = false;
+        let mut relres = f64::INFINITY;
+
+        for _ in 0..iters {
+            spmv_csr(a, &p, &mut u);
+            ch.spmv(a.nnz(), n);
+            let pu = blas1::dot(&p, &u);
+            ch.dot(n, true);
+            let alpha = rz / pu;
+            if !alpha.is_finite() || pu <= 0.0 {
+                if pc.is_some() {
+                    break;
+                }
+                // Breakdown restart — the kernels still run, charge fully.
+                p.copy_from_slice(&r);
+                rz = blas1::dot(&r, &r);
+                ch.axpy(n);
+                ch.axpy(n);
+                ch.dot(n, true);
+                ch.axpy(n);
+                ch.host();
+                iterations += 1;
+                continue;
+            }
+            blas1::axpy(alpha, &p, &mut x);
+            ch.axpy(n);
+            blas1::axpy(-alpha, &u, &mut r);
+            ch.axpy(n);
+            let rr = blas1::dot(&r, &r);
+            ch.dot(n, true);
+            let rz_new = match &mut pc {
+                Some(pc) => {
+                    pc.apply(&mut ch, &r, &mut z);
+                    let rz_new = blas1::dot(&r, &z);
+                    ch.dot(n, true);
+                    rz_new
+                }
+                None => rr,
+            };
+            let beta = rz_new / rz;
+            rz = rz_new;
+            blas1::xpay(applied(&pc, &r, &z), beta, &mut p);
+            ch.axpy(n);
+            ch.host();
+
+            iterations += 1;
+            relres = rr.sqrt() / norm_b;
+            if cfg.trace_residuals {
+                residual_history.push(relres);
+            }
+            if let Some(reference) = cfg.reference_solution.as_ref().filter(|_| pc.is_none()) {
+                error_history.push(rel_error(&x, reference));
+            }
+            if check && relres < cfg.tolerance {
+                converged = true;
+                break;
+            }
+            if pc.is_some() && !beta.is_finite() {
+                break;
+            }
+        }
+        report(
+            x,
+            iterations,
+            converged,
+            relres,
+            ch.tl,
+            residual_history,
+            error_history,
+        )
+    }
+
+    /// The BiCGSTAB family's one loop: right-preconditioned PBiCGSTAB with
+    /// `M⁻¹` from `ilu`, plain BiCGSTAB without it, which reads `p` and
+    /// `s` where PBiCGSTAB reads `p̂ = M⁻¹p` and `ŝ = M⁻¹s`. Beyond that
+    /// only BiCGSTAB charges the kernels an α restart skips and records
+    /// the error history.
+    fn bicgstab(
+        &self,
+        a: &Csr,
+        b: &[f64],
+        cfg: &SolverConfig,
+        ilu: Option<&Ilu0>,
+    ) -> BaselineReport {
+        let n = a.nrows;
+        assert_eq!(b.len(), n);
+        let mut ch = Charges::new(self);
+        let mut pc = ilu.map(|ilu| Factors::new(ilu, &mut ch, n));
 
         let norm_b = blas1::norm2(b);
         if norm_b == 0.0 {
@@ -423,47 +339,62 @@ impl Baseline {
         let mut v = vec![0.0; n];
         let mut s = vec![0.0; n];
         let mut t = vec![0.0; n];
+        let mut phat = vec![0.0; n];
+        let mut shat = vec![0.0; n];
         let mut rho = blas1::dot(&r, &r0s);
+        let mut residual_history = Vec::new();
+        let mut error_history = Vec::new();
 
         let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
         let check = cfg.fixed_iterations.is_none();
         let mut iterations = 0;
         let mut converged = false;
         let mut relres = f64::INFINITY;
-        let mut residual_history = Vec::new();
 
         for _ in 0..iters {
-            let phat = ilu.apply(&p);
-            ch.sptrsv(ilu.l.nnz(), n, l_levels);
-            ch.sptrsv(ilu.u.nnz(), n, u_levels);
-            spmv_csr(a, &phat, &mut v);
+            if let Some(pc) = &mut pc {
+                pc.apply(&mut ch, &p, &mut phat);
+            }
+            spmv_csr(a, applied(&pc, &p, &phat), &mut v);
             ch.spmv(a.nnz(), n);
             let denom = blas1::dot(&v, &r0s);
             ch.dot(n, true);
             let alpha = rho / denom;
             if !alpha.is_finite() || denom.abs() < f64::MIN_POSITIVE {
-                p.copy_from_slice(&r);
-                rho = blas1::dot(&r, &r0s);
-                if rho == 0.0 {
-                    rho = blas1::dot(&r, &r);
+                rho = restart_direction(&r, &r0s, &mut p);
+                if pc.is_none() {
+                    // The kernels of the skipped steps still run, charge
+                    // fully.
+                    ch.axpy(n);
+                    ch.spmv(a.nnz(), n);
+                    ch.dot(n, false);
+                    ch.dot(n, true);
+                    ch.axpy(n);
+                    ch.axpy(n);
+                    ch.axpy(n);
+                    ch.dot(n, false);
+                    ch.dot(n, true);
+                    ch.axpy(n);
+                    ch.host();
                 }
                 iterations += 1;
                 continue;
             }
             blas1::waxpy(&r, -alpha, &v, &mut s);
             ch.axpy(n);
-            let shat = ilu.apply(&s);
-            ch.sptrsv(ilu.l.nnz(), n, l_levels);
-            ch.sptrsv(ilu.u.nnz(), n, u_levels);
-            spmv_csr(a, &shat, &mut t);
+            if let Some(pc) = &mut pc {
+                pc.apply(&mut ch, &s, &mut shat);
+            }
+            spmv_csr(a, applied(&pc, &s, &shat), &mut t);
             ch.spmv(a.nnz(), n);
-            let ts_dot = blas1::dot(&t, &s);
+            let ts = blas1::dot(&t, &s);
             let tt = blas1::dot(&t, &t);
-            ch.dot(n, true);
-            ch.dot(n, true);
-            let omega = if tt > 0.0 { ts_dot / tt } else { 0.0 };
+            ch.dot(n, pc.is_some());
+            ch.dot(n, true); // (t,s) and (t,t) ride one scalar-pair readback
+            let omega = if tt > 0.0 { ts / tt } else { 0.0 };
+            let (ph, sh) = (applied(&pc, &p, &phat), applied(&pc, &s, &shat));
             for i in 0..n {
-                x[i] += alpha * phat[i] + omega * shat[i];
+                x[i] += alpha * ph[i] + omega * sh[i];
             }
             ch.axpy(n);
             ch.axpy(n);
@@ -480,17 +411,16 @@ impl Baseline {
             if cfg.trace_residuals {
                 residual_history.push(relres);
             }
+            if let Some(reference) = cfg.reference_solution.as_ref().filter(|_| pc.is_none()) {
+                error_history.push(rel_error(&x, reference));
+            }
             if check && relres < cfg.tolerance {
                 converged = true;
                 break;
             }
             let beta = (rho_new / rho) * (alpha / omega);
             if !beta.is_finite() || omega == 0.0 || rho_new.abs() < f64::MIN_POSITIVE {
-                p.copy_from_slice(&r);
-                rho = blas1::dot(&r, &r0s);
-                if rho == 0.0 {
-                    rho = blas1::dot(&r, &r);
-                }
+                rho = restart_direction(&r, &r0s, &mut p);
                 ch.axpy(n); // the p-update kernel still runs
                 continue;
             }
@@ -505,7 +435,7 @@ impl Baseline {
             relres,
             ch.tl,
             residual_history,
-            vec![],
+            error_history,
         )
     }
 }

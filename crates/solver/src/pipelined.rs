@@ -26,7 +26,10 @@
 //! PCG adds the preconditioner chain `m = M⁻¹w`, `n = A·m` and maintains
 //! `u = M⁻¹r`, `q = M⁻¹s`, `z = A·q` by recurrence — one SpTRSV pair, one
 //! SpMV, one fused eight-vector update and one fused reduction (γ, δ plus
-//! the residual norm ρ) per iteration.
+//! the residual norm ρ) per iteration. CG is its `M = I` case, and one
+//! body runs both: with `u = r`, `m = w` and `q = s` the preconditioned
+//! recurrence is the one above, so the unpreconditioned path skips the
+//! applications, the `u` and `q` updates and ρ.
 //!
 //! Breakdown semantics mirror the classic cores exactly: a non-positive
 //! α-denominator is a curvature breakdown, a non-finite α a numeric one;
@@ -40,12 +43,13 @@
 
 use crate::cg::{curvature_breakdown, keep_flags, mixed_spmv, Ledger};
 use crate::config::SolverConfig;
-use crate::coster::{Coster, MultiCoster};
+use crate::coster::Coster;
 use crate::partial::PartialState;
-use crate::precond::{Bound, Precond};
-use crate::report::{drive, Direction, ExecutedMode, Outcome, Slot, SolveReport};
+use crate::precond::{applied, Bound, Precond};
+use crate::report::{drive, Direction, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
-use mf_kernels::{blas1, SharedTiles};
+use mf_gpu::Timeline;
+use mf_kernels::{blas1, SharedTiles, VisFlag};
 use mf_sparse::TiledMatrix;
 use std::convert::Infallible;
 
@@ -71,13 +75,19 @@ pub(crate) fn pipeline_scalars(
 
 /// Pipelined CG on the tiled matrix, or pipelined PCG with `M⁻¹ = pc`
 /// when one is given (see [`crate::cg::run_cg`] for the workspace
-/// contract and the single-kernel panic). Vector map: `q = A·w` lives in
-/// `ws.u`, `s = A·p` in `ws.s`, `z = A·s` in `ws.t`, plus the new `ws.w`.
+/// contract and the single-kernel panic). Vector map: `u = M⁻¹r` lives in
+/// `ws.z`, `m = M⁻¹w` in `ws.m`, `n = A·m` in `ws.n`, `s = A·p` in
+/// `ws.s`, `q = M⁻¹s` in `ws.q`, `z = A·q` in `ws.t` and the SpTRSV
+/// intermediate in `ws.y`, plus `w = A·u` in `ws.w`.
 ///
-/// The two recurrences keep separate bodies: PCG's fused update carries
-/// eight vectors to CG's six, and aliasing its `q = M⁻¹s` onto `s` would
-/// update `s` twice. The preconditioned body runs its SpMVs with
-/// all-`Keep` flags and ignores `partial`.
+/// One body serves both, as the classic cores do. Without `pc` it reads
+/// `r`, `w` and `s` wherever the preconditioned recurrence reads `u`, `m`
+/// and `q`, so it skips the applications, the `q` and `u` updates and
+/// the residual-norm dot ρ (the relres is then `γ = (r, r)` itself), and
+/// fuses six vectors where PCG fuses eight. Under `pc` the SpMVs run with
+/// all-`Keep` flags, `partial` and [`SolverConfig::adaptive`] are
+/// ignored, and the charges are PCG's: one more update kernel and the
+/// (γ, δ) pair's own dot kernel ahead of ρ's readback.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cg_pipelined(
     m: &TiledMatrix,
@@ -89,15 +99,13 @@ pub fn run_cg_pipelined(
     partial: &mut PartialState,
     ws: &mut SolverWorkspace,
 ) -> SolveReport {
-    if let Some(pc) = pc {
-        return pcg_pipelined(m, shared, pc, b, cfg, coster.multi(), ws);
-    }
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols, "CG needs a square (SPD) matrix");
 
-    let mut led = Ledger::new(cfg, true, coster.mode(), coster.warp_count());
+    let mut led = Ledger::new(cfg, pc.is_none(), coster.mode(), coster.warp_count());
     coster.solve_start(&mut led.tl);
+    let pc = pc.map(|pc| Bound::new(pc, coster.multi(), cfg, &mut led.tl, n));
 
     let norm_b = blas1::norm2(b);
     if norm_b == 0.0 {
@@ -109,37 +117,44 @@ pub fn run_cg_pipelined(
         x,
         r,
         p,
-        u: q,
         s,
         t: z,
+        z: u,
+        y,
         w,
+        m: mv,
+        n: nv,
+        q,
         ..
     } = ws;
     r.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
+    let keep = keep_flags(m.tile_cols);
 
-    // Init (x0 = 0): r = b, w = A·r, γ = (r,r), δ = (w,r). The fused init
-    // SpMV is the pipeline's one-time extra cost over classic CG.
-    partial.update(r);
-    if partial.enabled() {
-        coster.visflag_scan(&mut led.tl);
+    // Init (x0 = 0): r = b, u = M⁻¹r, w = A·u, γ = (r,u), δ = (w,u), and
+    // under `pc` ρ = (r,r) = ‖b‖². The fused init SpMV is the pipeline's
+    // one-time extra cost over classic CG.
+    if let Some(pc) = &pc {
+        pc.apply(&mut led.tl, r, y, u);
     }
-    let stats = mixed_spmv(m, shared, &partial.vis_flags, r, w, threads);
+    let flags = spmv_flags(&pc, &keep, partial, applied(&pc, r, u), coster, &mut led.tl);
+    let stats = mixed_spmv(m, shared, flags, applied(&pc, r, u), w, threads);
     led.stamp(0, 0);
     led.spmv(&stats, shared);
-    coster.spmv_unsync(&mut led.tl, m, shared, &partial.vis_flags, &stats);
-    let (mut gamma, mut delta) = blas1::dot2(r, w, r);
+    coster.spmv_unsync(&mut led.tl, m, shared, flags, &stats);
+    let (mut gamma, mut delta) = blas1::dot2(r, w, applied(&pc, r, u));
     coster.dot_unsync(&mut led.tl, true);
     coster.barrier(&mut led.tl); // the init epoch publishing w, γ₀, δ₀
+    let mut rho = if pc.is_some() { norm_b * norm_b } else { gamma };
 
-    // Adaptive re-tiering: the refresh recomputes r = b − A·x and the
-    // recurrence seeds w = A·r, (γ, δ) from the re-tiered operator and
-    // flags a fresh (steepest-descent) start — the pipelined analogue of
-    // the classic core's r/p rebuild.
+    // Adaptive re-tiering (unpreconditioned only): the refresh recomputes
+    // r = b − A·x and the recurrence seeds w = A·r, (γ, δ) from the
+    // re-tiered operator and flags a fresh (steepest-descent) start — the
+    // pipelined analogue of the classic core's r/p rebuild.
     let ctrl = cfg
         .adaptive
+        .filter(|_| pc.is_none())
         .map(|ac| crate::adaptive::controller_for(m, ac));
-    let retier_keep = ctrl.as_ref().map(|_| keep_flags(m.tile_cols));
 
     let mut gamma_old = 1.0f64;
     let mut alpha_old = 1.0f64;
@@ -157,47 +172,55 @@ pub fn run_cg_pipelined(
             if let Some(d) = refresh {
                 // ---- Adaptive re-tier epoch: re-tier, then reseed the
                 // whole recurrence from the true residual of the re-tiered
-                // operator: r = b − A·x (via the q temp), w = A·r,
+                // operator: r = b − A·x (via the n temp), w = A·r,
                 // (γ, δ) = ((r,r), (w,r)), fresh start.
                 shared.apply_retier(m, &d.actions);
                 coster.retier(&mut led.tl, crate::adaptive::touched_nnz(m, d));
-                let keepf = retier_keep.as_ref().expect("armed with controller");
-                let xstats = mixed_spmv(m, shared, keepf, x, q, threads);
+                let xstats = mixed_spmv(m, shared, &keep, x, nv, threads);
                 led.spmv_stats.merge(&xstats);
-                coster.spmv_unsync(&mut led.tl, m, shared, keepf, &xstats);
+                coster.spmv_unsync(&mut led.tl, m, shared, &keep, &xstats);
                 for i in 0..n {
-                    r[i] = b[i] - q[i];
+                    r[i] = b[i] - nv[i];
                 }
                 coster.axpy_unsync(&mut led.tl, 1);
-                let wstats = mixed_spmv(m, shared, keepf, r, w, threads);
+                let wstats = mixed_spmv(m, shared, &keep, r, w, threads);
                 led.spmv_stats.merge(&wstats);
-                coster.spmv_unsync(&mut led.tl, m, shared, keepf, &wstats);
+                coster.spmv_unsync(&mut led.tl, m, shared, &keep, &wstats);
                 (gamma, delta) = blas1::dot2(r, w, r);
                 coster.dot_unsync(&mut led.tl, true);
                 coster.barrier(&mut led.tl);
+                rho = gamma;
                 fresh = true;
                 led.retiered(d);
                 refreshes += 1;
                 return Ok(Slot::Refreshed);
             }
 
+            // ---- Preconditioner chain m = M⁻¹w, then SpMV n = A·m. On
+            // the device these overlap the reduction that produced (γ, δ);
+            // sequentially they simply run first.
             led.stamp(j - refreshes, 2); // PCG_PIPELINED_STEPS[2] = "spmv"
-                                         // ---- SpMV q = A·w. On the device this overlaps the reduction
-                                         // that produced (γ, δ); sequentially it simply runs first.
-            partial.update(w);
-            if partial.enabled() {
-                coster.visflag_scan(&mut led.tl);
+            if let Some(pc) = &pc {
+                pc.apply(&mut led.tl, w, y, mv);
             }
-            let stats = mixed_spmv(m, shared, &partial.vis_flags, w, q, threads);
+            let flags = spmv_flags(
+                &pc,
+                &keep,
+                partial,
+                applied(&pc, w, mv),
+                coster,
+                &mut led.tl,
+            );
+            let stats = mixed_spmv(m, shared, flags, applied(&pc, w, mv), nv, threads);
             led.spmv(&stats, shared);
-            coster.spmv_unsync(&mut led.tl, m, shared, &partial.vis_flags, &stats);
+            coster.spmv_unsync(&mut led.tl, m, shared, flags, &stats);
 
             // ---- Scalars from the previous reduction.
             let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
             if let Some(kind) = curvature_breakdown(alpha, denom) {
                 // Breakdown restart: discard the direction history (β = 0
-                // next iteration rebuilds p, s, z from r, w, q) without
-                // touching x or r — the same fixed-point-compatible
+                // next iteration rebuilds p, s, q, z from u, w, m, n)
+                // without touching x or r — the same fixed-point-compatible
                 // semantics as classic CG.
                 fresh = true;
                 coster.barrier(&mut led.tl); // epochs stay aligned with the normal path
@@ -205,139 +228,39 @@ pub fn run_cg_pipelined(
                 return Ok(Slot::Restart {
                     kind,
                     finite: gamma.is_finite(),
-                    relres: Some(gamma.sqrt() / norm_b),
-                });
-            }
-
-            // ---- Fused six-vector update (one pass; see blas1).
-            blas1::cg_pipelined_update(alpha, beta, q, p, s, z, x, r, w);
-            coster.axpy_unsync(&mut led.tl, 6);
-
-            // ---- Fused dot pair for the *next* iteration's scalars, then
-            // THE one barrier epoch of the iteration (the schedule's whole
-            // point).
-            let (gamma_new, delta_new) = blas1::dot2(r, w, r);
-            coster.dot_unsync(&mut led.tl, true);
-            coster.barrier(&mut led.tl);
-
-            gamma_old = gamma;
-            alpha_old = alpha;
-            gamma = gamma_new;
-            delta = delta_new;
-            fresh = false;
-            if !gamma.is_finite() {
-                // Poisoned residual recurrence — abort observably, exactly
-                // like the classic core's (r,r) check.
-                return Ok(Slot::NonFinite);
-            }
-            led.trails(cfg, x, partial, w, stats.tiles_bypassed, shared);
-            Ok(Slot::Done(gamma.sqrt() / norm_b, Direction::Kept))
-        },
-    );
-    led.report(out, x)
-}
-
-/// Pipelined preconditioned CG with `M⁻¹ = pc`. Vector map: `u = M⁻¹r`
-/// lives in `ws.z`, `z = A·q` in `ws.t`, the SpTRSV intermediate in
-/// `ws.y`, plus the new `ws.w` (`A·u`), `ws.m` (`M⁻¹w`), `ws.n` (`A·m`)
-/// and `ws.q` (`M⁻¹s`). Like classic PCG it charges through a
-/// [`MultiCoster`]; the threaded single-kernel engine is the in-kernel
-/// variant.
-fn pcg_pipelined(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    pc: Precond<'_>,
-    b: &[f64],
-    cfg: &SolverConfig,
-    mc: &MultiCoster,
-    ws: &mut SolverWorkspace,
-) -> SolveReport {
-    let n = m.nrows;
-    assert_eq!(b.len(), n);
-
-    let mut led = Ledger::new(cfg, false, ExecutedMode::MultiKernel, 0);
-    let pc = Bound::new(pc, mc, cfg, &mut led.tl, n);
-
-    let norm_b = blas1::norm2(b);
-    if norm_b == 0.0 {
-        return led.zero_rhs(n);
-    }
-
-    ws.ensure(n);
-    let SolverWorkspace {
-        x,
-        r,
-        p,
-        s,
-        t: z,
-        z: u,
-        y,
-        w,
-        m: mvec,
-        n: nvec,
-        q,
-        ..
-    } = ws;
-    r.copy_from_slice(b);
-    let threads = cfg.host_parallelism.threads_for(m.nnz());
-    let keep = keep_flags(m.tile_cols);
-
-    // Init (x0 = 0): r = b, u = M⁻¹r, w = A·u, γ = (r,u), δ = (w,u),
-    // ρ = (r,r) = ‖b‖².
-    pc.apply(&mut led.tl, r, y, u);
-    let stats = mixed_spmv(m, shared, &keep, u, w, threads);
-    led.spmv(&stats, shared);
-    mc.spmv(&mut led.tl, m, &stats);
-    let (mut gamma, mut delta) = blas1::dot2(r, w, u);
-    mc.dot(&mut led.tl, true);
-    let mut rho = norm_b * norm_b;
-
-    let mut gamma_old = 1.0f64;
-    let mut alpha_old = 1.0f64;
-    let mut fresh = true;
-    let mut out = Outcome::sequential(cfg.trace_residuals);
-    let Ok(()) = drive::<Infallible>(
-        &mut out,
-        cfg.max_iter,
-        cfg.fixed_iterations,
-        cfg.tolerance,
-        None,
-        || Ok(()),
-        |_, _| {
-            // ---- Preconditioner chain m = M⁻¹w, then SpMV n = A·m. On the
-            // device these overlap the reduction that produced (γ, δ, ρ).
-            pc.apply(&mut led.tl, w, y, mvec);
-            let stats = mixed_spmv(m, shared, &keep, mvec, nvec, threads);
-            led.spmv(&stats, shared);
-            mc.spmv(&mut led.tl, m, &stats);
-
-            // ---- Scalars from the previous reduction.
-            let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-            if let Some(kind) = curvature_breakdown(alpha, denom) {
-                // Breakdown restart: same flag-only recovery as pipelined
-                // CG (β = 0 rebuilds p, s, q, z from u, w, m, n next
-                // iteration).
-                fresh = true;
-                return Ok(Slot::Restart {
-                    kind,
-                    finite: gamma.is_finite(),
                     relres: Some(rho.sqrt() / norm_b),
                 });
             }
 
-            // ---- Fused eight-vector update (one pass; see blas1).
-            blas1::pcg_pipelined_update(alpha, beta, mvec, nvec, p, s, q, z, x, r, u, w);
-            mc.axpy(&mut led.tl);
-            mc.axpy(&mut led.tl);
+            // ---- Fused vector update (one pass; see blas1): eight
+            // vectors under `pc`, charged as two kernels; six without.
+            match &pc {
+                Some(_) => {
+                    blas1::pcg_pipelined_update(alpha, beta, mv, nv, p, s, q, z, x, r, u, w);
+                    coster.axpy_unsync(&mut led.tl, 8);
+                    coster.axpy_unsync(&mut led.tl, 8);
+                }
+                None => {
+                    blas1::cg_pipelined_update(alpha, beta, nv, p, s, z, x, r, w);
+                    coster.axpy_unsync(&mut led.tl, 6);
+                }
+            }
 
-            // ---- Fused reduction for the next iteration: γ' = (r,u),
-            // δ' = (w,u), plus the residual norm ρ' = (r,r) the
+            // ---- Fused reduction for the next iteration, γ' = (r,u) and
+            // δ' = (w,u), plus under `pc` the residual norm ρ' = (r,r) the
             // convergence test needs (γ is *not* a norm under
-            // preconditioning).
-            let (gamma_new, delta_new) = blas1::dot2(r, w, u);
-            mc.dot(&mut led.tl, false);
-            let rho_new = blas1::dot(r, r);
-            mc.dot(&mut led.tl, true);
+            // preconditioning); then THE one barrier epoch of the
+            // iteration (the schedule's whole point).
+            let (gamma_new, delta_new) = blas1::dot2(r, w, applied(&pc, r, u));
+            if pc.is_some() {
+                coster.dot_unsync(&mut led.tl, false);
+            }
+            let rho_new = match &pc {
+                Some(_) => blas1::dot(r, r),
+                None => gamma_new,
+            };
+            coster.dot_unsync(&mut led.tl, true);
+            coster.barrier(&mut led.tl);
 
             gamma_old = gamma;
             alpha_old = alpha;
@@ -346,12 +269,36 @@ fn pcg_pipelined(
             rho = rho_new;
             fresh = false;
             if !rho.is_finite() {
+                // Poisoned residual recurrence — abort observably, exactly
+                // like the classic core's (r,r) check.
                 return Ok(Slot::NonFinite);
             }
+            led.trails(cfg, x, partial, w, stats.tiles_bypassed, shared);
             Ok(Slot::Done(rho.sqrt() / norm_b, Direction::Kept))
         },
     );
     led.report(out, x)
+}
+
+/// The flags an SpMV of `v` runs with: all-`Keep` under a
+/// preconditioner, else the partial-convergence strategy's, refreshed
+/// from `v` (Algorithm 4, its scan charged to `tl`).
+fn spmv_flags<'f>(
+    pc: &Option<Bound<'_>>,
+    keep: &'f [VisFlag],
+    partial: &'f mut PartialState,
+    v: &[f64],
+    coster: &Coster,
+    tl: &mut Timeline,
+) -> &'f [VisFlag] {
+    if pc.is_some() {
+        return keep;
+    }
+    partial.update(v);
+    if partial.enabled() {
+        coster.visflag_scan(tl);
+    }
+    &partial.vis_flags
 }
 
 #[cfg(test)]
@@ -359,7 +306,7 @@ mod tests {
     use super::*;
     use crate::cg::run_cg;
     use crate::config::MAX_CONSECUTIVE_RESTARTS;
-    use crate::coster::SingleCoster;
+    use crate::coster::{MultiCoster, SingleCoster};
     use crate::report::{BreakdownKind, SolveFailure};
     use mf_gpu::{CostModel, DeviceSpec};
     use mf_kernels::ilu0;

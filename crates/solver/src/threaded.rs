@@ -39,13 +39,13 @@
 //!
 //! ## One body per method family, one loop driver
 //!
-//! CG and PCG share one body, as do BiCGSTAB and PBiCGSTAB: without a
-//! preconditioner the body skips the triangular sweeps and reads `r` (or
-//! `p`, `s`) where the preconditioned path reads `z` (`p̂`, `ŝ`). The
-//! pipelined CG and PCG bodies stay separate (they pass one and two
-//! barriers per iteration). Every body reports each loop slot to the one
-//! driver, `report::drive`, which owns the iteration cap, the
-//! restart policy, convergence and aborts, and the adaptive refresh slots.
+//! CG and PCG share one body, as do BiCGSTAB and PBiCGSTAB and pipelined
+//! CG and pipelined PCG: without a preconditioner the body skips the
+//! triangular sweeps (and, pipelined, their publish barrier) and reads `r`
+//! (or `p`, `s`, `w`) where the preconditioned path reads `z` (`p̂`, `ŝ`,
+//! `M⁻¹w`). Every body reports each loop slot to the one driver,
+//! `report::drive`, which owns the iteration cap, the restart policy,
+//! convergence and aborts, and the adaptive refresh slots.
 //!
 //! ## Robustness (deviation from the paper)
 //!
@@ -1592,12 +1592,14 @@ pub fn run_ilu_sptrsv_threaded(
 // The pipelined PCG keeps two barriers: `m = M⁻¹w` must be published before
 // the SpMV `n = A·m` reads it cross-warp. Everything else (`w`, `u`, and
 // the six recurrence vectors) is only ever touched by its segment owner,
-// so the classic publish and extra dot barriers disappear. The two bodies
-// stay separate — merging them would add a barrier to pipelined CG — but
-// share the loop driver. Determinism and warp-count invariance hold for
-// the same reasons as the classic engines: owner-computes SpMV in global
-// tile order, per-segment single-writer dot partials reduced in fixed
-// segment order, and SpTRSV rows combined in CSR order.
+// so the classic publish and extra dot barriers disappear. Both run one
+// body, `pipelined_family`: `w` is double-buffered on both paths, so the
+// unpreconditioned path, which reads `w` itself where PCG reads `M⁻¹w`,
+// needs no barrier of its own, and the precondition step and its barrier
+// run only under a preconditioner. Determinism and warp-count invariance
+// hold for the same reasons as the classic engines: owner-computes SpMV
+// in global tile order, per-segment single-writer dot partials reduced in
+// fixed segment order, and SpTRSV rows combined in CSR order.
 
 /// Runs Ghysels–Vanroose pipelined CG inside the single kernel with ONE
 /// global barrier per iteration (the classic engine passes three; see the
@@ -1625,151 +1627,7 @@ pub fn run_cg_pipelined_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, None, b, opts) {
-        Ok(setup) => setup,
-        Err(done) => return *done,
-    };
-    let n = lay.n;
-    let (x, r, p) = (zeros(n), cells(b), zeros(n));
-    // s = A·p and z = A·s (recurrence), q = A·w (per-iteration SpMV).
-    let (s, z, q) = (zeros(n), zeros(n), zeros(n));
-    // w = A·r, double-buffered: slot k%2 is the published input of the
-    // current iteration, the fused update writes slot (k+1)%2 (k counts
-    // successful updates, so a breakdown iteration re-reads the same slot).
-    let wbuf = [zeros(n), zeros(n)];
-    let bar = AtomicI64::new(0);
-    // Dot-partial arrays, double-buffered on the same parity as `w`.
-    let seg_gamma = [lay.seg_cells(), lay.seg_cells()];
-    let seg_delta = [lay.seg_cells(), lay.seg_cells()];
-    // Seeds the recurrence from the current r: w = A·r into parity slot
-    // `k`, γ = (r, r), δ = (w, r).
-    let reseed = |tiles: &mut WarpTiles<'_>, k: usize| {
-        tiles.spmv_own(&r, &wbuf[k]);
-        let segs = tiles.segs.clone();
-        seg_dots(&lay, segs, [&seg_gamma[k], &seg_delta[k]], |e| {
-            let rv = ld(&r[e]);
-            [rv * rv, ld(&wbuf[k][e]) * rv]
-        });
-    };
-
-    launch(&lay, opts, PCG_PIPELINED_STEPS, &x, |warp| {
-        let sync = warp.sync;
-        let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
-        let mut bar = Barrier::new(&bar, &lay, sync);
-
-        // ---- Init: w = A·r (r = b), γ₀ = (r,r), δ₀ = (w,r).
-        sync.iteration_gate()?;
-        sync.step(0, 0)?;
-        reseed(&mut tiles, 0);
-        bar.wait()?; // publishes w and the (γ₀, δ₀) partials
-
-        let mut k = 0usize; // successful updates completed
-        let mut gamma_old = 1.0f64;
-        let mut alpha_old = 1.0f64;
-        let mut fresh = true;
-        let ctrl = opts
-            .adaptive
-            .map(|ac| crate::adaptive::controller_for(m, ac));
-        drive(
-            &mut warp.out,
-            max_iter,
-            None,
-            tol,
-            ctrl,
-            || sync.iteration_gate(),
-            |j, refresh| {
-                let s_in = k % 2;
-                let s_out = (k + 1) % 2;
-
-                if let Some(d) = refresh {
-                    // ---- Re-tier refresh pass (a slot, not an iteration):
-                    // requantize, rebuild the true residual r = b − A·x
-                    // (barrier publishes r), reseed the current parity slot
-                    // (barrier publishes it), then restart the direction stack.
-                    sync.step(j, 0)?;
-                    tiles.retier(d);
-                    tiles.spmv_own(&x, &q);
-                    for e in own.clone() {
-                        st(&r[e], b[e] - ld(&q[e]));
-                    }
-                    bar.wait()?;
-                    reseed(&mut tiles, s_in);
-                    bar.wait()?;
-                    fresh = true;
-                    sync.retiered(d);
-                    return Ok(Slot::Refreshed);
-                }
-
-                // ---- q = A·w: reads the slot the last barrier published;
-                // never races the updates, which write the other slot.
-                sync.step(j, 2)?;
-                tiles.spmv_own(&wbuf[s_in], &q);
-
-                // ---- Scalars from the published reduction — identical on
-                // every warp (fixed segment order).
-                sync.step(j, 3)?;
-                let gamma = seg_total(&seg_gamma[s_in]);
-                let delta = seg_total(&seg_delta[s_in]);
-                let (beta, alpha, denom) =
-                    pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-                if let Some(kind) = curvature_breakdown(alpha, denom) {
-                    // Flag-only restart: β = 0 next iteration rebuilds p, s, z
-                    // wholesale; the parities do not flip, so the same (γ, δ)
-                    // and the same w slot are re-read. One barrier keeps the
-                    // epoch count aligned with the normal path.
-                    fresh = true;
-                    bar.wait()?;
-                    return Ok(Slot::Restart {
-                        kind,
-                        finite: gamma.is_finite(),
-                        relres: Some(gamma.max(0.0).sqrt() / norm_b),
-                    });
-                }
-
-                // ---- Fused six-vector update + next dot partials (elementwise
-                // order matches blas1::cg_pipelined_update exactly, so the
-                // drift envelope is shared).
-                sync.step(j, 4)?;
-                seg_dots(
-                    &lay,
-                    segs.clone(),
-                    [&seg_gamma[s_out], &seg_delta[s_out]],
-                    |e| {
-                        let wv = ld(&wbuf[s_in][e]);
-                        let qv = ld(&q[e]);
-                        let pv = ld(&r[e]) + beta * ld(&p[e]);
-                        st(&p[e], pv);
-                        let sv = wv + beta * ld(&s[e]);
-                        st(&s[e], sv);
-                        let zv = qv + beta * ld(&z[e]);
-                        st(&z[e], zv);
-                        st(&x[e], ld(&x[e]) + alpha * pv);
-                        let rv = ld(&r[e]) - alpha * sv;
-                        st(&r[e], rv);
-                        let wn = wv - alpha * zv;
-                        st(&wbuf[s_out][e], wn);
-                        [rv * rv, wn * rv]
-                    },
-                );
-                bar.wait()?; // THE barrier: publishes w' + (γ', δ')
-
-                k += 1;
-                gamma_old = gamma;
-                alpha_old = alpha;
-                fresh = false;
-
-                let gamma_new = seg_total(&seg_gamma[s_out]);
-                if !gamma_new.is_finite() {
-                    return Ok(Slot::NonFinite);
-                }
-                Ok(Slot::Done(
-                    gamma_new.max(0.0).sqrt() / norm_b,
-                    Direction::Kept,
-                ))
-            },
-        )
-    })
+    pipelined_family(m, None, b, tol, max_iter, opts)
 }
 
 /// Runs Ghysels–Vanroose pipelined PCG inside the single kernel with TWO
@@ -1792,123 +1650,242 @@ pub fn run_pcg_pipelined_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let tri = TriSolve::ilu(ilu);
-    let (lay, norm_b) = match prologue(m, Some(&tri), b, opts) {
+    // Only the unpreconditioned CG engines honour `adaptive`.
+    let opts = ThreadedOpts {
+        adaptive: None,
+        ..opts.clone()
+    };
+    pipelined_family(m, Some(&TriSolve::ilu(ilu)), b, tol, max_iter, &opts)
+}
+
+/// The pipelined family's dot partials, double-buffered on the parity of
+/// `w`: γ and δ always, ρ = (r, r) only under a preconditioner — without
+/// one it is γ itself.
+struct PipelinedPartials {
+    gamma: [Vec<AtomicU64>; 2],
+    delta: [Vec<AtomicU64>; 2],
+    rho: Option<[Vec<AtomicU64>; 2]>,
+}
+
+impl PipelinedPartials {
+    fn new(lay: &Layout, preconditioned: bool) -> Self {
+        let pair = || [lay.seg_cells(), lay.seg_cells()];
+        PipelinedPartials {
+            gamma: pair(),
+            delta: pair(),
+            rho: preconditioned.then(pair),
+        }
+    }
+
+    /// Stores the (γ, δ, ρ) partials `term` yields for `segs` into
+    /// parity slot `k`.
+    fn store(
+        &self,
+        lay: &Layout,
+        segs: Range<usize>,
+        k: usize,
+        mut term: impl FnMut(usize) -> [f64; 3],
+    ) {
+        let (gamma, delta) = (&self.gamma[k][..], &self.delta[k][..]);
+        match &self.rho {
+            Some(rho) => seg_dots(lay, segs, [gamma, delta, &rho[k]], term),
+            None => seg_dots(lay, segs, [gamma, delta], |e| {
+                let [g, d, _] = term(e);
+                [g, d]
+            }),
+        }
+    }
+
+    /// ρ from parity slot `k`.
+    fn rho(&self, k: usize) -> f64 {
+        seg_total(self.rho.as_ref().map_or(&self.gamma[k], |rho| &rho[k]))
+    }
+}
+
+/// The pipelined family's one body: pipelined PCG with the triangular
+/// solve pair `tri`, pipelined CG without it — `u = M⁻¹r`, `m = M⁻¹w` and
+/// `q = M⁻¹s` are then `r`, `w` and `s` themselves, so the `precond` step
+/// and its publish barrier, the `q` and `u` updates and the ρ partials
+/// are skipped (the relres is then `γ = (r, r)` itself).
+fn pipelined_family(
+    m: &TiledMatrix,
+    tri: Option<&TriSolve<'_>>,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+    opts: &ThreadedOpts,
+) -> SolveReport {
+    let (lay, norm_b) = match prologue(m, tri, b, opts) {
         Ok(setup) => setup,
         Err(done) => return *done,
     };
     let n = lay.n;
     let (x, r, p) = (zeros(n), cells(b), zeros(n));
-    // Recurrences s = A·p, q = M⁻¹s, z = A·q; u = M⁻¹r.
-    let (s, q, zz, u) = (zeros(n), zeros(n), zeros(n), zeros(n));
-    let wv = zeros(n); // w = A·u — warp-private (own rows only)
-    let mv = zeros(n); // m = M⁻¹w — the one cross-warp vector
-    let nv = zeros(n); // n = A·m
+    // Recurrences s = A·p, z = A·q; n = A·m is the per-iteration SpMV.
+    let (s, zz, nv) = (zeros(n), zeros(n), zeros(n));
+    // PCG's own vectors: u = M⁻¹r and q = M⁻¹s (recurrences) and
+    // m = M⁻¹w — the one cross-warp vector of the preconditioned path.
+    let [u_own, q_own, mv] = std::array::from_fn(|_| tri.map(|_| zeros(n)));
+    let u = u_own.as_deref().unwrap_or(&r);
+    // w = A·u, double-buffered: slot k%2 is the published input of the
+    // current iteration, the fused update writes slot (k+1)%2 (k counts
+    // successful updates, so a breakdown iteration re-reads the same slot).
+    let wbuf = [zeros(n), zeros(n)];
     let bar = AtomicI64::new(0);
-    let seg_gamma = [lay.seg_cells(), lay.seg_cells()];
-    let seg_delta = [lay.seg_cells(), lay.seg_cells()];
-    let seg_rho = [lay.seg_cells(), lay.seg_cells()];
+    let parts = PipelinedPartials::new(&lay, tri.is_some());
+    // Seeds the recurrence from the current r into parity slot `k`:
+    // u = M⁻¹r (its own barrier publishes u for the SpMV), w = A·u,
+    // γ = (r,u), δ = (w,u), ρ = (r,r), then the barrier publishing w and
+    // the partials.
+    let reseed = |tiles: &mut WarpTiles<'_>,
+                  precond: &mut Option<WarpTri<'_>>,
+                  bar: &mut Barrier<'_>,
+                  k: usize|
+     -> Result<(), i64> {
+        if let Some(pc) = precond {
+            pc.apply(&r, u)?;
+            bar.wait()?;
+        }
+        tiles.spmv_own(u, &wbuf[k]);
+        parts.store(&lay, tiles.segs.clone(), k, |e| {
+            let (rv, uv) = (ld(&r[e]), ld(&u[e]));
+            [rv * uv, ld(&wbuf[k][e]) * uv, rv * rv]
+        });
+        bar.wait()
+    };
 
     launch(&lay, opts, PCG_PIPELINED_STEPS, &x, |warp| {
         let sync = warp.sync;
-        let segs = lay.segs(warp.w);
+        let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
         let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
         let mut bar = Barrier::new(&bar, &lay, sync);
-        let mut precond = tri.warp(&lay, warp.w, sync);
+        let mut precond = tri.map(|t| t.warp(&lay, warp.w, sync));
 
-        // ---- Init: u = M⁻¹r (r = b), then w = A·u, γ₀ = (r,u),
-        // δ₀ = (w,u), ρ₀ = (r,r).
+        // ---- Init (r = b).
         sync.iteration_gate()?;
         sync.step(0, 0)?;
-        precond.apply(&r, &u)?;
-        bar.wait()?; // publishes u for the SpMV
-        tiles.spmv_own(&u, &wv);
-        let init: [&[AtomicU64]; 3] = [&seg_gamma[0], &seg_delta[0], &seg_rho[0]];
-        seg_dots(&lay, segs.clone(), init, |e| {
-            let rv = ld(&r[e]);
-            let uv = ld(&u[e]);
-            [rv * uv, ld(&wv[e]) * uv, rv * rv]
-        });
-        bar.wait()?; // publishes the (γ₀, δ₀, ρ₀) partials
+        reseed(&mut tiles, &mut precond, &mut bar, 0)?;
 
-        let mut k = 0usize;
+        let mut k = 0usize; // successful updates completed
         let mut gamma_old = 1.0f64;
         let mut alpha_old = 1.0f64;
         let mut fresh = true;
+        let ctrl = opts
+            .adaptive
+            .map(|ac| crate::adaptive::controller_for(m, ac));
         drive(
             &mut warp.out,
             max_iter,
             None,
             tol,
-            None,
+            ctrl,
             || sync.iteration_gate(),
-            |j, _| {
+            |j, refresh| {
                 let s_in = k % 2;
                 let s_out = (k + 1) % 2;
+                let (w_in, w_out) = (&wbuf[s_in], &wbuf[s_out]);
+
+                if let Some(d) = refresh {
+                    // ---- Re-tier refresh pass (a slot, not an iteration):
+                    // requantize, rebuild the true residual r = b − A·x
+                    // (barrier publishes r), reseed the current parity slot
+                    // (barrier publishes it), then restart the direction stack.
+                    sync.step(j, 0)?;
+                    tiles.retier(d);
+                    tiles.spmv_own(&x, &nv);
+                    for e in own.clone() {
+                        st(&r[e], b[e] - ld(&nv[e]));
+                    }
+                    bar.wait()?;
+                    reseed(&mut tiles, &mut precond, &mut bar, s_in)?;
+                    fresh = true;
+                    sync.retiered(d);
+                    return Ok(Slot::Refreshed);
+                }
 
                 // ---- m = M⁻¹w (w is warp-private: the SpTRSV rhs reads own
-                // rows only).
-                sync.step(j, 1)?;
-                precond.apply(&wv, &mv)?;
-                bar.wait()?; // barrier 1 of 2: publishes m
+                // rows only), published by its own barrier.
+                let m_in = match (precond.as_mut(), &mv) {
+                    (Some(pc), Some(mv)) => {
+                        sync.step(j, 1)?;
+                        pc.apply(w_in, mv)?;
+                        bar.wait()?;
+                        &mv[..]
+                    }
+                    _ => &w_in[..],
+                };
 
-                // ---- n = A·m.
+                // ---- n = A·m: reads what the last barrier published; never
+                // races the updates, which write the other w slot.
                 sync.step(j, 2)?;
-                tiles.spmv_own(&mv, &nv);
+                tiles.spmv_own(m_in, &nv);
 
-                // ---- Scalars from the published reduction.
+                // ---- Scalars from the published reduction — identical on
+                // every warp (fixed segment order).
                 sync.step(j, 3)?;
-                let gamma = seg_total(&seg_gamma[s_in]);
-                let delta = seg_total(&seg_delta[s_in]);
+                let gamma = seg_total(&parts.gamma[s_in]);
+                let delta = seg_total(&parts.delta[s_in]);
                 let (beta, alpha, denom) =
                     pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
                 if let Some(kind) = curvature_breakdown(alpha, denom) {
-                    // Flag-only restart, as in pipelined CG; the second
-                    // barrier keeps the epoch count aligned.
+                    // Flag-only restart: β = 0 next iteration rebuilds the
+                    // direction stack wholesale; the parities do not flip,
+                    // so the same (γ, δ) and the same w slot are re-read.
+                    // One barrier keeps the epoch count aligned with the
+                    // normal path.
                     fresh = true;
                     bar.wait()?;
                     return Ok(Slot::Restart {
                         kind,
                         finite: gamma.is_finite(),
-                        relres: Some(seg_total(&seg_rho[s_in]).max(0.0).sqrt() / norm_b),
+                        relres: Some(parts.rho(s_in).max(0.0).sqrt() / norm_b),
                     });
                 }
 
-                // ---- Fused eight-vector update + next dot partials
-                // (elementwise order matches blas1::pcg_pipelined_update).
+                // ---- Fused update + next dot partials (elementwise order
+                // matches blas1::pcg_pipelined_update, and without a
+                // preconditioner blas1::cg_pipelined_update, exactly, so the
+                // drift envelope is shared).
                 sync.step(j, 4)?;
-                let next: [&[AtomicU64]; 3] =
-                    [&seg_gamma[s_out], &seg_delta[s_out], &seg_rho[s_out]];
-                seg_dots(&lay, segs.clone(), next, |e| {
-                    let mvv = ld(&mv[e]);
-                    let nvv = ld(&nv[e]);
-                    let uo = ld(&u[e]);
-                    let wo = ld(&wv[e]);
+                parts.store(&lay, segs.clone(), s_out, |e| {
+                    let (uo, wo) = (ld(&u[e]), ld(&w_in[e]));
                     let pv = uo + beta * ld(&p[e]);
                     st(&p[e], pv);
                     let sv = wo + beta * ld(&s[e]);
                     st(&s[e], sv);
-                    let qv = mvv + beta * ld(&q[e]);
-                    st(&q[e], qv);
-                    let zv = nvv + beta * ld(&zz[e]);
+                    let qv = match &q_own {
+                        Some(q) => {
+                            let qv = ld(&m_in[e]) + beta * ld(&q[e]);
+                            st(&q[e], qv);
+                            qv
+                        }
+                        None => sv,
+                    };
+                    let zv = ld(&nv[e]) + beta * ld(&zz[e]);
                     st(&zz[e], zv);
                     st(&x[e], ld(&x[e]) + alpha * pv);
                     let rv = ld(&r[e]) - alpha * sv;
                     st(&r[e], rv);
-                    let un = uo - alpha * qv;
-                    st(&u[e], un);
+                    let un = match &u_own {
+                        Some(u) => {
+                            let un = uo - alpha * qv;
+                            st(&u[e], un);
+                            un
+                        }
+                        None => rv,
+                    };
                     let wn = wo - alpha * zv;
-                    st(&wv[e], wn);
+                    st(&w_out[e], wn);
                     [rv * un, wn * un, rv * rv]
                 });
-                bar.wait()?; // barrier 2 of 2: publishes the partials
+                bar.wait()?; // publishes w' + the partials
 
                 k += 1;
                 gamma_old = gamma;
                 alpha_old = alpha;
                 fresh = false;
 
-                let rho_new = seg_total(&seg_rho[s_out]);
+                let rho_new = parts.rho(s_out);
                 if !rho_new.is_finite() {
                     return Ok(Slot::NonFinite);
                 }
