@@ -389,7 +389,7 @@ impl Baseline {
             ch.spmv(a.nnz(), n);
             let ts = blas1::dot(&t, &s);
             let tt = blas1::dot(&t, &t);
-            ch.dot(n, pc.is_some());
+            ch.dot(n, false);
             ch.dot(n, true); // (t,s) and (t,t) ride one scalar-pair readback
             let omega = if tt > 0.0 { ts / tt } else { 0.0 };
             let (ph, sh) = (applied(&pc, &p, &phat), applied(&pc, &s, &shat));

@@ -327,10 +327,10 @@ fn golden() -> Vec<(&'static str, &'static str, &'static str, Digest)> {
     ("spd", "pcg", "hipsparse", row(0xd4fff93229cfdc4e, 11, true, 0x3dd74b72b08e93c4, 0xc61e0235bd8cd660, 0xcbf29ce484222325, 0x1fe0d7866547255d)),
     ("spd", "pcg", "petsc", row(0xd4fff93229cfdc4e, 11, true, 0x3dd74b72b08e93c4, 0xc61e0235bd8cd660, 0xcbf29ce484222325, 0x88e562c599d2c871)),
     ("spd", "pcg", "ginkgo", row(0xd4fff93229cfdc4e, 11, true, 0x3dd74b72b08e93c4, 0xc61e0235bd8cd660, 0xcbf29ce484222325, 0xd5c26c9bf13b2db0)),
-    ("spd", "pbicgstab", "cusparse", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x3af7beb8012abc26)),
-    ("spd", "pbicgstab", "hipsparse", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xbd2102bdc028157f)),
-    ("spd", "pbicgstab", "petsc", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x9bd0b23f9bf9fb66)),
-    ("spd", "pbicgstab", "ginkgo", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xb2a4ce10a4ede7c9)),
+    ("spd", "pbicgstab", "cusparse", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xd0bb90964dd73d73)),
+    ("spd", "pbicgstab", "hipsparse", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xab518481f7fa4c69)),
+    ("spd", "pbicgstab", "petsc", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xbe297c584fb764b3)),
+    ("spd", "pbicgstab", "ginkgo", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x2ac001426785c49c)),
     ("negdef", "cg", "cusparse", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x7ccd34612d80db83)),
     ("negdef", "cg", "hipsparse", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xe03a2b188e97668e)),
     ("negdef", "cg", "petsc", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x088ca540f69af053)),
@@ -343,10 +343,10 @@ fn golden() -> Vec<(&'static str, &'static str, &'static str, Digest)> {
     ("negdef", "pcg", "hipsparse", row(0x36fe4d3f1c233d25, 0, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x2b79c01a0351dec1)),
     ("negdef", "pcg", "petsc", row(0x36fe4d3f1c233d25, 0, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x4087db7b51339edc)),
     ("negdef", "pcg", "ginkgo", row(0x36fe4d3f1c233d25, 0, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x30d87020f48a61b1)),
-    ("negdef", "pbicgstab", "cusparse", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x3af7beb8012abc26)),
-    ("negdef", "pbicgstab", "hipsparse", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xbd2102bdc028157f)),
-    ("negdef", "pbicgstab", "petsc", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x9bd0b23f9bf9fb66)),
-    ("negdef", "pbicgstab", "ginkgo", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xb2a4ce10a4ede7c9)),
+    ("negdef", "pbicgstab", "cusparse", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xd0bb90964dd73d73)),
+    ("negdef", "pbicgstab", "hipsparse", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xab518481f7fa4c69)),
+    ("negdef", "pbicgstab", "petsc", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xbe297c584fb764b3)),
+    ("negdef", "pbicgstab", "ginkgo", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x2ac001426785c49c)),
     ("rotation", "bicgstab", "cusparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xed0cbe20e7685faa)),
     ("rotation", "bicgstab", "hipsparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x083a285355556eed)),
     ("rotation", "bicgstab", "petsc", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x0e4365cb743cdbf8)),
@@ -359,10 +359,10 @@ fn golden() -> Vec<(&'static str, &'static str, &'static str, Digest)> {
     ("skew", "bicgstab", "hipsparse", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0x083a285355556eed)),
     ("skew", "bicgstab", "petsc", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xfd622537638f2e5d)),
     ("skew", "bicgstab", "ginkgo", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xd1cd6818acbbe686)),
-    ("skew", "pbicgstab", "cusparse", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0x91ab6031892f6589)),
-    ("skew", "pbicgstab", "hipsparse", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0x656e1889294f6f79)),
-    ("skew", "pbicgstab", "petsc", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xb2cab99058702e38)),
-    ("skew", "pbicgstab", "ginkgo", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xad1e32c837851bd6)),
+    ("skew", "pbicgstab", "cusparse", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xaf7c007d06147de1)),
+    ("skew", "pbicgstab", "hipsparse", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xf5aa1406f6da6444)),
+    ("skew", "pbicgstab", "petsc", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0x33d6a380f1764e60)),
+    ("skew", "pbicgstab", "ginkgo", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xa1c203b7d176735e)),
     ("zero_rhs", "cg", "cusparse", row(0x36fe4d3f1c233d25, 0, true, 0x0000000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x7479744ad77ee805)),
     ("zero_rhs", "cg", "hipsparse", row(0x36fe4d3f1c233d25, 0, true, 0x0000000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x7479744ad77ee805)),
     ("zero_rhs", "cg", "petsc", row(0x36fe4d3f1c233d25, 0, true, 0x0000000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x7479744ad77ee805)),
@@ -391,10 +391,10 @@ fn golden() -> Vec<(&'static str, &'static str, &'static str, Digest)> {
     ("fixed_iters", "pcg", "hipsparse", row(0xf8d0cf8b73597625, 11, false, 0x0000000000000000, 0x2948bfb2efc92f3f, 0xcbf29ce484222325, 0xdcdf851c4c7d73ce)),
     ("fixed_iters", "pcg", "petsc", row(0xf8d0cf8b73597625, 11, false, 0x0000000000000000, 0x2948bfb2efc92f3f, 0xcbf29ce484222325, 0xec1b159aea83b2c4)),
     ("fixed_iters", "pcg", "ginkgo", row(0xf8d0cf8b73597625, 11, false, 0x0000000000000000, 0x2948bfb2efc92f3f, 0xcbf29ce484222325, 0x94c41e5dba610538)),
-    ("fixed_iters", "pbicgstab", "cusparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0xe0182d7faf7fa7aa)),
-    ("fixed_iters", "pbicgstab", "hipsparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0x88404e010247790f)),
-    ("fixed_iters", "pbicgstab", "petsc", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0x3462e38748ed76a7)),
-    ("fixed_iters", "pbicgstab", "ginkgo", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0x561cc40ca7ad49a5)),
+    ("fixed_iters", "pbicgstab", "cusparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0xf5332799f6b2e8e6)),
+    ("fixed_iters", "pbicgstab", "hipsparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0x8bd1b5e807324313)),
+    ("fixed_iters", "pbicgstab", "petsc", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0xbe26ab9c9c946f1b)),
+    ("fixed_iters", "pbicgstab", "ginkgo", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0x51c1c4ade4b0be59)),
     ]
 }
 
