@@ -148,19 +148,10 @@ impl PackedValues {
         }
     }
 
-    /// The raw encoded bytes (for serialization).
+    /// The raw encoded bytes.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// Rebuilds a buffer from raw encoded bytes (the inverse of
-    /// [`PackedValues::as_bytes`]; the caller is responsible for pairing the
-    /// bytes with the correct offsets/precisions).
-    pub fn from_bytes(bytes: Vec<u8>) -> PackedValues {
-        PackedValues {
-            buf: Bytes::from(bytes),
-        }
     }
 
     /// Decodes a whole run of `n` values into a fresh vector.

@@ -26,7 +26,6 @@ pub mod dense;
 pub mod fingerprint;
 pub mod mm;
 pub mod tiled;
-pub mod tiled_io;
 
 pub use analysis::MatrixStats;
 pub use coo::Coo;
@@ -36,7 +35,6 @@ pub use fingerprint::Fingerprint;
 pub use tiled::{
     TileAssembler, TileBuildPlan, TileView, TiledMatrix, TiledMemory, DEFAULT_TILE_SIZE,
 };
-pub use tiled_io::{read_tiled, read_tiled_file, write_tiled, write_tiled_file};
 
 /// Errors produced by this crate.
 #[derive(Debug)]

@@ -172,48 +172,10 @@ impl TiledMatrix {
         asm.finish()
     }
 
-    /// Raw packed value bytes (serialization support).
+    /// Raw packed value bytes (for bitwise comparisons of two builds).
     #[inline]
     pub fn vals_raw(&self) -> &[u8] {
         self.vals.as_bytes()
-    }
-
-    /// Reassembles a tiled matrix from its constituent arrays (used by the
-    /// binary reader in [`crate::tiled_io`]; the caller must have validated
-    /// consistency).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_parts(
-        nrows: usize,
-        ncols: usize,
-        tile_size: usize,
-        tile_rowidx: Vec<u32>,
-        tile_colidx: Vec<u32>,
-        tile_prec: Vec<Precision>,
-        tile_nnz: Vec<u32>,
-        nonrow: Vec<u32>,
-        csr_rowptr: Vec<u32>,
-        row_index: Vec<u8>,
-        csr_colidx: Vec<u8>,
-        raw_vals: Vec<u8>,
-        val_offsets: Vec<usize>,
-    ) -> TiledMatrix {
-        TiledMatrix {
-            nrows,
-            ncols,
-            tile_size,
-            tile_rows: nrows.div_ceil(tile_size),
-            tile_cols: ncols.div_ceil(tile_size),
-            tile_rowidx,
-            tile_colidx,
-            tile_prec,
-            tile_nnz,
-            nonrow,
-            csr_rowptr,
-            row_index,
-            csr_colidx,
-            vals: PackedValues::from_bytes(raw_vals),
-            val_offsets,
-        }
     }
 
     /// Number of non-empty tiles (`tilenumA` in the paper).

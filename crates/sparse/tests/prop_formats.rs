@@ -146,19 +146,6 @@ proptest! {
         }
     }
 
-    /// MFT1 binary serialization round-trips the tiled format bit-exactly.
-    #[test]
-    fn tiled_io_roundtrip(a in general_coo(40, 200), ts in 2usize..20) {
-        let csr = a.to_csr();
-        let t = TiledMatrix::from_csr_with(&csr, ts, &ClassifyOptions::default());
-        let mut buf = Vec::new();
-        mf_sparse::write_tiled(&mut buf, &t).unwrap();
-        let back = mf_sparse::read_tiled(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(&back.tile_prec, &t.tile_prec);
-        prop_assert_eq!(back.vals_raw(), t.vals_raw());
-        prop_assert_eq!(back.to_csr(), t.to_csr());
-    }
-
     /// Matrix Market write/read round-trips any compacted COO matrix.
     #[test]
     fn matrix_market_roundtrip(a in general_coo(25, 100)) {
