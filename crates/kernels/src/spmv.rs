@@ -620,6 +620,62 @@ mod tests {
         assert!((shared.tile_values(&t, 0)[0] - 0.1).abs() <= 0.1 * 2f64.powi(-4));
     }
 
+    /// Rows whose tiles sum to different NaNs: `∞ + (−∞)` gives the
+    /// negative default NaN, `1·NaN` keeps the input's positive one. The
+    /// tile kernel adds each tile's block into the row with the block as
+    /// the NaN that wins, so every executor must return the later block's
+    /// NaN, bit for bit what `TiledMatrix::matvec` returns.
+    #[test]
+    fn nan_blocks_combine_like_the_tile_sums() {
+        // Tile size 2, x = [∞, −∞, NaN, 1, ∞, −∞]. Row 0: −NaN block in
+        // tile column 0, +NaN block in tile column 1. Row 1: +NaN in tile
+        // column 1, −NaN in tile column 2. Row 2: −NaN in tile column 0
+        // beside a finite block. Row 3: blocks −∞ and ∞, whose sum is the
+        // NaN.
+        let mut a = Coo::new(4, 6);
+        for (r, c, v) in [
+            (0, 0, 1.0),
+            (0, 1, 1.0),
+            (0, 2, 1.0),
+            (1, 2, 1.0),
+            (1, 4, 1.0),
+            (1, 5, 1.0),
+            (2, 0, 2.0),
+            (2, 1, 2.0),
+            (2, 3, 2.0),
+            (3, 1, 2.0),
+            (3, 4, 2.0),
+        ] {
+            a.push(r, c, v);
+        }
+        let t = TiledMatrix::from_csr_with(&a.to_csr(), 2, &ClassifyOptions::default());
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let x = [inf, -inf, nan, 1.0, inf, -inf];
+        let x2 = [nan, 1.0, inf, -inf, inf, -inf];
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let keep = all_keep(t.tile_cols);
+        let mut want = vec![0.0; 4];
+        t.matvec(&x, &mut want);
+        assert!(want.iter().all(|v| v.is_nan()), "every row sums to a NaN");
+        assert_ne!(want[0].to_bits(), want[1].to_bits(), "the NaN signs differ");
+
+        let mut y = vec![1.0; 4];
+        spmv_mixed(&t, &mut SharedTiles::load(&t), &keep, &x, &mut y);
+        assert_eq!(bits(&y), bits(&want), "spmv_mixed");
+        let mut y = vec![1.0; 4];
+        spmv_mixed_par(&t, &mut SharedTiles::load(&t), &keep, &x, &mut y, 2);
+        assert_eq!(bits(&y), bits(&want), "spmv_mixed_par");
+
+        let mut want2 = vec![0.0; 4];
+        t.matvec(&x2, &mut want2);
+        let xb: Vec<f64> = x.iter().chain(&x2).copied().collect();
+        let mut yb = vec![1.0; 8];
+        let mut shared = SharedTiles::load(&t);
+        crate::spmm_mixed(&t, &mut shared, &keep, &xb, &mut yb, &[true, true]);
+        assert_eq!(bits(&yb[..4]), bits(&want), "spmm_mixed column 0");
+        assert_eq!(bits(&yb[4..]), bits(&want2), "spmm_mixed column 1");
+    }
+
     #[test]
     fn mixed_par_bitwise_matches_serial() {
         let n = 4_000;

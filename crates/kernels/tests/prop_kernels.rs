@@ -212,9 +212,12 @@ proptest! {
         }
         // Shared state after both rounds: identical lowered values (bitwise)
         // and identical per-tile precision records.
-        prop_assert_eq!(sh_s.arena.len(), sh_p.arena.len());
-        for k in 0..sh_s.arena.len() {
-            prop_assert_eq!(sh_s.arena[k].to_bits(), sh_p.arena[k].to_bits());
+        for i in 0..t.tile_count() {
+            let (v_s, v_p) = (sh_s.tile_values(&t, i), sh_p.tile_values(&t, i));
+            prop_assert_eq!(v_s.len(), v_p.len());
+            for k in 0..v_s.len() {
+                prop_assert_eq!(v_s[k].to_bits(), v_p[k].to_bits());
+            }
         }
         prop_assert_eq!(&sh_s.current_prec, &sh_p.current_prec);
     }

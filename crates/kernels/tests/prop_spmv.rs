@@ -3,8 +3,12 @@
 //! behind `spmv_mixed`, the column-block pass of `spmm_mixed`, and the
 //! fresh-decode re-tier of `SharedTiles::retier_tile`.
 //!
-//! Every `y` bit, every resident arena bit, every `current_prec` entry and
-//! every [`MixedSpmvStats`] field must match after each round, over random
+//! The oracle keeps its own tile-order store ([`Store`]: one decoded arena
+//! in tile order plus a precision per tile), so the executors may lay
+//! their resident copy out however they like. Every `y` bit, every tile's
+//! resident bits (read through `SharedTiles::tile_values`), every
+//! `current_prec` entry and every [`MixedSpmvStats`] field must match
+//! after each round, over random
 //! rectangular matrices whose values span many magnitudes (so
 //! classification picks every precision), tile sizes around the small and
 //! ragged edges, vis-flag patterns mixing `Keep`, `Bypass` and every
@@ -20,6 +24,30 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 // ---- Oracle: the Algorithm-5 tile loops, verbatim ----------------------
+
+/// The oracle's resident copy: every tile decoded in tile order (tile `i`
+/// at `m.tile_nnz[i]..m.tile_nnz[i + 1]`) and its current precision.
+#[derive(Clone)]
+struct Store {
+    arena: Vec<f64>,
+    current_prec: Vec<Precision>,
+}
+
+impl Store {
+    fn load(m: &TiledMatrix) -> Store {
+        let mut arena = vec![0.0; m.nnz()];
+        for i in 0..m.tile_count() {
+            m.decode_tile_into(
+                i,
+                &mut arena[m.tile_nnz[i] as usize..m.tile_nnz[i + 1] as usize],
+            );
+        }
+        Store {
+            arena,
+            current_prec: m.tile_prec.clone(),
+        }
+    }
+}
 
 #[allow(clippy::too_many_arguments)]
 fn oracle_span(
@@ -75,7 +103,7 @@ fn oracle_span(
 
 fn oracle_spmv(
     m: &TiledMatrix,
-    shared: &mut SharedTiles,
+    shared: &mut Store,
     vis_flags: &[VisFlag],
     x: &[f64],
     y: &mut [f64],
@@ -98,7 +126,7 @@ fn oracle_spmv(
 
 fn oracle_spmm(
     m: &TiledMatrix,
-    shared: &mut SharedTiles,
+    shared: &mut Store,
     vis_flags: &[VisFlag],
     x: &[f64],
     y: &mut [f64],
@@ -152,7 +180,7 @@ fn oracle_spmm(
     stats
 }
 
-fn oracle_retier(m: &TiledMatrix, shared: &mut SharedTiles, actions: &[RetierAction]) {
+fn oracle_retier(m: &TiledMatrix, shared: &mut Store, actions: &[RetierAction]) {
     for a in actions {
         let i = a.tile as usize;
         let (lo, hi) = (m.tile_nnz[i] as usize, m.tile_nnz[i + 1] as usize);
@@ -273,8 +301,16 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn same_state(got: &SharedTiles, want: &SharedTiles) -> Result<(), TestCaseError> {
-    prop_assert!(bits(&got.arena) == bits(&want.arena), "arena bits differ");
+fn same_state(m: &TiledMatrix, got: &SharedTiles, want: &Store) -> Result<(), TestCaseError> {
+    for i in 0..m.tile_count() {
+        let span = m.tile_nnz[i] as usize..m.tile_nnz[i + 1] as usize;
+        let got_bits: Vec<u64> = got.tile_values(m, i).iter().map(|v| v.to_bits()).collect();
+        prop_assert!(
+            got_bits == bits(&want.arena[span]),
+            "tile {} bits differ",
+            i
+        );
+    }
     prop_assert_eq!(&got.current_prec, &want.current_prec);
     Ok(())
 }
@@ -297,8 +333,9 @@ proptest! {
         let m = matrix(rows, cols, &entries, TILE_SIZES[ts]);
         let mut mix = Mix(seed);
         let base = SharedTiles::load(&m);
-        let (mut oracle, mut serial, mut par) = (base.clone(), base.clone(), base.clone());
-        let (mut block_oracle, mut block) = (base.clone(), base);
+        let (mut serial, mut par, mut block) = (base.clone(), base.clone(), base);
+        let mut oracle = Store::load(&m);
+        let mut block_oracle = oracle.clone();
         for round in 0..ROUNDS {
             if round > 0 && mix.below(2) == 0 {
                 let actions = plan(&mut mix, m.tile_count());
@@ -307,7 +344,7 @@ proptest! {
                 for s in [&mut serial, &mut par, &mut block] {
                     s.apply_retier(&m, &actions);
                 }
-                same_state(&serial, &oracle)?;
+                same_state(&m, &serial, &oracle)?;
             }
             let vis = flags(&mut mix, m.tile_cols);
 
@@ -319,11 +356,11 @@ proptest! {
             let mut got = vec![f64::NAN; m.nrows];
             prop_assert_eq!(spmv_mixed(&m, &mut serial, &vis, &x, &mut got), want_stats);
             prop_assert!(bits(&got) == bits(&want), "spmv_mixed y, round {round}");
-            same_state(&serial, &oracle)?;
+            same_state(&m, &serial, &oracle)?;
             let mut got = vec![f64::NAN; m.nrows];
             prop_assert_eq!(spmv_mixed_par(&m, &mut par, &vis, &x, &mut got, 2), want_stats);
             prop_assert!(bits(&got) == bits(&want), "spmv_mixed_par y, round {round}");
-            same_state(&par, &oracle)?;
+            same_state(&m, &par, &oracle)?;
 
             // Column block: inactive columns keep their sentinel, active
             // ones match the verbatim block pass and the per-column SpMV.
@@ -335,7 +372,7 @@ proptest! {
             let mut got = vec![7.25; m.nrows * k];
             prop_assert_eq!(spmm_mixed(&m, &mut block, &vis, &xb, &mut got, &active), want_stats);
             prop_assert!(bits(&got) == bits(&want), "spmm_mixed y, round {round}");
-            same_state(&block, &block_oracle)?;
+            same_state(&m, &block, &block_oracle)?;
             for j in (0..k).filter(|&j| active[j]) {
                 let mut solo = before.clone();
                 let mut yj = vec![0.0; m.nrows];
@@ -345,7 +382,8 @@ proptest! {
                     bits(&got[j * m.nrows..(j + 1) * m.nrows]) == bits(&yj),
                     "spmm_mixed column {j} vs its SpMV, round {round}"
                 );
-                same_state(&solo, &block_oracle)?;
+                prop_assert!(bits(&solo.arena) == bits(&block_oracle.arena), "solo arena bits differ");
+                prop_assert_eq!(&solo.current_prec, &block_oracle.current_prec);
             }
         }
     }
