@@ -51,9 +51,14 @@ macro_rules! impl_fp8 {
                 $ty($fmt.encode(v as f64))
             }
 
-            /// Widens to `f64` (exact).
+            /// Widens to `f64` (exact). Reads a table of all 256 codes,
+            /// decoded once: tile loads and requantization widen one value
+            /// per nonzero.
+            #[inline]
             pub fn to_f64(self) -> f64 {
-                $fmt.decode(self.0)
+                static WIDENED: std::sync::OnceLock<[f64; 256]> = std::sync::OnceLock::new();
+                WIDENED.get_or_init(|| std::array::from_fn(|code| $fmt.decode(code as u8)))
+                    [usize::from(self.0)]
             }
 
             /// Widens to `f32` (exact — all FP8 values fit in f32).
