@@ -35,7 +35,9 @@ pub use ilu::{
     MAX_FACTOR_SHIFTS,
 };
 pub use spmm::{axpy_block, col, col_mut, dot_block, spmm_mixed, xpay_block};
-pub use spmv::{spmv_csr, spmv_mixed, spmv_mixed_par, spmv_tiled, MixedSpmvStats, SharedTiles};
+pub use spmv::{
+    spmv_csr, spmv_mixed, spmv_mixed_par, spmv_tiled, MixedSpmvStats, RowWindow, SharedTiles,
+};
 pub use sptrsv::{
     level_schedule, sptrsv_lower, sptrsv_lower_into, sptrsv_upper, sptrsv_upper_into,
     LevelSchedule, RecursiveTrsvStats,

@@ -16,20 +16,17 @@
 //!
 //! # Determinism contract
 //!
-//! [`spmm_mixed`] runs Algorithm 5's admission step once per tile and then
-//! the same row kernel as [`crate::spmv_mixed`]
-//! ([`crate::spmv::tile_row_sums`]) once per active column while the tile
-//! is hot. Every `(column, row)` pair therefore receives the same per-tile
-//! partial sums, each started from `0.0` and added to `y` once, in the
-//! same tile order as the single-vector kernel. A batched solve is bitwise
-//! identical to the `k` independent solves it replaces (pinned by
-//! `tests/prop_spmv.rs` and by the blocked-core parity tests in
-//! `mf-solver`).
+//! [`spmm_mixed`] runs Algorithm 5's admission step once per call and then
+//! reads each resident entry once per row for all active columns, keeping
+//! one row sum and one run sum per column and combining them exactly as
+//! the single-vector row kernel does ([`crate::spmv_mixed`]). Every
+//! `(column, row)` pair therefore gets the same bits as the single-vector
+//! kernel, so a batched solve is bitwise identical to the `k` independent
+//! solves it replaces (pinned by `tests/prop_spmv.rs` and by the
+//! blocked-core parity tests in `mf-solver`).
 
 use crate::blas1;
-use crate::spmv::{
-    admit, check_mixed_inputs, tile_row_sums, tile_span, MixedSpmvStats, SharedTiles,
-};
+use crate::spmv::{check_mixed_inputs, MixedSpmvStats, SharedTiles};
 use crate::visflag::VisFlag;
 use mf_sparse::TiledMatrix;
 
@@ -70,32 +67,60 @@ pub fn spmm_mixed(
 ) -> MixedSpmvStats {
     check_mixed_inputs(m, vis_flags, x, y, active.len());
     let (n_in, n_out) = (m.ncols, m.nrows);
-    // The active columns' (x, y) pairs, sliced once per call rather than
-    // once per tile.
-    let mut cols: Vec<(&[f64], &mut [f64])> = Vec::with_capacity(active.len());
-    let mut y_rest = y;
-    for (j, &live) in active.iter().enumerate() {
-        let (yj, rest) = std::mem::take(&mut y_rest).split_at_mut(n_out);
-        y_rest = rest;
+    // The active columns' inputs and outputs, sliced once per call.
+    let (mut xs, mut ys): (Vec<&[f64]>, Vec<&mut [f64]>) = (Vec::new(), Vec::new());
+    for ((j, &live), yj) in active.iter().enumerate().zip(y.chunks_mut(n_out.max(1))) {
         if live {
-            yj.fill(0.0);
-            cols.push((col(x, n_in, j), yj));
+            xs.push(col(x, n_in, j));
+            ys.push(yj);
         }
     }
 
-    let mut stats = MixedSpmvStats::default();
-    for i in 0..m.tile_count() {
-        let vals = &mut shared.arena[tile_span(m, i)];
-        let prec = &mut shared.current_prec[i];
-        if !admit(m, i, vis_flags, vals, prec, &mut stats) {
-            continue;
-        }
-        let base_row = m.tile_rowidx[i] as usize * m.tile_size;
-        for (xj, yj) in &mut cols {
-            tile_row_sums(m, i, vals, |c| xj[c], &mut yj[base_row..]);
-        }
+    let (stats, bypass) = shared.admit(m, vis_flags);
+    let shared = &*shared;
+    for (xs, ys) in xs.chunks(LANES).zip(ys.chunks_mut(LANES)) {
+        let pass = match xs.len() {
+            1 => lanes::<1>,
+            2 => lanes::<2>,
+            3 => lanes::<3>,
+            4 => lanes::<4>,
+            5 => lanes::<5>,
+            6 => lanes::<6>,
+            7 => lanes::<7>,
+            _ => lanes::<LANES>,
+        };
+        pass(m, shared, vis_flags, bypass, xs, ys);
     }
     stats
+}
+
+/// Active columns per pass over the resident copy.
+const LANES: usize = 8;
+
+/// One pass of [`spmm_mixed`] over the resident copy for `K` columns,
+/// their row and run sums held in fixed-size lanes.
+fn lanes<const K: usize>(
+    m: &TiledMatrix,
+    shared: &SharedTiles,
+    vis_flags: &[VisFlag],
+    bypass: bool,
+    xs: &[&[f64]],
+    ys: &mut [&mut [f64]],
+) {
+    let xs: [&[f64]; K] = std::array::from_fn(|j| xs[j]);
+    let load = |j: usize, c: usize| xs[j][c];
+    shared.rows_with::<K>(
+        m.tile_size,
+        vis_flags,
+        bypass,
+        0..m.nrows,
+        load,
+        |r, sums| {
+            for (yj, v) in ys.iter_mut().zip(sums) {
+                yj[r] = v;
+            }
+        },
+    );
 }
 
 /// Per-column dot products `out[j] = (X[:, j], Y[:, j])` for active

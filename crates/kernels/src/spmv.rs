@@ -7,20 +7,19 @@
 //! * [`spmv_tiled`] — the tiled kernel at each tile's *initial* precision.
 //! * [`spmv_mixed`] — paper **Algorithm 5**: the tiled kernel driven by the
 //!   per-column `vis_flag` demands, with on-chip (shared-memory copy)
-//!   precision lowering and tile bypass. [`spmv_mixed_par`] runs it over
-//!   row stripes on scoped threads, bitwise identical to the serial kernel.
+//!   precision lowering and tile bypass.
 //!
-//! Algorithm 5's per-tile body lives here once, in two pieces every
-//! executor runs: the crate-private *admission step* (bypass check,
-//! one-way in-place lowering of the tile's resident copy, statistics) and
-//! the public *row kernel* [`tile_row_sums`] (each nonempty row's CSR-order
-//! partial sum, started from `0.0`, added into the output once). The
-//! serial and stripe-parallel kernels call both once per tile;
-//! [`crate::spmm_mixed`] admits a tile once and runs the row kernel once
-//! per active column; the threaded engines in `mf-solver` run the row kernel
-//! over their per-warp resident arenas ([`decode_tiles`]), which they
-//! re-tier with the same fresh-decode rule ([`retier_values`]) as
-//! [`SharedTiles::retier_tile`].
+//! Algorithm 5 runs here once, over one resident copy ([`SharedTiles`])
+//! laid out in matrix-row order. Each call first runs the *admission
+//! step* once per tile column — bypass, one-way in-place lowering of the
+//! column's tiles, statistics — then the *row kernel*: each row sums its
+//! tile runs in tile order, every run from `0.0`, and adds each run's sum
+//! into the row once. That is the order `TiledMatrix::matvec` adds the
+//! tiles' partial sums in, so every executor is bitwise that loop:
+//! [`spmv_mixed`], its row-striped twin [`spmv_mixed_par`],
+//! [`crate::spmm_mixed`] (one pass, one sum pair per column) and the
+//! threaded engines in `mf-solver`, whose warps each run the kernel over
+//! their own [`RowWindow`].
 
 use crate::visflag::VisFlag;
 use mf_precision::{Precision, RetierAction, TileTier};
@@ -37,6 +36,10 @@ pub fn spmv_tiled(m: &TiledMatrix, x: &[f64], y: &mut [f64]) {
     m.matvec(x, y);
 }
 
+/// The top bit of a resident column index marks the first entry of a tile
+/// run (one tile's entries in one row).
+pub(crate) const RUN_START: u32 = 1 << 31;
+
 /// The "shared memory" copy of the matrix tiles held across iterations by
 /// the single-kernel scheme (§III-C). Values are decoded once at load time;
 /// the dynamic strategy (§III-D) lowers a tile's precision by requantizing
@@ -44,45 +47,144 @@ pub fn spmv_tiled(m: &TiledMatrix, x: &[f64], y: &mut [f64]) {
 /// the paper describes ("our precision conversion occurs only once in
 /// on-chip memory; thereafter, the low-precision values ... can be reused").
 ///
-/// Values live in one flat arena laid out like the matrix's nonzeros (tile
-/// `i` at `m.tile_nnz[i]..m.tile_nnz[i + 1]`), so a span of whole tile
-/// rows owns a contiguous arena range — which is what
-/// lets [`spmv_mixed_par`] hand disjoint `&mut` stripes to worker threads
-/// with `split_at_mut`, no locks.
+/// The values sit in matrix-row order: row `r`'s entries are its tile
+/// runs, in tile order, each run in the tile's in-row order. Beside each
+/// value is its global column (top bit set on a run's first entry); each
+/// nonempty tile row `ri` (the index of `m.csr_rowptr`) records where its
+/// run starts, which is how lowering and re-tiering reach a tile. Per tile
+/// column the copy keeps its tile count, its nonzeros by current precision
+/// and a bound on its widest current precision, so admission costs
+/// O(tile columns) per call and walks a column's tiles only to lower them.
+///
+/// `current_prec` is public to read; lowering and re-tiering keep it and
+/// the column counters in step, so change it only through them.
 #[derive(Clone, Debug)]
 pub struct SharedTiles {
-    /// Flat arena of decoded values; tile `i` occupies
-    /// `arena[m.tile_nnz[i]..m.tile_nnz[i + 1]]`.
-    pub arena: Vec<f64>,
+    /// Resident values; row `r` at `rowptr[r]..rowptr[r + 1]`.
+    vals: Vec<f64>,
+    /// Global column of each value, [`RUN_START`] on each run's first.
+    cols: Vec<u32>,
+    /// Row offsets into `vals`, length `nrows + 1`.
+    rowptr: Vec<u32>,
+    /// Offset in `vals` of each nonempty tile row's run.
+    run_off: Vec<u32>,
+    /// Tiles grouped by tile column: column `c`'s tiles are
+    /// `col_tiles[col_start[c]..col_start[c + 1]]`, in tile order. The
+    /// grouping is built by the first call that lowers a tile.
+    col_start: Vec<u32>,
+    col_tiles: Vec<u32>,
+    /// Per tile column: nonzeros by current precision `[FP64, FP32, FP16,
+    /// FP8]`, and a precision no tile of the column is wider than.
+    col_nnz: Vec<[u32; 4]>,
+    col_widest: Vec<Precision>,
     /// Current (possibly lowered) precision per tile.
     pub current_prec: Vec<Precision>,
 }
 
 impl SharedTiles {
-    /// Loads (decodes) every tile — the one-time off-chip → on-chip copy.
+    /// Loads (decodes) every tile — the one-time off-chip → on-chip copy —
+    /// straight into matrix-row order.
+    ///
+    /// # Panics
+    ///
+    /// If `m.ncols` needs the top bit of a `u32` column index.
     pub fn load(m: &TiledMatrix) -> SharedTiles {
+        assert!(
+            (m.ncols as u64) < u64::from(RUN_START),
+            "SharedTiles needs ncols < 2^31, got {}",
+            m.ncols
+        );
+        let (nnz, ts) = (m.nnz(), m.tile_size);
+        let mut rowptr = vec![0u32; m.nrows + 1];
+        let mut vals = vec![0.0; nnz];
+        let mut cols = vec![0u32; nnz];
+        let mut run_off = vec![0u32; m.nonempty_row_count()];
+        let mut col_start = vec![0u32; m.tile_cols + 1];
+        let mut col_nnz = vec![[0u32; 4]; m.tile_cols];
+        let mut col_widest = vec![Precision::Fp8; m.tile_cols];
+        // One tile row at a time: count its rows' entries, then place each
+        // tile's runs at its rows' next free slots, in tile order.
+        let (mut next, mut tile) = (vec![0u32; ts], Vec::new());
+        let starts = m.tile_row_starts();
+        for (tr, tiles) in starts.windows(2).enumerate() {
+            let tiles = tiles[0]..tiles[1];
+            next.fill(0);
+            for ri in m.nonrow[tiles.start] as usize..m.nonrow[tiles.end] as usize {
+                next[m.row_index[ri] as usize] += m.csr_rowptr[ri + 1] - m.csr_rowptr[ri];
+            }
+            let rows = tr * ts..((tr + 1) * ts).min(m.nrows);
+            let mut at = rowptr[rows.start];
+            for (slot, r) in next.iter_mut().zip(rows) {
+                (*slot, at) = (at, at + *slot);
+                rowptr[r + 1] = at;
+            }
+            for i in tiles {
+                let (c, p) = (m.tile_colidx[i] as usize, m.tile_prec[i]);
+                let nnz_base = m.tile_nnz[i] as usize;
+                tile.resize(m.tile_nnz[i + 1] as usize - nnz_base, 0.0);
+                m.decode_tile_into(i, &mut tile);
+                col_start[c + 1] += 1;
+                col_nnz[c][p.tile_code() as usize] += tile.len() as u32;
+                col_widest[c] = col_widest[c].max(p);
+                let base_col = c as u32 * ts as u32;
+                for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
+                    let slot = &mut next[m.row_index[ri] as usize];
+                    run_off[ri] = *slot;
+                    let mut at = *slot as usize;
+                    let mut mark = RUN_START;
+                    for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
+                        vals[at] = tile[k - nnz_base];
+                        cols[at] = (base_col + u32::from(m.csr_colidx[k])) | mark;
+                        mark = 0;
+                        at += 1;
+                    }
+                    *slot = at as u32;
+                }
+            }
+        }
+        for c in 0..m.tile_cols {
+            col_start[c + 1] += col_start[c];
+        }
+
         SharedTiles {
-            arena: decode_tiles(m, 0..m.tile_count()),
+            vals,
+            cols,
+            rowptr,
+            run_off,
+            col_start,
+            col_tiles: Vec::new(),
+            col_nnz,
+            col_widest,
             current_prec: m.tile_prec.clone(),
         }
     }
 
-    /// Decoded values of tile `i` of `m` (the matrix this copy was loaded
-    /// from) at its current precision.
-    #[inline]
-    pub fn tile_values(&self, m: &TiledMatrix, i: usize) -> &[f64] {
-        &self.arena[tile_span(m, i)]
+    /// Tile `i`'s resident values at its current precision, in the tile's
+    /// own nonzero order (`m` is the matrix this copy was loaded from).
+    pub fn tile_values(&self, m: &TiledMatrix, i: usize) -> Vec<f64> {
+        tile_runs(m, &self.run_off, i)
+            .flat_map(|run| &self.vals[run])
+            .copied()
+            .collect()
     }
 
-    /// Re-tiers tile `i` to `tier` (adaptive controller v2) through
-    /// [`retier_values`]: no re-tiling, the tile layout and arena range are
-    /// untouched, only the resident values and the precision tag change.
-    /// `current_prec` records the tier's storage precision (scaled FP8
-    /// accounts as FP8), so the SpMV statistics and the cost model see the
-    /// re-tiered traffic with no kernel changes.
+    /// Re-tiers tile `i` to `tier` (adaptive controller v2): no
+    /// re-tiling, the layout is untouched, only the resident values and
+    /// the precision tag change. `current_prec` records the tier's storage
+    /// precision (scaled FP8 accounts as FP8), so the SpMV statistics and
+    /// the cost model see the re-tiered traffic with no kernel changes.
+    ///
+    /// Unlike the one-way §III-D lowering, which deliberately requantizes
+    /// the current on-chip copy, re-tiering always starts from a fresh
+    /// decode of the *classification-time* values: quantizing an
+    /// already-quantized copy would compound rounding, making the values
+    /// depend on the plan history rather than on the plan — and promotion
+    /// would be impossible.
     pub fn retier_tile(&mut self, m: &TiledMatrix, i: usize, tier: TileTier) {
-        retier_values(m, i, tier, &mut self.arena[tile_span(m, i)]);
-        self.current_prec[i] = tier.storage();
+        retier_runs(m, &self.run_off, 0, i, tier, &mut self.vals);
+        let (c, to) = (m.tile_colidx[i] as usize, tier.storage());
+        self.recount(m, c, i, to);
+        self.col_widest[c] = self.col_widest[c].max(to);
     }
 
     /// Applies a whole re-tier plan, in action order.
@@ -91,36 +193,291 @@ impl SharedTiles {
             self.retier_tile(m, a.tile as usize, a.to);
         }
     }
-}
 
-/// Tile `i`'s nonzero range, which is also its place in the arena.
-pub(crate) fn tile_span(m: &TiledMatrix, i: usize) -> Range<usize> {
-    m.tile_nnz[i] as usize..m.tile_nnz[i + 1] as usize
-}
-
-/// Decodes tiles `tiles` of `m` into one flat arena — the off-chip →
-/// on-chip copy. Tile `i` lands at
-/// `m.tile_nnz[i] - m.tile_nnz[tiles.start]` onward, in tile order.
-pub fn decode_tiles(m: &TiledMatrix, tiles: Range<usize>) -> Vec<f64> {
-    let base = m.tile_nnz[tiles.start] as usize;
-    let mut arena = vec![0.0; m.tile_nnz[tiles.end] as usize - base];
-    for i in tiles {
-        let span = tile_span(m, i);
-        m.decode_tile_into(i, &mut arena[span.start - base..span.end - base]);
+    /// Splits the copy into exclusive windows of consecutive rows,
+    /// `bounds[w]..bounds[w + 1]` for each `w`, so that concurrent
+    /// workers can each run the row kernel over, and re-tier the tiles
+    /// of, their own rows. `bounds` must start at 0, end at `nrows` and
+    /// never decrease.
+    pub fn row_windows(&mut self, bounds: &[usize]) -> Vec<RowWindow<'_>> {
+        assert_eq!(bounds.first(), Some(&0), "windows start at row 0");
+        assert_eq!(
+            bounds.last(),
+            Some(&(self.rowptr.len() - 1)),
+            "windows end at nrows"
+        );
+        let mut rest = self.vals.as_mut_slice();
+        bounds
+            .windows(2)
+            .map(|w| {
+                let (lo, hi) = (self.rowptr[w[0]] as usize, self.rowptr[w[1]] as usize);
+                let (vals, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                rest = tail;
+                RowWindow {
+                    rows: w[0]..w[1],
+                    base: lo,
+                    vals,
+                    cols: &self.cols,
+                    rowptr: &self.rowptr,
+                    run_off: &self.run_off,
+                }
+            })
+            .collect()
     }
-    arena
+
+    /// Groups the tiles by tile column into `col_tiles`.
+    fn group_tiles(&mut self, m: &TiledMatrix) {
+        let mut fill = self.col_start.clone();
+        self.col_tiles = vec![0; m.tile_count()];
+        for (i, &c) in m.tile_colidx.iter().enumerate() {
+            self.col_tiles[fill[c as usize] as usize] = i as u32;
+            fill[c as usize] += 1;
+        }
+    }
+
+    /// Moves tile `i` (of tile column `c`) to precision `to` in the
+    /// column's nonzero counters and in `current_prec`.
+    fn recount(&mut self, m: &TiledMatrix, c: usize, i: usize, to: Precision) {
+        let n = m.tile_nnz[i + 1] - m.tile_nnz[i];
+        self.col_nnz[c][self.current_prec[i].tile_code() as usize] -= n;
+        self.col_nnz[c][to.tile_code() as usize] += n;
+        self.current_prec[i] = to;
+    }
+
+    /// Algorithm 5's admission step for one call, per tile column: bypass
+    /// the column's tiles if its flag says so, otherwise lower each tile
+    /// wider than the demand once, in place (one-way, §III-D), and count
+    /// the work. A column is walked only when its widest-precision bound
+    /// exceeds the demand. Returns the call's statistics and whether any
+    /// column is bypassed.
+    pub(crate) fn admit(
+        &mut self,
+        m: &TiledMatrix,
+        vis_flags: &[VisFlag],
+    ) -> (MixedSpmvStats, bool) {
+        let mut stats = MixedSpmvStats::default();
+        let mut bypass = false;
+        for (c, &flag) in vis_flags.iter().enumerate().take(m.tile_cols) {
+            let tiles = (self.col_start[c + 1] - self.col_start[c]) as usize;
+            if flag == VisFlag::Bypass {
+                bypass = true;
+                stats.tiles_bypassed += tiles;
+                stats.nnz_bypassed += self.col_nnz[c].iter().sum::<u32>() as usize;
+                continue;
+            }
+            if let Some(demanded) = flag.demanded().filter(|&d| d < self.col_widest[c]) {
+                if self.col_tiles.is_empty() {
+                    self.group_tiles(m);
+                }
+                for t in self.col_start[c] as usize..self.col_start[c + 1] as usize {
+                    let i = self.col_tiles[t] as usize;
+                    if demanded < self.current_prec[i] {
+                        for run in tile_runs(m, &self.run_off, i) {
+                            demanded.quantize_slice(&mut self.vals[run]);
+                        }
+                        self.recount(m, c, i, demanded);
+                        stats.conversions += 1;
+                    }
+                }
+                self.col_widest[c] = demanded;
+            }
+            stats.tiles_computed += tiles;
+            for (s, &n) in stats.nnz_by_prec.iter_mut().zip(&self.col_nnz[c]) {
+                *s += n as usize;
+            }
+        }
+        (stats, bypass)
+    }
+
+    /// [`Self::rows_with`] for one input vector `x`, writing row `r`'s sum
+    /// to `y[r - rows.start]`.
+    fn rows_into(
+        &self,
+        ts: usize,
+        vis_flags: &[VisFlag],
+        bypass: bool,
+        x: &[f64],
+        rows: Range<usize>,
+        y: &mut [f64],
+    ) {
+        let mut out = y.iter_mut();
+        let store = |_, [v]: [f64; 1]| {
+            if let Some(o) = out.next() {
+                *o = v;
+            }
+        };
+        self.rows_with(ts, vis_flags, bypass, rows, |_, c| x[c], store);
+    }
+
+    /// The row kernel ([`row_sums`]) over rows `rows`, `K` input vectors
+    /// at a time, handing each row's sums to `store`; runs of bypassed
+    /// tile columns are skipped when `bypass` is set.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn rows_with<const K: usize>(
+        &self,
+        ts: usize,
+        vis_flags: &[VisFlag],
+        bypass: bool,
+        rows: Range<usize>,
+        x: impl Fn(usize, usize) -> f64 + Copy,
+        mut store: impl FnMut(usize, [f64; K]),
+    ) {
+        let spans = self.rowptr[rows.start..=rows.end].windows(2).zip(rows);
+        let span = |w: &[u32]| w[0] as usize..w[1] as usize;
+        if bypass {
+            let skip = |c: usize| vis_flags[c / ts] == VisFlag::Bypass;
+            for (w, r) in spans {
+                store(
+                    r,
+                    row_sums(&self.cols[span(w)], &self.vals[span(w)], skip, x),
+                );
+            }
+        } else {
+            for (w, r) in spans {
+                store(
+                    r,
+                    row_sums(&self.cols[span(w)], &self.vals[span(w)], |_| false, x),
+                );
+            }
+        }
+    }
 }
 
-/// Re-tiers one resident tile copy: `vals` (tile `i`'s values) becomes a
-/// fresh decode of the *classification-time* stored values, quantized to
-/// `tier`. Unlike the one-way §III-D lowering, which deliberately
-/// requantizes the current on-chip copy, re-tiering always starts from a
-/// fresh decode: quantizing an already-quantized copy would compound
-/// rounding, making the values depend on the plan history rather than on
-/// the plan — and promotion would be impossible.
-pub fn retier_values(m: &TiledMatrix, i: usize, tier: TileTier, vals: &mut [f64]) {
-    m.decode_tile_into(i, vals);
-    tier.quantize_slice(vals);
+/// One worker's exclusive window of consecutive rows of a [`SharedTiles`]
+/// copy ([`SharedTiles::row_windows`]): the row kernel over its rows with
+/// every tile kept, and fresh-decode re-tiering of the tiles in them.
+/// Re-tiering through a window changes only the resident values; the
+/// copy's `current_prec` and column counters keep their old tiers.
+#[derive(Debug)]
+pub struct RowWindow<'a> {
+    rows: Range<usize>,
+    /// Offset of `vals[0]` in the whole copy.
+    base: usize,
+    vals: &'a mut [f64],
+    cols: &'a [u32],
+    rowptr: &'a [u32],
+    run_off: &'a [u32],
+}
+
+impl RowWindow<'_> {
+    /// The window's rows.
+    pub fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// Row `r`'s sum of `value · x(column)`, all tiles kept — bitwise the
+    /// row of [`spmv_mixed`] under all-`Keep` flags. `x` loads the input
+    /// at a global column, so plain slices and atomic bit-cells share it.
+    #[inline]
+    pub fn row_sum(&self, r: usize, x: impl Fn(usize) -> f64) -> f64 {
+        debug_assert!(self.rows.contains(&r));
+        let (lo, hi) = (self.rowptr[r] as usize, self.rowptr[r + 1] as usize);
+        let vals = &self.vals[lo - self.base..hi - self.base];
+        let [sum] = row_sums(&self.cols[lo..hi], vals, |_| false, |_, c| x(c));
+        sum
+    }
+
+    /// Re-tiers, by the [`SharedTiles::retier_tile`] rule, every tile the
+    /// plan names whose rows lie in this window.
+    pub fn retier(&mut self, m: &TiledMatrix, actions: &[RetierAction]) {
+        for a in actions {
+            let i = a.tile as usize;
+            if self
+                .rows
+                .contains(&(m.tile_rowidx[i] as usize * m.tile_size))
+            {
+                retier_runs(m, self.run_off, self.base, i, a.to, self.vals);
+            }
+        }
+    }
+}
+
+/// Algorithm 5's row kernel over one row's resident entries, for `K`
+/// input vectors at once (`x(j, column)` loads vector `j`): in each lane,
+/// each tile run sums `value · x` from `0.0` (runs whose tile column
+/// `skip`s contribute nothing), and every run's sum is added into the
+/// row's sum once, from `0.0`, in tile order ([`flush`]). The lanes are
+/// fixed-size arrays so that they stay in registers, where a run's sum
+/// keeps its own NaN against a NaN product as the tile kernel's does.
+#[inline(always)]
+pub(crate) fn row_sums<const K: usize>(
+    cols: &[u32],
+    vals: &[f64],
+    skip: impl Fn(usize) -> bool,
+    x: impl Fn(usize, usize) -> f64,
+) -> [f64; K] {
+    let (mut acc, mut block, mut live) = ([0.0; K], [0.0; K], true);
+    for (&c, &v) in cols.iter().zip(vals) {
+        let col = (c & !RUN_START) as usize;
+        if c & RUN_START != 0 {
+            for (a, b) in acc.iter_mut().zip(&mut block) {
+                *a = flush(*a, *b);
+                *b = 0.0;
+            }
+            live = !skip(col);
+        }
+        if live {
+            for (j, b) in block.iter_mut().enumerate() {
+                *b += v * x(j, col);
+            }
+        }
+    }
+    std::array::from_fn(|j| flush(acc[j], block[j]))
+}
+
+/// Adds one tile run's sum into its row's sum. The tile kernel adds each
+/// run's sum into memory (`y[r] += sum`), and when both are NaN the run's
+/// NaN is the one that survives; a NaN run therefore replaces the row's
+/// sum here rather than relying on which operand the compiler puts first.
+/// A skipped run's `0.0` leaves every sum unchanged: the row's sum starts
+/// at `+0.0` and never becomes `−0.0`.
+#[inline(always)]
+pub(crate) fn flush(acc: f64, block: f64) -> f64 {
+    if block.is_nan() {
+        block
+    } else {
+        acc + block
+    }
+}
+
+/// Tile `i`'s runs as ranges of the copy's values, in the tile's row order.
+pub(crate) fn tile_runs<'a>(
+    m: &'a TiledMatrix,
+    run_off: &'a [u32],
+    i: usize,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    (m.nonrow[i] as usize..m.nonrow[i + 1] as usize).map(move |ri| {
+        let at = run_off[ri] as usize;
+        at..at + (m.csr_rowptr[ri + 1] - m.csr_rowptr[ri]) as usize
+    })
+}
+
+/// Decodes tile `i`'s run `ri` from the packed values at the tile's
+/// classification precision.
+fn decode_run(m: &TiledMatrix, i: usize, ri: usize, out: &mut [f64]) {
+    let p = m.tile_prec[i];
+    let k = (m.csr_rowptr[ri] - m.tile_nnz[i]) as usize;
+    m.vals.decode_run(m.val_offsets[i] + k * p.bytes(), p, out);
+}
+
+/// Fresh-decodes tile `i` into its runs of `vals` (which start at offset
+/// `base` of the copy) and quantizes them to `tier`; quantization is
+/// elementwise, so run by run gives the bits of the whole tile at once.
+fn retier_runs(
+    m: &TiledMatrix,
+    run_off: &[u32],
+    base: usize,
+    i: usize,
+    tier: TileTier,
+    vals: &mut [f64],
+) {
+    let ris = m.nonrow[i] as usize..m.nonrow[i + 1] as usize;
+    for (ri, run) in ris.zip(tile_runs(m, run_off, i)) {
+        let run = &mut vals[run.start - base..run.end - base];
+        decode_run(m, i, ri, run);
+        tier.quantize_slice(run);
+    }
 }
 
 /// Execution statistics of one mixed-precision SpMV — feeds both the cost
@@ -191,10 +548,11 @@ impl MixedSpmvStats {
 /// Paper **Algorithm 5**: mixed-precision SpMV `y = A x` with per-column
 /// precision demands.
 ///
-/// For every tile: look up `vis_flag[TileColidx[i]]`; bypass if demanded;
-/// otherwise lower the shared-memory copy once if the demand is narrower
-/// than the tile's current precision, and multiply using the (possibly
-/// lowered) on-chip values.
+/// For every tile column: look up `vis_flag`; bypass its tiles if
+/// demanded; otherwise lower the shared-memory copy of each tile once if
+/// the demand is narrower than the tile's current precision. Then every
+/// row sums its kept tile runs from the (possibly lowered) on-chip values
+/// (see the module docs for the summation order).
 ///
 /// `vis_flags` must have one entry per tile column (`m.tile_cols`) — produced
 /// by [`crate::visflag::retrieve_vis_flags`] with `segment_len == tile_size`.
@@ -206,18 +564,9 @@ pub fn spmv_mixed(
     y: &mut [f64],
 ) -> MixedSpmvStats {
     check_mixed_inputs(m, vis_flags, x, y, 1);
-    y.fill(0.0);
-    mixed_span(
-        m,
-        vis_flags,
-        x,
-        0..m.tile_count(),
-        y,
-        0,
-        &mut shared.arena,
-        0,
-        &mut shared.current_prec,
-    )
+    let (stats, bypass) = shared.admit(m, vis_flags);
+    shared.rows_into(m.tile_size, vis_flags, bypass, x, 0..m.nrows, y);
+    stats
 }
 
 /// The shape contract of the mixed kernels over `k` column-major vectors.
@@ -238,113 +587,13 @@ pub(crate) fn check_mixed_inputs(
     );
 }
 
-/// Algorithm 5's admission step for tile `i`, whose resident values are
-/// `vals` at precision `prec`: bypass the tile if its column's flag says
-/// so, otherwise lower the copy once, in place, when the demand is
-/// narrower than `prec` (one-way, §III-D), and count the work in `stats`.
-/// Returns whether the tile is to be multiplied.
-#[inline]
-pub(crate) fn admit(
-    m: &TiledMatrix,
-    i: usize,
-    vis_flags: &[VisFlag],
-    vals: &mut [f64],
-    prec: &mut Precision,
-    stats: &mut MixedSpmvStats,
-) -> bool {
-    let v_f = vis_flags[m.tile_colidx[i] as usize];
-    if v_f == VisFlag::Bypass {
-        stats.tiles_bypassed += 1;
-        stats.nnz_bypassed += vals.len();
-        return false;
-    }
-    if let Some(demanded) = v_f.demanded() {
-        if demanded < *prec {
-            *prec = demanded;
-            demanded.quantize_slice(vals);
-            stats.conversions += 1;
-        }
-    }
-    stats.tiles_computed += 1;
-    stats.nnz_by_prec[prec.tile_code() as usize] += vals.len();
-    true
-}
-
-/// Algorithm 5's row kernel for tile `i` with resident values `vals`: for
-/// each nonempty row, the partial sum of `vals · x` in CSR order, started
-/// from `0.0`, is added once into `out[local_row]` — `out[0]` is the tile
-/// row's first matrix row. `x` loads the input at a global column index,
-/// so plain slices and atomic bit-cells share this code. Called in tile
-/// order, this reproduces `TiledMatrix::matvec`'s per-row summation bit
-/// for bit.
-#[inline]
-pub fn tile_row_sums(
-    m: &TiledMatrix,
-    i: usize,
-    vals: &[f64],
-    x: impl Fn(usize) -> f64,
-    out: &mut [f64],
-) {
-    let base_col = m.tile_colidx[i] as usize * m.tile_size;
-    let nnz_base = m.tile_nnz[i] as usize;
-    for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-        let mut sum = 0.0;
-        for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
-            sum += vals[k - nnz_base] * x(base_col + m.csr_colidx[k] as usize);
-        }
-        // atomicAdd(u[...], sum) in the kernel; a plain add here because
-        // every executor owns its output rows exclusively.
-        out[m.row_index[ri] as usize] += sum;
-    }
-}
-
-/// The Algorithm-5 engine over one contiguous tile span. Both the
-/// sequential kernel (one span: every tile) and the stripe-parallel kernel
-/// (one span per worker) run *this exact loop*, which is what makes
-/// [`spmv_mixed_par`] bitwise-identical to [`spmv_mixed`]: a stripe of
-/// whole tile rows owns a disjoint row range of `y` and a contiguous arena
-/// range, and within the stripe tiles execute in the same order with the
-/// same accumulation order as the sequential engine.
-///
-/// Slice windows: `y` covers matrix rows `[y_base, y_base + y.len())`,
-/// `arena` covers arena indices `[arena_base, ..)`, and `prec` covers tiles
-/// `[tiles.start, tiles.end)`. `y` must be pre-zeroed; results accumulate.
-#[allow(clippy::too_many_arguments)]
-fn mixed_span(
-    m: &TiledMatrix,
-    vis_flags: &[VisFlag],
-    x: &[f64],
-    tiles: Range<usize>,
-    y: &mut [f64],
-    y_base: usize,
-    arena: &mut [f64],
-    arena_base: usize,
-    prec: &mut [Precision],
-) -> MixedSpmvStats {
-    let mut stats = MixedSpmvStats::default();
-    let prec_base = tiles.start;
-    for i in tiles {
-        let span = tile_span(m, i);
-        let vals = &mut arena[span.start - arena_base..span.end - arena_base];
-        if admit(m, i, vis_flags, vals, &mut prec[i - prec_base], &mut stats) {
-            let base_row = m.tile_rowidx[i] as usize * m.tile_size;
-            tile_row_sums(m, i, vals, |c| x[c], &mut y[base_row - y_base..]);
-        }
-    }
-    stats
-}
-
-/// Stripe-parallel mixed-precision SpMV: **bitwise-identical** to
-/// [`spmv_mixed`] (outputs *and* stats), the CPU analogue of assigning row
-/// tiles to independent thread blocks.
-///
-/// Tiles are sorted by `(tile_row, tile_col)`, so cutting the tile-row space
-/// into `threads` contiguous stripes (balanced by nonzero count) gives every
-/// worker a disjoint `y` row range, a contiguous arena range, and a
-/// contiguous `current_prec` range — all handed out via `split_at_mut`, so
-/// stripes run with no atomics or locks. Precision lowering stays an
-/// exclusive in-place write within the owning stripe. Per-stripe stats are
-/// merged in stripe order (integer sums — exact).
+/// [`spmv_mixed`] with the row kernel split over `threads` scoped threads,
+/// each owning a stripe of consecutive rows balanced by nonzero count:
+/// **bitwise-identical** to [`spmv_mixed`] (outputs *and* stats), since
+/// admission runs once on the calling thread and every row's sum is the
+/// same code over the same values. The solvers run the serial kernel; on
+/// a 2-core host the stripes bought nothing, and this entry stays for the
+/// benchmark probe that measures that.
 pub fn spmv_mixed_par(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
@@ -354,65 +603,34 @@ pub fn spmv_mixed_par(
     threads: usize,
 ) -> MixedSpmvStats {
     check_mixed_inputs(m, vis_flags, x, y, 1);
-    let t = m.tile_count();
-    let threads = threads.max(1).min(m.tile_rows.max(1));
-    if threads <= 1 || t == 0 {
+    let threads = threads.max(1).min(m.nrows.max(1));
+    if threads <= 1 {
         return spmv_mixed(m, shared, vis_flags, x, y);
     }
-
-    let row_start = m.tile_row_starts();
-
-    // Cut the tile-row space into `threads` contiguous stripes balanced by
-    // nonzero count.
-    let total_nnz = m.tile_nnz[t] as usize;
-    let mut cuts = vec![0usize; threads + 1];
-    cuts[threads] = m.tile_rows;
-    {
-        let mut tr = 0usize;
-        for (k, cut) in cuts.iter_mut().enumerate().take(threads).skip(1) {
-            let target = total_nnz * k / threads;
-            while tr < m.tile_rows && (m.tile_nnz[row_start[tr]] as usize) < target {
-                tr += 1;
-            }
-            *cut = tr;
+    let (stats, bypass) = shared.admit(m, vis_flags);
+    let shared = &*shared;
+    let nnz = shared.vals.len();
+    let mut bounds: Vec<usize> = (1..threads)
+        .map(|k| {
+            let target = nnz * k / threads;
+            shared
+                .rowptr
+                .partition_point(|&o| (o as usize) < target)
+                .min(m.nrows)
+        })
+        .collect();
+    bounds.push(m.nrows);
+    std::thread::scope(|s| {
+        let mut rest = y;
+        let mut lo = 0;
+        for &hi in &bounds {
+            let (stripe, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+            rest = tail;
+            let rows = lo..hi;
+            s.spawn(move || shared.rows_into(m.tile_size, vis_flags, bypass, x, rows, stripe));
+            lo = hi;
         }
-    }
-
-    // Hand every stripe exclusive windows of y / arena / current_prec.
-    let (ts, nrows) = (m.tile_size, m.nrows);
-    let (mut y_rest, mut arena_rest) = (y, shared.arena.as_mut_slice());
-    let mut prec_rest = shared.current_prec.as_mut_slice();
-    let parts: Vec<MixedSpmvStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = cuts
-            .windows(2)
-            .map(|c| {
-                let tiles = row_start[c[0]]..row_start[c[1]];
-                let (y_lo, y_hi) = ((c[0] * ts).min(nrows), (c[1] * ts).min(nrows));
-                let (a_lo, a_hi) = (
-                    m.tile_nnz[tiles.start] as usize,
-                    m.tile_nnz[tiles.end] as usize,
-                );
-                let (y, rest) = std::mem::take(&mut y_rest).split_at_mut(y_hi - y_lo);
-                y_rest = rest;
-                let (arena, rest) = std::mem::take(&mut arena_rest).split_at_mut(a_hi - a_lo);
-                arena_rest = rest;
-                let (prec, rest) = std::mem::take(&mut prec_rest).split_at_mut(tiles.len());
-                prec_rest = rest;
-                s.spawn(move || {
-                    y.fill(0.0);
-                    mixed_span(m, vis_flags, x, tiles, y, y_lo, arena, a_lo, prec)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("spmv stripe worker panicked"))
-            .collect()
     });
-    let mut stats = MixedSpmvStats::default();
-    for p in &parts {
-        stats.merge(p);
-    }
     stats
 }
 
@@ -712,7 +930,10 @@ mod tests {
                 "outputs not bitwise-identical at {threads} threads"
             );
             assert_eq!(sh1.current_prec, sh2.current_prec);
-            assert_eq!(sh1.arena, sh2.arena);
+            for i in 0..t.tile_count() {
+                let bits = |v: Vec<f64>| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(sh1.tile_values(&t, i)), bits(sh2.tile_values(&t, i)));
+            }
         }
     }
 }

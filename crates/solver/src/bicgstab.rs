@@ -9,14 +9,14 @@
 //! its own input vector (`p_j` and `s_j`), matching the §III-D rule that
 //! the SpMV *input* drives tile precision.
 
-use crate::cg::{mixed_spmv, Ledger};
+use crate::cg::Ledger;
 use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
 use crate::precond::{applied, Bound, Precond};
 use crate::report::{converges, drive, BreakdownKind, Direction, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
-use mf_kernels::{blas1, SharedTiles};
+use mf_kernels::{blas1, spmv_mixed, SharedTiles};
 use mf_sparse::TiledMatrix;
 use std::convert::Infallible;
 
@@ -72,7 +72,6 @@ pub fn run_bicgstab(
     r.copy_from_slice(b);
     r0s.copy_from_slice(b); // shadow residual, fixed
     p.copy_from_slice(b);
-    let threads = cfg.host_parallelism.threads_for(m.nnz());
     let mut rho = blas1::dot(r, r0s);
 
     let mut out = Outcome::sequential(cfg.trace_residuals);
@@ -93,14 +92,7 @@ pub fn run_bicgstab(
             if partial.enabled() {
                 coster.visflag_scan(&mut led.tl);
             }
-            let st1 = mixed_spmv(
-                m,
-                shared,
-                &partial.vis_flags,
-                applied(&pc, p, phat),
-                mu,
-                threads,
-            );
+            let st1 = spmv_mixed(m, shared, &partial.vis_flags, applied(&pc, p, phat), mu);
             led.spmv(&st1, shared);
             coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &st1);
 
@@ -152,14 +144,7 @@ pub fn run_bicgstab(
             if partial.enabled() {
                 coster.visflag_scan(&mut led.tl);
             }
-            let st2 = mixed_spmv(
-                m,
-                shared,
-                &partial.vis_flags,
-                applied(&pc, s, shat),
-                theta,
-                threads,
-            );
+            let st2 = spmv_mixed(m, shared, &partial.vis_flags, applied(&pc, s, shat), theta);
             led.spmv(&st2, shared);
             coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &st2);
 

@@ -20,27 +20,9 @@ use crate::precond::{applied, Bound, Precond};
 use crate::report::{drive, BreakdownKind, Direction, ExecutedMode, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
-use mf_kernels::{blas1, spmv_mixed, spmv_mixed_par, MixedSpmvStats, SharedTiles, VisFlag};
+use mf_kernels::{blas1, spmv_mixed, MixedSpmvStats, SharedTiles, VisFlag};
 use mf_sparse::TiledMatrix;
 use std::convert::Infallible;
-
-/// Dispatches the mixed SpMV serially or tile-row-striped according to the
-/// resolved host thread count. The two paths are bitwise-identical
-/// (see `mf_kernels::spmv`), so the choice is purely a wall-clock one.
-pub(crate) fn mixed_spmv(
-    m: &TiledMatrix,
-    shared: &mut SharedTiles,
-    flags: &[VisFlag],
-    x: &[f64],
-    y: &mut [f64],
-    threads: usize,
-) -> MixedSpmvStats {
-    if threads > 1 {
-        spmv_mixed_par(m, shared, flags, x, y, threads)
-    } else {
-        spmv_mixed(m, shared, flags, x, y)
-    }
-}
 
 /// What a sequential core records beside its [`Outcome`]: the modeled
 /// time, the SpMV statistics, the host event stream (recorded as warp 0)
@@ -257,7 +239,6 @@ pub fn run_cg(
         pc.apply(&mut led.tl, r, y, z);
     }
     p.copy_from_slice(applied(&pc, r, z));
-    let threads = cfg.host_parallelism.threads_for(m.nnz());
     let mut rz = blas1::dot(r, applied(&pc, r, z));
     if pc.is_some() {
         coster.dot(&mut led.tl, true);
@@ -291,7 +272,7 @@ pub fn run_cg(
                 shared.apply_retier(m, &d.actions);
                 coster.retier(&mut led.tl, crate::adaptive::touched_nnz(m, d));
                 let keepf = retier_keep.as_ref().expect("armed with controller");
-                let rstats = mixed_spmv(m, shared, keepf, x, u, threads);
+                let rstats = spmv_mixed(m, shared, keepf, x, u);
                 led.spmv_stats.merge(&rstats);
                 coster.spmv(&mut led.tl, m, shared, keepf, &rstats);
                 for i in 0..n {
@@ -318,7 +299,7 @@ pub fn run_cg(
             if partial.enabled() {
                 coster.visflag_scan(&mut led.tl);
             }
-            let stats = mixed_spmv(m, shared, &partial.vis_flags, p, u, threads);
+            let stats = spmv_mixed(m, shared, &partial.vis_flags, p, u);
             led.spmv(&stats, shared);
             coster.spmv(&mut led.tl, m, shared, &partial.vis_flags, &stats);
 
@@ -693,46 +674,6 @@ mod tests {
             ptrs,
             "workspace buffers must be reused, not reallocated"
         );
-    }
-
-    #[test]
-    fn forced_thread_counts_do_not_change_results() {
-        use crate::config::HostParallelism;
-        let a = poisson1d(250);
-        let base = SolverConfig {
-            host_parallelism: HostParallelism::Serial,
-            ..SolverConfig::default()
-        };
-        let (m, mut shared, coster, mut partial, b) = setup(&a, &base);
-        let serial = run_cg(
-            &m,
-            &mut shared,
-            None,
-            &b,
-            &base,
-            &coster,
-            &mut partial,
-            &mut SolverWorkspace::new(),
-        );
-        for t in [2usize, 5] {
-            let cfg = SolverConfig {
-                host_parallelism: HostParallelism::Threads(t),
-                ..SolverConfig::default()
-            };
-            let (m2, mut sh2, coster2, mut p2, b2) = setup(&a, &cfg);
-            let par = run_cg(
-                &m2,
-                &mut sh2,
-                None,
-                &b2,
-                &cfg,
-                &coster2,
-                &mut p2,
-                &mut SolverWorkspace::new(),
-            );
-            assert_eq!(serial.iterations, par.iterations, "threads={t}");
-            assert_eq!(serial.x, par.x, "threads={t}");
-        }
     }
 
     #[test]

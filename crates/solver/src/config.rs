@@ -66,31 +66,30 @@ pub enum KernelMode {
     MultiKernel,
 }
 
-/// Host-side parallelism policy for the exact-numerics kernels.
+/// Host-side parallelism policy for preprocessing.
 ///
-/// The solver cores run the mixed-precision SpMV either serially or striped
-/// over tile rows ([`mf_kernels::spmv_mixed_par`]). The same resolved count
-/// sets preprocessing: with more than one thread, tiles are classified in
-/// parallel ([`mf_sparse::TiledMatrix::from_csr_par`]), and a preconditioner
+/// With more than one thread, tiles are classified in parallel
+/// ([`mf_sparse::TiledMatrix::from_csr_par`]), and a preconditioner
 /// factorization ([`crate::MilleFeuille::preprocess_with_ilu0`] and every
-/// preconditioned [`crate::MilleFeuille::solve`]) runs on its own thread alongside the
-/// tile build, which gets the threads left over. Every path is
+/// preconditioned [`crate::MilleFeuille::solve`]) runs on its own thread
+/// alongside the tile build, which gets the threads left over. Every path is
 /// bitwise-identical to the serial one, so this knob trades wall-clock for
-/// thread occupancy without perturbing any result.
+/// thread occupancy without perturbing any result. The solver cores run
+/// the serial SpMV whatever the policy: on a 2-core host a striped SpMV
+/// ([`mf_kernels::spmv_mixed_par`]) bought nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HostParallelism {
     /// Parallelize when the matrix is large enough to amortize the thread
     /// spawns (`nnz ≥` [`AUTO_PAR_NNZ`]), using all available cores.
     Auto,
-    /// Always run the serial kernels.
+    /// Always preprocess serially.
     Serial,
     /// Always use exactly this many worker threads (clamped to ≥ 1).
     Threads(usize),
 }
 
-/// `HostParallelism::Auto` switches to the striped SpMV at this stored-
-/// nonzero count. Below it a solve iteration is memory-latency dominated
-/// and thread spawn/join overhead exceeds the win.
+/// `HostParallelism::Auto` preprocesses in parallel from this stored-
+/// nonzero count. Below it thread spawn/join overhead exceeds the win.
 pub const AUTO_PAR_NNZ: usize = 65_536;
 
 impl HostParallelism {
@@ -158,10 +157,9 @@ pub struct SolverConfig {
     /// If set, record per-iteration relative error `‖x−x*‖₂/‖x*‖₂` against
     /// this reference solution (Fig. 12's y-axis).
     pub reference_solution: Option<Vec<f64>>,
-    /// Host-side kernel parallelism: serial vs tile-row-striped SpMV, and
-    /// whether preprocessing classifies tiles in parallel and overlaps the
-    /// preconditioner factorization with the tile build. Every path is
-    /// bitwise-identical; see [`HostParallelism`].
+    /// Host-side preprocessing parallelism: whether tiles are classified
+    /// in parallel and the preconditioner factorization overlaps the tile
+    /// build. Every path is bitwise-identical; see [`HostParallelism`].
     pub host_parallelism: HostParallelism,
     /// Wedge detection for the threaded single-kernel engines
     /// ([`crate::threaded`]): when the policy fires, the solve is poisoned

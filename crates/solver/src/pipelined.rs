@@ -41,7 +41,7 @@
 //!
 //! [`MAX_CONSECUTIVE_RESTARTS`]: crate::config::MAX_CONSECUTIVE_RESTARTS
 
-use crate::cg::{curvature_breakdown, keep_flags, mixed_spmv, Ledger};
+use crate::cg::{curvature_breakdown, keep_flags, Ledger};
 use crate::config::SolverConfig;
 use crate::coster::Coster;
 use crate::partial::PartialState;
@@ -49,7 +49,7 @@ use crate::precond::{applied, Bound, Precond};
 use crate::report::{drive, Direction, Outcome, Slot, SolveReport};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::Timeline;
-use mf_kernels::{blas1, SharedTiles, VisFlag};
+use mf_kernels::{blas1, spmv_mixed, SharedTiles, VisFlag};
 use mf_sparse::TiledMatrix;
 use std::convert::Infallible;
 
@@ -128,7 +128,6 @@ pub fn run_cg_pipelined(
         ..
     } = ws;
     r.copy_from_slice(b);
-    let threads = cfg.host_parallelism.threads_for(m.nnz());
     let keep = keep_flags(m.tile_cols);
 
     // Init (x0 = 0): r = b, u = M⁻¹r, w = A·u, γ = (r,u), δ = (w,u), and
@@ -138,7 +137,7 @@ pub fn run_cg_pipelined(
         pc.apply(&mut led.tl, r, y, u);
     }
     let flags = spmv_flags(&pc, &keep, partial, applied(&pc, r, u), coster, &mut led.tl);
-    let stats = mixed_spmv(m, shared, flags, applied(&pc, r, u), w, threads);
+    let stats = spmv_mixed(m, shared, flags, applied(&pc, r, u), w);
     led.stamp(0, 0);
     led.spmv(&stats, shared);
     coster.spmv_unsync(&mut led.tl, m, shared, flags, &stats);
@@ -176,14 +175,14 @@ pub fn run_cg_pipelined(
                 // (γ, δ) = ((r,r), (w,r)), fresh start.
                 shared.apply_retier(m, &d.actions);
                 coster.retier(&mut led.tl, crate::adaptive::touched_nnz(m, d));
-                let xstats = mixed_spmv(m, shared, &keep, x, nv, threads);
+                let xstats = spmv_mixed(m, shared, &keep, x, nv);
                 led.spmv_stats.merge(&xstats);
                 coster.spmv_unsync(&mut led.tl, m, shared, &keep, &xstats);
                 for i in 0..n {
                     r[i] = b[i] - nv[i];
                 }
                 coster.axpy_unsync(&mut led.tl, 1);
-                let wstats = mixed_spmv(m, shared, &keep, r, w, threads);
+                let wstats = spmv_mixed(m, shared, &keep, r, w);
                 led.spmv_stats.merge(&wstats);
                 coster.spmv_unsync(&mut led.tl, m, shared, &keep, &wstats);
                 (gamma, delta) = blas1::dot2(r, w, r);
@@ -211,7 +210,7 @@ pub fn run_cg_pipelined(
                 coster,
                 &mut led.tl,
             );
-            let stats = mixed_spmv(m, shared, flags, applied(&pc, w, mv), nv, threads);
+            let stats = spmv_mixed(m, shared, flags, applied(&pc, w, mv), nv);
             led.spmv(&stats, shared);
             coster.spmv_unsync(&mut led.tl, m, shared, flags, &stats);
 

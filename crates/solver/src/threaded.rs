@@ -16,15 +16,16 @@
 //! model, and what the paper's GPU numbers come from. On the host it lost
 //! to the simpler alternative, so every engine here runs:
 //!
-//! * an **owner-computes SpMV**: warp `w` computes the rows of its own tile
-//!   rows, in global tile order, with one plain store per row;
+//! * an **owner-computes SpMV**: warp `w` runs the Algorithm-5 row kernel
+//!   over its own window of rows of one resident tile copy
+//!   ([`mf_kernels::RowWindow`]), with one plain store per row;
 //! * **barrier epochs** on one monotone counter per solve;
 //! * per-row **SpTRSV counters** ([`RowDeps`]) for the in-kernel
 //!   triangular solves of the preconditioned engines.
 //!
-//! The owner-computes sum combines every row's tile partials in the same
-//! order as the hand-off did, so the results are bitwise those of the
-//! Algorithm-3 schedule at any warp count.
+//! The row kernel combines every row's tile partials in the same order as
+//! the hand-off did, so the results are bitwise those of the Algorithm-3
+//! schedule at any warp count.
 //!
 //! Every entry asserts its shape preconditions and documents them under
 //! `# Panics`; typed input errors belong to [`crate::MilleFeuille::solve`].
@@ -115,7 +116,7 @@ use mf_gpu::{
     WarpFaults,
 };
 use mf_kernels::ilu::Ilu0;
-use mf_kernels::spmv::{decode_tiles, retier_values, tile_row_sums};
+use mf_kernels::{RowWindow, SharedTiles};
 use mf_precision::{AdaptiveConfig, RetierDecision};
 use mf_sparse::{Csr, TiledMatrix};
 use mf_trace::{EventKind, Trace, TraceConfig, WarpTrace, WarpTracer};
@@ -510,19 +511,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The one warp launcher (the single-kernel "launch"): arms the watchdog,
-/// spawns `lay.warps` scoped threads — each with its sync view, tracer and
-/// fault stream — runs `body` on each under a panic guard, joins, and
-/// assembles the report with `x` as the solution and `steps` naming the
-/// heartbeat positions.
-fn launch<F>(
+/// spawns `lay.warps` scoped threads — each with its sync view, tracer,
+/// fault stream and its own entry of `owned` — runs `body` on each under a
+/// panic guard, joins, and assembles the report with `x` as the solution
+/// and `steps` naming the heartbeat positions.
+fn launch<S, F>(
     lay: &Layout,
     opts: &ThreadedOpts,
     steps: &'static [&'static str],
     x: &[AtomicU64],
+    owned: Vec<S>,
     body: F,
 ) -> SolveReport
 where
-    F: Fn(&mut Warp<'_>) -> Result<(), i64> + Sync,
+    S: Send,
+    F: Fn(&mut Warp<'_>, S) -> Result<(), i64> + Sync,
 {
     let poison = AtomicI64::new(POISON_NONE);
     let heartbeat = match opts.watchdog {
@@ -530,8 +533,10 @@ where
         WatchdogPolicy::Heartbeat(i) => Some(Heartbeat::new(i, lay.warps)),
     };
     let outs: Vec<WarpOut> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..lay.warps)
-            .map(|w| {
+        let handles: Vec<_> = owned
+            .into_iter()
+            .enumerate()
+            .map(|(w, state)| {
                 let (poison, body, hb) = (&poison, &body, heartbeat.as_ref());
                 scope.spawn(move |_| {
                     let wf = (!opts.faults.is_empty()).then(|| opts.faults.for_warp(w));
@@ -550,7 +555,7 @@ where
                         },
                         out: Outcome::new(),
                     };
-                    let result = catch_unwind(AssertUnwindSafe(|| body(&mut warp)));
+                    let result = catch_unwind(AssertUnwindSafe(|| body(&mut warp, state)));
                     let faults = wf.as_ref().map(|f| f.counts()).unwrap_or_default();
                     settle_warp(result, poison, warp.out, faults, tracer)
                 })
@@ -670,13 +675,17 @@ fn finish_report(
 /// Entry prologue of the six iterative engines: checks shapes, lays the
 /// rows out over warps and answers `b = 0` directly — `x = 0` converges in
 /// zero iterations, with an (empty) trace when tracing is on, as in the
-/// sequential cores. Returns the layout and `‖b‖₂` otherwise.
+/// sequential cores. Otherwise loads the resident tiles the warps share
+/// and returns them with the layout and `‖b‖₂`; a malformed matrix that
+/// panics the load fails the solve as a panic of warp 0, as it would
+/// inside the kernel.
 fn prologue(
     m: &TiledMatrix,
     tri: Option<&TriSolve<'_>>,
     b: &[f64],
     opts: &ThreadedOpts,
-) -> Result<(Layout, f64), Box<SolveReport>> {
+    steps: &'static [&'static str],
+) -> Result<(Layout, f64, SharedTiles), Box<SolveReport>> {
     let n = m.nrows;
     assert_eq!(b.len(), n);
     assert_eq!(m.nrows, m.ncols);
@@ -684,39 +693,47 @@ fn prologue(
         assert_eq!(t.l.nrows, n);
         assert_eq!(t.u.nrows, n);
     }
-    let lay = Layout::for_matrix(m, opts.warps);
+    let lay = Layout::new(m.nrows, m.tile_size, opts.warps);
     let norm_b: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if norm_b != 0.0 {
-        return Ok((lay, norm_b));
+    if norm_b == 0.0 {
+        return Err(Box::new(SolveReport {
+            x: vec![0.0; n],
+            converged: true,
+            warp_count: lay.warps,
+            trace: opts.trace.enabled.then(|| Trace {
+                warps: lay.warps,
+                ..Trace::default()
+            }),
+            engine: Some(EngineSection::Threaded {
+                last_progress: Vec::new(),
+                injected_faults: None,
+            }),
+            ..SolveReport::default()
+        }));
     }
-    Err(Box::new(SolveReport {
-        x: vec![0.0; n],
-        converged: true,
-        warp_count: lay.warps,
-        trace: opts.trace.enabled.then(|| Trace {
-            warps: lay.warps,
-            ..Trace::default()
-        }),
-        engine: Some(EngineSection::Threaded {
-            last_progress: Vec::new(),
-            injected_faults: None,
-        }),
-        ..SolveReport::default()
-    }))
+    match catch_unwind(AssertUnwindSafe(|| SharedTiles::load(m))) {
+        Ok(resident) => Ok((lay, norm_b, resident)),
+        Err(payload) => {
+            let panic = Some(panic_message(payload));
+            let died = vec![WarpOut {
+                panic,
+                ..dead_warp()
+            }];
+            let (x, faults) = (zeros(n), &opts.faults);
+            Err(Box::new(finish_report(
+                &x, lay.warps, false, None, steps, faults, died,
+            )))
+        }
+    }
 }
 
 /// How an engine's rows are laid out over its warps: segments of `ts`
-/// rows, warp `w` owning segments `seg_lo[w]..seg_lo[w + 1]`. `tr_start`
-/// holds each tile row's first tile index
-/// ([`TiledMatrix::tile_row_starts`]), padded to `segments + 1` entries
-/// because `n = 0` has one segment but no tile row; it is empty for the
-/// SpTRSV runner, which has no tiles.
+/// rows, warp `w` owning segments `seg_lo[w]..seg_lo[w + 1]`.
 struct Layout {
     n: usize,
     ts: usize,
     warps: usize,
     seg_lo: Vec<usize>,
-    tr_start: Vec<usize>,
 }
 
 impl Layout {
@@ -734,19 +751,7 @@ impl Layout {
             ts,
             warps,
             seg_lo,
-            tr_start: Vec::new(),
         }
-    }
-
-    /// Tile-size segments of `m`. Warp `w` owns exactly the tiles of its
-    /// tile rows, so its SpMV needs no atomics and reproduces
-    /// `TiledMatrix::matvec`'s per-row summation order bitwise at any warp
-    /// count.
-    fn for_matrix(m: &TiledMatrix, max_warps: usize) -> Layout {
-        let mut lay = Layout::new(m.nrows, m.tile_size, max_warps);
-        lay.tr_start = m.tile_row_starts();
-        lay.tr_start.resize(lay.segments() + 1, m.tile_count());
-        lay
     }
 
     fn segments(&self) -> usize {
@@ -766,6 +771,19 @@ impl Layout {
     /// Warp `w`'s rows: its segments' rows, contiguous and in order.
     fn rows(&self, w: usize) -> Range<usize> {
         (self.seg_lo[w] * self.ts)..(self.seg_lo[w + 1] * self.ts).min(self.n)
+    }
+
+    /// Every warp's exclusive window of `m`'s resident copy: warp `w`
+    /// runs the row kernel over, and re-tiers the tiles of, its own rows,
+    /// so its SpMV needs no atomics and reproduces `TiledMatrix::matvec`'s
+    /// per-row summation bitwise at any warp count.
+    fn windows<'t>(&self, resident: &'t mut SharedTiles) -> Vec<RowWindow<'t>> {
+        let bounds: Vec<usize> = self
+            .seg_lo
+            .iter()
+            .map(|&s| (s * self.ts).min(self.n))
+            .collect();
+        resident.row_windows(&bounds)
     }
 
     /// One per-segment dot-partial array. One array per dot site — at
@@ -869,67 +887,39 @@ impl<'a> Barrier<'a> {
     }
 }
 
-/// One warp's resident tiles — those of its own tile rows — decoded once
-/// ("loaded into shared memory") into one flat arena and requantized only
-/// by re-tier refresh passes, plus its segments and row accumulator.
+/// One warp's window of the resident tiles ([`Layout::windows`]) and
+/// its segments.
 struct WarpTiles<'a> {
-    m: &'a TiledMatrix,
     lay: &'a Layout,
     sync: WarpSync<'a>,
     segs: Range<usize>,
-    tiles: Range<usize>,
-    /// Tile `i`'s values at `m.tile_nnz[i] - m.tile_nnz[tiles.start]`.
-    arena: Vec<f64>,
-    acc: Vec<f64>,
+    win: RowWindow<'a>,
 }
 
 impl<'a> WarpTiles<'a> {
-    fn owned(m: &'a TiledMatrix, lay: &'a Layout, sync: WarpSync<'a>, w: usize) -> Self {
-        let tiles = lay.tr_start[lay.seg_lo[w]]..lay.tr_start[lay.seg_lo[w + 1]];
+    fn owned(lay: &'a Layout, sync: WarpSync<'a>, w: usize, win: RowWindow<'a>) -> Self {
+        let segs = lay.segs(w);
         WarpTiles {
-            m,
             lay,
             sync,
-            segs: lay.segs(w),
-            arena: decode_tiles(m, tiles.clone()),
-            tiles,
-            acc: vec![0.0; lay.ts],
+            segs,
+            win,
         }
     }
 
-    /// Tile `i`'s window of the arena.
-    fn window(&self, i: usize) -> Range<usize> {
-        let base = self.m.tile_nnz[self.tiles.start] as usize;
-        self.m.tile_nnz[i] as usize - base..self.m.tile_nnz[i + 1] as usize - base
+    /// Re-tiers the resident tiles of `m` an applied plan names in this
+    /// warp's rows (the [`mf_kernels::SharedTiles::retier_tile`] rule).
+    fn retier(&mut self, m: &TiledMatrix, d: &RetierDecision) {
+        self.win.retier(m, &d.actions);
     }
 
-    /// Re-tiers the resident tiles an applied plan names, through
-    /// [`retier_values`] (the [`mf_kernels::SharedTiles::retier_tile`] rule).
-    fn retier(&mut self, d: &RetierDecision) {
-        for a in &d.actions {
-            let i = a.tile as usize;
-            if self.tiles.contains(&i) {
-                let w = self.window(i);
-                retier_values(self.m, i, a.to, &mut self.arena[w]);
-            }
-        }
-    }
-
-    /// Owner-computes `output = A·input` over this warp's whole tile rows:
-    /// each segment's tiles run the Algorithm-5 row kernel in global tile
-    /// order into `acc`, then one plain store per row — no atomics, no
-    /// inter-iteration zeroing.
+    /// Owner-computes `output = A·input` over this warp's rows: each row
+    /// runs the Algorithm-5 row kernel, then one plain store — no atomics,
+    /// no inter-iteration zeroing.
     fn spmv_own(&mut self, input: &[AtomicU64], output: &[AtomicU64]) {
-        let lay = self.lay;
         for s in self.segs.clone() {
-            let rows = lay.elems(s);
-            self.acc[..rows.len()].fill(0.0);
-            for i in lay.tr_start[s]..lay.tr_start[s + 1] {
-                let vals = &self.arena[self.window(i)];
-                tile_row_sums(self.m, i, vals, |c| ld(&input[c]), &mut self.acc);
-            }
-            for (e, v) in rows.zip(&self.acc) {
-                st(&output[e], *v);
+            for e in self.lay.elems(s) {
+                st(&output[e], self.win.row_sum(e, |c| ld(&input[c])));
             }
             self.sync.pulse();
         }
@@ -1199,7 +1189,7 @@ fn cg_family(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, tri, b, opts) {
+    let (lay, norm_b, mut resident) = match prologue(m, tri, b, opts, PCG_STEPS) {
         Ok(setup) => setup,
         Err(done) => return *done,
     };
@@ -1213,10 +1203,11 @@ fn cg_family(
     let [seg_pu, seg_rr, seg_rz] = std::array::from_fn(|_| lay.seg_cells());
     let rr0: f64 = b.iter().map(|v| v * v).sum();
 
-    launch(&lay, opts, PCG_STEPS, &x, |warp| {
+    let windows = lay.windows(&mut resident);
+    launch(&lay, opts, PCG_STEPS, &x, windows, |warp, win| {
         let sync = warp.sync;
         let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
+        let mut tiles = WarpTiles::owned(&lay, sync, warp.w, win);
         let mut bar = Barrier::new(&bar, &lay, sync);
         let mut precond = tri.map(|t| t.warp(&lay, warp.w, sync));
         // Restarts the direction from the residual: p = z and the (r, z)
@@ -1256,7 +1247,7 @@ fn cg_family(
                     // requantize, rebuild the true residual r = b − A·x and
                     // restart the direction from it.
                     sync.step(j, 0)?;
-                    tiles.retier(d);
+                    tiles.retier(m, d);
                     tiles.spmv_own(&x, &u);
                     for e in own.clone() {
                         st(&r[e], b[e] - ld(&u[e]));
@@ -1390,7 +1381,7 @@ fn bicgstab_family(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, tri, b, opts) {
+    let (lay, norm_b, mut resident) = match prologue(m, tri, b, opts, PBICGSTAB_STEPS) {
         Ok(setup) => setup,
         Err(done) => return *done,
     };
@@ -1407,10 +1398,11 @@ fn bicgstab_family(
     let [seg_denom, seg_ts, seg_tt, seg_rho, seg_rr] = std::array::from_fn(|_| lay.seg_cells());
     let rho0: f64 = b.iter().map(|v| v * v).sum();
 
-    launch(&lay, opts, PBICGSTAB_STEPS, &x, |warp| {
+    let windows = lay.windows(&mut resident);
+    launch(&lay, opts, PBICGSTAB_STEPS, &x, windows, |warp, win| {
         let sync = warp.sync;
         let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
+        let mut tiles = WarpTiles::owned(&lay, sync, warp.w, win);
         let mut bar = Barrier::new(&bar, &lay, sync);
         let mut precond = tri.map(|t| t.warp(&lay, warp.w, sync));
         let mut rho = rho0;
@@ -1553,21 +1545,28 @@ pub fn run_ilu_sptrsv_threaded(
     let tri = TriSolve::new(l, u, unit_lower, unit_upper);
     let done = AtomicI64::new(0);
 
-    let mut rep = launch(&lay, opts, SPTRSV_STEPS, &z, |warp| {
-        let sync = warp.sync;
-        let mut solve = tri.warp(&lay, warp.w, sync);
-        sync.iteration_gate()?;
-        sync.step(0, 0)?;
-        solve.lower(&rhs)?;
-        sync.step(0, 1)?;
-        solve.upper(&z)?;
-        // Completion barrier so success is only reported once every warp
-        // finished (a late panic must win).
-        Barrier::new(&done, &lay, sync).wait()?;
-        warp.out.iterations = 1;
-        warp.out.converged = true;
-        Ok(())
-    });
+    let mut rep = launch(
+        &lay,
+        opts,
+        SPTRSV_STEPS,
+        &z,
+        vec![(); lay.warps],
+        |warp, ()| {
+            let sync = warp.sync;
+            let mut solve = tri.warp(&lay, warp.w, sync);
+            sync.iteration_gate()?;
+            sync.step(0, 0)?;
+            solve.lower(&rhs)?;
+            sync.step(0, 1)?;
+            solve.upper(&z)?;
+            // Completion barrier so success is only reported once every warp
+            // finished (a late panic must win).
+            Barrier::new(&done, &lay, sync).wait()?;
+            warp.out.iterations = 1;
+            warp.out.converged = true;
+            Ok(())
+        },
+    );
     rep.final_relres = 0.0;
     rep
 }
@@ -1715,7 +1714,7 @@ fn pipelined_family(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    let (lay, norm_b) = match prologue(m, tri, b, opts) {
+    let (lay, norm_b, mut resident) = match prologue(m, tri, b, opts, PCG_PIPELINED_STEPS) {
         Ok(setup) => setup,
         Err(done) => return *done,
     };
@@ -1754,10 +1753,11 @@ fn pipelined_family(
         bar.wait()
     };
 
-    launch(&lay, opts, PCG_PIPELINED_STEPS, &x, |warp| {
+    let windows = lay.windows(&mut resident);
+    launch(&lay, opts, PCG_PIPELINED_STEPS, &x, windows, |warp, win| {
         let sync = warp.sync;
         let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::owned(m, &lay, sync, warp.w);
+        let mut tiles = WarpTiles::owned(&lay, sync, warp.w, win);
         let mut bar = Barrier::new(&bar, &lay, sync);
         let mut precond = tri.map(|t| t.warp(&lay, warp.w, sync));
 
@@ -1791,7 +1791,7 @@ fn pipelined_family(
                     // (barrier publishes r), reseed the current parity slot
                     // (barrier publishes it), then restart the direction stack.
                     sync.step(j, 0)?;
-                    tiles.retier(d);
+                    tiles.retier(m, d);
                     tiles.spmv_own(&x, &nv);
                     for e in own.clone() {
                         st(&r[e], b[e] - ld(&nv[e]));
