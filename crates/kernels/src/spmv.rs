@@ -95,16 +95,28 @@ impl SharedTiles {
             m.ncols
         );
         let (nnz, ts) = (m.nnz(), m.tile_size);
+        let mut col_start = vec![0u32; m.tile_cols + 1];
+        let mut col_nnz = vec![[0u32; 4]; m.tile_cols];
+        let mut col_widest = vec![Precision::Fp8; m.tile_cols];
+        for i in 0..m.tile_count() {
+            let (c, p) = (m.tile_colidx[i] as usize, m.tile_prec[i]);
+            col_start[c + 1] += 1;
+            col_nnz[c][p.tile_code() as usize] += m.tile_nnz[i + 1] - m.tile_nnz[i];
+            col_widest[c] = col_widest[c].max(p);
+        }
+        for c in 0..m.tile_cols {
+            col_start[c + 1] += col_start[c];
+        }
+
+        // One tile row at a time: count its rows' entries, decode its
+        // tiles (one call per stretch of tiles at one precision, whose
+        // packed runs are contiguous), then place each tile's runs at its
+        // rows' next free slots, in tile order.
         let mut rowptr = vec![0u32; m.nrows + 1];
         let mut vals = vec![0.0; nnz];
         let mut cols = vec![0u32; nnz];
         let mut run_off = vec![0u32; m.nonempty_row_count()];
-        let mut col_start = vec![0u32; m.tile_cols + 1];
-        let mut col_nnz = vec![[0u32; 4]; m.tile_cols];
-        let mut col_widest = vec![Precision::Fp8; m.tile_cols];
-        // One tile row at a time: count its rows' entries, then place each
-        // tile's runs at its rows' next free slots, in tile order.
-        let (mut next, mut tile) = (vec![0u32; ts], Vec::new());
+        let (mut next, mut decoded) = (vec![0u32; ts], Vec::new());
         let starts = m.tile_row_starts();
         for (tr, tiles) in starts.windows(2).enumerate() {
             let tiles = tiles[0]..tiles[1];
@@ -118,22 +130,29 @@ impl SharedTiles {
                 (*slot, at) = (at, at + *slot);
                 rowptr[r + 1] = at;
             }
+            let base = m.tile_nnz[tiles.start] as usize;
+            decoded.resize(m.tile_nnz[tiles.end] as usize - base, 0.0);
+            let mut a = tiles.start;
+            while a < tiles.end {
+                let p = m.tile_prec[a];
+                let b = (a + 1..tiles.end)
+                    .find(|&b| m.tile_prec[b] != p)
+                    .unwrap_or(tiles.end);
+                let span = m.tile_nnz[a] as usize - base..m.tile_nnz[b] as usize - base;
+                m.vals.decode_run(m.val_offsets[a], p, &mut decoded[span]);
+                a = b;
+            }
             for i in tiles {
-                let (c, p) = (m.tile_colidx[i] as usize, m.tile_prec[i]);
-                let nnz_base = m.tile_nnz[i] as usize;
-                tile.resize(m.tile_nnz[i + 1] as usize - nnz_base, 0.0);
-                m.decode_tile_into(i, &mut tile);
-                col_start[c + 1] += 1;
-                col_nnz[c][p.tile_code() as usize] += tile.len() as u32;
-                col_widest[c] = col_widest[c].max(p);
-                let base_col = c as u32 * ts as u32;
+                let base_col = m.tile_colidx[i] * ts as u32;
                 for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
                     let slot = &mut next[m.row_index[ri] as usize];
                     run_off[ri] = *slot;
                     let mut at = *slot as usize;
                     let mut mark = RUN_START;
+                    // Element by element: most runs hold one to three
+                    // entries, too few for a slice copy to pay.
                     for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
-                        vals[at] = tile[k - nnz_base];
+                        vals[at] = decoded[k - base];
                         cols[at] = (base_col + u32::from(m.csr_colidx[k])) | mark;
                         mark = 0;
                         at += 1;
@@ -141,9 +160,6 @@ impl SharedTiles {
                     *slot = at as u32;
                 }
             }
-        }
-        for c in 0..m.tile_cols {
-            col_start[c + 1] += col_start[c];
         }
 
         SharedTiles {
