@@ -17,9 +17,9 @@
 //! # Determinism contract
 //!
 //! [`spmm_mixed`] runs Algorithm 5's admission step once per call and then
-//! reads each resident entry once per row for all active columns, keeping
-//! one row sum and one run sum per column and combining them exactly as
-//! the single-vector row kernel does ([`crate::spmv_mixed`]). Every
+//! the single-vector row kernel ([`crate::spmv_mixed`]) over groups of up
+//! to eight active columns: each resident entry is read once per row for
+//! the whole group, with one row sum and one run sum per column. Every
 //! `(column, row)` pair therefore gets the same bits as the single-vector
 //! kernel, so a batched solve is bitwise identical to the `k` independent
 //! solves it replaces (pinned by `tests/prop_spmv.rs` and by the
@@ -44,7 +44,8 @@ pub fn col_mut(v: &mut [f64], n: usize, j: usize) -> &mut [f64] {
 
 /// Mixed-precision sparse matrix × multi-vector product
 /// `Y[:, j] = A · X[:, j]` for every *active* column `j`, sharing one pass
-/// over the tiles (Algorithm 5 generalized to a column block).
+/// over the resident tiles among up to eight columns (Algorithm 5
+/// generalized to a column block).
 ///
 /// * `x` is column-major `ncols × k`, `y` column-major `nrows × k`.
 /// * `active[j] == false` skips column `j` entirely — its `y` column is

@@ -17,7 +17,8 @@
 //! into the row once. That is the order `TiledMatrix::matvec` adds the
 //! tiles' partial sums in, so every executor is bitwise that loop:
 //! [`spmv_mixed`], its row-striped twin [`spmv_mixed_par`],
-//! [`crate::spmm_mixed`] (one pass, one sum pair per column) and the
+//! [`crate::spmm_mixed`] (one pass per group of up to eight columns, one
+//! sum pair per column) and the
 //! threaded engines in `mf-solver`, whose warps each run the kernel over
 //! their own [`RowWindow`].
 
@@ -38,7 +39,7 @@ pub fn spmv_tiled(m: &TiledMatrix, x: &[f64], y: &mut [f64]) {
 
 /// The top bit of a resident column index marks the first entry of a tile
 /// run (one tile's entries in one row).
-pub(crate) const RUN_START: u32 = 1 << 31;
+const RUN_START: u32 = 1 << 31;
 
 /// The "shared memory" copy of the matrix tiles held across iterations by
 /// the single-kernel scheme (§III-C). Values are decoded once at load time;
@@ -316,6 +317,8 @@ impl SharedTiles {
         rows: Range<usize>,
         y: &mut [f64],
     ) {
+        // Rows arrive in order: writing through the iterator spares a
+        // bounds check per row.
         let mut out = y.iter_mut();
         let store = |_, [v]: [f64; 1]| {
             if let Some(o) = out.next() {
@@ -342,7 +345,8 @@ impl SharedTiles {
         let spans = self.rowptr[rows.start..=rows.end].windows(2).zip(rows);
         let span = |w: &[u32]| w[0] as usize..w[1] as usize;
         if bypass {
-            let skip = |c: usize| vis_flags[c / ts] == VisFlag::Bypass;
+            let tile_col = tile_col(ts);
+            let skip = |c: usize| vis_flags[tile_col(c)] == VisFlag::Bypass;
             for (w, r) in spans {
                 store(
                     r,
@@ -358,6 +362,17 @@ impl SharedTiles {
             }
         }
     }
+}
+
+/// The tile column of global column `c`, `c / ts`, as a multiply and a
+/// shift (a division per run start slowed the bypass path measurably).
+/// With `c < 2^31` and a shift of `31 + ⌈log2 ts⌉`, the reciprocal's
+/// rounding error stays below `2^-⌈log2 ts⌉ ≤ 1/ts`, so the quotient is
+/// exact, and the product stays below `2^63`.
+fn tile_col(ts: usize) -> impl Fn(usize) -> usize + Copy {
+    let shift = 32 + (ts - 1).ilog2();
+    let recip = (1u64 << shift).div_ceil(ts as u64);
+    move |c| ((c as u64 * recip) >> shift) as usize
 }
 
 /// One worker's exclusive window of consecutive rows of a [`SharedTiles`]
@@ -377,11 +392,6 @@ pub struct RowWindow<'a> {
 }
 
 impl RowWindow<'_> {
-    /// The window's rows.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
     /// Row `r`'s sum of `value · x(column)`, all tiles kept — bitwise the
     /// row of [`spmv_mixed`] under all-`Keep` flags. `x` loads the input
     /// at a global column, so plain slices and atomic bit-cells share it.
@@ -417,7 +427,7 @@ impl RowWindow<'_> {
 /// fixed-size arrays so that they stay in registers, where a run's sum
 /// keeps its own NaN against a NaN product as the tile kernel's does.
 #[inline(always)]
-pub(crate) fn row_sums<const K: usize>(
+fn row_sums<const K: usize>(
     cols: &[u32],
     vals: &[f64],
     skip: impl Fn(usize) -> bool,
@@ -449,7 +459,7 @@ pub(crate) fn row_sums<const K: usize>(
 /// A skipped run's `0.0` leaves every sum unchanged: the row's sum starts
 /// at `+0.0` and never becomes `−0.0`.
 #[inline(always)]
-pub(crate) fn flush(acc: f64, block: f64) -> f64 {
+fn flush(acc: f64, block: f64) -> f64 {
     if block.is_nan() {
         block
     } else {
@@ -458,7 +468,7 @@ pub(crate) fn flush(acc: f64, block: f64) -> f64 {
 }
 
 /// Tile `i`'s runs as ranges of the copy's values, in the tile's row order.
-pub(crate) fn tile_runs<'a>(
+fn tile_runs<'a>(
     m: &'a TiledMatrix,
     run_off: &'a [u32],
     i: usize,
@@ -467,14 +477,6 @@ pub(crate) fn tile_runs<'a>(
         let at = run_off[ri] as usize;
         at..at + (m.csr_rowptr[ri + 1] - m.csr_rowptr[ri]) as usize
     })
-}
-
-/// Decodes tile `i`'s run `ri` from the packed values at the tile's
-/// classification precision.
-fn decode_run(m: &TiledMatrix, i: usize, ri: usize, out: &mut [f64]) {
-    let p = m.tile_prec[i];
-    let k = (m.csr_rowptr[ri] - m.tile_nnz[i]) as usize;
-    m.vals.decode_run(m.val_offsets[i] + k * p.bytes(), p, out);
 }
 
 /// Fresh-decodes tile `i` into its runs of `vals` (which start at offset
@@ -488,10 +490,12 @@ fn retier_runs(
     tier: TileTier,
     vals: &mut [f64],
 ) {
+    let p = m.tile_prec[i];
     let ris = m.nonrow[i] as usize..m.nonrow[i + 1] as usize;
     for (ri, run) in ris.zip(tile_runs(m, run_off, i)) {
         let run = &mut vals[run.start - base..run.end - base];
-        decode_run(m, i, ri, run);
+        let k = (m.csr_rowptr[ri] - m.tile_nnz[i]) as usize;
+        m.vals.decode_run(m.val_offsets[i] + k * p.bytes(), p, run);
         tier.quantize_slice(run);
     }
 }
@@ -908,6 +912,20 @@ mod tests {
         crate::spmm_mixed(&t, &mut shared, &keep, &xb, &mut yb, &[true, true]);
         assert_eq!(bits(&yb[..4]), bits(&want), "spmm_mixed column 0");
         assert_eq!(bits(&yb[4..]), bits(&want2), "spmm_mixed column 1");
+    }
+
+    #[test]
+    fn tile_col_divides_exactly() {
+        for ts in 2..=256usize {
+            let tc = tile_col(ts);
+            let top = (1usize << 31) - 1;
+            for base in [0, top / ts * ts - 4 * ts] {
+                for c in base..(base + 4 * ts).min(top + 1) {
+                    assert_eq!(tc(c), c / ts, "c = {c}, ts = {ts}");
+                }
+            }
+            assert_eq!(tc(top), top / ts, "ts = {ts}");
+        }
     }
 
     #[test]

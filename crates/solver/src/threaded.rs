@@ -16,9 +16,8 @@
 //! model, and what the paper's GPU numbers come from. On the host it lost
 //! to the simpler alternative, so every engine here runs:
 //!
-//! * an **owner-computes SpMV**: warp `w` runs the Algorithm-5 row kernel
-//!   over its own window of rows of one resident tile copy
-//!   ([`mf_kernels::RowWindow`]), with one plain store per row;
+//! * an **owner-computes SpMV**: warp `w` runs the row kernel over its own
+//!   rows of one resident tile copy, with one plain store per row;
 //! * **barrier epochs** on one monotone counter per solve;
 //! * per-row **SpTRSV counters** ([`RowDeps`]) for the in-kernel
 //!   triangular solves of the preconditioned engines.
