@@ -309,6 +309,60 @@ fn pipelined_vs_classic_drift_envelope() {
     }
 }
 
+/// The drift envelope on the sequential engine: the facade's classic and
+/// pipelined CG, and the same pair for ILU(0) PCG, on the fixtures and
+/// bounds of the threaded comparison above, with the residual trajectory
+/// recorded by `trace_residuals`.
+#[test]
+fn sequential_pipelined_vs_classic_drift_envelope() {
+    let a = gen::poisson2d(16, 16);
+    let b = paper_rhs(&a);
+    let (tol, max_iter) = (1e-10, 600);
+
+    for (pname, uniform) in [("mixed", None), ("fp64", Some(Precision::Fp64))] {
+        let solver = MilleFeuille::new(
+            DeviceSpec::a100(),
+            SolverConfig {
+                tolerance: tol,
+                max_iter,
+                tile_size: 8,
+                uniform_precision: uniform,
+                trace_residuals: true,
+                ..SolverConfig::default()
+            },
+        );
+        for (family, method) in [("cg", Method::Cg), ("pcg", Method::Pcg(PrecondKind::Ilu0))] {
+            let spec = SolveSpec::new(method);
+            let classic = solver.solve(&a, &b, &spec).unwrap();
+            let piped = solver.solve(&a, &b, &spec.pipelined()).unwrap();
+            assert!(
+                classic.converged,
+                "{family} classic {pname} should converge"
+            );
+            assert!(
+                piped.converged,
+                "{family} pipelined {pname} should converge"
+            );
+            let envelope = 5usize.max(classic.iterations.div_ceil(10));
+            assert!(
+                classic.iterations.abs_diff(piped.iterations) <= envelope,
+                "{family} {pname}: iterations {} vs {} outside envelope {envelope}",
+                classic.iterations,
+                piped.iterations
+            );
+            let compared = assert_drift_envelope(
+                &format!("sequential {family} {pname}"),
+                &classic.residual_history,
+                &piped.residual_history,
+            );
+            assert!(
+                compared >= 10,
+                "{family} {pname}: vacuous comparison ({compared})"
+            );
+        }
+    }
+}
+
 /// Breakdown parity: an indefinite diagonal puts negative curvature into
 /// the very first `(γ, δ)` pair; the pipelined restart is a flag flip that
 /// re-reads the same published scalars, so it is a fixed point — engine
