@@ -59,8 +59,8 @@ fn main() {
         let speedup = bl.solve_us() / mf.solve_us();
         let status = mf.status_label();
         // Tracing is off here, and the sequential model cores record no
-        // barrier epochs anyway, so this renders `-`; the fig_pipeline
-        // bench's threaded runs are where the column carries numbers.
+        // barrier epochs anyway, so this renders `-`; only a traced
+        // threaded run carries numbers in this column.
         let barriers = metric_cell(barriers_per_iter(mf.trace.as_ref()));
         iter_ratios.push(ratio);
         println!(

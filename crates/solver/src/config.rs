@@ -38,11 +38,12 @@ impl Default for WatchdogPolicy {
 /// where restarts are routine.
 pub const MAX_CONSECUTIVE_RESTARTS: usize = 8;
 
-/// Pipelined-recurrence selection for the CG family. The pipelined
-/// (Ghysels–Vanroose) variants trade a modest, characterized rounding
-/// drift for a collapsed synchronization schedule — one global reduction
-/// per iteration instead of two, and 1–2 barrier epochs per iteration in
-/// the threaded engines instead of ~4.
+/// Pipelined-recurrence selection for the CG family on the sequential
+/// engine. The pipelined (Ghysels–Vanroose) variants trade a modest,
+/// characterized rounding drift for a collapsed synchronization schedule —
+/// one global reduction per iteration instead of two, charged as 1–2
+/// barrier epochs per single-kernel iteration instead of 3–4. The
+/// threaded engines run the classic schedule only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Let the cost model decide: pipelined when the predicted per-
@@ -187,7 +188,7 @@ pub struct SolverConfig {
     /// when adaptive is armed, because the one-way on-chip lowering would
     /// fight the controller's plans. Armed on CG, pipelined CG, PCG with
     /// any preconditioner (ILU(0), IC(0), block-Jacobi) and the threaded
-    /// CG engines; BiCGSTAB, PBiCGSTAB and pipelined PCG ignore it.
+    /// CG engine; BiCGSTAB, PBiCGSTAB and pipelined PCG ignore it.
     pub adaptive: Option<mf_precision::AdaptiveConfig>,
 }
 

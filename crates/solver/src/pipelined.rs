@@ -55,9 +55,8 @@ use std::convert::Infallible;
 
 /// Pipelined scalar update: returns `(beta, alpha, denom)` for the current
 /// `(γ, δ)` pair. `fresh` selects the steepest-descent start used on
-/// iteration 0 and after every breakdown restart. Shared with the threaded
-/// engines so the sequential and in-kernel recurrences cannot diverge.
-pub(crate) fn pipeline_scalars(
+/// iteration 0 and after every breakdown restart.
+fn pipeline_scalars(
     fresh: bool,
     gamma: f64,
     gamma_old: f64,

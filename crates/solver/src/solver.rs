@@ -9,8 +9,7 @@ use crate::pipelined::run_cg_pipelined;
 use crate::precond::Precond;
 use crate::report::{BreakdownEvent, BreakdownKind, ExecutedMode, RecoveryAction, SolveReport};
 use crate::threaded::{
-    run_bicgstab_threaded, run_cg_pipelined_threaded, run_cg_threaded, run_pbicgstab_threaded,
-    run_pcg_pipelined_threaded, run_pcg_threaded, ThreadedOpts,
+    run_bicgstab_threaded, run_cg_threaded, run_pbicgstab_threaded, run_pcg_threaded, ThreadedOpts,
 };
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{CostModel, DeviceSpec, Phase, ShmemPlan, Timeline};
@@ -82,13 +81,13 @@ pub enum Engine {
 /// | method | `Sequential` | `Threaded` |
 /// |---|---|---|
 /// | `Auto` | classic, pipelined | — |
-/// | `Cg`, `Pcg(Ilu0)` | classic, pipelined | classic, pipelined |
+/// | `Cg`, `Pcg(Ilu0)` | classic, pipelined | classic |
 /// | `Pcg(Ic0)`, `Pcg(BlockJacobi)` | classic, pipelined | — |
 /// | `BiCgStab`, `PBiCgStab` | classic | classic |
 ///
 /// [`PipelineMode::Auto`] resolves per matrix
 /// ([`MilleFeuille::decide_pipeline`]) where a pipelined schedule exists
-/// and is classic elsewhere. Every other combination, factors that do not
+/// and is classic elsewhere, so always classic on `Threaded`. Every other combination, factors that do not
 /// match the method's preconditioner, and `Threaded { warps: 0 }` are
 /// [`SolveError::Unsupported`].
 #[derive(Clone, Copy, Debug)]
@@ -97,10 +96,11 @@ pub struct SolveSpec<'f> {
     pub method: Method,
     /// The engine that runs it.
     pub engine: Engine,
-    /// Classic or pipelined (Ghysels–Vanroose) recurrence. The pipelined
-    /// schedule needs one barrier epoch per CG iteration (two for PCG)
-    /// instead of about four; its residual trajectory drifts from the
-    /// classic one only by rounding (DESIGN.md §12).
+    /// Classic or pipelined (Ghysels–Vanroose) recurrence, the latter on
+    /// the sequential engine only. The pipelined schedule is charged one
+    /// barrier epoch per CG iteration (two for PCG) instead of three
+    /// (four); its residual trajectory drifts from the classic one only by
+    /// rounding (DESIGN.md §12).
     pub pipeline: PipelineMode,
     /// A factorization to precondition with instead of one the facade
     /// builds: benchmark reuse, or corrupted factors in stress tests.
@@ -175,6 +175,9 @@ impl<'f> SolveSpec<'f> {
             }
             Method::BiCgStab | Method::PBiCgStab if pipelined => {
                 Some("BiCGSTAB has no pipelined schedule")
+            }
+            _ if pipelined && !sequential => {
+                Some("the pipelined schedule runs on the sequential engine only")
             }
             _ => None,
         };
@@ -547,8 +550,6 @@ impl MilleFeuille {
         pc: Option<Precond<'_>>,
     ) -> SolveReport {
         let (m, tol, max_iter) = (&pre.tiled, self.config.tolerance, self.config.max_iter);
-        let pipelined = |mode| self.decide_pipeline(m, mode, spec.pipeline);
-        let single = ExecutedMode::SingleKernel;
         let rep = match (spec.engine, spec.method, pc) {
             (Engine::Sequential, Method::Auto, _) => self.run_auto(a, pre, b, spec.pipeline),
             (Engine::Sequential, method, pc) => {
@@ -560,29 +561,19 @@ impl MilleFeuille {
                 };
                 let core: Core = match method {
                     Method::BiCgStab | Method::PBiCgStab => run_bicgstab,
-                    _ if pipelined(mode) => run_cg_pipelined,
+                    _ if self.decide_pipeline(m, mode, spec.pipeline) => run_cg_pipelined,
                     _ => run_cg,
                 };
                 self.run_core(pre, mode, b, pc, &mut SolverWorkspace::new(), core)
             }
             (Engine::Threaded { warps }, Method::Cg, _) => {
-                let opts = self.threaded_opts(warps);
-                if pipelined(single) {
-                    run_cg_pipelined_threaded(m, b, tol, max_iter, &opts)
-                } else {
-                    run_cg_threaded(m, b, tol, max_iter, &opts)
-                }
+                run_cg_threaded(m, b, tol, max_iter, &self.threaded_opts(warps))
             }
             (Engine::Threaded { warps }, Method::BiCgStab, _) => {
                 run_bicgstab_threaded(m, b, tol, max_iter, &self.threaded_opts(warps))
             }
             (Engine::Threaded { warps }, Method::Pcg(_), Some(Precond::Ilu0(ilu))) => {
-                let opts = self.threaded_opts(warps);
-                if pipelined(single) {
-                    run_pcg_pipelined_threaded(m, ilu, b, tol, max_iter, &opts)
-                } else {
-                    run_pcg_threaded(m, ilu, b, tol, max_iter, &opts)
-                }
+                run_pcg_threaded(m, ilu, b, tol, max_iter, &self.threaded_opts(warps))
             }
             (Engine::Threaded { warps }, Method::PBiCgStab, Some(Precond::Ilu0(ilu))) => {
                 run_pbicgstab_threaded(m, ilu, b, tol, max_iter, &self.threaded_opts(warps))
@@ -1124,6 +1115,10 @@ mod tests {
             ic0.threaded(2),
             SolveSpec::new(Method::PBiCgStab).pipelined(),
             SolveSpec::new(Method::BiCgStab).threaded(2).pipelined(),
+            SolveSpec::new(Method::Cg).threaded(2).pipelined(),
+            SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))
+                .threaded(2)
+                .pipelined(),
             SolveSpec::new(Method::Cg).with_factors(Precond::Ilu0(&ilu)),
             ic0.with_factors(Precond::Ilu0(&ilu)),
         ];
@@ -1133,16 +1128,26 @@ mod tests {
                 "{spec:?}"
             );
         }
-        // Auto on the classic-only paths is a choice, not a fallback.
+        // Auto on the classic-only paths is a choice, not a fallback: it
+        // runs exactly the classic schedule.
         for spec in [
             SolveSpec::new(Method::BiCgStab),
             SolveSpec::new(Method::PBiCgStab).threaded(2),
+            SolveSpec::new(Method::Cg).threaded(2),
+            SolveSpec::new(Method::Pcg(PrecondKind::Ilu0)).threaded(2),
         ] {
-            let spec = SolveSpec {
+            let auto = SolveSpec {
                 pipeline: PipelineMode::Auto,
                 ..spec
             };
-            assert!(solver.solve(&a, &b, &spec).unwrap().converged, "{spec:?}");
+            let (auto, classic) = (
+                solver.solve(&a, &b, &auto).unwrap(),
+                solver.solve(&a, &b, &spec).unwrap(),
+            );
+            assert!(auto.converged, "{spec:?}");
+            assert_eq!(auto.iterations, classic.iterations, "{spec:?}");
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&auto.x), bits(&classic.x), "{spec:?}");
         }
     }
 
@@ -1392,26 +1397,6 @@ mod tests {
         assert!(rep.converged);
         assert!(rep.iterations <= 4, "{}", rep.iterations);
         assert!(rep.timeline.get(Phase::SpTrsv) > 0.0);
-
-        let rep = solver
-            .solve(&a, &b, &SolveSpec::new(Method::Cg).pipelined().threaded(4))
-            .unwrap();
-        assert!(rep.converged);
-        assert!(rep.failure.is_none());
-        for v in &rep.x {
-            assert!((v - 1.0).abs() < 1e-7);
-        }
-        let rep = solver
-            .solve(
-                &a,
-                &b,
-                &SolveSpec::new(Method::Pcg(PrecondKind::Ilu0))
-                    .pipelined()
-                    .threaded(4),
-            )
-            .unwrap();
-        assert!(rep.converged);
-        assert!(rep.iterations <= 4, "{}", rep.iterations);
     }
 
     #[test]

@@ -39,13 +39,12 @@
 //!
 //! ## One body per method family, one loop driver
 //!
-//! CG and PCG share one body, as do BiCGSTAB and PBiCGSTAB and pipelined
-//! CG and pipelined PCG: without a preconditioner the body skips the
-//! triangular sweeps (and, pipelined, their publish barrier) and reads `r`
-//! (or `p`, `s`, `w`) where the preconditioned path reads `z` (`p̂`, `ŝ`,
-//! `M⁻¹w`). Every body reports each loop slot to the one driver,
-//! `report::drive`, which owns the iteration cap, the restart policy,
-//! convergence and aborts, and the adaptive refresh slots.
+//! CG and PCG share one body, as do BiCGSTAB and PBiCGSTAB: without a
+//! preconditioner the body skips the triangular sweeps and reads `r` (or
+//! `p`, `s`) where the preconditioned path reads `z` (`p̂`, `ŝ`). Every
+//! body reports each loop slot to the one driver, `report::drive`, which
+//! owns the iteration cap, the restart policy, convergence and aborts,
+//! and the adaptive refresh slots.
 //!
 //! ## Robustness (deviation from the paper)
 //!
@@ -77,7 +76,7 @@
 //!
 //! ## One entry point per engine
 //!
-//! Each of the seven engines has exactly one public entry — its own
+//! Each of the five engines has exactly one public entry — its own
 //! leading arguments plus a [`ThreadedOpts`]. One private launcher owns the
 //! glue they share: the poison flag, heartbeat arming, the scoped spawn
 //! loop with per-warp sync/tracer/fault set-up, the panic guard, the join,
@@ -105,7 +104,6 @@
 use crate::bicgstab::{alpha_breakdown, restart_kind, restart_rho};
 use crate::cg::curvature_breakdown;
 use crate::config::WatchdogPolicy;
-use crate::pipelined::pipeline_scalars;
 use crate::report::{
     drive, BreakdownEvent, BreakdownKind, Direction, EngineSection, Outcome, RecoveryAction, Slot,
     SolveFailure, SolveReport, WarpProgress,
@@ -163,12 +161,11 @@ pub struct ThreadedOpts {
     /// one aggregate `RowWait` event each. A disabled config is bitwise
     /// inert.
     pub trace: TraceConfig,
-    /// Adaptive precision controller v2. Only the two CG engines read it
-    /// ([`run_cg_threaded`], [`run_cg_pipelined_threaded`]); the others
-    /// ignore it. `None` is bitwise inert. Every warp builds the identical
-    /// controller from the same census and observes the identical residual
-    /// at the loop bottom, so every warp computes the same re-tier plan
-    /// with zero extra synchronization. An applied plan consumes one
+    /// Adaptive precision controller v2. Only [`run_cg_threaded`] reads
+    /// it; the other engines ignore it. `None` is bitwise inert. Every
+    /// warp builds the identical controller from the same census and
+    /// observes the identical residual at the loop bottom, so every warp
+    /// computes the same re-tier plan with zero extra synchronization. An applied plan consumes one
     /// **refresh pass**: a barrier-aligned loop slot in which each warp
     /// requantizes its resident tiles from a fresh decode (the
     /// [`mf_kernels::SharedTiles::retier_tile`] rule) and the true residual
@@ -217,12 +214,6 @@ pub const PCG_STEPS: &[&str] = &["init", "spmv", "update", "precond", "direction
 pub const PBICGSTAB_STEPS: &[&str] = &["precond_p", "spmv_v", "precond_s", "spmv_t", "update"];
 /// Step names of the standalone SpTRSV runner.
 pub const SPTRSV_STEPS: &[&str] = &["lower", "upper"];
-/// Step names of the pipelined engines ([`run_cg_pipelined_threaded`],
-/// [`run_pcg_pipelined_threaded`]): `init` runs once before iteration 0 and
-/// opens every adaptive refresh pass; pipelined CG has no `precond` step
-/// and passes one global barrier per iteration, inside `update`; pipelined
-/// PCG passes two, after `precond` and inside `update`.
-pub const PCG_PIPELINED_STEPS: &[&str] = &["init", "precond", "spmv", "scalars", "update"];
 
 /// Per-warp view of the shared poison flag, the progress heartbeat and the
 /// warp's fault stream; all barrier waits go through
@@ -671,7 +662,7 @@ fn finish_report(
     }
 }
 
-/// Entry prologue of the six iterative engines: checks shapes, lays the
+/// Entry prologue of the four iterative engines: checks shapes, lays the
 /// rows out over warps and answers `b = 0` directly — `x = 0` converges in
 /// zero iterations, with an (empty) trace when tracing is on, as in the
 /// sequential cores. Otherwise loads the resident tiles the warps share
@@ -1169,7 +1160,7 @@ pub fn run_pcg_threaded(
     max_iter: usize,
     opts: &ThreadedOpts,
 ) -> SolveReport {
-    // Only the unpreconditioned CG engines honour `adaptive`.
+    // Only the unpreconditioned CG engine honours `adaptive`.
     let opts = ThreadedOpts {
         adaptive: None,
         ..opts.clone()
@@ -1570,333 +1561,6 @@ pub fn run_ilu_sptrsv_threaded(
     rep
 }
 
-// ---- Pipelined engines -----------------------------------------------------
-//
-// The classic threaded CG passes three barriers per iteration: the
-// curvature dot, the update dot and the direction publish. The pipelined
-// recurrence (see `crate::pipelined`) removes the dependency of the SpMV on
-// the current reduction, which lets the whole iteration collapse onto ONE
-// global barrier:
-//
-// * `w` — the only vector another warp ever reads — is double-buffered, and
-//   the fused six-vector update writes the *other* slot, so the SpMV of a
-//   slow warp can still be reading the published slot while a fast warp is
-//   already one step ahead;
-// * the dot-partial arrays are double-buffered the same way, and both
-//   parities flip only on a *successful* update (a deterministic decision,
-//   identical on every warp), so a breakdown iteration simply re-reads the
-//   same slots — restart needs no copies, exactly like the sequential core.
-//
-// The pipelined PCG keeps two barriers: `m = M⁻¹w` must be published before
-// the SpMV `n = A·m` reads it cross-warp. Everything else (`w`, `u`, and
-// the six recurrence vectors) is only ever touched by its segment owner,
-// so the classic publish and extra dot barriers disappear. Both run one
-// body, `pipelined_family`: `w` is double-buffered on both paths, so the
-// unpreconditioned path, which reads `w` itself where PCG reads `M⁻¹w`,
-// needs no barrier of its own, and the precondition step and its barrier
-// run only under a preconditioner. Determinism and warp-count invariance
-// hold for the same reasons as the classic engines: owner-computes SpMV
-// in global tile order, per-segment single-writer dot partials reduced in
-// fixed segment order, and SpTRSV rows combined in CSR order.
-
-/// Runs Ghysels–Vanroose pipelined CG inside the single kernel with ONE
-/// global barrier per iteration (the classic engine passes three; see the
-/// module-section comment above for how the collapse works).
-/// Breakdown/restart semantics mirror [`crate::pipelined::run_cg_pipelined`]:
-/// the restart is a flag flip (β = 0 rebuilds the direction state on the
-/// next iteration), futile restarts abort as `Stalled`, and a non-finite γ
-/// aborts as `NonFinite` — all decided from the shared reduction, so every
-/// warp takes the identical branch and the barrier epochs stay aligned.
-///
-/// Reads [`ThreadedOpts::adaptive`]: a refresh pass here costs two global
-/// barriers — one publishing the rebuilt true residual `r = b − A·x`, one
-/// publishing the reseeded recurrence (`w = A·r` into the *current* parity
-/// slot plus its (γ, δ) partials) — after which the direction stack
-/// restarts exactly like a flag-only breakdown restart. The parities do
-/// not flip.
-///
-/// # Panics
-///
-/// If `m` is not square, `b.len() != m.nrows` or `opts.warps` is 0.
-pub fn run_cg_pipelined_threaded(
-    m: &TiledMatrix,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    opts: &ThreadedOpts,
-) -> SolveReport {
-    pipelined_family(m, None, b, tol, max_iter, opts)
-}
-
-/// Runs Ghysels–Vanroose pipelined PCG inside the single kernel with TWO
-/// global barriers per iteration (the classic engine passes four): one
-/// publishes `m = M⁻¹w` for the SpMV, one publishes the fused dot partials.
-/// The in-kernel SpTRSV, poison/watchdog and fault-injection machinery are
-/// identical to [`run_pcg_threaded`]; breakdown semantics mirror
-/// [`crate::pipelined::run_cg_pipelined`] with a preconditioner.
-/// `opts.adaptive` is ignored.
-///
-/// # Panics
-///
-/// If `m` is not square, `b.len()` or `ilu`'s factors differ from
-/// `m.nrows`, or `opts.warps` is 0.
-pub fn run_pcg_pipelined_threaded(
-    m: &TiledMatrix,
-    ilu: &Ilu0,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    opts: &ThreadedOpts,
-) -> SolveReport {
-    // Only the unpreconditioned CG engines honour `adaptive`.
-    let opts = ThreadedOpts {
-        adaptive: None,
-        ..opts.clone()
-    };
-    pipelined_family(m, Some(&TriSolve::ilu(ilu)), b, tol, max_iter, &opts)
-}
-
-/// The pipelined family's dot partials, double-buffered on the parity of
-/// `w`: γ and δ always, ρ = (r, r) only under a preconditioner — without
-/// one it is γ itself.
-struct PipelinedPartials {
-    gamma: [Vec<AtomicU64>; 2],
-    delta: [Vec<AtomicU64>; 2],
-    rho: Option<[Vec<AtomicU64>; 2]>,
-}
-
-impl PipelinedPartials {
-    fn new(lay: &Layout, preconditioned: bool) -> Self {
-        let pair = || [lay.seg_cells(), lay.seg_cells()];
-        PipelinedPartials {
-            gamma: pair(),
-            delta: pair(),
-            rho: preconditioned.then(pair),
-        }
-    }
-
-    /// Stores the (γ, δ, ρ) partials `term` yields for `segs` into
-    /// parity slot `k`.
-    fn store(
-        &self,
-        lay: &Layout,
-        segs: Range<usize>,
-        k: usize,
-        mut term: impl FnMut(usize) -> [f64; 3],
-    ) {
-        let (gamma, delta) = (&self.gamma[k][..], &self.delta[k][..]);
-        match &self.rho {
-            Some(rho) => seg_dots(lay, segs, [gamma, delta, &rho[k]], term),
-            None => seg_dots(lay, segs, [gamma, delta], |e| {
-                let [g, d, _] = term(e);
-                [g, d]
-            }),
-        }
-    }
-
-    /// ρ from parity slot `k`.
-    fn rho(&self, k: usize) -> f64 {
-        seg_total(self.rho.as_ref().map_or(&self.gamma[k], |rho| &rho[k]))
-    }
-}
-
-/// The pipelined family's one body: pipelined PCG with the triangular
-/// solve pair `tri`, pipelined CG without it — `u = M⁻¹r`, `m = M⁻¹w` and
-/// `q = M⁻¹s` are then `r`, `w` and `s` themselves, so the `precond` step
-/// and its publish barrier, the `q` and `u` updates and the ρ partials
-/// are skipped (the relres is then `γ = (r, r)` itself).
-fn pipelined_family(
-    m: &TiledMatrix,
-    tri: Option<&TriSolve<'_>>,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    opts: &ThreadedOpts,
-) -> SolveReport {
-    let (lay, norm_b, mut resident) = match prologue(m, tri, b, opts, PCG_PIPELINED_STEPS) {
-        Ok(setup) => setup,
-        Err(done) => return *done,
-    };
-    let n = lay.n;
-    let (x, r, p) = (zeros(n), cells(b), zeros(n));
-    // Recurrences s = A·p, z = A·q; n = A·m is the per-iteration SpMV.
-    let (s, zz, nv) = (zeros(n), zeros(n), zeros(n));
-    // PCG's own vectors: u = M⁻¹r and q = M⁻¹s (recurrences) and
-    // m = M⁻¹w — the one cross-warp vector of the preconditioned path.
-    let [u_own, q_own, mv] = std::array::from_fn(|_| tri.map(|_| zeros(n)));
-    let u = u_own.as_deref().unwrap_or(&r);
-    // w = A·u, double-buffered: slot k%2 is the published input of the
-    // current iteration, the fused update writes slot (k+1)%2 (k counts
-    // successful updates, so a breakdown iteration re-reads the same slot).
-    let wbuf = [zeros(n), zeros(n)];
-    let bar = AtomicI64::new(0);
-    let parts = PipelinedPartials::new(&lay, tri.is_some());
-    // Seeds the recurrence from the current r into parity slot `k`:
-    // u = M⁻¹r (its own barrier publishes u for the SpMV), w = A·u,
-    // γ = (r,u), δ = (w,u), ρ = (r,r), then the barrier publishing w and
-    // the partials.
-    let reseed = |tiles: &mut WarpTiles<'_>,
-                  precond: &mut Option<WarpTri<'_>>,
-                  bar: &mut Barrier<'_>,
-                  k: usize|
-     -> Result<(), i64> {
-        if let Some(pc) = precond {
-            pc.apply(&r, u)?;
-            bar.wait()?;
-        }
-        tiles.spmv_own(u, &wbuf[k]);
-        parts.store(&lay, tiles.segs.clone(), k, |e| {
-            let (rv, uv) = (ld(&r[e]), ld(&u[e]));
-            [rv * uv, ld(&wbuf[k][e]) * uv, rv * rv]
-        });
-        bar.wait()
-    };
-
-    let windows = lay.windows(&mut resident);
-    launch(&lay, opts, PCG_PIPELINED_STEPS, &x, windows, |warp, win| {
-        let sync = warp.sync;
-        let (segs, own) = (lay.segs(warp.w), lay.rows(warp.w));
-        let mut tiles = WarpTiles::owned(&lay, sync, warp.w, win);
-        let mut bar = Barrier::new(&bar, &lay, sync);
-        let mut precond = tri.map(|t| t.warp(&lay, warp.w, sync));
-
-        // ---- Init (r = b).
-        sync.iteration_gate()?;
-        sync.step(0, 0)?;
-        reseed(&mut tiles, &mut precond, &mut bar, 0)?;
-
-        let mut k = 0usize; // successful updates completed
-        let mut gamma_old = 1.0f64;
-        let mut alpha_old = 1.0f64;
-        let mut fresh = true;
-        let ctrl = opts
-            .adaptive
-            .map(|ac| crate::adaptive::controller_for(m, ac));
-        drive(
-            &mut warp.out,
-            max_iter,
-            None,
-            tol,
-            ctrl,
-            || sync.iteration_gate(),
-            |j, refresh| {
-                let s_in = k % 2;
-                let s_out = (k + 1) % 2;
-                let (w_in, w_out) = (&wbuf[s_in], &wbuf[s_out]);
-
-                if let Some(d) = refresh {
-                    // ---- Re-tier refresh pass (a slot, not an iteration):
-                    // requantize, rebuild the true residual r = b − A·x
-                    // (barrier publishes r), reseed the current parity slot
-                    // (barrier publishes it), then restart the direction stack.
-                    sync.step(j, 0)?;
-                    tiles.retier(m, d);
-                    tiles.spmv_own(&x, &nv);
-                    for e in own.clone() {
-                        st(&r[e], b[e] - ld(&nv[e]));
-                    }
-                    bar.wait()?;
-                    reseed(&mut tiles, &mut precond, &mut bar, s_in)?;
-                    fresh = true;
-                    sync.retiered(d);
-                    return Ok(Slot::Refreshed);
-                }
-
-                // ---- m = M⁻¹w (w is warp-private: the SpTRSV rhs reads own
-                // rows only), published by its own barrier.
-                let m_in = match (precond.as_mut(), &mv) {
-                    (Some(pc), Some(mv)) => {
-                        sync.step(j, 1)?;
-                        pc.apply(w_in, mv)?;
-                        bar.wait()?;
-                        &mv[..]
-                    }
-                    _ => &w_in[..],
-                };
-
-                // ---- n = A·m: reads what the last barrier published; never
-                // races the updates, which write the other w slot.
-                sync.step(j, 2)?;
-                tiles.spmv_own(m_in, &nv);
-
-                // ---- Scalars from the published reduction — identical on
-                // every warp (fixed segment order).
-                sync.step(j, 3)?;
-                let gamma = seg_total(&parts.gamma[s_in]);
-                let delta = seg_total(&parts.delta[s_in]);
-                let (beta, alpha, denom) =
-                    pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-                if let Some(kind) = curvature_breakdown(alpha, denom) {
-                    // Flag-only restart: β = 0 next iteration rebuilds the
-                    // direction stack wholesale; the parities do not flip,
-                    // so the same (γ, δ) and the same w slot are re-read.
-                    // One barrier keeps the epoch count aligned with the
-                    // normal path.
-                    fresh = true;
-                    bar.wait()?;
-                    return Ok(Slot::Restart {
-                        kind,
-                        finite: gamma.is_finite(),
-                        relres: Some(parts.rho(s_in).max(0.0).sqrt() / norm_b),
-                    });
-                }
-
-                // ---- Fused update + next dot partials (elementwise order
-                // matches blas1::pcg_pipelined_update, and without a
-                // preconditioner blas1::cg_pipelined_update, exactly, so the
-                // drift envelope is shared).
-                sync.step(j, 4)?;
-                parts.store(&lay, segs.clone(), s_out, |e| {
-                    let (uo, wo) = (ld(&u[e]), ld(&w_in[e]));
-                    let pv = uo + beta * ld(&p[e]);
-                    st(&p[e], pv);
-                    let sv = wo + beta * ld(&s[e]);
-                    st(&s[e], sv);
-                    let qv = match &q_own {
-                        Some(q) => {
-                            let qv = ld(&m_in[e]) + beta * ld(&q[e]);
-                            st(&q[e], qv);
-                            qv
-                        }
-                        None => sv,
-                    };
-                    let zv = ld(&nv[e]) + beta * ld(&zz[e]);
-                    st(&zz[e], zv);
-                    st(&x[e], ld(&x[e]) + alpha * pv);
-                    let rv = ld(&r[e]) - alpha * sv;
-                    st(&r[e], rv);
-                    let un = match &u_own {
-                        Some(u) => {
-                            let un = uo - alpha * qv;
-                            st(&u[e], un);
-                            un
-                        }
-                        None => rv,
-                    };
-                    let wn = wo - alpha * zv;
-                    st(&w_out[e], wn);
-                    [rv * un, wn * un, rv * rv]
-                });
-                bar.wait()?; // publishes w' + the partials
-
-                k += 1;
-                gamma_old = gamma;
-                alpha_old = alpha;
-                fresh = false;
-
-                let rho_new = parts.rho(s_out);
-                if !rho_new.is_finite() {
-                    return Ok(Slot::NonFinite);
-                }
-                Ok(Slot::Done(
-                    rho_new.max(0.0).sqrt() / norm_b,
-                    Direction::Kept,
-                ))
-            },
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1934,10 +1598,10 @@ mod tests {
         f: mf_kernels::Ilu0,
     }
 
-    /// All seven engines behind one signature, with their step tables.
+    /// All five engines behind one signature, with their step tables.
     type Entry = fn(&Fixture, &[f64], &ThreadedOpts) -> SolveReport;
 
-    fn all_engines() -> [(&'static str, Entry, &'static [&'static str]); 7] {
+    fn all_engines() -> [(&'static str, Entry, &'static [&'static str]); 5] {
         [
             (
                 "cg",
@@ -1958,16 +1622,6 @@ mod tests {
                 "pbicgstab",
                 |x, b, o| run_pbicgstab_threaded(&x.m, &x.f, b, 1e-10, 1000, o),
                 PBICGSTAB_STEPS,
-            ),
-            (
-                "cg_pipelined",
-                |x, b, o| run_cg_pipelined_threaded(&x.m, b, 1e-10, 1000, o),
-                PCG_PIPELINED_STEPS,
-            ),
-            (
-                "pcg_pipelined",
-                |x, b, o| run_pcg_pipelined_threaded(&x.m, &x.f, b, 1e-10, 1000, o),
-                PCG_PIPELINED_STEPS,
             ),
             (
                 "sptrsv",
@@ -2623,331 +2277,6 @@ mod tests {
                         assert!(rep.iterations <= 100, "{name}/{ename}/{warps}");
                     }
                 }
-            }
-        }
-    }
-
-    // ---- Pipelined engines -----------------------------------------------
-
-    #[test]
-    fn pipelined_cg_converges_and_is_warp_invariant() {
-        let a = poisson1d(512);
-        let m = tiled(&a);
-        let mut b = vec![0.0; 512];
-        a.matvec(&vec![1.0; 512], &mut b);
-        let base = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(1));
-        assert!(base.converged, "relres {}", base.final_relres);
-        assert!(base.failure.is_none());
-        for v in &base.x {
-            assert!((v - 1.0).abs() < 1e-7, "{v}");
-        }
-        for warps in [2, 5, 8] {
-            let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(warps));
-            assert!(rep.converged, "warps {warps}");
-            assert_eq!(rep.iterations, base.iterations, "warps {warps}");
-            assert_eq!(
-                rep.final_relres.to_bits(),
-                base.final_relres.to_bits(),
-                "warps {warps}"
-            );
-            assert_eq!(rep.residual_history, base.residual_history);
-            for (i, (t, s)) in rep.x.iter().zip(&base.x).enumerate() {
-                assert_eq!(t.to_bits(), s.to_bits(), "warps {warps} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_pcg_converges_and_is_warp_invariant() {
-        let (_, m, f, b) = pcg_fixture(512);
-        let base = run_pcg_pipelined_threaded(&m, &f, &b, 1e-10, 1000, &ThreadedOpts::new(1));
-        assert!(base.converged, "relres {}", base.final_relres);
-        assert!(base.failure.is_none());
-        for v in &base.x {
-            assert!((v - 1.0).abs() < 1e-7, "{v}");
-        }
-        for warps in [4, 7] {
-            let rep =
-                run_pcg_pipelined_threaded(&m, &f, &b, 1e-10, 1000, &ThreadedOpts::new(warps));
-            assert!(rep.converged, "warps {warps}");
-            assert_eq!(rep.iterations, base.iterations, "warps {warps}");
-            assert_eq!(rep.residual_history, base.residual_history);
-            for (i, (t, s)) in rep.x.iter().zip(&base.x).enumerate() {
-                assert_eq!(t.to_bits(), s.to_bits(), "warps {warps} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_cg_iteration_count_tracks_classic() {
-        // The pipelined recurrence is the same Krylov method with different
-        // rounding; on a well-conditioned fixture the convergence iteration
-        // may only drift by a hair.
-        let a = poisson1d(256);
-        let m = tiled(&a);
-        let mut b = vec![0.0; 256];
-        a.matvec(&vec![1.0; 256], &mut b);
-        let classic = run_cg_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(4));
-        let pipelined = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(4));
-        assert!(classic.converged && pipelined.converged);
-        assert!(
-            classic.iterations.abs_diff(pipelined.iterations) <= 5,
-            "classic {} vs pipelined {}",
-            classic.iterations,
-            pipelined.iterations
-        );
-        for (t, s) in pipelined.x.iter().zip(&classic.x) {
-            assert!((t - s).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn pipelined_cg_indefinite_fails_finite() {
-        let n = 64;
-        let mut a = Coo::new(n, n);
-        for i in 0..n {
-            a.push(i, i, -1.0);
-        }
-        let m = tiled(&a.to_csr());
-        let b = vec![1.0; n];
-        for warps in [1, 4] {
-            let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(warps));
-            assert!(!rep.converged, "warps {warps}");
-            assert!(rep.final_relres.is_finite(), "warps {warps}");
-            assert!(rep.x.iter().all(|v| v.is_finite()), "warps {warps}");
-            assert!(
-                matches!(rep.failure, Some(SolveFailure::Stalled { .. })),
-                "warps {warps}: {:?}",
-                rep.failure
-            );
-            assert_eq!(rep.iterations, MAX_CONSECUTIVE_RESTARTS, "warps {warps}");
-            assert!(rep
-                .breakdowns
-                .iter()
-                .all(|e| e.kind == BreakdownKind::Curvature));
-            assert_eq!(
-                rep.breakdowns.last().unwrap().action,
-                RecoveryAction::Aborted
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_zero_rhs_and_max_iter() {
-        let a = poisson1d(64);
-        let m = tiled(&a);
-        let rep = run_cg_pipelined_threaded(&m, &vec![0.0; 64], 1e-10, 100, &ThreadedOpts::new(4));
-        assert!(rep.converged);
-        assert_eq!(rep.iterations, 0);
-        let mut b = vec![0.0; 64];
-        a.matvec(&vec![1.0; 64], &mut b);
-        let rep = run_cg_pipelined_threaded(&m, &b, 1e-30, 5, &ThreadedOpts::new(4));
-        assert!(!rep.converged);
-        assert_eq!(rep.iterations, 5);
-        assert!(rep.failure.is_none());
-
-        let (_, m, f, b) = pcg_fixture(64);
-        let rep =
-            run_pcg_pipelined_threaded(&m, &f, &vec![0.0; 64], 1e-10, 100, &ThreadedOpts::new(4));
-        assert!(rep.converged);
-        assert_eq!(rep.iterations, 0);
-        let rep = run_pcg_pipelined_threaded(&m, &f, &b, 0.0, 3, &ThreadedOpts::new(4));
-        assert!(!rep.converged);
-        assert_eq!(rep.iterations, 3);
-        assert!(rep.failure.is_none());
-    }
-
-    #[test]
-    fn pipelined_benign_faults_bitwise_inert() {
-        let a = poisson1d(160);
-        let m = tiled(&a);
-        let mut b = vec![0.0; 160];
-        a.matvec(&vec![1.0; 160], &mut b);
-        let plan = FaultPlan::seeded(11).with_delay(200, 16).with_stall(4, 50);
-        let clean = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(4));
-        let rep = run_cg_pipelined_threaded(
-            &m,
-            &b,
-            1e-10,
-            1000,
-            &ThreadedOpts {
-                faults: plan.clone(),
-                ..ThreadedOpts::new(4)
-            },
-        );
-        assert!(rep.converged);
-        let inj = rep.injected_faults().expect("non-empty plan → telemetry");
-        assert!(inj.counts.total() > 0, "benign faults actually fired");
-        for (t, c) in rep.x.iter().zip(&clean.x) {
-            assert_eq!(t.to_bits(), c.to_bits(), "benign plan is bitwise inert");
-        }
-
-        let (_, pm, f, pb) = pcg_fixture(160);
-        let clean = run_pcg_pipelined_threaded(&pm, &f, &pb, 1e-10, 1000, &ThreadedOpts::new(4));
-        let rep = run_pcg_pipelined_threaded(
-            &pm,
-            &f,
-            &pb,
-            1e-10,
-            1000,
-            &ThreadedOpts {
-                faults: plan.clone(),
-                ..ThreadedOpts::new(4)
-            },
-        );
-        assert!(rep.converged);
-        for (t, c) in rep.x.iter().zip(&clean.x) {
-            assert_eq!(t.to_bits(), c.to_bits(), "benign plan is bitwise inert");
-        }
-    }
-
-    #[test]
-    fn pipelined_watchdog_halt_wedges_cleanly() {
-        let a = poisson1d(128);
-        let m = tiled(&a);
-        let mut b = vec![0.0; 128];
-        a.matvec(&vec![1.0; 128], &mut b);
-        let started = Instant::now();
-        let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &halted_opts());
-        assert!(started.elapsed() < Duration::from_secs(30));
-        assert!(!rep.converged);
-        assert!(
-            matches!(rep.failure, Some(SolveFailure::Wedged { .. })),
-            "{:?}",
-            rep.failure
-        );
-        assert_eq!(rep.breakdowns.last().unwrap().kind, BreakdownKind::Watchdog);
-    }
-
-    /// The tentpole claim, measured: the classic CG passes three barrier
-    /// epochs per iteration, the pipelined CG exactly one (plus one at init);
-    /// classic PCG four barriers, pipelined PCG two (plus two at init). The
-    /// trace counts every `BarrierEnter` per warp, so the densities are
-    /// directly comparable (SpTRSV row waits are recorded as `RowWait` and
-    /// do not inflate the metric).
-    #[test]
-    fn pipelined_trace_shows_barrier_collapse() {
-        let tr = TraceConfig {
-            enabled: true,
-            capacity_per_warp: 65536,
-        };
-        let wd = WatchdogPolicy::default();
-        let plan = FaultPlan::default();
-
-        let a = poisson1d(256);
-        let m = tiled(&a);
-        let mut b = vec![0.0; 256];
-        a.matvec(&vec![1.0; 256], &mut b);
-        let classic = run_cg_threaded(
-            &m,
-            &b,
-            1e-10,
-            1000,
-            &ThreadedOpts {
-                watchdog: wd,
-                faults: plan.clone(),
-                trace: tr,
-                ..ThreadedOpts::new(4)
-            },
-        );
-        let piped = run_cg_pipelined_threaded(
-            &m,
-            &b,
-            1e-10,
-            1000,
-            &ThreadedOpts {
-                watchdog: wd,
-                faults: plan.clone(),
-                trace: tr,
-                ..ThreadedOpts::new(4)
-            },
-        );
-        assert!(classic.converged && piped.converged);
-        let cs = classic.trace.as_ref().unwrap().summary();
-        let ps = piped.trace.as_ref().unwrap().summary();
-        assert_eq!(cs.dropped + ps.dropped, 0, "ring too small for the test");
-        let (cd, pd) = (cs.barriers_per_iteration(), ps.barriers_per_iteration());
-        assert!(pd <= 1.5, "pipelined CG barrier density {pd}");
-        assert!(pd < cd, "pipelined {pd} not below classic {cd}");
-
-        // 2D Poisson: ILU(0) is *inexact* there, so PCG runs enough
-        // iterations to amortize the two init barriers (the tridiagonal
-        // fixture converges in one iteration, where density = 2 + 2/1 = 4
-        // says nothing about the steady state).
-        let k = 16;
-        let n = k * k;
-        let mut a2 = Coo::new(n, n);
-        for i in 0..k {
-            for jj in 0..k {
-                let row = i * k + jj;
-                a2.push(row, row, 4.0);
-                if i > 0 {
-                    a2.push(row, row - k, -1.0);
-                }
-                if i + 1 < k {
-                    a2.push(row, row + k, -1.0);
-                }
-                if jj > 0 {
-                    a2.push(row, row - 1, -1.0);
-                }
-                if jj + 1 < k {
-                    a2.push(row, row + 1, -1.0);
-                }
-            }
-        }
-        let a2 = a2.to_csr();
-        let pm = tiled(&a2);
-        let f = mf_kernels::ilu0(&a2).unwrap();
-        let mut pb = vec![0.0; n];
-        a2.matvec(&vec![1.0; n], &mut pb);
-        let classic = run_pcg_threaded(
-            &pm,
-            &f,
-            &pb,
-            1e-10,
-            1000,
-            &ThreadedOpts {
-                watchdog: wd,
-                faults: plan.clone(),
-                trace: tr,
-                ..ThreadedOpts::new(4)
-            },
-        );
-        let piped = run_pcg_pipelined_threaded(
-            &pm,
-            &f,
-            &pb,
-            1e-10,
-            1000,
-            &ThreadedOpts {
-                watchdog: wd,
-                faults: plan.clone(),
-                trace: tr,
-                ..ThreadedOpts::new(4)
-            },
-        );
-        assert!(classic.converged && piped.converged);
-        let cs = classic.trace.as_ref().unwrap().summary();
-        let ps = piped.trace.as_ref().unwrap().summary();
-        assert_eq!(cs.dropped + ps.dropped, 0, "ring too small for the test");
-        let (cd, pd) = (cs.barriers_per_iteration(), ps.barriers_per_iteration());
-        assert!(pd <= 2.5, "pipelined PCG barrier density {pd}");
-        assert!(pd < cd, "pipelined {pd} not below classic {cd}");
-    }
-
-    #[test]
-    fn pipelined_repeated_runs_are_consistent() {
-        let a = poisson1d(200);
-        let m = tiled(&a);
-        let mut b = vec![0.0; 200];
-        a.matvec(&vec![1.0; 200], &mut b);
-        let base = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(7));
-        assert!(base.converged);
-        for trial in 0..10 {
-            let rep = run_cg_pipelined_threaded(&m, &b, 1e-10, 1000, &ThreadedOpts::new(7));
-            assert!(rep.converged, "trial {trial}");
-            for (t, s) in rep.x.iter().zip(&base.x) {
-                assert_eq!(t.to_bits(), s.to_bits(), "trial {trial}");
             }
         }
     }

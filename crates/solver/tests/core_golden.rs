@@ -1,7 +1,7 @@
 //! Golden outputs of every facade path, pinned bitwise: the sequential
 //! cores (CG, pipelined CG, BiCGSTAB, PCG with ILU(0) / IC(0) /
 //! block-Jacobi, pipelined PCG, PBiCGSTAB), the `Auto` method pick with
-//! its CG→BiCGSTAB handoff and the six threaded engines at 2 warps.
+//! its CG→BiCGSTAB handoff and the four threaded engines at 2 warps.
 //! Breakdown cases drive every
 //! family through its restart branches: curvature for CG, α, ρ and ω for
 //! BiCGSTAB. Rows with supplied diagonal factors reach the preconditioned
@@ -237,7 +237,7 @@ const CORES: [&str; 8] = [
 ];
 
 /// Every sequential core, `Auto`, then the threaded engines at 2 warps.
-const ALL: [&str; 15] = [
+const ALL: [&str; 13] = [
     "cg",
     "cg_pipelined",
     "bicgstab",
@@ -251,8 +251,6 @@ const ALL: [&str; 15] = [
     "bicgstab_threaded",
     "pcg_threaded",
     "pbicgstab_threaded",
-    "cg_pipelined_threaded",
-    "pcg_pipelined_threaded",
 ];
 
 /// The BiCGSTAB family plus sequential PBiCGSTAB with identity factors,
@@ -301,17 +299,11 @@ fn run(core: &str, solver: &MilleFeuille, a: &Csr, b: &[f64]) -> Result<Outcome,
         "pcg_pipelined_identity" => SolveSpec::new(ilu)
             .pipelined()
             .with_factors(Precond::Ilu0(&identity)),
-        "pcg_pipelined_identity_threaded" => SolveSpec::new(ilu)
-            .pipelined()
-            .threaded(2)
-            .with_factors(Precond::Ilu0(&identity)),
         "auto" => SolveSpec::auto(),
         "cg_threaded" => SolveSpec::new(Method::Cg).threaded(2),
         "bicgstab_threaded" => SolveSpec::new(Method::BiCgStab).threaded(2),
         "pcg_threaded" => SolveSpec::new(ilu).threaded(2),
         "pbicgstab_threaded" => SolveSpec::new(Method::PBiCgStab).threaded(2),
-        "cg_pipelined_threaded" => SolveSpec::new(Method::Cg).pipelined().threaded(2),
-        "pcg_pipelined_threaded" => SolveSpec::new(ilu).pipelined().threaded(2),
         other => panic!("unknown core {other}"),
     };
     let sequential = spec.engine == Engine::Sequential;
@@ -482,12 +474,12 @@ struct Case {
 /// - `skew96`, `skew97`: skew tridiagonals that drive BiCGSTAB through ρ
 ///   and ω direction restarts and non-finite aborts;
 /// - `adaptive`: the SPD grid with the re-tier controller armed, on the
-///   paths that honour it and on the pipelined PCG paths, which must
+///   paths that honour it and on the pipelined PCG path, which must
 ///   ignore it;
 /// - `overflow`: the SPD grid with one huge coupling, whose residual
-///   overflows after the first update, so the cores and the pipelined
-///   engines take their non-finite abort (with identity factors for the
-///   preconditioned ones);
+///   overflows after the first update, so the cores take their
+///   non-finite abort (with identity factors for the preconditioned
+///   ones);
 /// - `signed_m`: the SPD grid with `b = 1` and alternating-sign diagonal
 ///   factors, where PCG's β = 0/0 loses the direction.
 fn cases() -> Vec<Case> {
@@ -546,7 +538,6 @@ fn cases() -> Vec<Case> {
                 "pbicgstab",
                 "pcg_threaded",
                 "pbicgstab_threaded",
-                "pcg_pipelined_threaded",
             ],
         },
         Case {
@@ -592,8 +583,6 @@ fn cases() -> Vec<Case> {
                 "pcg_identity",
                 "pbicgstab_identity",
                 "pcg_pipelined_identity",
-                "cg_pipelined_threaded",
-                "pcg_pipelined_identity_threaded",
             ],
         },
         Case {
@@ -620,9 +609,7 @@ fn cases() -> Vec<Case> {
                 "cg_pipelined",
                 "pcg_ilu0",
                 "cg_threaded",
-                "cg_pipelined_threaded",
                 "pcg_pipelined",
-                "pcg_pipelined_threaded",
             ],
         },
     ]
@@ -644,8 +631,6 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("spd", "bicgstab_threaded", engine(0x21a6a30ea86030ec, 25, 0xb23fd71d5d74d99d, "", "None")),
     ("spd", "pcg_threaded", engine(0x425404af4e289840, 12, 0x4724f5418640c701, "", "None")),
     ("spd", "pbicgstab_threaded", engine(0xb441a0e68b132c29, 7, 0x10a56644b5c66d0b, "", "None")),
-    ("spd", "cg_pipelined_threaded", engine(0xb33814d0b70becca, 35, 0x7422084785c7ea63, "", "None")),
-    ("spd", "pcg_pipelined_threaded", engine(0x6e661f74a22c4003, 12, 0x40f98b7969a124dc, "", "None")),
     ("negdef", "cg", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4063d551bb1709c6)),
     ("negdef", "cg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x404cea1586ded352)),
     ("negdef", "bicgstab", ok(0xfe13d8f607f0e197, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
@@ -659,8 +644,6 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("negdef", "bicgstab_threaded", engine(0xb36e17ac38696fec, 25, 0xb23fd71d5d74d99d, "", "None")),
     ("negdef", "pcg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("negdef", "pbicgstab_threaded", engine(0x90bfab203ab21629, 7, 0x10a56644b5c66d0b, "", "None")),
-    ("negdef", "cg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
-    ("negdef", "pcg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("nonsym", "bicgstab", ok(0xe6cb792bd897fbac, 15, 0x1588c8be51604b74, "", "None", 0x407f08f776cc4bcd)),
     ("nonsym", "pbicgstab", ok(0x1199c123bddbb873, 1, 0x419a8553fc3978b9, "", "None", 0x406ed804f66dd6b2)),
     ("nonsym", "auto", ok(0xe6cb792bd897fbac, 15, 0x1588c8be51604b74, "", "None", 0x407f08f776cc4bcd)),
@@ -674,7 +657,6 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("zero_pivot", "pbicgstab", ok(0x49d22b176b05aa42, 12, 0x50b95d97da7c0c15, "0:FactorShift:Restarted", "None", 0x40a4ffb669c69d8e)),
     ("zero_pivot", "pcg_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("zero_pivot", "pbicgstab_threaded", engine(0x65c28d0c9e9134a3, 12, 0x6fa650aa0d5d2725, "0:FactorShift:Restarted", "None")),
-    ("zero_pivot", "pcg_pipelined_threaded", engine(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })")),
     ("fixed_iters", "cg", ok(0xc050784f836c8490, 40, 0x9f7ccb463020c1e7, "24-39:Curvature:Restarted", "None", 0x40842b9b05f8eaf4)),
     ("fixed_iters", "cg_pipelined", ok(0xda31755edd3f3092, 40, 0xc9bf8933d7ea9ac9, "26:Curvature:Restarted 28-39:Curvature:Restarted", "None", 0x406a4a8794ab3ca7)),
     ("fixed_iters", "bicgstab", ok(0xec922d5ea1650470, 40, 0x0ce2a931f859fc5a, "15:Omega:Restarted 16-39:NonFinite:Restarted", "None", 0x40938d3c5da47658)),
@@ -704,16 +686,12 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("overflow", "pcg_identity", ok(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406701d87ba2ad31)),
     ("overflow", "pbicgstab_identity", ok(0xf0099296fd4386a5, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406f38ac79357ceb)),
     ("overflow", "pcg_pipelined_identity", ok(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x4067bfb62fc8aada)),
-    ("overflow", "cg_pipelined_threaded", engine(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })")),
-    ("overflow", "pcg_pipelined_identity_threaded", engine(0x874cfe4ac2334fcc, 1, 0xcbf29ce484222325, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })")),
     ("signed_m", "pcg_signed", ok(0x13f631ef6a6fdd25, 1, 0xaab1693229ba1db8, "0:NonFinite:Aborted", "Some(NonFinite { iteration: 0 })", 0x406d4fc465e77df1)),
     ("adaptive", "cg", ok(0x8eac0340b8a28d1a, 37, 0x0753d8ed0d067e59, "", "None", 0x4084e9329da3fcdb)),
     ("adaptive", "cg_pipelined", ok(0xe2cf373b0120fa58, 37, 0xc506e77d5a4ee660, "", "None", 0x4071edbd7ea69e30)),
     ("adaptive", "pcg_ilu0", ok(0xf074b85c1574a652, 12, 0xf69febd6a0897461, "", "None", 0x409f39a4694d1a1a)),
     ("adaptive", "cg_threaded", engine(0xbe1f45f8f2c7454a, 37, 0x683009a8d0069f48, "", "None")),
-    ("adaptive", "cg_pipelined_threaded", engine(0xc24498e17d4749f6, 37, 0x4d0896df7ccf6931, "", "None")),
     ("adaptive", "pcg_pipelined", ok(0x2dca1a29a2e92db4, 12, 0x81bcfe2cf5a50eab, "", "None", 0x4092e43220f3ad08)),
-    ("adaptive", "pcg_pipelined_threaded", engine(0x6e661f74a22c4003, 12, 0x40f98b7969a124dc, "", "None")),
     ]
 }
 

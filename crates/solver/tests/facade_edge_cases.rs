@@ -142,16 +142,6 @@ fn zero_rhs_is_uniform_across_threaded_facades() {
                     .unwrap(),
             ),
             (
-                "cg_pipelined_threaded",
-                solver
-                    .solve(
-                        &a,
-                        &b,
-                        &SolveSpec::new(Method::Cg).pipelined().threaded(warps),
-                    )
-                    .unwrap(),
-            ),
-            (
                 "pcg_threaded",
                 solver
                     .solve(

@@ -3,10 +3,7 @@
 # (bench_out/spmv_scaling.csv + BENCH_spmv.json), the trace-timeline
 # bench with its recording-overhead gate (bench_out/fig_trace_timeline.csv
 # + BENCH_trace.json; *fails* when tracing costs more than the gate), and
-# the pipelined barrier-schedule bench (bench_out/fig_pipeline.csv +
-# BENCH_pipeline.json; *fails* when pipelined CG/PCG exceed 1/2 marginal
-# barrier epochs per iteration or leave the classic-vs-pipelined drift
-# envelope), and the serving-layer bench (bench_out/fig_serve.csv +
+# the serving-layer bench (bench_out/fig_serve.csv +
 # BENCH_serve.json; *fails* when the warm preprocessing cache doesn't beat
 # cold p50 by 3x on the replayed small-solve trace, when one batched
 # multi-RHS solve doesn't beat k independent solves on requests/sec, or
@@ -32,7 +29,7 @@
 # MF_SKIP_GATE_GUARD=1 to skip the guard (e.g. when intentionally
 # regenerating baselines).
 #
-# Knobs (see crates/bench/src/bin/{spmv_scaling,fig_trace_timeline,fig_pipeline,fig_serve,fig_adaptive,fig_ticket}.rs):
+# Knobs (see crates/bench/src/bin/{spmv_scaling,fig_trace_timeline,fig_serve,fig_adaptive,fig_ticket}.rs):
 #   MF_SPMV_GRID      Poisson grid side (default 320 -> 102,400 rows)
 #   MF_SPMV_REPS      timed reps per thread count (default 20)
 #   MF_SPMV_THREADS   comma list of thread counts (default 1,2,4,8)
@@ -40,11 +37,6 @@
 #   MF_TRACE_ITERS    fixed iteration count (default 25)
 #   MF_TRACE_REPS     timed reps per config (default 3)
 #   MF_TRACE_GATE_PCT overhead gate in percent (default 5)
-#   MF_PIPE_GRID      Poisson grid side for the schedule bench (default 32)
-#   MF_PIPE_WARPS     warp count for the traced runs (default 2)
-#   MF_PIPE_BUDGET    fixed iteration budget of the density window (default 12)
-#   MF_PIPE_REPS      timed reps per solve (default 2)
-#   MF_PIPE_COUNT     extra suite matrices in the solve table (default 2)
 #   MF_SERVE_GRID     smallest Poisson proxy side of the pool (default 20)
 #   MF_SERVE_MATS     matrix pool size (default 4)
 #   MF_SERVE_REQS     replayed trace length (default 96)
@@ -71,12 +63,10 @@ fi
 # Build-if-missing covers every bin this script runs: a single invocation
 # works on a clean checkout.
 cargo build --release --locked --offline -p mf-bench \
-    --bin spmv_scaling --bin fig_trace_timeline --bin fig_pipeline --bin fig_serve \
-    --bin fig_adaptive --bin fig_ticket --bin fig06_dependency_trace \
-    --bin gate_diff
+    --bin spmv_scaling --bin fig_trace_timeline --bin fig_serve --bin fig_adaptive \
+    --bin fig_ticket --bin fig06_dependency_trace --bin gate_diff
 ./target/release/spmv_scaling
 ./target/release/fig_trace_timeline --trace-dir bench_out/traces
-./target/release/fig_pipeline
 ./target/release/fig_serve
 ./target/release/fig_adaptive
 ./target/release/fig_ticket

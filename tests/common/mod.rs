@@ -275,266 +275,6 @@ pub fn reference_pbicgstab(
     out
 }
 
-/// Scalar update of the pipelined (Ghysels–Vanroose) recurrence — kept in
-/// the exact operation order of `mf_solver::pipelined::pipeline_scalars`
-/// (crate-private there) so the references stay bitwise-faithful.
-fn pipeline_scalars(
-    fresh: bool,
-    gamma: f64,
-    gamma_old: f64,
-    delta: f64,
-    alpha_old: f64,
-) -> (f64, f64, f64) {
-    if fresh {
-        (0.0, gamma / delta, delta)
-    } else {
-        let beta = gamma / gamma_old;
-        let denom = delta - (beta / alpha_old) * gamma;
-        (beta, gamma / denom, denom)
-    }
-}
-
-/// `true` when the pipelined scalar pair is a breakdown. The engines also
-/// classify the kind (curvature vs non-finite); the references only need
-/// the branch decision, which is `Some(_)` exactly when this is `true`.
-fn pipeline_breakdown(alpha: f64, denom: f64) -> bool {
-    !alpha.is_finite() || denom <= 0.0
-}
-
-/// Sequential mirror of `run_cg_pipelined_threaded`: same SpMV
-/// (`m.matvec`), same fused six-vector update in element order, same
-/// segmented dot partials reduced in segment order, same flag-only
-/// restart/abort bookkeeping. Any threaded run at any warp count must
-/// match this bitwise.
-pub fn reference_cg_pipelined(m: &TiledMatrix, b: &[f64], tol: f64, max_iter: usize) -> RefReport {
-    let n = m.nrows;
-    let seg = m.tile_size;
-    let norm_b: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let mut out = RefReport {
-        x: vec![0.0; n],
-        iterations: 0,
-        converged: false,
-        final_relres: f64::INFINITY,
-        residual_history: Vec::new(),
-        failed: false,
-    };
-    if norm_b == 0.0 {
-        out.converged = true;
-        out.final_relres = 0.0;
-        return out;
-    }
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = vec![0.0; n];
-    let mut s = vec![0.0; n]; // s = A·p (recurrence)
-    let mut z = vec![0.0; n]; // z = A·s (recurrence)
-    let mut q = vec![0.0; n]; // q = A·w (per-iteration SpMV output)
-    let mut w = vec![0.0; n]; // w = A·r
-
-    // Init: w = A·r (r = b), γ₀ = (r, r), δ₀ = (w, r).
-    m.matvec(&r, &mut w);
-    let mut gamma = segmented_dot(&r, &r, seg);
-    let mut delta = segmented_dot(&w, &r, seg);
-
-    let mut gamma_old = 1.0f64;
-    let mut alpha_old = 1.0f64;
-    let mut fresh = true;
-    let mut consecutive_restarts = 0usize;
-
-    for j in 0..max_iter {
-        m.matvec(&w, &mut q);
-        let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-        if pipeline_breakdown(alpha, denom) {
-            // Flag-only restart: β = 0 next iteration rebuilds p, s, z;
-            // (γ, δ) and w are re-read unchanged, exactly as the engine
-            // re-reads the same published parity slot.
-            fresh = true;
-            consecutive_restarts += 1;
-            let abort_nonfinite = !gamma.is_finite();
-            let abort_stalled = consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            out.iterations = j + 1;
-            let relres = gamma.max(0.0).sqrt() / norm_b;
-            if relres.is_finite() {
-                out.final_relres = relres;
-            }
-            if abort_nonfinite || abort_stalled {
-                out.failed = true;
-                out.x = x;
-                return out;
-            }
-            continue;
-        }
-        consecutive_restarts = 0;
-
-        // Fused six-vector update, element order identical to the engine's
-        // in-kernel loop (and to `blas1::cg_pipelined_update`).
-        for i in 0..n {
-            let wv = w[i];
-            let qv = q[i];
-            let pv = r[i] + beta * p[i];
-            p[i] = pv;
-            let sv = wv + beta * s[i];
-            s[i] = sv;
-            let zv = qv + beta * z[i];
-            z[i] = zv;
-            x[i] += alpha * pv;
-            let rv = r[i] - alpha * sv;
-            r[i] = rv;
-            w[i] = wv - alpha * zv;
-        }
-        gamma_old = gamma;
-        alpha_old = alpha;
-        fresh = false;
-
-        let gamma_new = segmented_dot(&r, &r, seg);
-        let delta_new = segmented_dot(&w, &r, seg);
-        if !gamma_new.is_finite() {
-            out.iterations = j + 1;
-            out.failed = true;
-            out.x = x;
-            return out;
-        }
-        gamma = gamma_new;
-        delta = delta_new;
-        let relres = gamma_new.max(0.0).sqrt() / norm_b;
-        out.iterations = j + 1;
-        out.final_relres = relres;
-        out.residual_history.push(relres);
-        if relres < tol {
-            out.converged = true;
-            break;
-        }
-    }
-    out.x = x;
-    out
-}
-
-/// Sequential mirror of `run_pcg_pipelined_threaded`: same ILU(0)
-/// application (`sptrsv_lower_into`/`sptrsv_upper_into`), same SpMV, same
-/// fused eight-vector update and segmented (γ, δ, ρ) partials, same
-/// breakdown/abort ordering.
-pub fn reference_pcg_pipelined(
-    m: &TiledMatrix,
-    ilu: &Ilu0,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-) -> RefReport {
-    let n = m.nrows;
-    let seg = m.tile_size;
-    let norm_b: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let mut out = RefReport {
-        x: vec![0.0; n],
-        iterations: 0,
-        converged: false,
-        final_relres: f64::INFINITY,
-        residual_history: Vec::new(),
-        failed: false,
-    };
-    if norm_b == 0.0 {
-        out.converged = true;
-        out.final_relres = 0.0;
-        return out;
-    }
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = vec![0.0; n];
-    let mut s = vec![0.0; n]; // s = A·p (recurrence)
-    let mut q = vec![0.0; n]; // q = M⁻¹s (recurrence)
-    let mut zz = vec![0.0; n]; // z = A·q (recurrence)
-    let mut u = vec![0.0; n]; // u = M⁻¹r
-    let mut w = vec![0.0; n]; // w = A·u
-    let mut mv = vec![0.0; n]; // m = M⁻¹w
-    let mut nv = vec![0.0; n]; // n = A·m
-    let mut y = vec![0.0; n]; // forward-solve scratch
-
-    // Init: u = M⁻¹r (r = b), w = A·u, γ₀ = (r, u), δ₀ = (w, u), ρ₀ = (r, r).
-    sptrsv_lower_into(&ilu.l, &r, &mut y, true);
-    sptrsv_upper_into(&ilu.u, &y, &mut u, false);
-    m.matvec(&u, &mut w);
-    let mut gamma = segmented_dot(&r, &u, seg);
-    let mut delta = segmented_dot(&w, &u, seg);
-    let mut rho = segmented_dot(&r, &r, seg);
-
-    let mut gamma_old = 1.0f64;
-    let mut alpha_old = 1.0f64;
-    let mut fresh = true;
-    let mut consecutive_restarts = 0usize;
-
-    for j in 0..max_iter {
-        sptrsv_lower_into(&ilu.l, &w, &mut y, true);
-        sptrsv_upper_into(&ilu.u, &y, &mut mv, false);
-        m.matvec(&mv, &mut nv);
-        let (beta, alpha, denom) = pipeline_scalars(fresh, gamma, gamma_old, delta, alpha_old);
-        if pipeline_breakdown(alpha, denom) {
-            fresh = true;
-            consecutive_restarts += 1;
-            let abort_nonfinite = !gamma.is_finite();
-            let abort_stalled = consecutive_restarts >= MAX_CONSECUTIVE_RESTARTS;
-            out.iterations = j + 1;
-            let relres = rho.max(0.0).sqrt() / norm_b;
-            if relres.is_finite() {
-                out.final_relres = relres;
-            }
-            if abort_nonfinite || abort_stalled {
-                out.failed = true;
-                out.x = x;
-                return out;
-            }
-            continue;
-        }
-        consecutive_restarts = 0;
-
-        // Fused eight-vector update, element order identical to the
-        // engine's in-kernel loop (and to `blas1::pcg_pipelined_update`).
-        for i in 0..n {
-            let mvv = mv[i];
-            let nvv = nv[i];
-            let uo = u[i];
-            let wo = w[i];
-            let pv = uo + beta * p[i];
-            p[i] = pv;
-            let sv = wo + beta * s[i];
-            s[i] = sv;
-            let qv = mvv + beta * q[i];
-            q[i] = qv;
-            let zv = nvv + beta * zz[i];
-            zz[i] = zv;
-            x[i] += alpha * pv;
-            let rv = r[i] - alpha * sv;
-            r[i] = rv;
-            u[i] = uo - alpha * qv;
-            w[i] = wo - alpha * zv;
-        }
-        gamma_old = gamma;
-        alpha_old = alpha;
-        fresh = false;
-
-        let rho_new = segmented_dot(&r, &r, seg);
-        if !rho_new.is_finite() {
-            out.iterations = j + 1;
-            out.failed = true;
-            out.x = x;
-            return out;
-        }
-        gamma = segmented_dot(&r, &u, seg);
-        delta = segmented_dot(&w, &u, seg);
-        rho = rho_new;
-        let relres = rho_new.max(0.0).sqrt() / norm_b;
-        out.iterations = j + 1;
-        out.final_relres = relres;
-        out.residual_history.push(relres);
-        if relres < tol {
-            out.converged = true;
-            break;
-        }
-    }
-    out.x = x;
-    out
-}
-
 /// `b = A·1`, the paper's right-hand side.
 pub fn paper_rhs(a: &Csr) -> Vec<f64> {
     let mut b = vec![0.0; a.nrows];

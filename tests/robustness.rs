@@ -268,14 +268,6 @@ fn overflowing_rhs_never_reports_nan_relres() {
             "pbicgstab_threaded",
             SolveSpec::new(Method::PBiCgStab).threaded(2),
         ),
-        (
-            "cg_pipelined_threaded",
-            SolveSpec::new(Method::Cg).pipelined().threaded(2),
-        ),
-        (
-            "pcg_pipelined_threaded",
-            SolveSpec::new(ilu).pipelined().threaded(2),
-        ),
     ];
     let mut wrong = Vec::new();
     for (name, spec) in &rows {
