@@ -89,8 +89,7 @@ fn report(
     converged: bool,
     final_relres: f64,
     tl: Timeline,
-    residual_history: Vec<f64>,
-    error_history: Vec<f64>,
+    hist: History,
 ) -> BaselineReport {
     BaselineReport {
         x,
@@ -98,8 +97,31 @@ fn report(
         converged,
         final_relres,
         timeline: tl,
-        residual_history,
-        error_history,
+        residual_history: hist.residual,
+        error_history: hist.error,
+    }
+}
+
+/// A loop's per-iteration histories, one entry per iteration, restarts
+/// included.
+#[derive(Default)]
+struct History {
+    residual: Vec<f64>,
+    error: Vec<f64>,
+}
+
+impl History {
+    /// Records `relres` under `trace_residuals` and, on an unpreconditioned
+    /// run with a reference solution, the error of `x`.
+    fn push(&mut self, cfg: &SolverConfig, preconditioned: bool, relres: f64, x: &[f64]) {
+        if cfg.trace_residuals {
+            self.residual.push(relres);
+        }
+        if let Some(reference) = cfg.reference_solution.as_ref() {
+            if !preconditioned {
+                self.error.push(rel_error(x, reference));
+            }
+        }
     }
 }
 
@@ -207,10 +229,11 @@ impl Baseline {
     }
 
     /// The CG family's one loop: PCG with `M⁻¹` from `ilu`, plain CG
-    /// without it, which reads `r` where PCG reads `z = M⁻¹r`. The two
-    /// differ beyond that: CG restarts the direction on a curvature
-    /// breakdown and charges the skipped kernels, where PCG stops; only
-    /// CG records the error history.
+    /// without it, which reads `r` where PCG reads `z = M⁻¹r`. A curvature
+    /// breakdown restarts the direction from `z` and charges the skipped
+    /// kernels (PCG's restart adds its second dot); only in convergence
+    /// mode does PCG stop there instead. Only CG records the error
+    /// history.
     fn cg(&self, a: &Csr, b: &[f64], cfg: &SolverConfig, ilu: Option<&Ilu0>) -> BaselineReport {
         let n = a.nrows;
         assert_eq!(b.len(), n);
@@ -219,7 +242,7 @@ impl Baseline {
 
         let norm_b = blas1::norm2(b);
         if norm_b == 0.0 {
-            return report(vec![0.0; n], 0, true, 0.0, ch.tl, vec![], vec![]);
+            return report(vec![0.0; n], 0, true, 0.0, ch.tl, History::default());
         }
         let mut x = vec![0.0; n];
         let mut r = b.to_vec();
@@ -233,8 +256,7 @@ impl Baseline {
         if pc.is_some() {
             ch.dot(n, true);
         }
-        let mut residual_history = Vec::new();
-        let mut error_history = Vec::new();
+        let mut hist = History::default();
 
         let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
         let check = cfg.fixed_iterations.is_none();
@@ -249,18 +271,23 @@ impl Baseline {
             ch.dot(n, true);
             let alpha = rz / pu;
             if !alpha.is_finite() || pu <= 0.0 {
-                if pc.is_some() {
+                if pc.is_some() && check {
                     break;
                 }
                 // Breakdown restart — the kernels still run, charge fully.
-                p.copy_from_slice(&r);
-                rz = blas1::dot(&r, &r);
+                // `r` is untouched, so the residual is the current one.
+                p.copy_from_slice(applied(&pc, &r, &z));
+                rz = blas1::dot(&r, applied(&pc, &r, &z));
                 ch.axpy(n);
                 ch.axpy(n);
                 ch.dot(n, true);
+                if pc.is_some() {
+                    ch.dot(n, true);
+                }
                 ch.axpy(n);
                 ch.host();
                 iterations += 1;
+                hist.push(cfg, pc.is_some(), relres, &x);
                 continue;
             }
             blas1::axpy(alpha, &p, &mut x);
@@ -286,12 +313,7 @@ impl Baseline {
 
             iterations += 1;
             relres = rr.sqrt() / norm_b;
-            if cfg.trace_residuals {
-                residual_history.push(relres);
-            }
-            if let Some(reference) = cfg.reference_solution.as_ref().filter(|_| pc.is_none()) {
-                error_history.push(rel_error(&x, reference));
-            }
+            hist.push(cfg, pc.is_some(), relres, &x);
             if check && relres < cfg.tolerance {
                 converged = true;
                 break;
@@ -300,15 +322,7 @@ impl Baseline {
                 break;
             }
         }
-        report(
-            x,
-            iterations,
-            converged,
-            relres,
-            ch.tl,
-            residual_history,
-            error_history,
-        )
+        report(x, iterations, converged, relres, ch.tl, hist)
     }
 
     /// The BiCGSTAB family's one loop: right-preconditioned PBiCGSTAB with
@@ -330,7 +344,7 @@ impl Baseline {
 
         let norm_b = blas1::norm2(b);
         if norm_b == 0.0 {
-            return report(vec![0.0; n], 0, true, 0.0, ch.tl, vec![], vec![]);
+            return report(vec![0.0; n], 0, true, 0.0, ch.tl, History::default());
         }
         let mut x = vec![0.0; n];
         let mut r = b.to_vec();
@@ -342,8 +356,7 @@ impl Baseline {
         let mut phat = vec![0.0; n];
         let mut shat = vec![0.0; n];
         let mut rho = blas1::dot(&r, &r0s);
-        let mut residual_history = Vec::new();
-        let mut error_history = Vec::new();
+        let mut hist = History::default();
 
         let iters = cfg.fixed_iterations.unwrap_or(cfg.max_iter);
         let check = cfg.fixed_iterations.is_none();
@@ -378,6 +391,7 @@ impl Baseline {
                     ch.host();
                 }
                 iterations += 1;
+                hist.push(cfg, pc.is_some(), relres, &x);
                 continue;
             }
             blas1::waxpy(&r, -alpha, &v, &mut s);
@@ -408,12 +422,7 @@ impl Baseline {
 
             iterations += 1;
             relres = rr.sqrt() / norm_b;
-            if cfg.trace_residuals {
-                residual_history.push(relres);
-            }
-            if let Some(reference) = cfg.reference_solution.as_ref().filter(|_| pc.is_none()) {
-                error_history.push(rel_error(&x, reference));
-            }
+            hist.push(cfg, pc.is_some(), relres, &x);
             if check && relres < cfg.tolerance {
                 converged = true;
                 break;
@@ -428,15 +437,7 @@ impl Baseline {
             blas1::bicgstab_p_update(&r, beta, omega, &v, &mut p);
             ch.axpy(n);
         }
-        report(
-            x,
-            iterations,
-            converged,
-            relres,
-            ch.tl,
-            residual_history,
-            error_history,
-        )
+        report(x, iterations, converged, relres, ch.tl, hist)
     }
 }
 

@@ -186,8 +186,9 @@ fn base_config() -> SolverConfig {
 /// - `skew`: the BiCGSTAB family's ρ and ω restarts;
 /// - `zero_rhs`: `b = 0`, answered before the first iteration;
 /// - `fixed_iters`: an exactly factorizable tridiagonal run for a fixed
-///   iteration count past convergence, with the residual history and the
-///   error against the reference solution recorded.
+///   iteration count past convergence, into curvature restarts that PCG
+///   takes like CG, with the residual history and the error against the
+///   reference solution recorded for every iteration.
 fn cases() -> Vec<Case> {
     let spd = noisy_grid(12, 1.0);
     let negdef = noisy_grid(12, -1.0);
@@ -331,10 +332,10 @@ fn golden() -> Vec<(&'static str, &'static str, &'static str, Digest)> {
     ("spd", "pbicgstab", "hipsparse", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xab518481f7fa4c69)),
     ("spd", "pbicgstab", "petsc", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xbe297c584fb764b3)),
     ("spd", "pbicgstab", "ginkgo", row(0x3782eb7b01a878ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x2ac001426785c49c)),
-    ("negdef", "cg", "cusparse", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x7ccd34612d80db83)),
-    ("negdef", "cg", "hipsparse", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xe03a2b188e97668e)),
-    ("negdef", "cg", "petsc", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x088ca540f69af053)),
-    ("negdef", "cg", "ginkgo", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xd39f9879cb80dc0a)),
+    ("negdef", "cg", "cusparse", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0x7ccd34612d80db83)),
+    ("negdef", "cg", "hipsparse", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0xe03a2b188e97668e)),
+    ("negdef", "cg", "petsc", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0x088ca540f69af053)),
+    ("negdef", "cg", "ginkgo", row(0x36fe4d3f1c233d25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0xd39f9879cb80dc0a)),
     ("negdef", "bicgstab", "cusparse", row(0xcdec18e636adc475, 24, true, 0x3dca5fb17b292bef, 0xfb43fd9aec7ba446, 0xcbf29ce484222325, 0x8f1ad660ce5cee7b)),
     ("negdef", "bicgstab", "hipsparse", row(0xcdec18e636adc475, 24, true, 0x3dca5fb17b292bef, 0xfb43fd9aec7ba446, 0xcbf29ce484222325, 0xc9b1bff85f8964ba)),
     ("negdef", "bicgstab", "petsc", row(0xcdec18e636adc475, 24, true, 0x3dca5fb17b292bef, 0xfb43fd9aec7ba446, 0xcbf29ce484222325, 0x6209f92ac8af5b4d)),
@@ -347,14 +348,14 @@ fn golden() -> Vec<(&'static str, &'static str, &'static str, Digest)> {
     ("negdef", "pbicgstab", "hipsparse", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xab518481f7fa4c69)),
     ("negdef", "pbicgstab", "petsc", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0xbe297c584fb764b3)),
     ("negdef", "pbicgstab", "ginkgo", row(0x0110575ca2a5b9ff, 7, true, 0x3d9a64d6b099ef41, 0x222c07bc1ef430eb, 0xcbf29ce484222325, 0x2ac001426785c49c)),
-    ("rotation", "bicgstab", "cusparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xed0cbe20e7685faa)),
-    ("rotation", "bicgstab", "hipsparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x083a285355556eed)),
-    ("rotation", "bicgstab", "petsc", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x0e4365cb743cdbf8)),
-    ("rotation", "bicgstab", "ginkgo", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xd16932ab16f36c3b)),
-    ("rotation", "pbicgstab", "cusparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xcfb090e67afc8c11)),
-    ("rotation", "pbicgstab", "hipsparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x399001ff001bf0fb)),
-    ("rotation", "pbicgstab", "petsc", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0xa8b95d07ba76f4e7)),
-    ("rotation", "pbicgstab", "ginkgo", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0xcbf29ce484222325, 0xcbf29ce484222325, 0x04afa47ea6d11147)),
+    ("rotation", "bicgstab", "cusparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0xed0cbe20e7685faa)),
+    ("rotation", "bicgstab", "hipsparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0x083a285355556eed)),
+    ("rotation", "bicgstab", "petsc", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0x0e4365cb743cdbf8)),
+    ("rotation", "bicgstab", "ginkgo", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0xd16932ab16f36c3b)),
+    ("rotation", "pbicgstab", "cusparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0xcfb090e67afc8c11)),
+    ("rotation", "pbicgstab", "hipsparse", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0x399001ff001bf0fb)),
+    ("rotation", "pbicgstab", "petsc", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0xa8b95d07ba76f4e7)),
+    ("rotation", "pbicgstab", "ginkgo", row(0x7da144b97d054b25, 1000, false, 0x7ff0000000000000, 0x5f31eb82bf3feba5, 0xcbf29ce484222325, 0x04afa47ea6d11147)),
     ("skew", "bicgstab", "cusparse", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0x9fd30bbf03b6ae4f)),
     ("skew", "bicgstab", "hipsparse", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0x083a285355556eed)),
     ("skew", "bicgstab", "petsc", row(0x89a30e1532607196, 1000, false, 0x449b06aea8cabbef, 0x9d261974c61445a3, 0xcbf29ce484222325, 0xfd622537638f2e5d)),
@@ -387,14 +388,14 @@ fn golden() -> Vec<(&'static str, &'static str, &'static str, Digest)> {
     ("fixed_iters", "bicgstab", "hipsparse", row(0x9f36d57d6672db21, 40, false, 0x350675493964a371, 0x4d8d7b93eacee9f8, 0x2b89c0a1ccb93fd6, 0x70ebe893e111e46f)),
     ("fixed_iters", "bicgstab", "petsc", row(0x9f36d57d6672db21, 40, false, 0x350675493964a371, 0x4d8d7b93eacee9f8, 0x2b89c0a1ccb93fd6, 0xe05c05eaf324ac0a)),
     ("fixed_iters", "bicgstab", "ginkgo", row(0x9f36d57d6672db21, 40, false, 0x350675493964a371, 0x4d8d7b93eacee9f8, 0x2b89c0a1ccb93fd6, 0x5b263cfcb09fdc80)),
-    ("fixed_iters", "pcg", "cusparse", row(0xf8d0cf8b73597625, 11, false, 0x0000000000000000, 0x2948bfb2efc92f3f, 0xcbf29ce484222325, 0x5db3838bda83a008)),
-    ("fixed_iters", "pcg", "hipsparse", row(0xf8d0cf8b73597625, 11, false, 0x0000000000000000, 0x2948bfb2efc92f3f, 0xcbf29ce484222325, 0xdcdf851c4c7d73ce)),
-    ("fixed_iters", "pcg", "petsc", row(0xf8d0cf8b73597625, 11, false, 0x0000000000000000, 0x2948bfb2efc92f3f, 0xcbf29ce484222325, 0xec1b159aea83b2c4)),
-    ("fixed_iters", "pcg", "ginkgo", row(0xf8d0cf8b73597625, 11, false, 0x0000000000000000, 0x2948bfb2efc92f3f, 0xcbf29ce484222325, 0x94c41e5dba610538)),
-    ("fixed_iters", "pbicgstab", "cusparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0xf5332799f6b2e8e6)),
-    ("fixed_iters", "pbicgstab", "hipsparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0x8bd1b5e807324313)),
-    ("fixed_iters", "pbicgstab", "petsc", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0xbe26ab9c9c946f1b)),
-    ("fixed_iters", "pbicgstab", "ginkgo", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x5b667eef3660df2e, 0xcbf29ce484222325, 0x51c1c4ade4b0be59)),
+    ("fixed_iters", "pcg", "cusparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0xc48379698c35399f, 0xcbf29ce484222325, 0x035334972833a72a)),
+    ("fixed_iters", "pcg", "hipsparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0xc48379698c35399f, 0xcbf29ce484222325, 0xb7307694ad0cb877)),
+    ("fixed_iters", "pcg", "petsc", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0xc48379698c35399f, 0xcbf29ce484222325, 0xe1bd0a21f6673fdb)),
+    ("fixed_iters", "pcg", "ginkgo", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0xc48379698c35399f, 0xcbf29ce484222325, 0x7d03ad8e43df5a88)),
+    ("fixed_iters", "pbicgstab", "cusparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x740a53fe39be5aee, 0xcbf29ce484222325, 0xf5332799f6b2e8e6)),
+    ("fixed_iters", "pbicgstab", "hipsparse", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x740a53fe39be5aee, 0xcbf29ce484222325, 0x8bd1b5e807324313)),
+    ("fixed_iters", "pbicgstab", "petsc", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x740a53fe39be5aee, 0xcbf29ce484222325, 0xbe26ab9c9c946f1b)),
+    ("fixed_iters", "pbicgstab", "ginkgo", row(0xf8d0cf8b73597625, 40, false, 0x0000000000000000, 0x740a53fe39be5aee, 0xcbf29ce484222325, 0x51c1c4ade4b0be59)),
     ]
 }
 
@@ -453,21 +454,18 @@ fn golden_cases_reach_their_branches() {
         assert!(run(method, &cu, case("spd")).converged, "spd/{method}");
         let zero = run(method, &cu, case("zero_rhs"));
         assert!(zero.converged && zero.iterations == 0, "zero_rhs/{method}");
-        // PCG stops at its first curvature breakdown past convergence;
-        // the others run every fixed iteration.
+        // Every method runs every fixed iteration, restarts included, and
+        // records one residual per iteration.
         let fixed = run(method, &cu, case("fixed_iters"));
+        assert_eq!(fixed.iterations, 40, "fixed_iters/{method}");
         assert_eq!(
-            fixed.iterations < 40,
-            method == "pcg",
+            fixed.residual_history.len(),
+            fixed.iterations,
             "fixed_iters/{method}"
         );
-        assert!(!fixed.residual_history.is_empty(), "fixed_iters/{method}");
         // Only the unpreconditioned methods record the error history.
-        assert_eq!(
-            fixed.error_history.is_empty(),
-            method.starts_with('p'),
-            "{method}"
-        );
+        let errors = if method.starts_with('p') { 0 } else { 40 };
+        assert_eq!(fixed.error_history.len(), errors, "{method}");
     }
     // CG restarts on every curvature breakdown up to the cap; PCG stops.
     let negdef = case("negdef");

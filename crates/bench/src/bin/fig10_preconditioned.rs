@@ -29,7 +29,18 @@ fn emit(label: &str, rows: &[CompareRow], paper_geo: f64, paper_max: f64) {
     for r in sorted.iter().take(4) {
         println!("    {:<22} nnz={:<9} {:.2}x", r.name, r.nnz, r.speedup);
     }
-    let mut table = Table::new(vec!["name", "n", "nnz", "mf_us", "base_us", "speedup"]);
+    // A baseline that stops short of the budget is charged less time.
+    let base_iters: Vec<String> = rows.iter().map(|r| r.base_iters.to_string()).collect();
+    println!("    baseline iterations: {}", base_iters.join(" "));
+    let mut table = Table::new(vec![
+        "name",
+        "n",
+        "nnz",
+        "mf_us",
+        "base_us",
+        "speedup",
+        "base_iters",
+    ]);
     for r in rows {
         table.row(vec![
             r.name.clone(),
@@ -38,6 +49,7 @@ fn emit(label: &str, rows: &[CompareRow], paper_geo: f64, paper_max: f64) {
             format!("{:.3}", r.mf_us),
             format!("{:.3}", r.base_us),
             format!("{:.4}", r.speedup),
+            r.base_iters.to_string(),
         ]);
     }
     let csv = label.to_lowercase().replace([' ', '/'], "_");
