@@ -197,7 +197,7 @@ pub fn run_cg_pipelined(
             // ---- Preconditioner chain m = M⁻¹w, then SpMV n = A·m. On
             // the device these overlap the reduction that produced (γ, δ);
             // sequentially they simply run first.
-            led.stamp(j - refreshes, 2); // PCG_PIPELINED_STEPS[2] = "spmv"
+            led.stamp(j - refreshes, 2); // step 2, "spmv", of the pipelined schedule
             if let Some(pc) = &pc {
                 pc.apply(&mut led.tl, w, y, mv);
             }
