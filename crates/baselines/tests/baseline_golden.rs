@@ -483,3 +483,35 @@ fn golden_cases_reach_their_branches() {
         assert!(rot.x.iter().all(|&v| v == 0.0), "{method}");
     }
 }
+
+/// Table II's "With cuSPARSE" column: `Baseline::cusparse()` CG and
+/// BiCGSTAB on the 14 convergence proxies with `b = A·1`, every solve
+/// converged at these iteration counts.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: 14 proxy solves take about 45 s unoptimized"
+)]
+fn table2_cusparse_iterations_are_pinned() {
+    let (cg_names, bi_names) = mf_collection::table2_names();
+    let cg_iters = [28, 58, 94, 29, 41, 33];
+    let bi_iters = [19, 149, 315, 312, 11, 44, 13, 774];
+    let cu = Baseline::cusparse();
+    let cfg = SolverConfig::default();
+    let solve = |name: &str, bicgstab: bool| {
+        let a = mf_collection::named_matrix(name).unwrap().generate();
+        let mut b = vec![0.0; a.nrows];
+        a.matvec(&vec![1.0; a.ncols], &mut b);
+        let rep = match bicgstab {
+            false => cu.solve_cg(&a, &b, &cfg),
+            true => cu.solve_bicgstab(&a, &b, &cfg),
+        };
+        (rep.iterations, rep.converged)
+    };
+    for (name, iters) in cg_names.into_iter().zip(cg_iters) {
+        assert_eq!(solve(name, false), (iters, true), "CG {name}");
+    }
+    for (name, iters) in bi_names.into_iter().zip(bi_iters) {
+        assert_eq!(solve(name, true), (iters, true), "BiCGSTAB {name}");
+    }
+}
