@@ -8,10 +8,13 @@
 //! 4. **Ginkgo v1.7.0** (`gko::solver::Cg/Bicgstab`) on the A100 —
 //!    `Baseline::ginkgo()`
 //!
-//! All four run the identical FP64 CSR multi-kernel algorithm (Algorithms
-//! 1–2 with one kernel per operation); they differ in their *overhead
-//! profile*: how much launch/synchronization and host-side orchestration
-//! each iteration pays. The profiles are calibrated so the relative
+//! All four run Mille-feuille's own CG and BiCGSTAB cores (Algorithms 1–2,
+//! `mf_solver::cg::run_cg` and `mf_solver::bicgstab::run_bicgstab`) on
+//! FP64 CSR with one kernel per operation, so the kernel sequence is
+//! shared by construction; they differ in their *overhead profile*
+//! (`BaselineProfile`, which prices a `MultiCoster`): how much
+//! launch/synchronization and host-side orchestration each iteration
+//! pays. The profiles are calibrated so the relative
 //! ordering and rough magnitudes match the paper's Figs. 8–9 (see
 //! EXPERIMENTS.md): vendor libraries are the leanest; Ginkgo adds device-
 //! resident but still multi-kernel orchestration; PETSc's `KSPSolve` adds
@@ -25,4 +28,3 @@ pub mod profile;
 pub mod solve;
 
 pub use profile::{Baseline, BaselineProfile};
-pub use solve::BaselineReport;

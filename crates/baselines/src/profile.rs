@@ -1,26 +1,7 @@
 //! Baseline library profiles.
 
-use mf_gpu::{CostModel, DeviceSpec};
-
-/// Overhead character of one baseline library.
-#[derive(Clone, Debug)]
-pub struct BaselineProfile {
-    /// Library name for reports.
-    pub name: &'static str,
-    /// Multiplier on the device's kernel-launch latency (library call
-    /// stacks add dispatch cost on top of the raw driver launch).
-    pub launch_factor: f64,
-    /// Host-side orchestration charged once per iteration, µs (convergence
-    /// monitors, object bookkeeping — dominant for PETSc on small systems).
-    pub host_per_iter_us: f64,
-    /// Kernel-body efficiency relative to the roofline (≤ 1.0).
-    pub kernel_efficiency: f64,
-    /// Triangular-solve efficiency relative to the level-bound model
-    /// (≤ 1.0). Vendor SpSV implementations are well known to reach only a
-    /// fraction of the achievable rate — the gap the recursive-block
-    /// algorithm exploits in Fig. 10.
-    pub sptrsv_efficiency: f64,
-}
+use mf_gpu::DeviceSpec;
+pub use mf_solver::coster::BaselineProfile;
 
 /// A baseline solver: a device model plus a library profile.
 #[derive(Clone, Debug)]
@@ -109,26 +90,6 @@ impl Baseline {
             device: DeviceSpec::a100(),
         }
     }
-
-    /// The cost model of the underlying device.
-    pub fn cost(&self) -> CostModel {
-        CostModel::new(self.device.clone())
-    }
-
-    /// Launch + sync overhead of one kernel under this library.
-    pub fn launch_us(&self) -> f64 {
-        self.device.kernel_launch_us * self.profile.launch_factor
-    }
-
-    /// Scales a kernel body by the library's efficiency.
-    pub fn body(&self, roofline_us: f64) -> f64 {
-        roofline_us / self.profile.kernel_efficiency
-    }
-
-    /// Scales a triangular-solve body by the library's SpSV efficiency.
-    pub fn sptrsv_body(&self, roofline_us: f64) -> f64 {
-        roofline_us / self.profile.sptrsv_efficiency
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +100,9 @@ mod tests {
     fn overhead_ordering_matches_paper() {
         // Per-iteration fixed overhead of a CG iteration (6 kernels):
         // PETSc > Ginkgo > cuSPARSE, the ordering behind Figs. 8–9.
-        let per_iter = |b: &Baseline| 6.0 * b.launch_us() + b.profile.host_per_iter_us;
+        let per_iter = |b: &Baseline| {
+            6.0 * b.device.kernel_launch_us * b.profile.launch_factor + b.profile.host_per_iter_us
+        };
         let cu = per_iter(&Baseline::cusparse());
         let gk = per_iter(&Baseline::ginkgo());
         let pe = per_iter(&Baseline::petsc());
@@ -152,12 +115,5 @@ mod tests {
         assert_eq!(Baseline::hipsparse().device.vendor, mf_gpu::Vendor::Amd);
         assert_eq!(Baseline::petsc().device.vendor, mf_gpu::Vendor::Nvidia);
         assert_eq!(Baseline::ginkgo().device.vendor, mf_gpu::Vendor::Nvidia);
-    }
-
-    #[test]
-    fn efficiency_inflates_bodies() {
-        let b = Baseline::cusparse();
-        assert!(b.body(10.0) > 10.0);
-        assert!(b.body(10.0) < 12.0);
     }
 }

@@ -9,6 +9,10 @@
 //! Paper reference numbers (geometric mean, max):
 //!   PCG:       3.82× / 40.38× (A100)   3.47× / 47.75× (MI210)
 //!   PBiCGSTAB: 1.79× / 45.63× (A100)   1.63× / 44.34× (MI210)
+//!
+//! Exits non-zero when a baseline row ran fewer iterations than the fixed
+//! budget: a baseline that stops short is charged less time, and its
+//! speedup is not comparable.
 
 use mf_baselines::Baseline;
 use mf_bench::{
@@ -17,7 +21,9 @@ use mf_bench::{
 };
 use mf_gpu::DeviceSpec;
 
-fn emit(label: &str, rows: &[CompareRow], paper_geo: f64, paper_max: f64) {
+/// Prints and writes one comparison; returns how many baseline rows ran
+/// fewer than `iters` iterations.
+fn emit(label: &str, rows: &[CompareRow], iters: usize, paper_geo: f64, paper_max: f64) -> usize {
     let speedups: Vec<f64> = rows.iter().map(|r| r.speedup).collect();
     let s = summarize(&speedups);
     println!(
@@ -55,6 +61,7 @@ fn emit(label: &str, rows: &[CompareRow], paper_geo: f64, paper_max: f64) {
     let csv = label.to_lowercase().replace([' ', '/'], "_");
     let path = write_csv(&format!("fig10_{csv}"), &table).unwrap();
     println!("    csv -> {}\n", path.display());
+    rows.iter().filter(|r| r.base_iters < iters).count()
 }
 
 fn main() {
@@ -75,28 +82,33 @@ fn main() {
     let a100 = DeviceSpec::a100();
     let mi210 = DeviceSpec::mi210();
 
-    emit(
+    let short = emit(
         "PCG vs cuSPARSE A100",
         &compare_pcg(&cg, &a100, &Baseline::cusparse(), iters),
+        iters,
         3.82,
         40.38,
-    );
-    emit(
+    ) + emit(
         "PCG vs hipSPARSE MI210",
         &compare_pcg(&cg, &mi210, &Baseline::hipsparse(), iters),
+        iters,
         3.47,
         47.75,
-    );
-    emit(
+    ) + emit(
         "PBiCGSTAB vs cuSPARSE A100",
         &compare_pbicgstab(&bi, &a100, &Baseline::cusparse(), iters),
+        iters,
         1.79,
         45.63,
-    );
-    emit(
+    ) + emit(
         "PBiCGSTAB vs hipSPARSE MI210",
         &compare_pbicgstab(&bi, &mi210, &Baseline::hipsparse(), iters),
+        iters,
         1.63,
         44.34,
     );
+    if short > 0 {
+        eprintln!("fig10: {short} baseline rows ran fewer than the {iters}-iteration budget");
+        std::process::exit(1);
+    }
 }

@@ -119,7 +119,7 @@ fn main() {
             .iter()
             .zip(&y_p)
             .all(|(a, b)| a.to_bits() == b.to_bits());
-        bitwise &= sh_s.current_prec == sh_p.current_prec;
+        bitwise &= sh_s.current_prec() == sh_p.current_prec();
         bitwise &= (0..m.tile_count()).all(|i| {
             let (v_s, v_p) = (sh_s.tile_values(&m, i), sh_p.tile_values(&m, i));
             v_s.iter()

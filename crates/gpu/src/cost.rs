@@ -89,8 +89,9 @@ impl CostModel {
     /// bumps the shared epoch counter (one atomic each) and busy-waits for
     /// the count to reach the warp total (one poll step charged; further
     /// polls overlap the stragglers' remaining work). This is the unit the
-    /// pipelined schedules minimize — classic CG passes ~4 such epochs per
-    /// iteration, pipelined CG exactly one.
+    /// pipelined schedules minimize — the classic CG model charges six such
+    /// epochs per iteration (five steps and the iteration end), pipelined
+    /// CG exactly one.
     #[inline]
     pub fn barrier_us(&self, warps: usize) -> f64 {
         self.atomics_us(warps) + self.spin_us()

@@ -57,8 +57,8 @@ const RUN_START: u32 = 1 << 31;
 /// and a bound on its widest current precision, so admission costs
 /// O(tile columns) per call and walks a column's tiles only to lower them.
 ///
-/// `current_prec` is public to read; lowering and re-tiering keep it and
-/// the column counters in step, so change it only through them.
+/// Lowering and re-tiering keep [`SharedTiles::current_prec`] and the
+/// column counters in step.
 #[derive(Clone, Debug)]
 pub struct SharedTiles {
     /// Resident values; row `r` at `rowptr[r]..rowptr[r + 1]`.
@@ -79,7 +79,9 @@ pub struct SharedTiles {
     col_nnz: Vec<[u32; 4]>,
     col_widest: Vec<Precision>,
     /// Current (possibly lowered) precision per tile.
-    pub current_prec: Vec<Precision>,
+    current_prec: Vec<Precision>,
+    /// False once [`SharedTiles::csr_order`] made each row one run.
+    runs_follow_tiles: bool,
 }
 
 impl SharedTiles {
@@ -173,7 +175,28 @@ impl SharedTiles {
             col_nnz,
             col_widest,
             current_prec: m.tile_prec.clone(),
+            runs_follow_tiles: true,
         }
+    }
+
+    /// This copy with each row summed as one run in its stored order,
+    /// from `0.0`, as [`spmv_csr`] sums it: loaded from a column-sorted
+    /// matrix's uniform-FP64 tiles, it makes [`spmv_mixed`] under all-`Keep`
+    /// flags bitwise [`spmv_csr`]. How the baseline libraries multiply.
+    ///
+    /// A row's runs no longer follow its tiles, so a `Bypass` flag against
+    /// the result panics; lowering and re-tiering still work.
+    pub fn csr_order(mut self) -> SharedTiles {
+        for c in &mut self.cols {
+            *c &= !RUN_START;
+        }
+        self.runs_follow_tiles = false;
+        self
+    }
+
+    /// Current (possibly lowered) precision per tile.
+    pub fn current_prec(&self) -> &[Precision] {
+        &self.current_prec
     }
 
     /// Tile `i`'s resident values at its current precision, in the tile's
@@ -277,6 +300,10 @@ impl SharedTiles {
         for (c, &flag) in vis_flags.iter().enumerate().take(m.tile_cols) {
             let tiles = (self.col_start[c + 1] - self.col_start[c]) as usize;
             if flag == VisFlag::Bypass {
+                assert!(
+                    self.runs_follow_tiles,
+                    "a CSR-order copy cannot bypass a tile column"
+                );
                 bypass = true;
                 stats.tiles_bypassed += tiles;
                 stats.nnz_bypassed += self.col_nnz[c].iter().sum::<u32>() as usize;
@@ -763,7 +790,7 @@ mod tests {
         // so no conversion may happen (one-way rule).
         let s1 = spmv_mixed(&t, &mut shared, &flags, &x, &mut y);
         assert_eq!(s1.conversions, 0);
-        assert!(shared.current_prec.iter().all(|&p| p == Precision::Fp8));
+        assert!(shared.current_prec().iter().all(|&p| p == Precision::Fp8));
     }
 
     #[test]
@@ -779,7 +806,7 @@ mod tests {
         let mut y = vec![0.0; 2];
         let s = spmv_mixed(&t, &mut shared, &flags, &x, &mut y);
         assert_eq!(s.conversions, 1);
-        assert_eq!(shared.current_prec[0], Precision::Fp16);
+        assert_eq!(shared.current_prec()[0], Precision::Fp16);
         assert_eq!(y[0], Precision::Fp16.quantize(0.1));
         // Second call: no further conversion.
         let s2 = spmv_mixed(&t, &mut shared, &flags, &x, &mut y);
@@ -842,7 +869,7 @@ mod tests {
         // FP16(FP8(0.1)) — a fresh decode, not a compounded requantize.
         shared.retier_tile(&t, 0, TileTier::Full(Precision::Fp16));
         assert_eq!(shared.tile_values(&t, 0)[0], Precision::Fp16.quantize(0.1));
-        assert_eq!(shared.current_prec[0], Precision::Fp16);
+        assert_eq!(shared.current_prec()[0], Precision::Fp16);
         // Promotion back to the classification tier restores the value.
         shared.retier_tile(&t, 0, TileTier::Full(Precision::Fp64));
         assert_eq!(shared.tile_values(&t, 0)[0], 0.1);
@@ -853,7 +880,7 @@ mod tests {
             shared.tile_values(&t, 0)[0],
             mf_precision::quantize_scaled_e4m3(0.1, e)
         );
-        assert_eq!(shared.current_prec[0], Precision::Fp8);
+        assert_eq!(shared.current_prec()[0], Precision::Fp8);
         // Within the documented scaled-FP8 round-trip envelope.
         assert!((shared.tile_values(&t, 0)[0] - 0.1).abs() <= 0.1 * 2f64.powi(-4));
     }
@@ -963,7 +990,7 @@ mod tests {
                 y1.iter().zip(&y2).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "outputs not bitwise-identical at {threads} threads"
             );
-            assert_eq!(sh1.current_prec, sh2.current_prec);
+            assert_eq!(sh1.current_prec(), sh2.current_prec());
             for i in 0..t.tile_count() {
                 let bits = |v: Vec<f64>| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(sh1.tile_values(&t, i)), bits(sh2.tile_values(&t, i)));

@@ -219,7 +219,7 @@ proptest! {
                 prop_assert_eq!(v_s[k].to_bits(), v_p[k].to_bits());
             }
         }
-        prop_assert_eq!(&sh_s.current_prec, &sh_p.current_prec);
+        prop_assert_eq!(sh_s.current_prec(), sh_p.current_prec());
     }
 
     /// BLAS-1 identities: dot linearity and axpy/xpay consistency.

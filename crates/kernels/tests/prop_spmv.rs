@@ -16,10 +16,16 @@
 //! full of NaN and ±Inf. `spmv_mixed_par` runs at 2 threads; every active
 //! `spmm_mixed` column must also be bitwise the oracle SpMV of that
 //! column.
+//!
+//! A second property pins `SharedTiles::csr_order`: on uniform-FP64
+//! tiles, `spmv_mixed` under all-`Keep` flags is bitwise `spmv_csr`, and a
+//! `Bypass` flag panics.
 
-use mf_kernels::{spmm_mixed, spmv_mixed, spmv_mixed_par, MixedSpmvStats, SharedTiles, VisFlag};
+use mf_kernels::{
+    spmm_mixed, spmv_csr, spmv_mixed, spmv_mixed_par, MixedSpmvStats, SharedTiles, VisFlag,
+};
 use mf_precision::{ClassifyOptions, Precision, RetierAction, TileTier};
-use mf_sparse::{Coo, TiledMatrix};
+use mf_sparse::{Coo, Csr, TiledMatrix};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -281,6 +287,11 @@ fn plan(mix: &mut Mix, tiles: usize) -> Vec<RetierAction> {
 }
 
 fn matrix(rows: usize, cols: usize, entries: &[(usize, usize, u32)], ts: usize) -> TiledMatrix {
+    TiledMatrix::from_csr_with(&csr(rows, cols, entries), ts, &ClassifyOptions::default())
+}
+
+/// The column-sorted CSR matrix behind [`matrix`].
+fn csr(rows: usize, cols: usize, entries: &[(usize, usize, u32)]) -> Csr {
     let mut a = Coo::new(rows, cols);
     for &(r, c, v) in entries {
         let (r, c) = (r % rows, c % cols);
@@ -292,7 +303,7 @@ fn matrix(rows: usize, cols: usize, entries: &[(usize, usize, u32)], ts: usize) 
         };
         a.push(r, c, val);
     }
-    TiledMatrix::from_csr_with(&a.to_csr(), ts, &ClassifyOptions::default())
+    a.to_csr()
 }
 
 // ---- Comparison ---------------------------------------------------------
@@ -311,7 +322,7 @@ fn same_state(m: &TiledMatrix, got: &SharedTiles, want: &Store) -> Result<(), Te
             i
         );
     }
-    prop_assert_eq!(&got.current_prec, &want.current_prec);
+    prop_assert_eq!(got.current_prec(), &want.current_prec[..]);
     Ok(())
 }
 
@@ -386,5 +397,43 @@ proptest! {
                 prop_assert_eq!(&solo.current_prec, &block_oracle.current_prec);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn csr_order_copy_computes_spmv_csr(
+        rows in 1usize..70,
+        cols in 1usize..70,
+        entries in prop::collection::vec((0usize..70, 0usize..70, 0u32..100_000), 0..400),
+        ts in 2usize..=16,
+        seed in 0u64..u64::MAX,
+    ) {
+        let a = csr(rows, cols, &entries);
+        let m = TiledMatrix::from_csr_uniform(&a, ts, Precision::Fp64);
+        let mut shared = SharedTiles::load(&m).csr_order();
+        let mut mix = Mix(seed);
+        let keep = vec![VisFlag::Keep; m.tile_cols];
+        for round in 0..ROUNDS {
+            let x = input(&mut mix, m.ncols);
+            let mut want = vec![f64::NAN; m.nrows];
+            spmv_csr(&a, &x, &mut want);
+            let mut got = vec![f64::NAN; m.nrows];
+            spmv_mixed(&m, &mut shared, &keep, &x, &mut got);
+            prop_assert!(bits(&got) == bits(&want), "round {round}");
+        }
+
+        let mut bypass = keep;
+        bypass[mix.below(m.tile_cols as u64) as usize] = VisFlag::Bypass;
+        let (x, mut y) = (vec![1.0; m.ncols], vec![0.0; m.nrows]);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let bypassed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            spmv_mixed(&m, &mut shared, &bypass, &x, &mut y)
+        }));
+        std::panic::set_hook(hook);
+        prop_assert!(bypassed.is_err(), "a Bypass flag must panic on a CSR-order copy");
     }
 }

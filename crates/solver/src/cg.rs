@@ -380,7 +380,7 @@ pub fn run_cg(
 /// `[FP64, FP32, FP16, FP8]` (paper Fig. 7's color counts).
 pub fn current_precision_histogram(shared: &SharedTiles) -> [usize; 4] {
     let mut h = [0usize; 4];
-    for &p in &shared.current_prec {
+    for &p in shared.current_prec() {
         h[p.tile_code() as usize] += 1;
     }
     h

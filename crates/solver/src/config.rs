@@ -41,9 +41,11 @@ pub const MAX_CONSECUTIVE_RESTARTS: usize = 8;
 /// Pipelined-recurrence selection for the CG family on the sequential
 /// engine. The pipelined (Ghysels–Vanroose) variants trade a modest,
 /// characterized rounding drift for a collapsed synchronization schedule —
-/// one global reduction per iteration instead of two, charged as 1–2
-/// barrier epochs per single-kernel iteration instead of 3–4. The
-/// threaded engines run the classic schedule only.
+/// one global reduction per iteration instead of two, charged as one
+/// barrier epoch per single-kernel iteration instead of the classic
+/// schedule's six (five steps and the iteration end; the threaded classic
+/// engine measures three barriers per iteration). The threaded engines
+/// run the classic schedule only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Let the cost model decide: pipelined when the predicted per-

@@ -13,6 +13,11 @@
 //!   tiles, and per iteration the **per-warp straggler maxima** of each
 //!   step (a step cannot finish before its slowest warp), the atomic
 //!   updates of the dependency arrays and one busy-wait poll per barrier.
+//!
+//! A [`MultiCoster`] priced by a [`BaselineProfile`] charges the same
+//! kernel sequence as one of the baseline libraries runs it (§IV-A): FP64
+//! CSR SpMV, library-efficiency kernel bodies and launches, per-iteration
+//! host orchestration, and level-scheduled triangular sweeps.
 
 use crate::report::ExecutedMode;
 use mf_gpu::{CostModel, Phase, ShmemPlan, SpmvSchedule, Timeline, VectorSchedule};
@@ -264,8 +269,10 @@ impl SingleCoster {
 
     /// Modeled cost of one *pipelined* CG iteration (Ghysels–Vanroose
     /// schedule): the same SpMV, one fused six-vector update, one fused dot
-    /// pair, and exactly ONE barrier epoch instead of the classic
-    /// schedule's ~4. `PipelineMode::Auto` compares this against
+    /// pair, and exactly ONE barrier epoch instead of the six `Phase::Wait`
+    /// epochs [`SingleCoster::estimate_cg_iteration_us`] charges (five
+    /// steps and the iteration end; the threaded classic engine measures
+    /// three barriers per iteration). `PipelineMode::Auto` compares this against
     /// [`SingleCoster::estimate_cg_iteration_us`] to decide whether the
     /// barrier savings justify the pipelined recurrence's rounding drift.
     pub fn estimate_cg_pipelined_iteration_us(&self, initial_prec: &[Precision]) -> f64 {
@@ -282,18 +289,64 @@ impl SingleCoster {
     }
 }
 
+/// Overhead character of one baseline library.
+#[derive(Clone, Debug)]
+pub struct BaselineProfile {
+    /// Library name for reports.
+    pub name: &'static str,
+    /// Multiplier on the device's kernel-launch latency (library call
+    /// stacks add dispatch cost on top of the raw driver launch).
+    pub launch_factor: f64,
+    /// Host-side orchestration charged once per iteration, µs (convergence
+    /// monitors, object bookkeeping — dominant for PETSc on small systems).
+    pub host_per_iter_us: f64,
+    /// Kernel-body efficiency relative to the roofline (≤ 1.0).
+    pub kernel_efficiency: f64,
+    /// Triangular-solve efficiency relative to the level-bound model
+    /// (≤ 1.0). Vendor SpSV implementations are well known to reach only a
+    /// fraction of the achievable rate — the gap the recursive-block
+    /// algorithm exploits in Fig. 10.
+    pub sptrsv_efficiency: f64,
+}
+
 /// Coster for the classic multi-kernel path.
 #[derive(Debug)]
 pub struct MultiCoster {
     /// Device cost model.
     pub cost: CostModel,
     nrows: usize,
+    profile: Option<BaselineProfile>,
 }
 
 impl MultiCoster {
     /// Builds a multi-kernel coster for an `nrows`-row system.
     pub fn new(cost: CostModel, nrows: usize) -> MultiCoster {
-        MultiCoster { cost, nrows }
+        MultiCoster {
+            cost,
+            nrows,
+            profile: None,
+        }
+    }
+
+    /// This coster priced as the library `profile` runs its kernels: FP64
+    /// CSR SpMV bodies, every body divided by the library's efficiency,
+    /// every launch multiplied by its launch factor, its host time at
+    /// every iteration end, and triangular pairs as level-scheduled sweeps.
+    pub fn priced_by(self, profile: BaselineProfile) -> MultiCoster {
+        MultiCoster {
+            profile: Some(profile),
+            ..self
+        }
+    }
+
+    /// A kernel body under the profile (÷ 1 without one, which is exact).
+    fn body(&self, us: f64) -> f64 {
+        us / self.profile.as_ref().map_or(1.0, |p| p.kernel_efficiency)
+    }
+
+    /// Launch + sync overhead of one kernel under the profile.
+    fn launch(&self) -> f64 {
+        self.cost.launch_us() * self.profile.as_ref().map_or(1.0, |p| p.launch_factor)
     }
 
     /// No per-solve setup: every kernel pays its own launch.
@@ -301,37 +354,46 @@ impl MultiCoster {
 
     /// A tiled mixed-precision SpMV kernel call: aggregate roofline of the
     /// executed work (weighted FLOPs, packed value bytes + index bytes +
-    /// vector traffic) plus launch overhead.
+    /// vector traffic) plus launch overhead. A library profile runs the
+    /// FP64 CSR kernel instead.
     pub fn spmv(&self, tl: &mut Timeline, m: &TiledMatrix, stats: &MixedSpmvStats) {
         let executed_nnz: usize = stats.nnz_by_prec.iter().sum();
-        let idx_bytes = executed_nnz as f64 // csr_colidx u8
-            + 13.0 * m.tile_count() as f64; // high-level metadata
-        let vec_bytes = 8.0 * executed_nnz as f64 + 12.0 * self.nrows as f64;
-        let bytes = stats.value_bytes() as f64 + idx_bytes + vec_bytes;
-        let warps = self.cost.spmv_warps(executed_nnz.max(1));
-        let tiled_body = self
-            .cost
-            .kernel_body_us(stats.weighted_flops(), bytes, warps);
         // The fallback keeps a plain FP64 CSR kernel in its pocket: on
         // tile-scattered matrices (≈1 nnz per tile) the tiled metadata
         // stream outweighs the precision savings, and the solver runs
         // whichever kernel its preprocessing predicted to be faster.
         let csr_body = self.cost.spmv_csr_us(executed_nnz, self.nrows);
-        tl.add(Phase::Spmv, tiled_body.min(csr_body));
-        tl.add(Phase::Sync, self.cost.launch_us());
+        let body = if self.profile.is_some() {
+            csr_body
+        } else {
+            let idx_bytes = executed_nnz as f64 // csr_colidx u8
+                + 13.0 * m.tile_count() as f64; // high-level metadata
+            let vec_bytes = 8.0 * executed_nnz as f64 + 12.0 * self.nrows as f64;
+            let bytes = stats.value_bytes() as f64 + idx_bytes + vec_bytes;
+            let warps = self.cost.spmv_warps(executed_nnz.max(1));
+            let tiled_body = self
+                .cost
+                .kernel_body_us(stats.weighted_flops(), bytes, warps);
+            tiled_body.min(csr_body)
+        };
+        tl.add(Phase::Spmv, self.body(body));
+        tl.add(Phase::Sync, self.launch());
     }
 
     /// A plain FP64 CSR SpMV kernel call (used by the FP64-only ablation).
     pub fn spmv_csr(&self, tl: &mut Timeline, nnz: usize) {
-        tl.add(Phase::Spmv, self.cost.spmv_csr_us(nnz, self.nrows));
-        tl.add(Phase::Sync, self.cost.launch_us());
+        tl.add(
+            Phase::Spmv,
+            self.body(self.cost.spmv_csr_us(nnz, self.nrows)),
+        );
+        tl.add(Phase::Sync, self.launch());
     }
 
     /// A dot-product kernel; `to_host` adds the scalar readback the host
     /// needs before it can launch the next kernel.
     pub fn dot(&self, tl: &mut Timeline, to_host: bool) {
-        tl.add(Phase::Dot, self.cost.dot_us(self.nrows));
-        tl.add(Phase::Sync, self.cost.launch_us());
+        tl.add(Phase::Dot, self.body(self.cost.dot_us(self.nrows)));
+        tl.add(Phase::Sync, self.launch());
         if to_host {
             tl.add(Phase::Transfer, self.cost.d2h_us());
         }
@@ -339,8 +401,51 @@ impl MultiCoster {
 
     /// An AXPY kernel call.
     pub fn axpy(&self, tl: &mut Timeline) {
-        tl.add(Phase::Axpy, self.cost.axpy_us(self.nrows));
-        tl.add(Phase::Sync, self.cost.launch_us());
+        tl.add(Phase::Axpy, self.body(self.cost.axpy_us(self.nrows)));
+        tl.add(Phase::Sync, self.launch());
+    }
+
+    /// A triangular factorization of `nnz` nonzeros, done once on device:
+    /// two sweeps over the pattern and their launches. A library profile
+    /// prices the sweeps at the factor pair's `levels` (each at least
+    /// one), launch-free.
+    pub fn factorization(&self, tl: &mut Timeline, nnz: usize, levels: [usize; 2]) {
+        if self.profile.is_some() {
+            let levels = levels[0].max(1) + levels[1].max(1);
+            tl.add(
+                Phase::Factorize,
+                2.0 * self.cost.sptrsv_us(nnz, self.nrows, levels),
+            );
+        } else {
+            let body = self
+                .cost
+                .sptrsv_us(nnz, self.nrows, (self.nrows / 32).max(1));
+            tl.add(Phase::Factorize, 2.0 * body);
+            tl.add(Phase::Sync, 2.0 * self.cost.launch_us());
+        }
+    }
+
+    /// One application of a triangular pair whose factors hold
+    /// `factors[k] = (nonzeros, dependency levels)`: the SpTRSV algorithm
+    /// preprocessing picks ([`MultiCoster::sptrsv_adaptive`]), or under a
+    /// library profile one level-scheduled sweep per factor (how
+    /// `cusparseSpSV_solve` executes), each with at least one level, at
+    /// the library's SpSV efficiency.
+    pub fn sptrsv_pair(
+        &self,
+        tl: &mut Timeline,
+        stats: &mf_kernels::RecursiveTrsvStats,
+        factors: [(usize, usize); 2],
+    ) {
+        let Some(p) = &self.profile else {
+            let [(l_nnz, l_levels), (u_nnz, u_levels)] = factors;
+            return self.sptrsv_adaptive(tl, stats, l_nnz + u_nnz, l_levels + u_levels);
+        };
+        for (nnz, levels) in factors {
+            let body = self.cost.sptrsv_us(nnz, self.nrows, levels.max(1));
+            tl.add(Phase::SpTrsv, body / p.sptrsv_efficiency);
+            tl.add(Phase::Sync, self.launch());
+        }
     }
 
     /// Triangular solve with the algorithm the solver's preprocessing picks
@@ -382,22 +487,25 @@ impl MultiCoster {
     }
 
     /// End of iteration: the host checks the residual, which requires the
-    /// dot result — already charged via `dot(to_host=true)`.
-    pub fn iteration_end(&self, _tl: &mut Timeline) {}
+    /// dot result — already charged via `dot(to_host=true)`. A library
+    /// profile adds its host orchestration.
+    pub fn iteration_end(&self, tl: &mut Timeline) {
+        if let Some(p) = &self.profile {
+            tl.add(Phase::Sync, p.host_per_iter_us);
+        }
+    }
 
     /// A re-tier pass as its own kernel: stream the `touched_nnz` nonzeros
     /// of the re-tiered tiles through the converter (≤ 9 bytes/nnz) plus
     /// the usual launch overhead.
     pub fn retier(&self, tl: &mut Timeline, touched_nnz: usize) {
-        tl.add(
-            Phase::Retier,
-            self.cost.roofline_us(
-                touched_nnz as f64,
-                9.0 * touched_nnz as f64,
-                self.cost.spmv_warps(touched_nnz.max(1)),
-            ),
+        let body = self.cost.roofline_us(
+            touched_nnz as f64,
+            9.0 * touched_nnz as f64,
+            self.cost.spmv_warps(touched_nnz.max(1)),
         );
-        tl.add(Phase::Sync, self.cost.launch_us());
+        tl.add(Phase::Retier, self.body(body));
+        tl.add(Phase::Sync, self.launch());
     }
 
     /// A block-Jacobi application kernel: one small dense mat-vec per block,
@@ -411,8 +519,8 @@ impl MultiCoster {
             .blas1_warps(bj.n.max(1))
             .max(bj.nblocks().min(self.cost.device.max_resident_warps()));
         let body = self.cost.kernel_body_us(flops, bytes, warps);
-        tl.add(Phase::SpTrsv, body);
-        tl.add(Phase::Sync, self.cost.launch_us());
+        tl.add(Phase::SpTrsv, self.body(body));
+        tl.add(Phase::Sync, self.launch());
     }
 
     /// Modeled cost of one multi-kernel CG iteration on the tiled matrix at
@@ -501,7 +609,7 @@ impl Coster {
         stats: &MixedSpmvStats,
     ) {
         match self {
-            Coster::Single(s) => s.spmv(tl, &shared.current_prec, vis),
+            Coster::Single(s) => s.spmv(tl, shared.current_prec(), vis),
             Coster::Multi(mc) => mc.spmv(tl, m, stats),
         }
     }
@@ -539,7 +647,7 @@ impl Coster {
         stats: &MixedSpmvStats,
     ) {
         match self {
-            Coster::Single(s) => s.spmv_unsync(tl, &shared.current_prec, vis),
+            Coster::Single(s) => s.spmv_unsync(tl, shared.current_prec(), vis),
             Coster::Multi(mc) => mc.spmv(tl, m, stats),
         }
     }
@@ -648,7 +756,7 @@ mod tests {
         let shared = SharedTiles::load(&m);
         let vis = vec![VisFlag::Keep; m.tile_cols];
         for _ in 0..10 {
-            sc.spmv(&mut tl, &shared.current_prec, &vis);
+            sc.spmv(&mut tl, shared.current_prec(), &vis);
             sc.dot(&mut tl);
             sc.axpy(&mut tl, 2);
             sc.dot(&mut tl);
@@ -683,6 +791,37 @@ mod tests {
     }
 
     #[test]
+    fn profile_prices_bodies_launches_host_time_and_sweeps() {
+        let profile = BaselineProfile {
+            name: "test",
+            launch_factor: 2.0,
+            host_per_iter_us: 5.0,
+            kernel_efficiency: 0.5,
+            sptrsv_efficiency: 0.25,
+        };
+        let plain = MultiCoster::new(cost(), 256);
+        let priced = MultiCoster::new(cost(), 256).priced_by(profile);
+        let (mut a, mut b) = (Timeline::new(), Timeline::new());
+        for (mc, tl) in [(&plain, &mut a), (&priced, &mut b)] {
+            mc.dot(tl, true);
+            mc.axpy(tl);
+            mc.iteration_end(tl);
+        }
+        assert_eq!(b.get(Phase::Dot), 2.0 * a.get(Phase::Dot));
+        assert_eq!(b.get(Phase::Axpy), 2.0 * a.get(Phase::Axpy));
+        assert_eq!(b.get(Phase::Sync), 2.0 * a.get(Phase::Sync) + 5.0);
+        assert_eq!(b.get(Phase::Transfer), a.get(Phase::Transfer));
+
+        // One level-scheduled sweep per factor, each at least one level.
+        let mut tl = Timeline::new();
+        let stats = mf_kernels::RecursiveTrsvStats::default();
+        priced.sptrsv_pair(&mut tl, &stats, [(100, 0), (300, 7)]);
+        let sweeps = cost().sptrsv_us(100, 256, 1) / 0.25 + cost().sptrsv_us(300, 256, 7) / 0.25;
+        assert_eq!(tl.get(Phase::SpTrsv), sweeps);
+        assert_eq!(tl.get(Phase::Sync), 4.0 * cost().launch_us());
+    }
+
+    #[test]
     fn single_kernel_wins_for_small_systems() {
         // The whole premise: for a small matrix, 100 single-kernel
         // iterations are far cheaper than 100 multi-kernel iterations.
@@ -700,7 +839,7 @@ mod tests {
         sc.solve_start(&mut tl_s);
         let mut tl_m = Timeline::new();
         for _ in 0..100 {
-            sc.spmv(&mut tl_s, &shared.current_prec, &vis);
+            sc.spmv(&mut tl_s, shared.current_prec(), &vis);
             sc.dot(&mut tl_s);
             sc.axpy(&mut tl_s, 2);
             sc.dot(&mut tl_s);
@@ -752,7 +891,7 @@ mod tests {
         let sc = SingleCoster::new(cost(), &m, 16);
         let classic = sc.estimate_cg_iteration_us(&m.tile_prec);
         let piped = sc.estimate_cg_pipelined_iteration_us(&m.tile_prec);
-        // 1 barrier instead of ~4 epochs (and one fused dot pass instead of
+        // 1 barrier instead of 6 epochs (and one fused dot pass instead of
         // two): strictly cheaper on a sync-dominated (small) system, even
         // though the fused six-vector update streams more AXPY traffic.
         assert!(piped < classic, "pipelined {piped} vs classic {classic}");
@@ -781,9 +920,9 @@ mod tests {
         let keep = vec![VisFlag::Keep; m.tile_cols];
         let byp = vec![VisFlag::Bypass; m.tile_cols];
         let mut tl_k = Timeline::new();
-        sc.spmv(&mut tl_k, &shared.current_prec, &keep);
+        sc.spmv(&mut tl_k, shared.current_prec(), &keep);
         let mut tl_b = Timeline::new();
-        sc.spmv(&mut tl_b, &shared.current_prec, &byp);
+        sc.spmv(&mut tl_b, shared.current_prec(), &byp);
         assert!(tl_b.get(Phase::Spmv) < tl_k.get(Phase::Spmv));
         assert_eq!(tl_b.get(Phase::Atomic), 0.0);
     }

@@ -31,7 +31,10 @@ use mf_sparse::Csr;
 
 /// The preconditioner `M⁻¹` a preconditioned core applies. The variants
 /// differ in three things only — the factorization charge, the SpTRSV
-/// level count and apply-plus-charge — and the core loops are shared.
+/// level count and apply-plus-charge — and the core loops are shared. A
+/// coster priced by a library profile charges a triangular pair as that
+/// library's level-scheduled sweeps instead
+/// ([`MultiCoster::sptrsv_pair`]).
 #[derive(Clone, Copy, Debug)]
 pub enum Precond<'a> {
     /// `M = L·U` from ILU(0) (the paper's preconditioner), applied by
@@ -50,22 +53,18 @@ pub enum Precond<'a> {
     BlockJacobi(&'a BlockJacobi),
 }
 
-/// Charges a triangular factorization itself (done once, on device —
-/// modeled as two triangular sweeps over the pattern).
-fn charge_factorization(mc: &MultiCoster, tl: &mut Timeline, nnz: usize, n: usize) {
-    let body = mc.cost.sptrsv_us(nnz, n, (n / 32).max(1));
-    tl.add(Phase::Factorize, 2.0 * body);
-    tl.add(Phase::Sync, 2.0 * mc.cost.launch_us());
-}
-
-/// The triangular pair `lower`, `upper`: its combined dependency-level
-/// count and the recursive-block statistics of one application.
-fn trsv_pair(lower: &Csr, upper: &Csr, leaf: usize) -> (usize, RecursiveTrsvStats) {
+/// The triangular pair `lower`, `upper`: each factor's nonzeros and
+/// dependency-level count, and the recursive-block statistics of one
+/// application.
+fn trsv_pair(lower: &Csr, upper: &Csr, leaf: usize) -> ([(usize, usize); 2], RecursiveTrsvStats) {
     let (l, u) = (
         RecursiveTrsvStats::of(lower, true, leaf),
         RecursiveTrsvStats::of(upper, false, leaf),
     );
-    let levels = level_schedule(lower, true).num_levels + level_schedule(upper, false).num_levels;
+    let factors = [
+        (lower.nnz(), level_schedule(lower, true).num_levels),
+        (upper.nnz(), level_schedule(upper, false).num_levels),
+    ];
     let stats = RecursiveTrsvStats {
         leaves: l.leaves + u.leaves,
         max_leaf_rows: l.max_leaf_rows.max(u.max_leaf_rows),
@@ -73,16 +72,16 @@ fn trsv_pair(lower: &Csr, upper: &Csr, leaf: usize) -> (usize, RecursiveTrsvStat
         trsv_nnz: l.trsv_nnz + u.trsv_nnz,
         depth: l.depth.max(u.depth),
     };
-    (levels, stats)
+    (factors, stats)
 }
 
 /// A [`Precond`] bound to one solve: the coster it charges and, for a
-/// triangular pair, its combined dependency-level count and the
+/// triangular pair, each factor's nonzeros and level count and the
 /// recursive-block statistics every application is charged by.
 pub(crate) struct Bound<'a> {
     pc: Precond<'a>,
     mc: &'a MultiCoster,
-    levels: usize,
+    factors: [(usize, usize); 2],
     stats: RecursiveTrsvStats,
 }
 
@@ -90,7 +89,7 @@ impl<'a> Bound<'a> {
     /// Charges the factorization to `tl` and analyses the factor pair
     /// once: preprocessing decides the SpTRSV algorithm it is charged as,
     /// recursive-block (leaves of `cfg.trsv_leaf` rows) vs level-scheduled
-    /// (see [`MultiCoster::sptrsv_adaptive`]).
+    /// (see [`MultiCoster::sptrsv_pair`]).
     pub(crate) fn new(
         pc: Precond<'a>,
         mc: &'a MultiCoster,
@@ -98,15 +97,15 @@ impl<'a> Bound<'a> {
         tl: &mut Timeline,
         n: usize,
     ) -> Bound<'a> {
-        let (levels, stats) = match pc {
-            Precond::Ilu0(ilu) => {
-                charge_factorization(mc, tl, ilu.nnz(), n);
-                trsv_pair(&ilu.l, &ilu.u, cfg.trsv_leaf)
-            }
-            Precond::Ic0(ic) => {
-                charge_factorization(mc, tl, ic.l.nnz(), n);
-                trsv_pair(&ic.l, &ic.lt, cfg.trsv_leaf)
-            }
+        let (factors, stats) = match pc {
+            Precond::Ilu0(ilu) => trsv_pair(&ilu.l, &ilu.u, cfg.trsv_leaf),
+            Precond::Ic0(ic) => trsv_pair(&ic.l, &ic.lt, cfg.trsv_leaf),
+            Precond::BlockJacobi(_) => Default::default(),
+        };
+        let levels = factors.map(|(_, levels)| levels);
+        match pc {
+            Precond::Ilu0(ilu) => mc.factorization(tl, ilu.nnz(), levels),
+            Precond::Ic0(ic) => mc.factorization(tl, ic.l.nnz(), levels),
             Precond::BlockJacobi(bj) => {
                 // One dense inversion per block, parallel over blocks.
                 tl.add(
@@ -122,13 +121,12 @@ impl<'a> Bound<'a> {
                     ),
                 );
                 tl.add(Phase::Sync, mc.cost.launch_us());
-                (0, RecursiveTrsvStats::default())
             }
-        };
+        }
         Bound {
             pc,
             mc,
-            levels,
+            factors,
             stats,
         }
     }
@@ -154,13 +152,8 @@ impl<'a> Bound<'a> {
     /// application its skipped steps stand for.
     pub(crate) fn charge(&self, tl: &mut Timeline) {
         match self.pc {
-            Precond::Ilu0(ilu) => self
-                .mc
-                .sptrsv_adaptive(tl, &self.stats, ilu.nnz(), self.levels),
-            Precond::Ic0(ic) => self
-                .mc
-                .sptrsv_adaptive(tl, &self.stats, ic.nnz(), self.levels),
             Precond::BlockJacobi(bj) => self.mc.block_jacobi(tl, bj),
+            _ => self.mc.sptrsv_pair(tl, &self.stats, self.factors),
         }
     }
 }

@@ -300,7 +300,9 @@ impl Outcome {
 
     /// Records a breakdown restart of `kind` at iteration `it` under
     /// `policy`; `relres`, when given and finite, becomes the reported
-    /// residual. True when the solve must stop.
+    /// residual. A traced sequential core records `relres`, or without one
+    /// the residual the restart left untouched: the last completed
+    /// iteration's, ∞ before the first. True when the solve must stop.
     fn restart(
         &mut self,
         policy: &mut RestartPolicy,
@@ -316,13 +318,12 @@ impl Outcome {
             action,
         });
         self.iterations = it + 1;
-        if let Some(r) = relres {
-            if matches!(self.recorder, Recorder::TracedSequential) {
-                self.residual_history.push(r);
-            }
-            if r.is_finite() {
-                self.final_relres = r;
-            }
+        if matches!(self.recorder, Recorder::TracedSequential) {
+            self.residual_history
+                .push(relres.unwrap_or(self.final_relres));
+        }
+        if let Some(r) = relres.filter(|r| r.is_finite()) {
+            self.final_relres = r;
         }
         self.failure = failure;
         self.failure.is_some()
@@ -540,9 +541,10 @@ pub struct SolveReport {
     /// Relative residual after each iteration. The threaded engines always
     /// record the recurrence value of each completed, non-breakdown
     /// iteration. The sequential cores record only under
-    /// `trace_residuals`, and then CG, pipelined CG, BiCGSTAB and
-    /// pipelined PCG also record the residual each breakdown restart
-    /// leaves.
+    /// `trace_residuals`, and then one entry per iteration: a breakdown
+    /// restart records the residual it leaves (PCG and PBiCGSTAB, whose
+    /// restarts report none, the last completed iteration's, ∞ before the
+    /// first).
     pub residual_history: Vec<f64>,
     /// Relative error vs. the reference solution per iteration (when a
     /// reference is configured; Fig. 12).

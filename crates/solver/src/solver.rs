@@ -1431,7 +1431,7 @@ mod tests {
     fn pipelined_timeline_charges_fewer_sync_epochs() {
         // Same fixed iteration count, same matrix: the pipelined solve's
         // modeled Wait share must be below classic (1 barrier epoch per
-        // iteration instead of ~4) while the arithmetic phases match.
+        // iteration instead of 6) while the arithmetic phases match.
         let a = poisson1d(512);
         let b = rhs(&a);
         let solver = MilleFeuille::new(

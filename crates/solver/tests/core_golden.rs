@@ -634,9 +634,9 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("negdef", "cg", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4063d551bb1709c6)),
     ("negdef", "cg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x404cea1586ded352)),
     ("negdef", "bicgstab", ok(0xfe13d8f607f0e197, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
-    ("negdef", "pcg_ilu0", ok(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40910af93929bce2)),
+    ("negdef", "pcg_ilu0", ok(0x13f631ef6a6fdd25, 8, 0x0bb2e2e48f5e8da5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40910af93929bce2)),
     ("negdef", "pcg_ic0", err("NotSpd(0)")),
-    ("negdef", "pcg_block_jacobi", ok(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40908dc828d747ce)),
+    ("negdef", "pcg_block_jacobi", ok(0x13f631ef6a6fdd25, 8, 0x0bb2e2e48f5e8da5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40908dc828d747ce)),
     ("negdef", "pcg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4076e58d2a83adee)),
     ("negdef", "pbicgstab", ok(0xc043d5695370d581, 7, 0x7f479a5bf5636325, "", "None", 0x4098cd2368e391ee)),
     ("negdef", "auto", ok(0xfe13d8f607f0e197, 25, 0x3c763beec87b20b2, "", "None", 0x408a98b59fba1a42)),
@@ -651,7 +651,7 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("nonsym", "pbicgstab_threaded", engine(0xcb23efb2bf9c3b25, 1, 0x546e75ec9eccea57, "", "None")),
     ("fooled", "cg", ok(0xf05e74aa1eda9c25, 8, 0x01254f26d3b0bba5, "0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40629f2380adfc39)),
     ("fooled", "auto", ok(0x912ed36b74c2e285, 1, 0xc06ad2530110e245, "0-6:Curvature:Restarted 7:Curvature:Aborted 8:Curvature:SwitchedSolver", "None", 0x404990d8024a8c59)),
-    ("zero_pivot", "pcg_ilu0", ok(0x13f631ef6a6fdd25, 8, 0xcbf29ce484222325, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40910aecef07cb20)),
+    ("zero_pivot", "pcg_ilu0", ok(0x13f631ef6a6fdd25, 8, 0x0bb2e2e48f5e8da5, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x40910aecef07cb20)),
     ("zero_pivot", "pcg_ic0", err("NotSpd(1)")),
     ("zero_pivot", "pcg_pipelined", ok(0x13f631ef6a6fdd25, 8, 0x01254f26d3b0bba5, "0:FactorShift:Restarted 0-6:Curvature:Restarted 7:Curvature:Aborted", "Some(Stalled { iteration: 7 })", 0x4076e556d9629786)),
     ("zero_pivot", "pbicgstab", ok(0x49d22b176b05aa42, 12, 0x50b95d97da7c0c15, "0:FactorShift:Restarted", "None", 0x40a4ffb669c69d8e)),
@@ -660,16 +660,16 @@ fn golden() -> Vec<(&'static str, &'static str, Digest)> {
     ("fixed_iters", "cg", ok(0xc050784f836c8490, 40, 0x9f7ccb463020c1e7, "24-39:Curvature:Restarted", "None", 0x40842b9b05f8eaf4)),
     ("fixed_iters", "cg_pipelined", ok(0xda31755edd3f3092, 40, 0xc9bf8933d7ea9ac9, "26:Curvature:Restarted 28-39:Curvature:Restarted", "None", 0x406a4a8794ab3ca7)),
     ("fixed_iters", "bicgstab", ok(0xec922d5ea1650470, 40, 0x0ce2a931f859fc5a, "15:Omega:Restarted 16-39:NonFinite:Restarted", "None", 0x40938d3c5da47658)),
-    ("fixed_iters", "pcg_ilu0", ok(0xdf5d5d6c5189651e, 40, 0xf33b39fb2ead8f89, "11-39:Curvature:Restarted", "None", 0x40b201d2a0beb529)),
-    ("fixed_iters", "pcg_ic0", ok(0xb832bec6706d3659, 40, 0xdfdc1ae070a3a671, "11-39:Curvature:Restarted", "None", 0x40b203f4d4dc3c59)),
+    ("fixed_iters", "pcg_ilu0", ok(0xdf5d5d6c5189651e, 40, 0x37a0488aef2a6a29, "11-39:Curvature:Restarted", "None", 0x40b201d2a0beb529)),
+    ("fixed_iters", "pcg_ic0", ok(0xb832bec6706d3659, 40, 0x8945b196a8101a11, "11-39:Curvature:Restarted", "None", 0x40b203f4d4dc3c59)),
     ("fixed_iters", "pcg_block_jacobi", ok(0x67f000b6b9308c2d, 40, 0xe8fe4aa77da982b7, "", "None", 0x40b2fde9ecfc0b80)),
     ("fixed_iters", "pcg_pipelined", ok(0xbbd93ebfffe6ca0c, 40, 0x47276fd29a528248, "2:Curvature:Restarted 7:Curvature:Restarted 12:Curvature:Restarted 17:Curvature:Restarted 27:Curvature:Restarted 32:Curvature:Restarted 37:Curvature:Restarted", "None", 0x40a3a7a5417d6a51)),
-    ("fixed_iters", "pbicgstab", ok(0xdf5d5d6c5189651e, 40, 0x87a0b0c143295756, "5-14:Omega:Restarted 15-39:Rho:Restarted", "None", 0x40bb54d2a0beb529)),
+    ("fixed_iters", "pbicgstab", ok(0xdf5d5d6c5189651e, 40, 0xd4f1e302da82e016, "5-14:Omega:Restarted 15-39:Rho:Restarted", "None", 0x40bb54d2a0beb529)),
     ("rotation", "bicgstab", ok(0x7da144b97d054b25, 8, 0x01254f26d3b0bba5, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x4070d719a7979dd0)),
     ("rotation", "bicgstab_threaded", engine(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })")),
     ("rotation", "pbicgstab", ok(0x04de09ed9e6ead4d, 2, 0x8a0c26e85c7971e4, "0:FactorShift:Restarted", "None", 0x4077dbc03a94ff37)),
     ("rotation", "pbicgstab_threaded", engine(0x04de09ed9e6ead4d, 2, 0x103537e2a71ce1b9, "0:FactorShift:Restarted", "None")),
-    ("rotation", "pbicgstab_identity", ok(0x7da144b97d054b25, 8, 0xcbf29ce484222325, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x40965f8ef8b26ece)),
+    ("rotation", "pbicgstab_identity", ok(0x7da144b97d054b25, 8, 0x0bb2e2e48f5e8da5, "0-6:NonFinite:Restarted 7:NonFinite:Aborted", "Some(Stalled { iteration: 7 })", 0x40965f8ef8b26ece)),
     ("skew96", "bicgstab", ok(0x69f742eef3808cd0, 1000, 0x568719676ecbdbc5, "41-42:Omega:Restarted", "None", 0x40de6e5fe66282ea)),
     ("skew96", "bicgstab_threaded", engine(0x44c0b77ba3c6a825, 71, 0xb621fae58797af7d, "1:NonFinite:Restarted 7:Rho:Restarted 26:Rho:Restarted 31:Rho:Restarted 48:Rho:Restarted 64:Rho:Restarted 69:Rho:Restarted 70:NonFinite:Aborted", "Some(NonFinite { iteration: 70 })")),
     ("skew96", "pbicgstab", ok(0xdeb6e4c8ef220d6c, 3, 0x4dc27e32ddea77ca, "0:FactorShift:Restarted", "None", 0x4081864e13ade294)),
@@ -753,6 +753,23 @@ fn golden_cases_exercise_convergence_restarts_and_retiering() {
     );
     let fixed = by_core("fixed_iters", "pcg_ic0").unwrap();
     assert!(!fixed.breakdowns.is_empty() && fixed.failure.is_none());
+    // A fixed budget records one residual per iteration, preconditioned
+    // restarts included.
+    for core in [
+        "pcg_ilu0",
+        "pcg_ic0",
+        "pcg_block_jacobi",
+        "pcg_pipelined",
+        "pbicgstab",
+    ] {
+        let fixed = by_core("fixed_iters", core).unwrap();
+        assert_eq!(fixed.iterations, 40, "fixed_iters/{core}");
+        assert_eq!(
+            fixed.residual_history.len(),
+            fixed.iterations,
+            "fixed_iters/{core}"
+        );
+    }
     let adaptive = by_core("adaptive", "pcg_ilu0").unwrap();
     assert!(!adaptive.retier_trail.is_empty());
     let alpha = by_core("rotation", "bicgstab_threaded").unwrap();

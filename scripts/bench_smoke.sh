@@ -18,7 +18,9 @@
 # phase-barrier reference, or when the fused ticketed schedule's modeled
 # makespan exceeds the phase-barrier pipeline's on any row), and the
 # Fig. 6 dependency trace (runs the threaded CG on the paper's example and
-# *fails* unless it converges).
+# *fails* unless it converges), and the Fig. 10 preconditioned comparison
+# (bench_out/fig10_*.csv; *fails* when any baseline row runs fewer
+# iterations than the fixed budget, which would charge it less time).
 #
 # After the fresh run, the **gate-regression guard** diffs every committed
 # BENCH_*.json baseline against its freshly generated counterpart with
@@ -64,13 +66,14 @@ fi
 # works on a clean checkout.
 cargo build --release --locked --offline -p mf-bench \
     --bin spmv_scaling --bin fig_trace_timeline --bin fig_serve --bin fig_adaptive \
-    --bin fig_ticket --bin fig06_dependency_trace --bin gate_diff
+    --bin fig_ticket --bin fig06_dependency_trace --bin fig10_preconditioned --bin gate_diff
 ./target/release/spmv_scaling
 ./target/release/fig_trace_timeline --trace-dir bench_out/traces
 ./target/release/fig_serve
 ./target/release/fig_adaptive
 ./target/release/fig_ticket
 ./target/release/fig06_dependency_trace
+./target/release/fig10_preconditioned
 
 # Gate-regression guard: committed baseline vs fresh, boolean gate fields
 # only. gate_diff names the offending field (and writes it to the job
