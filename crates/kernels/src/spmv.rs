@@ -182,7 +182,7 @@ impl SharedTiles {
     /// This copy with each row summed as one run in its stored order,
     /// from `0.0`, as [`spmv_csr`] sums it: loaded from a column-sorted
     /// matrix's uniform-FP64 tiles, it makes [`spmv_mixed`] under all-`Keep`
-    /// flags bitwise [`spmv_csr`]. How the baseline libraries multiply.
+    /// flags bitwise [`spmv_csr`]. The baseline libraries multiply so.
     ///
     /// A row's runs no longer follow its tiles, so a `Bypass` flag against
     /// the result panics; lowering and re-tiering still work.
